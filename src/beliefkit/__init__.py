@@ -39,6 +39,7 @@ from .errors import (
     NotCps,
     NullConditioning,
     ParseError,
+    SeparationFailed,
     SpaceMismatch,
     TooManyStates,
     ValidationError,

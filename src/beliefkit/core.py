@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -76,14 +75,14 @@ def _lex_masks(indices: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def lex_submasks(mask: int) -> tuple[int, ...]:
-    """All submasks of ``mask`` in canonical order, empty mask first.
+def mask_indices(mask: int) -> list[int]:
+    """State indices set in ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    Cached because the chain-rule scan revisits the same masks constantly.
-    """
-    indices = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    return (0, *_lex_masks(indices))
+
+def lex_submasks(mask: int) -> tuple[int, ...]:
+    """All submasks of ``mask`` in canonical order, empty mask first."""
+    return (0, *_lex_masks(mask_indices(mask)))
 
 
 class StateSpace:
@@ -171,8 +170,7 @@ class Event:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        m = self.mask
-        return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+        return tuple(mask_indices(self.mask))
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -238,7 +236,7 @@ class Event:
 class Belief:
     """A probability distribution over a state space, exact and immutable."""
 
-    __slots__ = ("space", "mass", "support_mask", "_hash", "_den", "_nums", "_row")
+    __slots__ = ("space", "mass", "support_mask", "_hash", "_den", "_nums")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         vec = [ZERO] * len(space)
@@ -259,7 +257,6 @@ class Belief:
         self._hash = hash((space._hash, self.mass))
         self._den: int | None = None
         self._nums: tuple[int, ...] | None = None
-        self._row: list[int] | None = None
 
     @classmethod
     def point(cls, space: StateSpace, label: str) -> "Belief":
@@ -285,36 +282,26 @@ class Belief:
     def _ints(self) -> tuple[int, tuple[int, ...]]:
         """Masses as integer numerators over one common denominator."""
         if self._den is None:
-            den = lcm(*(value.denominator for value in self.mass))
+            dens = [value.denominator for value in self.mass]
+            den = lcm(*dens)
             self._den = den
-            self._nums = tuple(int(value * den) for value in self.mass)
+            self._nums = tuple([v.numerator * (den // d) for v, d in zip(self.mass, dens)])
         return self._den, self._nums  # type: ignore[return-value]
 
-    def subset_row(self) -> list[int]:
-        """Numerator of the mass of every event mask; index = mask.
-
-        Size 2^|S|, built once on demand.  Pair with the denominator from
-        ``_ints`` to recover exact probabilities.
-        """
-        if self._row is None:
-            _, nums = self._ints()
-            n = len(self.space)
-            row = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                row[mask] = row[mask ^ low] + nums[low.bit_length() - 1]
-            self._row = row
-        return self._row
-
-    def mass_on_mask(self, mask: int) -> Fraction:
-        den, nums = self._ints()
+    def mask_num(self, mask: int) -> int:
+        """Numerator of the mass on ``mask``, over the ``_ints`` denominator."""
+        _, nums = self._ints()
         m = mask & self.support_mask
         num = 0
         while m:
             low = m & -m
             num += nums[low.bit_length() - 1]
             m ^= low
-        return Fraction(num, den)
+        return num
+
+    def mass_on_mask(self, mask: int) -> Fraction:
+        den, _ = self._ints()
+        return Fraction(self.mask_num(mask), den)
 
     def prob(self, event: Event) -> Fraction:
         if self.space != event.space:

@@ -76,6 +76,10 @@ class CycleDetected(BeliefkitError):
     """The dominance relation among conditional beliefs is cyclic."""
 
 
+class SeparationFailed(BeliefkitError):
+    """The thresholded construction's lowest interval does not clear the threshold."""
+
+
 class AllLevelsNull(BeliefkitError):
     """Every lexicographic level assigns zero mass to the conditioning event."""
 

@@ -36,11 +36,12 @@ from .errors import (
     CycleDetected,
     EmptyEvent,
     IncompleteCoverage,
+    SeparationFailed,
     SpaceMismatch,
     ValidationError,
 )
 from .ordered_surprises import OSRepresentation, _min_order
-from .rules import UpdatingRule, rules_equal
+from .rules import UpdatingRule
 
 __all__ = [
     "HTRepresentation",
@@ -52,7 +53,6 @@ __all__ = [
     "EpsOsConstruction",
     "eps_os_construction",
     "eps_os_to_ht",
-    "rules_equal",
 ]
 
 
@@ -128,44 +128,32 @@ class HTRepresentation:
         )
 
     def _fast_tables(self):
-        # integer views for bulk selection: per prior, numerators plus
-        # cross-multiplication constants for score comparison
+        # cross-multiplication constants for integer score comparison
         if self._fast is None:
-            nums = []
             mul = []  # score_j proportional to n_j * mul_num[j] / mul_den[j]
             div = []
             for prior, weight in zip(self.priors, self.rho):
-                den, vec = prior._ints()
-                nums.append(vec)
+                den, _ = prior._ints()
                 mul.append(weight.numerator)
                 div.append(den * weight.denominator)
             den0, _ = self.priors[0]._ints()
-            self._fast = (nums, mul, div, den0)
+            self._fast = (mul, div, den0)
         return self._fast
-
-
-def _mass_num(nums, mask: int) -> int:
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += nums[low.bit_length() - 1]
-        mask ^= low
-    return total
 
 
 def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
     """(bayesian?, chosen prior index) for the event mask, integer-only."""
-    nums, mul, div, den0 = ht._fast_tables()
+    mul, div, den0 = ht._fast_tables()
     eps = ht.eps
-    n0 = _mass_num(nums[0], mask & ht.priors[0].support_mask)
+    n0 = ht.priors[0].mask_num(mask)
     if n0 * eps.denominator > eps.numerator * den0:
         return True, 0
     best = -1
     best_num = 0
     best_den = 1
     tied: list[int] = []
-    for j in range(len(nums)):
-        nj = _mass_num(nums[j], mask & ht.priors[j].support_mask)
+    for j in range(len(mul)):
+        nj = ht.priors[j].mask_num(mask)
         score_num = nj * mul[j]
         if score_num * best_den > best_num * div[j]:
             best, best_num, best_den = j, score_num, div[j]
@@ -366,7 +354,8 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         lower = (floor + upper) / 2
         bounds.append((upper, lower))
         upper = (threshold + lower) / 2
-    assert bounds[-1][1] > threshold * bounds[0][0]
+    if bounds[-1][1] <= threshold * bounds[0][0]:
+        raise SeparationFailed(f"interval chain collapsed onto the threshold {threshold}")
 
     raw: list[Fraction] = []
     flat_priors: list[Belief] = []

@@ -120,14 +120,8 @@ def _min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None
                 return k
         return None
     for k, prior in enumerate(priors):
-        den, nums = prior._ints()
-        inner = mask & prior.support_mask
-        num = 0
-        while inner:
-            low = inner & -inner
-            num += nums[low.bit_length() - 1]
-            inner ^= low
-        if num * eps.denominator > eps.numerator * den:
+        den, _ = prior._ints()
+        if prior.mask_num(mask) * eps.denominator > eps.numerator * den:
             return k
     return None
 
@@ -178,24 +172,16 @@ def os_rule(os: OSRepresentation) -> UpdatingRule:
 def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
     """Recover the canonical hierarchy from a valid CPS rule.
 
-    Peels from the full space: each step takes the rule's belief on the
-    remaining states and removes its support.  Raises NotCps (carrying the
-    validation outcome) when the rule fails ``validate_cps``.
+    The priors are the ones ``validate_cps`` peels from the rule: starting
+    from the full space, each takes the rule's belief on the remaining
+    states and removes its support.  Raises NotCps (carrying the validation
+    outcome) when the rule fails ``validate_cps``.
     """
     validation = validate_cps(rule)
     if not validation:
         detail = validation.reason or "chain rule violated"
         raise NotCps(f"rule is not a conditional probability system: {detail}", validation)
-    space = rule.space
-    rest = (1 << len(space)) - 1
-    priors: list[Belief] = []
-    while True:
-        belief = rule[Event(space, rest)]
-        priors.append(belief)
-        if belief.support_mask == rest:
-            break
-        rest &= ~belief.support_mask
-    return OSRepresentation(space, priors)
+    return OSRepresentation(rule.space, validation.priors)
 
 
 def eps_os_update(os: OSRepresentation, eps: Fraction | int, e: Event) -> Belief:

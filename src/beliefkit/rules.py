@@ -6,11 +6,13 @@ nonempty event), concentrated (P(E|E) = 1), and satisfies the chain rule
 
     P(G|E) = P(G|F) * P(F|E)   for all G <= F <= E with F nonempty.
 
-``validate_cps`` checks all of that exhaustively.  The triple scan runs on
-integer numerator tables over per-belief common denominators, so the check
-is pure machine-int arithmetic; Fractions are only rebuilt for the reported
-witness.  Witnesses are always the lexicographically first violating triple
-under the canonical event order, which keeps every report deterministic.
+Every hierarchy of priors induces a CPS, and every CPS is induced by the
+hierarchy peeled from it (Myerson 1986).  So ``validate_cps`` peels the rule
+and certifies, in integers, that each entry is the peel's update: that
+proves the chain rule on all 4^n - 2^n triples without enumerating them.
+Where an entry fails, it searches for the lexicographically first violating
+triple under the canonical event order, the one an exhaustive scan would
+report, which keeps every report deterministic.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from .core import (
     CheckResult,
     Event,
     StateSpace,
+    as_fraction,
     bayes_update,
     lex_submasks,
+    mask_indices,
 )
-from .errors import BadDelta, EmptyEvent, SpaceMismatch, ValidationError
+from .errors import BadDelta, EmptyEvent, SpaceMismatch
 
 
 class UpdatingRule:
@@ -48,10 +52,6 @@ class UpdatingRule:
         self.space = space
         self._table = checked
         self._events: tuple[Event, ...] | None = None
-
-    @property
-    def domain(self):
-        return self._table.keys()
 
     def events(self) -> tuple[Event, ...]:
         """Domain events in canonical order."""
@@ -120,7 +120,7 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     delta < 1 on any non-certain event, which is exactly what makes it a
     useful non-CPS foil.
     """
-    delta = Fraction(delta)
+    delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
     space = prior.space
@@ -158,19 +158,20 @@ class CpsWitness:
 
 @dataclass(frozen=True)
 class CpsValidation:
-    """Outcome of ``validate_cps``: valid, violation, or not a candidate."""
+    """Outcome of ``validate_cps``: valid (with the peeled priors), violation, or not a candidate."""
 
     status: str  # "valid" | "violation" | "not-candidate"
     witness: CpsWitness | None = None
     reason: str | None = None
     triples: int = 0
+    priors: tuple[Belief, ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == "valid"
 
     @classmethod
-    def valid(cls, triples: int) -> "CpsValidation":
-        return cls("valid", triples=triples)
+    def valid(cls, triples: int, priors: tuple[Belief, ...]) -> "CpsValidation":
+        return cls("valid", triples=triples, priors=priors)
 
     @classmethod
     def violation(cls, witness: CpsWitness, triples: int) -> "CpsValidation":
@@ -182,61 +183,87 @@ class CpsValidation:
 
 
 def validate_cps(rule: UpdatingRule) -> CpsValidation:
-    """Exhaustive CPS check over all nested triples G <= F <= E, F nonempty.
+    """CPS check over all nested triples G <= F <= E, F nonempty.
 
     Returns not-candidate (naming the failed property) if the rule is not
-    complete or not concentrated, the first violating triple in canonical
-    (E, F, G) order if the chain rule fails, and valid otherwise with the
-    number of triples enumerated (always 4^n - 2^n for n states).
+    complete or not concentrated.  Otherwise peels the rule from the full
+    space and certifies each event's belief as the Bayes update of the
+    first peeled prior meeting it.  All certified proves the rule is the
+    one the peeled hierarchy induces, hence a CPS: valid, with the peeled
+    priors, and ``triples`` counts all 4^n - 2^n triples as certified for
+    n states.  Otherwise the first violating triple in canonical (E, F, G)
+    order, with the number of triples an exhaustive scan enumerates up to
+    and including it.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
-    concentrated = is_concentrated(rule)
-    if not concentrated:
+    if not is_concentrated(rule):
         return CpsValidation.not_candidate("not concentrated")
 
     space = rule.space
-    masks = space.canonical_masks()
+    n = len(space)
+    table = {event.mask: belief for event, belief in rule._table.items()}
+    priors: list[Belief] = []
+    owner = [0] * n  # index of the peeled prior whose support holds each state
+    rest = (1 << n) - 1
+    while rest:
+        prior = table[rest]
+        for i in mask_indices(prior.support_mask):
+            owner[i] = len(priors)
+        priors.append(prior)
+        rest &= ~prior.support_mask
 
-    # Rows of integer numerators per distinct posterior; many events share one.
-    row_of: dict[int, int] = {}
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    belief_index: dict[Belief, int] = {}
-    for event in rule.events():
-        belief = rule[event]
-        idx = belief_index.get(belief)
-        if idx is None:
-            idx = len(rows)
-            belief_index[belief] = idx
-            den, _ = belief._ints()
-            rows.append(belief.subset_row())
-            dens.append(den)
-        row_of[event.mask] = idx
+    # Certificate: nums_E[i] * mass_k(E) == nums_k[i] * den_E for i in E.
+    uncertified: list[int] = []
+    for e in space.canonical_masks():
+        states = mask_indices(e)
+        prior = priors[min(owner[i] for i in states)]
+        _, nums_k = prior._ints()
+        mass = prior.mask_num(e)
+        den_e, nums_e = table[e]._ints()
+        if any(nums_e[i] * mass != nums_k[i] * den_e for i in states):
+            uncertified.append(e)
 
-    triples = 0
-    for e_mask in masks:
-        row_e = rows[row_of[e_mask]]
-        for f_mask in lex_submasks(e_mask)[1:]:
-            fi = row_of[f_mask]
-            row_f = rows[fi]
-            den_f = dens[fi]
-            n_fe = row_e[f_mask]
-            for g_mask in lex_submasks(f_mask):
-                triples += 1
-                if row_e[g_mask] * den_f != row_f[g_mask] * n_fe:
-                    den_e = dens[row_of[e_mask]]
-                    lhs = Fraction(row_e[g_mask], den_e)
-                    rhs = Fraction(row_f[g_mask], den_f) * Fraction(n_fe, den_e)
-                    witness = CpsWitness(
-                        g=Event(space, g_mask),
-                        f=Event(space, f_mask),
-                        e=Event(space, e_mask),
-                        lhs=lhs,
-                        rhs=rhs,
-                    )
-                    return CpsValidation.violation(witness, triples)
-    return CpsValidation.valid(triples)
+    # Search: a pair of certified beliefs obeys the chain rule, since the
+    # peel's rule does, and a pair breaks it exactly when a singleton does.
+    pending = set(uncertified)
+    before = 0  # triples an exhaustive scan enumerates before E
+    for e in space.canonical_masks() if uncertified else ():
+        subs = lex_submasks(e)[1:] if e in pending else [f for f in uncertified if f & e == f]
+        for f in subs:
+            if _first_break(table[e], table[f], f, [1 << i for i in mask_indices(f)]) is not None:
+                return _violation(space, table, e, f, before)
+        before += 3 ** e.bit_count() - 1
+    return CpsValidation.valid(4**n - 2**n, tuple(priors))
+
+
+def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
+    """Index of the first G in ``gs`` with P(G|E) != P(G|F) P(F|E), or None."""
+    den_f, _ = given_f._ints()
+    f_num = given_e.mask_num(f)
+    for position, g in enumerate(gs):
+        if given_e.mask_num(g) * den_f != given_f.mask_num(g) * f_num:
+            return position
+    return None
+
+
+def _violation(space: StateSpace, table: dict, e: int, f: int, before: int) -> CpsValidation:
+    """The first violating triple of the failing pair (E, F), and its position."""
+    subs = lex_submasks(e)
+    before += sum(1 << earlier.bit_count() for earlier in subs[1 : subs.index(f)])
+    given_e, given_f = table[e], table[f]
+    gs = lex_submasks(f)
+    position = _first_break(given_e, given_f, f, gs)  # not None: the pair fails
+    g = gs[position]
+    den_e, den_f = given_e._ints()[0], given_f._ints()[0]
+    witness = CpsWitness(
+        g=Event(space, g),
+        f=Event(space, f),
+        e=Event(space, e),
+        lhs=Fraction(given_e.mask_num(g), den_e),
+        rhs=Fraction(given_f.mask_num(g), den_f) * Fraction(given_e.mask_num(f), den_e),
+    )
+    return CpsValidation.violation(witness, before + position + 1)
 
 
 def rules_equal(a: UpdatingRule, b: UpdatingRule, scope: Iterable[Event] | None = None) -> CheckResult:

@@ -285,3 +285,16 @@ def test_subprocess_error_goes_to_stderr_only():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error\tValidationError\t")
+
+
+def test_module_entry_point_matches_main(capsys):
+    code, out, err = run_cli(capsys, "validate-cps", "coin")
+    proc = subprocess.run(
+        [sys.executable, "-m", "beliefkit.cli", "validate-cps", "coin"],
+        capture_output=True,
+        text=True,
+    )
+    assert code == 0
+    assert proc.returncode == 0
+    assert proc.stdout == out
+    assert proc.stderr == err

@@ -11,6 +11,7 @@ from beliefkit import (
     OSRepresentation,
     StateSpace,
     UpdatingRule,
+    ValidationError,
     bayesian_rule,
     conservative_rule,
     is_complete,
@@ -110,6 +111,12 @@ def test_conservative_delta_bounds(half_half):
         conservative_rule(prior, 0)
     with pytest.raises(BadDelta):
         conservative_rule(prior, Fraction(3, 2))
+
+
+def test_conservative_delta_rejects_floats(half_half):
+    _, prior = half_half
+    with pytest.raises(ValidationError):
+        conservative_rule(prior, 0.5)
 
 
 def test_validate_cps_flags_conservative_as_not_candidate(half_half):
