@@ -22,9 +22,9 @@ from .errors import BeliefkitError, NotCps, ValidationError
 from .hypothesis_testing import eps_os_construction, ht_rule, ht_select, os_to_ht
 from .lps import indifference_resolution_demo, lps_compare, lps_value
 from .ordered_surprises import (
-    _min_order,
     cps_to_os,
     eps_os_update,
+    min_order,
     os_rule,
     os_update,
     surprise_order,
@@ -171,7 +171,7 @@ def cmd_eps_update(scenario: Scenario, args):
     eps = parse_rational(args.eps, "--eps")
     e = _parse_event(scenario.space, args.event)
     belief = eps_os_update(os, eps, e)
-    order = _min_order(os.priors, e.mask, eps)
+    order = min_order(os.priors, e.mask, eps)
     rows = [
         ("eps", format_rational(eps)),
         ("order", str(order)),

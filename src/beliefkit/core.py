@@ -327,9 +327,10 @@ class Lottery:
     """A finite-support objective lottery over outcome labels.
 
     Zero-probability entries are dropped, so the stored support is exact.
+    Expected utilities are memoized per lottery, keyed by the utility.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_hash", "_expected")
 
     def __init__(self, outcomes: Mapping[str, Fraction | int]):
         cleaned: list[tuple[str, Fraction]] = []
@@ -345,6 +346,7 @@ class Lottery:
             raise ValidationError(f"lottery probabilities must sum to 1, got {total}")
         self.entries = tuple(cleaned)
         self._hash = hash(self.entries)
+        self._expected: dict[UtilityFunction, Fraction] | None = None
 
     @classmethod
     def degenerate(cls, label: str) -> "Lottery":
@@ -467,7 +469,20 @@ class UtilityFunction:
             raise MissingUtility(f"no utility assigned to outcome {outcome!r}") from None
 
     def expected(self, lottery: Lottery) -> Fraction:
-        return sum((p * self.value(o) for o, p in lottery.entries), ZERO)
+        """Expected utility of ``lottery``, memoized on the lottery.
+
+        The memo is keyed by this utility, so a family's utilities hit it by
+        identity.  A missing outcome raises MissingUtility on every call;
+        failures are never stored.
+        """
+        memo = lottery._expected
+        if memo is None:
+            memo = lottery._expected = {}
+        value = memo.get(self)
+        if value is None:
+            value = sum((p * self.value(o) for o, p in lottery.entries), ZERO)
+            memo[self] = value
+        return value
 
     def is_constant_on(self, outcomes: Iterable[str]) -> bool:
         values = {self.value(o) for o in outcomes}
@@ -555,16 +570,22 @@ def seu_value(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
     """Subjective expected utility of ``f`` under belief ``mu``.
 
     The utility table must cover every outcome the act can produce,
-    including outcomes on zero-probability states.
+    including outcomes on zero-probability states: every state's expected
+    utility is read, from the memo ``UtilityFunction.expected`` keeps on
+    each lottery.  The sum is taken on integer numerators: the belief's
+    over its common denominator, each expected utility's over the lcm of
+    the expected-utility denominators on the support, then one Fraction.
     """
     if mu.space != f.space:
         raise SpaceMismatch("belief and act belong to different state spaces")
-    total = ZERO
-    for mass, lottery in zip(mu.mass, f.assignment):
+    den, nums = mu._ints()
+    terms = []
+    for num, lottery in zip(nums, f.assignment):
         value = u.expected(lottery)
-        if mass:
-            total += mass * value
-    return total
+        if num:
+            terms.append((num, value.numerator, value.denominator))
+    common = lcm(*[d for _, _, d in terms])
+    return Fraction(sum([num * n * (common // d) for num, n, d in terms]), den * common)
 
 
 def is_null_event(mu: Belief, a: Event) -> bool:

@@ -40,7 +40,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, _min_order
+from .ordered_surprises import OSRepresentation, min_order
 from .rules import UpdatingRule
 
 __all__ = [
@@ -267,7 +267,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     seen_masks: list[dict[int, None]] = [dict() for _ in priors]
     class_events: list[list[int]] = [[] for _ in priors]
     for mask in space.canonical_masks():
-        order = _min_order(priors, mask, eps)
+        order = min_order(priors, mask, eps)
         if order is None:
             continue
         inner = mask & priors[order].support_mask

@@ -113,7 +113,12 @@ def canonicalize_os(priors: Sequence[Belief] | OSRepresentation) -> OSRepresenta
     return OSRepresentation(space, cleaned)
 
 
-def _min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
+def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
+    """Index of the first prior whose mass on ``mask`` exceeds ``eps``, or None.
+
+    With eps = 0 that is the first prior whose support meets ``mask``.  The
+    threshold is not range-checked here; callers taking it from outside do.
+    """
     if eps == 0:
         for k, prior in enumerate(priors):
             if prior.support_mask & mask:
@@ -132,7 +137,7 @@ def surprise_order(os: OSRepresentation, e: Event) -> int:
         raise SpaceMismatch("event built over a different state space")
     if not e:
         raise EmptyEvent("the empty event has no surprise order")
-    order = _min_order(os.priors, e.mask, ZERO)
+    order = min_order(os.priors, e.mask, ZERO)
     if order is None:
         raise IncompleteCoverage(
             f"no prior assigns positive mass to {{{','.join(e.members)}}}"
@@ -193,7 +198,7 @@ def eps_os_update(os: OSRepresentation, eps: Fraction | int, e: Event) -> Belief
         raise SpaceMismatch("event built over a different state space")
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
-    order = _min_order(os.priors, e.mask, eps)
+    order = min_order(os.priors, e.mask, eps)
     if order is None:
         raise NoPriorExceedsThreshold(
             f"no prior mass on {{{','.join(e.members)}}} exceeds {eps}"
@@ -261,7 +266,7 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     classes: list[list[Event]] = [[] for _ in os.priors]
     undefined: list[Event] = []
     for mask in space.canonical_masks():
-        order = _min_order(os.priors, mask, eps)
+        order = min_order(os.priors, mask, eps)
         event = Event(space, mask)
         if order is None:
             undefined.append(event)

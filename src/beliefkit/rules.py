@@ -88,10 +88,14 @@ def is_complete(rule: UpdatingRule) -> bool:
 
 
 def is_concentrated(rule: UpdatingRule) -> CheckResult:
-    """Check P(E|E) = 1 on the whole domain; witness the first failure."""
-    for event in rule.events():
-        if rule[event].support_mask & ~event.mask:
-            return CheckResult(False, event)
+    """Check P(E|E) = 1 on the whole domain; witness the first failure.
+
+    The table is scanned in any order; only when some event fails is the
+    canonically first failure picked out.
+    """
+    failed = [event for event, belief in rule._table.items() if belief.support_mask & ~event.mask]
+    if failed:
+        return CheckResult(False, min(failed, key=lambda e: e.sort_key))
     return CheckResult(True)
 
 

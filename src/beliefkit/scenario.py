@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -45,7 +46,14 @@ def parse_rational(value, path: str = "value") -> Fraction:
         raise ParseError(f"{path}: not an integer or p/q rational: {value!r}")
     if "/" in value and value.split("/")[1].lstrip("0") == "":
         raise ParseError(f"{path}: zero denominator in {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(f"{path}: {_too_long()}") from None
+
+
+def _too_long() -> str:
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def format_rational(value: Fraction) -> str:
@@ -115,6 +123,10 @@ def parse_scenario(text: str) -> Scenario:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as bad:
         raise ParseError(f"line {bad.lineno}, column {bad.colno}: {bad.msg}") from None
+    except ValueError:  # a raw JSON number past the interpreter's digit limit
+        raise ParseError(f"document: {_too_long()}") from None
+    except RecursionError:
+        raise ParseError("document: nested too deeply to parse") from None
     doc = _expect_object(raw, "document")
     for key in doc:
         if key not in _TOP_KEYS:

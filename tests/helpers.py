@@ -96,6 +96,20 @@ def bet(space: StateSpace, win: str, high: Lottery, low: Lottery) -> Act:
     return Act(space, {s: (high if s == win else low) for s in space.states})
 
 
+def fraction_seu(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
+    """Oracle for ``seu_value``: sum of mass times sum of p * u(o), in Fractions.
+
+    Reads the utility of every outcome on every state, zero-mass states
+    included, so a missing outcome raises MissingUtility just as
+    ``seu_value`` does.  Memoizes nothing.
+    """
+    total = Fraction(0)
+    for mass, lottery in zip(mu.mass, f.assignment):
+        value = sum((p * u.value(o) for o, p in lottery.entries), Fraction(0))
+        total += mass * value
+    return total
+
+
 def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
     """Oracle for ``validate_cps``: scan every nested triple G <= F <= E.
 

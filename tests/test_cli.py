@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from beliefkit import load_scenario
 from beliefkit.cli import main
 
@@ -249,6 +251,36 @@ def test_unknown_scenario_lists_fixtures(capsys):
     assert out == ""
     assert err.startswith("error\tParseError\t")
     assert "coin" in err and "lps_demo" in err
+
+
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"space": ["a"], "beliefs": {"mu": {"a": "%s/%s"}}}' % (HUGE, HUGE),
+        '{"space": ["a"], "beliefs": {"mu": {"a": %s}}}' % HUGE,
+        '{"space": ["a"], "events": %s%s}' % ("[" * 100_000, "]" * 100_000),
+        '{"space": ["a"], "beliefs": %s1%s}' % ('{"x":' * 100_000, "}" * 100_000),
+    ],
+    ids=["long-rational", "long-raw-number", "deep-array", "deep-object"],
+)
+def test_unparseable_documents_are_parse_errors(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate-cps", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error\tParseError\t")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_long_threshold_flag_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "eps-update", "coin", "--eps", f"1/{HUGE}", "--event", "el")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error\tParseError\t--eps: ")
 
 
 def test_rule_flag_required_when_both_blocks_present(capsys, tmp_path):

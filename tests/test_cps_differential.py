@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from beliefkit import rules
 from beliefkit import (
     Belief,
     Event,
@@ -22,6 +23,7 @@ from beliefkit import (
     canonicalize_os,
     conservative_rule,
     cps_to_os,
+    is_concentrated,
     os_rule,
     validate_cps,
 )
@@ -140,3 +142,31 @@ def test_decompose_of_an_overlapping_hierarchy_is_its_canonical_form():
     for _ in range(40):
         hier = random_overlapping_os(rng, 7)
         assert cps_to_os(os_rule(hier)) == canonicalize_os(hier)
+
+
+def test_induced_rules_are_certified_without_the_witness_search(monkeypatch):
+    """Every entry of a hierarchy's own rule passes the certificate itself."""
+
+    def no_search(*args):
+        raise AssertionError("the certificate left an entry of an induced rule uncertified")
+
+    monkeypatch.setattr(rules, "_first_break", no_search)
+    rng = random.Random("cps-certificate")
+    for make in (random_canonical_os, random_overlapping_os):
+        for _ in range(60):
+            rule = os_rule(make(rng, 7))
+            assert validate_cps(rule).status == "valid"
+
+
+def test_is_concentrated_witnesses_the_canonically_first_failure():
+    rng = random.Random("concentrated-witness")
+    for _ in range(100):
+        space = random_space(rng)
+        events = list(space.events())
+        rng.shuffle(events)
+        table = {e: random_belief_on(rng, rng.choice([e, space.full_event])) for e in events}
+        rule = UpdatingRule(space, table)
+        failures = [e for e in space.events() if rule[e].support_mask & ~e.mask]
+        check = is_concentrated(rule)
+        assert bool(check) == (not failures)
+        assert check.witness == (failures[0] if failures else None)
