@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -316,6 +316,8 @@ class Belief:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:  # posteriors from bayes_update hash on demand
+            self._hash = hash((self.space._hash, self.mass))
         return self._hash
 
     def __repr__(self) -> str:
@@ -533,21 +535,32 @@ class CheckResult:
 def bayes_update(mu: Belief, e: Event) -> Belief:
     """Condition ``mu`` on ``e``: restrict and renormalize.
 
-    Raises EmptyEvent on e = {} and NullConditioning when mu(e) = 0.
+    Raises EmptyEvent on e = {} and NullConditioning when mu(e) = 0.  The
+    posterior is built from ``mu``'s integer numerators restricted to
+    ``e``: with T their sum, each mass is n_i / T, the support is e's
+    mask within mu's support, and the common denominator is T / g with
+    g = gcd(T, n_i...).  Those masses sum to one by construction, so the
+    checks of ``Belief.__init__`` are skipped.
     """
     if mu.space != e.space:
         raise SpaceMismatch("belief and event belong to different state spaces")
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
-    total = mu.prob(e)
-    if total == 0:
+    support = e.mask & mu.support_mask
+    if not support:
         raise NullConditioning(f"event {{{','.join(e.members)}}} has probability zero")
-    masses = {
-        label: mu.mass[e.space.index(label)] / total
-        for label in e.members
-        if mu.mass[e.space.index(label)]
-    }
-    return Belief(mu.space, masses)
+    _, nums = mu._ints()
+    kept = [n if support >> i & 1 else 0 for i, n in enumerate(nums)]
+    total = sum(kept)
+    g = gcd(total, *kept)
+    posterior = Belief.__new__(Belief)
+    posterior.space = mu.space
+    posterior.mass = tuple([Fraction(n, total) if n else ZERO for n in kept])
+    posterior.support_mask = support
+    posterior._hash = None
+    posterior._den = total // g
+    posterior._nums = tuple([n // g for n in kept])
+    return posterior
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

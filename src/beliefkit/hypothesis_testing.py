@@ -20,6 +20,14 @@ topologically under the dominance relation "the other belief is certain of
 one of my representing events" and spaced evenly.  The returned threshold
 is the largest conditional mass that must fall on the reject side (never
 below the input threshold); for an input threshold of zero it is exactly 0.
+
+The construction runs on integers.  A class-k conditional's support is
+the submask of support k it was conditioned on, so dominance is the
+support-subset test s_j & ~s_i == 0.  Every mass compared is a ratio of
+two entries of one subset-sum table per prior, num(s_i & s_j) / num(s_j),
+and every comparison (against the threshold, for the gap limit, for the
+cross-class maximum) is an integer cross-multiplication; Fractions are
+built only for the values returned.
 """
 
 from __future__ import annotations
@@ -27,9 +35,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable
 
-from .core import Belief, Event, StateSpace, ZERO, ONE, as_fraction, bayes_update
+from .core import (
+    Belief,
+    Event,
+    StateSpace,
+    ZERO,
+    ONE,
+    as_fraction,
+    bayes_update,
+    lex_submasks,
+    mask_indices,
+)
 from .errors import (
     AllZeroScores,
     AmbiguousArgmax,
@@ -40,7 +59,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, min_order
+from .ordered_surprises import OSRepresentation
 from .rules import UpdatingRule
 
 __all__ = [
@@ -253,6 +272,20 @@ class EpsOsConstruction:
     cross_max: Fraction
 
 
+def _submask_nums(support: int, nums: tuple[int, ...]) -> dict[int, int]:
+    """Numerator of every submask of ``support``, in canonical order."""
+    table = {0: 0}
+    for mask in lex_submasks(support)[1:]:
+        top = mask.bit_length() - 1
+        # canonical order lists a mask after its prefix (top state removed)
+        table[mask] = table[mask ^ (1 << top)] + nums[top]
+    return table
+
+
+def _max_ratio(best: tuple[int, int], num: int, den: int) -> tuple[int, int]:
+    return (num, den) if num * best[1] > best[0] * den else best
+
+
 def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConstruction:
     eps = as_fraction(eps)
     if not 0 <= eps < 1:
@@ -260,86 +293,87 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     _require_canonical_cover(os)
     space = os.space
     priors = os.priors
+    space.canonical_masks()  # raises TooManyStates past the power-set cap
 
-    # Distinct conditional beliefs per class.  A class-k event E yields
-    # BU(prior_k, E), which depends only on E intersected with the support,
-    # so the intersection mask identifies the belief.
-    seen_masks: list[dict[int, None]] = [dict() for _ in priors]
-    class_events: list[list[int]] = [[] for _ in priors]
-    for mask in space.canonical_masks():
-        order = min_order(priors, mask, eps)
-        if order is None:
-            continue
-        inner = mask & priors[order].support_mask
-        seen_masks[order].setdefault(inner)
-        class_events[order].append(mask)
-
-    conditionals: list[list[Belief]] = []
-    for k, prior in enumerate(priors):
-        row = []
-        for inner in sorted(seen_masks[k], key=lambda m: Event(space, m).sort_key):
-            row.append(bayes_update(prior, Event(space, inner)))
-        conditionals.append(row)
-
-    # Within-class dominance: b dominates b' when b' is certain of b's own
-    # representing event (its support).  The mass b' puts on any event that
-    # represents b equals the mass on the intersection of supports, so the
-    # choice of representative does not matter.
+    # Supports are disjoint and cover the space, so an event splits into one
+    # submask per support, and its class is the first prior whose submask
+    # clears the threshold.  Every part may be empty (mass 0, below it) and
+    # every support clears it (mass 1 > eps), so class k's conditionals are
+    # BU(prior_k, t) for each submask t of support k above the threshold,
+    # and the parts class-k events leave in a shallower support j are
+    # exactly the submasks of support j at or below it.
+    #
+    # Within-class dominance: b_i dominates b_j when b_j is certain of b_i's
+    # support, i.e. s_j is a subset of s_i.  Otherwise b_j's mass on s_i is
+    # num(s_i & s_j) / num(s_j) < 1, and the gap limit is the largest such.
+    # A row is up-closed in its support (a superset has more mass), so every
+    # row mask missing some x of s_j lies inside support - {x}, which is then
+    # in the row too: b_j's largest such mass drops the least droppable x.
+    rows: list[list[int]] = []  # class k: conditional supports, canonical order
+    below: list[list[int]] = []  # submasks of support k at or below the threshold
+    tables: list[dict[int, int]] = []
     per_class_edges: list[list[tuple[int, int]]] = []
     gap_limits: list[Fraction] = []  # largest dominated-side mass below one
-    for k, row in enumerate(conditionals):
+    for prior in priors:
+        den, nums = prior._ints()
+        support = prior.support_mask
+        table = _submask_nums(support, nums)
+        cut = eps.numerator * den
+        row = [m for m in table if table[m] * eps.denominator > cut]  # never the empty mask
+        droppable = [
+            (nums[x], 1 << x)
+            for x in mask_indices(support)
+            if table[support ^ (1 << x)] * eps.denominator > cut
+        ]
         edges: list[tuple[int, int]] = []
-        limit = ZERO
-        for i, b in enumerate(row):
-            for j, other in enumerate(row):
-                if i == j:
-                    continue
-                value = other.mass_on_mask(b.support_mask)
-                if value == 1:
-                    edges.append((i, j))
-                elif value > limit:
-                    limit = value
+        limit = (0, 1)
+        for i, s_i in enumerate(row):
+            outside = ~s_i
+            edges += [(i, j) for j, s_j in enumerate(row) if not s_j & outside and j != i]
+            least = min([n for n, bit in droppable if s_i & bit], default=0)
+            if least:
+                limit = _max_ratio(limit, table[s_i] - least, table[s_i])
+        rows.append(row)
+        below.append([m for m in table if table[m] * eps.denominator <= cut])
+        tables.append(table)
         per_class_edges.append(edges)
-        gap_limits.append(limit)
+        gap_limits.append(Fraction(*limit))
+    conditionals = [
+        [bayes_update(prior, Event(space, inner)) for inner in row]
+        for prior, row in zip(priors, rows)
+    ]
 
     # Cross-class pressure on the threshold: mass a shallower conditional
     # belief puts on a deeper class's event must stay in the reject region.
-    cross_max = ZERO
-    for k in range(1, len(priors)):
-        for j in range(k):
-            for belief in conditionals[j]:
-                for mask in class_events[k]:
-                    value = belief.mass_on_mask(mask)
-                    if value > cross_max:
-                        cross_max = value
+    # Every deeper class leaves the same parts in support j, ``below[j]``,
+    # so each class but the last is scanned once.
+    top = (0, 1)
+    for j in range(len(priors) - 1):
+        table = tables[j]
+        for s_b in rows[j]:
+            value = max(table[part & s_b] for part in below[j])
+            top = _max_ratio(top, value, table[s_b])
+    cross_max = Fraction(*top)
     threshold = max(cross_max, eps)
 
-    # Topological order per class (deterministic: canonical support key).
+    # Topological order per class: Kahn's with the canonically first ready
+    # belief next.  Rows are in canonical order, so that is the least index.
     ordered: list[list[int]] = []
-    for k, row in enumerate(conditionals):
+    for row, edges in zip(rows, per_class_edges):
         incoming = [0] * len(row)
         outgoing: list[list[int]] = [[] for _ in row]
-        for winner, loser in per_class_edges[k]:
+        for winner, loser in edges:
             incoming[loser] += 1
             outgoing[winner].append(loser)
-        ready = sorted(
-            (i for i in range(len(row)) if incoming[i] == 0),
-            key=lambda i: Event(space, row[i].support_mask).sort_key,
-        )
+        ready = [i for i in range(len(row)) if incoming[i] == 0]  # ascending: a heap
         order: list[int] = []
         while ready:
-            node = ready.pop(0)
+            node = heappop(ready)
             order.append(node)
-            changed = False
             for nxt in outgoing[node]:
                 incoming[nxt] -= 1
                 if incoming[nxt] == 0:
-                    changed = True
-            if changed:
-                ready = sorted(
-                    (i for i in range(len(row)) if incoming[i] == 0 and i not in order),
-                    key=lambda i: Event(space, row[i].support_mask).sort_key,
-                )
+                    heappush(ready, nxt)
         if len(order) != len(row):
             raise CycleDetected("dominance relation among conditional beliefs is cyclic")
         ordered.append(order)

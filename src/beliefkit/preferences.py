@@ -58,7 +58,7 @@ GRID_PROBABILITIES = (
 class PreferenceFamily:
     """An ordered hierarchy plus one non-constant utility per order."""
 
-    __slots__ = ("os", "utilities", "_beliefs")
+    __slots__ = ("os", "utilities", "_beliefs", "_orders")
 
     def __init__(
         self,
@@ -87,21 +87,28 @@ class PreferenceFamily:
                 raise ValidationError(f"utility for order {k} is constant")
         self.os = os
         self.utilities = ordered
-        self._beliefs: dict[int, Belief] = {}
+        # keyed by the event, whose equality includes the space, so an event
+        # over another space misses and meets the SpaceMismatch check
+        self._beliefs: dict[Event, Belief] = {}
+        self._orders: dict[Event, int] = {}
 
     @property
     def space(self) -> StateSpace:
         return self.os.space
 
     def belief_given(self, e: Event) -> Belief:
-        belief = self._beliefs.get(e.mask)
+        belief = self._beliefs.get(e)
         if belief is None:
             belief = os_update(self.os, e)
-            self._beliefs[e.mask] = belief
+            self._beliefs[e] = belief
         return belief
 
     def utility_given(self, e: Event) -> UtilityFunction:
-        return self.utilities[surprise_order(self.os, e)]
+        order = self._orders.get(e)
+        if order is None:
+            order = surprise_order(self.os, e)
+            self._orders[e] = order
+        return self.utilities[order]
 
     def shared_outcomes(self) -> tuple[str, ...]:
         common = set(self.utilities[0].outcomes)

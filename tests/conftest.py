@@ -1,8 +1,17 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import random_canonical_os
+
+# Child interpreters (criterion 10, the CLI subprocess tests) import
+# beliefkit from this checkout's src, whatever PYTHONPATH the suite got.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 CORPUS_SEED = 20260816
 CORPUS_SIZE = 500

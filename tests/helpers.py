@@ -17,7 +17,21 @@ from beliefkit import (
     is_complete,
     is_concentrated,
 )
-from beliefkit.core import lex_submasks
+from beliefkit.core import ONE, ZERO, as_fraction, lex_submasks
+from beliefkit.errors import (
+    CycleDetected,
+    EmptyEvent,
+    NullConditioning,
+    SeparationFailed,
+    SpaceMismatch,
+    ValidationError,
+)
+from beliefkit.hypothesis_testing import (
+    EpsOsConstruction,
+    HTRepresentation,
+    _require_canonical_cover,
+)
+from beliefkit.ordered_surprises import min_order
 
 
 def random_canonical_os(rng: random.Random, max_states: int = 8) -> OSRepresentation:
@@ -156,3 +170,163 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
                     )
                     return CpsValidation.violation(witness, triples)
     return CpsValidation.valid(triples, ())
+
+
+def fraction_bayes_update(mu: Belief, e: Event) -> Belief:
+    """Oracle for ``bayes_update``: Fraction masses through ``Belief(...)``."""
+    if mu.space != e.space:
+        raise SpaceMismatch("belief and event belong to different state spaces")
+    if not e:
+        raise EmptyEvent("cannot condition on the empty event")
+    total = mu.prob(e)
+    if total == 0:
+        raise NullConditioning(f"event {{{','.join(e.members)}}} has probability zero")
+    masses = {
+        label: mu.mass[e.space.index(label)] / total
+        for label in e.members
+        if mu.mass[e.space.index(label)]
+    }
+    return Belief(mu.space, masses)
+
+
+def fraction_eps_os_construction(os: OSRepresentation, eps) -> EpsOsConstruction:
+    """Oracle for ``eps_os_construction``: the construction in Fractions.
+
+    Scans every event for its class, builds each class's distinct
+    conditional beliefs, runs the dominance and cross-class loops on
+    Fraction masses, and orders each class by re-sorting its ready list
+    after every topological step.
+    """
+    eps = as_fraction(eps)
+    if not 0 <= eps < 1:
+        raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+    _require_canonical_cover(os)
+    space = os.space
+    priors = os.priors
+
+    # Distinct conditional beliefs per class.  A class-k event E yields
+    # BU(prior_k, E), which depends only on E intersected with the support,
+    # so the intersection mask identifies the belief.
+    seen_masks: list[dict[int, None]] = [dict() for _ in priors]
+    class_events: list[list[int]] = [[] for _ in priors]
+    for mask in space.canonical_masks():
+        order = min_order(priors, mask, eps)
+        if order is None:
+            continue
+        inner = mask & priors[order].support_mask
+        seen_masks[order].setdefault(inner)
+        class_events[order].append(mask)
+
+    conditionals: list[list[Belief]] = []
+    for k, prior in enumerate(priors):
+        row = []
+        for inner in sorted(seen_masks[k], key=lambda m: Event(space, m).sort_key):
+            row.append(fraction_bayes_update(prior, Event(space, inner)))
+        conditionals.append(row)
+
+    # Within-class dominance: b dominates b' when b' is certain of b's own
+    # representing event (its support).  The mass b' puts on any event that
+    # represents b equals the mass on the intersection of supports, so the
+    # choice of representative does not matter.
+    per_class_edges: list[list[tuple[int, int]]] = []
+    gap_limits: list[Fraction] = []  # largest dominated-side mass below one
+    for k, row in enumerate(conditionals):
+        edges: list[tuple[int, int]] = []
+        limit = ZERO
+        for i, b in enumerate(row):
+            for j, other in enumerate(row):
+                if i == j:
+                    continue
+                value = other.mass_on_mask(b.support_mask)
+                if value == 1:
+                    edges.append((i, j))
+                elif value > limit:
+                    limit = value
+        per_class_edges.append(edges)
+        gap_limits.append(limit)
+
+    # Cross-class pressure on the threshold: mass a shallower conditional
+    # belief puts on a deeper class's event must stay in the reject region.
+    cross_max = ZERO
+    for k in range(1, len(priors)):
+        for j in range(k):
+            for belief in conditionals[j]:
+                for mask in class_events[k]:
+                    value = belief.mass_on_mask(mask)
+                    if value > cross_max:
+                        cross_max = value
+    threshold = max(cross_max, eps)
+
+    # Topological order per class (deterministic: canonical support key).
+    ordered: list[list[int]] = []
+    for k, row in enumerate(conditionals):
+        incoming = [0] * len(row)
+        outgoing: list[list[int]] = [[] for _ in row]
+        for winner, loser in per_class_edges[k]:
+            incoming[loser] += 1
+            outgoing[winner].append(loser)
+        ready = sorted(
+            (i for i in range(len(row)) if incoming[i] == 0),
+            key=lambda i: Event(space, row[i].support_mask).sort_key,
+        )
+        order: list[int] = []
+        while ready:
+            node = ready.pop(0)
+            order.append(node)
+            changed = False
+            for nxt in outgoing[node]:
+                incoming[nxt] -= 1
+                if incoming[nxt] == 0:
+                    changed = True
+            if changed:
+                ready = sorted(
+                    (i for i in range(len(row)) if incoming[i] == 0 and i not in order),
+                    key=lambda i: Event(space, row[i].support_mask).sort_key,
+                )
+        if len(order) != len(row):
+            raise CycleDetected("dominance relation among conditional beliefs is cyclic")
+        ordered.append(order)
+
+    # Interval chain: all values live strictly above the threshold; each
+    # class's lower bound also clears upper * (largest non-certain mass),
+    # so dominated-but-uncertain beliefs can never outscore the class.
+    bounds: list[tuple[Fraction, Fraction]] = []
+    upper = ONE
+    for k in range(len(priors)):
+        floor = max(threshold, upper * gap_limits[k])
+        lower = (floor + upper) / 2
+        bounds.append((upper, lower))
+        upper = (threshold + lower) / 2
+    if bounds[-1][1] <= threshold * bounds[0][0]:
+        raise SeparationFailed(f"interval chain collapsed onto the threshold {threshold}")
+
+    raw: list[Fraction] = []
+    flat_priors: list[Belief] = []
+    class_of: list[int] = []
+    global_index: list[dict[int, int]] = [dict() for _ in priors]
+    for k, order in enumerate(ordered):
+        hi, lo = bounds[k]
+        step = (hi - lo) / (len(order) + 1)
+        for pos, local in enumerate(order):
+            global_index[k][local] = len(flat_priors)
+            flat_priors.append(conditionals[k][local])
+            class_of.append(k)
+            raw.append(hi - step * (pos + 1))
+
+    total = sum(raw)
+    rho = tuple(value / total for value in raw)
+    scaled_bounds = tuple((hi / total, lo / total) for hi, lo in bounds)
+    edges = tuple(
+        (global_index[k][winner], global_index[k][loser])
+        for k in range(len(priors))
+        for winner, loser in per_class_edges[k]
+    )
+    ht = HTRepresentation(space, flat_priors, rho, threshold)
+    return EpsOsConstruction(
+        ht=ht,
+        eps=eps,
+        class_of=tuple(class_of),
+        bounds=scaled_bounds,
+        edges=edges,
+        cross_max=cross_max,
+    )

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import beliefkit
 from beliefkit import load_scenario
 from beliefkit.cli import main
 
@@ -317,6 +319,30 @@ def test_subprocess_error_goes_to_stderr_only():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error\tValidationError\t")
+
+
+def test_child_interpreters_import_this_checkout():
+    runner = (
+        "import sys\n"
+        "from beliefkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", runner, "validate-cps", "coin"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert ("status", "valid") in rows_of(proc.stdout)
+    where = subprocess.run(
+        [sys.executable, "-c", "import beliefkit; print(beliefkit.__file__)"],
+        capture_output=True,
+        text=True,
+    )
+    checkout = Path(__file__).resolve().parents[1] / "src" / "beliefkit" / "__init__.py"
+    assert Path(where.stdout.strip()).resolve() == checkout
+    assert Path(beliefkit.__file__).resolve() == checkout
 
 
 def test_module_entry_point_matches_main(capsys):

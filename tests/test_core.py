@@ -27,6 +27,7 @@ from beliefkit import (
     seu_value,
 )
 from beliefkit.core import as_fraction
+from helpers import fraction_bayes_update
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,57 @@ def test_bayes_update_error_cases():
         bayes_update(mu, space.empty_event)
     with pytest.raises(NullConditioning):
         bayes_update(mu, space.event("e"))
+
+
+@st.composite
+def belief_and_events(draw):
+    """A belief whose masses have unlike denominators, and two events."""
+    space = draw(spaces(max_states=6))
+    weights = draw(
+        st.lists(st.integers(0, 60), min_size=len(space), max_size=len(space)).filter(any)
+    )
+    total = sum(weights)
+    mu = Belief(space, {s: Fraction(w, total) for s, w in zip(space.states, weights) if w})
+    full = (1 << len(space)) - 1
+    return mu, Event(space, draw(st.integers(1, full))), Event(space, draw(st.integers(1, full)))
+
+
+def assert_same_posterior(got: Belief, want: Belief):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.support_mask == want.support_mask
+    # the seeded numerators equal the ones Belief computes from the masses
+    assert got._ints() == Belief(got.space, dict(got.items()))._ints()
+
+
+@given(belief_and_events())
+@settings(max_examples=200, deadline=None)
+def test_bayes_update_matches_the_fraction_oracle(case):
+    mu, e, f = case
+    if not e.mask & mu.support_mask:
+        return
+    got = bayes_update(mu, e)
+    assert_same_posterior(got, fraction_bayes_update(mu, e))
+    if f.mask & got.support_mask:
+        # a posterior's own seeded numerators feed the next update
+        assert_same_posterior(bayes_update(got, f), fraction_bayes_update(got, f))
+
+
+def test_bayes_update_errors_match_the_fraction_oracle():
+    space = StateSpace(("h", "t", "e"))
+    mu = Belief(space, {"h": Fraction(1, 3), "t": Fraction(2, 3)})
+    cases = (
+        (StateSpace(("h", "t")).event("h"), SpaceMismatch),
+        (space.empty_event, EmptyEvent),
+        (space.event("e"), NullConditioning),
+    )
+    for e, error in cases:
+        with pytest.raises(error) as got:
+            bayes_update(mu, e)
+        with pytest.raises(error) as want:
+            fraction_bayes_update(mu, e)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 @given(nested_event_chain())

@@ -16,6 +16,7 @@ from beliefkit import (
     OSRepresentation,
     Preference,
     PreferenceFamily,
+    SpaceMismatch,
     StateSpace,
     UtilityFunction,
     ValidationError,
@@ -26,6 +27,7 @@ from beliefkit import (
     default_event_pairs,
     null_states,
     os_prefer,
+    preferences,
 )
 from helpers import coin_hierarchy, random_canonical_os
 
@@ -101,6 +103,34 @@ def test_utility_given_tracks_surprise_order():
     assert fam.utility_given(coin.space.event("h")) is XY
     assert fam.utility_given(coin.space.event("el", "l1")) is XY
     assert fam.utility_given(coin.space.event("l1", "l2")) is u_deep
+
+
+def test_utility_given_computes_each_order_once(monkeypatch):
+    calls = []
+    real = preferences.surprise_order
+
+    def counting(os, e):
+        calls.append(e.mask)
+        return real(os, e)
+
+    monkeypatch.setattr(preferences, "surprise_order", counting)
+    coin = coin_hierarchy()
+    u_deep = UtilityFunction({"x": 0, "y": 2})
+    fam = PreferenceFamily(coin, (XY, XY, u_deep))
+    events = [coin.space.event(*labels) for labels in (("h",), ("el", "l1"), ("l1", "l2"))]
+    for _ in range(3):
+        assert [fam.utility_given(e) for e in events] == [XY, XY, u_deep]
+    assert calls == [e.mask for e in events]
+
+
+def test_cached_lookups_still_check_the_space(coin_family):
+    coin_family.belief_given(coin_family.space.event("h"))
+    coin_family.utility_given(coin_family.space.event("h"))
+    foreign = StateSpace(("a", "b", "c", "d", "e", "f")).event("a")  # same mask as {h}
+    with pytest.raises(SpaceMismatch):
+        coin_family.belief_given(foreign)
+    with pytest.raises(SpaceMismatch):
+        coin_family.utility_given(foreign)
 
 
 def test_os_prefer_matches_conditional_seu(coin_family):
