@@ -17,16 +17,14 @@ import argparse
 import json
 import sys
 
-from .core import Act, Belief, Event, Lottery, StateSpace
+from .core import Act, Belief, Event, Lottery, StateSpace, bayes_update
 from .errors import BeliefkitError, NotCps, ValidationError
 from .hypothesis_testing import eps_os_construction, ht_rule, ht_select, os_to_ht
 from .lps import indifference_resolution_demo, lps_compare, lps_value
 from .ordered_surprises import (
     cps_to_os,
-    eps_os_update,
-    min_order,
+    eps_surprise_order,
     os_rule,
-    os_update,
     surprise_order,
     surprise_partition,
 )
@@ -161,7 +159,7 @@ def cmd_update(scenario: Scenario, args):
     os = _require(scenario, "os")
     e = _parse_event(scenario.space, args.event)
     order = surprise_order(os, e)
-    belief = os_update(os, e)
+    belief = bayes_update(os.priors[order], e)
     rows = [("order", str(order)), ("belief", _belief_text(belief))]
     return 0, rows, {"order": order, "belief": _belief_json(belief)}
 
@@ -170,8 +168,8 @@ def cmd_eps_update(scenario: Scenario, args):
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
     e = _parse_event(scenario.space, args.event)
-    belief = eps_os_update(os, eps, e)
-    order = min_order(os.priors, e.mask, eps)
+    order = eps_surprise_order(os, eps, e)
+    belief = bayes_update(os.priors[order], e)
     rows = [
         ("eps", format_rational(eps)),
         ("order", str(order)),

@@ -61,6 +61,14 @@ def as_fraction(value) -> Fraction:
     )
 
 
+def as_threshold(value) -> Fraction:
+    """Coerce a threshold like ``as_fraction`` and check it lies in [0, 1)."""
+    eps = as_fraction(value)
+    if not 0 <= eps < 1:
+        raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+    return eps
+
+
 def _lex_masks(indices: Sequence[int]) -> list[int]:
     # nonempty subsets of the given sorted indices, in canonical order
     out: list[int] = []
@@ -350,14 +358,6 @@ class Lottery:
         self._hash = hash(self.entries)
         self._expected: dict[UtilityFunction, Fraction] | None = None
 
-    @classmethod
-    def degenerate(cls, label: str) -> "Lottery":
-        return cls({label: ONE})
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
-
     def probability(self, label: str) -> Fraction:
         for key, value in self.entries:
             if key == label:
@@ -414,13 +414,6 @@ class Act:
 
     def lottery_at(self, label: str) -> Lottery:
         return self.assignment[self.space.index(label)]
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for lottery in self.assignment:
-            seen.update(lottery.outcomes)
-        return tuple(sorted(seen))
 
     def mix(self, alpha: Fraction | int, other: "Act") -> "Act":
         """Statewise lottery mixture of two acts."""
@@ -485,10 +478,6 @@ class UtilityFunction:
             value = sum((p * self.value(o) for o, p in lottery.entries), ZERO)
             memo[self] = value
         return value
-
-    def is_constant_on(self, outcomes: Iterable[str]) -> bool:
-        values = {self.value(o) for o in outcomes}
-        return len(values) <= 1
 
     def affine(self, alpha: Fraction | int, beta: Fraction | int) -> "UtilityFunction":
         alpha = as_fraction(alpha)

@@ -45,6 +45,7 @@ from .core import (
     ZERO,
     ONE,
     as_fraction,
+    as_threshold,
     bayes_update,
     lex_submasks,
     mask_indices,
@@ -60,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .ordered_surprises import OSRepresentation
-from .rules import UpdatingRule
+from .rules import UpdatingRule, tabulate_rule
 
 __all__ = [
     "HTRepresentation",
@@ -118,8 +119,7 @@ class HTRepresentation:
             raise ValidationError(f"weights must sum to 1, got {sum(rho)}")
         if any(r >= rho[0] for r in rho[1:]):
             raise ValidationError("the first prior's weight must be strictly maximal")
-        if not 0 <= eps < 1:
-            raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+        as_threshold(eps)  # the range after the weight checks; the type came first
         union = 0
         for prior in priors:
             union |= prior.support_mask
@@ -213,19 +213,7 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     Propagates AmbiguousArgmax (with the offending event) if any event has
     a tied argmax, since the rule is undefined there.
     """
-    space = ht.space
-    cache: dict[tuple[int, int], Belief] = {}
-    table: dict[Event, Belief] = {}
-    for mask in space.canonical_masks():
-        _, chosen = _select_index(ht, mask)
-        prior = ht.priors[chosen]
-        key = (chosen, mask & prior.support_mask)
-        belief = cache.get(key)
-        if belief is None:
-            belief = bayes_update(prior, Event(space, key[1]))
-            cache[key] = belief
-        table[Event(space, mask)] = belief
-    return UpdatingRule(space, table)
+    return tabulate_rule(ht.space, ht.priors, lambda mask: _select_index(ht, mask)[1])
 
 
 def _require_canonical_cover(os: OSRepresentation) -> None:
@@ -287,9 +275,7 @@ def _max_ratio(best: tuple[int, int], num: int, den: int) -> tuple[int, int]:
 
 
 def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConstruction:
-    eps = as_fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+    eps = as_threshold(eps)
     _require_canonical_cover(os)
     space = os.space
     priors = os.priors

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Belief, Event, StateSpace, ZERO, as_fraction, bayes_update
+from .core import Belief, Event, StateSpace, ZERO, as_threshold, bayes_update
 from .errors import (
     EmptyEvent,
     IncompleteCoverage,
@@ -22,7 +22,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .rules import UpdatingRule, validate_cps
+from .rules import UpdatingRule, tabulate_rule, validate_cps
 
 
 class OSRepresentation:
@@ -153,25 +153,13 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
 def os_rule(os: OSRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event."""
     space = os.space
+    space.canonical_masks()  # TooManyStates past the power-set cap comes first
+    if not os.covers_space:
+        raise IncompleteCoverage(
+            "hierarchy does not cover the space; update undefined on some events"
+        )
     priors = os.priors
-    cache: dict[tuple[int, int], Belief] = {}
-    table: dict[Event, Belief] = {}
-    for mask in space.canonical_masks():
-        for k, prior in enumerate(priors):
-            inner = mask & prior.support_mask
-            if inner:
-                break
-        else:
-            raise IncompleteCoverage(
-                "hierarchy does not cover the space; update undefined on some events"
-            )
-        key = (k, inner)
-        belief = cache.get(key)
-        if belief is None:
-            belief = bayes_update(prior, Event(space, inner))
-            cache[key] = belief
-        table[Event(space, mask)] = belief
-    return UpdatingRule(space, table)
+    return tabulate_rule(space, priors, lambda mask: min_order(priors, mask, ZERO))
 
 
 def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
@@ -189,11 +177,9 @@ def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
     return OSRepresentation(rule.space, validation.priors)
 
 
-def eps_os_update(os: OSRepresentation, eps: Fraction | int, e: Event) -> Belief:
-    """Bayes update of the first prior whose mass on ``e`` exceeds ``eps``."""
-    eps = as_fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+def eps_surprise_order(os: OSRepresentation, eps: Fraction | int, e: Event) -> int:
+    """Index of the first prior whose mass on ``e`` exceeds ``eps``."""
+    eps = as_threshold(eps)
     if e.space != os.space:
         raise SpaceMismatch("event built over a different state space")
     if not e:
@@ -203,7 +189,12 @@ def eps_os_update(os: OSRepresentation, eps: Fraction | int, e: Event) -> Belief
         raise NoPriorExceedsThreshold(
             f"no prior mass on {{{','.join(e.members)}}} exceeds {eps}"
         )
-    return bayes_update(os.priors[order], e)
+    return order
+
+
+def eps_os_update(os: OSRepresentation, eps: Fraction | int, e: Event) -> Belief:
+    """Bayes update of the first prior whose mass on ``e`` exceeds ``eps``."""
+    return bayes_update(os.priors[eps_surprise_order(os, eps, e)], e)
 
 
 class SurprisePartition:
@@ -259,9 +250,7 @@ class SurprisePartition:
 
 def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> SurprisePartition:
     """Partition all nonempty events by their first above-threshold prior."""
-    eps = as_fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
+    eps = as_threshold(eps)
     space = os.space
     classes: list[list[Event]] = [[] for _ in os.priors]
     undefined: list[Event] = []

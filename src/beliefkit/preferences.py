@@ -33,6 +33,7 @@ from .core import (
     Preference,
     StateSpace,
     UtilityFunction,
+    bayes_update,
     compare_values,
     compose_act,
     seu_value,
@@ -44,7 +45,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, os_update, surprise_order
+from .ordered_surprises import OSRepresentation, surprise_order
 
 GRID_PROBABILITIES = (
     Fraction(0),
@@ -58,7 +59,7 @@ GRID_PROBABILITIES = (
 class PreferenceFamily:
     """An ordered hierarchy plus one non-constant utility per order."""
 
-    __slots__ = ("os", "utilities", "_beliefs", "_orders")
+    __slots__ = ("os", "utilities", "_given")
 
     def __init__(
         self,
@@ -87,28 +88,26 @@ class PreferenceFamily:
                 raise ValidationError(f"utility for order {k} is constant")
         self.os = os
         self.utilities = ordered
-        # keyed by the event, whose equality includes the space, so an event
-        # over another space misses and meets the SpaceMismatch check
-        self._beliefs: dict[Event, Belief] = {}
-        self._orders: dict[Event, int] = {}
+        # (order, belief) keyed by the event, whose equality includes the
+        # space, so an event over another space meets the SpaceMismatch check
+        self._given: dict[Event, tuple[int, Belief]] = {}
 
     @property
     def space(self) -> StateSpace:
         return self.os.space
 
+    def _lookup(self, e: Event) -> tuple[int, Belief]:
+        given = self._given.get(e)
+        if given is None:
+            order = surprise_order(self.os, e)
+            given = self._given[e] = (order, bayes_update(self.os.priors[order], e))
+        return given
+
     def belief_given(self, e: Event) -> Belief:
-        belief = self._beliefs.get(e)
-        if belief is None:
-            belief = os_update(self.os, e)
-            self._beliefs[e] = belief
-        return belief
+        return self._lookup(e)[1]
 
     def utility_given(self, e: Event) -> UtilityFunction:
-        order = self._orders.get(e)
-        if order is None:
-            order = surprise_order(self.os, e)
-            self._orders[e] = order
-        return self.utilities[order]
+        return self.utilities[self._lookup(e)[0]]
 
     def shared_outcomes(self) -> tuple[str, ...]:
         common = set(self.utilities[0].outcomes)

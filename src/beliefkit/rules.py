@@ -13,13 +13,17 @@ proves the chain rule on all 4^n - 2^n triples without enumerating them.
 Where an entry fails, it searches for the lexicographically first violating
 triple under the canonical event order, the one an exhaustive scan would
 report, which keeps every report deterministic.
+
+``bayesian_rule`` here, ``os_rule`` and ``ht_rule`` share one tabulator,
+``tabulate_rule``: each rule only picks a prior per event, and there is
+one Bayes update per (prior, event & support).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     Belief,
@@ -99,21 +103,33 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
     return CheckResult(True)
 
 
-def bayesian_rule(prior: Belief) -> UpdatingRule:
-    """Bayes updating wherever it is defined: domain is the feasible events."""
-    space = prior.space
-    cache: dict[int, Belief] = {}
+def tabulate_rule(
+    space: StateSpace, priors: Sequence[Belief], choose: Callable[[int], int | None]
+) -> UpdatingRule:
+    """Bayes-update prior ``choose(mask)`` on every event; None leaves it out.
+
+    One ``bayes_update`` per (prior, event & support), cached in between.
+    """
+    cache: dict[tuple[int, int], Belief] = {}
     table: dict[Event, Belief] = {}
     for mask in space.canonical_masks():
-        inner = mask & prior.support_mask
-        if not inner:
+        k = choose(mask)
+        if k is None:
             continue
-        belief = cache.get(inner)
+        prior = priors[k]
+        key = (k, mask & prior.support_mask)
+        belief = cache.get(key)
         if belief is None:
-            belief = bayes_update(prior, Event(space, inner))
-            cache[inner] = belief
+            belief = bayes_update(prior, Event(space, key[1]))
+            cache[key] = belief
         table[Event(space, mask)] = belief
     return UpdatingRule(space, table)
+
+
+def bayesian_rule(prior: Belief) -> UpdatingRule:
+    """Bayes updating wherever it is defined: domain is the feasible events."""
+    support = prior.support_mask
+    return tabulate_rule(prior.space, (prior,), lambda mask: 0 if mask & support else None)
 
 
 def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:

@@ -256,15 +256,26 @@ def fixture_names() -> tuple[str, ...]:
 
 
 def load_scenario(ref: str | Path) -> Scenario:
-    """Load from a filesystem path, or by bundled fixture name."""
+    """Load from a filesystem path, or by bundled fixture name.
+
+    A path that cannot be looked up or read as UTF-8 text is a ParseError.
+    """
     path = Path(ref)
-    if path.exists():
-        return parse_scenario(path.read_text(encoding="utf-8"))
-    if path.suffix == ".json":
-        raise ParseError(f"no such scenario file: {ref}")
-    candidate = resources.files(__package__) / "fixtures" / f"{ref}.json"
-    if not candidate.is_file():
-        raise ParseError(
-            f"unknown scenario {str(ref)!r}; bundled fixtures: {', '.join(fixture_names())}"
-        )
-    return parse_scenario(candidate.read_text(encoding="utf-8"))
+    try:
+        if path.exists():
+            text = path.read_text(encoding="utf-8")
+        elif path.suffix == ".json":
+            raise ParseError(f"no such scenario file: {ref}")
+        else:
+            candidate = resources.files(__package__) / "fixtures" / f"{ref}.json"
+            if not candidate.is_file():
+                raise ParseError(
+                    f"unknown scenario {str(ref)!r}; "
+                    f"bundled fixtures: {', '.join(fixture_names())}"
+                )
+            text = candidate.read_text(encoding="utf-8")
+    except OSError as bad:
+        raise ParseError(f"cannot read scenario file {ref}: {bad.strerror or bad}") from None
+    except UnicodeDecodeError as bad:
+        raise ParseError(f"scenario file {ref} is not UTF-8 text: {bad.reason}") from None
+    return parse_scenario(text)

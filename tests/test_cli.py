@@ -278,6 +278,24 @@ def test_unparseable_documents_are_parse_errors(capsys, tmp_path, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-name", "long-fixture-name"])
+def test_unreadable_scenario_files_are_parse_errors(capsys, tmp_path, kind):
+    if kind == "directory":
+        ref = str(tmp_path)
+    elif kind == "not-utf8":
+        ref = str(tmp_path / "latin1.json")
+        Path(ref).write_bytes('{"space": ["caf\u00e9"]}'.encode("latin-1"))
+    elif kind == "long-name":
+        ref = str(tmp_path / ("x" * 300))
+    else:  # no such file; only the fixture name, with ".json" added, is too long
+        ref = "x" * 253
+    code, out, err = run_cli(capsys, "validate-cps", ref)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error\tParseError\t") and ref in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_long_threshold_flag_is_a_parse_error(capsys):
     code, out, err = run_cli(capsys, "eps-update", "coin", "--eps", f"1/{HUGE}", "--event", "el")
     assert code == 2
