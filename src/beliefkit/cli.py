@@ -402,7 +402,7 @@ def cmd_conservative(scenario: Scenario, args):
         raise ValidationError(f"unknown belief {name!r}")
     delta = parse_rational(args.delta, "--delta")
     rule = conservative_rule(scenario.beliefs[name], delta)
-    if args.event:
+    if args.event is not None:
         belief = rule[_parse_event(scenario.space, args.event)]
         rows = [("belief", _belief_text(belief))]
         return 0, rows, {"belief": _belief_json(belief)}

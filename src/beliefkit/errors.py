@@ -90,3 +90,14 @@ class DegenerateBase(BeliefkitError):
 
 class InfeasibleSubevent(BeliefkitError):
     """The sub-event has zero mass under the conditioning belief."""
+
+
+class OutsideDomain(BeliefkitError, KeyError):
+    """An updating rule was asked for an event outside its domain.
+
+    Also a KeyError, so callers that index a rule like a mapping keep
+    working.  The message prints unquoted, as for every other error here.
+    """
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)

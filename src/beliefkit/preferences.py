@@ -4,14 +4,21 @@ A family pairs the hierarchy with one utility per surprise order.  Ranking
 given an event is expected utility under the event's conditional belief,
 evaluated with the utility of the event's order.
 
-The checks here verify axioms as properties of a representation on
-deterministic act samples, not on raw choice data.  Dynamic consistency is
-checked by composing acts so they agree off the subevent; consequentialism
-by composing pairs so they agree on the event; surprise-independent risk
-attitude by fitting an affine map from the base utility and verifying it
-pointwise.  Sampled acts mix the first two shared outcomes on a fixed
-probability grid, plus single-state bets, so odds flips between two
-candidate beliefs always have a witness available.
+The checks here verify axioms as properties of a representation, not on
+raw choice data.  Dynamic consistency is checked by composing acts so they
+agree off the subevent; consequentialism by composing pairs so they agree
+on the event; surprise-independent risk attitude by fitting an affine map
+from the base utility and verifying it pointwise.
+
+Consequentialism and conditional consistency are decided exactly over
+every act that maps each state to a mixture of the first two shared
+outcomes x and y, at any rational probability.  Such an act is ranked by
+b(s) * (u(y) - u(x)) per state, so each axiom reduces to an O(n) integer
+test on those vectors and a pass is a proof on that domain.  Only a fail
+runs the deterministic act sample (the first two outcomes on a fixed
+probability grid, plus single-state bets), so its first witness is the
+one reported; where the sample holds none, a witness is built from the
+vectors.
 
 Checks take any family-shaped object with ``space``, ``belief_given`` and
 ``utility_given``; that is what lets tests feed distorted families through
@@ -142,14 +149,16 @@ def lottery_grid(
     probabilities: Sequence[Fraction] = GRID_PROBABILITIES,
 ) -> tuple[Lottery, ...]:
     """Mixtures of the first two distinct outcomes along a probability grid."""
-    distinct = []
-    for o in outcomes:
-        if o not in distinct:
-            distinct.append(o)
+    x, y = _mixed_outcomes(outcomes)
+    return tuple(Lottery({x: 1 - p, y: p}) for p in probabilities)
+
+
+def _mixed_outcomes(outcomes: Sequence[str]) -> tuple[str, str]:
+    """The first two distinct outcomes, x and y, that every sampled act mixes."""
+    distinct = list(dict.fromkeys(outcomes))
     if len(distinct) < 2:
         raise ValidationError("need at least two distinct outcomes to build lotteries")
-    x, y = distinct[0], distinct[1]
-    return tuple(Lottery({x: 1 - p, y: p}) for p in probabilities)
+    return distinct[0], distinct[1]
 
 
 def act_grid(space: StateSpace, outcomes: Sequence[str], max_bets: int = 6) -> tuple[Act, ...]:
@@ -204,12 +213,24 @@ def check_consequentialism(
 ) -> CheckResult:
     """Acts forced to agree on the event must rank indifferent given it.
 
-    Each sampled pair (f, g) is turned into f versus "f on e, g elsewhere".
-    The witness is (f, composed act, verdict) for the first strict ranking.
+    Each pair (f, g) is turned into f versus "f on e, g elsewhere".  The
+    witness is (f, composed act, verdict) for the first strict ranking.
+
+    Without ``sample_pairs`` the axiom is decided over every x/y-mixture
+    act: it holds iff u_e(y) = u_e(x) or the belief given ``e`` puts no
+    mass off ``e``.  A fail runs the default sample, whose first pair
+    (constant x against x on ``e`` and the even mixture off it) already
+    ranks strictly then.  An explicit sample keeps its sampled meaning.
     """
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
     if sample_pairs is None:
+        x, y = _mixed_outcomes(fam.shared_outcomes())
+        if e.space != fam.space:
+            raise SpaceMismatch("event belongs to a different state space")
+        u = fam.utility_given(e)
+        if u.value(x) == u.value(y) or not fam.belief_given(e).support_mask & ~e.mask:
+            return CheckResult(True)
         sample_pairs = default_act_pairs(fam.space, fam.shared_outcomes())
     for f, g in sample_pairs:
         forced = compose_act(f, e, g)
@@ -227,10 +248,20 @@ def check_conditional_consistency(
 ) -> CheckResult:
     """Rankings through a feasible subevent agree with rankings on it.
 
-    For every sampled (f, g, h), "f on a, h elsewhere" versus the same for
-    g under the ``e``-conditional must match f versus g under the
-    ``a``-conditional.  The witness is (f, g, h, verdict under e, verdict
-    under a) for the first disagreement.
+    For every (f, g, h), "f on a, h elsewhere" versus the same for g under
+    the ``e``-conditional must match f versus g under the ``a``-conditional.
+    The witness is (f, g, h, verdict under e, verdict under a) for the
+    first disagreement.
+
+    Without ``sample_triples`` the axiom is decided over every x/y-mixture
+    act.  With v_e(s) = b_e(s) * (u_e(y) - u_e(x)) on ``a`` and zero off it,
+    and v_a(s) = b_a(s) * (u_a(y) - u_a(x)) on every state, it holds iff
+    v_e = c * v_a for some c > 0, or both vanish.  A fail reports the
+    default sample's first witness, or else one built from the vectors: a
+    single-state bet where the signs of v_e and v_a differ, otherwise two
+    bets that the ``e``-conditional ranks indifferent and the
+    ``a``-conditional does not.  An explicit sample keeps its sampled
+    meaning.
 
     Raises InfeasibleSubevent when ``a`` carries no mass given ``e``; the
     axiom says nothing there and silence would be misleading.
@@ -245,10 +276,25 @@ def check_conditional_consistency(
         raise InfeasibleSubevent(
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
-    if sample_triples is None:
-        sample_triples = default_act_triples(fam.space, fam.shared_outcomes())
+    if sample_triples is not None:
+        return _sampled_consistency(fam, e, a, sample_triples)
+    x, y = _mixed_outcomes(fam.shared_outcomes())
+    v_e = _weighted_gains(fam, e, a.mask, x, y)
+    v_a = _weighted_gains(fam, a, fam.space.full_event.mask, x, y)
+    gap = _consistency_gap(v_e, v_a)
+    if gap is None:
+        return CheckResult(True)
+    sampled = _sampled_consistency(
+        fam, e, a, default_act_triples(fam.space, fam.shared_outcomes())
+    )
+    if not sampled:
+        return sampled
+    return _built_inconsistency(fam, e, a, x, y, gap)
+
+
+def _sampled_consistency(fam, e: Event, a: Event, triples) -> CheckResult:
     composed: dict[tuple[Act, Act], Act] = {}
-    for f, g, h in sample_triples:
+    for f, g, h in triples:
         left_f = composed.get((f, h))
         if left_f is None:
             left_f = compose_act(f, a, h)
@@ -262,6 +308,68 @@ def check_conditional_consistency(
         if under_e is not under_a:
             return CheckResult(False, (f, g, h, under_e, under_a))
     return CheckResult(True)
+
+
+def _weighted_gains(fam, e: Event, mask: int, x: str, y: str) -> list[int]:
+    """b_e(s) * (u_e(y) - u_e(x)) for s in ``mask``, zero elsewhere.
+
+    Integer numerators: the belief's common denominator and the utility
+    gap's denominator are positive and shared by every entry, so they drop
+    out of every sign and cross-multiplication taken on the vector.
+    """
+    u = fam.utility_given(e)
+    gain = (u.value(y) - u.value(x)).numerator
+    _, nums = fam.belief_given(e)._ints()
+    return [num * gain if mask >> i & 1 else 0 for i, num in enumerate(nums)]
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _consistency_gap(v_e: list[int], v_a: list[int]) -> dict[int, Fraction] | None:
+    """None when v_e = c * v_a with c > 0 or both vanish; else a probability gap.
+
+    The gap maps state indices to f's minus g's probability of y, in
+    [-1, 1], for a witness pair (f, g) whose rankings disagree.  The first
+    state where the signs differ (zero counting as a sign) gets a bet of
+    its own.  With every sign equal, take the first state r with
+    v_a(r) != 0 and the first s with v_e(r) * v_a(s) != v_e(s) * v_a(r);
+    the gap (v_e(s), -v_e(r)) on (r, s) is orthogonal to v_e but not to v_a.
+    """
+    ref = None
+    for s, (p, q) in enumerate(zip(v_e, v_a)):
+        if _sign(p) != _sign(q):
+            return {s: Fraction(1)}
+        if q and ref is None:
+            ref = s
+    if ref is None:
+        return None
+    for s, (p, q) in enumerate(zip(v_e, v_a)):
+        if v_e[ref] * q != p * v_a[ref]:
+            scale = max(abs(p), abs(v_e[ref]))
+            return {ref: Fraction(p, scale), s: Fraction(-v_e[ref], scale)}
+    return None
+
+
+def _built_inconsistency(
+    fam, e: Event, a: Event, x: str, y: str, gap: dict[int, Fraction]
+) -> CheckResult:
+    """The witness triple for a probability gap, ranked through ``os_prefer``."""
+    space = fam.space
+
+    def act(sign: int) -> Act:
+        lotteries = {}
+        for i, label in enumerate(space.states):
+            p = max(sign * gap.get(i, 0), 0)
+            lotteries[label] = Lottery({x: 1 - p, y: p})
+        return Act(space, lotteries)
+
+    f, g = act(1), act(-1)
+    h = Act.constant(space, Lottery({x: 1}))
+    under_e = os_prefer(fam, e, compose_act(f, a, h), compose_act(g, a, h))
+    under_a = os_prefer(fam, a, f, g)
+    return CheckResult(False, (f, g, h, under_e, under_a))
 
 
 def default_event_pairs(os: OSRepresentation) -> tuple[tuple[Event, Event], ...]:

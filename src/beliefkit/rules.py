@@ -35,7 +35,7 @@ from .core import (
     lex_submasks,
     mask_indices,
 )
-from .errors import BadDelta, EmptyEvent, SpaceMismatch
+from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
 
 class UpdatingRule:
@@ -64,7 +64,10 @@ class UpdatingRule:
         return self._events
 
     def __getitem__(self, event: Event) -> Belief:
-        return self._table[event]
+        try:
+            return self._table[event]
+        except KeyError:
+            raise OutsideDomain(f"{event!r} is outside the rule's domain") from None
 
     def get(self, event: Event, default=None):
         return self._table.get(event, default)
@@ -145,15 +148,20 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
     space = prior.space
     table: dict[Event, Belief] = {}
+    feasible: dict[int, Belief] = {}  # by event & support, all an entry depends on
     for mask in space.canonical_masks():
         event = Event(space, mask)
-        if mask & prior.support_mask:
-            posterior = bayes_update(prior, event)
-            masses = {
-                label: delta * prior.mass[i] + (1 - delta) * posterior.mass[i]
-                for i, label in enumerate(space.states)
-                if prior.mass[i] or posterior.mass[i]
-            }
+        inner = mask & prior.support_mask
+        if inner:
+            belief = feasible.get(inner)
+            if belief is None:
+                posterior = bayes_update(prior, Event(space, inner))
+                masses = {
+                    label: delta * prior.mass[i] + (1 - delta) * posterior.mass[i]
+                    for i, label in enumerate(space.states)
+                    if prior.mass[i] or posterior.mass[i]
+                }
+                belief = feasible[inner] = Belief(space, masses)
         else:
             share = Fraction(1, len(event))
             masses = {}
@@ -161,7 +169,8 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
                 value = delta * prior.mass[i] + ((1 - delta) * share if mask >> i & 1 else 0)
                 if value:
                     masses[label] = value
-        table[event] = Belief(space, masses)
+            belief = Belief(space, masses)
+        table[event] = belief
     return UpdatingRule(space, table)
 
 

@@ -1,5 +1,6 @@
 """Shared builders for the tests: a corpus generator and a few object shortcuts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from beliefkit import (
     StateSpace,
     UpdatingRule,
     UtilityFunction,
+    compose_act,
     is_complete,
     is_concentrated,
 )
@@ -330,3 +332,87 @@ def fraction_eps_os_construction(os: OSRepresentation, eps) -> EpsOsConstruction
         edges=edges,
         cross_max=cross_max,
     )
+
+
+def _xy_act(space: StateSpace, x: str, y: str, probabilities) -> Act:
+    return Act(
+        space,
+        {label: Lottery({x: 1 - p, y: p}) for label, p in zip(space.states, probabilities)},
+    )
+
+
+def mixture_grid(*vectors) -> tuple[Fraction, ...]:
+    """0, 1, and each ratio v(s) / v(t) of nonzero entries, and its inverse, in [0, 1].
+
+    The ratios are taken in absolute value within each vector.  A grid
+    without them can miss a failure: on {0, 1/2, 1} alone the vectors
+    (1, 11/10) and (1, 6/5) agree in sign on every act.
+    """
+    grid = {Fraction(0), Fraction(1)}
+    for v in vectors:
+        nonzero = [abs(value) for value in v if value]
+        for p in nonzero:
+            for q in nonzero:
+                if p <= q:
+                    grid.add(p / q)
+    return tuple(sorted(grid))
+
+
+def weighted_gains(fam, e: Event, x: str, y: str, within: Event | None = None) -> list[Fraction]:
+    """b_e(s) * (u_e(y) - u_e(x)) in Fractions, zero off ``within`` when given."""
+    u = fam.utility_given(e)
+    gap = u.value(y) - u.value(x)
+    return [
+        mass * gap if within is None or s in within else Fraction(0)
+        for s, mass in zip(fam.space.states, fam.belief_given(e).mass)
+    ]
+
+
+def brute_consequentialism(fam, e: Event) -> bool:
+    """Oracle for ``check_consequentialism``, in Fractions, |S| <= 4.
+
+    Ranks every pair of x/y-mixture acts on ``mixture_grid`` through
+    ``fraction_seu``: f against "f on e, g elsewhere" is indifferent for
+    every pair exactly when acts that agree on ``e`` share one value.
+    """
+    x, y = fam.shared_outcomes()[:2]
+    space = fam.space
+    u, belief = fam.utility_given(e), fam.belief_given(e)
+    grid = mixture_grid(weighted_gains(fam, e, x, y))
+    values: dict[tuple, set] = {}
+    for probabilities in itertools.product(grid, repeat=len(space)):
+        on_e = tuple(p for s, p in zip(space.states, probabilities) if s in e)
+        value = fraction_seu(u, belief, _xy_act(space, x, y, probabilities))
+        values.setdefault(on_e, set()).add(value)
+    return all(len(seen) == 1 for seen in values.values())
+
+
+def brute_conditional_consistency(fam, e: Event, a: Event) -> bool:
+    """Oracle for ``check_conditional_consistency``, in Fractions, |S| <= 4.
+
+    For h constant at x and at y, ranks every pair (f, g) of x/y-mixture
+    acts on ``mixture_grid``: "f on a, h elsewhere" against the same for g
+    under ``e``, and f against g under ``a``.  All pairs agree exactly when
+    the two value maps order the acts the same way: acts of equal value
+    under ``a`` share one value under ``e``, and the values rise together.
+    """
+    x, y = fam.shared_outcomes()[:2]
+    space = fam.space
+    u_e, b_e = fam.utility_given(e), fam.belief_given(e)
+    u_a, b_a = fam.utility_given(a), fam.belief_given(a)
+    grid = mixture_grid(weighted_gains(fam, e, x, y, within=a), weighted_gains(fam, a, x, y))
+    for outcome in (x, y):
+        h = Act.constant(space, Lottery({outcome: 1}))
+        under_e: dict[Fraction, set] = {}
+        for probabilities in itertools.product(grid, repeat=len(space)):
+            f = _xy_act(space, x, y, probabilities)
+            composed = compose_act(f, a, h)
+            under_e.setdefault(fraction_seu(u_a, b_a, f), set()).add(
+                fraction_seu(u_e, b_e, composed)
+            )
+        if any(len(seen) > 1 for seen in under_e.values()):
+            return False
+        rising = [next(iter(under_e[key])) for key in sorted(under_e)]
+        if any(lo >= hi for lo, hi in zip(rising, rising[1:])):
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Updating rules: completeness, concentration, chain rule, the sticky foil."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from beliefkit import (
     BadDelta,
     Belief,
+    BeliefkitError,
     CheckResult,
     OSRepresentation,
     StateSpace,
@@ -20,7 +22,9 @@ from beliefkit import (
     rules_equal,
     validate_cps,
 )
-from helpers import coin_hierarchy
+from beliefkit import rules
+from beliefkit.errors import OutsideDomain
+from helpers import coin_hierarchy, fraction_bayes_update, random_belief_on
 
 
 @pytest.fixture
@@ -117,6 +121,55 @@ def test_conservative_delta_rejects_floats(half_half):
     _, prior = half_half
     with pytest.raises(ValidationError):
         conservative_rule(prior, 0.5)
+
+
+def fraction_conservative_rule(prior, delta):
+    """Oracle for ``conservative_rule``: one Fraction Bayes update per event."""
+    space = prior.space
+    table = {}
+    for event in space.events():
+        if prior.prob(event):
+            rest = fraction_bayes_update(prior, event)
+            spread = {s: rest.mass_of(s) for s in space.states}
+        else:
+            spread = {s: Fraction(int(s in event), len(event)) for s in space.states}
+        masses = {s: delta * prior.mass_of(s) + (1 - delta) * spread[s] for s in space.states}
+        table[event] = Belief(space, {s: m for s, m in masses.items() if m})
+    return UpdatingRule(space, table)
+
+
+def test_conservative_rule_updates_once_per_meet_with_the_support(monkeypatch):
+    calls = []
+    real = rules.bayes_update
+
+    def counting(mu, e):
+        calls.append(e.mask)
+        return real(mu, e)
+
+    monkeypatch.setattr(rules, "bayes_update", counting)
+    rng = random.Random(7)
+    for n in (1, 3, 5, 6):
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        prior = random_belief_on(rng, space.full_event)
+        for delta in (Fraction(1, 3), Fraction(1)):
+            calls.clear()
+            rule = conservative_rule(prior, delta)
+            assert rule == fraction_conservative_rule(prior, delta)
+            assert sorted(calls) == sorted(set(calls))
+            assert len(calls) == 2 ** prior.support_mask.bit_count() - 1
+
+
+def test_events_outside_the_domain_are_a_typed_key_error(half_half):
+    space, prior = half_half
+    rule = bayesian_rule(prior)
+    null = space.event("e")
+    for missing in (null, space.empty_event):
+        with pytest.raises(OutsideDomain) as raised:
+            rule[missing]
+        assert isinstance(raised.value, KeyError)
+        assert isinstance(raised.value, BeliefkitError)
+        assert str(raised.value) == f"{missing!r} is outside the rule's domain"
+    assert rule.get(null) is None
 
 
 def test_validate_cps_flags_conservative_as_not_candidate(half_half):
