@@ -15,10 +15,11 @@ every act that maps each state to a mixture of the first two shared
 outcomes x and y, at any rational probability.  Such an act is ranked by
 b(s) * (u(y) - u(x)) per state, so each axiom reduces to an O(n) integer
 test on those vectors and a pass is a proof on that domain.  Only a fail
-runs the deterministic act sample (the first two outcomes on a fixed
+looks at the deterministic act sample (the first two outcomes on a fixed
 probability grid, plus single-state bets), so its first witness is the
 one reported; where the sample holds none, a witness is built from the
-vectors.
+vectors.  Conditional consistency ranks that sample on the same vectors,
+so a fail costs one dot product per sampled act, whatever the family.
 
 Checks take any family-shaped object with ``space``, ``belief_given`` and
 ``utility_given``; that is what lets tests feed distorted families through
@@ -257,11 +258,11 @@ def check_conditional_consistency(
     act.  With v_e(s) = b_e(s) * (u_e(y) - u_e(x)) on ``a`` and zero off it,
     and v_a(s) = b_a(s) * (u_a(y) - u_a(x)) on every state, it holds iff
     v_e = c * v_a for some c > 0, or both vanish.  A fail reports the
-    default sample's first witness, or else one built from the vectors: a
-    single-state bet where the signs of v_e and v_a differ, otherwise two
-    bets that the ``e``-conditional ranks indifferent and the
-    ``a``-conditional does not.  An explicit sample keeps its sampled
-    meaning.
+    default sample's first witness, ranked on those vectors, or else one
+    built from them: a single-state bet where the signs of v_e and v_a
+    differ, otherwise two bets that the ``e``-conditional ranks indifferent
+    and the ``a``-conditional does not.  An explicit sample keeps its
+    sampled meaning.
 
     Raises InfeasibleSubevent when ``a`` carries no mass given ``e``; the
     axiom says nothing there and silence would be misleading.
@@ -272,24 +273,22 @@ def check_conditional_consistency(
         raise EmptyEvent("the subevent is empty")
     if not a.issubset(e):
         raise ValidationError("the subevent must be contained in the conditioning event")
-    if fam.belief_given(e).prob(a) == 0:
+    belief = fam.belief_given(e)
+    if belief.prob(a) == 0:
         raise InfeasibleSubevent(
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
     if sample_triples is not None:
         return _sampled_consistency(fam, e, a, sample_triples)
     x, y = _mixed_outcomes(fam.shared_outcomes())
-    v_e = _weighted_gains(fam, e, a.mask, x, y)
-    v_a = _weighted_gains(fam, a, fam.space.full_event.mask, x, y)
+    v_e = _weighted_gains(belief, fam.utility_given(e), a.mask, x, y)
+    v_a = _weighted_gains(
+        fam.belief_given(a), fam.utility_given(a), fam.space.full_event.mask, x, y
+    )
     gap = _consistency_gap(v_e, v_a)
     if gap is None:
         return CheckResult(True)
-    sampled = _sampled_consistency(
-        fam, e, a, default_act_triples(fam.space, fam.shared_outcomes())
-    )
-    if not sampled:
-        return sampled
-    return _built_inconsistency(fam, e, a, x, y, gap)
+    return _first_inconsistency(fam, x, y, v_e, v_a, gap)
 
 
 def _sampled_consistency(fam, e: Event, a: Event, triples) -> CheckResult:
@@ -310,16 +309,17 @@ def _sampled_consistency(fam, e: Event, a: Event, triples) -> CheckResult:
     return CheckResult(True)
 
 
-def _weighted_gains(fam, e: Event, mask: int, x: str, y: str) -> list[int]:
-    """b_e(s) * (u_e(y) - u_e(x)) for s in ``mask``, zero elsewhere.
+def _weighted_gains(
+    belief: Belief, u: UtilityFunction, mask: int, x: str, y: str
+) -> list[int]:
+    """b(s) * (u(y) - u(x)) for s in ``mask``, zero elsewhere.
 
     Integer numerators: the belief's common denominator and the utility
     gap's denominator are positive and shared by every entry, so they drop
     out of every sign and cross-multiplication taken on the vector.
     """
-    u = fam.utility_given(e)
     gain = (u.value(y) - u.value(x)).numerator
-    _, nums = fam.belief_given(e)._ints()
+    _, nums = belief._ints()
     return [num * gain if mask >> i & 1 else 0 for i, num in enumerate(nums)]
 
 
@@ -352,10 +352,38 @@ def _consistency_gap(v_e: list[int], v_a: list[int]) -> dict[int, Fraction] | No
     return None
 
 
-def _built_inconsistency(
-    fam, e: Event, a: Event, x: str, y: str, gap: dict[int, Fraction]
+def _first_inconsistency(
+    fam, x: str, y: str, v_e: list[int], v_a: list[int], gap: dict[int, Fraction]
 ) -> CheckResult:
-    """The witness triple for a probability gap, ranked through ``os_prefer``."""
+    """The default sample's first disagreement, else the pair built from ``gap``.
+
+    Every act here maps each state to a mixture of x and y, and h cancels
+    from "f on a, h elsewhere" versus "g on a, h elsewhere" since v_e is
+    zero off the subevent.  So both verdicts are the signs of v_e and v_a dotted
+    with f's and g's probabilities of y: the same verdicts ``os_prefer``
+    gives, scaled by positive denominators, at one dot product per act
+    instead of two conditional beliefs and four SEU values per triple.
+    """
+    scores: dict[Act, tuple[Fraction, Fraction]] = {}
+
+    def score(act: Act) -> tuple[Fraction, Fraction]:
+        known = scores.get(act)
+        if known is None:
+            p_y = [lottery.probability(y) for lottery in act.assignment]
+            known = scores[act] = (
+                sum([v * p for v, p in zip(v_e, p_y) if v]),
+                sum([v * p for v, p in zip(v_a, p_y) if v]),
+            )
+        return known
+
+    def ranked(f: Act, g: Act) -> tuple[Preference, Preference]:
+        (e_f, a_f), (e_g, a_g) = score(f), score(g)
+        return compare_values(e_f, e_g), compare_values(a_f, a_g)
+
+    for f, g, h in default_act_triples(fam.space, fam.shared_outcomes()):
+        under_e, under_a = ranked(f, g)
+        if under_e is not under_a:
+            return CheckResult(False, (f, g, h, under_e, under_a))
     space = fam.space
 
     def act(sign: int) -> Act:
@@ -366,10 +394,7 @@ def _built_inconsistency(
         return Act(space, lotteries)
 
     f, g = act(1), act(-1)
-    h = Act.constant(space, Lottery({x: 1}))
-    under_e = os_prefer(fam, e, compose_act(f, a, h), compose_act(g, a, h))
-    under_a = os_prefer(fam, a, f, g)
-    return CheckResult(False, (f, g, h, under_e, under_a))
+    return CheckResult(False, (f, g, Act.constant(space, Lottery({x: 1})), *ranked(f, g)))
 
 
 def default_event_pairs(os: OSRepresentation) -> tuple[tuple[Event, Event], ...]:
