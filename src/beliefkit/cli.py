@@ -8,7 +8,8 @@ Rationals always render as integers or "p/q", never as decimals.
 Exit codes: 0 when the computation succeeds and any checked property
 holds, 1 when a check fails and a witness is reported, 2 for unusable
 input (parse, validation, or a typed operation error, echoed to stderr as
-``error<TAB>TypeName<TAB>message``).
+``error<TAB>TypeName<TAB>message``), 3 for an internal error (any other
+exception, echoed as ``error<TAB>InternalError<TAB>Type: message``).
 """
 
 from __future__ import annotations
@@ -317,12 +318,11 @@ def cmd_check_axioms(scenario: Scenario, args):
         tables.append(scenario.utilities[name])
     fam = PreferenceFamily(os, tables)
 
-    e = (
-        _parse_event(scenario.space, args.event)
-        if args.event
-        else scenario.space.full_event
-    )
-    a = _parse_event(scenario.space, args.subevent) if args.subevent else e
+    if args.event is None:
+        e = scenario.space.full_event
+    else:
+        e = _parse_event(scenario.space, args.event)
+    a = e if args.subevent is None else _parse_event(scenario.space, args.subevent)
 
     rows: list[tuple[str, ...]] = []
     payload: dict = {}
@@ -524,14 +524,18 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         code, rows, payload = HANDLERS[args.command](scenario, args)
+        if args.format == "json":
+            lines = [json.dumps(payload, indent=2)]
+        else:
+            lines = ["\t".join(row) for row in rows]
     except BeliefkitError as err:
         print(f"error\t{type(err).__name__}\t{err}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for row in rows:
-            print("\t".join(row))
+    except Exception as err:  # a bug, never a verdict: exit 1 stays "check failed"
+        print(f"error\tInternalError\t{type(err).__name__}: {err}", file=sys.stderr)
+        return 3
+    for line in lines:
+        print(line)
     return code
 
 

@@ -1,9 +1,11 @@
 """Exact-arithmetic primitives: state spaces, events, beliefs, lotteries, acts.
 
 Everything here is immutable and hashable, and every probability or utility
-is a ``fractions.Fraction``.  No floats enter at any point, so equality is
-decidable and all downstream checks (chain rule, argmax strictness, round
-trips) can demand exact matches.
+is exact: a belief stores reduced integer numerators over one denominator
+and reads them as ``fractions.Fraction``, everything else stores Fractions.
+No floats enter at any point, so equality is decidable and all downstream
+checks (chain rule, argmax strictness, round trips) can demand exact
+matches.
 
 Events are bit subsets keyed to the declaration order of the state space.
 The canonical order over events, used everywhere a "first witness" is
@@ -242,9 +244,15 @@ class Event:
 
 
 class Belief:
-    """A probability distribution over a state space, exact and immutable."""
+    """A probability distribution over a state space, exact and immutable.
 
-    __slots__ = ("space", "mass", "support_mask", "_hash", "_den", "_nums")
+    Stored as integers: state i has mass ``nums[i] / den``, reduced so that
+    den > 0 and gcd(den, *nums) == 1, hence equal distributions store equal
+    integers.  Equality and hashing use those integers and the space;
+    ``mass`` reads them as Fractions, built on first read.
+    """
+
+    __slots__ = ("space", "den", "nums", "support_mask", "_hash", "_mass")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         vec = [ZERO] * len(space)
@@ -256,15 +264,23 @@ class Belief:
         total = sum(vec)
         if total != 1:
             raise ValidationError(f"belief mass must sum to 1, got {total}")
-        self.space = space
-        self.mass = tuple(vec)
-        self.support_mask = 0
+        support = 0
         for i, value in enumerate(vec):
             if value:
-                self.support_mask |= 1 << i
-        self._hash = hash((space._hash, self.mass))
-        self._den: int | None = None
-        self._nums: tuple[int, ...] | None = None
+                support |= 1 << i
+        den = lcm(*[value.denominator for value in vec])
+        self._init(space, den, [v.numerator * (den // v.denominator) for v in vec], support)
+
+    def _init(self, space: StateSpace, den: int, nums: list[int], support: int) -> None:
+        # the one initializer: masses nums[i] / den, nonnegative, summing to
+        # one, nonzero exactly on the bits of ``support``
+        g = gcd(den, *nums)
+        self.space = space
+        self.den = den // g
+        self.nums = tuple([n // g for n in nums])
+        self.support_mask = support
+        self._hash = hash((space._hash, self.den, self.nums))
+        self._mass: tuple[Fraction, ...] | None = None
 
     @classmethod
     def point(cls, space: StateSpace, label: str) -> "Belief":
@@ -277,6 +293,14 @@ class Belief:
         share = Fraction(1, len(event))
         return cls(event.space, {label: share for label in event.members})
 
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """Mass of each state, in state order, as Fractions built on first read."""
+        if self._mass is None:
+            den = self.den
+            self._mass = tuple([Fraction(n, den) if n else ZERO for n in self.nums])
+        return self._mass
+
     def mass_of(self, label: str) -> Fraction:
         return self.mass[self.space.index(label)]
 
@@ -287,18 +311,9 @@ class Belief:
     def support(self) -> Event:
         return Event(self.space, self.support_mask)
 
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """Masses as integer numerators over one common denominator."""
-        if self._den is None:
-            dens = [value.denominator for value in self.mass]
-            den = lcm(*dens)
-            self._den = den
-            self._nums = tuple([v.numerator * (den // d) for v, d in zip(self.mass, dens)])
-        return self._den, self._nums  # type: ignore[return-value]
-
     def mask_num(self, mask: int) -> int:
-        """Numerator of the mass on ``mask``, over the ``_ints`` denominator."""
-        _, nums = self._ints()
+        """Numerator of the mass on ``mask``, over ``den``."""
+        nums = self.nums
         m = mask & self.support_mask
         num = 0
         while m:
@@ -308,8 +323,7 @@ class Belief:
         return num
 
     def mass_on_mask(self, mask: int) -> Fraction:
-        den, _ = self._ints()
-        return Fraction(self.mask_num(mask), den)
+        return Fraction(self.mask_num(mask), self.den)
 
     def prob(self, event: Event) -> Fraction:
         if self.space != event.space:
@@ -319,13 +333,12 @@ class Belief:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Belief)
-            and self.mass == other.mass
+            and self.nums == other.nums
+            and self.den == other.den
             and (self.space is other.space or self.space == other.space)
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:  # posteriors from bayes_update hash on demand
-            self._hash = hash((self.space._hash, self.mass))
         return self._hash
 
     def __repr__(self) -> str:
@@ -525,11 +538,9 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     """Condition ``mu`` on ``e``: restrict and renormalize.
 
     Raises EmptyEvent on e = {} and NullConditioning when mu(e) = 0.  The
-    posterior is built from ``mu``'s integer numerators restricted to
-    ``e``: with T their sum, each mass is n_i / T, the support is e's
-    mask within mu's support, and the common denominator is T / g with
-    g = gcd(T, n_i...).  Those masses sum to one by construction, so the
-    checks of ``Belief.__init__`` are skipped.
+    posterior's masses are ``mu``'s numerators on ``e`` over their sum, so
+    they sum to one by construction: the checks of ``Belief.__init__`` are
+    skipped and no Fraction is built.
     """
     if mu.space != e.space:
         raise SpaceMismatch("belief and event belong to different state spaces")
@@ -538,17 +549,9 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     support = e.mask & mu.support_mask
     if not support:
         raise NullConditioning(f"event {{{','.join(e.members)}}} has probability zero")
-    _, nums = mu._ints()
-    kept = [n if support >> i & 1 else 0 for i, n in enumerate(nums)]
-    total = sum(kept)
-    g = gcd(total, *kept)
-    posterior = Belief.__new__(Belief)
-    posterior.space = mu.space
-    posterior.mass = tuple([Fraction(n, total) if n else ZERO for n in kept])
-    posterior.support_mask = support
-    posterior._hash = None
-    posterior._den = total // g
-    posterior._nums = tuple([n // g for n in kept])
+    kept = [n if support >> i & 1 else 0 for i, n in enumerate(mu.nums)]
+    posterior = object.__new__(Belief)
+    posterior._init(mu.space, sum(kept), kept, support)
     return posterior
 
 
@@ -580,7 +583,7 @@ def seu_value(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
     """
     if mu.space != f.space:
         raise SpaceMismatch("belief and act belong to different state spaces")
-    den, nums = mu._ints()
+    den, nums = mu.den, mu.nums
     terms = []
     for num, lottery in zip(nums, f.assignment):
         value = u.expected(lottery)

@@ -94,7 +94,7 @@ class SelectionTrace:
 class HTRepresentation:
     """Priors with positive weights (top one strictly maximal) and a threshold."""
 
-    __slots__ = ("space", "priors", "rho", "eps", "_fast")
+    __slots__ = ("space", "priors", "rho", "eps", "_mul", "_div")
 
     def __init__(
         self,
@@ -129,7 +129,9 @@ class HTRepresentation:
         self.priors = priors
         self.rho = rho
         self.eps = eps
-        self._fast = None
+        # integer scoring: rho_j * mass_j(E) == mask_num_j(E) * _mul[j] / _div[j]
+        self._mul = tuple([weight.numerator for weight in rho])
+        self._div = tuple([prior.den * weight.denominator for prior, weight in zip(priors, rho)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,26 +148,12 @@ class HTRepresentation:
             f"{len(self.space)} states, eps={self.eps}>)"
         )
 
-    def _fast_tables(self):
-        # cross-multiplication constants for integer score comparison
-        if self._fast is None:
-            mul = []  # score_j proportional to n_j * mul_num[j] / mul_den[j]
-            div = []
-            for prior, weight in zip(self.priors, self.rho):
-                den, _ = prior._ints()
-                mul.append(weight.numerator)
-                div.append(den * weight.denominator)
-            den0, _ = self.priors[0]._ints()
-            self._fast = (mul, div, den0)
-        return self._fast
-
 
 def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
     """(bayesian?, chosen prior index) for the event mask, integer-only."""
-    mul, div, den0 = ht._fast_tables()
-    eps = ht.eps
-    n0 = ht.priors[0].mask_num(mask)
-    if n0 * eps.denominator > eps.numerator * den0:
+    mul, div, eps = ht._mul, ht._div, ht.eps
+    top = ht.priors[0]
+    if top.mask_num(mask) * eps.denominator > eps.numerator * top.den:
         return True, 0
     best = -1
     best_num = 0
@@ -234,7 +222,7 @@ def os_to_ht(os: OSRepresentation) -> HTRepresentation:
     _require_canonical_cover(os)
     weights = [ONE]
     for prior in os.priors[:-1]:
-        least = min(value for value in prior.mass if value)
+        least = Fraction(min(n for n in prior.nums if n), prior.den)
         weights.append(weights[-1] * least / 2)
     total = sum(weights)
     rho = tuple(w / total for w in weights)
@@ -301,7 +289,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     per_class_edges: list[list[tuple[int, int]]] = []
     gap_limits: list[Fraction] = []  # largest dominated-side mass below one
     for prior in priors:
-        den, nums = prior._ints()
+        den, nums = prior.den, prior.nums
         support = prior.support_mask
         table = _submask_nums(support, nums)
         cut = eps.numerator * den

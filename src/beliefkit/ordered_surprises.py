@@ -125,8 +125,7 @@ def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
                 return k
         return None
     for k, prior in enumerate(priors):
-        den, _ = prior._ints()
-        if prior.mask_num(mask) * eps.denominator > eps.numerator * den:
+        if prior.mask_num(mask) * eps.denominator > eps.numerator * prior.den:
             return k
     return None
 

@@ -319,8 +319,7 @@ def _weighted_gains(
     out of every sign and cross-multiplication taken on the vector.
     """
     gain = (u.value(y) - u.value(x)).numerator
-    _, nums = belief._ints()
-    return [num * gain if mask >> i & 1 else 0 for i, num in enumerate(nums)]
+    return [num * gain if mask >> i & 1 else 0 for i, num in enumerate(belief.nums)]
 
 
 def _sign(value: int) -> int:

@@ -247,9 +247,8 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     for e in space.canonical_masks():
         states = mask_indices(e)
         prior = priors[min(owner[i] for i in states)]
-        _, nums_k = prior._ints()
-        mass = prior.mask_num(e)
-        den_e, nums_e = table[e]._ints()
+        nums_k, mass = prior.nums, prior.mask_num(e)
+        nums_e, den_e = table[e].nums, table[e].den
         if any(nums_e[i] * mass != nums_k[i] * den_e for i in states):
             uncertified.append(e)
 
@@ -268,8 +267,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
 
 def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
     """Index of the first G in ``gs`` with P(G|E) != P(G|F) P(F|E), or None."""
-    den_f, _ = given_f._ints()
-    f_num = given_e.mask_num(f)
+    den_f, f_num = given_f.den, given_e.mask_num(f)
     for position, g in enumerate(gs):
         if given_e.mask_num(g) * den_f != given_f.mask_num(g) * f_num:
             return position
@@ -284,7 +282,7 @@ def _violation(space: StateSpace, table: dict, e: int, f: int, before: int) -> C
     gs = lex_submasks(f)
     position = _first_break(given_e, given_f, f, gs)  # not None: the pair fails
     g = gs[position]
-    den_e, den_f = given_e._ints()[0], given_f._ints()[0]
+    den_e, den_f = given_e.den, given_f.den
     witness = CpsWitness(
         g=Event(space, g),
         f=Event(space, f),

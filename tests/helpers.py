@@ -144,7 +144,7 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
     for event in rule.events():
         belief = rule[event]
         if belief not in rows:
-            _, nums = belief._ints()
+            nums = belief.nums
             row = [0] * size
             for mask in range(1, size):
                 low = mask & -mask
@@ -157,12 +157,12 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
         for f_mask in lex_submasks(e_mask)[1:]:
             given_f = rule[Event(space, f_mask)]
             row_f = rows[given_f]
-            den_f, _ = given_f._ints()
+            den_f = given_f.den
             n_fe = row_e[f_mask]
             for g_mask in lex_submasks(f_mask):
                 triples += 1
                 if row_e[g_mask] * den_f != row_f[g_mask] * n_fe:
-                    den_e, _ = given_e._ints()
+                    den_e = given_e.den
                     witness = CpsWitness(
                         g=Event(space, g_mask),
                         f=Event(space, f_mask),

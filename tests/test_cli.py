@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,23 @@ def test_check_axioms_with_event_and_subevent(capsys):
     assert ("conditional_consistency", "pass") in rows_of(out)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--event", ""), "cannot condition on the empty event"),
+        (("--event", ","), "cannot condition on the empty event"),
+        (("--subevent", ""), "the subevent is empty"),
+        (("--event", "e,el", "--subevent", ""), "the subevent is empty"),
+    ],
+    ids=["event-blank", "event-comma", "subevent-blank", "nested-subevent-blank"],
+)
+def test_check_axioms_empty_event_is_a_typed_error(capsys, flags, message):
+    code, out, err = run_cli(capsys, "check-axioms", "lps_demo", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error\tEmptyEvent\t{message}\n"
+
+
 def test_conservative_report_and_exit_code(capsys):
     code, out, _ = run_cli(capsys, "conservative", "conservative", "--delta", "1/2")
     assert code == 1
@@ -253,6 +271,42 @@ def test_unknown_scenario_lists_fixtures(capsys):
     assert out == ""
     assert err.startswith("error\tParseError\t")
     assert "coin" in err and "lps_demo" in err
+
+
+def raises_a_bug(scenario, args):
+    raise RuntimeError("simulated bug")
+
+
+def returns_a_bad_report(scenario, args):
+    return 0, [("ok", "true"), ("mass", 1)], {"mass": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "handler, fmt, message",
+    [
+        (raises_a_bug, "text", "RuntimeError: simulated bug"),
+        (
+            returns_a_bad_report,
+            "text",
+            "TypeError: sequence item 1: expected str instance, int found",
+        ),
+        (
+            returns_a_bad_report,
+            "json",
+            "TypeError: Object of type Fraction is not JSON serializable",
+        ),
+    ],
+    ids=["handler", "text-render", "json-render"],
+)
+def test_an_internal_error_exits_3_with_one_line(capsys, monkeypatch, handler, fmt, message):
+    from beliefkit import cli
+
+    monkeypatch.setitem(cli.HANDLERS, "validate-cps", handler)
+    code, out, err = run_cli(capsys, "validate-cps", "coin", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == f"error\tInternalError\t{message}\n"
+    assert "Traceback" not in err
 
 
 HUGE = "1" * 5000

@@ -1,6 +1,7 @@
 """Core object behavior: spaces, events, beliefs, acts, exact arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,35 @@ def belief_with_space(draw):
 
 
 @st.composite
+def spelled_masses(draw, space, weights):
+    """weights / sum(weights) as a mass map, each mass spelled at random.
+
+    A mass is an int where it can be one (0 may also be left out), else a
+    reduced Fraction or an unreduced spelling such as Fraction(2, 4).
+    """
+    total = sum(weights)
+    masses = {}
+    for label, w in zip(space.states, weights):
+        if w % total == 0 and draw(st.booleans()):
+            if w or draw(st.booleans()):
+                masses[label] = w // total
+        else:
+            scale = draw(st.sampled_from((1, 1, 2, 6)))
+            masses[label] = Fraction(w * scale, total * scale)
+    return masses
+
+
+@st.composite
+def one_belief_two_spellings(draw):
+    space = draw(spaces())
+    weights = draw(
+        st.lists(st.integers(0, 12), min_size=len(space), max_size=len(space)).filter(any)
+    )
+    first, second = draw(spelled_masses(space, weights)), draw(spelled_masses(space, weights))
+    return space, weights, first, second
+
+
+@st.composite
 def nested_event_chain(draw):
     """A belief plus events G <= F <= E, all with positive mass."""
     space, mu = draw(belief_with_space())
@@ -114,6 +144,28 @@ def test_belief_rejects_negative_mass_and_unknown_labels():
         Belief(space, {"a": Fraction(3, 2), "b": Fraction(-1, 2)})
     with pytest.raises(ValidationError):
         Belief(space, {"a": Fraction(1, 2), "z": Fraction(1, 2)})
+
+
+@given(one_belief_two_spellings())
+@settings(max_examples=200, deadline=None)
+def test_beliefs_store_reduced_integer_numerators(case):
+    space, weights, first, second = case
+    mu, nu = Belief(space, first), Belief(space, second)
+    assert mu.den > 0
+    assert gcd(mu.den, *mu.nums) == 1
+    total = sum(weights)
+    assert mu.mass == tuple(Fraction(w, total) for w in weights)
+    assert all(mu.mass[i] == Fraction(n, mu.den) for i, n in enumerate(mu.nums))
+    assert mu.support_mask == sum(1 << i for i, n in enumerate(mu.nums) if n)
+    # two spellings of one distribution store the same integers
+    assert (mu.den, mu.nums) == (nu.den, nu.nums)
+    assert mu == nu
+    assert hash(mu) == hash(nu)
+    # the same integers over another space are another belief
+    other = StateSpace(tuple(f"t{i}" for i in range(len(space))))
+    moved = Belief(other, dict(zip(other.states, mu.mass)))
+    assert (moved.den, moved.nums) == (mu.den, mu.nums)
+    assert moved != mu
 
 
 def test_canonical_event_order_is_lexicographic_on_index_tuples():
@@ -203,7 +255,8 @@ def assert_same_posterior(got: Belief, want: Belief):
     assert hash(got) == hash(want)
     assert got.support_mask == want.support_mask
     # the seeded numerators equal the ones Belief computes from the masses
-    assert got._ints() == Belief(got.space, dict(got.items()))._ints()
+    rebuilt = Belief(got.space, dict(got.items()))
+    assert (got.den, got.nums) == (rebuilt.den, rebuilt.nums)
 
 
 @given(belief_and_events())

@@ -1,8 +1,10 @@
-"""No module of the package imports another module's private names.
+"""No module of the package uses another module's private names.
 
 A name with a leading underscore is internal to the module defining it;
 a module that needs it should use (or add) a public function instead.
-The tests are exempt: their oracles reach into helpers on purpose.
+That covers imports (``from .core import _name``) and attribute access
+(``obj._name`` where only another module defines ``_name``).  The tests
+are exempt: their oracles reach into helpers on purpose.
 """
 
 import ast
@@ -32,6 +34,81 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.AST) -> set[str]:
+    """Private names a module defines: defs, classes, assigned names, self._x = ..."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            names.add(node.attr)
+    return {name for name in names if _is_private(name)}
+
+
+def private_attribute_uses(paths: list[Path]) -> list[str]:
+    """``obj._name`` uses where ``_name`` is defined only in other modules."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    defined = {path: private_definitions(tree) for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items() if other != path))
+        found += [
+            (path.name, node.lineno, node.col_offset, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in elsewhere
+            and node.attr not in defined[path]
+        ]
+    return [f"{name}:{line}: .{attr}" for name, line, _, attr in sorted(found)]
+
+
+def test_no_private_cross_module_attributes():
+    assert private_attribute_uses(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_rule_sees_private_attributes(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_CAP = 20\n"
+        "def _lex(mask):\n"
+        "    return mask\n"
+        "class Belief:\n"
+        "    def __init__(self):\n"
+        "        self._den = 1\n"
+        "        self._hash = 0\n"
+        "    def _numerators(self):\n"
+        "        return self._den\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "rules.py").write_text(
+        "from . import core\n"
+        "class Rule:\n"
+        "    def __init__(self):\n"
+        "        self._hash = 1\n"
+        "def use(belief, rule):\n"
+        "    den = belief._numerators()\n"
+        "    belief._den = den\n"
+        "    return core._lex(core._CAP), rule._hash, belief.__class__, belief._unknown\n",
+        encoding="utf-8",
+    )
+    assert private_attribute_uses(sorted(tmp_path.glob("*.py"))) == [
+        "rules.py:6: ._numerators",
+        "rules.py:7: ._den",
+        "rules.py:8: ._lex",
+        "rules.py:8: ._CAP",
+    ]
 
 
 def test_the_rule_sees_private_imports(tmp_path):
