@@ -6,6 +6,15 @@ top prior when its mass on the event clears the threshold; otherwise the
 prior maximizing mass-times-weight is selected, and the argmax must be
 strict.
 
+Selection runs on integers.  The threshold test is one cross-multiplication
+on the top prior.  For the argmax, a representation holds one integer
+column per state, built on the first event that reaches the argmax and then
+cached: column i lists nums_j[i] * rho_j for every prior j, all over the lcm
+of the denominators den_j * denominator(rho_j).  An event's scores are the
+sum of its states' columns, taken for all priors at once, and a tie is a
+maximum that occurs more than once.  A rule that is Bayesian on every event
+never builds the columns.
+
 ``os_to_ht`` turns an ordered hierarchy into such a representation whose
 rule is identical: weight k+1 is scaled below weight k by half the smallest
 support mass of prior k, which makes every selection score of the right
@@ -21,13 +30,18 @@ one of my representing events" and spaced evenly.  The returned threshold
 is the largest conditional mass that must fall on the reject side (never
 below the input threshold); for an input threshold of zero it is exactly 0.
 
-The construction runs on integers.  A class-k conditional's support is
+The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on, so dominance is the
-support-subset test s_j & ~s_i == 0.  Every mass compared is a ratio of
-two entries of one subset-sum table per prior, num(s_i & s_j) / num(s_j),
-and every comparison (against the threshold, for the gap limit, for the
-cross-class maximum) is an integer cross-multiplication; Fractions are
-built only for the values returned.
+support-subset test: each conditional's dominated beliefs are found by
+walking the submasks of its support and looking each up in the class's
+mask-to-row map, O(3^n) steps over a class of up to 2^n beliefs instead of
+testing all O(4^n) pairs.  Every mass compared is a ratio of two entries
+of one subset-sum table per prior, num(s_i & s_j) / num(s_j), and every
+comparison (against the threshold, for the gap limit, for the cross-class
+maximum) is an integer cross-multiplication.  The weights are integer
+numerators over one common denominator, the lcm of the interval bounds'
+denominators times the lcm of (class size + 1), so the even spacing
+divides exactly; Fractions are built only for the values returned.
 """
 
 from __future__ import annotations
@@ -36,6 +50,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
+from operator import add
 from typing import Iterable
 
 from .core import (
@@ -94,7 +110,7 @@ class SelectionTrace:
 class HTRepresentation:
     """Priors with positive weights (top one strictly maximal) and a threshold."""
 
-    __slots__ = ("space", "priors", "rho", "eps", "_mul", "_div")
+    __slots__ = ("space", "priors", "rho", "eps", "_columns")
 
     def __init__(
         self,
@@ -113,11 +129,13 @@ class HTRepresentation:
                 raise SpaceMismatch("prior built over a different state space")
         if len(rho) != len(priors):
             raise ValidationError("need exactly one weight per prior")
-        if any(r <= 0 for r in rho):
+        common = lcm(*[r.denominator for r in rho])  # weights as integers over it
+        scaled = [r.numerator * (common // r.denominator) for r in rho]
+        if any(w <= 0 for w in scaled):
             raise ValidationError("weights must be strictly positive")
-        if sum(rho) != 1:
+        if sum(scaled) != common:
             raise ValidationError(f"weights must sum to 1, got {sum(rho)}")
-        if any(r >= rho[0] for r in rho[1:]):
+        if any(w >= scaled[0] for w in scaled[1:]):
             raise ValidationError("the first prior's weight must be strictly maximal")
         as_threshold(eps)  # the range after the weight checks; the type came first
         union = 0
@@ -129,9 +147,7 @@ class HTRepresentation:
         self.priors = priors
         self.rho = rho
         self.eps = eps
-        # integer scoring: rho_j * mass_j(E) == mask_num_j(E) * _mul[j] / _div[j]
-        self._mul = tuple([weight.numerator for weight in rho])
-        self._div = tuple([prior.den * weight.denominator for prior, weight in zip(priors, rho)])
+        self._columns: list[tuple[int, ...]] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -149,35 +165,50 @@ class HTRepresentation:
         )
 
 
+def _score_columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
+    """Column i: every prior's score on {i}, over one common denominator.
+
+    rho_j * mass_j({i}) = nums_j[i] * p_j / d_j with rho_j = p_j / q_j and
+    d_j = den_j * q_j.  Over L = lcm(d_j) the entry for prior j is
+    nums_j[i] * p_j * (L // d_j), and an event's scores are column sums.
+    """
+    divs = [prior.den * weight.denominator for prior, weight in zip(ht.priors, ht.rho)]
+    common = lcm(*divs)
+    factors = [weight.numerator * (common // div) for weight, div in zip(ht.rho, divs)]
+    rows = [[num * factor for num in prior.nums] for prior, factor in zip(ht.priors, factors)]
+    return list(zip(*rows))
+
+
 def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
     """(bayesian?, chosen prior index) for the event mask, integer-only."""
-    mul, div, eps = ht._mul, ht._div, ht.eps
+    eps = ht.eps
     top = ht.priors[0]
     if top.mask_num(mask) * eps.denominator > eps.numerator * top.den:
         return True, 0
-    best = -1
-    best_num = 0
-    best_den = 1
-    tied: list[int] = []
-    for j in range(len(mul)):
-        nj = ht.priors[j].mask_num(mask)
-        score_num = nj * mul[j]
-        if score_num * best_den > best_num * div[j]:
-            best, best_num, best_den = j, score_num, div[j]
-            tied = [j]
-        elif score_num * best_den == best_num * div[j] and score_num:
-            tied.append(j)
-    if best_num == 0:
+    columns = ht._columns
+    if columns is None:
+        columns = ht._columns = _score_columns(ht)
+    low = mask & -mask
+    scores = columns[low.bit_length() - 1]
+    rest = mask ^ low
+    while rest:  # add the column of every further state in the event
+        low = rest & -rest
+        scores = map(add, scores, columns[low.bit_length() - 1])
+        rest ^= low
+    scores = list(scores)
+    best = max(scores)
+    if best == 0:
         raise AllZeroScores(
             "every prior assigns zero mass to the event"
         )  # unreachable for validated representations; supports cover the space
-    if len(tied) > 1:
+    if scores.count(best) > 1:
+        tied = [j for j, score in enumerate(scores) if score == best]
         raise AmbiguousArgmax(
             f"priors {tied} tie for the maximal score",
             event=Event(ht.space, mask),
             tied=tuple(tied),
         )
-    return False, best
+    return False, scores.index(best)
 
 
 def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
@@ -286,7 +317,8 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     rows: list[list[int]] = []  # class k: conditional supports, canonical order
     below: list[list[int]] = []  # submasks of support k at or below the threshold
     tables: list[dict[int, int]] = []
-    per_class_edges: list[list[tuple[int, int]]] = []
+    dominated: list[list[list[int]]] = []  # class k, row i: the row indices i dominates
+    dominators: list[list[int]] = []  # class k, row j: how many row entries dominate j
     gap_limits: list[Fraction] = []  # largest dominated-side mass below one
     for prior in priors:
         den, nums = prior.den, prior.nums
@@ -299,18 +331,29 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
             for x in mask_indices(support)
             if table[support ^ (1 << x)] * eps.denominator > cut
         ]
-        edges: list[tuple[int, int]] = []
+        position = {mask: i for i, mask in enumerate(row)}
+        losers_of: list[list[int]] = []
+        incoming = [0] * len(row)
         limit = (0, 1)
-        for i, s_i in enumerate(row):
-            outside = ~s_i
-            edges += [(i, j) for j, s_j in enumerate(row) if not s_j & outside and j != i]
+        for s_i in row:
+            losers = []
+            sub = (s_i - 1) & s_i
+            while sub:  # proper nonempty submasks of s_i: 2^|s_i| steps, 3^n per row
+                j = position.get(sub)
+                if j is not None:
+                    losers.append(j)
+                    incoming[j] += 1
+                sub = (sub - 1) & s_i
+            losers.sort()
+            losers_of.append(losers)
             least = min([n for n, bit in droppable if s_i & bit], default=0)
             if least:
                 limit = _max_ratio(limit, table[s_i] - least, table[s_i])
         rows.append(row)
         below.append([m for m in table if table[m] * eps.denominator <= cut])
         tables.append(table)
-        per_class_edges.append(edges)
+        dominated.append(losers_of)
+        dominators.append(incoming)
         gap_limits.append(Fraction(*limit))
     conditionals = [
         [bayes_update(prior, Event(space, inner)) for inner in row]
@@ -333,22 +376,17 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # Topological order per class: Kahn's with the canonically first ready
     # belief next.  Rows are in canonical order, so that is the least index.
     ordered: list[list[int]] = []
-    for row, edges in zip(rows, per_class_edges):
-        incoming = [0] * len(row)
-        outgoing: list[list[int]] = [[] for _ in row]
-        for winner, loser in edges:
-            incoming[loser] += 1
-            outgoing[winner].append(loser)
-        ready = [i for i in range(len(row)) if incoming[i] == 0]  # ascending: a heap
+    for losers_of, incoming in zip(dominated, dominators):
+        ready = [i for i, count in enumerate(incoming) if count == 0]  # ascending: a heap
         order: list[int] = []
         while ready:
             node = heappop(ready)
             order.append(node)
-            for nxt in outgoing[node]:
+            for nxt in losers_of[node]:
                 incoming[nxt] -= 1
                 if incoming[nxt] == 0:
                     heappush(ready, nxt)
-        if len(order) != len(row):
+        if len(order) != len(losers_of):
             raise CycleDetected("dominance relation among conditional beliefs is cyclic")
         ordered.append(order)
 
@@ -365,34 +403,37 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     if bounds[-1][1] <= threshold * bounds[0][0]:
         raise SeparationFailed(f"interval chain collapsed onto the threshold {threshold}")
 
-    raw: list[Fraction] = []
+    # Weights spaced evenly inside each interval, as integer numerators over
+    # one denominator that clears every bound and every (class size + 1).
+    scale = lcm(*[b.denominator for pair in bounds for b in pair])
+    scale *= lcm(*[len(order) + 1 for order in ordered])
+    ends = [tuple([b.numerator * (scale // b.denominator) for b in pair]) for pair in bounds]
+    raw: list[int] = []
     flat_priors: list[Belief] = []
     class_of: list[int] = []
-    global_index: list[dict[int, int]] = [dict() for _ in priors]
+    edges: list[tuple[int, int]] = []
     for k, order in enumerate(ordered):
-        hi, lo = bounds[k]
-        step = (hi - lo) / (len(order) + 1)
+        hi, lo = ends[k]
+        step = (hi - lo) // (len(order) + 1)
+        index = [0] * len(order)  # row index -> prior index
         for pos, local in enumerate(order):
-            global_index[k][local] = len(flat_priors)
+            index[local] = len(flat_priors)
             flat_priors.append(conditionals[k][local])
             class_of.append(k)
             raw.append(hi - step * (pos + 1))
+        for winner, losers in zip(index, dominated[k]):
+            edges += [(winner, index[j]) for j in losers]
 
     total = sum(raw)
-    rho = tuple(value / total for value in raw)
-    scaled_bounds = tuple((hi / total, lo / total) for hi, lo in bounds)
-    edges = tuple(
-        (global_index[k][winner], global_index[k][loser])
-        for k in range(len(priors))
-        for winner, loser in per_class_edges[k]
-    )
+    rho = tuple([Fraction(value, total) for value in raw])
+    scaled_bounds = tuple((Fraction(hi, total), Fraction(lo, total)) for hi, lo in ends)
     ht = HTRepresentation(space, flat_priors, rho, threshold)
     return EpsOsConstruction(
         ht=ht,
         eps=eps,
         class_of=tuple(class_of),
         bounds=scaled_bounds,
-        edges=edges,
+        edges=tuple(edges),
         cross_max=cross_max,
     )
 

@@ -8,7 +8,10 @@ The checks here verify axioms as properties of a representation, not on
 raw choice data.  Dynamic consistency is checked by composing acts so they
 agree off the subevent; consequentialism by composing pairs so they agree
 on the event; surprise-independent risk attitude by fitting an affine map
-from the base utility and verifying it pointwise.
+from the base utility and verifying it pointwise.  Constant-act agreement
+is decided by the same fit over every lottery on the shared outcomes: by
+vNM uniqueness the orders rank all lotteries alike iff the fit holds with
+a positive scale (or both utilities are constant there).
 
 Consequentialism and conditional consistency are decided exactly over
 every act that maps each state to a mixture of the first two shared
@@ -439,11 +442,7 @@ def check_risk_independence(fam) -> RiskIndependenceReport:
     """
     outcomes = fam.shared_outcomes()
     base = fam.utilities[0]
-    anchor = None
-    for candidate in outcomes[1:]:
-        if base.value(candidate) != base.value(outcomes[0]):
-            anchor = (outcomes[0], candidate)
-            break
+    anchor = _anchor(base, outcomes)
     if anchor is None:
         raise DegenerateBase("base utility is constant on the shared outcome table")
     x, y = anchor
@@ -460,27 +459,85 @@ def check_risk_independence(fam) -> RiskIndependenceReport:
     return RiskIndependenceReport(True, coefficients=coefficients)
 
 
+def _anchor(u: UtilityFunction, outcomes: Sequence[str]) -> tuple[str, str] | None:
+    """The first outcome and the first later one that ``u`` values differently."""
+    for candidate in outcomes[1:]:
+        if u.value(candidate) != u.value(outcomes[0]):
+            return outcomes[0], candidate
+    return None
+
+
+def _affine_break(
+    utilities: Sequence[UtilityFunction], outcomes: Sequence[str]
+) -> tuple[Lottery, Lottery, int] | None:
+    """The first order ranking some lottery pair unlike order 0, with that pair.
+
+    By vNM uniqueness the orders agree on every lottery over ``outcomes``
+    iff each u_k is a positive affine image of u_0 there, or u_0 and u_k
+    are both constant there.  The pair is two degenerate lotteries where
+    u_0 is constant or the scale is not positive; otherwise, for the first
+    outcome o off the line through the anchor (x, y), the mixture of the
+    lowest and highest of x, y, o that u_0 values like the middle one,
+    against the middle one.  Order k ranks it strictly: the three points
+    (u_0, u_k) are not collinear.  None when every order agrees.
+    """
+    base = utilities[0]
+    anchor = _anchor(base, outcomes)
+    for k, u in enumerate(utilities[1:], start=1):
+        if anchor is None:
+            spread = _anchor(u, outcomes)
+            if spread is not None:
+                return Lottery({spread[0]: 1}), Lottery({spread[1]: 1}), k
+            continue
+        x, y = anchor
+        scale = (u.value(x) - u.value(y)) / (base.value(x) - base.value(y))
+        if scale <= 0:
+            return Lottery({x: 1}), Lottery({y: 1}), k
+        shift = u.value(x) - scale * base.value(x)
+        for o in outcomes:
+            if u.value(o) != scale * base.value(o) + shift:
+                lo, mid, hi = sorted((x, y, o), key=base.value)
+                alpha = (base.value(mid) - base.value(lo)) / (base.value(hi) - base.value(lo))
+                return Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1}), k
+    return None
+
+
 def check_constant_act_agreement(
     fam,
     lotteries: Sequence[Lottery] | None = None,
 ) -> CheckResult:
     """Constant-act rankings must not depend on the surprise order.
 
-    Compares every sampled lottery pair under each order's utility against
-    order 0.  The witness is (lottery, lottery, order, verdict there,
-    verdict at order 0) for the first flip.  Together with
-    check_risk_independence this exercises both directions of the
-    affine-utility equivalence on a grid.
+    Compares every lottery pair under each order's utility against order
+    0.  The witness is (lottery, lottery, order, verdict there, verdict at
+    order 0) for the first flip.
+
+    Without ``lotteries`` the axiom is decided over every lottery on the
+    shared outcomes (``_affine_break``), so a pass is a proof.  A fail
+    reports the first flip of the default grid (mixtures of the first two
+    shared outcomes), or else the pair built by the decision.  An explicit
+    sample keeps its sampled meaning.
     """
+    built = None
     if lotteries is None:
-        lotteries = lottery_grid(fam.shared_outcomes())
+        outcomes = fam.shared_outcomes()
+        _mixed_outcomes(outcomes)  # two distinct outcomes, as the grid needs
+        built = _affine_break(fam.utilities, outcomes)
+        if built is None:
+            return CheckResult(True)
+        lotteries = lottery_grid(outcomes)
+    base = fam.utilities[0]
     for i, p in enumerate(lotteries):
         for q in lotteries[i + 1 :]:
-            bench = compare_values(
-                fam.utilities[0].expected(p), fam.utilities[0].expected(q)
-            )
+            bench = compare_values(base.expected(p), base.expected(q))
             for k, u in enumerate(fam.utilities[1:], start=1):
                 verdict = compare_values(u.expected(p), u.expected(q))
                 if verdict is not bench:
                     return CheckResult(False, (p, q, k, verdict, bench))
-    return CheckResult(True)
+    if built is None:
+        return CheckResult(True)
+    p, q, k = built
+    u = fam.utilities[k]
+    verdict = compare_values(u.expected(p), u.expected(q))
+    bench = compare_values(base.expected(p), base.expected(q))
+    return CheckResult(False, (p, q, k, verdict, bench))

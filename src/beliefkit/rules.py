@@ -111,7 +111,10 @@ def tabulate_rule(
 ) -> UpdatingRule:
     """Bayes-update prior ``choose(mask)`` on every event; None leaves it out.
 
-    One ``bayes_update`` per (prior, event & support), cached in between.
+    One ``bayes_update`` per (prior, event & support), cached in between:
+    the posterior depends on the event only through that meet, so the
+    first event to reach a key is the one conditioned on.  One ``Event``
+    per domain event.
     """
     cache: dict[tuple[int, int], Belief] = {}
     table: dict[Event, Belief] = {}
@@ -120,12 +123,12 @@ def tabulate_rule(
         if k is None:
             continue
         prior = priors[k]
+        event = Event(space, mask)
         key = (k, mask & prior.support_mask)
         belief = cache.get(key)
         if belief is None:
-            belief = bayes_update(prior, Event(space, key[1]))
-            cache[key] = belief
-        table[Event(space, mask)] = belief
+            belief = cache[key] = bayes_update(prior, event)
+        table[event] = belief
     return UpdatingRule(space, table)
 
 

@@ -334,6 +334,26 @@ def fraction_eps_os_construction(os: OSRepresentation, eps) -> EpsOsConstruction
     )
 
 
+def fraction_ht_select(ht: HTRepresentation, e: Event):
+    """Oracle for HT selection: (bayesian?, scores, tied indices).
+
+    Masses are Fraction sums of ``mass`` over the event's states.  The top
+    prior is kept when its mass on the event exceeds the threshold; then
+    ``tied`` is (0,) and ``scores`` is None.  Otherwise ``scores`` holds
+    mass_j(E) * rho_j for every prior and ``tied`` every index at the
+    maximal score: the chosen prior when it is alone, a tie otherwise.
+    """
+
+    def mass(prior: Belief) -> Fraction:
+        return sum((prior.mass[i] for i in e.indices), Fraction(0))
+
+    if mass(ht.priors[0]) > ht.eps:
+        return True, None, (0,)
+    scores = tuple(mass(prior) * weight for prior, weight in zip(ht.priors, ht.rho))
+    best = max(scores)
+    return False, scores, tuple(j for j, score in enumerate(scores) if score == best)
+
+
 def _xy_act(space: StateSpace, x: str, y: str, probabilities) -> Act:
     return Act(
         space,

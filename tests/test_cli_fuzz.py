@@ -3,11 +3,17 @@
 Each subcommand runs on each bundled fixture with event, threshold and
 delta strings drawn from the fixtures' labels, separators, unknown labels
 and malformed rationals.  Exit 1 must only mean a failed check and 2 an
-unusable input; an exception escaping ``main`` is a crash.
+unusable input; an exception escaping ``main`` is a crash.  The scenario
+documents are fuzzed too: each fixture's JSON with keys dropped or
+renamed, values retyped, bad rationals, unknown labels, duplicated
+entries and truncated text.
 """
 
 import contextlib
+import copy
 import io
+import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +59,9 @@ def name_text(names, count=1):
 
 
 @st.composite
-def argvs(draw, command):
-    fixture = draw(st.sampled_from(sorted(FIXTURES)))
+def argvs(draw, command, fixture=None):
+    if fixture is None:
+        fixture = draw(st.sampled_from(sorted(FIXTURES)))
     scenario = FIXTURES[fixture]
     labels = list(scenario.space.states)
     events = event_text(labels)
@@ -110,6 +117,84 @@ def test_fuzzed_argv_exits_0_1_or_2(command, data):
     if code == 2:
         assert out == ""
         assert err.startswith(("error\t", "usage:"))
+
+
+FIXTURE_DOCS = {
+    name: json.loads((resources.files("beliefkit") / "fixtures" / f"{name}.json").read_text())
+    for name in FIXTURES
+}
+RETYPED = (3, 0.5, None, True, [], {}, "x")
+BAD_RATIONALS = ("1/0", "0.5", "-1", "abc", "", "3/2", "1e3", "7/-8", " 1", "9" * 5000)
+
+
+def nodes(value, path=()):
+    """Every (path, value) in a JSON document, the root first."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from nodes(child, (*path, key))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from nodes(child, (*path, i))
+
+
+def mutate(doc, path, kind, replacement):
+    """Apply one mutation at ``path``, below the root."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind in ("retype", "rational"):
+        parent[key] = replacement
+    elif kind == "label":  # an unknown state, belief or outcome name
+        if isinstance(parent, dict):
+            parent["zz"] = parent.pop(key)
+        else:
+            parent[key] = "zz"
+    elif isinstance(parent, list):  # duplicate: a state, name or weight twice
+        parent.insert(key, copy.deepcopy(parent[key]))
+
+
+@st.composite
+def scenario_texts(draw, fixture):
+    doc = copy.deepcopy(FIXTURE_DOCS[fixture])
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(nodes(doc))[1:]  # a depth first, so whole blocks drop as often as leaves
+        if not paths:
+            break
+        depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
+        path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
+        kind = draw(st.sampled_from(("drop", "retype", "rational", "label", "duplicate")))
+        pool = BAD_RATIONALS if kind == "rational" else RETYPED
+        mutate(doc, path, kind, draw(st.sampled_from(pool)))
+    text = json.dumps(doc, indent=2)
+    if draw(st.integers(0, 9)) == 7:  # 0 and 9 are drawn too often to mean "rarely"
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_scenario_documents_exit_0_1_or_2(scenario_file, command, data):
+    fixture = data.draw(st.sampled_from(sorted(FIXTURES)))
+    scenario_file.write_text(data.draw(scenario_texts(fixture)), encoding="utf-8")
+    argv = data.draw(argvs(command, fixture))
+    argv[1] = str(scenario_file)
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error\t")
 
 
 def test_an_empty_conservative_event_is_a_typed_error():

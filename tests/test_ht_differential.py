@@ -1,0 +1,118 @@
+"""HT selection against a Fraction oracle, on seeded random representations.
+
+The oracle is ``helpers.fraction_ht_select``: every prior's score
+mass_j(E) * rho_j as a Fraction, a strict argmax and the tied indices.
+``ht_select`` and ``ht_rule`` must agree with it on every event: the same
+branch, scores and chosen prior, the same posterior, and on a tie the same
+``AmbiguousArgmax`` event and ``tied`` tuple (for ``ht_rule``, at the
+canonically first tied event).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from beliefkit import (
+    AmbiguousArgmax,
+    Belief,
+    HTRepresentation,
+    SelectionBranch,
+    StateSpace,
+    eps_os_construction,
+    ht_rule,
+    ht_select,
+)
+from helpers import fraction_bayes_update, fraction_ht_select, random_canonical_os
+
+SEED = 20261018
+CASES = 200
+
+
+def random_representation(rng: random.Random) -> HTRepresentation:
+    """Covering priors with small weights (so scores tie often), eps mostly > 0."""
+    n = rng.randint(1, 6)
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        row = [rng.randint(0, 2) for _ in range(n)]
+        row[rng.randrange(n)] = rng.randint(1, 2)
+        rows.append(row)
+    for i in range(n):
+        if not any(row[i] for row in rows):
+            rows[rng.randrange(len(rows))][i] = 1
+    priors = []
+    for row in rows:
+        total = sum(row)
+        masses = {s: Fraction(w, total) for s, w in zip(space.states, row) if w}
+        priors.append(Belief(space, masses))
+    raw = [rng.randint(1, 2) for _ in rows[1:]]
+    raw = [max(raw, default=0) + rng.randint(1, 2), *raw]
+    rho = [Fraction(r, sum(raw)) for r in raw]
+    if rng.random() < 0.2:
+        eps = Fraction(0)
+    else:
+        den = rng.randint(2, 8)
+        eps = Fraction(rng.randint(1, den - 1), den)
+    return HTRepresentation(space, priors, rho, eps)
+
+
+def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
+    first_tie = None
+    expected = {}
+    for e in ht.space.events():
+        bayesian, scores, tied = fraction_ht_select(ht, e)
+        if len(tied) > 1:
+            counts["tie"] += 1
+            with pytest.raises(AmbiguousArgmax) as tie:
+                ht_select(ht, e)
+            assert tie.value.event == e
+            assert tie.value.tied == tied
+            if first_tie is None:
+                first_tie = (e, tied)
+            continue
+        counts["bayesian" if bayesian else "argmax"] += 1
+        trace, belief = ht_select(ht, e)
+        assert trace.branch is (SelectionBranch.BAYESIAN if bayesian else SelectionBranch.ARGMAX)
+        assert trace.chosen == tied[0]
+        if scores is not None:
+            assert trace.scores == scores
+        expected[e] = fraction_bayes_update(ht.priors[tied[0]], e)
+        assert belief == expected[e]
+    if first_tie is None:
+        rule = ht_rule(ht)
+        assert len(rule) == len(expected)
+        for e, belief in expected.items():
+            assert rule[e] == belief
+    else:
+        with pytest.raises(AmbiguousArgmax) as tie:
+            ht_rule(ht)
+        assert (tie.value.event, tie.value.tied) == first_tie
+
+
+def test_selection_matches_the_fraction_oracle():
+    rng = random.Random(SEED)
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    tied_rules = thresholded_argmax = 0
+    for _ in range(CASES):
+        ht = random_representation(rng)
+        ties, argmax = counts["tie"], counts["argmax"]
+        assert_matches_oracle(ht, counts)
+        tied_rules += counts["tie"] > ties
+        thresholded_argmax += ht.eps > 0 and counts["argmax"] > argmax
+    # the sample reaches both branches and many ties, positive thresholds included
+    assert counts["bayesian"] > 1000 and counts["argmax"] > 1000 and counts["tie"] > 50
+    assert tied_rules > 40
+    assert thresholded_argmax > 100
+
+
+def test_constructed_representations_match_the_fraction_oracle():
+    """Thresholded constructions: up to 63 priors, no ties by design."""
+    rng = random.Random(SEED + 1)
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    for _ in range(30):
+        h = random_canonical_os(rng, max_states=6)
+        eps = rng.choice((Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)))
+        assert_matches_oracle(eps_os_construction(h, eps).ht, counts)
+    assert counts["tie"] == 0
+    assert counts["argmax"] > 100

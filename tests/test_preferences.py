@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefkit import (
     Act,
@@ -297,3 +299,87 @@ def test_constant_act_agreement_tracks_risk_independence():
     )
     assert not check_risk_independence(quad)
     assert not check_constant_act_agreement(quad, lotteries=probe)
+    # the default decision needs no probe: it builds the same pair
+    caa = check_constant_act_agreement(quad)
+    assert not caa
+    assert caa.witness == (*probe, 1, Preference.FIRST, Preference.INDIFFERENT)
+
+
+SHARED = ("p", "q", "r")
+
+
+@st.composite
+def utility_families(draw):
+    """Two or three orders over shared outcomes p, q, r, one private outcome each.
+
+    Shared values lie in 0..3, so every mixture that makes order 0
+    indifferent between two outcomes and a third has a probability with
+    denominator at most 3.  Order 0 may be constant on the shared outcomes;
+    later orders are drawn freely or as positive affine images of order 0,
+    with shared values in -2..20.  Each private outcome is worth -5, off
+    that range, so every utility is non-constant.
+    """
+    orders = draw(st.integers(2, 3))
+    values = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+    base = dict(zip(SHARED, draw(values)))
+    utilities = [UtilityFunction({**base, "s0": -5})]
+    for k in range(1, orders):
+        if draw(st.booleans()):
+            scale = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+            shift = draw(st.integers(-2, 2))
+            table = {o: scale * v + shift for o, v in base.items()}
+        else:
+            table = dict(zip(SHARED, draw(values)))
+        utilities.append(UtilityFunction({**table, f"s{k}": -5}))
+    space = StateSpace(tuple(f"t{k}" for k in range(orders)))
+    hier = OSRepresentation(space, [Belief.point(space, t) for t in space.states])
+    return PreferenceFamily(hier, utilities)
+
+
+def sixths_grid() -> list[Lottery]:
+    """Every mixture of two shared outcomes at a multiple of 1/6."""
+    grid = {Lottery({o: 1}) for o in SHARED}
+    for i, x in enumerate(SHARED):
+        for y in SHARED[i + 1 :]:
+            grid.update(Lottery({x: Fraction(j, 6), y: 1 - Fraction(j, 6)}) for j in range(1, 6))
+    return sorted(grid, key=repr)
+
+
+def eu(u: UtilityFunction, lottery: Lottery) -> Fraction:
+    return sum((prob * u.value(o) for o, prob in lottery.items()), Fraction(0))
+
+
+def ranking(u: UtilityFunction, p: Lottery, q: Lottery) -> Preference:
+    a, b = eu(u, p), eu(u, q)
+    return Preference.FIRST if a > b else Preference.SECOND if b > a else Preference.INDIFFERENT
+
+
+@settings(max_examples=150, deadline=None)
+@given(utility_families())
+def test_constant_act_decision_matches_a_lottery_grid(fam):
+    """The default check is a decision: it fails exactly when some pair on
+    the sixths grid flips, and its witness is the default grid's first
+    flip when there is one, else a genuine flip of its own."""
+    grid = sixths_grid()
+    base = fam.utilities[0]
+    values = [[eu(u, p) for p in grid] for u in fam.utilities]
+    flips = any(
+        (v[i] > v[j]) != (values[0][i] > values[0][j])
+        or (v[i] < v[j]) != (values[0][i] < values[0][j])
+        for v in values[1:]
+        for i in range(len(grid))
+        for j in range(i + 1, len(grid))
+    )
+    result = check_constant_act_agreement(fam)
+    assert bool(result) is not flips
+    if result:
+        return
+    p, q, k, verdict, bench = result.witness
+    assert verdict is ranking(fam.utilities[k], p, q)
+    assert bench is ranking(base, p, q)
+    assert verdict is not bench
+    sampled = check_constant_act_agreement(
+        fam, lotteries=preferences.lottery_grid(fam.shared_outcomes())
+    )
+    if not sampled:
+        assert result.witness == sampled.witness

@@ -5,6 +5,9 @@
 (prior, event & support).  Each rule must equal the per-event update it
 stands for on every event: ``bayes_update``, ``os_update`` and
 ``ht_select``, on inputs beyond the canonical disjoint-support corpus.
+``ht_rule`` and ``ht_select`` share one selection routine, so their
+comparison here checks the tabulation only; ``test_ht_differential.py``
+checks the selection against an independent Fraction oracle.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from beliefkit import (
     AmbiguousArgmax,
     Belief,
+    Event,
     HTRepresentation,
     IncompleteCoverage,
     OSRepresentation,
@@ -157,3 +161,22 @@ def test_family_computes_one_surprise_order_per_event(monkeypatch):
             assert fam.belief_given(e) == belief
             assert fam.utility_given(e) is fam.utilities[real(hier, e)]
     assert calls == [e.mask for e in events]
+
+
+def test_tabulating_builds_one_event_per_domain_event(monkeypatch):
+    """Each domain event is built once and is also the event Bayes-updated on."""
+    space = StateSpace(tuple(f"s{i}" for i in range(6)))
+    hier = OSRepresentation(space, (belief_from(space, (1, 2, 3, 4, 5, 6)),))
+    expected = [os_update(hier, e) for e in space.events()]
+    calls = []
+    real = Event.__init__
+
+    def counting(self, space, mask):
+        calls.append(mask)
+        real(self, space, mask)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    rule = os_rule(hier)
+    assert len(calls) == 2**6 - 1
+    monkeypatch.undo()
+    assert [rule[e] for e in space.events()] == expected
