@@ -10,6 +10,9 @@ holds, 1 when a check fails and a witness is reported, 2 for unusable
 input (parse, validation, or a typed operation error, echoed to stderr as
 ``error<TAB>TypeName<TAB>message``), 3 for an internal error (any other
 exception, echoed as ``error<TAB>InternalError<TAB>Type: message``).
+
+Each handler imports the modules it uses, so a call loads only what its
+subcommand reaches: the package is not imported whole at start-up.
 """
 
 from __future__ import annotations
@@ -17,27 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .core import Act, Belief, Event, Lottery, StateSpace, bayes_update
 from .errors import BeliefkitError, NotCps, ValidationError
-from .hypothesis_testing import eps_os_construction, ht_rule, ht_select, os_to_ht
-from .lps import indifference_resolution_demo, lps_compare, lps_value
-from .ordered_surprises import (
-    cps_to_os,
-    eps_surprise_order,
-    os_rule,
-    surprise_order,
-    surprise_partition,
-)
-from .preferences import (
-    PreferenceFamily,
-    check_conditional_consistency,
-    check_consequentialism,
-    check_constant_act_agreement,
-    check_risk_independence,
-)
-from .rules import conservative_rule, is_complete, is_concentrated, validate_cps
 from .scenario import Scenario, format_rational, load_scenario, parse_rational
+
+if TYPE_CHECKING:
+    from .core import Act, Belief, Event, Lottery, StateSpace
 
 
 def _belief_text(belief: Belief) -> str:
@@ -78,16 +67,25 @@ def _require(scenario: Scenario, block: str):
 def _pick_rule(scenario: Scenario, args):
     """Rule under test: the os block, the ht block, or the explicit flag."""
     if getattr(args, "os", False):
-        return os_rule(_require(scenario, "os"))
-    if getattr(args, "ht", False):
-        return ht_rule(_require(scenario, "ht"))
-    if scenario.os is not None and scenario.ht is not None:
+        block = "os"
+    elif getattr(args, "ht", False):
+        block = "ht"
+    elif scenario.os is not None and scenario.ht is not None:
         raise ValidationError("scenario defines both os and ht; pass --os or --ht")
-    if scenario.os is not None:
-        return os_rule(scenario.os)
-    if scenario.ht is not None:
-        return ht_rule(scenario.ht)
-    raise ValidationError("scenario defines neither an os nor an ht block")
+    elif scenario.os is not None:
+        block = "os"
+    elif scenario.ht is not None:
+        block = "ht"
+    else:
+        raise ValidationError("scenario defines neither an os nor an ht block")
+    value = _require(scenario, block)
+    if block == "os":
+        from .ordered_surprises import os_rule
+
+        return os_rule(value)
+    from .hypothesis_testing import ht_rule
+
+    return ht_rule(value)
 
 
 def _sole(mapping: dict, kind: str, flag: str) -> str:
@@ -112,6 +110,8 @@ def _validation_report(validation):
 
 
 def cmd_validate_cps(scenario: Scenario, args):
+    from .rules import validate_cps
+
     rule = _pick_rule(scenario, args)
     validation = validate_cps(rule)
     rows, payload = _validation_report(validation)
@@ -141,6 +141,8 @@ def cmd_validate_cps(scenario: Scenario, args):
 
 
 def cmd_decompose(scenario: Scenario, args):
+    from .ordered_surprises import cps_to_os
+
     rule = _pick_rule(scenario, args)
     try:
         os = cps_to_os(rule)
@@ -157,6 +159,9 @@ def cmd_decompose(scenario: Scenario, args):
 
 
 def cmd_update(scenario: Scenario, args):
+    from .core import bayes_update
+    from .ordered_surprises import surprise_order
+
     os = _require(scenario, "os")
     e = _parse_event(scenario.space, args.event)
     order = surprise_order(os, e)
@@ -166,6 +171,9 @@ def cmd_update(scenario: Scenario, args):
 
 
 def cmd_eps_update(scenario: Scenario, args):
+    from .core import bayes_update
+    from .ordered_surprises import eps_surprise_order
+
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
     e = _parse_event(scenario.space, args.event)
@@ -184,6 +192,8 @@ def cmd_eps_update(scenario: Scenario, args):
 
 
 def cmd_os_to_ht(scenario: Scenario, args):
+    from .hypothesis_testing import os_to_ht
+
     ht = os_to_ht(_require(scenario, "os"))
     rho = [format_rational(r) for r in ht.rho]
     rows = [
@@ -195,6 +205,8 @@ def cmd_os_to_ht(scenario: Scenario, args):
 
 
 def cmd_eps_os_to_ht(scenario: Scenario, args):
+    from .hypothesis_testing import eps_os_construction
+
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
     built = eps_os_construction(os, eps)
@@ -231,6 +243,8 @@ def cmd_eps_os_to_ht(scenario: Scenario, args):
 
 
 def cmd_ht_select(scenario: Scenario, args):
+    from .hypothesis_testing import ht_select
+
     ht = _require(scenario, "ht")
     e = _parse_event(scenario.space, args.event)
     trace, belief = ht_select(ht, e)
@@ -248,6 +262,8 @@ def cmd_ht_select(scenario: Scenario, args):
 
 
 def cmd_lps_compare(scenario: Scenario, args):
+    from .lps import indifference_resolution_demo, lps_compare, lps_value
+
     lps = _require(scenario, "lps")
     names = [n for n in args.acts.split(",") if n]
     if len(names) != 2:
@@ -300,6 +316,14 @@ def cmd_lps_compare(scenario: Scenario, args):
 
 
 def cmd_check_axioms(scenario: Scenario, args):
+    from .preferences import (
+        PreferenceFamily,
+        check_conditional_consistency,
+        check_consequentialism,
+        check_constant_act_agreement,
+        check_risk_independence,
+    )
+
     os = _require(scenario, "os")
     if args.utilities:
         names = [n for n in args.utilities.split(",") if n]
@@ -397,6 +421,8 @@ def cmd_check_axioms(scenario: Scenario, args):
 
 
 def cmd_conservative(scenario: Scenario, args):
+    from .rules import conservative_rule, is_complete, is_concentrated
+
     name = args.prior or _sole(scenario.beliefs, "beliefs", "--prior")
     if name not in scenario.beliefs:
         raise ValidationError(f"unknown belief {name!r}")
@@ -425,6 +451,8 @@ def cmd_conservative(scenario: Scenario, args):
 
 
 def cmd_partition(scenario: Scenario, args):
+    from .ordered_surprises import surprise_partition
+
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
     part = surprise_partition(os, eps)

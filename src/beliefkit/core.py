@@ -16,11 +16,10 @@ reported, is lexicographic on the sorted tuple of state indices: for states
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyEvent,
@@ -523,8 +522,7 @@ def compare_values(a: Fraction, b: Fraction) -> Preference:
     return Preference.INDIFFERENT
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Boolean verdict plus, when it fails, the first witness found."""
 
     ok: bool

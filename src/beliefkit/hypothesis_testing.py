@@ -46,13 +46,12 @@ divides exactly; Fractions are built only for the values returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     Belief,
@@ -97,8 +96,7 @@ class SelectionBranch(Enum):
     ARGMAX = "argmax"
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     """How a conditioning event was resolved: branch, all scores, winner."""
 
     event: Event
@@ -260,8 +258,7 @@ def os_to_ht(os: OSRepresentation) -> HTRepresentation:
     return HTRepresentation(os.space, os.priors, rho, ZERO)
 
 
-@dataclass(frozen=True)
-class EpsOsConstruction:
+class EpsOsConstruction(NamedTuple):
     """Thresholded construction with its bookkeeping exposed for inspection.
 
     ``class_of[i]`` is the surprise class of constructed prior i; ``bounds``

@@ -9,9 +9,8 @@ which this module demonstrates side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     Act,
@@ -144,8 +143,7 @@ def clps_condition(lps: LPSRepresentation, e: Event) -> LPSRepresentation:
     return LPSRepresentation(lps.space, survivors)
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     """Side-by-side verdicts for one act pair, ex ante and conditional.
 
     ``os_resolves`` records an ex-ante hierarchy indifference turned strict

@@ -31,9 +31,8 @@ the same code path and watch them fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Act,
@@ -412,8 +411,7 @@ def default_event_pairs(os: OSRepresentation) -> tuple[tuple[Event, Event], ...]
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class RiskIndependenceReport:
+class RiskIndependenceReport(NamedTuple):
     """Whether every order's utility is a positive affine map of order 0's.
 
     ``coefficients[k]`` holds (scale, shift) with u_k = scale * u_0 + shift

@@ -21,9 +21,8 @@ one Bayes update per (prior, event & support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Belief,
@@ -177,8 +176,7 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     return UpdatingRule(space, table)
 
 
-@dataclass(frozen=True)
-class CpsWitness:
+class CpsWitness(NamedTuple):
     """A nested triple where the chain rule fails: lhs = P(G|E), rhs = P(G|F)P(F|E)."""
 
     g: Event
@@ -188,8 +186,7 @@ class CpsWitness:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class CpsValidation:
+class CpsValidation(NamedTuple):
     """Outcome of ``validate_cps``: valid (with the peeled priors), violation, or not a candidate."""
 
     status: str  # "valid" | "violation" | "not-candidate"

@@ -23,16 +23,18 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import Act, Belief, Event, Lottery, StateSpace, UtilityFunction
 from .errors import ParseError
-from .hypothesis_testing import HTRepresentation
-from .lps import LPSRepresentation
-from .ordered_surprises import OSRepresentation
+
+if TYPE_CHECKING:  # each block's module is imported where the block is parsed
+    from .hypothesis_testing import HTRepresentation
+    from .lps import LPSRepresentation
+    from .ordered_surprises import OSRepresentation
 
 _TOP_KEYS = ("space", "beliefs", "os", "ht", "lps", "utilities", "acts", "events")
 _HT_KEYS = ("priors", "rho", "eps")
@@ -60,21 +62,38 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass
 class Scenario:
-    """Parsed scenario with both resolved objects and the declared names."""
+    """Parsed scenario with both resolved objects and the declared names.
 
-    space: StateSpace
-    beliefs: dict[str, Belief] = field(default_factory=dict)
-    os: OSRepresentation | None = None
-    os_names: tuple[str, ...] | None = None
-    ht: HTRepresentation | None = None
-    ht_prior_names: tuple[str, ...] | None = None
-    lps: LPSRepresentation | None = None
-    lps_names: tuple[str, ...] | None = None
-    utilities: dict[str, UtilityFunction] = field(default_factory=dict)
-    acts: dict[str, Act] = field(default_factory=dict)
-    events: dict[str, Event] = field(default_factory=dict)
+    The mappings default to fresh empty dicts; scenarios compare equal
+    when every field does.
+    """
+
+    def __init__(
+        self,
+        space: StateSpace,
+        beliefs: dict[str, Belief] | None = None,
+        os: OSRepresentation | None = None,
+        os_names: tuple[str, ...] | None = None,
+        ht: HTRepresentation | None = None,
+        ht_prior_names: tuple[str, ...] | None = None,
+        lps: LPSRepresentation | None = None,
+        lps_names: tuple[str, ...] | None = None,
+        utilities: dict[str, UtilityFunction] | None = None,
+        acts: dict[str, Act] | None = None,
+        events: dict[str, Event] | None = None,
+    ):
+        self.space = space
+        self.beliefs = {} if beliefs is None else beliefs
+        self.os, self.os_names = os, os_names
+        self.ht, self.ht_prior_names = ht, ht_prior_names
+        self.lps, self.lps_names = lps, lps_names
+        self.utilities = {} if utilities is None else utilities
+        self.acts = {} if acts is None else acts
+        self.events = {} if events is None else events
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def render(self) -> str:
         return render(self)
@@ -146,11 +165,15 @@ def parse_scenario(text: str) -> Scenario:
         scenario.beliefs[name] = Belief(space, masses)
 
     if "os" in doc:
+        from .ordered_surprises import OSRepresentation
+
         names = _named_beliefs(doc["os"], scenario.beliefs, "os")
         scenario.os = OSRepresentation(space, names)
         scenario.os_names = tuple(_expect_strings(doc["os"], "os"))
 
     if "ht" in doc:
+        from .hypothesis_testing import HTRepresentation
+
         block = _expect_object(doc["ht"], "ht")
         for key in block:
             if key not in _HT_KEYS:
@@ -168,6 +191,8 @@ def parse_scenario(text: str) -> Scenario:
         scenario.ht_prior_names = tuple(_expect_strings(block["priors"], "ht.priors"))
 
     if "lps" in doc:
+        from .lps import LPSRepresentation
+
         names = _named_beliefs(doc["lps"], scenario.beliefs, "lps")
         scenario.lps = LPSRepresentation(space, names)
         scenario.lps_names = tuple(_expect_strings(doc["lps"], "lps"))

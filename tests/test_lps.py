@@ -1,8 +1,11 @@
 """Lexicographic evaluation, conditioning, and the resolution contrast."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefkit import (
     Act,
@@ -21,8 +24,9 @@ from beliefkit import (
     lps_compare,
     lps_value,
     os_prefer,
+    os_update,
 )
-from helpers import coin_hierarchy
+from helpers import coin_hierarchy, random_canonical_os
 
 
 @pytest.fixture
@@ -176,3 +180,31 @@ def test_resolution_demo_propagates_undefined_conditionals(coin, money):
         indifference_resolution_demo(
             coin, shallow, money, f, f, space.event("l1", "l2")
         )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_first_surviving_level_is_the_hierarchy_posterior(seed):
+    """Blume, Brandenburger and Dekel (1991): with disjoint supports the
+    conditional LPS leads with the OS posterior, so a strict OS verdict is
+    the conditional lexicographic verdict too."""
+    rng = random.Random(seed)
+    h = random_canonical_os(rng, max_states=6)
+    lps = LPSRepresentation(h.space, h.priors)
+    states = h.space.states
+    e = h.space.event_from(rng.sample(states, rng.randint(1, len(states))))
+    assert clps_condition(lps, e).levels[0] == os_update(h, e)
+
+    u = UtilityFunction({"x": 0, "y": 1, "z": rng.randint(-2, 3)})
+
+    def act():
+        def lottery():
+            p = Fraction(rng.randint(0, 2), 2)
+            return Lottery({"x": 1 - p, rng.choice("yz"): p})
+
+        return Act(h.space, {s: lottery() for s in states})
+
+    f, g = act(), act()
+    report = indifference_resolution_demo(h, lps, u, f, g, e)
+    if report.os_conditional is not Preference.INDIFFERENT:
+        assert report.clps_conditional is report.os_conditional

@@ -2,7 +2,8 @@
 
 A name with a leading underscore is internal to the module defining it;
 a module that needs it should use (or add) a public function instead.
-That covers imports (``from .core import _name``) and attribute access
+That covers imports (``from .core import _name``), at module level or
+inside a function body such as a CLI handler, and attribute access
 (``obj._name`` where only another module defines ``_name``).  The tests
 are exempt: their oracles reach into helpers on purpose.
 """
@@ -117,11 +118,15 @@ def test_the_rule_sees_private_imports(tmp_path):
         "from __future__ import annotations\n"
         "from .core import Belief, _lex_masks\n"
         "from beliefkit.rules import _first_break\n"
-        "from . import _private\n",
+        "from . import _private\n"
+        "def handler(args):\n"
+        "    from .rules import validate_cps, _peel\n"
+        "    return validate_cps, _peel\n",
         encoding="utf-8",
     )
     assert private_imports(bad) == [
         "bad.py:2: from .core import _lex_masks",
         "bad.py:3: from beliefkit.rules import _first_break",
         "bad.py:4: from . import _private",
+        "bad.py:6: from .rules import _peel",
     ]
