@@ -1,9 +1,13 @@
 """A CLI call imports only the modules its subcommand reaches.
 
 Each case runs a fresh interpreter: import ``beliefkit.cli``, list the
-loaded modules, call ``main`` once, list them again.  A module-level
-import added to ``cli``, ``scenario`` or the package ``__init__`` shows up
-here as a failure, not as a slower start for every call.
+executed modules, call ``main`` once, list them again.  The package
+registers every submodule in ``sys.modules`` up front, each with
+``LazyLoader``'s own module type until its first attribute access runs it,
+so a module counts as executed once its type is the plain module type.  A
+module-level import added to ``cli``, ``scenario`` or the package
+``__init__`` shows up here as a failure, not as a slower start for every
+call.
 """
 
 import json
@@ -13,14 +17,23 @@ import sys
 import pytest
 
 CHILD = """\
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
+
+def executed():
+    # type() reads no attribute, so it does not run a lazy module
+    return sorted(name for name, module in sys.modules.items() if type(module) is types.ModuleType)
+
 from beliefkit.cli import main
-imported = sorted(sys.modules)
+registered, imported = sorted(sys.modules), executed()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"imported": imported, "called": sorted(sys.modules), "code": code}))
+print(json.dumps({"registered": registered, "imported": imported, "called": executed(), "code": code}))
 """
 
+MODULES = (
+    "cli", "core", "errors", "hypothesis_testing", "lps", "ordered_surprises",
+    "preferences", "rules", "scenario",
+)
 AT_IMPORT = {"beliefkit", "beliefkit.cli", "beliefkit.core", "beliefkit.errors", "beliefkit.scenario"}
 
 CALLS = {  # argv -> the beliefkit modules the call adds to those loaded at import
@@ -58,6 +71,12 @@ def test_a_call_loads_only_what_its_subcommand_reaches(footprints, argv):
     assert ours(seen["imported"]) == AT_IMPORT
     added = ours(seen["called"]) - ours(seen["imported"])
     assert added == {f"beliefkit.{name}" for name in CALLS[argv]}
+
+
+def test_every_module_is_registered_at_import(footprints):
+    # bench/tracing.py finds the modules it traces in sys.modules
+    for seen in footprints.values():
+        assert ours(seen["registered"]) == {"beliefkit"} | {f"beliefkit.{m}" for m in MODULES}
 
 
 def test_no_call_imports_dataclasses_or_inspect(footprints):

@@ -117,13 +117,6 @@ def test_truth_follows_the_verdict():
     assert not refused and refused.reason == "incomplete" and refused.witness is None
 
 
-def test_records_are_tuples_of_their_fields():
-    # the one deliberate difference from the dataclasses (README, "Determinism and limits")
-    assert CheckResult(False, A) == (False, A)
-    ok, witness = CheckResult(True)
-    assert ok is True and witness is None
-
-
 def test_scenario_keeps_its_fields_defaults_and_equality():
     text = render(load_scenario("lps_demo"))
     assert parse_scenario(text) == parse_scenario(text)
