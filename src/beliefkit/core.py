@@ -71,16 +71,13 @@ def as_threshold(value) -> Fraction:
 
 
 def _lex_masks(indices: Sequence[int]) -> list[int]:
-    # nonempty subsets of the given sorted indices, in canonical order
+    # nonempty subsets of the given sorted indices, in canonical order: with
+    # ``out`` the order over the later indices, the subsets holding ``bit``
+    # come first ({bit}, then bit joined to each of ``out``), then ``out``
     out: list[int] = []
-
-    def rec(mask: int, start: int) -> None:
-        for i in range(start, len(indices)):
-            cur = mask | (1 << indices[i])
-            out.append(cur)
-            rec(cur, i + 1)
-
-    rec(0, 0)
+    for i in reversed(indices):
+        bit = 1 << i
+        out = [bit, *[bit | m for m in out], *out]
     return out
 
 

@@ -1,6 +1,8 @@
 """Core object behavior: spaces, events, beliefs, acts, exact arithmetic."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -27,7 +29,7 @@ from beliefkit import (
     is_null_event,
     seu_value,
 )
-from beliefkit.core import as_fraction
+from beliefkit.core import _lex_masks, as_fraction, lex_submasks
 from helpers import fraction_bayes_update
 
 
@@ -180,6 +182,43 @@ def test_canonical_event_order_is_lexicographic_on_index_tuples():
         ("b", "c"),
         ("c",),
     ]
+
+
+def sorted_subsets(indices) -> list[int]:
+    """Oracle for the canonical order: nonempty subsets sorted by index tuple."""
+    indices = sorted(indices)
+    subsets = [c for size in range(1, len(indices) + 1) for c in combinations(indices, size)]
+    return [sum(1 << i for i in c) for c in sorted(subsets)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_canonical_masks_match_the_sorted_subsets(n):
+    expected = sorted_subsets(range(n))
+    assert _lex_masks(range(n)) == expected
+    assert lex_submasks((1 << n) - 1) == (0, *expected)
+    if n:
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        assert space.canonical_masks() == tuple(expected)
+
+
+def test_lex_submasks_of_scattered_masks_match_the_sorted_subsets():
+    rng = random.Random("lex-submasks")
+    for _ in range(200):
+        indices = rng.sample(range(40), rng.randint(0, 10))
+        mask = sum(1 << i for i in indices)
+        assert lex_submasks(mask) == (0, *sorted_subsets(indices))
+        assert _lex_masks(sorted(indices)) == sorted_subsets(indices)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_each_canonical_mask_follows_its_prefix(n):
+    """A mask's prefix (its top state removed) is the latest earlier mask one
+    state shorter: the order is a preorder walk of the prefix tree."""
+    latest = {0: 0}  # by size, the latest mask seen
+    for mask in StateSpace(tuple(f"s{i}" for i in range(n))).canonical_masks():
+        size = mask.bit_count()
+        assert latest[size - 1] == mask ^ (1 << (mask.bit_length() - 1))
+        latest[size] = mask
 
 
 def test_enumeration_cap_via_environment(monkeypatch):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from beliefkit import rules
+from beliefkit import core, rules
 from beliefkit import (
     Belief,
     Event,
@@ -156,6 +156,77 @@ def test_induced_rules_are_certified_without_the_witness_search(monkeypatch):
         for _ in range(60):
             rule = os_rule(make(rng, 7))
             assert validate_cps(rule).status == "valid"
+
+
+def test_the_search_reads_only_pairs_holding_a_changed_entry(monkeypatch):
+    """The certificate flags changed entries and the entries they make wrong,
+    so the witness search never pairs two unchanged, consistent entries.
+
+    The supports interleave, so {s0,s1,s2} and {s0,s1,s3}, whose meet with
+    the first support is {s0,s1}, come before the violation that a changed
+    {s0,s1} entry makes: a certificate that compared an event's entry with
+    the entry on its meet would flag them, and the search would pair them
+    with their unchanged subsets.  The full-space entry (read by the peel)
+    changes the first prior on s4 only, the last state, so every entry it
+    makes wrong comes after the full space in canonical order; the entry
+    on {s2,s3} (also read by the peel) changes the second prior.
+    """
+    space = StateSpace(("s0", "s1", "s2", "s3", "s4"))
+    first = Belief(space, {"s0": Fraction(1, 6), "s1": Fraction(2, 6), "s4": Fraction(3, 6)})
+    second = Belief(space, {"s2": Fraction(1, 4), "s3": Fraction(3, 4)})
+    rule = os_rule(OSRepresentation(space, (first, second)))
+    changes = {
+        ("s0", "s1"): {"s0": Fraction(1, 2), "s1": Fraction(1, 2)},
+        ("s0", "s1", "s2", "s3", "s4"): {
+            "s0": Fraction(1, 4),
+            "s1": Fraction(2, 4),
+            "s4": Fraction(1, 4),
+        },
+        ("s2", "s3"): {"s2": Fraction(1, 2), "s3": Fraction(1, 2)},
+    }
+    search = rules._first_break
+    calls = []
+
+    def recorded(given_e, given_f, f, gs):
+        calls.append((given_e, given_f))
+        return search(given_e, given_f, f, gs)
+
+    monkeypatch.setattr(rules, "_first_break", recorded)
+    statuses = []
+    for members, masses in changes.items():
+        changed = Belief(space, masses)
+        broken = replace(rule, {space.event(*members): changed})
+        calls.clear()
+        got = validate_cps(broken)
+        assert outcome(got) == outcome(exhaustive_validate_cps(broken))
+        assert all(changed is given_e or changed is given_f for given_e, given_f in calls), members
+        statuses.append(got.status)
+    assert statuses == ["violation", "violation", "valid"]
+
+
+def test_the_certificate_reads_numerators_once_per_peeled_prior(monkeypatch):
+    """A single-prior rule at |S| = 12 is certified without a per-event pass
+    over an event's states: ``mask_indices`` and ``Belief.mask_num`` run at
+    most once per peeled prior, not once per each of the 4095 events."""
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    prior = Belief(space, {s: Fraction(i + 1, 78) for i, s in enumerate(space.states)})
+    rule = os_rule(OSRepresentation(space, (prior,)))
+    counts = {"mask_indices": 0, "mask_num": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "mask_indices", counted("mask_indices", core.mask_indices))
+    monkeypatch.setattr(rules, "mask_indices", counted("mask_indices", rules.mask_indices))
+    monkeypatch.setattr(Belief, "mask_num", counted("mask_num", Belief.mask_num))
+    got = validate_cps(rule)
+    assert got.priors == (prior,)
+    assert counts["mask_indices"] <= len(got.priors)
+    assert counts["mask_num"] <= len(got.priors)
 
 
 def test_is_concentrated_witnesses_the_canonically_first_failure():

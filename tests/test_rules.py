@@ -10,7 +10,9 @@ from beliefkit import (
     Belief,
     BeliefkitError,
     CheckResult,
+    EmptyEvent,
     OSRepresentation,
+    SpaceMismatch,
     StateSpace,
     UpdatingRule,
     ValidationError,
@@ -170,6 +172,21 @@ def test_events_outside_the_domain_are_a_typed_key_error(half_half):
         assert isinstance(raised.value, BeliefkitError)
         assert str(raised.value) == f"{missing!r} is outside the rule's domain"
     assert rule.get(null) is None
+
+
+def test_public_construction_checks_every_entry(half_half):
+    """The tabulators skip the entry checks; ``UpdatingRule(...)`` keeps them."""
+    space, prior = half_half
+    other = StateSpace(("x", "y"))
+    for table, error in (
+        ({other.event("x"): prior}, SpaceMismatch),
+        ({space.empty_event: prior}, EmptyEvent),
+        ({space.event("h"): Belief.point(other, "x")}, SpaceMismatch),
+    ):
+        with pytest.raises(error):
+            UpdatingRule(space, table)
+    for rule in (bayesian_rule(prior), conservative_rule(prior, Fraction(1, 3))):
+        assert UpdatingRule(space, {e: rule[e] for e in rule.events()}) == rule
 
 
 def test_validate_cps_flags_conservative_as_not_candidate(half_half):
