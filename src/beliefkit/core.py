@@ -19,7 +19,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyEvent,
@@ -248,7 +248,7 @@ class Belief:
     ``mass`` reads them as Fractions, built on first read.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_hash", "_mass")
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         vec = [ZERO] * len(space)
@@ -267,15 +267,20 @@ class Belief:
         den = lcm(*[value.denominator for value in vec])
         self._init(space, den, [v.numerator * (den // v.denominator) for v in vec], support)
 
-    def _init(self, space: StateSpace, den: int, nums: list[int], support: int) -> None:
+    def _init(
+        self, space: StateSpace, den: int, nums: Sequence[int], support: int, g: int = 0
+    ) -> None:
         # the one initializer: masses nums[i] / den, nonnegative, summing to
-        # one, nonzero exactly on the bits of ``support``
-        g = gcd(den, *nums)
+        # one, nonzero exactly on the bits of ``support``; ``g`` is
+        # gcd(den, *nums) when the caller knows it, else 0
+        g = g or gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
         self.space = space
-        self.den = den // g
-        self.nums = tuple([n // g for n in nums])
+        self.den = den
+        self.nums = tuple(nums)
         self.support_mask = support
-        self._hash = hash((space._hash, self.den, self.nums))
         self._mass: tuple[Fraction, ...] | None = None
 
     @classmethod
@@ -335,7 +340,7 @@ class Belief:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.space._hash, self.den, self.nums))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{s}: {v}" for s, v in self.items() if v)
@@ -548,6 +553,70 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     posterior = object.__new__(Belief)
     posterior._init(mu.space, sum(kept), kept, support)
     return posterior
+
+
+def posterior_walk(
+    priors: Sequence[Belief], domain: int, choose: Callable[[int, int], int | None]
+) -> Iterator[tuple[int, int, Belief | None]]:
+    """(mask, mass, posterior) for each nonempty submask of ``domain``, canonical order.
+
+    The posterior is the Bayes update of prior k = choose(mask, j) on the
+    mask and ``mass`` k's numerator there, with j the prior chosen for the
+    prefix, the mask less its top state (len(priors) at the root).  choose
+    must pick a prior meeting the mask, or None to skip it: (mask, 0, None).
+
+    Canonical order is preorder on the prefix tree, so a stack by depth
+    holds the prefix's (prior, kept numerators, their sum, their gcd,
+    posterior).  On the prefix's prior, the top state's numerator extends
+    the prefix's; a zero one gives its posterior back.  A cache by
+    (k, mask & support) is read on another prior, and on extensions when
+    k's support misses a ``domain`` state below its top, the only way they
+    can meet a key twice.  Only a miss on another prior costs a pass over
+    the states.  No ``Event`` is built.
+    """
+    space = priors[0].space
+    n = len(space)
+    masks = space.canonical_masks() if domain == (1 << n) - 1 else lex_submasks(domain)[1:]
+    zeros = (0,) * n
+    root = (len(priors), zeros, 0, 0, None)
+    stack = [root] * (n + 1)
+    plans: list = [None] * len(priors)
+    for mask in masks:
+        top = mask.bit_length() - 1
+        depth = mask.bit_count()
+        prefix = stack[depth - 1]
+        k = choose(mask, prefix[0])
+        if k is None:
+            entry = root
+        else:
+            if plans[k] is None:
+                nums, support = priors[k].nums, priors[k].support_mask
+                below = domain & ~support & ((1 << support.bit_length()) - 1)
+                tails = [(x, *zeros[i + 1 :]) for i, x in enumerate(nums)]
+                plans[k] = nums, support, tails, bool(below), {}
+            nums, support, tails, shared, cache = plans[k]
+            same = k == prefix[0]
+            num = nums[top]
+            if same and not num:
+                entry = prefix
+            else:
+                meet = mask & support
+                cached = shared or not same
+                entry = cache.get(meet) if cached else None
+                if entry is None:
+                    _, kept, mass, g, _ = prefix
+                    if same or depth == 1:  # the empty prefix keeps no numerators
+                        kept, mass, g = kept[:top] + tails[top], mass + num, gcd(g, num)
+                    else:
+                        kept = tuple([x if meet >> i & 1 else 0 for i, x in enumerate(nums)])
+                        mass, g = sum(kept), gcd(*kept)
+                    posterior = object.__new__(Belief)
+                    posterior._init(space, mass, kept, meet, g)
+                    entry = (k, kept, mass, g, posterior)
+                    if cached:
+                        cache[meet] = entry
+        stack[depth] = entry
+        yield mask, entry[2], entry[4]
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

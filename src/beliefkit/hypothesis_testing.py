@@ -12,8 +12,9 @@ column per state, built on the first event that reaches the argmax and then
 cached: column i lists nums_j[i] * rho_j for every prior j, all over the lcm
 of the denominators den_j * denominator(rho_j).  An event's scores are the
 sum of its states' columns, taken for all priors at once, and a tie is a
-maximum that occurs more than once.  A rule that is Bayesian on every event
-never builds the columns.
+maximum that occurs more than once.  ``ht_rule`` adds one column per event
+to the scores of the event's prefix, carried down its walk of the events.
+A rule that is Bayesian on every event never builds the columns.
 
 ``os_to_ht`` turns an ordered hierarchy into such a representation whose
 rule is identical: weight k+1 is scaled below weight k by half the smallest
@@ -35,10 +36,12 @@ the submask of support k it was conditioned on, so dominance is the
 support-subset test: each conditional's dominated beliefs are found by
 walking the submasks of its support and looking each up in the class's
 mask-to-row map, O(3^n) steps over a class of up to 2^n beliefs instead of
-testing all O(4^n) pairs.  Every mass compared is a ratio of two entries
-of one subset-sum table per prior, num(s_i & s_j) / num(s_j), and every
-comparison (against the threshold, for the gap limit, for the cross-class
-maximum) is an integer cross-multiplication.  The weights are integer
+testing all O(4^n) pairs.  One walk over the submasks of each support,
+``core.posterior_walk``, gives every submask's numerator, each its
+prefix's plus one state's, and the conditional belief on it.  Every mass
+compared is a ratio of two such numerators, num(s_i & s_j) / num(s_j),
+and every comparison (against the threshold, for the gap limit, for the
+cross-class maximum) is an integer cross-multiplication.  The weights are integer
 numerators over one common denominator, the lcm of the interval bounds'
 denominators times the lcm of (class size + 1), so the even spacing
 divides exactly; Fractions are built only for the values returned.
@@ -62,8 +65,8 @@ from .core import (
     as_fraction,
     as_threshold,
     bayes_update,
-    lex_submasks,
     mask_indices,
+    posterior_walk,
 )
 from .errors import (
     AllZeroScores,
@@ -77,18 +80,6 @@ from .errors import (
 )
 from .ordered_surprises import OSRepresentation
 from .rules import UpdatingRule, tabulate_rule
-
-__all__ = [
-    "HTRepresentation",
-    "SelectionBranch",
-    "SelectionTrace",
-    "ht_select",
-    "ht_rule",
-    "os_to_ht",
-    "EpsOsConstruction",
-    "eps_os_construction",
-    "eps_os_to_ht",
-]
 
 
 class SelectionBranch(Enum):
@@ -163,18 +154,21 @@ class HTRepresentation:
         )
 
 
-def _score_columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
+def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
     """Column i: every prior's score on {i}, over one common denominator.
 
     rho_j * mass_j({i}) = nums_j[i] * p_j / d_j with rho_j = p_j / q_j and
     d_j = den_j * q_j.  Over L = lcm(d_j) the entry for prior j is
     nums_j[i] * p_j * (L // d_j), and an event's scores are column sums.
+    Built on first use and kept on the representation.
     """
-    divs = [prior.den * weight.denominator for prior, weight in zip(ht.priors, ht.rho)]
-    common = lcm(*divs)
-    factors = [weight.numerator * (common // div) for weight, div in zip(ht.rho, divs)]
-    rows = [[num * factor for num in prior.nums] for prior, factor in zip(ht.priors, factors)]
-    return list(zip(*rows))
+    if ht._columns is None:
+        divs = [prior.den * weight.denominator for prior, weight in zip(ht.priors, ht.rho)]
+        common = lcm(*divs)
+        factors = [weight.numerator * (common // div) for weight, div in zip(ht.rho, divs)]
+        rows = [[num * f for num in prior.nums] for prior, f in zip(ht.priors, factors)]
+        ht._columns = list(zip(*rows))
+    return ht._columns
 
 
 def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
@@ -183,9 +177,7 @@ def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
     top = ht.priors[0]
     if top.mask_num(mask) * eps.denominator > eps.numerator * top.den:
         return True, 0
-    columns = ht._columns
-    if columns is None:
-        columns = ht._columns = _score_columns(ht)
+    columns = _columns(ht)
     low = mask & -mask
     scores = columns[low.bit_length() - 1]
     rest = mask ^ low
@@ -193,7 +185,11 @@ def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
         low = rest & -rest
         scores = map(add, scores, columns[low.bit_length() - 1])
         rest ^= low
-    scores = list(scores)
+    return False, _argmax(ht, mask, list(scores))
+
+
+def _argmax(ht: HTRepresentation, mask: int, scores: list[int]) -> int:
+    """Index of the strict maximum of an argmax event's integer scores."""
     best = max(scores)
     if best == 0:
         raise AllZeroScores(
@@ -206,7 +202,7 @@ def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
             event=Event(ht.space, mask),
             tied=tuple(tied),
         )
-    return False, scores.index(best)
+    return scores.index(best)
 
 
 def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
@@ -228,9 +224,26 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event.
 
     Propagates AmbiguousArgmax (with the offending event) if any event has
-    a tied argmax, since the rule is undefined there.
+    a tied argmax, since the rule is undefined there.  The top prior's
+    numerator and the scores are kept by event size and extended from the
+    prefix's; an event the top prior rejects has a rejected prefix (mass
+    only grows from a prefix), whose scores are then current.
     """
-    return tabulate_rule(ht.space, ht.priors, lambda mask: _select_index(ht, mask)[1])
+    eps, top, depths = ht.eps, ht.priors[0], len(ht.space) + 1
+    nums, scale, cut = top.nums, eps.denominator, eps.numerator * top.den
+    masses = [0] * depths
+    scores: list = [(0,) * len(ht.priors)] * depths
+
+    def choose(mask: int, _: int) -> int:
+        state = mask.bit_length() - 1
+        depth = mask.bit_count()
+        mass = masses[depth] = masses[depth - 1] + nums[state]
+        if mass * scale > cut:
+            return 0
+        row = scores[depth] = list(map(add, scores[depth - 1], _columns(ht)[state]))
+        return _argmax(ht, mask, row)
+
+    return tabulate_rule(ht.space, ht.priors, choose)
 
 
 def _require_canonical_cover(os: OSRepresentation) -> None:
@@ -276,16 +289,6 @@ class EpsOsConstruction(NamedTuple):
     cross_max: Fraction
 
 
-def _submask_nums(support: int, nums: tuple[int, ...]) -> dict[int, int]:
-    """Numerator of every submask of ``support``, in canonical order."""
-    table = {0: 0}
-    for mask in lex_submasks(support)[1:]:
-        top = mask.bit_length() - 1
-        # canonical order lists a mask after its prefix (top state removed)
-        table[mask] = table[mask ^ (1 << top)] + nums[top]
-    return table
-
-
 def _max_ratio(best: tuple[int, int], num: int, den: int) -> tuple[int, int]:
     return (num, den) if num * best[1] > best[0] * den else best
 
@@ -312,6 +315,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # row mask missing some x of s_j lies inside support - {x}, which is then
     # in the row too: b_j's largest such mass drops the least droppable x.
     rows: list[list[int]] = []  # class k: conditional supports, canonical order
+    conditionals: list[list[Belief]] = []  # class k: the update on each row mask
     below: list[list[int]] = []  # submasks of support k at or below the threshold
     tables: list[dict[int, int]] = []
     dominated: list[list[list[int]]] = []  # class k, row i: the row indices i dominates
@@ -320,9 +324,15 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     for prior in priors:
         den, nums = prior.den, prior.nums
         support = prior.support_mask
-        table = _submask_nums(support, nums)
         cut = eps.numerator * den
-        row = [m for m in table if table[m] * eps.denominator > cut]  # never the empty mask
+        table = {0: 0}  # numerator of every submask of the support, canonical order
+        row: list[int] = []
+        updates: list[Belief] = []
+        for mask, num, posterior in posterior_walk((prior,), support, lambda mask, _: 0):
+            table[mask] = num
+            if num * eps.denominator > cut:
+                row.append(mask)
+                updates.append(posterior)
         droppable = [
             (nums[x], 1 << x)
             for x in mask_indices(support)
@@ -347,15 +357,12 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
             if least:
                 limit = _max_ratio(limit, table[s_i] - least, table[s_i])
         rows.append(row)
+        conditionals.append(updates)
         below.append([m for m in table if table[m] * eps.denominator <= cut])
         tables.append(table)
         dominated.append(losers_of)
         dominators.append(incoming)
         gap_limits.append(Fraction(*limit))
-    conditionals = [
-        [bayes_update(prior, Event(space, inner)) for inner in row]
-        for prior, row in zip(priors, rows)
-    ]
 
     # Cross-class pressure on the threshold: mass a shallower conditional
     # belief puts on a deeper class's event must stay in the reject region.

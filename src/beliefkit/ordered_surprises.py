@@ -11,6 +11,7 @@ peeling supports off the remaining states.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import Belief, Event, StateSpace, ZERO, as_threshold, bayes_update
@@ -158,7 +159,9 @@ def os_rule(os: OSRepresentation) -> UpdatingRule:
             "hierarchy does not cover the space; update undefined on some events"
         )
     priors = os.priors
-    return tabulate_rule(space, priors, lambda mask: min_order(priors, mask, ZERO))
+    # the first prior meeting an event: its prefix's, or an earlier one holding its top state
+    first = [min_order(priors, 1 << i, ZERO) for i in range(len(space))]
+    return tabulate_rule(space, priors, lambda mask, j: min(j, first[mask.bit_length() - 1]))
 
 
 def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
@@ -248,15 +251,32 @@ class SurprisePartition:
 
 
 def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> SurprisePartition:
-    """Partition all nonempty events by their first above-threshold prior."""
+    """Partition all nonempty events by their first above-threshold prior.
+
+    In canonical order, a preorder of the prefix tree, an event's per-prior
+    numerators are its prefix's plus its top state's, and its order is at
+    most its prefix's, since mass only grows from a prefix.
+    """
     eps = as_threshold(eps)
-    space = os.space
-    classes: list[list[Event]] = [[] for _ in os.priors]
+    space, priors, count = os.space, os.priors, len(os.priors)
+    scale, cuts = eps.denominator, [eps.numerator * prior.den for prior in priors]
+    columns = list(zip(*[prior.nums for prior in priors]))  # state i: each prior's numerator
+    sums = [(0,) * count] * (len(space) + 1)  # by depth: the latest event's numerators
+    orders = [count] * (len(space) + 1)  # by depth: its order, count when undefined
+    classes: list[list[Event]] = [[] for _ in priors]
     undefined: list[Event] = []
     for mask in space.canonical_masks():
-        order = min_order(os.priors, mask, eps)
+        depth = mask.bit_count()
+        order = orders[depth - 1]
+        if order:  # else prior 0 clears the prefix, hence this event and all below it
+            row = sums[depth] = tuple(map(add, sums[depth - 1], columns[mask.bit_length() - 1]))
+            for k in range(order):
+                if row[k] * scale > cuts[k]:
+                    order = k
+                    break
+        orders[depth] = order
         event = Event(space, mask)
-        if order is None:
+        if order == count:
             undefined.append(event)
         else:
             classes[order].append(event)

@@ -17,8 +17,11 @@ triple under the canonical event order, the one an exhaustive scan would
 report, which keeps every report deterministic.
 
 ``bayesian_rule`` here, ``os_rule`` and ``ht_rule`` share one tabulator,
-``tabulate_rule``: each rule only picks a prior per event, and there is
-one Bayes update per (prior, event & support).
+``tabulate_rule``: each rule only picks a prior per event, given the prior
+its prefix (the event less its top state) picked, and ``core.posterior_walk``
+builds each posterior from its prefix's in the same preorder walk.  A rule
+stores its table by event mask; ``Event``s are built only where a caller
+asks for one.
 """
 
 from __future__ import annotations
@@ -35,17 +38,21 @@ from .core import (
     bayes_update,
     lex_submasks,
     mask_indices,
+    posterior_walk,
 )
 from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
 
 class UpdatingRule:
-    """An immutable table from conditioning events to beliefs."""
+    """An immutable table from conditioning events to beliefs, stored by mask.
+
+    Anything but an event over an equal state space is outside the domain.
+    """
 
     __slots__ = ("space", "_table", "_events")
 
     def __init__(self, space: StateSpace, table: Mapping[Event, Belief]):
-        checked: dict[Event, Belief] = {}
+        checked: dict[int, Belief] = {}
         for event, belief in table.items():
             if event.space != space:
                 raise SpaceMismatch("table key built over a different state space")
@@ -53,11 +60,11 @@ class UpdatingRule:
                 raise EmptyEvent("the empty event cannot appear in a rule's domain")
             if belief.space != space:
                 raise SpaceMismatch("table value built over a different state space")
-            checked[event] = belief
+            checked[event.mask] = belief
         self._init(space, checked)
 
-    def _init(self, space: StateSpace, table: dict[Event, Belief]) -> "UpdatingRule":
-        # the one initializer: keys are nonempty events of ``space``, values beliefs over it
+    def _init(self, space: StateSpace, table: dict[int, Belief]) -> "UpdatingRule":
+        # the one initializer: keys are nonempty masks over ``space``, values beliefs over it
         self.space = space
         self._table = table
         self._events: tuple[Event, ...] | None = None
@@ -66,20 +73,23 @@ class UpdatingRule:
     def events(self) -> tuple[Event, ...]:
         """Domain events in canonical order."""
         if self._events is None:
-            self._events = tuple(sorted(self._table, key=lambda e: e.sort_key))
+            masks = sorted(self._table, key=mask_indices)
+            self._events = tuple([Event(self.space, mask) for mask in masks])
         return self._events
 
     def __getitem__(self, event: Event) -> Belief:
-        try:
-            return self._table[event]
-        except KeyError:
-            raise OutsideDomain(f"{event!r} is outside the rule's domain") from None
+        belief = self.get(event)
+        if belief is None:
+            raise OutsideDomain(f"{event!r} is outside the rule's domain")
+        return belief
 
     def get(self, event: Event, default=None):
-        return self._table.get(event, default)
+        if isinstance(event, Event) and event.space == self.space:
+            return self._table.get(event.mask, default)
+        return default
 
     def __contains__(self, event: Event) -> bool:
-        return event in self._table
+        return self.get(event) is not None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -106,42 +116,33 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
     The table is scanned in any order; only when some event fails is the
     canonically first failure picked out.
     """
-    failed = [event for event, belief in rule._table.items() if belief.support_mask & ~event.mask]
+    failed = [mask for mask, belief in rule._table.items() if belief.support_mask & ~mask]
     if failed:
-        return CheckResult(False, min(failed, key=lambda e: e.sort_key))
+        return CheckResult(False, Event(rule.space, min(failed, key=mask_indices)))
     return CheckResult(True)
 
 
 def tabulate_rule(
-    space: StateSpace, priors: Sequence[Belief], choose: Callable[[int], int | None]
+    space: StateSpace, priors: Sequence[Belief], choose: Callable[[int, int], int | None]
 ) -> UpdatingRule:
-    """Bayes-update prior ``choose(mask)`` on every event; None leaves it out.
+    """Bayes-update prior ``choose(mask, j)`` on every event; None leaves it out.
 
-    One ``bayes_update`` per (prior, event & support), cached in between:
-    the posterior depends on the event only through that meet, so the
-    first event to reach a key is the one conditioned on.  One ``Event``
-    per domain event.
+    ``j`` is the prior chosen for the event's prefix, the event less its
+    top state (len(priors) for a single state).  One walk of the prefix
+    tree, ``posterior_walk``: each posterior extends its prefix's
+    numerators, and only a (prior, event & support) seen for the first
+    time under a prior other than the prefix's costs a pass over the
+    states.  The table is keyed by mask; no ``Event`` is built.
     """
-    cache: dict[tuple[int, int], Belief] = {}
-    table: dict[Event, Belief] = {}
-    for mask in space.canonical_masks():
-        k = choose(mask)
-        if k is None:
-            continue
-        prior = priors[k]
-        event = Event(space, mask)
-        key = (k, mask & prior.support_mask)
-        belief = cache.get(key)
-        if belief is None:
-            belief = cache[key] = bayes_update(prior, event)
-        table[event] = belief
+    walk = posterior_walk(priors, (1 << len(space)) - 1, choose)
+    table = {mask: belief for mask, _, belief in walk if belief is not None}
     return object.__new__(UpdatingRule)._init(space, table)
 
 
 def bayesian_rule(prior: Belief) -> UpdatingRule:
     """Bayes updating wherever it is defined: domain is the feasible events."""
     support = prior.support_mask
-    return tabulate_rule(prior.space, (prior,), lambda mask: 0 if mask & support else None)
+    return tabulate_rule(prior.space, (prior,), lambda mask, _: 0 if mask & support else None)
 
 
 def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
@@ -156,10 +157,9 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
     space = prior.space
-    table: dict[Event, Belief] = {}
+    table: dict[int, Belief] = {}
     feasible: dict[int, Belief] = {}  # by event & support, all an entry depends on
     for mask in space.canonical_masks():
-        event = Event(space, mask)
         inner = mask & prior.support_mask
         if inner:
             belief = feasible.get(inner)
@@ -172,14 +172,14 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
                 }
                 belief = feasible[inner] = Belief(space, masses)
         else:
-            share = Fraction(1, len(event))
+            share = Fraction(1, mask.bit_count())
             masses = {}
             for i, label in enumerate(space.states):
                 value = delta * prior.mass[i] + ((1 - delta) * share if mask >> i & 1 else 0)
                 if value:
                     masses[label] = value
             belief = Belief(space, masses)
-        table[event] = belief
+        table[mask] = belief
     return object.__new__(UpdatingRule)._init(space, table)
 
 
@@ -240,7 +240,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
 
     space = rule.space
     n = len(space)
-    table = {event.mask: belief for event, belief in rule._table.items()}
+    table = rule._table
     priors: list[Belief] = []
     owner = [0] * n  # index of the peeled prior whose support holds each state
     zeros = (0,) * n
@@ -327,10 +327,12 @@ def rules_equal(a: UpdatingRule, b: UpdatingRule, scope: Iterable[Event] | None 
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")
     if scope is None:
-        events: Iterable[Event] = a.space.events()
-    else:
-        events = sorted(scope, key=lambda e: e.sort_key)
-    for event in events:
+        table_a, table_b = a._table, b._table
+        for mask in a.space.canonical_masks():
+            if table_a.get(mask) != table_b.get(mask):
+                return CheckResult(False, Event(a.space, mask))
+        return CheckResult(True)
+    for event in sorted(scope, key=lambda e: e.sort_key):
         if a.get(event) != b.get(event):
             return CheckResult(False, event)
     return CheckResult(True)

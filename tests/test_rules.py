@@ -174,6 +174,60 @@ def test_events_outside_the_domain_are_a_typed_key_error(half_half):
     assert rule.get(null) is None
 
 
+def test_an_event_over_another_space_is_outside_the_domain(half_half):
+    space, prior = half_half
+    rule = bayesian_rule(prior)
+    stranger = StateSpace(("e", "h", "x")).event("h")
+    with pytest.raises(OutsideDomain):
+        rule[stranger]
+    assert rule.get(stranger, "default") == "default"
+    assert stranger not in rule
+
+
+def test_an_event_over_an_equal_space_finds_its_entry(half_half):
+    space, prior = half_half
+    rule = bayesian_rule(prior)
+    twin = StateSpace(space.states)
+    assert twin is not space
+    for event in rule.events():
+        copy = twin.event_from(event.members)
+        assert copy in rule
+        assert rule[copy] == rule.get(copy) == rule[event]
+
+
+def test_a_key_that_is_not_an_event_is_outside_the_domain(half_half):
+    _, prior = half_half
+    rule = bayesian_rule(prior)
+    for key in (2, "h", None, [2], ("h",)):
+        assert rule.get(key, "default") == "default"
+        assert key not in rule
+        with pytest.raises(OutsideDomain):
+            rule[key]
+
+
+def test_events_of_a_partial_table_come_in_canonical_order(half_half):
+    space, prior = half_half
+    keys = [space.event("t"), space.event("e", "t"), space.event("h"), space.event("e", "h", "t")]
+    rule = UpdatingRule(space, {event: prior for event in keys})
+    canonical = [event for event in space.events() if event in keys]
+    assert list(rule.events()) == canonical
+    assert [e.members for e in canonical] == [("e", "h", "t"), ("e", "t"), ("h",), ("t",)]
+
+
+def test_a_hand_built_table_equals_the_tabulated_one():
+    hier = coin_hierarchy()
+    space = hier.space
+    tabulated = os_rule(hier)
+    table = {}
+    for e in space.events():
+        first = next(prior for prior in hier.priors if prior.support_mask & e.mask)
+        table[e] = fraction_bayes_update(first, e)
+    by_hand = UpdatingRule(space, table)
+    assert by_hand == tabulated and tabulated == by_hand
+    assert rules_equal(by_hand, tabulated)
+    assert list(by_hand.events()) == list(tabulated.events()) == list(space.events())
+
+
 def test_public_construction_checks_every_entry(half_half):
     """The tabulators skip the entry checks; ``UpdatingRule(...)`` keeps them."""
     space, prior = half_half
