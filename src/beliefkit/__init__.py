@@ -17,7 +17,7 @@ _EXPORTS = {
     "core": (
         "Act", "Belief", "CheckResult", "Event", "Lottery", "Preference",
         "StateSpace", "UtilityFunction", "bayes_update", "compare_values",
-        "compose_act", "is_null_event", "max_enumerable_states", "seu_value",
+        "compose_act", "max_enumerable_states", "seu_value",
     ),
     "errors": (
         "AllLevelsNull", "AllZeroScores", "AmbiguousArgmax", "BadDelta",
@@ -45,7 +45,7 @@ _EXPORTS = {
         "act_grid", "check_conditional_consistency", "check_consequentialism",
         "check_constant_act_agreement", "check_risk_independence",
         "default_act_pairs", "default_act_triples", "default_event_pairs",
-        "lottery_grid", "null_states", "os_prefer",
+        "lottery_grid", "os_prefer",
     ),
     "rules": (
         "CpsValidation", "CpsWitness", "UpdatingRule", "bayesian_rule",

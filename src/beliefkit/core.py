@@ -284,10 +284,6 @@ class Belief:
         self._mass: tuple[Fraction, ...] | None = None
 
     @classmethod
-    def point(cls, space: StateSpace, label: str) -> "Belief":
-        return cls(space, {label: ONE})
-
-    @classmethod
     def uniform_on(cls, event: Event) -> "Belief":
         if not event:
             raise EmptyEvent("cannot spread mass over the empty event")
@@ -655,8 +651,3 @@ def seu_value(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
             terms.append((num, value.numerator, value.denominator))
     common = lcm(*[d for _, _, d in terms])
     return Fraction(sum([num * n * (common // d) for num, n, d in terms]), den * common)
-
-
-def is_null_event(mu: Belief, a: Event) -> bool:
-    """True when ``a`` carries zero mass under ``mu``."""
-    return mu.prob(a) == 0

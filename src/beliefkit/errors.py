@@ -73,7 +73,12 @@ class AllZeroScores(BeliefkitError):
 
 
 class CycleDetected(BeliefkitError):
-    """The dominance relation among conditional beliefs is cyclic."""
+    """The dominance relation among conditional beliefs is cyclic.
+
+    Dominance is the proper-subset relation on supports, which has no
+    cycle, so ``eps_os_construction`` never raises this; the tests' Fraction
+    oracle, which keeps its own topological sort, still checks for one.
+    """
 
 
 class SeparationFailed(BeliefkitError):

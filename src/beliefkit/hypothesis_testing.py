@@ -6,11 +6,12 @@ top prior when its mass on the event clears the threshold; otherwise the
 prior maximizing mass-times-weight is selected, and the argmax must be
 strict.
 
-Selection runs on integers.  The threshold test is one cross-multiplication
-on the top prior.  For the argmax, a representation holds one integer
-column per state, built on the first event that reaches the argmax and then
-cached: column i lists nums_j[i] * rho_j for every prior j, all over the lcm
-of the denominators den_j * denominator(rho_j).  An event's scores are the
+The threshold test is one integer cross-multiplication on the top prior.
+``ht_select`` takes the argmax from the Fraction scores its trace reports.
+For ``ht_rule``'s argmax, a representation holds one integer column per
+state, built on the first event that reaches the argmax and then cached:
+column i lists nums_j[i] * rho_j for every prior j, all over the lcm of the
+denominators den_j * denominator(rho_j).  An event's scores are the
 sum of its states' columns, taken for all priors at once, and a tie is a
 maximum that occurs more than once.  ``ht_rule`` adds one column per event
 to the scores of the event's prefix, carried down its walk of the events.
@@ -25,36 +26,37 @@ order beat all deeper orders.
 of distinct conditional beliefs the thresholded update can ever produce.
 Weights are assigned inside a descending chain of disjoint open intervals,
 one interval per surprise class, spaced by midpoint bisection of the gap
-above the returned threshold; within a class, beliefs are ordered
-topologically under the dominance relation "the other belief is certain of
-one of my representing events" and spaced evenly.  The returned threshold
-is the largest conditional mass that must fall on the reject side (never
-below the input threshold); for an input threshold of zero it is exactly 0.
+above the returned threshold; within a class, beliefs are spaced evenly in
+prefix-tree postorder of their supports, which puts each belief before
+every belief certain of its representing events (a smaller support).  The
+returned threshold is the largest conditional mass that must fall on the
+reject side (never below the input threshold); for an input threshold of
+zero it is exactly 0.
 
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on, so dominance is the
-support-subset test: each conditional's dominated beliefs are found by
-walking the submasks of its support and looking each up in the class's
-mask-to-row map, O(3^n) steps over a class of up to 2^n beliefs instead of
-testing all O(4^n) pairs.  One walk over the submasks of each support,
-``core.posterior_walk``, gives every submask's numerator, each its
-prefix's plus one state's, and the conditional belief on it.  Every mass
-compared is a ratio of two such numerators, num(s_i & s_j) / num(s_j),
-and every comparison (against the threshold, for the gap limit, for the
-cross-class maximum) is an integer cross-multiplication.  The weights are integer
-numerators over one common denominator, the lcm of the interval bounds'
-denominators times the lcm of (class size + 1), so the even spacing
-divides exactly; Fractions are built only for the values returned.
+support-subset test, and the order is one sort of the supports.  The
+dominance pairs reported as ``edges`` are found by walking the submasks of
+each support and looking each up in the class's mask-to-row map, O(3^n)
+steps over a class of up to 2^n beliefs instead of testing all O(4^n)
+pairs.  One walk over the submasks of each support, ``core.posterior_walk``,
+gives every submask's numerator, each its prefix's plus one state's, and
+the conditional belief on it.  Every mass compared is a ratio of two such
+numerators, num(s_i & s_j) / num(s_j), and every comparison (against the
+threshold, for the gap limit, for the cross-class maximum) is an integer
+cross-multiplication.  The weights are integer numerators over one common
+denominator, the lcm of the interval bounds' denominators times the lcm of
+(class size + 1), so the even spacing divides exactly; Fractions are built
+only for the values returned.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import lcm
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     Belief,
@@ -71,7 +73,6 @@ from .core import (
 from .errors import (
     AllZeroScores,
     AmbiguousArgmax,
-    CycleDetected,
     EmptyEvent,
     IncompleteCoverage,
     SeparationFailed,
@@ -171,25 +172,8 @@ def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
     return ht._columns
 
 
-def _select_index(ht: HTRepresentation, mask: int) -> tuple[bool, int]:
-    """(bayesian?, chosen prior index) for the event mask, integer-only."""
-    eps = ht.eps
-    top = ht.priors[0]
-    if top.mask_num(mask) * eps.denominator > eps.numerator * top.den:
-        return True, 0
-    columns = _columns(ht)
-    low = mask & -mask
-    scores = columns[low.bit_length() - 1]
-    rest = mask ^ low
-    while rest:  # add the column of every further state in the event
-        low = rest & -rest
-        scores = map(add, scores, columns[low.bit_length() - 1])
-        rest ^= low
-    return False, _argmax(ht, mask, list(scores))
-
-
-def _argmax(ht: HTRepresentation, mask: int, scores: list[int]) -> int:
-    """Index of the strict maximum of an argmax event's integer scores."""
+def _argmax(ht: HTRepresentation, mask: int, scores: Sequence[int | Fraction]) -> int:
+    """Index of the strict maximum of an argmax event's scores."""
     best = max(scores)
     if best == 0:
         raise AllZeroScores(
@@ -214,8 +198,11 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
     scores = tuple(
         prior.mass_on_mask(e.mask) * weight for prior, weight in zip(ht.priors, ht.rho)
     )
-    bayesian, chosen = _select_index(ht, e.mask)
-    branch = SelectionBranch.BAYESIAN if bayesian else SelectionBranch.ARGMAX
+    eps, top = ht.eps, ht.priors[0]
+    if top.mask_num(e.mask) * eps.denominator > eps.numerator * top.den:
+        branch, chosen = SelectionBranch.BAYESIAN, 0
+    else:
+        branch, chosen = SelectionBranch.ARGMAX, _argmax(ht, e.mask, scores)
     trace = SelectionTrace(event=e, branch=branch, scores=scores, chosen=chosen)
     return trace, bayes_update(ht.priors[chosen], e)
 
@@ -314,14 +301,21 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # A row is up-closed in its support (a superset has more mass), so every
     # row mask missing some x of s_j lies inside support - {x}, which is then
     # in the row too: b_j's largest such mass drops the least droppable x.
+    #
+    # Within a class a dominating belief comes first: s_j a proper subset of
+    # s_i puts row i before row j.  Sorting the supports in descending order
+    # of their bit strings read from state 0 does that, since s_i holds the
+    # first state where the two differ.  It is prefix-tree postorder, which
+    # a topological sort taking the canonically first ready row also gives.
+    width = len(space)
     rows: list[list[int]] = []  # class k: conditional supports, canonical order
-    conditionals: list[list[Belief]] = []  # class k: the update on each row mask
     below: list[list[int]] = []  # submasks of support k at or below the threshold
     tables: list[dict[int, int]] = []
-    dominated: list[list[list[int]]] = []  # class k, row i: the row indices i dominates
-    dominators: list[list[int]] = []  # class k, row j: how many row entries dominate j
     gap_limits: list[Fraction] = []  # largest dominated-side mass below one
-    for prior in priors:
+    flat_priors: list[Belief] = []
+    class_of: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for k, prior in enumerate(priors):
         den, nums = prior.den, prior.nums
         support = prior.support_mask
         cut = eps.numerator * den
@@ -338,30 +332,29 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
             for x in mask_indices(support)
             if table[support ^ (1 << x)] * eps.denominator > cut
         ]
+        order = sorted(range(len(row)), key=lambda i: f"{row[i]:0{width}b}"[::-1], reverse=True)
+        index = [0] * len(row)  # row index -> prior index
+        for local in order:
+            index[local] = len(flat_priors)
+            flat_priors.append(updates[local])
+            class_of.append(k)
         position = {mask: i for i, mask in enumerate(row)}
-        losers_of: list[list[int]] = []
-        incoming = [0] * len(row)
         limit = (0, 1)
-        for s_i in row:
+        for winner, s_i in zip(index, row):
             losers = []
             sub = (s_i - 1) & s_i
             while sub:  # proper nonempty submasks of s_i: 2^|s_i| steps, 3^n per row
                 j = position.get(sub)
                 if j is not None:
                     losers.append(j)
-                    incoming[j] += 1
                 sub = (sub - 1) & s_i
-            losers.sort()
-            losers_of.append(losers)
+            edges += [(winner, index[j]) for j in sorted(losers)]
             least = min([n for n, bit in droppable if s_i & bit], default=0)
             if least:
                 limit = _max_ratio(limit, table[s_i] - least, table[s_i])
         rows.append(row)
-        conditionals.append(updates)
         below.append([m for m in table if table[m] * eps.denominator <= cut])
         tables.append(table)
-        dominated.append(losers_of)
-        dominators.append(incoming)
         gap_limits.append(Fraction(*limit))
 
     # Cross-class pressure on the threshold: mass a shallower conditional
@@ -376,23 +369,6 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
             top = _max_ratio(top, value, table[s_b])
     cross_max = Fraction(*top)
     threshold = max(cross_max, eps)
-
-    # Topological order per class: Kahn's with the canonically first ready
-    # belief next.  Rows are in canonical order, so that is the least index.
-    ordered: list[list[int]] = []
-    for losers_of, incoming in zip(dominated, dominators):
-        ready = [i for i, count in enumerate(incoming) if count == 0]  # ascending: a heap
-        order: list[int] = []
-        while ready:
-            node = heappop(ready)
-            order.append(node)
-            for nxt in losers_of[node]:
-                incoming[nxt] -= 1
-                if incoming[nxt] == 0:
-                    heappush(ready, nxt)
-        if len(order) != len(losers_of):
-            raise CycleDetected("dominance relation among conditional beliefs is cyclic")
-        ordered.append(order)
 
     # Interval chain: all values live strictly above the threshold; each
     # class's lower bound also clears upper * (largest non-certain mass),
@@ -410,23 +386,12 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # Weights spaced evenly inside each interval, as integer numerators over
     # one denominator that clears every bound and every (class size + 1).
     scale = lcm(*[b.denominator for pair in bounds for b in pair])
-    scale *= lcm(*[len(order) + 1 for order in ordered])
+    scale *= lcm(*[len(row) + 1 for row in rows])
     ends = [tuple([b.numerator * (scale // b.denominator) for b in pair]) for pair in bounds]
     raw: list[int] = []
-    flat_priors: list[Belief] = []
-    class_of: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for k, order in enumerate(ordered):
-        hi, lo = ends[k]
-        step = (hi - lo) // (len(order) + 1)
-        index = [0] * len(order)  # row index -> prior index
-        for pos, local in enumerate(order):
-            index[local] = len(flat_priors)
-            flat_priors.append(conditionals[k][local])
-            class_of.append(k)
-            raw.append(hi - step * (pos + 1))
-        for winner, losers in zip(index, dominated[k]):
-            edges += [(winner, index[j]) for j in losers]
+    for (hi, lo), row in zip(ends, rows):
+        step = (hi - lo) // (len(row) + 1)
+        raw += [hi - step * pos for pos in range(1, len(row) + 1)]
 
     total = sum(raw)
     rho = tuple([Fraction(value, total) for value in raw])

@@ -117,14 +117,10 @@ def canonicalize_os(priors: Sequence[Belief] | OSRepresentation) -> OSRepresenta
 def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
     """Index of the first prior whose mass on ``mask`` exceeds ``eps``, or None.
 
-    With eps = 0 that is the first prior whose support meets ``mask``.  The
-    threshold is not range-checked here; callers taking it from outside do.
+    A prior's numerators are positive exactly on its support, so with eps = 0
+    that is the first prior whose support meets ``mask``.  The threshold is
+    not range-checked here; callers taking it from outside do.
     """
-    if eps == 0:
-        for k, prior in enumerate(priors):
-            if prior.support_mask & mask:
-                return k
-        return None
     for k, prior in enumerate(priors):
         if prior.mask_num(mask) * eps.denominator > eps.numerator * prior.den:
             return k

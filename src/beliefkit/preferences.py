@@ -136,17 +136,6 @@ def os_prefer(fam, e: Event, f: Act, g: Act) -> Preference:
     return compare_values(seu_value(u, belief, f), seu_value(u, belief, g))
 
 
-def null_states(fam, e: Event) -> Event:
-    """States ignored by the conditional ranking: zero mass given ``e``.
-
-    Always contains everything outside ``e`` for honest families, since
-    conditional mass lives inside the event.
-    """
-    belief = fam.belief_given(e)
-    full = (1 << len(fam.space)) - 1
-    return Event(fam.space, full & ~belief.support_mask)
-
-
 def lottery_grid(
     outcomes: Sequence[str],
     probabilities: Sequence[Fraction] = GRID_PROBABILITIES,

@@ -111,7 +111,7 @@ def test_rejections_match_the_fraction_oracle(monkeypatch):
     rng = random.Random(SEED + 1)
     h = hierarchy(rng, 5, 2, balanced=True)
     space = h.space
-    overlapping = OSRepresentation(space, (*h.priors, Belief.point(space, "s0")))
+    overlapping = OSRepresentation(space, (*h.priors, Belief(space, {"s0": 1})))
     partial = OSRepresentation(space, h.priors[:1])
     cases = [
         (h, Fraction(1)),

@@ -11,6 +11,7 @@ from beliefkit import (
     EpsOsConstruction,
     HTRepresentation,
     NoPriorExceedsThreshold,
+    OSRepresentation,
     SelectionBranch,
     StateSpace,
     ValidationError,
@@ -106,7 +107,7 @@ def test_tied_scores_raise_with_the_tie_reported():
     space = StateSpace(("a", "b", "c"))
     rep = HTRepresentation(
         space,
-        (Belief.point(space, "a"), Belief.point(space, "b"), Belief.point(space, "c")),
+        (Belief(space, {"a": 1}), Belief(space, {"b": 1}), Belief(space, {"c": 1})),
         (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
     )
     with pytest.raises(AmbiguousArgmax) as exc:
@@ -186,6 +187,46 @@ def test_thresholded_construction_edges_are_forward_and_intra_class(coin):
             assert winner < loser
             assert built.class_of[winner] == built.class_of[loser]
             assert built.ht.rho[winner] > built.ht.rho[loser]
+
+
+def ten_state_hierarchy(cut: int) -> OSRepresentation:
+    """|S| = 10 with one prior, or two split at ``cut``: too big for the oracle."""
+    rng = random.Random(10 + cut)
+    space = StateSpace(tuple(f"s{i}" for i in range(10)))
+    labels = list(space.states)
+    rng.shuffle(labels)
+    chunks = [labels[:cut], labels[cut:]] if cut else [labels]
+    priors = []
+    for chunk in chunks:
+        weights = [rng.randint(1, 9) for _ in chunk]
+        total = sum(weights)
+        priors.append(Belief(space, {s: Fraction(w, total) for s, w in zip(chunk, weights)}))
+    return OSRepresentation(space, priors)
+
+
+@pytest.mark.parametrize("cut", (0, 4))
+@pytest.mark.parametrize("eps", (0, Fraction(1, 8), Fraction(1, 4)), ids=str)
+def test_thresholded_construction_past_the_oracle(cut, eps):
+    """Postorder within each class, and edges are exactly its proper-subset pairs."""
+    built = eps_os_construction(ten_state_hierarchy(cut), eps)
+    supports = [prior.support_mask for prior in built.ht.priors]
+    classes = {}
+    for i, k in enumerate(built.class_of):
+        classes.setdefault(k, []).append(i)
+    want = set()
+    for members in classes.values():
+        masks = [supports[i] for i in members]
+        postorder = sorted(masks, key=lambda m: (*[x for x in range(10) if m >> x & 1], 10))
+        assert masks == postorder
+        want |= {
+            (w, l)
+            for w in members
+            for l in members
+            if supports[l] != supports[w] and supports[l] & ~supports[w] == 0
+        }
+    assert all(w < l for w, l in want)
+    assert len(set(built.edges)) == len(built.edges)
+    assert set(built.edges) == want
 
 
 def test_thresholded_rule_agrees_wherever_defined(coin):

@@ -14,7 +14,7 @@ EXPORTS = {
     "core": (
         "Act", "Belief", "CheckResult", "Event", "Lottery", "Preference",
         "StateSpace", "UtilityFunction", "bayes_update", "compare_values",
-        "compose_act", "is_null_event", "max_enumerable_states", "seu_value",
+        "compose_act", "max_enumerable_states", "seu_value",
     ),
     "errors": (
         "AllLevelsNull", "AllZeroScores", "AmbiguousArgmax", "BadDelta",
@@ -42,7 +42,7 @@ EXPORTS = {
         "act_grid", "check_conditional_consistency", "check_consequentialism",
         "check_constant_act_agreement", "check_risk_independence",
         "default_act_pairs", "default_act_triples", "default_event_pairs",
-        "lottery_grid", "null_states", "os_prefer",
+        "lottery_grid", "os_prefer",
     ),
     "rules": (
         "CpsValidation", "CpsWitness", "UpdatingRule", "bayesian_rule",
@@ -65,7 +65,7 @@ def test_every_export_is_its_modules_object(module):
 
 
 def test_all_dir_and_star_import_list_every_export():
-    assert len(NAMES) == 88
+    assert len(NAMES) == 86
     assert sorted(beliefkit.__all__) == NAMES
     assert not [name for name in beliefkit.__all__ if name.startswith("_")]
     assert set(NAMES) <= set(dir(beliefkit))

@@ -27,7 +27,6 @@ from beliefkit import (
     check_constant_act_agreement,
     check_risk_independence,
     default_event_pairs,
-    null_states,
     os_prefer,
     preferences,
 )
@@ -77,7 +76,7 @@ class SkewedFamily:
 def two_level_family(u0: UtilityFunction, u1: UtilityFunction) -> PreferenceFamily:
     space = StateSpace(("s0", "s1"))
     hier = OSRepresentation(
-        space, (Belief.point(space, "s0"), Belief.point(space, "s1"))
+        space, (Belief(space, {"s0": 1}), Belief(space, {"s1": 1}))
     )
     return PreferenceFamily(hier, (u0, u1))
 
@@ -145,13 +144,6 @@ def test_os_prefer_matches_conditional_seu(coin_family):
     assert os_prefer(coin_family, space.full_event, win_h, half) is Preference.INDIFFERENT
     assert os_prefer(coin_family, space.event("h"), win_h, half) is Preference.FIRST
     assert os_prefer(coin_family, space.event("e", "el"), win_h, half) is Preference.SECOND
-
-
-def test_null_states_is_the_conditional_nullset(coin_family):
-    space = coin_family.space
-    ahead = space.event("e", "el", "l1", "l2")
-    assert null_states(coin_family, ahead) == space.event("h", "t", "l1", "l2")
-    assert null_states(coin_family, space.full_event) == ahead
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,7 @@ def utility_families(draw):
             table = dict(zip(SHARED, draw(values)))
         utilities.append(UtilityFunction({**table, f"s{k}": -5}))
     space = StateSpace(tuple(f"t{k}" for k in range(orders)))
-    hier = OSRepresentation(space, [Belief.point(space, t) for t in space.states])
+    hier = OSRepresentation(space, [Belief(space, {t: 1}) for t in space.states])
     return PreferenceFamily(hier, utilities)
 
 

@@ -5,7 +5,8 @@ a module that needs it should use (or add) a public function instead.
 That covers imports (``from .core import _name``), at module level or
 inside a function body such as a CLI handler, and attribute access
 (``obj._name`` where only another module defines ``_name``).  The tests
-are exempt: their oracles reach into helpers on purpose.
+are exempt: their oracles reach into helpers on purpose.  A second lint
+keeps every import in the package read by its module.
 """
 
 import ast
@@ -129,4 +130,57 @@ def test_the_rule_sees_private_imports(tmp_path):
         "bad.py:3: from beliefkit.rules import _first_break",
         "bad.py:4: from . import _private",
         "bad.py:6: from .rules import _peel",
+    ]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports (anywhere in it) but never reads.
+
+    A read is any ``Name`` node in a load context, which includes the base
+    of an attribute access and the annotations that ``from __future__
+    import annotations`` leaves unevaluated; ``__future__`` imports are
+    compiler directives, not names.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [
+                (node.lineno, (alias.asname or alias.name).split(".")[0])
+                for alias in node.names
+            ]
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line}: {name}" for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_the_rule_sees_unused_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from heapq import heappop, heappush\n"
+        "from .errors import CycleDetected, EmptyEvent as Empty\n"
+        "from .core import Belief\n"
+        "def order(ready: list[Belief]):\n"
+        "    from .rules import validate_cps\n"
+        "    heappush(ready, 0)\n"
+        "    return os.sep\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(bad) == [
+        "bad.py:3: heappop",
+        "bad.py:4: CycleDetected",
+        "bad.py:4: Empty",
+        "bad.py:7: validate_cps",
     ]

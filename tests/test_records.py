@@ -73,7 +73,7 @@ RECORDS = {
             "witness": CpsWitness(A, A, B, HALF, 0),
             "reason": "r",
             "triples": 3,
-            "priors": (Belief.point(SPACE, "a"),),
+            "priors": (Belief(SPACE, {"a": 1}),),
         },
         {"witness": None, "reason": None, "triples": 0, "priors": ()},
     ),
@@ -127,6 +127,6 @@ def test_scenario_keeps_its_fields_defaults_and_equality():
     assert (bare.os, bare.os_names, bare.ht, bare.ht_prior_names) == (None,) * 4
     assert (bare.lps, bare.lps_names) == (None, None)
     assert bare == Scenario(SPACE, {}, None, None, None, None, None, None, {}, {}, {})
-    assert bare != Scenario(SPACE, {"p": Belief.point(SPACE, "a")})
+    assert bare != Scenario(SPACE, {"p": Belief(SPACE, {"a": 1})})
     with pytest.raises(TypeError):
         hash(bare)

@@ -235,7 +235,7 @@ def test_public_construction_checks_every_entry(half_half):
     for table, error in (
         ({other.event("x"): prior}, SpaceMismatch),
         ({space.empty_event: prior}, EmptyEvent),
-        ({space.event("h"): Belief.point(other, "x")}, SpaceMismatch),
+        ({space.event("h"): Belief(other, {"x": 1})}, SpaceMismatch),
     ):
         with pytest.raises(error):
             UpdatingRule(space, table)

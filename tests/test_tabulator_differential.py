@@ -137,7 +137,7 @@ def test_ht_rule_is_ht_select_or_the_first_tie(ht):
 def test_os_rule_checks_the_state_cap_before_coverage(monkeypatch):
     def uncovered(n):
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        return OSRepresentation(space, (Belief.point(space, "s0"),))
+        return OSRepresentation(space, (Belief(space, {"s0": 1}),))
 
     monkeypatch.setenv("BELIEFKIT_MAX_STATES", "4")
     with pytest.raises(TooManyStates):
@@ -149,7 +149,7 @@ def test_os_rule_checks_the_state_cap_before_coverage(monkeypatch):
 
 def test_family_computes_one_surprise_order_per_event(monkeypatch):
     space = StateSpace(("a", "b", "c"))
-    hier = OSRepresentation(space, (Belief.point(space, "a"), belief_from(space, (0, 1, 2))))
+    hier = OSRepresentation(space, (Belief(space, {"a": 1}), belief_from(space, (0, 1, 2))))
     events = list(space.events())
     expected = [os_update(hier, e) for e in events]
     calls = []
