@@ -168,7 +168,7 @@ class Event:
     __slots__ = ("space", "mask", "_hash")
 
     def __init__(self, space: StateSpace, mask: int):
-        if not 0 <= mask < (1 << len(space)):
+        if not 0 <= mask < (1 << len(space.states)):
             raise ValidationError(f"event mask {mask} out of range for {space!r}")
         self.space = space
         self.mask = mask

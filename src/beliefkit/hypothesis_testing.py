@@ -34,27 +34,34 @@ reject side (never below the input threshold); for an input threshold of
 zero it is exactly 0.
 
 The construction runs on integers too.  A class-k conditional's support is
-the submask of support k it was conditioned on, so dominance is the
-support-subset test, and the order is one sort of the supports.  The
-dominance pairs reported as ``edges`` are found by walking the submasks of
-each support and looking each up in the class's mask-to-row map, O(3^n)
-steps over a class of up to 2^n beliefs instead of testing all O(4^n)
-pairs.  One walk over the submasks of each support, ``core.posterior_walk``,
-gives every submask's numerator, each its prefix's plus one state's, and
-the conditional belief on it.  Every mass compared is a ratio of two such
-numerators, num(s_i & s_j) / num(s_j), and every comparison (against the
-threshold, for the gap limit, for the cross-class maximum) is an integer
-cross-multiplication.  The weights are integer numerators over one common
-denominator, the lcm of the interval bounds' denominators times the lcm of
-(class size + 1), so the even spacing divides exactly; Fractions are built
-only for the values returned.
+the submask of support k it was conditioned on (a row), so dominance is the
+support-subset test, and the order is prefix-tree postorder of the
+support's submasks, kept to the rows.  One walk over the submasks of each
+support, ``core.posterior_walk``, gives every submask's numerator, each
+its prefix's plus one state's, and the conditional belief on it.  Every
+mass compared is a ratio of two such numerators, and every comparison is
+an integer cross-multiplication.  Two quantities have closed forms.  A
+class's gap limit is (den - m) / den with m the least numerator of a state
+x whose removal leaves a row (0 when there is none): the full support
+attains it, O(n) per class.  The cross-class maximum is the largest
+num(q) / lightest(q) over the submasks q below the threshold, lightest(q)
+being the least numerator of a row holding q; one pass in descending mask
+order reads it off q's one-state extensions, O(2^|s| * |s|) per class.
+The one O(3^n) step lists the dominance pairs reported as ``edges``, by
+walking the submasks of each row and looking each up in the class's
+mask-to-row map; that output has O(3^n) pairs.  The interval
+chain is integers over one denominator (the threshold's, 4 per class and
+each gap limit's), so every halving divides exactly, and the weights are
+integer numerators over the lcm of the reduced bounds' denominators times
+the lcm of (class size + 1), so the even spacing divides exactly;
+Fractions are built only for the values returned.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -264,8 +271,9 @@ class EpsOsConstruction(NamedTuple):
     ``class_of[i]`` is the surprise class of constructed prior i; ``bounds``
     holds the (upper, lower) open interval per class (same normalization as
     the weights); ``edges`` lists dominance pairs (winner, loser) by prior
-    index; ``cross_max`` is the largest cross-class conditional mass that
-    forced the threshold up.
+    index; ``cross_max`` is the largest mass a conditional belief puts on
+    an event of a deeper class (0 for one class), which the returned
+    threshold must not fall below.
     """
 
     ht: HTRepresentation
@@ -274,10 +282,6 @@ class EpsOsConstruction(NamedTuple):
     bounds: tuple[tuple[Fraction, Fraction], ...]
     edges: tuple[tuple[int, int], ...]
     cross_max: Fraction
-
-
-def _max_ratio(best: tuple[int, int], num: int, den: int) -> tuple[int, int]:
-    return (num, den) if num * best[1] > best[0] * den else best
 
 
 def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConstruction:
@@ -291,55 +295,59 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # submask per support, and its class is the first prior whose submask
     # clears the threshold.  Every part may be empty (mass 0, below it) and
     # every support clears it (mass 1 > eps), so class k's conditionals are
-    # BU(prior_k, t) for each submask t of support k above the threshold,
-    # and the parts class-k events leave in a shallower support j are
-    # exactly the submasks of support j at or below it.
+    # BU(prior_k, t) for each submask t of support k above the threshold
+    # (the rows), and the parts class-k events leave in a shallower support
+    # j are exactly the submasks of support j at or below it.
     #
     # Within-class dominance: b_i dominates b_j when b_j is certain of b_i's
     # support, i.e. s_j is a subset of s_i.  Otherwise b_j's mass on s_i is
     # num(s_i & s_j) / num(s_j) < 1, and the gap limit is the largest such.
-    # A row is up-closed in its support (a superset has more mass), so every
-    # row mask missing some x of s_j lies inside support - {x}, which is then
-    # in the row too: b_j's largest such mass drops the least droppable x.
+    # Rows are up-closed, so row s_j's largest such mass drops its lightest
+    # droppable state x (support - {x} is a row); the support holds every
+    # droppable state and has the most mass, so it attains the maximum.
     #
     # Within a class a dominating belief comes first: s_j a proper subset of
-    # s_i puts row i before row j.  Sorting the supports in descending order
-    # of their bit strings read from state 0 does that, since s_i holds the
-    # first state where the two differ.  It is prefix-tree postorder, which
-    # a topological sort taking the canonically first ready row also gives.
-    width = len(space)
-    rows: list[list[int]] = []  # class k: conditional supports, canonical order
-    below: list[list[int]] = []  # submasks of support k at or below the threshold
-    tables: list[dict[int, int]] = []
-    gap_limits: list[Fraction] = []  # largest dominated-side mass below one
+    # s_i puts row i before row j.  Prefix-tree postorder does that, and a
+    # topological sort taking the canonically first ready row also gives it.
+    ed = eps.denominator
+    last = len(priors) - 1
+    sizes: list[int] = []  # class k: number of conditional beliefs
+    gaps: list[tuple[int, int]] = []  # class k: gap limit as (numerator, denominator)
     flat_priors: list[Belief] = []
     class_of: list[int] = []
     edges: list[tuple[int, int]] = []
+    top = (0, 1)  # cross-class maximum as (numerator, denominator)
     for k, prior in enumerate(priors):
         den, nums = prior.den, prior.nums
         support = prior.support_mask
         cut = eps.numerator * den
         table = {0: 0}  # numerator of every submask of the support, canonical order
-        row: list[int] = []
+        row: list[int] = []  # conditional supports, canonical order
         updates: list[Belief] = []
+        below: list[int] = []  # nonempty submasks at or below the threshold
         for mask, num, posterior in posterior_walk((prior,), support, lambda mask, _: 0):
             table[mask] = num
-            if num * eps.denominator > cut:
+            if num * ed > cut:
                 row.append(mask)
                 updates.append(posterior)
-        droppable = [
-            (nums[x], 1 << x)
-            for x in mask_indices(support)
-            if table[support ^ (1 << x)] * eps.denominator > cut
-        ]
-        order = sorted(range(len(row)), key=lambda i: f"{row[i]:0{width}b}"[::-1], reverse=True)
-        index = [0] * len(row)  # row index -> prior index
-        for local in order:
-            index[local] = len(flat_priors)
-            flat_priors.append(updates[local])
-            class_of.append(k)
+            else:
+                below.append(mask)
+        states = mask_indices(support)
+        bits = [1 << x for x in states]
+        droppable = [nums[x] for x in states if table[support ^ 1 << x] * ed > cut]
+        gaps.append((den - min(droppable), den) if droppable else (0, 1))
+        sizes.append(len(row))
+        post: list[int] = []  # submasks of the support, prefix-tree postorder
+        for bit in reversed(bits):
+            post = [*[bit | m for m in post], bit, *post]
         position = {mask: i for i, mask in enumerate(row)}
-        limit = (0, 1)
+        index = [0] * len(row)  # row index -> prior index
+        for mask in post:
+            local = position.get(mask)
+            if local is not None:
+                index[local] = len(flat_priors)
+                flat_priors.append(updates[local])
+        class_of += [k] * len(row)
         for winner, s_i in zip(index, row):
             losers = []
             sub = (s_i - 1) & s_i
@@ -349,49 +357,48 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
                     losers.append(j)
                 sub = (sub - 1) & s_i
             edges += [(winner, index[j]) for j in sorted(losers)]
-            least = min([n for n, bit in droppable if s_i & bit], default=0)
-            if least:
-                limit = _max_ratio(limit, table[s_i] - least, table[s_i])
-        rows.append(row)
-        below.append([m for m in table if table[m] * eps.denominator <= cut])
-        tables.append(table)
-        gap_limits.append(Fraction(*limit))
-
-    # Cross-class pressure on the threshold: mass a shallower conditional
-    # belief puts on a deeper class's event must stay in the reject region.
-    # Every deeper class leaves the same parts in support j, ``below[j]``,
-    # so each class but the last is scanned once.
-    top = (0, 1)
-    for j in range(len(priors) - 1):
-        table = tables[j]
-        for s_b in rows[j]:
-            value = max(table[part & s_b] for part in below[j])
-            top = _max_ratio(top, value, table[s_b])
+        if k < last:
+            # Cross-class pressure: a class-k belief on row s_b puts
+            # num(q) / num(s_b) on a deeper event whose part q in support k
+            # lies in s_b, so the maximum takes each q over its lightest row.
+            # ``below`` is down-closed: descending masks meet each q's
+            # one-state extensions first.
+            lightest = {mask: table[mask] for mask in row}
+            for q in sorted(below, reverse=True):
+                light = lightest[q] = min([lightest[q | bit] for bit in bits if not q & bit])
+                if table[q] * top[1] > top[0] * light:
+                    top = (table[q], light)
     cross_max = Fraction(*top)
     threshold = max(cross_max, eps)
 
     # Interval chain: all values live strictly above the threshold; each
     # class's lower bound also clears upper * (largest non-certain mass),
     # so dominated-but-uncertain beliefs can never outscore the class.
-    bounds: list[tuple[Fraction, Fraction]] = []
-    upper = ONE
-    for k in range(len(priors)):
-        floor = max(threshold, upper * gap_limits[k])
-        lower = (floor + upper) / 2
-        bounds.append((upper, lower))
-        upper = (threshold + lower) / 2
-    if bounds[-1][1] <= threshold * bounds[0][0]:
+    # Values are integers over one denominator holding the threshold's, one
+    # factor 4 per class (two halvings) and every gap limit's, so each step
+    # divides exactly.
+    common = threshold.denominator * 4 ** len(priors)
+    for _, gap_den in gaps:
+        common *= gap_den
+    floor = threshold.numerator * (common // threshold.denominator)
+    chain: list[tuple[int, int]] = []
+    upper = common
+    for gap_num, gap_den in gaps:
+        lower = (max(floor, upper * gap_num // gap_den) + upper) // 2
+        chain.append((upper, lower))
+        upper = (floor + lower) // 2
+    if chain[-1][1] <= floor:
         raise SeparationFailed(f"interval chain collapsed onto the threshold {threshold}")
 
     # Weights spaced evenly inside each interval, as integer numerators over
     # one denominator that clears every bound and every (class size + 1).
-    scale = lcm(*[b.denominator for pair in bounds for b in pair])
-    scale *= lcm(*[len(row) + 1 for row in rows])
-    ends = [tuple([b.numerator * (scale // b.denominator) for b in pair]) for pair in bounds]
+    scale = lcm(*[common // gcd(v, common) for pair in chain for v in pair])
+    scale *= lcm(*[size + 1 for size in sizes])
+    ends = [tuple([v * scale // common for v in pair]) for pair in chain]
     raw: list[int] = []
-    for (hi, lo), row in zip(ends, rows):
-        step = (hi - lo) // (len(row) + 1)
-        raw += [hi - step * pos for pos in range(1, len(row) + 1)]
+    for (hi, lo), size in zip(ends, sizes):
+        step = (hi - lo) // (size + 1)
+        raw += [hi - step * pos for pos in range(1, size + 1)]
 
     total = sum(raw)
     rho = tuple([Fraction(value, total) for value in raw])

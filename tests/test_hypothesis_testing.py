@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -189,15 +190,15 @@ def test_thresholded_construction_edges_are_forward_and_intra_class(coin):
             assert built.ht.rho[winner] > built.ht.rho[loser]
 
 
-def ten_state_hierarchy(cut: int) -> OSRepresentation:
-    """|S| = 10 with one prior, or two split at ``cut``: too big for the oracle."""
-    rng = random.Random(10 + cut)
-    space = StateSpace(tuple(f"s{i}" for i in range(10)))
+def uneven_hierarchy(seed: int, sizes: tuple[int, ...]) -> OSRepresentation:
+    """Priors over consecutive chunks of shuffled states: too big for the oracle."""
+    rng = random.Random(seed)
+    space = StateSpace(tuple(f"s{i}" for i in range(sum(sizes))))
     labels = list(space.states)
     rng.shuffle(labels)
-    chunks = [labels[:cut], labels[cut:]] if cut else [labels]
     priors = []
-    for chunk in chunks:
+    for lo, size in zip(accumulate((0, *sizes)), sizes):
+        chunk = labels[lo : lo + size]
         weights = [rng.randint(1, 9) for _ in chunk]
         total = sum(weights)
         priors.append(Belief(space, {s: Fraction(w, total) for s, w in zip(chunk, weights)}))
@@ -208,7 +209,8 @@ def ten_state_hierarchy(cut: int) -> OSRepresentation:
 @pytest.mark.parametrize("eps", (0, Fraction(1, 8), Fraction(1, 4)), ids=str)
 def test_thresholded_construction_past_the_oracle(cut, eps):
     """Postorder within each class, and edges are exactly its proper-subset pairs."""
-    built = eps_os_construction(ten_state_hierarchy(cut), eps)
+    sizes = (cut, 10 - cut) if cut else (10,)
+    built = eps_os_construction(uneven_hierarchy(10 + cut, sizes), eps)
     supports = [prior.support_mask for prior in built.ht.priors]
     classes = {}
     for i, k in enumerate(built.class_of):
@@ -227,6 +229,61 @@ def test_thresholded_construction_past_the_oracle(cut, eps):
     assert all(w < l for w, l in want)
     assert len(set(built.edges)) == len(built.edges)
     assert set(built.edges) == want
+
+
+@pytest.mark.parametrize("sizes", ((9, 1), (6, 3, 1), (10,), (6, 4, 2)), ids=str)
+@pytest.mark.parametrize("eps", (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)), ids=str)
+def test_thresholded_bookkeeping_past_the_oracle(sizes, eps):
+    """Gap limits, cross-class maximum and interval chain by the direct scans.
+
+    Each gap limit is the largest 1 - (least droppable numerator in s_i) /
+    num(s_i) over the rows s_i, the cross-class maximum the largest
+    num(part & s_b) / num(s_b) over a shallower row s_b and a part below
+    the threshold, and the chain is rebuilt in Fractions.
+    """
+    os = uneven_hierarchy(sum(sizes), sizes)
+    gaps, rows, nums = [], [], []
+    for prior in os.priors:
+        support = prior.support_mask
+        states = [i for i in range(len(os.space)) if support >> i & 1]
+        num = {
+            m: sum(prior.nums[i] for i in states if m >> i & 1)
+            for m in range(support + 1)
+            if m & ~support == 0
+        }
+        cleared = [m for m in num if num[m] > eps * prior.den]
+        drop = [i for i in states if support ^ 1 << i in cleared]
+        limit = Fraction(0)
+        for s_i in cleared:
+            least = [prior.nums[i] for i in drop if s_i >> i & 1]
+            if least:
+                limit = max(limit, Fraction(num[s_i] - min(least), num[s_i]))
+        gaps.append(limit)
+        rows.append(cleared)
+        nums.append(num)
+    cross_max = Fraction(0)
+    for num, cleared in zip(nums[:-1], rows[:-1]):
+        below = [m for m in num if m not in cleared]
+        for s_b in cleared:
+            cross_max = max(cross_max, Fraction(max(num[p & s_b] for p in below), num[s_b]))
+    threshold = max(cross_max, eps)
+    bounds, upper = [], Fraction(1)
+    for gap in gaps:
+        lower = (max(threshold, upper * gap) + upper) / 2
+        bounds.append((upper, lower))
+        upper = (threshold + lower) / 2
+    raw = [
+        hi - (hi - lo) / (len(row) + 1) * pos
+        for (hi, lo), row in zip(bounds, rows)
+        for pos in range(1, len(row) + 1)
+    ]
+    total = sum(raw)
+
+    built = eps_os_construction(os, eps)
+    assert built.cross_max == cross_max
+    assert built.bounds == tuple((hi / total, lo / total) for hi, lo in bounds)
+    assert built.ht.eps == threshold
+    assert built.ht.rho == tuple(value / total for value in raw)
 
 
 def test_thresholded_rule_agrees_wherever_defined(coin):

@@ -6,7 +6,8 @@ That covers imports (``from .core import _name``), at module level or
 inside a function body such as a CLI handler, and attribute access
 (``obj._name`` where only another module defines ``_name``).  The tests
 are exempt: their oracles reach into helpers on purpose.  A second lint
-keeps every import in the package read by its module.
+keeps every import in the package read by its module, and a third every
+name a package function assigns read in that function.
 """
 
 import ast
@@ -183,4 +184,68 @@ def test_the_rule_sees_unused_imports(tmp_path):
         "bad.py:4: CycleDetected",
         "bad.py:4: Empty",
         "bad.py:7: validate_cps",
+    ]
+
+
+def unused_locals(path: Path) -> list[str]:
+    """Names a function assigns but never reads; ``_`` names are exempt.
+
+    A function is scanned with the functions nested in it, so a name that
+    a closure reads counts as read there; a name a function declares
+    ``nonlocal`` or ``global`` belongs to another scope.  An augmented
+    assignment (``n += 1``) stores without a read.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read: set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        found |= {
+            (line, name)
+            for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        }
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path) == []
+
+
+def test_the_rule_sees_unused_locals(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "WIDTH = 3\n"
+        "def build(space, masks):\n"
+        "    width = len(space)\n"
+        "    count = 0\n"
+        "    seen = []\n"
+        "    head, tail = masks[0], masks[1:]\n"
+        "    for _, mask in enumerate(tail):\n"
+        "        count += 1\n"
+        "        seen.append(mask)\n"
+        "    def inner():\n"
+        "        nonlocal total\n"
+        "        total = len(seen)\n"
+        "        kept = total\n"
+        "    total = 0\n"
+        "    inner()\n"
+        "    return [m for m in seen if (n := m)]\n",
+        encoding="utf-8",
+    )
+    assert unused_locals(bad) == [
+        "bad.py:3: width",
+        "bad.py:4: count",
+        "bad.py:6: head",
+        "bad.py:13: kept",
+        "bad.py:16: n",
     ]
