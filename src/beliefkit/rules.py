@@ -10,8 +10,10 @@ Every hierarchy of priors induces a CPS, and every CPS is induced by the
 hierarchy peeled from it (Myerson 1986).  So ``validate_cps`` peels the rule
 and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
-The certificate is one preorder walk of the prefix tree of events, O(2^n)
-tuple operations of length n and no per-state Python loop.
+An update depends only on the event's trace on its prior's support, so
+the certificate walks each peeled support's submasks in prefix-tree
+preorder, one tuple extension and comparison each, sum_k 2^|s_k| in all;
+every other event costs one lookup, its entry against its trace's.
 Where an entry fails, it searches for the lexicographically first violating
 triple under the canonical event order, the one an exhaustive scan would
 report, which keeps every report deterministic.
@@ -224,11 +226,15 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     Returns not-candidate (naming the failed property) if the rule is not
     complete or not concentrated.  Otherwise peels the rule from the full
     space and certifies each event's belief as the Bayes update of the
-    first peeled prior meeting it, in one walk over the 2^n events that
-    builds each event's numerators from its prefix's (O(2^n) tuple
-    operations).  All certified proves the rule is the one the peeled
-    hierarchy induces, hence a CPS: valid, with the peeled priors, and
-    ``triples`` counts all 4^n - 2^n triples as certified for n states.
+    first peeled prior k meeting it, which is k's update on the trace
+    q = E & s_k.  A walk over the submasks of each peeled support s_k
+    builds each q's numerators from its prefix's and tests q's entry,
+    sum_k 2^|s_k| tuple operations (2^n for one prior); each other event
+    then only compares its entry with its trace's, or with the update on
+    the trace where that entry fails.  All certified proves the rule is
+    the one the peeled hierarchy induces, hence a CPS: valid, with the
+    peeled priors, and ``triples`` counts all 4^n - 2^n triples as
+    certified for n states.
     Otherwise the first violating triple in canonical (E, F, G) order,
     with the number of triples an exhaustive scan enumerates up to and
     including it.
@@ -241,47 +247,52 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     space = rule.space
     n = len(space)
     table = rule._table
-    priors: list[Belief] = []
-    owner = [0] * n  # index of the peeled prior whose support holds each state
+    masks = space.canonical_masks()  # raises TooManyStates past the power-set cap
+    full = rest = (1 << n) - 1
     zeros = (0,) * n
-    tails = [zeros] * n  # (that prior's numerator of state i, 0, ..., 0), from i on
-    rest = (1 << n) - 1
+    tails = [zeros] * n  # (its peeled prior's numerator of state i, 0, ..., 0), from i on
+    priors: list[Belief] = []
+    uncertified: list[int] = []
+    # Peel, and certify E's entry as the update of the first peeled prior k
+    # meeting E on its trace q = E & s_k, s_k k's support.  Each q is tested
+    # once: its entry is kept / mass, kept k's numerators on q and mass
+    # their sum.  Canonical order walks the prefix tree, so q's prefix (q
+    # less its top state) is stack[d - 1], the latest submask of d - 1
+    # states.  Every E = q | r, r a nonempty set of states past k, then
+    # needs only its entry to equal q's, or q's update where q's entry fails.
     while rest:
         prior = table[rest]
-        for i in mask_indices(prior.support_mask):
-            owner[i] = len(priors)
+        support = prior.support_mask
+        for i in mask_indices(support):
             tails[i] = (prior.nums[i], *zeros[i + 1 :])
         priors.append(prior)
-        rest &= ~prior.support_mask
-
-    # Certificate: E's entry is kept / mass, with k the first peeled prior
-    # meeting E, kept its numerators on E and mass their sum.  Canonical
-    # order walks the prefix tree, so E's prefix (E less its top state) is
-    # stack[d - 1], the latest event of d - 1 states.
-    stack = [(n, zeros, 0)] * (n + 1)
-    uncertified: list[int] = []
-    for e in space.canonical_masks():
-        top = e.bit_length() - 1
-        depth = e.bit_count()
-        k, kept, mass = stack[depth - 1]
-        j = owner[top]
-        if j < k:  # the top state starts an earlier prior
-            k, kept, mass = j, zeros[:top] + tails[top], tails[top][0]
-        elif j == k:  # it extends k's numerators; past k it changes nothing
+        rest &= ~support
+        rs = lex_submasks(rest)[1:] if rest else ()
+        stack = [(zeros, 0)] * (n + 1)
+        for q in masks if support == full else lex_submasks(support)[1:]:
+            top = q.bit_length() - 1
+            depth = q.bit_count()
+            kept, mass = stack[depth - 1]
             kept, mass = kept[:top] + tails[top], mass + tails[top][0]
-        stack[depth] = k, kept, mass
-        belief = table[e]
-        # kept / mass reduces to nums / den exactly when mass = c * den
-        # and kept = c * nums
-        c, r = divmod(mass, belief.den)
-        if r or kept != (belief.nums if c == 1 else tuple([c * x for x in belief.nums])):
-            uncertified.append(e)
+            stack[depth] = kept, mass
+            image = table[q]
+            # kept / mass reduces to nums / den exactly when mass = c * den
+            # and kept = c * nums
+            c, r = divmod(mass, image.den)
+            if r or kept != (image.nums if c == 1 else tuple([c * x for x in image.nums])):
+                uncertified.append(q)
+                image = bayes_update(prior, Event(space, q))
+            if rs:
+                uncertified += [
+                    e for e in map(q.__or__, rs) if table[e] is not image and table[e] != image
+                ]
+    uncertified.sort(key=mask_indices)
 
     # Search: a pair of certified beliefs obeys the chain rule, since the
     # peel's rule does, and a pair breaks it exactly when a singleton does.
     pending = set(uncertified)
     before = 0  # triples an exhaustive scan enumerates before E
-    for e in space.canonical_masks() if uncertified else ():
+    for e in masks if uncertified else ():
         subs = lex_submasks(e)[1:] if e in pending else [f for f in uncertified if f & e == f]
         for f in subs:
             if _first_break(table[e], table[f], f, [1 << i for i in mask_indices(f)]) is not None:
@@ -328,6 +339,8 @@ def rules_equal(a: UpdatingRule, b: UpdatingRule, scope: Iterable[Event] | None 
         raise SpaceMismatch("rules built over different state spaces")
     if scope is None:
         table_a, table_b = a._table, b._table
+        if table_a == table_b:  # every key is a nonempty mask of the space
+            return CheckResult(True)
         for mask in a.space.canonical_masks():
             if table_a.get(mask) != table_b.get(mask):
                 return CheckResult(False, Event(a.space, mask))

@@ -5,6 +5,14 @@ first witness and triple count on every rule: CPS tables induced by
 canonical and by overlapping hierarchies, tables with entries nudged or
 redrawn (including the entries the peel reads), fully random concentrated
 tables, and the non-candidates ``conservative_rule`` and ``bayesian_rule``.
+
+The certificate tests each submask of a peeled support and then compares
+every other event's entry with its trace's, the entry on its meet with the
+support of its first prior.  So some families aim at that comparison:
+many-prior tables of fresh beliefs, where no entry is another's object; a
+wrong trace entry shared by identity with all, or some, of the events
+that trace to it; and a wrong entry on the first, a middle or the last
+event that meets two supports.
 """
 
 import random
@@ -104,6 +112,87 @@ def fully_random(rng):
     return UpdatingRule(space, {e: random_belief_on(rng, e) for e in space.events()})
 
 
+def several_priors(rng) -> OSRepresentation:
+    """A canonical hierarchy of two to four priors."""
+    while True:
+        hier = random_canonical_os(rng, 7)
+        if len(hier.priors) > 1:
+            return hier
+
+
+def fresh(rule: UpdatingRule) -> UpdatingRule:
+    """The same table with every entry a belief of its own."""
+    table = {e: Belief(e.space, dict(rule[e].items())) for e in rule.events()}
+    return UpdatingRule(rule.space, table)
+
+
+def traces(hier: OSRepresentation, k: int, q: int) -> list[int]:
+    """The events other than ``q`` whose first prior is k and whose trace on k's support is q."""
+    later = 0
+    for prior in hier.priors[k + 1 :]:
+        later |= prior.support_mask
+    return [q | r for r in core.lex_submasks(later)[1:]]
+
+
+def fresh_several(rng):
+    rule = os_rule(several_priors(rng))
+    if rng.random() < 0.5:
+        rule = replace(rule, {e: nudged(rule[e], e) for e in touched_events(rng, rule)})
+    return fresh(rule)
+
+
+def wrong_trace(rng, share) -> UpdatingRule:
+    """A wrong entry on a submask q of a support that some later support
+    follows, put by identity on the events ``share`` picks of those tracing to q."""
+    while True:
+        hier = several_priors(rng)
+        k = rng.randrange(len(hier.priors) - 1)
+        q = rng.choice(core.lex_submasks(hier.priors[k].support_mask)[1:])
+        rule = os_rule(hier)
+        event = Event(rule.space, q)
+        wrong = nudged(rule[event], event)
+        if wrong != rule[event]:
+            break
+    shared = {Event(rule.space, e): wrong for e in share(rng, traces(hier, k, q))}
+    return replace(rule, {event: wrong, **shared})
+
+
+def wrong_trace_shared_by_all(rng):
+    return wrong_trace(rng, lambda rng, events: events)
+
+
+def wrong_trace_shared_by_some(rng):
+    return wrong_trace(rng, lambda rng, events: rng.sample(events, rng.randint(0, len(events))))
+
+
+def spanning(rng, pick) -> UpdatingRule:
+    """A wrong entry on the event ``pick`` takes from those meeting two or
+    more supports, in canonical order."""
+    while True:
+        hier = several_priors(rng)
+        rule = os_rule(hier)
+        supports = [prior.support_mask for prior in hier.priors]
+        events = [e for e in rule.events() if sum(1 for s in supports if e.mask & s) > 1]
+        event = pick(events)
+        wrong = nudged(rule[event], event)
+        if wrong == rule[event]:
+            wrong = random_belief_on(rng, event)
+        if wrong != rule[event]:
+            return replace(rule, {event: wrong})
+
+
+def spanning_first(rng):
+    return spanning(rng, lambda events: events[0])
+
+
+def spanning_middle(rng):
+    return spanning(rng, lambda events: events[len(events) // 2])
+
+
+def spanning_last(rng):
+    return spanning(rng, lambda events: events[-1])
+
+
 def conservative(rng):
     prior = random_canonical_os(rng, 7).priors[0]
     return conservative_rule(prior, Fraction(rng.randint(1, 4), 4))
@@ -113,7 +202,21 @@ def bayesian(rng):
     return bayesian_rule(random_overlapping_os(rng, 7).priors[0])
 
 
-FAMILIES = (canonical, overlapping, perturbed, redrawn, fully_random, conservative, bayesian)
+FAMILIES = (
+    canonical,
+    overlapping,
+    perturbed,
+    redrawn,
+    fully_random,
+    conservative,
+    bayesian,
+    fresh_several,
+    wrong_trace_shared_by_all,
+    wrong_trace_shared_by_some,
+    spanning_first,
+    spanning_middle,
+    spanning_last,
+)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
@@ -227,6 +330,34 @@ def test_the_certificate_reads_numerators_once_per_peeled_prior(monkeypatch):
     assert got.priors == (prior,)
     assert counts["mask_indices"] <= len(got.priors)
     assert counts["mask_num"] <= len(got.priors)
+
+
+def test_certifying_a_valid_rule_builds_no_belief_and_no_event(monkeypatch):
+    """Three priors at |S| = 9: the certificate compares the entries the
+    table holds, and no Bayes update or ``Event`` is made along the way."""
+    space = StateSpace(tuple(f"s{i}" for i in range(9)))
+    chunks = (("s0", "s4", "s7"), ("s1", "s2", "s8"), ("s3", "s5", "s6"))
+    priors = tuple(
+        Belief(space, {s: Fraction(i + 1, 6) for i, s in enumerate(chunk)}) for chunk in chunks
+    )
+    rule = os_rule(OSRepresentation(space, priors))
+    built = []
+    real = {"event": Event.__init__, "belief": Belief.__init__, "numerators": Belief._init}
+
+    def counted(name):
+        def wrapper(self, *args):
+            built.append(name)
+            return real[name](self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(Event, "__init__", counted("event"))
+    monkeypatch.setattr(Belief, "__init__", counted("belief"))
+    monkeypatch.setattr(Belief, "_init", counted("numerators"))
+    got = validate_cps(rule)
+    monkeypatch.undo()
+    assert built == []
+    assert got.status == "valid" and got.priors == priors
 
 
 def test_is_concentrated_witnesses_the_canonically_first_failure():

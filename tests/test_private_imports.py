@@ -6,8 +6,10 @@ That covers imports (``from .core import _name``), at module level or
 inside a function body such as a CLI handler, and attribute access
 (``obj._name`` where only another module defines ``_name``).  The tests
 are exempt: their oracles reach into helpers on purpose.  A second lint
-keeps every import in the package read by its module, and a third every
-name a package function assigns read in that function.
+keeps every import in the package read by its module, a third every
+name a package function assigns read in that function, and a fourth
+every invariant of the package off a bare ``assert``, which ``python -O``
+strips: a broken invariant must raise a typed error.
 """
 
 import ast
@@ -249,3 +251,33 @@ def test_the_rule_sees_unused_locals(tmp_path):
         "bad.py:13: kept",
         "bad.py:16: n",
     ]
+
+
+def bare_asserts(path: Path) -> list[str]:
+    """``assert`` statements anywhere in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    return [f"{path.name}:{line}: assert" for line in lines]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    assert bare_asserts(path) == []
+
+
+def test_the_rule_sees_bare_asserts(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "assert WIDTH\n"
+        "def peel(rule):\n"
+        "    # assert in a comment is not a statement\n"
+        "    message = 'assert in a string is not one either'\n"
+        "    if rule:\n"
+        "        assert rule.space, message\n"
+        "    class Check:\n"
+        "        def ok(self):\n"
+        "            assert self.ok()\n"
+        "    return Check\n",
+        encoding="utf-8",
+    )
+    assert bare_asserts(bad) == ["bad.py:1: assert", "bad.py:6: assert", "bad.py:9: assert"]

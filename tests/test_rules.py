@@ -279,3 +279,34 @@ def test_rules_equal_scope_restriction():
     broken = UpdatingRule(space, table)
     scoped = rules_equal(rule, broken, scope=[space.event("h", "t")])
     assert scoped
+
+
+def scanned_rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
+    """Oracle for ``rules_equal`` without a scope: the event-by-event scan."""
+    for event in a.space.events():
+        if a.get(event) != b.get(event):
+            return CheckResult(False, event)
+    return CheckResult(True)
+
+
+def test_rules_equal_matches_the_event_by_event_scan():
+    """Equal tables of distinct beliefs, and tables that differ in an entry,
+    lack one or hold one more, give the scan's verdict and first witness."""
+    rng = random.Random("rules-equal")
+    space = StateSpace(tuple(f"s{i}" for i in range(4)))
+    verdicts = set()
+    for _ in range(200):
+        table = {e: random_belief_on(rng, e) for e in space.events() if rng.random() < 0.9}
+        copied = {e: Belief(space, dict(belief.items())) for e, belief in table.items()}
+        event = rng.choice(list(space.events()))
+        change = rng.choice(("none", "entry", "drop", "add"))
+        if change == "entry" or (change == "add" and event not in copied):
+            copied[event] = random_belief_on(rng, event)
+        elif change == "drop":
+            copied.pop(event, None)
+        a, b = UpdatingRule(space, table), UpdatingRule(space, copied)
+        for first, second in ((a, b), (b, a)):
+            got = rules_equal(first, second)
+            assert got == scanned_rules_equal(first, second)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
