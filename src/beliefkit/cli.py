@@ -91,6 +91,8 @@ def _pick_rule(scenario: Scenario, args):
 def _sole(mapping: dict, kind: str, flag: str) -> str:
     if len(mapping) == 1:
         return next(iter(mapping))
+    if not mapping:
+        raise ValidationError(f"scenario defines no {kind}")
     raise ValidationError(
         f"scenario has {len(mapping)} {kind}; pass {flag} with one of: "
         + ", ".join(sorted(mapping))

@@ -6,15 +6,18 @@ top prior when its mass on the event clears the threshold; otherwise the
 prior maximizing mass-times-weight is selected, and the argmax must be
 strict.
 
+A representation stores its weights like a belief's masses: reduced integer
+numerators w_j over one total, read as Fractions (``rho``) on first read.
 The threshold test is one integer cross-multiplication on the top prior.
 ``ht_select`` takes the argmax from the Fraction scores its trace reports.
 For ``ht_rule``'s argmax, a representation holds one integer column per
 state, built on the first event that reaches the argmax and then cached:
-column i lists nums_j[i] * rho_j for every prior j, all over the lcm of the
-denominators den_j * denominator(rho_j).  An event's scores are the
-sum of its states' columns, taken for all priors at once, and a tie is a
-maximum that occurs more than once.  ``ht_rule`` adds one column per event
-to the scores of the event's prefix, carried down its walk of the events.
+column i lists nums_j[i] * w_j * (L // den_j) for every prior j, with L the
+lcm of the priors' denominators, so every score is the true one times
+L * total.  An event's scores are the sum of its states' columns, taken
+for all priors at once, and a tie is a maximum that occurs more than once.
+``ht_rule`` adds one column per event to the scores of the event's prefix,
+carried down its walk of the events.
 A rule that is Bayesian on every event never builds the columns.
 
 ``os_to_ht`` turns an ordered hierarchy into such a representation whose
@@ -53,8 +56,9 @@ mask-to-row map; that output has O(3^n) pairs.  The interval
 chain is integers over one denominator (the threshold's, 4 per class and
 each gap limit's), so every halving divides exactly, and the weights are
 integer numerators over the lcm of the reduced bounds' denominators times
-the lcm of (class size + 1), so the even spacing divides exactly;
-Fractions are built only for the values returned.
+the lcm of (class size + 1), so the even spacing divides exactly.  They go
+to the representation as integers; Fractions are built only for
+``cross_max`` and ``bounds``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from .core import (
     Event,
     StateSpace,
     ZERO,
-    ONE,
     as_fraction,
     as_threshold,
     bayes_update,
@@ -105,9 +108,14 @@ class SelectionTrace(NamedTuple):
 
 
 class HTRepresentation:
-    """Priors with positive weights (top one strictly maximal) and a threshold."""
+    """Priors with positive weights (top one strictly maximal) and a threshold.
 
-    __slots__ = ("space", "priors", "rho", "eps", "_columns")
+    Weight j is ``weights[j] / total``, reduced so that total > 0 and
+    gcd(total, *weights) == 1; ``rho`` reads the weights as Fractions,
+    built on first read.
+    """
+
+    __slots__ = ("space", "priors", "weights", "total", "eps", "_rho", "_columns")
 
     def __init__(
         self,
@@ -118,21 +126,26 @@ class HTRepresentation:
     ):
         priors = tuple(priors)
         rho = tuple(as_fraction(r) for r in rho)
-        eps = as_fraction(eps)
+        common = lcm(*[r.denominator for r in rho])  # weights as integers over it
+        scaled = [r.numerator * (common // r.denominator) for r in rho]
+        self._init(space, priors, scaled, common, as_fraction(eps))
+
+    def _init(
+        self, space: StateSpace, priors: tuple, weights: Sequence[int], total: int, eps: Fraction
+    ) -> "HTRepresentation":
+        # the one initializer: weights[j] / total with total > 0, eps a Fraction
         if not priors:
             raise ValidationError("a representation needs at least one prior")
         for prior in priors:
-            if prior.space != space:
+            if prior.space is not space and prior.space != space:
                 raise SpaceMismatch("prior built over a different state space")
-        if len(rho) != len(priors):
+        if len(weights) != len(priors):
             raise ValidationError("need exactly one weight per prior")
-        common = lcm(*[r.denominator for r in rho])  # weights as integers over it
-        scaled = [r.numerator * (common // r.denominator) for r in rho]
-        if any(w <= 0 for w in scaled):
+        if any(w <= 0 for w in weights):
             raise ValidationError("weights must be strictly positive")
-        if sum(scaled) != common:
-            raise ValidationError(f"weights must sum to 1, got {sum(rho)}")
-        if any(w >= scaled[0] for w in scaled[1:]):
+        if sum(weights) != total:
+            raise ValidationError(f"weights must sum to 1, got {Fraction(sum(weights), total)}")
+        if any(w >= weights[0] for w in weights[1:]):
             raise ValidationError("the first prior's weight must be strictly maximal")
         as_threshold(eps)  # the range after the weight checks; the type came first
         union = 0
@@ -140,20 +153,36 @@ class HTRepresentation:
             union |= prior.support_mask
         if union != (1 << len(space)) - 1:
             raise ValidationError("prior supports must jointly cover the space")
+        g = gcd(total, *weights)
         self.space = space
         self.priors = priors
-        self.rho = rho
+        self.weights = tuple([w // g for w in weights])
+        self.total = total // g
         self.eps = eps
+        self._rho: tuple[Fraction, ...] | None = None
         self._columns: list[tuple[int, ...]] | None = None
+        return self
+
+    @property
+    def rho(self) -> tuple[Fraction, ...]:
+        """Each prior's weight as a Fraction, built on first read."""
+        if self._rho is None:
+            total = self.total
+            self._rho = tuple([Fraction(w, total) for w in self.weights])
+        return self._rho
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HTRepresentation)
             and self.space == other.space
             and self.priors == other.priors
-            and self.rho == other.rho
+            and self.weights == other.weights
+            and self.total == other.total
             and self.eps == other.eps
         )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.priors, self.weights, self.total, self.eps))
 
     def __repr__(self) -> str:
         return (
@@ -165,15 +194,15 @@ class HTRepresentation:
 def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
     """Column i: every prior's score on {i}, over one common denominator.
 
-    rho_j * mass_j({i}) = nums_j[i] * p_j / d_j with rho_j = p_j / q_j and
-    d_j = den_j * q_j.  Over L = lcm(d_j) the entry for prior j is
-    nums_j[i] * p_j * (L // d_j), and an event's scores are column sums.
-    Built on first use and kept on the representation.
+    rho_j * mass_j({i}) = nums_j[i] * w_j / (den_j * total).  Over
+    L = lcm(den_j) the entry for prior j is nums_j[i] * w_j * (L // den_j),
+    every score times the one positive constant L * total, and an event's
+    scores are column sums.  Built on first use and kept on the
+    representation.
     """
     if ht._columns is None:
-        divs = [prior.den * weight.denominator for prior, weight in zip(ht.priors, ht.rho)]
-        common = lcm(*divs)
-        factors = [weight.numerator * (common // div) for weight, div in zip(ht.rho, divs)]
+        common = lcm(*[prior.den for prior in ht.priors])
+        factors = [w * (common // prior.den) for prior, w in zip(ht.priors, ht.weights)]
         rows = [[num * f for num in prior.nums] for prior, f in zip(ht.priors, factors)]
         ht._columns = list(zip(*rows))
     return ht._columns
@@ -203,7 +232,8 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
     scores = tuple(
-        prior.mass_on_mask(e.mask) * weight for prior, weight in zip(ht.priors, ht.rho)
+        Fraction(prior.mask_num(e.mask) * w, prior.den * ht.total)
+        for prior, w in zip(ht.priors, ht.weights)
     )
     eps, top = ht.eps, ht.priors[0]
     if top.mask_num(e.mask) * eps.denominator > eps.numerator * top.den:
@@ -227,14 +257,17 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     nums, scale, cut = top.nums, eps.denominator, eps.numerator * top.den
     masses = [0] * depths
     scores: list = [(0,) * len(ht.priors)] * depths
+    columns = None  # fetched on the first argmax event
 
     def choose(mask: int, _: int) -> int:
+        nonlocal columns
         state = mask.bit_length() - 1
         depth = mask.bit_count()
         mass = masses[depth] = masses[depth - 1] + nums[state]
         if mass * scale > cut:
             return 0
-        row = scores[depth] = list(map(add, scores[depth - 1], _columns(ht)[state]))
+        columns = columns or _columns(ht)
+        row = scores[depth] = list(map(add, scores[depth - 1], columns[state]))
         return _argmax(ht, mask, row)
 
     return tabulate_rule(ht.space, ht.priors, choose)
@@ -256,13 +289,13 @@ def os_to_ht(os: OSRepresentation) -> HTRepresentation:
     hierarchy's first-feasible choice coincide on every event.
     """
     _require_canonical_cover(os)
-    weights = [ONE]
+    weights = [1]  # v(0), ..., v(k) times 2^k * den_0 * ... * den_(k-1)
     for prior in os.priors[:-1]:
-        least = Fraction(min(n for n in prior.nums if n), prior.den)
-        weights.append(weights[-1] * least / 2)
-    total = sum(weights)
-    rho = tuple(w / total for w in weights)
-    return HTRepresentation(os.space, os.priors, rho, ZERO)
+        least = min(n for n in prior.nums if n)
+        weights = [w * 2 * prior.den for w in weights] + [weights[-1] * least]
+    return object.__new__(HTRepresentation)._init(
+        os.space, os.priors, weights, sum(weights), ZERO
+    )
 
 
 class EpsOsConstruction(NamedTuple):
@@ -401,9 +434,10 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         raw += [hi - step * pos for pos in range(1, size + 1)]
 
     total = sum(raw)
-    rho = tuple([Fraction(value, total) for value in raw])
     scaled_bounds = tuple((Fraction(hi, total), Fraction(lo, total)) for hi, lo in ends)
-    ht = HTRepresentation(space, flat_priors, rho, threshold)
+    ht = object.__new__(HTRepresentation)._init(
+        space, tuple(flat_priors), raw, total, threshold
+    )
     return EpsOsConstruction(
         ht=ht,
         eps=eps,

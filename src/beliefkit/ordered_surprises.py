@@ -200,9 +200,11 @@ class SurprisePartition:
 
     ``classes[k]`` holds the events whose first above-threshold prior is k,
     in canonical order.  ``undefined`` holds the events no prior clears.
+    Stored by mask: one mask list per class with the undefined events' last,
+    and a mask-to-class lookup; the Events are built on first read.
     """
 
-    __slots__ = ("space", "eps", "classes", "undefined", "_lookup")
+    __slots__ = ("space", "eps", "_parts", "_lookup", "_events")
 
     def __init__(
         self,
@@ -211,17 +213,26 @@ class SurprisePartition:
         classes: tuple[tuple[Event, ...], ...],
         undefined: tuple[Event, ...],
     ):
-        self.space = space
-        self.eps = eps
-        self.classes = classes
-        self.undefined = undefined
-        lookup: dict[int, int | None] = {}
-        for k, events in enumerate(classes):
-            for event in events:
-                lookup[event.mask] = k
-        for event in undefined:
-            lookup[event.mask] = None
-        self._lookup = lookup
+        labels = [*range(len(classes)), None]
+        parts = [[event.mask for event in events] for events in (*classes, undefined)]
+        lookup = {mask: label for label, masks in zip(labels, parts) for mask in masks}
+        self._init(space, eps, parts, lookup)._events = (classes, undefined)
+
+    def _init(self, space: StateSpace, eps: Fraction, parts: list, lookup: dict):
+        # the one initializer: parts[k] lists class k's masks, parts[-1] the undefined ones
+        self.space, self.eps, self._parts, self._lookup = space, eps, parts, lookup
+        self._events: tuple | None = None
+        return self
+
+    def _read(self) -> tuple:
+        if self._events is None:
+            space = self.space
+            *classes, undefined = [tuple([Event(space, m) for m in part]) for part in self._parts]
+            self._events = (tuple(classes), undefined)
+        return self._events
+
+    classes = property(lambda self: self._read()[0])
+    undefined = property(lambda self: self._read()[1])
 
     def class_of(self, event: Event) -> int | None:
         """Class index for ``event``, or None when it is undefined."""
@@ -237,13 +248,15 @@ class SurprisePartition:
             isinstance(other, SurprisePartition)
             and self.space == other.space
             and self.eps == other.eps
-            and self.classes == other.classes
-            and self.undefined == other.undefined
+            and self._parts == other._parts
         )
 
+    def __hash__(self) -> int:
+        return hash((self.space, self.eps, tuple(map(tuple, self._parts))))
+
     def __repr__(self) -> str:
-        sizes = ",".join(str(len(c)) for c in self.classes)
-        return f"SurprisePartition(eps={self.eps}, sizes=[{sizes}], undefined={len(self.undefined)})"
+        *sizes, undefined = [str(len(part)) for part in self._parts]
+        return f"SurprisePartition(eps={self.eps}, sizes=[{','.join(sizes)}], undefined={undefined})"
 
 
 def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> SurprisePartition:
@@ -259,8 +272,9 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     columns = list(zip(*[prior.nums for prior in priors]))  # state i: each prior's numerator
     sums = [(0,) * count] * (len(space) + 1)  # by depth: the latest event's numerators
     orders = [count] * (len(space) + 1)  # by depth: its order, count when undefined
-    classes: list[list[Event]] = [[] for _ in priors]
-    undefined: list[Event] = []
+    parts: list[list[int]] = [[] for _ in range(count + 1)]  # the last: undefined
+    labels = [*range(count), None]
+    lookup: dict[int, int | None] = {}
     for mask in space.canonical_masks():
         depth = mask.bit_count()
         order = orders[depth - 1]
@@ -271,14 +285,6 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
                     order = k
                     break
         orders[depth] = order
-        event = Event(space, mask)
-        if order == count:
-            undefined.append(event)
-        else:
-            classes[order].append(event)
-    return SurprisePartition(
-        space,
-        eps,
-        tuple(tuple(events) for events in classes),
-        tuple(undefined),
-    )
+        parts[order].append(mask)
+        lookup[mask] = labels[order]
+    return object.__new__(SurprisePartition)._init(space, eps, parts, lookup)

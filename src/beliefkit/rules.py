@@ -103,6 +103,8 @@ class UpdatingRule:
             and self._table == other._table
         )
 
+    __hash__ = None  # left unhashable: a hash would walk the whole table
+
     def __repr__(self) -> str:
         return f"UpdatingRule(<{len(self._table)} events over {len(self.space)} states>)"
 

@@ -95,6 +95,8 @@ class Scenario:
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and vars(self) == vars(other)
 
+    __hash__ = None  # mutable: its fields are plain attributes and dicts
+
     def render(self) -> str:
         return render(self)
 

@@ -247,6 +247,25 @@ def test_conservative_rejects_bad_delta(capsys):
     assert err.startswith("error\tBadDelta\t")
 
 
+def test_an_empty_choice_names_what_the_scenario_lacks(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check-axioms", "coin")
+    assert (code, out) == (2, "")
+    assert err == "error\tValidationError\tscenario defines no utilities\n"
+
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"space": ["a", "b"], "beliefs": {}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "conservative", str(bare), "--delta", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error\tValidationError\tscenario defines no beliefs\n"
+
+    code, out, err = run_cli(capsys, "conservative", "coin", "--delta", "1/2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error\tValidationError\tscenario has 3 beliefs; "
+        "pass --prior with one of: mu0, mu1, mu2\n"
+    )
+
+
 def test_partition_default_and_thresholded(capsys):
     code, out, _ = run_cli(capsys, "partition", "coin")
     assert code == 0

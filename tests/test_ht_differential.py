@@ -10,6 +10,7 @@ canonically first tied event).
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -116,3 +117,17 @@ def test_constructed_representations_match_the_fraction_oracle():
         assert_matches_oracle(eps_os_construction(h, eps).ht, counts)
     assert counts["tie"] == 0
     assert counts["argmax"] > 100
+
+
+def test_weights_are_stored_as_reduced_integers():
+    """rho is w / total, and a representation rebuilt from it is equal and
+    hashes alike; representations differing in any field are told apart."""
+    rng = random.Random(SEED + 2)
+    hts = [random_representation(rng) for _ in range(CASES)]
+    for ht in hts:
+        assert ht.total > 0 and gcd(ht.total, *ht.weights) == 1
+        assert ht.rho == tuple(Fraction(w, ht.total) for w in ht.weights)
+        assert sum(ht.rho) == 1
+        rebuilt = HTRepresentation(ht.space, ht.priors, ht.rho, ht.eps)
+        assert rebuilt == ht and hash(rebuilt) == hash(ht)
+    assert len(set(hts)) == len({(ht.space, ht.priors, ht.rho, ht.eps) for ht in hts})

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 import pytest
 
@@ -306,3 +307,79 @@ def test_threshold_zero_construction_reports_zero(coin):
 
 def test_threshold_zero_construction_matches_plain_rule(coin):
     assert rules_equal(os_rule(coin), ht_rule(eps_os_to_ht(coin, 0)))
+
+
+def assert_integer_weights(ht: HTRepresentation) -> None:
+    """Reduced integer weights, read back as Fractions, and a public round trip."""
+    assert ht.total > 0 and gcd(ht.total, *ht.weights) == 1
+    assert ht.rho == tuple(Fraction(w, ht.total) for w in ht.weights)
+    rebuilt = HTRepresentation(ht.space, ht.priors, ht.rho, ht.eps)
+    assert rebuilt == ht and hash(rebuilt) == hash(ht)
+    assert (rebuilt.weights, rebuilt.total) == (ht.weights, ht.total)
+
+
+def test_constructed_weights_are_reduced_integers():
+    rng = random.Random("integer-weights")
+    for _ in range(40):
+        h = random_canonical_os(rng, max_states=6)
+        ht = os_to_ht(h)
+        assert_integer_weights(ht)
+        chain = [Fraction(1)]  # the weight chain in Fractions, as documented
+        for prior in h.priors[:-1]:
+            chain.append(chain[-1] * min(m for m in prior.mass if m) / 2)
+        assert ht.rho == tuple(v / sum(chain) for v in chain)
+        for eps in (0, Fraction(1, 8), Fraction(1, 3)):
+            assert_integer_weights(eps_os_construction(h, eps).ht)
+
+
+def test_public_constructor_errors_keep_their_types_and_messages(coin):
+    space, priors = coin.space, coin.priors
+    cases = [
+        ((Fraction(3, 2), Fraction(-1, 4), Fraction(-1, 4)), "weights must be strictly positive"),
+        ((Fraction(1, 2), Fraction(1, 2), 0), "weights must be strictly positive"),
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)), "weights must sum to 1, got 7/6"),
+        ((1, 1, 1), "weights must sum to 1, got 3"),
+        (
+            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+            "the first prior's weight must be strictly maximal",
+        ),
+        (
+            (0.5, Fraction(1, 4), Fraction(1, 4)),
+            "expected an exact rational (int or Fraction), got float",
+        ),
+        ((Fraction(1, 2), Fraction(1, 2)), "need exactly one weight per prior"),
+    ]
+    for rho, message in cases:
+        with pytest.raises(ValidationError) as err:
+            HTRepresentation(space, priors, rho)
+        assert type(err.value) is ValidationError and str(err.value) == message
+
+
+def count_fractions(monkeypatch) -> list:
+    """Record every Fraction built until ``monkeypatch.undo()``."""
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+@pytest.mark.parametrize("sizes", ((8,), (4, 4), (3, 3, 2)), ids=str)
+def test_construction_builds_fractions_only_for_its_bookkeeping(monkeypatch, sizes):
+    """At most 2 per class (the bounds) and 3 more; ``ht_rule`` builds none."""
+    h, eps = uneven_hierarchy(8, sizes), Fraction(1, 4)
+    built = count_fractions(monkeypatch)
+    construction = eps_os_construction(h, eps)
+    monkeypatch.undo()
+    assert len(built) <= 2 * len(sizes) + 3
+    assert len(construction.ht.priors) > 2 * len(sizes) + 3  # one per weight would show
+    for ht in (construction.ht, os_to_ht(h)):
+        built = count_fractions(monkeypatch)
+        rule = ht_rule(ht)
+        monkeypatch.undo()
+        assert built == []
+        assert len(rule) == 255

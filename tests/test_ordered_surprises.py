@@ -8,11 +8,13 @@ import pytest
 from beliefkit import (
     Belief,
     EmptyEvent,
+    Event,
     IncompleteCoverage,
     NoPriorExceedsThreshold,
     NotCps,
     OSRepresentation,
     StateSpace,
+    SurprisePartition,
     ValidationError,
     canonicalize_os,
     conservative_rule,
@@ -24,7 +26,8 @@ from beliefkit import (
     surprise_partition,
     validate_cps,
 )
-from helpers import coin_hierarchy, random_canonical_os
+from beliefkit.ordered_surprises import eps_surprise_order
+from helpers import coin_hierarchy, random_canonical_os, random_overlapping_os
 
 
 @pytest.fixture
@@ -180,3 +183,52 @@ def test_partition_at_zero_has_no_undefined_class(coin):
     for k, events in enumerate(part.classes):
         for e in events:
             assert surprise_order(coin, e) == k
+
+
+def partition_oracle(h: OSRepresentation, eps: Fraction) -> SurprisePartition:
+    """The public constructor over per-event ``eps_surprise_order`` lookups."""
+    classes = [[] for _ in h.priors]
+    undefined = []
+    for e in h.space.events():
+        try:
+            classes[eps_surprise_order(h, eps, e)].append(e)
+        except NoPriorExceedsThreshold:
+            undefined.append(e)
+    return SurprisePartition(h.space, eps, tuple(map(tuple, classes)), tuple(undefined))
+
+
+def test_partition_matches_the_public_constructor():
+    rng = random.Random("partition-by-mask")
+    for i in range(120):
+        h = (random_canonical_os if i % 2 else random_overlapping_os)(rng)
+        eps = rng.choice((Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)))
+        part, want = surprise_partition(h, eps), partition_oracle(h, eps)
+        assert part == want and hash(part) == hash(want)
+        assert repr(part) == repr(want)
+        assert part.classes == want.classes and part.undefined == want.undefined
+        for e in h.space.events():
+            assert part.class_of(e) == want.class_of(e)
+
+
+def test_partition_builds_no_event(monkeypatch):
+    """|S| = 8: the walk stores masks; Events wait for a caller to read them."""
+    space = StateSpace(tuple(f"s{i}" for i in range(8)))
+    chunks = ({"s0": 5, "s3": 2, "s6": 1}, {"s1": 3, "s4": 1}, {"s2": 1, "s5": 1, "s7": 6})
+    priors = [
+        Belief(space, {s: Fraction(w, sum(c.values())) for s, w in c.items()}) for c in chunks
+    ]
+    h = OSRepresentation(space, priors)
+    eps = Fraction(1, 4)
+    built = []
+    real = Event.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Event, "__init__", counted)
+    part = surprise_partition(h, eps)
+    monkeypatch.undo()
+    assert built == []
+    assert sum(map(len, part.classes)) + len(part.undefined) == 255
+    assert part == partition_oracle(h, eps)

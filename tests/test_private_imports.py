@@ -9,7 +9,9 @@ are exempt: their oracles reach into helpers on purpose.  A second lint
 keeps every import in the package read by its module, a third every
 name a package function assigns read in that function, and a fourth
 every invariant of the package off a bare ``assert``, which ``python -O``
-strips: a broken invariant must raise a typed error.
+strips: a broken invariant must raise a typed error.  A fifth makes every
+class that defines ``__eq__`` state its ``__hash__``, since Python
+otherwise makes it unhashable without a word.
 """
 
 import ast
@@ -281,3 +283,57 @@ def test_the_rule_sees_bare_asserts(tmp_path):
         encoding="utf-8",
     )
     assert bare_asserts(bad) == ["bad.py:1: assert", "bad.py:6: assert", "bad.py:9: assert"]
+
+
+def unstated_hashes(path: Path) -> list[str]:
+    """Classes that define ``__eq__`` but neither define nor assign ``__hash__``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+        if "__eq__" in names and "__hash__" not in names:
+            found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_eq_states_its_hash(path):
+    assert unstated_hashes(path) == []
+
+
+def test_the_rule_sees_unstated_hashes(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class Rule:\n"
+        "    def __eq__(self, other):\n"
+        "        return self is other\n"
+        "class Frozen:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "class Table:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    __hash__ = None\n"
+        "class Plain:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def make():\n"
+        "    class Inner:\n"
+        "        def __eq__(self, other):\n"
+        "            return False\n"
+        "        def method(self):\n"
+        "            __hash__ = None\n"
+        "    return Inner\n",
+        encoding="utf-8",
+    )
+    assert unstated_hashes(bad) == ["bad.py:1: Rule", "bad.py:17: Inner"]
