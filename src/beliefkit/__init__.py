@@ -21,10 +21,10 @@ _EXPORTS = {
     ),
     "errors": (
         "AllLevelsNull", "AllZeroScores", "AmbiguousArgmax", "BadDelta",
-        "BeliefkitError", "CycleDetected", "DegenerateBase", "EmptyEvent",
-        "IncompleteCoverage", "InfeasibleSubevent", "MissingUtility",
-        "NoPriorExceedsThreshold", "NotCps", "NullConditioning", "ParseError",
-        "SeparationFailed", "SpaceMismatch", "TooManyStates", "ValidationError",
+        "BeliefkitError", "DegenerateBase", "EmptyEvent", "IncompleteCoverage",
+        "InfeasibleSubevent", "MissingUtility", "NoPriorExceedsThreshold",
+        "NotCps", "NullConditioning", "ParseError", "SeparationFailed",
+        "SpaceMismatch", "TooManyStates", "ValidationError",
     ),
     "hypothesis_testing": (
         "EpsOsConstruction", "HTRepresentation", "SelectionBranch",

@@ -72,15 +72,6 @@ class AllZeroScores(BeliefkitError):
     """Every selection score is zero, so no prior can be chosen."""
 
 
-class CycleDetected(BeliefkitError):
-    """The dominance relation among conditional beliefs is cyclic.
-
-    Dominance is the proper-subset relation on supports, which has no
-    cycle, so ``eps_os_construction`` never raises this; the tests' Fraction
-    oracle, which keeps its own topological sort, still checks for one.
-    """
-
-
 class SeparationFailed(BeliefkitError):
     """The thresholded construction's lowest interval does not clear the threshold."""
 

@@ -50,15 +50,14 @@ attains it, O(n) per class.  The cross-class maximum is the largest
 num(q) / lightest(q) over the submasks q below the threshold, lightest(q)
 being the least numerator of a row holding q; one pass in descending mask
 order reads it off q's one-state extensions, O(2^|s| * |s|) per class.
-The one O(3^n) step lists the dominance pairs reported as ``edges``, by
-walking the submasks of each row and looking each up in the class's
-mask-to-row map; that output has O(3^n) pairs.  The interval
-chain is integers over one denominator (the threshold's, 4 per class and
-each gap limit's), so every halving divides exactly, and the weights are
-integer numerators over the lcm of the reduced bounds' denominators times
-the lcm of (class size + 1), so the even spacing divides exactly.  They go
-to the representation as integers; Fractions are built only for
-``cross_max`` and ``bounds``.
+The interval chain is integers over one denominator (the threshold's, 4
+per class and each gap limit's), so every halving divides exactly, and the
+weights are integer numerators over the lcm of the reduced bounds'
+denominators times the lcm of (class size + 1), so the even spacing
+divides exactly.  They go to the representation as integers; Fractions
+are built only for ``cross_max`` and ``bounds``.  So the construction is
+the per-support walk plus closed forms.  The dominance pairs, ``edges``,
+are O(3^n) and listed only when read, by walking the submasks of each row.
 """
 
 from __future__ import annotations
@@ -77,6 +76,7 @@ from .core import (
     as_fraction,
     as_threshold,
     bayes_update,
+    lex_submasks,
     mask_indices,
     posterior_walk,
 )
@@ -303,18 +303,43 @@ class EpsOsConstruction(NamedTuple):
 
     ``class_of[i]`` is the surprise class of constructed prior i; ``bounds``
     holds the (upper, lower) open interval per class (same normalization as
-    the weights); ``edges`` lists dominance pairs (winner, loser) by prior
-    index; ``cross_max`` is the largest mass a conditional belief puts on
-    an event of a deeper class (0 for one class), which the returned
-    threshold must not fall below.
+    the weights); ``cross_max`` is the largest mass a conditional belief puts
+    on an event of a deeper class (0 for one class), which the returned
+    threshold must not fall below.  The dominance pairs, ``edges``, are not
+    stored: the weights need only the postorder, so they are listed on read.
     """
 
     ht: HTRepresentation
     eps: Fraction
     class_of: tuple[int, ...]
     bounds: tuple[tuple[Fraction, Fraction], ...]
-    edges: tuple[tuple[int, int], ...]
     cross_max: Fraction
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Dominance pairs (winner, loser) by prior index, listed on each read.
+
+        Within a class, b_i dominates b_j when s_j is a proper subset of s_i.
+        Winners come in canonical order of their supports, and so do each
+        winner's losers.  Walking the submasks of every row is O(3^n).
+        """
+        classes: dict[int, dict[int, int]] = {}  # class -> support -> prior index
+        for i, (k, prior) in enumerate(zip(self.class_of, self.ht.priors)):
+            classes.setdefault(k, {})[prior.support_mask] = i
+        edges: list[tuple[int, int]] = []
+        for index in classes.values():  # the largest row is the class's support
+            row = [mask for mask in lex_submasks(max(index)) if mask in index]
+            position = {mask: j for j, mask in enumerate(row)}
+            for s_i in row:
+                losers = []
+                sub = (s_i - 1) & s_i
+                while sub:  # proper nonempty submasks of s_i: 2^|s_i| steps, 3^n per row
+                    j = position.get(sub)
+                    if j is not None:
+                        losers.append(j)
+                    sub = (sub - 1) & s_i
+                edges += [(index[s_i], index[row[j]]) for j in sorted(losers)]
+        return tuple(edges)
 
 
 def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConstruction:
@@ -348,55 +373,37 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     gaps: list[tuple[int, int]] = []  # class k: gap limit as (numerator, denominator)
     flat_priors: list[Belief] = []
     class_of: list[int] = []
-    edges: list[tuple[int, int]] = []
     top = (0, 1)  # cross-class maximum as (numerator, denominator)
     for k, prior in enumerate(priors):
         den, nums = prior.den, prior.nums
         support = prior.support_mask
         cut = eps.numerator * den
         table = {0: 0}  # numerator of every submask of the support, canonical order
-        row: list[int] = []  # conditional supports, canonical order
-        updates: list[Belief] = []
+        updates: dict[int, Belief] = {}  # conditional support (row) -> its belief
         below: list[int] = []  # nonempty submasks at or below the threshold
         for mask, num, posterior in posterior_walk((prior,), support, lambda mask, _: 0):
             table[mask] = num
             if num * ed > cut:
-                row.append(mask)
-                updates.append(posterior)
+                updates[mask] = posterior
             else:
                 below.append(mask)
         states = mask_indices(support)
         bits = [1 << x for x in states]
         droppable = [nums[x] for x in states if table[support ^ 1 << x] * ed > cut]
         gaps.append((den - min(droppable), den) if droppable else (0, 1))
-        sizes.append(len(row))
+        sizes.append(len(updates))
         post: list[int] = []  # submasks of the support, prefix-tree postorder
         for bit in reversed(bits):
             post = [*[bit | m for m in post], bit, *post]
-        position = {mask: i for i, mask in enumerate(row)}
-        index = [0] * len(row)  # row index -> prior index
-        for mask in post:
-            local = position.get(mask)
-            if local is not None:
-                index[local] = len(flat_priors)
-                flat_priors.append(updates[local])
-        class_of += [k] * len(row)
-        for winner, s_i in zip(index, row):
-            losers = []
-            sub = (s_i - 1) & s_i
-            while sub:  # proper nonempty submasks of s_i: 2^|s_i| steps, 3^n per row
-                j = position.get(sub)
-                if j is not None:
-                    losers.append(j)
-                sub = (sub - 1) & s_i
-            edges += [(winner, index[j]) for j in sorted(losers)]
+        flat_priors += [updates[mask] for mask in post if mask in updates]
+        class_of += [k] * len(updates)
         if k < last:
             # Cross-class pressure: a class-k belief on row s_b puts
             # num(q) / num(s_b) on a deeper event whose part q in support k
             # lies in s_b, so the maximum takes each q over its lightest row.
             # ``below`` is down-closed: descending masks meet each q's
             # one-state extensions first.
-            lightest = {mask: table[mask] for mask in row}
+            lightest = {mask: table[mask] for mask in updates}
             for q in sorted(below, reverse=True):
                 light = lightest[q] = min([lightest[q | bit] for bit in bits if not q & bit])
                 if table[q] * top[1] > top[0] * light:
@@ -443,7 +450,6 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         eps=eps,
         class_of=tuple(class_of),
         bounds=scaled_bounds,
-        edges=tuple(edges),
         cross_max=cross_max,
     )
 

@@ -21,7 +21,7 @@ from beliefkit import (
 )
 from beliefkit.core import ONE, ZERO, as_fraction, lex_submasks
 from beliefkit.errors import (
-    CycleDetected,
+    BeliefkitError,
     EmptyEvent,
     NullConditioning,
     SeparationFailed,
@@ -191,13 +191,25 @@ def fraction_bayes_update(mu: Belief, e: Event) -> Belief:
     return Belief(mu.space, masses)
 
 
-def fraction_eps_os_construction(os: OSRepresentation, eps) -> EpsOsConstruction:
+class CycleDetected(BeliefkitError):
+    """The dominance relation among conditional beliefs is cyclic.
+
+    Dominance is the proper-subset relation on supports, which has no
+    cycle, so ``eps_os_construction`` never raises this; only the oracle
+    below, which keeps its own topological sort, checks for one.
+    """
+
+
+def fraction_eps_os_construction(
+    os: OSRepresentation, eps
+) -> tuple[EpsOsConstruction, tuple[tuple[int, int], ...]]:
     """Oracle for ``eps_os_construction``: the construction in Fractions.
 
     Scans every event for its class, builds each class's distinct
     conditional beliefs, runs the dominance and cross-class loops on
     Fraction masses, and orders each class by re-sorting its ready list
-    after every topological step.
+    after every topological step.  Returns the record and, apart from it,
+    the dominance pairs by prior index, which the record lists on read.
     """
     eps = as_fraction(eps)
     if not 0 <= eps < 1:
@@ -324,14 +336,14 @@ def fraction_eps_os_construction(os: OSRepresentation, eps) -> EpsOsConstruction
         for winner, loser in per_class_edges[k]
     )
     ht = HTRepresentation(space, flat_priors, rho, threshold)
-    return EpsOsConstruction(
+    built = EpsOsConstruction(
         ht=ht,
         eps=eps,
         class_of=tuple(class_of),
         bounds=scaled_bounds,
-        edges=edges,
         cross_max=cross_max,
     )
+    return built, edges
 
 
 def fraction_ht_select(ht: HTRepresentation, e: Event):

@@ -209,7 +209,8 @@ def uneven_hierarchy(seed: int, sizes: tuple[int, ...]) -> OSRepresentation:
 @pytest.mark.parametrize("cut", (0, 4))
 @pytest.mark.parametrize("eps", (0, Fraction(1, 8), Fraction(1, 4)), ids=str)
 def test_thresholded_construction_past_the_oracle(cut, eps):
-    """Postorder within each class, and edges are exactly its proper-subset pairs."""
+    """Postorder within each class, and edges are exactly its proper-subset
+    pairs, listed by class in canonical order of winner, then loser."""
     sizes = (cut, 10 - cut) if cut else (10,)
     built = eps_os_construction(uneven_hierarchy(10 + cut, sizes), eps)
     supports = [prior.support_mask for prior in built.ht.priors]
@@ -228,8 +229,27 @@ def test_thresholded_construction_past_the_oracle(cut, eps):
             if supports[l] != supports[w] and supports[l] & ~supports[w] == 0
         }
     assert all(w < l for w, l in want)
-    assert len(set(built.edges)) == len(built.edges)
-    assert set(built.edges) == want
+    edges = built.edges  # listed on each read
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == want
+
+    def canonical(i: int) -> list[int]:
+        return [x for x in range(10) if supports[i] >> x & 1]
+
+    # by class, then winners and each winner's losers in canonical order
+    ordered = sorted(want, key=lambda pair: (built.class_of[pair[0]], *map(canonical, pair)))
+    assert edges == tuple(ordered)
+
+
+def test_edges_are_read_only_and_constructions_compare_by_value():
+    h = uneven_hierarchy(14, (4, 6))
+    built = eps_os_construction(h, Fraction(1, 8))
+    with pytest.raises(AttributeError):
+        built.edges = ()
+    again = eps_os_construction(h, Fraction(1, 8))
+    assert again is not built
+    assert again == built and hash(again) == hash(built)
+    assert again.edges == built.edges
 
 
 @pytest.mark.parametrize("sizes", ((9, 1), (6, 3, 1), (10,), (6, 4, 2)), ids=str)

@@ -45,7 +45,6 @@ RECORDS = {
             "eps": HALF,
             "class_of": (0, 1),
             "bounds": ((1, HALF),),
-            "edges": ((0, 1),),
             "cross_max": Fraction(1, 4),
         },
         {},
