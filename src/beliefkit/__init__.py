@@ -3,8 +3,8 @@
 The package models conditional beliefs four ways (complete chain-rule
 tables, ordered prior hierarchies, weighted prior selection, lexicographic
 levels), converts between them where the theory allows it, and checks the
-preference axioms that separate them.  Everything is a Fraction end to
-end; nothing rounds.
+preference axioms that separate them.  Everything is exact end to end
+(integer numerators read as Fractions); nothing rounds.
 
 Every public name is importable from the package itself.  Importing the
 package registers each submodule in ``sys.modules`` as a lazy module,

@@ -1,8 +1,8 @@
 """Exact-arithmetic primitives: state spaces, events, beliefs, lotteries, acts.
 
 Everything here is immutable and hashable, and every probability or utility
-is exact: a belief stores reduced integer numerators over one denominator
-and reads them as ``fractions.Fraction``, everything else stores Fractions.
+is exact: beliefs and utilities store reduced integer numerators over one
+denominator and read them as ``fractions.Fraction``; lotteries store Fractions.
 No floats enter at any point, so equality is decidable and all downstream
 checks (chain rule, argmax strictness, round trips) can demand exact
 matches.
@@ -452,46 +452,46 @@ class Act:
 
 
 class UtilityFunction:
-    """A finite outcome-to-utility table.  Utilities may be negative."""
+    """Integer utility numerators, possibly negative: o is worth ``nums[o] / den``, reduced."""
 
-    __slots__ = ("_map", "items", "_hash")
+    __slots__ = ("items", "outcomes", "den", "nums", "_hash")
 
     def __init__(self, table: Mapping[str, Fraction | int]):
         if not table:
             raise ValidationError("utility table must not be empty")
-        self._map = {label: as_fraction(value) for label, value in table.items()}
-        self.items = tuple(sorted(self._map.items()))
+        self.items = tuple(sorted([(label, as_fraction(value)) for label, value in table.items()]))
+        den = self.den = lcm(*[v.denominator for _, v in self.items])
+        self.nums = {o: v.numerator * (den // v.denominator) for o, v in self.items}
+        self.outcomes = tuple(self.nums)
         self._hash = hash(self.items)
 
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.items)
-
     def value(self, outcome: str) -> Fraction:
+        return Fraction(self.num(outcome), self.den)
+
+    def num(self, outcome: str) -> int:
         try:
-            return self._map[outcome]
+            return self.nums[outcome]
         except KeyError:
             raise MissingUtility(f"no utility assigned to outcome {outcome!r}") from None
 
     def expected(self, lottery: Lottery) -> Fraction:
-        """Expected utility of ``lottery``, memoized on the lottery.
+        """Expected utility of ``lottery``, summed on integer numerators and memoized.
 
-        The memo is keyed by this utility, so a family's utilities hit it by
-        identity.  A missing outcome raises MissingUtility on every call;
-        failures are never stored.
+        The memo sits on the lottery, keyed by this utility, so a family's utilities
+        hit it by identity; a missing outcome raises MissingUtility on every call.
         """
         memo = lottery._expected
         if memo is None:
             memo = lottery._expected = {}
         value = memo.get(self)
         if value is None:
-            value = sum((p * self.value(o) for o, p in lottery.entries), ZERO)
-            memo[self] = value
+            d = lcm(*[p.denominator for _, p in lottery.entries])
+            n = sum([p.numerator * (d // p.denominator) * self.num(o) for o, p in lottery.entries])
+            value = memo[self] = Fraction(n, d * self.den)
         return value
 
     def affine(self, alpha: Fraction | int, beta: Fraction | int) -> "UtilityFunction":
-        alpha = as_fraction(alpha)
-        beta = as_fraction(beta)
+        alpha, beta = as_fraction(alpha), as_fraction(beta)
         return UtilityFunction({o: alpha * v + beta for o, v in self.items})
 
     def __eq__(self, other) -> bool:

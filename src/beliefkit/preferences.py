@@ -11,7 +11,9 @@ on the event; surprise-independent risk attitude by fitting an affine map
 from the base utility and verifying it pointwise.  Constant-act agreement
 is decided by the same fit over every lottery on the shared outcomes: by
 vNM uniqueness the orders rank all lotteries alike iff the fit holds with
-a positive scale (or both utilities are constant there).
+a positive scale (or both utilities are constant there).  Every decision
+runs on the integer numerators of beliefs and utilities; Fractions appear
+only where a report shows them: fitted coefficients and witness lotteries.
 
 Consequentialism and conditional consistency are decided exactly over
 every act that maps each state to a mixture of the first two shared
@@ -69,7 +71,7 @@ GRID_PROBABILITIES = (
 class PreferenceFamily:
     """An ordered hierarchy plus one non-constant utility per order."""
 
-    __slots__ = ("os", "utilities", "_given")
+    __slots__ = ("os", "utilities", "_given", "_shared")
 
     def __init__(
         self,
@@ -93,11 +95,12 @@ class PreferenceFamily:
                     f"for {len(os.priors)} priors"
                 )
         for k, u in enumerate(ordered):
-            values = {u.value(o) for o in u.outcomes}
-            if len(values) < 2:
+            if len(set(u.nums.values())) < 2:
                 raise ValidationError(f"utility for order {k} is constant")
         self.os = os
         self.utilities = ordered
+        shared = set(ordered[0].outcomes).intersection(*[u.outcomes for u in ordered[1:]])
+        self._shared = tuple(sorted(shared))
         # (order, belief) keyed by the event, whose equality includes the
         # space, so an event over another space meets the SpaceMismatch check
         self._given: dict[Event, tuple[int, Belief]] = {}
@@ -120,10 +123,7 @@ class PreferenceFamily:
         return self.utilities[self._lookup(e)[0]]
 
     def shared_outcomes(self) -> tuple[str, ...]:
-        common = set(self.utilities[0].outcomes)
-        for u in self.utilities[1:]:
-            common &= set(u.outcomes)
-        return tuple(sorted(common))
+        return self._shared
 
     def __repr__(self) -> str:
         return f"PreferenceFamily(<{len(self.utilities)} orders>)"
@@ -216,17 +216,21 @@ def check_consequentialism(
     """
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
+    belief = u = None
     if sample_pairs is None:
-        x, y = _mixed_outcomes(fam.shared_outcomes())
+        outcomes = fam.shared_outcomes()
+        x, y = _mixed_outcomes(outcomes)
         if e.space != fam.space:
             raise SpaceMismatch("event belongs to a different state space")
         u = fam.utility_given(e)
-        if u.value(x) == u.value(y) or not fam.belief_given(e).support_mask & ~e.mask:
+        if u.num(x) == u.num(y) or not (belief := fam.belief_given(e)).support_mask & ~e.mask:
             return CheckResult(True)
-        sample_pairs = default_act_pairs(fam.space, fam.shared_outcomes())
+        sample_pairs = default_act_pairs(fam.space, outcomes)
     for f, g in sample_pairs:
+        if u is None:  # the family is asked once, and not for an empty sample
+            belief, u = fam.belief_given(e), fam.utility_given(e)
         forced = compose_act(f, e, g)
-        verdict = os_prefer(fam, e, f, forced)
+        verdict = compare_values(seu_value(u, belief, f), seu_value(u, belief, forced))
         if verdict is not Preference.INDIFFERENT:
             return CheckResult(False, (f, forced, verdict))
     return CheckResult(True)
@@ -265,51 +269,46 @@ def check_conditional_consistency(
     if not a.issubset(e):
         raise ValidationError("the subevent must be contained in the conditioning event")
     belief = fam.belief_given(e)
-    if belief.prob(a) == 0:
+    if not belief.mask_num(a.mask):
         raise InfeasibleSubevent(
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
     if sample_triples is not None:
-        return _sampled_consistency(fam, e, a, sample_triples)
+        return _sampled_consistency(fam, e, a, sample_triples, belief)
     x, y = _mixed_outcomes(fam.shared_outcomes())
     v_e = _weighted_gains(belief, fam.utility_given(e), a.mask, x, y)
-    v_a = _weighted_gains(
-        fam.belief_given(a), fam.utility_given(a), fam.space.full_event.mask, x, y
-    )
+    v_a = _weighted_gains(fam.belief_given(a), fam.utility_given(a), -1, x, y)
     gap = _consistency_gap(v_e, v_a)
     if gap is None:
         return CheckResult(True)
     return _first_inconsistency(fam, x, y, v_e, v_a, gap)
 
 
-def _sampled_consistency(fam, e: Event, a: Event, triples) -> CheckResult:
+def _sampled_consistency(fam, e: Event, a: Event, triples, belief: Belief) -> CheckResult:
     composed: dict[tuple[Act, Act], Act] = {}
+    u_e = None
     for f, g, h in triples:
-        left_f = composed.get((f, h))
-        if left_f is None:
-            left_f = compose_act(f, a, h)
-            composed[(f, h)] = left_f
-        left_g = composed.get((g, h))
-        if left_g is None:
-            left_g = compose_act(g, a, h)
-            composed[(g, h)] = left_g
-        under_e = os_prefer(fam, e, left_f, left_g)
-        under_a = os_prefer(fam, a, f, g)
+        if u_e is None:  # the family is asked once, and not for an empty sample
+            u_e, b_a, u_a = fam.utility_given(e), fam.belief_given(a), fam.utility_given(a)
+        for act in (f, g):
+            if (act, h) not in composed:
+                composed[act, h] = compose_act(act, a, h)
+        left_f, left_g = composed[f, h], composed[g, h]
+        under_e = compare_values(seu_value(u_e, belief, left_f), seu_value(u_e, belief, left_g))
+        under_a = compare_values(seu_value(u_a, b_a, f), seu_value(u_a, b_a, g))
         if under_e is not under_a:
             return CheckResult(False, (f, g, h, under_e, under_a))
     return CheckResult(True)
 
 
-def _weighted_gains(
-    belief: Belief, u: UtilityFunction, mask: int, x: str, y: str
-) -> list[int]:
-    """b(s) * (u(y) - u(x)) for s in ``mask``, zero elsewhere.
+def _weighted_gains(belief: Belief, u: UtilityFunction, mask: int, x: str, y: str) -> list[int]:
+    """b(s) * (u(y) - u(x)) for s in ``mask`` (every s for -1), zero elsewhere.
 
-    Integer numerators: the belief's common denominator and the utility
-    gap's denominator are positive and shared by every entry, so they drop
-    out of every sign and cross-multiplication taken on the vector.
+    Integer numerators: the belief's and the utility's denominators are
+    positive and shared by every entry, so they drop out of every sign and
+    cross-multiplication taken on the vector.
     """
-    gain = (u.value(y) - u.value(x)).numerator
+    gain = u.num(y) - u.num(x)
     return [num * gain if mask >> i & 1 else 0 for i, num in enumerate(belief.nums)]
 
 
@@ -423,76 +422,66 @@ def check_risk_independence(fam) -> RiskIndependenceReport:
 
     The affine coefficients are pinned by the first two shared outcomes
     where the base utility differs; every remaining shared outcome must
-    land on that line and the scale must be positive.  Raises
-    DegenerateBase when the base utility is constant on the shared table,
-    since then no fit is determined.
+    land on that line and the scale must be positive (``_affine_break``).
+    Raises DegenerateBase when the base utility is constant on the shared
+    table, since then no fit is determined.
     """
     outcomes = fam.shared_outcomes()
     base = fam.utilities[0]
     anchor = _anchor(base, outcomes)
     if anchor is None:
         raise DegenerateBase("base utility is constant on the shared outcome table")
+    broken = _affine_break(fam.utilities, outcomes, anchor)
+    if broken is not None:
+        return RiskIndependenceReport(False, witness_order=broken[0], witness_outcome=broken[1])
     x, y = anchor
-    coefficients: dict[int, tuple[Fraction, Fraction]] = {0: (Fraction(1), Fraction(0))}
-    for k, u in enumerate(fam.utilities[1:], start=1):
-        scale = (u.value(x) - u.value(y)) / (base.value(x) - base.value(y))
-        shift = u.value(x) - scale * base.value(x)
-        if scale <= 0:
-            return RiskIndependenceReport(False, witness_order=k, witness_outcome=y)
-        for o in outcomes:
-            if u.value(o) != scale * base.value(o) + shift:
-                return RiskIndependenceReport(False, witness_order=k, witness_outcome=o)
-        coefficients[k] = (scale, shift)
+    b_x, b_y = base.num(x), base.num(y)
+    coefficients = {
+        k: (
+            Fraction((u.num(x) - u.num(y)) * base.den, (b_x - b_y) * u.den),
+            Fraction(u.num(y) * b_x - u.num(x) * b_y, (b_x - b_y) * u.den),
+        )
+        for k, u in enumerate(fam.utilities)
+    }
     return RiskIndependenceReport(True, coefficients=coefficients)
 
 
 def _anchor(u: UtilityFunction, outcomes: Sequence[str]) -> tuple[str, str] | None:
     """The first outcome and the first later one that ``u`` values differently."""
     for candidate in outcomes[1:]:
-        if u.value(candidate) != u.value(outcomes[0]):
+        if u.num(candidate) != u.num(outcomes[0]):
             return outcomes[0], candidate
     return None
 
 
-def _affine_break(
-    utilities: Sequence[UtilityFunction], outcomes: Sequence[str]
-) -> tuple[Lottery, Lottery, int] | None:
-    """The first order ranking some lottery pair unlike order 0, with that pair.
+def _affine_break(utilities: Sequence[UtilityFunction], outcomes, anchor) -> tuple[int, str] | None:
+    """The first order that is no positive affine image of order 0, and where.
 
-    By vNM uniqueness the orders agree on every lottery over ``outcomes``
-    iff each u_k is a positive affine image of u_0 there, or u_0 and u_k
-    are both constant there.  The pair is two degenerate lotteries where
-    u_0 is constant or the scale is not positive; otherwise, for the first
-    outcome o off the line through the anchor (x, y), the mixture of the
-    lowest and highest of x, y, o that u_0 values like the middle one,
-    against the middle one.  Order k ranks it strictly: the three points
-    (u_0, u_k) are not collinear.  None when every order agrees.
+    On numerators b of u_0 and c of u_k and the anchor (x, y) of u_0, u_k is
+    one iff (c_x - c_y)(b_x - b_y) > 0 (else the break is at y) and
+    (c_o - c_x)(b_x - b_y) = (c_x - c_y)(b_o - b_x) for every o (else at the
+    first o that fails).  Without an anchor u_0 is constant, and the first
+    order that is not breaks at its own anchor's second outcome.
     """
     base = utilities[0]
-    anchor = _anchor(base, outcomes)
     for k, u in enumerate(utilities[1:], start=1):
         if anchor is None:
             spread = _anchor(u, outcomes)
             if spread is not None:
-                return Lottery({spread[0]: 1}), Lottery({spread[1]: 1}), k
+                return k, spread[1]
             continue
         x, y = anchor
-        scale = (u.value(x) - u.value(y)) / (base.value(x) - base.value(y))
-        if scale <= 0:
-            return Lottery({x: 1}), Lottery({y: 1}), k
-        shift = u.value(x) - scale * base.value(x)
+        b_x, c_x = base.num(x), u.num(x)
+        b_gap, c_gap = b_x - base.num(y), c_x - u.num(y)
+        if b_gap * c_gap <= 0:
+            return k, y
         for o in outcomes:
-            if u.value(o) != scale * base.value(o) + shift:
-                lo, mid, hi = sorted((x, y, o), key=base.value)
-                alpha = (base.value(mid) - base.value(lo)) / (base.value(hi) - base.value(lo))
-                return Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1}), k
+            if (u.num(o) - c_x) * b_gap != c_gap * (base.num(o) - b_x):
+                return k, o
     return None
 
 
-def check_constant_act_agreement(
-    fam,
-    lotteries: Sequence[Lottery] | None = None,
-) -> CheckResult:
+def check_constant_act_agreement(fam, lotteries: Sequence[Lottery] | None = None) -> CheckResult:
     """Constant-act rankings must not depend on the surprise order.
 
     Compares every lottery pair under each order's utility against order
@@ -500,31 +489,41 @@ def check_constant_act_agreement(
     order 0) for the first flip.
 
     Without ``lotteries`` the axiom is decided over every lottery on the
-    shared outcomes (``_affine_break``), so a pass is a proof.  A fail
-    reports the first flip of the default grid (mixtures of the first two
-    shared outcomes), or else the pair built by the decision.  An explicit
-    sample keeps its sampled meaning.
+    shared outcomes: by vNM uniqueness the orders agree there iff each u_k
+    is a positive affine image of u_0, or both are constant
+    (``_affine_break``), so a pass is a proof.  A fail reports the first
+    flip of the default grid (mixtures of the first two shared outcomes),
+    or else a pair built at the break: two degenerate lotteries, or the
+    mixture of the lowest and highest of x, y, o that u_0 values like the
+    middle one, against the middle one, which order k ranks strictly since
+    the three points (u_0, u_k) are not collinear.  An explicit sample keeps
+    its sampled meaning.
     """
-    built = None
+    base = fam.utilities[0]
+    built = ()
     if lotteries is None:
         outcomes = fam.shared_outcomes()
         _mixed_outcomes(outcomes)  # two distinct outcomes, as the grid needs
-        built = _affine_break(fam.utilities, outcomes)
-        if built is None:
+        anchor = _anchor(base, outcomes)
+        broken = _affine_break(fam.utilities, outcomes, anchor)
+        if broken is None:
             return CheckResult(True)
         lotteries = lottery_grid(outcomes)
-    base = fam.utilities[0]
-    for i, p in enumerate(lotteries):
-        for q in lotteries[i + 1 :]:
-            bench = compare_values(base.expected(p), base.expected(q))
-            for k, u in enumerate(fam.utilities[1:], start=1):
-                verdict = compare_values(u.expected(p), u.expected(q))
-                if verdict is not bench:
-                    return CheckResult(False, (p, q, k, verdict, bench))
-    if built is None:
-        return CheckResult(True)
-    p, q, k = built
-    u = fam.utilities[k]
-    verdict = compare_values(u.expected(p), u.expected(q))
-    bench = compare_values(base.expected(p), base.expected(q))
-    return CheckResult(False, (p, q, k, verdict, bench))
+        o = broken[1]
+        x, y = anchor or (outcomes[0], o)
+        if o == y:
+            built = ((Lottery({x: 1}), Lottery({y: 1})),)
+        else:
+            lo, mid, hi = sorted((x, y, o), key=base.num)
+            alpha = Fraction(base.num(mid) - base.num(lo), base.num(hi) - base.num(lo))
+            built = ((Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1})),)
+    pairs = [(p, q) for i, p in enumerate(lotteries) for q in lotteries[i + 1 :]]
+    # orders before the break agree with order 0 on every lottery, and the
+    # built pair flips at the break, so its first flip is the break's order
+    for p, q in [*pairs, *built]:
+        bench = compare_values(base.expected(p), base.expected(q))
+        for k, u in enumerate(fam.utilities[1:], start=1):
+            verdict = compare_values(u.expected(p), u.expected(q))
+            if verdict is not bench:
+                return CheckResult(False, (p, q, k, verdict, bench))
+    return CheckResult(True)

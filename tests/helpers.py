@@ -7,21 +7,26 @@ from fractions import Fraction
 from beliefkit import (
     Act,
     Belief,
+    CheckResult,
     CpsValidation,
     CpsWitness,
     Event,
     Lottery,
     OSRepresentation,
+    Preference,
+    RiskIndependenceReport,
     StateSpace,
     UpdatingRule,
     UtilityFunction,
     compose_act,
     is_complete,
     is_concentrated,
+    lottery_grid,
 )
 from beliefkit.core import ONE, ZERO, as_fraction, lex_submasks
 from beliefkit.errors import (
     BeliefkitError,
+    DegenerateBase,
     EmptyEvent,
     NullConditioning,
     SeparationFailed,
@@ -124,6 +129,113 @@ def fraction_seu(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
         value = sum((p * u.value(o) for o, p in lottery.entries), Fraction(0))
         total += mass * value
     return total
+
+
+def count_fractions(monkeypatch) -> list:
+    """Record every Fraction built until ``monkeypatch.undo()``."""
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+def fraction_ranking(u: UtilityFunction, p: Lottery, q: Lottery) -> Preference:
+    """Rank two lotteries by expected utility, summed in Fractions."""
+    a, b = (sum((prob * u.value(o) for o, prob in lot.entries), Fraction(0)) for lot in (p, q))
+    return Preference.FIRST if a > b else Preference.SECOND if b > a else Preference.INDIFFERENT
+
+
+def _fraction_anchor(u: UtilityFunction, outcomes) -> tuple[str, str] | None:
+    for candidate in outcomes[1:]:
+        if u.value(candidate) != u.value(outcomes[0]):
+            return outcomes[0], candidate
+    return None
+
+
+def fraction_risk_independence(fam) -> RiskIndependenceReport:
+    """Oracle for ``check_risk_independence``: the affine fit in Fractions.
+
+    The scale and shift come from the anchor (the first two shared outcomes
+    order 0 values differently); then the scale's sign and every shared
+    outcome are checked against them, order by order.
+    """
+    outcomes = fam.shared_outcomes()
+    base = fam.utilities[0]
+    anchor = _fraction_anchor(base, outcomes)
+    if anchor is None:
+        raise DegenerateBase("base utility is constant on the shared outcome table")
+    x, y = anchor
+    coefficients = {0: (Fraction(1), Fraction(0))}
+    for k, u in enumerate(fam.utilities[1:], start=1):
+        scale = (u.value(x) - u.value(y)) / (base.value(x) - base.value(y))
+        shift = u.value(x) - scale * base.value(x)
+        if scale <= 0:
+            return RiskIndependenceReport(False, witness_order=k, witness_outcome=y)
+        for o in outcomes:
+            if u.value(o) != scale * base.value(o) + shift:
+                return RiskIndependenceReport(False, witness_order=k, witness_outcome=o)
+        coefficients[k] = (scale, shift)
+    return RiskIndependenceReport(True, coefficients=coefficients)
+
+
+def fraction_affine_break(utilities, outcomes) -> tuple[Lottery, Lottery, int] | None:
+    """The first order ranking some lottery pair unlike order 0, with that pair.
+
+    The Fraction fit of ``fraction_risk_independence``.  Where u_0 is
+    constant, or the scale is not positive, the pair is two degenerate
+    lotteries; otherwise, for the first outcome o off the line through the
+    anchor (x, y), it is the mixture of the lowest and highest of x, y, o
+    that u_0 values like the middle one, against the middle one.
+    """
+    base = utilities[0]
+    anchor = _fraction_anchor(base, outcomes)
+    for k, u in enumerate(utilities[1:], start=1):
+        if anchor is None:
+            spread = _fraction_anchor(u, outcomes)
+            if spread is not None:
+                return Lottery({spread[0]: 1}), Lottery({spread[1]: 1}), k
+            continue
+        x, y = anchor
+        scale = (u.value(x) - u.value(y)) / (base.value(x) - base.value(y))
+        if scale <= 0:
+            return Lottery({x: 1}), Lottery({y: 1}), k
+        shift = u.value(x) - scale * base.value(x)
+        for o in outcomes:
+            if u.value(o) != scale * base.value(o) + shift:
+                lo, mid, hi = sorted((x, y, o), key=base.value)
+                alpha = (base.value(mid) - base.value(lo)) / (base.value(hi) - base.value(lo))
+                return Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1}), k
+    return None
+
+
+def fraction_constant_act_agreement(fam) -> CheckResult:
+    """Oracle for ``check_constant_act_agreement`` without a sample, in Fractions.
+
+    Passes when ``fraction_affine_break`` finds no break; otherwise reports
+    the first flip on the default lottery grid, else the built pair.
+    """
+    outcomes = fam.shared_outcomes()
+    built = fraction_affine_break(fam.utilities, outcomes)
+    if built is None:
+        return CheckResult(True)
+    base = fam.utilities[0]
+    lotteries = lottery_grid(outcomes)
+    for i, p in enumerate(lotteries):
+        for q in lotteries[i + 1 :]:
+            bench = fraction_ranking(base, p, q)
+            for k, u in enumerate(fam.utilities[1:], start=1):
+                verdict = fraction_ranking(u, p, q)
+                if verdict is not bench:
+                    return CheckResult(False, (p, q, k, verdict, bench))
+    p, q, k = built
+    return CheckResult(
+        False, (p, q, k, fraction_ranking(fam.utilities[k], p, q), fraction_ranking(base, p, q))
+    )
 
 
 def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:

@@ -20,6 +20,7 @@ from beliefkit import (
     Event,
     InfeasibleSubevent,
     Lottery,
+    MissingUtility,
     OSRepresentation,
     Preference,
     PreferenceFamily,
@@ -355,3 +356,56 @@ def test_errors_keep_their_precedence():
     two = PreferenceFamily(coin_hierarchy(), [UtilityFunction({"x": 0, "y": 1})] * 3)
     with pytest.raises(SpaceMismatch, match="event belongs to a different state space"):
         check_consequentialism(two, StateSpace(tuple("abcdef")).event("a"))
+
+    # a utility without the shared outcome y: the typed error, not a KeyError
+    full = space.full_event
+    lacking = TableFamily(space, {}, {full: UtilityFunction({"x": 0, "z": 1})}, honest=two)
+    with pytest.raises(MissingUtility, match="'y'"):
+        check_consequentialism(lacking, full)
+    with pytest.raises(MissingUtility, match="'y'"):
+        check_conditional_consistency(lacking, full, full)
+
+
+class AskCounter:
+    """Wraps a family and records each belief or utility it is asked for."""
+
+    def __init__(self, fam):
+        self._fam = fam
+        self.space = fam.space
+        self.asked = []
+
+    def belief_given(self, e: Event) -> Belief:
+        self.asked.append(("belief", e))
+        return self._fam.belief_given(e)
+
+    def utility_given(self, e: Event) -> UtilityFunction:
+        self.asked.append(("utility", e))
+        return self._fam.utility_given(e)
+
+    def shared_outcomes(self):
+        return self._fam.shared_outcomes()
+
+
+def test_sampled_loops_ask_the_family_once():
+    fam, e, a = eight_state_miss()
+    space = fam.space
+    counter = AskCounter(fam)
+    triples = default_act_triples(space, fam.shared_outcomes())
+    assert check_conditional_consistency(counter, e, a, triples)
+    assert counter.asked == [("belief", e), ("utility", e), ("belief", a), ("utility", a)]
+    counter.asked.clear()
+    assert check_conditional_consistency(counter, e, a, sample_triples=())
+    assert counter.asked == [("belief", e)]  # its feasibility only
+
+    lone = space.event("s0")
+    leaky = AskCounter(
+        TableFamily(space, {lone: Belief.uniform_on(space.full_event)}, {}, honest=fam._honest)
+    )
+    constant = Act.constant(space, Lottery({"x": 1}))
+    assert check_consequentialism(leaky, lone, sample_pairs=[(constant, constant)] * 5)
+    assert leaky.asked == [("belief", lone), ("utility", lone)]
+    leaky.asked.clear()
+    assert check_consequentialism(leaky, lone, sample_pairs=())
+    assert leaky.asked == []
+    assert not check_consequentialism(leaky, lone)
+    assert leaky.asked == [("utility", lone), ("belief", lone)]

@@ -30,7 +30,7 @@ from beliefkit import (
     surprise_partition,
     validate_cps,
 )
-from helpers import coin_hierarchy, random_canonical_os
+from helpers import coin_hierarchy, count_fractions, random_canonical_os
 
 
 @pytest.fixture
@@ -373,19 +373,6 @@ def test_public_constructor_errors_keep_their_types_and_messages(coin):
         with pytest.raises(ValidationError) as err:
             HTRepresentation(space, priors, rho)
         assert type(err.value) is ValidationError and str(err.value) == message
-
-
-def count_fractions(monkeypatch) -> list:
-    """Record every Fraction built until ``monkeypatch.undo()``."""
-    built = []
-    real = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    return built
 
 
 @pytest.mark.parametrize("sizes", ((8,), (4, 4), (3, 3, 2)), ids=str)

@@ -30,7 +30,13 @@ from beliefkit import (
     os_prefer,
     preferences,
 )
-from helpers import coin_hierarchy, random_canonical_os
+from helpers import (
+    coin_hierarchy,
+    count_fractions,
+    fraction_constant_act_agreement,
+    fraction_risk_independence,
+    random_canonical_os,
+)
 
 XY = UtilityFunction({"x": 0, "y": 1})
 
@@ -375,3 +381,81 @@ def test_constant_act_decision_matches_a_lottery_grid(fam):
     )
     if not sampled:
         assert result.witness == sampled.witness
+
+
+def assert_fit_matches_the_oracle(fam):
+    """Both checks report what the Fraction oracles report, field by field."""
+    try:
+        want = fraction_risk_independence(fam)
+    except DegenerateBase:
+        with pytest.raises(DegenerateBase):
+            check_risk_independence(fam)
+    else:
+        got = check_risk_independence(fam)
+        assert got == want  # holds, coefficients, witness order and outcome
+        for pair in (got.coefficients or {}).values():
+            assert all(type(c) is Fraction for c in pair)
+    assert check_constant_act_agreement(fam) == fraction_constant_act_agreement(fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(utility_families())
+def test_integer_fit_matches_the_fraction_oracle(fam):
+    assert_fit_matches_the_oracle(fam)
+
+
+PQR = UtilityFunction({"p": 0, "q": 1, "r": 2})
+FLAT = UtilityFunction({"p": 1, "q": 1, "r": 1, "s": 0})
+
+
+@pytest.mark.parametrize(
+    "u0, u1",
+    (
+        (PQR, PQR.affine(-2, 1)),
+        (PQR, UtilityFunction({"p": 3, "q": 3, "r": 3, "s": 0})),
+        (FLAT, PQR),
+        (FLAT, UtilityFunction({"p": 2, "q": 2, "r": 2, "t": 5})),
+        (PQR.affine(Fraction(1, 7), 3), PQR.affine(Fraction(2, 3), Fraction(-1, 5))),
+    ),
+    ids=("negative-scale", "zero-scale", "constant-base", "both-constant", "denominators"),
+)
+def test_integer_fit_matches_the_fraction_oracle_at_the_edges(u0, u1):
+    assert_fit_matches_the_oracle(two_level_family(u0, u1))
+
+
+def test_passing_checks_build_fractions_only_for_coefficients(monkeypatch):
+    """Honest families pass every check, and only risk independence builds
+    Fractions: its reported coefficients, two per order."""
+    rng = random.Random(1818)
+    families = []
+    for _ in range(12):
+        hier = random_canonical_os(rng, max_states=6)
+        base = UtilityFunction({"x": 0, "y": 1, "z": rng.randint(2, 5)})
+        scales = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in hier.priors[1:]]
+        families.append(
+            PreferenceFamily(hier, [base, *(base.affine(c, rng.randint(-4, 4)) for c in scales)])
+        )
+    checks = {
+        "consequentialism": lambda fam: [
+            check_consequentialism(fam, e) for e, _ in default_event_pairs(fam.os)
+        ],
+        "conditional_consistency": lambda fam: [
+            check_conditional_consistency(fam, e, a) for e, a in default_event_pairs(fam.os)
+        ],
+        "risk_independence": lambda fam: [check_risk_independence(fam)],
+        "constant_act_agreement": lambda fam: [check_constant_act_agreement(fam)],
+    }
+    counts = {}
+    for name, run in checks.items():
+        built = count_fractions(monkeypatch)
+        passed = all(all(run(fam)) for fam in families)
+        monkeypatch.undo()
+        assert passed, name
+        counts[name] = len(built)
+    orders = sum(len(fam.utilities) for fam in families)
+    assert counts == {
+        "consequentialism": 0,
+        "conditional_consistency": 0,
+        "risk_independence": 2 * orders,
+        "constant_act_agreement": 0,
+    }
