@@ -41,11 +41,10 @@ _EXPORTS = {
         "surprise_partition",
     ),
     "preferences": (
-        "GRID_PROBABILITIES", "PreferenceFamily", "RiskIndependenceReport",
-        "act_grid", "check_conditional_consistency", "check_consequentialism",
+        "PreferenceFamily", "RiskIndependenceReport",
+        "check_conditional_consistency", "check_consequentialism",
         "check_constant_act_agreement", "check_risk_independence",
-        "default_act_pairs", "default_act_triples", "default_event_pairs",
-        "lottery_grid", "os_prefer",
+        "default_event_pairs", "os_prefer",
     ),
     "rules": (
         "CpsValidation", "CpsWitness", "UpdatingRule", "bayesian_rule",

@@ -5,26 +5,24 @@ given an event is expected utility under the event's conditional belief,
 evaluated with the utility of the event's order.
 
 The checks here verify axioms as properties of a representation, not on
-raw choice data.  Dynamic consistency is checked by composing acts so they
-agree off the subevent; consequentialism by composing pairs so they agree
-on the event; surprise-independent risk attitude by fitting an affine map
-from the base utility and verifying it pointwise.  Constant-act agreement
-is decided by the same fit over every lottery on the shared outcomes: by
-vNM uniqueness the orders rank all lotteries alike iff the fit holds with
-a positive scale (or both utilities are constant there).  Every decision
-runs on the integer numerators of beliefs and utilities; Fractions appear
-only where a report shows them: fitted coefficients and witness lotteries.
+raw choice data.  Each decides its axiom on the integer numerators of
+beliefs and utilities, so a pass is a proof on the check's domain, and a
+fail builds one witness in closed form.  Fractions appear only where a
+report shows them: fitted coefficients and witness lotteries.
 
-Consequentialism and conditional consistency are decided exactly over
-every act that maps each state to a mixture of the first two shared
-outcomes x and y, at any rational probability.  Such an act is ranked by
-b(s) * (u(y) - u(x)) per state, so each axiom reduces to an O(n) integer
-test on those vectors and a pass is a proof on that domain.  Only a fail
-looks at the deterministic act sample (the first two outcomes on a fixed
-probability grid, plus single-state bets), so its first witness is the
-one reported; where the sample holds none, a witness is built from the
-vectors.  Conditional consistency ranks that sample on the same vectors,
-so a fail costs one dot product per sampled act, whatever the family.
+- Consequentialism, over every act on the shared outcomes: it holds iff
+  the event's utility is constant on them or its belief puts no mass off
+  the event.
+- Conditional (dynamic) consistency, over every act that maps each state
+  to a mixture of the first two shared outcomes x and y, at any rational
+  probability.  Such an act is ranked by b(s) * (u(y) - u(x)) per state,
+  so the axiom reduces to an O(n) integer test on those vectors.
+- Surprise-independent risk attitude, by fitting an affine map from the
+  base utility and verifying it pointwise.
+- Constant-act agreement, by the same fit over every lottery on the
+  shared outcomes: by vNM uniqueness the orders rank all lotteries alike
+  iff the fit holds with a positive scale (or both utilities are constant
+  there).
 
 Checks take any family-shaped object with ``space``, ``belief_given`` and
 ``utility_given``; that is what lets tests feed distorted families through
@@ -34,7 +32,7 @@ the same code path and watch them fail.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     Act,
@@ -47,7 +45,6 @@ from .core import (
     UtilityFunction,
     bayes_update,
     compare_values,
-    compose_act,
     seu_value,
 )
 from .errors import (
@@ -58,14 +55,6 @@ from .errors import (
     ValidationError,
 )
 from .ordered_surprises import OSRepresentation, surprise_order
-
-GRID_PROBABILITIES = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
 
 
 class PreferenceFamily:
@@ -136,112 +125,55 @@ def os_prefer(fam, e: Event, f: Act, g: Act) -> Preference:
     return compare_values(seu_value(u, belief, f), seu_value(u, belief, g))
 
 
-def lottery_grid(
-    outcomes: Sequence[str],
-    probabilities: Sequence[Fraction] = GRID_PROBABILITIES,
-) -> tuple[Lottery, ...]:
-    """Mixtures of the first two distinct outcomes along a probability grid."""
-    x, y = _mixed_outcomes(outcomes)
-    return tuple(Lottery({x: 1 - p, y: p}) for p in probabilities)
-
-
 def _mixed_outcomes(outcomes: Sequence[str]) -> tuple[str, str]:
-    """The first two distinct outcomes, x and y, that every sampled act mixes."""
+    """The first two distinct outcomes, x and y, that a witness mixes."""
     distinct = list(dict.fromkeys(outcomes))
     if len(distinct) < 2:
         raise ValidationError("need at least two distinct outcomes to build lotteries")
     return distinct[0], distinct[1]
 
 
-def act_grid(space: StateSpace, outcomes: Sequence[str], max_bets: int = 6) -> tuple[Act, ...]:
-    """Constant acts on a coarse lottery grid plus single-state bets."""
-    lotteries = lottery_grid(outcomes, (Fraction(0), Fraction(1, 2), Fraction(1)))
-    acts = [Act.constant(space, lot) for lot in lotteries]
-    low, high = lotteries[0], lotteries[-1]
-    for label in space.states[:max_bets]:
-        acts.append(
-            Act(space, {s: (high if s == label else low) for s in space.states})
-        )
-    return tuple(acts)
+def _xy_act(space: StateSpace, x: str, y: str, p_y: Sequence[Fraction | int]) -> Act:
+    """The act giving y with probability ``p_y[i]`` at state i, and x otherwise."""
+    return Act(space, {s: Lottery({x: 1 - p, y: p}) for s, p in zip(space.states, p_y)})
 
 
-def default_act_pairs(
-    space: StateSpace, outcomes: Sequence[str], limit: int = 60
-) -> tuple[tuple[Act, Act], ...]:
-    """Ordered distinct pairs from the act grid, truncated deterministically."""
-    grid = act_grid(space, outcomes)
-    pairs = []
-    for f in grid:
-        for g in grid:
-            if f != g:
-                pairs.append((f, g))
-                if len(pairs) == limit:
-                    return tuple(pairs)
-    return tuple(pairs)
-
-
-def default_act_triples(
-    space: StateSpace, outcomes: Sequence[str], limit: int = 60
-) -> tuple[tuple[Act, Act, Act], ...]:
-    """(f, g, h) samples: distinct pair plus a constant-act padding."""
-    grid = act_grid(space, outcomes)
-    paddings = grid[:3]
-    triples = []
-    for f in grid:
-        for g in grid:
-            if f == g:
-                continue
-            for h in paddings:
-                triples.append((f, g, h))
-                if len(triples) == limit:
-                    return tuple(triples)
-    return tuple(triples)
-
-
-def check_consequentialism(
-    fam,
-    e: Event,
-    sample_pairs: Iterable[tuple[Act, Act]] | None = None,
-) -> CheckResult:
+def check_consequentialism(fam, e: Event) -> CheckResult:
     """Acts forced to agree on the event must rank indifferent given it.
 
-    Each pair (f, g) is turned into f versus "f on e, g elsewhere".  The
-    witness is (f, composed act, verdict) for the first strict ranking.
-
-    Without ``sample_pairs`` the axiom is decided over every x/y-mixture
-    act: it holds iff u_e(y) = u_e(x) or the belief given ``e`` puts no
-    mass off ``e``.  A fail runs the default sample, whose first pair
-    (constant x against x on ``e`` and the even mixture off it) already
-    ranks strictly then.  An explicit sample keeps its sampled meaning.
+    Decided over every act on the shared outcomes: f and "f on e, g
+    elsewhere" differ in value given ``e`` by the belief's mass off ``e``
+    times utility differences, so the axiom holds iff u_e is constant on
+    the shared outcomes or the belief given ``e`` puts no mass off ``e``.
+    A fail reports (f, "f on e, g elsewhere", verdict) for f constant at
+    the first shared outcome x and g constant at the even mixture of x and
+    the first shared outcome o that u_e values apart from x (y whenever
+    u_e(y) != u_e(x)): SECOND when u_e(o) > u_e(x), else FIRST.
     """
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
-    belief = u = None
-    if sample_pairs is None:
-        outcomes = fam.shared_outcomes()
-        x, y = _mixed_outcomes(outcomes)
-        if e.space != fam.space:
-            raise SpaceMismatch("event belongs to a different state space")
-        u = fam.utility_given(e)
-        if u.num(x) == u.num(y) or not (belief := fam.belief_given(e)).support_mask & ~e.mask:
-            return CheckResult(True)
-        sample_pairs = default_act_pairs(fam.space, outcomes)
-    for f, g in sample_pairs:
-        if u is None:  # the family is asked once, and not for an empty sample
-            belief, u = fam.belief_given(e), fam.utility_given(e)
-        forced = compose_act(f, e, g)
-        verdict = compare_values(seu_value(u, belief, f), seu_value(u, belief, forced))
-        if verdict is not Preference.INDIFFERENT:
-            return CheckResult(False, (f, forced, verdict))
-    return CheckResult(True)
+    outcomes = fam.shared_outcomes()
+    x = _mixed_outcomes(outcomes)[0]
+    space = fam.space
+    if e.space != space:
+        raise SpaceMismatch("event belongs to a different state space")
+    u = fam.utility_given(e)
+    u_x = u.num(x)
+    for o in outcomes:
+        if u.num(o) != u_x:
+            break
+    else:
+        return CheckResult(True)
+    if not fam.belief_given(e).support_mask & ~e.mask:
+        return CheckResult(True)
+    off_e = [0 if e.mask >> i & 1 else Fraction(1, 2) for i in range(len(space))]
+    verdict = Preference.SECOND if u.num(o) > u_x else Preference.FIRST
+    return CheckResult(
+        False, (_xy_act(space, x, o, [0] * len(space)), _xy_act(space, x, o, off_e), verdict)
+    )
 
 
-def check_conditional_consistency(
-    fam,
-    e: Event,
-    a: Event,
-    sample_triples: Iterable[tuple[Act, Act, Act]] | None = None,
-) -> CheckResult:
+def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
     """Rankings through a feasible subevent agree with rankings on it.
 
     For every (f, g, h), "f on a, h elsewhere" versus the same for g under
@@ -249,15 +181,15 @@ def check_conditional_consistency(
     The witness is (f, g, h, verdict under e, verdict under a) for the
     first disagreement.
 
-    Without ``sample_triples`` the axiom is decided over every x/y-mixture
-    act.  With v_e(s) = b_e(s) * (u_e(y) - u_e(x)) on ``a`` and zero off it,
-    and v_a(s) = b_a(s) * (u_a(y) - u_a(x)) on every state, it holds iff
-    v_e = c * v_a for some c > 0, or both vanish.  A fail reports the
-    default sample's first witness, ranked on those vectors, or else one
-    built from them: a single-state bet where the signs of v_e and v_a
-    differ, otherwise two bets that the ``e``-conditional ranks indifferent
-    and the ``a``-conditional does not.  An explicit sample keeps its
-    sampled meaning.
+    Decided over every act that maps each state to a mixture of the first
+    two shared outcomes x and y.  With v_e(s) = b_e(s) * (u_e(y) - u_e(x))
+    on ``a`` and zero off it, and v_a(s) = b_a(s) * (u_a(y) - u_a(x)) on
+    every state, it holds iff v_e = c * v_a for some c > 0, or both vanish.
+    A fail reports, with h constant at x, the first disagreeing pair among
+    the act grid's first 20 ordered distinct pairs (``_act_grid``), else a
+    pair built from the vectors: a single-state bet where the signs of v_e
+    and v_a differ, otherwise two bets that the ``e``-conditional ranks
+    indifferent and the ``a``-conditional does not.
 
     Raises InfeasibleSubevent when ``a`` carries no mass given ``e``; the
     axiom says nothing there and silence would be misleading.
@@ -273,32 +205,13 @@ def check_conditional_consistency(
         raise InfeasibleSubevent(
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
-    if sample_triples is not None:
-        return _sampled_consistency(fam, e, a, sample_triples, belief)
     x, y = _mixed_outcomes(fam.shared_outcomes())
     v_e = _weighted_gains(belief, fam.utility_given(e), a.mask, x, y)
     v_a = _weighted_gains(fam.belief_given(a), fam.utility_given(a), -1, x, y)
     gap = _consistency_gap(v_e, v_a)
     if gap is None:
         return CheckResult(True)
-    return _first_inconsistency(fam, x, y, v_e, v_a, gap)
-
-
-def _sampled_consistency(fam, e: Event, a: Event, triples, belief: Belief) -> CheckResult:
-    composed: dict[tuple[Act, Act], Act] = {}
-    u_e = None
-    for f, g, h in triples:
-        if u_e is None:  # the family is asked once, and not for an empty sample
-            u_e, b_a, u_a = fam.utility_given(e), fam.belief_given(a), fam.utility_given(a)
-        for act in (f, g):
-            if (act, h) not in composed:
-                composed[act, h] = compose_act(act, a, h)
-        left_f, left_g = composed[f, h], composed[g, h]
-        under_e = compare_values(seu_value(u_e, belief, left_f), seu_value(u_e, belief, left_g))
-        under_a = compare_values(seu_value(u_a, b_a, f), seu_value(u_a, b_a, g))
-        if under_e is not under_a:
-            return CheckResult(False, (f, g, h, under_e, under_a))
-    return CheckResult(True)
+    return _first_inconsistency(fam.space, x, y, v_e, v_a, gap)
 
 
 def _weighted_gains(belief: Belief, u: UtilityFunction, mask: int, x: str, y: str) -> list[int]:
@@ -341,49 +254,42 @@ def _consistency_gap(v_e: list[int], v_a: list[int]) -> dict[int, Fraction] | No
     return None
 
 
+def _act_grid(n: int) -> list[tuple[Fraction | int, ...]]:
+    """Each grid act's probability of y, state by state, over ``n`` states.
+
+    Constant x, the even mixture of x and y, constant y, then a bet on y
+    at each of the first six states.
+    """
+    grid = [(p,) * n for p in (0, Fraction(1, 2), 1)]
+    return grid + [tuple(int(i == s) for i in range(n)) for s in range(min(n, 6))]
+
+
 def _first_inconsistency(
-    fam, x: str, y: str, v_e: list[int], v_a: list[int], gap: dict[int, Fraction]
+    space: StateSpace, x: str, y: str, v_e: list[int], v_a: list[int], gap: dict[int, Fraction]
 ) -> CheckResult:
-    """The default sample's first disagreement, else the pair built from ``gap``.
+    """The first disagreeing pair of the grid's first 20, else the one built from ``gap``.
 
     Every act here maps each state to a mixture of x and y, and h cancels
     from "f on a, h elsewhere" versus "g on a, h elsewhere" since v_e is
-    zero off the subevent.  So both verdicts are the signs of v_e and v_a dotted
-    with f's and g's probabilities of y: the same verdicts ``os_prefer``
-    gives, scaled by positive denominators, at one dot product per act
-    instead of two conditional beliefs and four SEU values per triple.
+    zero off the subevent.  So both verdicts are the signs of v_e and v_a
+    dotted with f's and g's probabilities of y: the verdicts ``os_prefer``
+    gives, scaled by positive denominators.
     """
-    scores: dict[Act, tuple[Fraction, Fraction]] = {}
-
-    def score(act: Act) -> tuple[Fraction, Fraction]:
-        known = scores.get(act)
-        if known is None:
-            p_y = [lottery.probability(y) for lottery in act.assignment]
-            known = scores[act] = (
-                sum([v * p for v, p in zip(v_e, p_y) if v]),
-                sum([v * p for v, p in zip(v_a, p_y) if v]),
-            )
-        return known
-
-    def ranked(f: Act, g: Act) -> tuple[Preference, Preference]:
-        (e_f, a_f), (e_g, a_g) = score(f), score(g)
-        return compare_values(e_f, e_g), compare_values(a_f, a_g)
-
-    for f, g, h in default_act_triples(fam.space, fam.shared_outcomes()):
-        under_e, under_a = ranked(f, g)
+    n = len(space)
+    grid = _act_grid(n)
+    pairs = [(f, g) for f in grid for g in grid if f != g][:20]
+    built = [tuple(max(sign * gap.get(i, 0), 0) for i in range(n)) for sign in (1, -1)]
+    for f, g in [*pairs, built]:
+        under_e = compare_values(_dot(v_e, f), _dot(v_e, g))
+        under_a = compare_values(_dot(v_a, f), _dot(v_a, g))
         if under_e is not under_a:
-            return CheckResult(False, (f, g, h, under_e, under_a))
-    space = fam.space
+            break  # the built pair, last, always disagrees
+    acts = [_xy_act(space, x, y, p_y) for p_y in (f, g, grid[0])]
+    return CheckResult(False, (*acts, under_e, under_a))
 
-    def act(sign: int) -> Act:
-        lotteries = {}
-        for i, label in enumerate(space.states):
-            p = max(sign * gap.get(i, 0), 0)
-            lotteries[label] = Lottery({x: 1 - p, y: p})
-        return Act(space, lotteries)
 
-    f, g = act(1), act(-1)
-    return CheckResult(False, (f, g, Act.constant(space, Lottery({x: 1})), *ranked(f, g)))
+def _dot(v: list[int], p_y: Sequence[Fraction | int]) -> Fraction | int:
+    return sum([w * p for w, p in zip(v, p_y) if w])
 
 
 def default_event_pairs(os: OSRepresentation) -> tuple[tuple[Event, Event], ...]:
@@ -481,46 +387,40 @@ def _affine_break(utilities: Sequence[UtilityFunction], outcomes, anchor) -> tup
     return None
 
 
-def check_constant_act_agreement(fam, lotteries: Sequence[Lottery] | None = None) -> CheckResult:
+def check_constant_act_agreement(fam) -> CheckResult:
     """Constant-act rankings must not depend on the surprise order.
 
-    Compares every lottery pair under each order's utility against order
-    0.  The witness is (lottery, lottery, order, verdict there, verdict at
-    order 0) for the first flip.
-
-    Without ``lotteries`` the axiom is decided over every lottery on the
-    shared outcomes: by vNM uniqueness the orders agree there iff each u_k
-    is a positive affine image of u_0, or both are constant
-    (``_affine_break``), so a pass is a proof.  A fail reports the first
-    flip of the default grid (mixtures of the first two shared outcomes),
-    or else a pair built at the break: two degenerate lotteries, or the
-    mixture of the lowest and highest of x, y, o that u_0 values like the
-    middle one, against the middle one, which order k ranks strictly since
-    the three points (u_0, u_k) are not collinear.  An explicit sample keeps
-    its sampled meaning.
+    Decided over every lottery on the shared outcomes: by vNM uniqueness
+    the orders agree there iff each u_k is a positive affine image of u_0,
+    or both are constant (``_affine_break``), so a pass is a proof.  A fail
+    reports (lottery, lottery, order, verdict there, verdict at order 0)
+    for the first flip among two pairs.  First x against 3/4 x + 1/4 y, for
+    the first two shared outcomes x and y: each order ranks every pair of
+    x/y mixtures alike, so this pair flips at the first order that flips
+    any.  Else a pair built at the break: two degenerate lotteries, or the
+    mixture of the lowest and highest of the anchor's two outcomes and the
+    break's outcome o that u_0 values like the middle one, against the
+    middle one, which order k ranks strictly since the three points
+    (u_0, u_k) are not collinear.
     """
     base = fam.utilities[0]
-    built = ()
-    if lotteries is None:
-        outcomes = fam.shared_outcomes()
-        _mixed_outcomes(outcomes)  # two distinct outcomes, as the grid needs
-        anchor = _anchor(base, outcomes)
-        broken = _affine_break(fam.utilities, outcomes, anchor)
-        if broken is None:
-            return CheckResult(True)
-        lotteries = lottery_grid(outcomes)
-        o = broken[1]
-        x, y = anchor or (outcomes[0], o)
-        if o == y:
-            built = ((Lottery({x: 1}), Lottery({y: 1})),)
-        else:
-            lo, mid, hi = sorted((x, y, o), key=base.num)
-            alpha = Fraction(base.num(mid) - base.num(lo), base.num(hi) - base.num(lo))
-            built = ((Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1})),)
-    pairs = [(p, q) for i, p in enumerate(lotteries) for q in lotteries[i + 1 :]]
+    outcomes = fam.shared_outcomes()
+    x, y = _mixed_outcomes(outcomes)
+    anchor = _anchor(base, outcomes)
+    broken = _affine_break(fam.utilities, outcomes, anchor)
+    if broken is None:
+        return CheckResult(True)
+    o = broken[1]
+    first, second = anchor or (outcomes[0], o)
+    if o == second:
+        built = (Lottery({first: 1}), Lottery({second: 1}))
+    else:
+        lo, mid, hi = sorted((first, second, o), key=base.num)
+        alpha = Fraction(base.num(mid) - base.num(lo), base.num(hi) - base.num(lo))
+        built = (Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1}))
     # orders before the break agree with order 0 on every lottery, and the
     # built pair flips at the break, so its first flip is the break's order
-    for p, q in [*pairs, *built]:
+    for p, q in [(Lottery({x: 1}), Lottery({x: Fraction(3, 4), y: Fraction(1, 4)})), built]:
         bench = compare_values(base.expected(p), base.expected(q))
         for k, u in enumerate(fam.utilities[1:], start=1):
             verdict = compare_values(u.expected(p), u.expected(q))

@@ -21,13 +21,13 @@ from beliefkit import (
     compose_act,
     is_complete,
     is_concentrated,
-    lottery_grid,
 )
 from beliefkit.core import ONE, ZERO, as_fraction, lex_submasks
 from beliefkit.errors import (
     BeliefkitError,
     DegenerateBase,
     EmptyEvent,
+    InfeasibleSubevent,
     NullConditioning,
     SeparationFailed,
     SpaceMismatch,
@@ -144,10 +144,14 @@ def count_fractions(monkeypatch) -> list:
     return built
 
 
+def fraction_compare(a: Fraction, b: Fraction) -> Preference:
+    return Preference.FIRST if a > b else Preference.SECOND if b > a else Preference.INDIFFERENT
+
+
 def fraction_ranking(u: UtilityFunction, p: Lottery, q: Lottery) -> Preference:
     """Rank two lotteries by expected utility, summed in Fractions."""
     a, b = (sum((prob * u.value(o) for o, prob in lot.entries), Fraction(0)) for lot in (p, q))
-    return Preference.FIRST if a > b else Preference.SECOND if b > a else Preference.INDIFFERENT
+    return fraction_compare(a, b)
 
 
 def _fraction_anchor(u: UtilityFunction, outcomes) -> tuple[str, str] | None:
@@ -214,12 +218,13 @@ def fraction_affine_break(utilities, outcomes) -> tuple[Lottery, Lottery, int] |
 
 
 def fraction_constant_act_agreement(fam) -> CheckResult:
-    """Oracle for ``check_constant_act_agreement`` without a sample, in Fractions.
+    """Oracle for ``check_constant_act_agreement``, in Fractions.
 
     Passes when ``fraction_affine_break`` finds no break; otherwise reports
-    the first flip on the default lottery grid, else the built pair.
+    the first flip on the five-point ``lottery_grid``, else the built pair.
     """
     outcomes = fam.shared_outcomes()
+    mixed_outcomes(outcomes)  # two distinct outcomes, as the grid needs
     built = fraction_affine_break(fam.utilities, outcomes)
     if built is None:
         return CheckResult(True)
@@ -485,6 +490,153 @@ def _xy_act(space: StateSpace, x: str, y: str, probabilities) -> Act:
     )
 
 
+# ---------------------------------------------------------------------------
+# the deterministic samples the axiom checks once ran, kept as oracles: a
+# check's built witness must be the sample's first witness where it has one
+
+GRID_PROBABILITIES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+def mixed_outcomes(outcomes) -> tuple[str, str]:
+    """The first two distinct outcomes, x and y, that every sampled act mixes."""
+    distinct = list(dict.fromkeys(outcomes))
+    if len(distinct) < 2:
+        raise ValidationError("need at least two distinct outcomes to build lotteries")
+    return distinct[0], distinct[1]
+
+
+def lottery_grid(outcomes, probabilities=GRID_PROBABILITIES) -> tuple[Lottery, ...]:
+    """Mixtures of the first two distinct outcomes along a probability grid."""
+    x, y = mixed_outcomes(outcomes)
+    return tuple(Lottery({x: 1 - p, y: p}) for p in probabilities)
+
+
+def act_grid(space: StateSpace, outcomes) -> tuple[Act, ...]:
+    """Constant acts on a coarse lottery grid plus bets on the first six states."""
+    lotteries = lottery_grid(outcomes, (Fraction(0), Fraction(1, 2), Fraction(1)))
+    acts = [Act.constant(space, lot) for lot in lotteries]
+    low, high = lotteries[0], lotteries[-1]
+    acts += [bet(space, label, high, low) for label in space.states[:6]]
+    return tuple(acts)
+
+
+def default_act_pairs(space: StateSpace, outcomes) -> tuple[tuple[Act, Act], ...]:
+    """The first 60 ordered distinct pairs from the act grid."""
+    grid = act_grid(space, outcomes)
+    return tuple(itertools.islice(((f, g) for f in grid for g in grid if f != g), 60))
+
+
+def default_act_triples(space: StateSpace, outcomes) -> tuple[tuple[Act, Act, Act], ...]:
+    """The first 60 (f, g, h): a distinct pair of the act grid, padded by a constant act."""
+    grid = act_grid(space, outcomes)
+    triples = ((f, g, h) for f in grid for g in grid if f != g for h in grid[:3])
+    return tuple(itertools.islice(triples, 60))
+
+
+def sampled_consequentialism(fam, e: Event, pairs) -> CheckResult:
+    """Each (f, g) as f against "f on e, g elsewhere", ranked through ``fraction_seu``.
+
+    The witness is (f, composed act, verdict) for the first strict ranking.
+    """
+    belief, u = fam.belief_given(e), fam.utility_given(e)
+    for f, g in pairs:
+        forced = compose_act(f, e, g)
+        verdict = fraction_compare(fraction_seu(u, belief, f), fraction_seu(u, belief, forced))
+        if verdict is not Preference.INDIFFERENT:
+            return CheckResult(False, (f, forced, verdict))
+    return CheckResult(True)
+
+
+def sampled_consistency(fam, e: Event, a: Event, triples) -> CheckResult:
+    """Each (f, g, h): "f on a, h elsewhere" against the same for g given e,
+    and f against g given a, ranked through ``fraction_seu``.
+
+    The witness is (f, g, h, verdict under e, verdict under a) for the
+    first disagreement.
+    """
+    b_e, u_e = fam.belief_given(e), fam.utility_given(e)
+    b_a, u_a = fam.belief_given(a), fam.utility_given(a)
+    for f, g, h in triples:
+        under_e = fraction_compare(
+            fraction_seu(u_e, b_e, compose_act(f, a, h)),
+            fraction_seu(u_e, b_e, compose_act(g, a, h)),
+        )
+        under_a = fraction_compare(fraction_seu(u_a, b_a, f), fraction_seu(u_a, b_a, g))
+        if under_e is not under_a:
+            return CheckResult(False, (f, g, h, under_e, under_a))
+    return CheckResult(True)
+
+
+def oracle_consequentialism(fam, e: Event) -> CheckResult:
+    """Oracle for ``check_consequentialism``, in Fractions, at any |S|.
+
+    The check's errors in its order; a pass where u_e is constant on the
+    shared outcomes; else the sampled check on the default pairs that mix
+    the first shared outcome x with the first one o that u_e values apart
+    from x, which fails exactly when the belief given ``e`` leaks mass.
+    """
+    if not e:
+        raise EmptyEvent("cannot condition on the empty event")
+    outcomes = fam.shared_outcomes()
+    x = mixed_outcomes(outcomes)[0]
+    if e.space != fam.space:
+        raise SpaceMismatch("event belongs to a different state space")
+    u = fam.utility_given(e)
+    o = next((o for o in outcomes if u.value(o) != u.value(x)), None)
+    if o is None:
+        return CheckResult(True)
+    return sampled_consequentialism(fam, e, default_act_pairs(fam.space, (x, o)))
+
+
+def oracle_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
+    """Oracle for ``check_conditional_consistency``, in Fractions, at any |S|.
+
+    The check's errors in its order; a pass where the Fraction vectors of
+    ``weighted_gains`` satisfy v_e = c * v_a with c > 0 or both vanish;
+    else the first witness of ``sampled_consistency`` on the default
+    triples, else the pair built from the vectors: a bet on the first state
+    where their signs differ, or else the gap (v_e(s), -v_e(r)) scaled into
+    [-1, 1], with r the first state where v_a is nonzero and s the first
+    where v_e(r) * v_a(s) != v_e(s) * v_a(r).
+    """
+    if a.space != e.space:
+        raise SpaceMismatch("events built over different state spaces")
+    if not a:
+        raise EmptyEvent("the subevent is empty")
+    if not a.issubset(e):
+        raise ValidationError("the subevent must be contained in the conditioning event")
+    if fam.belief_given(e).prob(a) == 0:
+        raise InfeasibleSubevent(
+            "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
+        )
+    space = fam.space
+    x, y = mixed_outcomes(fam.shared_outcomes())
+    v_e, v_a = weighted_gains(fam, e, x, y, within=a), weighted_gains(fam, a, x, y)
+    r = next((s for s, q in enumerate(v_a) if q), None)
+    if r is None:
+        if not any(v_e):
+            return CheckResult(True)
+    elif v_e[r] / v_a[r] > 0 and v_e == [v_e[r] / v_a[r] * q for q in v_a]:
+        return CheckResult(True)
+    sampled = sampled_consistency(fam, e, a, default_act_triples(space, fam.shared_outcomes()))
+    if not sampled:
+        return sampled
+    signs = [((p > 0) - (p < 0), (q > 0) - (q < 0)) for p, q in zip(v_e, v_a)]
+    differ = next((s for s, (p, q) in enumerate(signs) if p != q), None)
+    if differ is not None:
+        gap = {differ: Fraction(1)}
+    else:
+        s = next(s for s in range(len(space)) if v_e[r] * v_a[s] != v_e[s] * v_a[r])
+        scale = max(abs(v_e[s]), abs(v_e[r]))
+        gap = {r: v_e[s] / scale, s: -v_e[r] / scale}
+    f, g = (
+        _xy_act(space, x, y, [max(sign * gap.get(i, 0), 0) for i in range(len(space))])
+        for sign in (1, -1)
+    )
+    h = Act.constant(space, Lottery({x: 1}))
+    return sampled_consistency(fam, e, a, [(f, g, h)])
+
+
 def mixture_grid(*vectors) -> tuple[Fraction, ...]:
     """0, 1, and each ratio v(s) / v(t) of nonzero entries, and its inverse, in [0, 1].
 
@@ -515,19 +667,18 @@ def weighted_gains(fam, e: Event, x: str, y: str, within: Event | None = None) -
 def brute_consequentialism(fam, e: Event) -> bool:
     """Oracle for ``check_consequentialism``, in Fractions, |S| <= 4.
 
-    Ranks every pair of x/y-mixture acts on ``mixture_grid`` through
+    Ranks every pure-outcome act over the shared outcomes through
     ``fraction_seu``: f against "f on e, g elsewhere" is indifferent for
     every pair exactly when acts that agree on ``e`` share one value.
+    Mixtures need no look: an act's value is linear in its lotteries.
     """
-    x, y = fam.shared_outcomes()[:2]
     space = fam.space
     u, belief = fam.utility_given(e), fam.belief_given(e)
-    grid = mixture_grid(weighted_gains(fam, e, x, y))
     values: dict[tuple, set] = {}
-    for probabilities in itertools.product(grid, repeat=len(space)):
-        on_e = tuple(p for s, p in zip(space.states, probabilities) if s in e)
-        value = fraction_seu(u, belief, _xy_act(space, x, y, probabilities))
-        values.setdefault(on_e, set()).add(value)
+    for outcomes in itertools.product(fam.shared_outcomes(), repeat=len(space)):
+        f = Act(space, {s: Lottery({o: 1}) for s, o in zip(space.states, outcomes)})
+        on_e = tuple(o for s, o in zip(space.states, outcomes) if s in e)
+        values.setdefault(on_e, set()).add(fraction_seu(u, belief, f))
     return all(len(seen) == 1 for seen in values.values())
 
 

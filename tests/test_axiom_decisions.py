@@ -1,12 +1,17 @@
 """Exact decisions of consequentialism and conditional consistency.
 
-Without an explicit sample both checks decide their axiom over every act
-that maps each state to a mixture of the first two shared outcomes.  The
-oracles in ``helpers`` rank every such act on a grid holding the
-instance's ratios, in Fractions, at |S| <= 4.  Every witness, sampled or
-built, is ranked again through ``os_prefer``.
+Consequentialism is decided over every act on the shared outcomes, and
+conditional consistency over every act that maps each state to a mixture
+of the first two shared outcomes.  The brute-force oracles in ``helpers``
+rank every such act (pure acts, or x/y mixtures on a grid holding the
+instance's ratios) in Fractions, at |S| <= 4.  The sampling oracles rank
+the deterministic act sample the checks once ran, whose first witness a
+failing check must report; a seeded differential runs all three default
+checks against them at |S| <= 8.  Every witness is ranked again through
+``os_prefer``.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,9 +36,8 @@ from beliefkit import (
     bayes_update,
     check_conditional_consistency,
     check_consequentialism,
+    check_constant_act_agreement,
     compose_act,
-    default_act_pairs,
-    default_act_triples,
     default_event_pairs,
     os_prefer,
     preferences,
@@ -42,7 +46,14 @@ from helpers import (
     brute_conditional_consistency,
     brute_consequentialism,
     coin_hierarchy,
+    default_act_pairs,
+    default_act_triples,
+    fraction_constant_act_agreement,
+    oracle_conditional_consistency,
+    oracle_consequentialism,
     random_overlapping_os,
+    sampled_consequentialism,
+    sampled_consistency,
 )
 
 OUTCOMES = ("x", "y", "z")
@@ -172,8 +183,9 @@ def test_consequentialism_decision_matches_brute_force(case):
     assert check.ok == brute_consequentialism(fam, e)
     if not check:
         assert_consequentialism_witness(fam, e, check)
-        sampled = check_consequentialism(fam, e, default_act_pairs(fam.space, OUTCOMES))
-        assert check == sampled
+    u = fam.utility_given(e)
+    if u.value("x") != u.value("y"):  # the x/y sample's domain
+        assert check == sampled_consequentialism(fam, e, default_act_pairs(fam.space, OUTCOMES))
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,9 +196,7 @@ def test_consistency_decision_matches_brute_force(case):
     assert check.ok == brute_conditional_consistency(fam, e, a)
     if not check:
         assert_consistency_witness(fam, e, a, check)
-        sampled = check_conditional_consistency(
-            fam, e, a, default_act_triples(fam.space, OUTCOMES)
-        )
+        sampled = sampled_consistency(fam, e, a, default_act_triples(fam.space, OUTCOMES))
         if not sampled:
             assert check == sampled
 
@@ -219,11 +229,31 @@ def test_a_pass_ranks_no_act(monkeypatch):
     for e, a in default_event_pairs(coin):
         assert check_consequentialism(fam, e)
         assert check_conditional_consistency(fam, e, a)
-    # u(y) = u(x): mass off the event cannot move a ranking
-    flat = UtilityFunction({"x": 1, "y": 1, "z": 0})
+    # u constant on the shared outcomes: mass off the event cannot move a ranking
+    flat = UtilityFunction({"x": 1, "y": 1, "z": 1, "w": 0})
     lone = coin.space.event("h")
     leaky = TableFamily(coin.space, {lone: coin.priors[0]}, {lone: flat})
     assert check_consequentialism(leaky, lone)
+
+
+def test_a_third_outcome_breaks_consequentialism_where_x_and_y_tie():
+    """u = {x: 0, y: 0, z: 1} and the belief given {a} is 1/2 a + 1/2 b."""
+    space = StateSpace(("a", "b", "c"))
+    lone = space.event("a")
+    belief = Belief(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    fam = TableFamily(space, {lone: belief}, {lone: UtilityFunction({"x": 0, "y": 0, "z": 1})})
+    check = check_consequentialism(fam, lone)
+    assert not check
+    assert not brute_consequentialism(fam, lone)
+    assert check == oracle_consequentialism(fam, lone)
+    assert_consequentialism_witness(fam, lone, check)
+    f, forced, verdict = check.witness
+    x, mixed = Lottery({"x": 1}), Lottery({"x": Fraction(1, 2), "z": Fraction(1, 2)})
+    assert f == Act.constant(space, x)
+    assert forced == Act(space, {"a": x, "b": mixed, "c": mixed})
+    assert verdict is Preference.SECOND
+    # the x/y sample cannot see it
+    assert sampled_consequentialism(fam, lone, default_act_pairs(space, OUTCOMES))
 
 
 def test_ratios_off_the_half_grid_are_told_apart():
@@ -242,7 +272,7 @@ def test_ratios_off_the_half_grid_are_told_apart():
     ]
     padding = Act.constant(space, lotteries[0])
     half_grid = [(f, g, padding) for f in acts for g in acts if f != g]
-    assert check_conditional_consistency(fam, e, a, sample_triples=half_grid)
+    assert sampled_consistency(fam, e, a, half_grid)
     check = check_conditional_consistency(fam, e, a)
     assert not check
     assert not brute_conditional_consistency(fam, e, a)
@@ -250,7 +280,135 @@ def test_ratios_off_the_half_grid_are_told_apart():
 
 
 # ---------------------------------------------------------------------------
-# the sample's blind spot, and what an explicit sample means
+# every default witness against the sampling oracles, at |S| <= 8
+
+
+class Uniformly:
+    """The same belief and utility given every event, over given outcomes."""
+
+    def __init__(self, belief, utility, outcomes):
+        self._belief, self._utility, self._outcomes = belief, utility, outcomes
+
+    def belief_given(self, e: Event) -> Belief:
+        return self._belief
+
+    def utility_given(self, e: Event) -> UtilityFunction:
+        return self._utility
+
+    def shared_outcomes(self):
+        return self._outcomes
+
+
+def random_belief(rng, space, within):
+    """Small integer weights on ``within`` or, half the time, on every state."""
+    n = len(space)
+    states = [i for i in range(n) if within >> i & 1 and rng.random() < 0.5] or range(n)
+    weights = [rng.randint(0, 3) if i in states else 0 for i in range(n)]
+    if not any(weights):
+        weights[rng.choice(list(states))] = 1
+    total = sum(weights)
+    return Belief(space, {s: Fraction(w, total) for s, w in zip(space.states, weights) if w})
+
+
+def random_table_case(rng):
+    """(family, e, a, utility family) with |S| in 1..8 and 1 to 4 outcome labels.
+
+    Beliefs leak off their event or not; the a-conditional is the Bayes
+    update of the e-conditional, possibly with mass moved between states
+    past s5 (where the sample's bets stop, so only a built witness shows
+    it), or drawn freely; e or a may be empty, a may lie outside e, and one
+    in twenty cases puts e or a in another space.  Utility values lie in
+    -2..2, so ties between outcomes are common.  The utility family has one
+    to four orders, some positive affine images of order 0 and some not,
+    each with a private outcome.
+    """
+    n = 8 if rng.random() < 0.25 else rng.randint(1, 7)
+    labels = ("x", "y", "z", "w")[: rng.randint(1, 4)]
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    full = (1 << n) - 1
+
+    def utility():
+        return UtilityFunction({o: rng.randint(-2, 2) for o in labels})
+
+    e_mask = rng.randint(0, full) if rng.random() < 0.1 else rng.randint(1, full)
+    inside = [m for m in range(1, full + 1) if m & e_mask == m]
+    a_mask = rng.choice(inside) if inside and rng.random() < 0.85 else rng.randint(0, full)
+    b_e = random_belief(rng, space, e_mask)
+    if b_e.mask_num(a_mask) and rng.random() < 0.4:
+        b_a = bayes_update(b_e, Event(space, a_mask))
+        mass = list(b_a.mass)
+        late = [(i, 13 - i) for i in (6, 7) if i < n and mass[i]]  # (s6, s7) or (s7, s6)
+        if n == 8 and late and rng.random() < 0.75:
+            giver, taker = rng.choice(late)
+            mass[giver], mass[taker] = mass[giver] / 2, mass[taker] + mass[giver] / 2
+            b_a = Belief(space, {s: m for s, m in zip(space.states, mass) if m})
+    else:
+        b_a = random_belief(rng, space, a_mask)
+    u_e = utility()
+    u_a = u_e if rng.random() < 0.5 else utility()
+    e, a = Event(space, e_mask), Event(space, a_mask)
+    fallback = Uniformly(random_belief(rng, space, full), utility(), labels)
+    fam = TableFamily(space, {a: b_a, e: b_e}, {a: u_a, e: u_e}, honest=fallback)
+    if rng.random() < 0.05:
+        foreign = StateSpace((*space.states, "extra")).event("s0")
+        e, a = (foreign, a) if rng.random() < 0.5 else (e, foreign)
+
+    tables = []
+    for k in range(rng.randint(1, 4)):
+        if k and rng.random() < 0.4:
+            scale = rng.choice([1, 2, Fraction(1, 2)])
+            table = dict(tables[0].affine(scale, rng.randint(-2, 2)).items)
+        else:
+            table = {o: rng.randint(-2, 3) for o in labels}
+        tables.append(UtilityFunction({**table, f"private{k}": -9}))
+    orders = StateSpace(tuple(f"t{k}" for k in range(len(tables))))
+    hier = OSRepresentation(orders, [Belief(orders, {t: 1}) for t in orders.states])
+    return fam, e, a, PreferenceFamily(hier, tables)
+
+
+def outcome(check, *args):
+    """("result", the check's result), or ("error", its error's type, message)."""
+    try:
+        return "result", check(*args)
+    except Exception as error:
+        return "error", type(error), str(error)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_default_checks_match_the_sampling_oracles(seed):
+    """Each default check returns what its oracle returns, error or result."""
+    rng = random.Random(1900 + seed)
+    seen = set()
+    for _ in range(400):
+        fam, e, a, utility_fam = random_table_case(rng)
+        for name, check, oracle, args in (
+            ("consequentialism", check_consequentialism, oracle_consequentialism, (fam, e)),
+            (
+                "consistency",
+                check_conditional_consistency,
+                oracle_conditional_consistency,
+                (fam, e, a),
+            ),
+            (
+                "constant_act",
+                check_constant_act_agreement,
+                fraction_constant_act_agreement,
+                (utility_fam,),
+            ),
+        ):
+            got = outcome(check, *args)
+            assert got == outcome(oracle, *args), (name, args)
+            kind, result = got[:2]
+            seen.add((name, result.ok if kind == "result" else kind))
+            if name == "consistency" and kind == "result" and not result:
+                triples = default_act_triples(fam.space, fam.shared_outcomes())
+                seen.add((name, "sampled" if not sampled_consistency(*args, triples) else "built"))
+    # every check passed, failed and raised; consistency reported sampled and built witnesses
+    assert len(seen) == 11, seen
+
+
+# ---------------------------------------------------------------------------
+# the sample's blind spot
 
 
 def eight_state_miss():
@@ -267,9 +425,7 @@ def eight_state_miss():
 
 def test_the_eight_state_miss_fails_with_a_built_witness():
     fam, e, a = eight_state_miss()
-    sampled = check_conditional_consistency(
-        fam, e, a, default_act_triples(fam.space, fam.shared_outcomes())
-    )
+    sampled = sampled_consistency(fam, e, a, default_act_triples(fam.space, fam.shared_outcomes()))
     assert sampled  # the sample's bets stop at s5
     check = check_conditional_consistency(fam, e, a)
     assert not check
@@ -287,9 +443,7 @@ def test_mass_leaked_past_the_sampled_bets_gets_a_bet_of_its_own():
     space = fam.space
     a = space.event("s2")
     fam._beliefs[a] = Belief(space, {"s2": Fraction(3, 4), "s7": Fraction(1, 4)})
-    assert check_conditional_consistency(
-        fam, e, a, default_act_triples(space, fam.shared_outcomes())
-    )
+    assert sampled_consistency(fam, e, a, default_act_triples(space, fam.shared_outcomes()))
     check = check_conditional_consistency(fam, e, a)
     assert not check
     assert_consistency_witness(fam, e, a, check)
@@ -297,23 +451,6 @@ def test_mass_leaked_past_the_sampled_bets_gets_a_bet_of_its_own():
     assert f == Act(space, {s: Lottery({"y" if s == "s7" else "x": 1}) for s in space.states})
     assert g == h == Act.constant(space, Lottery({"x": 1}))
     assert (under_e, under_a) == (Preference.INDIFFERENT, Preference.FIRST)
-
-
-def test_explicit_samples_keep_their_sampled_verdict():
-    fam, e, a = eight_state_miss()
-    assert check_conditional_consistency(fam, e, a, sample_triples=())
-    space = fam.space
-    leaky = TableFamily(
-        space,
-        {space.event("s0"): Belief.uniform_on(space.full_event)},
-        {},
-        honest=fam._honest,
-    )
-    lone = space.event("s0")
-    assert not check_consequentialism(leaky, lone)
-    constant = Act.constant(space, Lottery({"x": 1}))
-    assert check_consequentialism(leaky, lone, sample_pairs=[(constant, constant)])
-    assert check_consequentialism(leaky, lone, sample_pairs=())
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +523,24 @@ class AskCounter:
         return self._fam.shared_outcomes()
 
 
-def test_sampled_loops_ask_the_family_once():
+def test_default_paths_ask_the_family_once():
     fam, e, a = eight_state_miss()
     space = fam.space
     counter = AskCounter(fam)
-    triples = default_act_triples(space, fam.shared_outcomes())
-    assert check_conditional_consistency(counter, e, a, triples)
+    assert not check_conditional_consistency(counter, e, a)  # a built witness
     assert counter.asked == [("belief", e), ("utility", e), ("belief", a), ("utility", a)]
     counter.asked.clear()
-    assert check_conditional_consistency(counter, e, a, sample_triples=())
-    assert counter.asked == [("belief", e)]  # its feasibility only
+    first = space.event("s0")
+    assert check_conditional_consistency(counter, e, first)
+    assert counter.asked == [("belief", e), ("utility", e), ("belief", first), ("utility", first)]
 
     lone = space.event("s0")
     leaky = AskCounter(
         TableFamily(space, {lone: Belief.uniform_on(space.full_event)}, {}, honest=fam._honest)
     )
-    constant = Act.constant(space, Lottery({"x": 1}))
-    assert check_consequentialism(leaky, lone, sample_pairs=[(constant, constant)] * 5)
-    assert leaky.asked == [("belief", lone), ("utility", lone)]
-    leaky.asked.clear()
-    assert check_consequentialism(leaky, lone, sample_pairs=())
-    assert leaky.asked == []
     assert not check_consequentialism(leaky, lone)
     assert leaky.asked == [("utility", lone), ("belief", lone)]
+    leaky.asked.clear()
+    flat = UtilityFunction({"x": 1, "y": 1, "w": 0})
+    assert check_consequentialism(TableFamily(space, {}, {lone: flat}, honest=leaky), lone)
+    assert leaky.asked == []  # u constant on the shared outcomes: no belief needed

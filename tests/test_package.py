@@ -38,11 +38,10 @@ EXPORTS = {
         "surprise_partition",
     ),
     "preferences": (
-        "GRID_PROBABILITIES", "PreferenceFamily", "RiskIndependenceReport",
-        "act_grid", "check_conditional_consistency", "check_consequentialism",
+        "PreferenceFamily", "RiskIndependenceReport",
+        "check_conditional_consistency", "check_consequentialism",
         "check_constant_act_agreement", "check_risk_independence",
-        "default_act_pairs", "default_act_triples", "default_event_pairs",
-        "lottery_grid", "os_prefer",
+        "default_event_pairs", "os_prefer",
     ),
     "rules": (
         "CpsValidation", "CpsWitness", "UpdatingRule", "bayesian_rule",
@@ -65,7 +64,7 @@ def test_every_export_is_its_modules_object(module):
 
 
 def test_all_dir_and_star_import_list_every_export():
-    assert len(NAMES) == 85
+    assert len(NAMES) == 80
     assert sorted(beliefkit.__all__) == NAMES
     assert not [name for name in beliefkit.__all__ if name.startswith("_")]
     assert set(NAMES) <= set(dir(beliefkit))

@@ -296,8 +296,7 @@ def test_constant_act_agreement_tracks_risk_independence():
         Lottery({"q": 1}),
     )
     assert not check_risk_independence(quad)
-    assert not check_constant_act_agreement(quad, lotteries=probe)
-    # the default decision needs no probe: it builds the same pair
+    # the decision needs no probe: it builds the probe pair as its witness
     caa = check_constant_act_agreement(quad)
     assert not caa
     assert caa.witness == (*probe, 1, Preference.FIRST, Preference.INDIFFERENT)
@@ -355,9 +354,10 @@ def ranking(u: UtilityFunction, p: Lottery, q: Lottery) -> Preference:
 @settings(max_examples=150, deadline=None)
 @given(utility_families())
 def test_constant_act_decision_matches_a_lottery_grid(fam):
-    """The default check is a decision: it fails exactly when some pair on
-    the sixths grid flips, and its witness is the default grid's first
-    flip when there is one, else a genuine flip of its own."""
+    """The check is a decision: it fails exactly when some pair on the
+    sixths grid flips, and its witness is a genuine flip, the one the
+    Fraction oracle reports: the five-point grid's first flip when there
+    is one, else the pair built at the break."""
     grid = sixths_grid()
     base = fam.utilities[0]
     values = [[eu(u, p) for p in grid] for u in fam.utilities]
@@ -376,11 +376,7 @@ def test_constant_act_decision_matches_a_lottery_grid(fam):
     assert verdict is ranking(fam.utilities[k], p, q)
     assert bench is ranking(base, p, q)
     assert verdict is not bench
-    sampled = check_constant_act_agreement(
-        fam, lotteries=preferences.lottery_grid(fam.shared_outcomes())
-    )
-    if not sampled:
-        assert result.witness == sampled.witness
+    assert result == fraction_constant_act_agreement(fam)
 
 
 def assert_fit_matches_the_oracle(fam):

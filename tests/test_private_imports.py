@@ -11,7 +11,9 @@ name a package function assigns read in that function, and a fourth
 every invariant of the package off a bare ``assert``, which ``python -O``
 strips: a broken invariant must raise a typed error.  A fifth makes every
 class that defines ``__eq__`` state its ``__hash__``, since Python
-otherwise makes it unhashable without a word.
+otherwise makes it unhashable without a word.  A sixth keeps every
+module-level private function, class or assignment read somewhere in the
+package outside its own definition, so dead internal code cannot linger.
 """
 
 import ast
@@ -337,3 +339,77 @@ def test_the_rule_sees_unstated_hashes(tmp_path):
         encoding="utf-8",
     )
     assert unstated_hashes(bad) == ["bad.py:1: Rule", "bad.py:17: Inner"]
+
+
+def dead_private_definitions(paths: list[Path]) -> list[str]:
+    """Module-level private defs, classes and assigned names nothing reads.
+
+    A read is a ``Name`` load or an attribute access of the name in any of
+    ``paths``, outside the definition's own statement, so a function that
+    only calls itself is still dead.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = [
+        (path, node, node.id if isinstance(node, ast.Name) else node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    found = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [
+                    node.id
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                ]
+            else:
+                continue
+            inside = {id(node) for node in ast.walk(stmt)}
+            found += [
+                f"{path.name}:{stmt.lineno}: {name}"
+                for name in names
+                if _is_private(name)
+                and not any(read == name and id(node) not in inside for _, node, read in reads)
+            ]
+    return found
+
+
+def test_no_dead_private_definitions():
+    assert dead_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_rule_sees_dead_private_definitions(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_CAP = 20\n"
+        "_UNUSED: int = 3\n"
+        "_SEEN, (PUBLIC, _LOST) = 1, (2, 3)\n"
+        "def _lex(mask):\n"
+        "    return mask\n"
+        "def _walk(mask):\n"
+        "    return _walk(mask - 1) if mask else _CAP\n"
+        "class _Peeled:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _SEEN\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "rules.py").write_text(
+        "from . import core\n"
+        "def _sampled(rule):\n"
+        "    return core._lex(rule)\n",
+        encoding="utf-8",
+    )
+    assert dead_private_definitions(sorted(tmp_path.glob("*.py"))) == [
+        "core.py:2: _UNUSED",
+        "core.py:3: _LOST",
+        "core.py:6: _walk",
+        "core.py:8: _Peeled",
+        "rules.py:2: _sampled",
+    ]
