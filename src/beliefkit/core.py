@@ -3,9 +3,10 @@
 Everything here is immutable and hashable, and every probability or utility
 is exact: beliefs and utilities store reduced integer numerators over one
 denominator and read them as ``fractions.Fraction``; lotteries store Fractions.
-No floats enter at any point, so equality is decidable and all downstream
-checks (chain rule, argmax strictness, round trips) can demand exact
-matches.
+The constructors check signs and sums on integer numerators over the lcm of
+the denominators.  No floats enter at any point, so equality is decidable
+and all downstream checks (chain rule, argmax strictness, round trips) can
+demand exact matches.
 
 Events are bit subsets keyed to the declaration order of the state space.
 The canonical order over events, used everywhere a "first witness" is
@@ -251,25 +252,27 @@ class Belief:
     __slots__ = ("space", "den", "nums", "support_mask", "_mass")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
-        vec = [ZERO] * len(space)
+        values = []
         for label, raw in masses.items():
             value = as_fraction(raw)
-            if value < 0:
+            num = value.numerator
+            if num < 0:
                 raise ValidationError(f"negative mass {value} on state {label!r}")
-            vec[space.index(label)] = value
-        total = sum(vec)
-        if total != 1:
-            raise ValidationError(f"belief mass must sum to 1, got {total}")
+            values.append((space.index(label), num, value.denominator))
+        den = lcm(*[d for _, _, d in values])  # over it, the numerators come out reduced
+        nums = [0] * len(space)
         support = 0
-        for i, value in enumerate(vec):
-            if value:
+        for i, num, d in values:
+            if num:
+                nums[i] = num * (den // d)
                 support |= 1 << i
-        den = lcm(*[value.denominator for value in vec])
-        self._init(space, den, [v.numerator * (den // v.denominator) for v in vec], support)
+        if sum(nums) != den:
+            raise ValidationError(f"belief mass must sum to 1, got {Fraction(sum(nums), den)}")
+        self._init(space, den, nums, support, 1)
 
     def _init(
         self, space: StateSpace, den: int, nums: Sequence[int], support: int, g: int = 0
-    ) -> None:
+    ) -> "Belief":
         # the one initializer: masses nums[i] / den, nonnegative, summing to
         # one, nonzero exactly on the bits of ``support``; ``g`` is
         # gcd(den, *nums) when the caller knows it, else 0
@@ -282,13 +285,14 @@ class Belief:
         self.nums = tuple(nums)
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
+        return self
 
     @classmethod
     def uniform_on(cls, event: Event) -> "Belief":
         if not event:
             raise EmptyEvent("cannot spread mass over the empty event")
-        share = Fraction(1, len(event))
-        return cls(event.space, {label: share for label in event.members})
+        nums = [event.mask >> i & 1 for i in range(len(event.space))]
+        return object.__new__(cls)._init(event.space, len(event), nums, event.mask, 1)
 
     @property
     def mass(self) -> tuple[Fraction, ...]:
@@ -299,7 +303,7 @@ class Belief:
         return self._mass
 
     def mass_of(self, label: str) -> Fraction:
-        return self.mass[self.space.index(label)]
+        return (self._mass or self.mass)[self.space.index(label)]
 
     def items(self) -> Iterator[tuple[str, Fraction]]:
         return zip(self.space.states, self.mass)
@@ -353,18 +357,17 @@ class Lottery:
     __slots__ = ("entries", "_hash", "_expected")
 
     def __init__(self, outcomes: Mapping[str, Fraction | int]):
-        cleaned: list[tuple[str, Fraction]] = []
-        total = ZERO
+        values = []
         for label in sorted(outcomes):
             value = as_fraction(outcomes[label])
-            if value < 0:
+            if value.numerator < 0:
                 raise ValidationError(f"negative probability {value} on outcome {label!r}")
-            total += value
-            if value:
-                cleaned.append((label, value))
-        if total != 1:
-            raise ValidationError(f"lottery probabilities must sum to 1, got {total}")
-        self.entries = tuple(cleaned)
+            values.append((label, value))
+        den = lcm(*[value.denominator for _, value in values])
+        num = sum([value.numerator * (den // value.denominator) for _, value in values])
+        if num != den:
+            raise ValidationError(f"lottery probabilities must sum to 1, got {Fraction(num, den)}")
+        self.entries = tuple([(label, value) for label, value in values if value])
         self._hash = hash(self.entries)
         self._expected: dict[UtilityFunction, Fraction] | None = None
 
@@ -546,9 +549,7 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     if not support:
         raise NullConditioning(f"event {{{','.join(e.members)}}} has probability zero")
     kept = [n if support >> i & 1 else 0 for i, n in enumerate(mu.nums)]
-    posterior = object.__new__(Belief)
-    posterior._init(mu.space, sum(kept), kept, support)
-    return posterior
+    return object.__new__(Belief)._init(mu.space, sum(kept), kept, support)
 
 
 def posterior_walk(
@@ -606,8 +607,7 @@ def posterior_walk(
                     else:
                         kept = tuple([x if meet >> i & 1 else 0 for i, x in enumerate(nums)])
                         mass, g = sum(kept), gcd(*kept)
-                    posterior = object.__new__(Belief)
-                    posterior._init(space, mass, kept, meet, g)
+                    posterior = object.__new__(Belief)._init(space, mass, kept, meet, g)
                     entry = (k, kept, mass, g, posterior)
                     if cached:
                         cache[meet] = entry

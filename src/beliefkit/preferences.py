@@ -7,16 +7,20 @@ evaluated with the utility of the event's order.
 The checks here verify axioms as properties of a representation, not on
 raw choice data.  Each decides its axiom on the integer numerators of
 beliefs and utilities, so a pass is a proof on the check's domain, and a
-fail builds one witness in closed form.  Fractions appear only where a
-report shows them: fitted coefficients and witness lotteries.
+fail builds one witness in closed form, ranked on integers too.
+Fractions appear only where a report shows them: fitted coefficients and
+witness lotteries, one lottery per distinct probability.
 
 - Consequentialism, over every act on the shared outcomes: it holds iff
   the event's utility is constant on them or its belief puts no mass off
   the event.
-- Conditional (dynamic) consistency, over every act that maps each state
-  to a mixture of the first two shared outcomes x and y, at any rational
-  probability.  Such an act is ranked by b(s) * (u(y) - u(x)) per state,
-  so the axiom reduces to an O(n) integer test on those vectors.
+- Conditional (dynamic) consistency, over every act on the shared
+  outcomes: it holds iff both utilities are constant on them, or the
+  belief given the event is on the subevent a positive multiple of the
+  belief given the subevent and the event's utility a positive affine
+  image of the subevent's.  An O(n) integer test on the vectors
+  b(s) * (u(y) - u(x)), for the first two shared outcomes x and y,
+  decides most of it.
 - Surprise-independent risk attitude, by fitting an affine map from the
   base utility and verifying it pointwise.
 - Constant-act agreement, by the same fit over every lottery on the
@@ -32,6 +36,7 @@ the same code path and watch them fail.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -133,9 +138,15 @@ def _mixed_outcomes(outcomes: Sequence[str]) -> tuple[str, str]:
     return distinct[0], distinct[1]
 
 
-def _xy_act(space: StateSpace, x: str, y: str, p_y: Sequence[Fraction | int]) -> Act:
-    """The act giving y with probability ``p_y[i]`` at state i, and x otherwise."""
-    return Act(space, {s: Lottery({x: 1 - p, y: p}) for s, p in zip(space.states, p_y)})
+def _xy_acts(space: StateSpace, x: str, y: str, den: int, *rows: Sequence[int]) -> list[Act]:
+    """Per row, the act giving y with probability ``row[i] / den`` at state i, and x otherwise.
+
+    The acts share one lottery per distinct probability.
+    """
+    lots = {
+        k: Lottery({x: Fraction(den - k, den), y: Fraction(k, den)}) for k in set().union(*rows)
+    }
+    return [Act(space, dict(zip(space.states, [lots[k] for k in row]))) for row in rows]
 
 
 def check_consequentialism(fam, e: Event) -> CheckResult:
@@ -166,11 +177,9 @@ def check_consequentialism(fam, e: Event) -> CheckResult:
         return CheckResult(True)
     if not fam.belief_given(e).support_mask & ~e.mask:
         return CheckResult(True)
-    off_e = [0 if e.mask >> i & 1 else Fraction(1, 2) for i in range(len(space))]
+    off_e = tuple([0 if e.mask >> i & 1 else 1 for i in range(len(space))])
     verdict = Preference.SECOND if u.num(o) > u_x else Preference.FIRST
-    return CheckResult(
-        False, (_xy_act(space, x, o, [0] * len(space)), _xy_act(space, x, o, off_e), verdict)
-    )
+    return CheckResult(False, (*_xy_acts(space, x, o, 2, (0,) * len(space), off_e), verdict))
 
 
 def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
@@ -181,15 +190,26 @@ def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
     The witness is (f, g, h, verdict under e, verdict under a) for the
     first disagreement.
 
-    Decided over every act that maps each state to a mixture of the first
-    two shared outcomes x and y.  With v_e(s) = b_e(s) * (u_e(y) - u_e(x))
-    on ``a`` and zero off it, and v_a(s) = b_a(s) * (u_a(y) - u_a(x)) on
-    every state, it holds iff v_e = c * v_a for some c > 0, or both vanish.
-    A fail reports, with h constant at x, the first disagreeing pair among
-    the act grid's first 20 ordered distinct pairs (``_act_grid``), else a
-    pair built from the vectors: a single-state bet where the signs of v_e
-    and v_a differ, otherwise two bets that the ``e``-conditional ranks
-    indifferent and the ``a``-conditional does not.
+    Decided over every act on the shared outcomes.  With x the first, "f
+    on a" ranks under ``e`` by the matrix b_e(s) * (u_e(o) - u_e(x)) over s
+    in ``a`` (zero off it) and f under ``a`` by b_a(s) * (u_a(o) - u_a(x)),
+    so by vNM uniqueness the axiom holds iff one matrix is a positive
+    multiple of the other or both vanish.  Both are outer products, so it
+    holds iff both utilities are constant on the shared outcomes, or b_e
+    on ``a`` is a positive multiple of b_a and u_e a positive affine image
+    of u_a (``_affine_break``).
+
+    The column of y, the second shared outcome, is tested first, on
+    v_e(s) = b_e(s) * (u_e(y) - u_e(x)) and v_a(s) = b_a(s) * (u_a(y) -
+    u_a(x)).  Its fail reports, with h constant at x, the first disagreeing
+    pair of x/y mixtures among the act grid's first 20 ordered distinct
+    pairs (``_act_grid``), else a pair built from the vectors: a bet where
+    the signs of v_e and v_a differ, otherwise two bets that the
+    ``e``-conditional ranks indifferent and the ``a``-conditional does
+    not.  Past it, a u_e off the affine image reports the constant acts on
+    the lotteries ``_flip_pair`` builds at the break, h constant at x; and
+    where both utilities tie x and y, the column of the first outcome u_a
+    values apart from x is tested in the same way.
 
     Raises InfeasibleSubevent when ``a`` carries no mass given ``e``; the
     axiom says nothing there and silence would be misleading.
@@ -205,13 +225,30 @@ def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
         raise InfeasibleSubevent(
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
-    x, y = _mixed_outcomes(fam.shared_outcomes())
-    v_e = _weighted_gains(belief, fam.utility_given(e), a.mask, x, y)
-    v_a = _weighted_gains(fam.belief_given(a), fam.utility_given(a), -1, x, y)
-    gap = _consistency_gap(v_e, v_a)
-    if gap is None:
+    space, outcomes = fam.space, fam.shared_outcomes()
+    x, y = _mixed_outcomes(outcomes)
+    u_e = fam.utility_given(e)
+    v_e = _weighted_gains(belief, u_e, a.mask, x, y)
+    b_a, u_a = fam.belief_given(a), fam.utility_given(a)
+    failed = _column_break(space, x, y, v_e, _weighted_gains(b_a, u_a, -1, x, y))
+    if failed is not None:
+        return failed
+    if u_e is not u_a:
+        anchor = _anchor(u_a, outcomes)
+        broken = _affine_break((u_a, u_e), outcomes, anchor)
+        if broken is not None:
+            p, q = _flip_pair(u_a, *(anchor or (outcomes[0], broken[1])), broken[1])
+            acts = [Act.constant(space, lot) for lot in (p, q, Lottery({x: 1}))]
+            verdicts = [compare_values(u.expected(p), u.expected(q)) for u in (u_e, u_a)]
+            return CheckResult(False, (*acts, *verdicts))
+    if any(v_e):  # v_e = c * v_a with c > 0 ties b_e on a to b_a
         return CheckResult(True)
-    return _first_inconsistency(fam.space, x, y, v_e, v_a, gap)
+    o = next((o for o in outcomes if u_a.num(o) != u_a.num(x)), None)
+    if o is None:  # u_a, so u_e, is constant on the shared outcomes
+        return CheckResult(True)
+    v_e = _weighted_gains(belief, u_e, a.mask, x, o)
+    failed = _column_break(space, x, o, v_e, _weighted_gains(b_a, u_a, -1, x, o))
+    return CheckResult(True) if failed is None else failed
 
 
 def _weighted_gains(belief: Belief, u: UtilityFunction, mask: int, x: str, y: str) -> list[int]:
@@ -229,43 +266,53 @@ def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _consistency_gap(v_e: list[int], v_a: list[int]) -> dict[int, Fraction] | None:
-    """None when v_e = c * v_a with c > 0 or both vanish; else a probability gap.
+def _column_break(
+    space: StateSpace, x: str, y: str, v_e: list[int], v_a: list[int]
+) -> CheckResult | None:
+    """None when v_e = c * v_a with c > 0 or both vanish; else a fail on x/y mixtures.
 
-    The gap maps state indices to f's minus g's probability of y, in
-    [-1, 1], for a witness pair (f, g) whose rankings disagree.  The first
-    state where the signs differ (zero counting as a sign) gets a bet of
-    its own.  With every sign equal, take the first state r with
+    The fail's witness pair (f, g) is the first disagreeing pair of the
+    grid's first 20, else a pair built from a gap: f's minus g's
+    probability of y, state by state, numerators over ``scale``.  The
+    first state where the signs differ (zero counting as a sign) gets a
+    bet of its own.  With every sign equal, take the first state r with
     v_a(r) != 0 and the first s with v_e(r) * v_a(s) != v_e(s) * v_a(r);
-    the gap (v_e(s), -v_e(r)) on (r, s) is orthogonal to v_e but not to v_a.
+    the gap (v_e(s), -v_e(r)) on (r, s) is orthogonal to v_e but not to
+    v_a.
     """
     ref = None
     for s, (p, q) in enumerate(zip(v_e, v_a)):
         if _sign(p) != _sign(q):
-            return {s: Fraction(1)}
+            return _first_inconsistency(space, x, y, v_e, v_a, {s: 1}, 1)
         if q and ref is None:
             ref = s
     if ref is None:
         return None
     for s, (p, q) in enumerate(zip(v_e, v_a)):
         if v_e[ref] * q != p * v_a[ref]:
-            scale = max(abs(p), abs(v_e[ref]))
-            return {ref: Fraction(p, scale), s: Fraction(-v_e[ref], scale)}
+            gap = {ref: p, s: -v_e[ref]}
+            return _first_inconsistency(space, x, y, v_e, v_a, gap, max(abs(p), abs(v_e[ref])))
     return None
 
 
-def _act_grid(n: int) -> list[tuple[Fraction | int, ...]]:
-    """Each grid act's probability of y, state by state, over ``n`` states.
+def _act_grid(n: int) -> list[tuple[int, ...]]:
+    """Each grid act's probability of y, doubled, state by state, over ``n`` states.
 
     Constant x, the even mixture of x and y, constant y, then a bet on y
     at each of the first six states.
     """
-    grid = [(p,) * n for p in (0, Fraction(1, 2), 1)]
-    return grid + [tuple(int(i == s) for i in range(n)) for s in range(min(n, 6))]
+    grid = [(p,) * n for p in (0, 1, 2)]
+    return grid + [tuple(2 * (i == s) for i in range(n)) for s in range(min(n, 6))]
 
 
 def _first_inconsistency(
-    space: StateSpace, x: str, y: str, v_e: list[int], v_a: list[int], gap: dict[int, Fraction]
+    space: StateSpace,
+    x: str,
+    y: str,
+    v_e: list[int],
+    v_a: list[int],
+    gap: dict[int, int],
+    scale: int,
 ) -> CheckResult:
     """The first disagreeing pair of the grid's first 20, else the one built from ``gap``.
 
@@ -273,22 +320,26 @@ def _first_inconsistency(
     from "f on a, h elsewhere" versus "g on a, h elsewhere" since v_e is
     zero off the subevent.  So both verdicts are the signs of v_e and v_a
     dotted with f's and g's probabilities of y: the verdicts ``os_prefer``
-    gives, scaled by positive denominators.
+    gives, scaled by positive denominators.  Each pair is ranked on its
+    own integers: the grid's doubled probabilities, the built pair's
+    numerators over ``scale``.
     """
     n = len(space)
-    grid = _act_grid(n)
-    pairs = [(f, g) for f in grid for g in grid if f != g][:20]
-    built = [tuple(max(sign * gap.get(i, 0), 0) for i in range(n)) for sign in (1, -1)]
-    for f, g in [*pairs, built]:
-        under_e = compare_values(_dot(v_e, f), _dot(v_e, g))
-        under_a = compare_values(_dot(v_a, f), _dot(v_a, g))
+
+    def ranked(p_y: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+        return p_y, _dot(v_e, p_y), _dot(v_a, p_y)
+
+    grid = [ranked(p_y) for p_y in _act_grid(n)]
+    pairs = ((2, f, g) for f in grid for g in grid if f[0] != g[0])
+    built = [ranked(tuple([max(sign * gap.get(i, 0), 0) for i in range(n)])) for sign in (1, -1)]
+    for den, (f, e_f, a_f), (g, e_g, a_g) in chain(islice(pairs, 20), [(scale, *built)]):
+        under_e, under_a = compare_values(e_f, e_g), compare_values(a_f, a_g)
         if under_e is not under_a:
             break  # the built pair, last, always disagrees
-    acts = [_xy_act(space, x, y, p_y) for p_y in (f, g, grid[0])]
-    return CheckResult(False, (*acts, under_e, under_a))
+    return CheckResult(False, (*_xy_acts(space, x, y, den, f, g, (0,) * n), under_e, under_a))
 
 
-def _dot(v: list[int], p_y: Sequence[Fraction | int]) -> Fraction | int:
+def _dot(v: list[int], p_y: Sequence[int]) -> int:
     return sum([w * p for w, p in zip(v, p_y) if w])
 
 
@@ -387,6 +438,23 @@ def _affine_break(utilities: Sequence[UtilityFunction], outcomes, anchor) -> tup
     return None
 
 
+def _flip_pair(base: UtilityFunction, first: str, second: str, o: str) -> tuple[Lottery, Lottery]:
+    """Two lotteries ``base`` ranks unlike any utility that breaks at ``o`` (``_affine_break``).
+
+    With (first, second) the anchor of ``base``, or the first shared outcome
+    and ``o`` where ``base`` has none: two degenerate lotteries when ``o``
+    is ``second``; otherwise the mixture of the lowest and highest of the
+    three outcomes that ``base`` values like the middle one, against the
+    middle one, which the breaking utility ranks strictly since the three
+    points are not collinear.
+    """
+    if o == second:
+        return Lottery({first: 1}), Lottery({second: 1})
+    lo, mid, hi = sorted((first, second, o), key=base.num)
+    alpha = Fraction(base.num(mid) - base.num(lo), base.num(hi) - base.num(lo))
+    return Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1})
+
+
 def check_constant_act_agreement(fam) -> CheckResult:
     """Constant-act rankings must not depend on the surprise order.
 
@@ -410,14 +478,7 @@ def check_constant_act_agreement(fam) -> CheckResult:
     broken = _affine_break(fam.utilities, outcomes, anchor)
     if broken is None:
         return CheckResult(True)
-    o = broken[1]
-    first, second = anchor or (outcomes[0], o)
-    if o == second:
-        built = (Lottery({first: 1}), Lottery({second: 1}))
-    else:
-        lo, mid, hi = sorted((first, second, o), key=base.num)
-        alpha = Fraction(base.num(mid) - base.num(lo), base.num(hi) - base.num(lo))
-        built = (Lottery({lo: 1 - alpha, hi: alpha}), Lottery({mid: 1}))
+    built = _flip_pair(base, *(anchor or (outcomes[0], broken[1])), broken[1])
     # orders before the break agree with order 0 on every lottery, and the
     # built pair flips at the break, so its first flip is the break's order
     for p, q in [(Lottery({x: 1}), Lottery({x: Fraction(3, 4), y: Fraction(1, 4)})), built]:

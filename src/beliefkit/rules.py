@@ -160,30 +160,29 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
-    space = prior.space
+    space, nums, den, support = prior.space, prior.nums, prior.den, prior.support_mask
+    # delta = keep / (keep + move)
+    keep, move = delta.numerator, delta.denominator - delta.numerator
+
+    def sticky(rest: list[int], where: int) -> Belief:
+        # delta * prior + (1 - delta) * rest / sum(rest), rest nonzero on ``where``, in integers
+        w = sum(rest)
+        row = [keep * w * x + move * den * r for x, r in zip(nums, rest)]
+        return object.__new__(Belief)._init(
+            space, delta.denominator * den * w, row, support | (where if move else 0)
+        )
+
     table: dict[int, Belief] = {}
     feasible: dict[int, Belief] = {}  # by event & support, all an entry depends on
     for mask in space.canonical_masks():
-        inner = mask & prior.support_mask
-        if inner:
-            belief = feasible.get(inner)
-            if belief is None:
-                posterior = bayes_update(prior, Event(space, inner))
-                masses = {
-                    label: delta * prior.mass[i] + (1 - delta) * posterior.mass[i]
-                    for i, label in enumerate(space.states)
-                    if prior.mass[i] or posterior.mass[i]
-                }
-                belief = feasible[inner] = Belief(space, masses)
-        else:
-            share = Fraction(1, mask.bit_count())
-            masses = {}
-            for i, label in enumerate(space.states):
-                value = delta * prior.mass[i] + ((1 - delta) * share if mask >> i & 1 else 0)
-                if value:
-                    masses[label] = value
-            belief = Belief(space, masses)
-        table[mask] = belief
+        inner = mask & support
+        if not inner:
+            table[mask] = sticky([mask >> i & 1 for i in range(len(nums))], mask)
+        elif inner in feasible:
+            table[mask] = feasible[inner]
+        else:  # the rest is the Bayes posterior, nums on inner over their sum
+            rest = [x if inner >> i & 1 else 0 for i, x in enumerate(nums)]
+            table[mask] = feasible[inner] = sticky(rest, inner)
     return object.__new__(UpdatingRule)._init(space, table)
 
 

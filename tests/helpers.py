@@ -1,6 +1,7 @@
 """Shared builders for the tests: a corpus generator and a few object shortcuts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -289,6 +290,68 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
                     )
                     return CpsValidation.violation(witness, triples)
     return CpsValidation.valid(triples, ())
+
+
+def fraction_belief(space: StateSpace, masses) -> Belief:
+    """Oracle for ``Belief(space, masses)``: the check and sum in Fractions.
+
+    Each mass is coerced, checked for sign and placed by label in turn;
+    then the Fraction sum must be one, and the numerators are taken over
+    the lcm of the denominators and reduced by their gcd in ``_init``.
+    """
+    vec = [ZERO] * len(space)
+    for label, raw in masses.items():
+        value = as_fraction(raw)
+        if value < 0:
+            raise ValidationError(f"negative mass {value} on state {label!r}")
+        vec[space.index(label)] = value
+    total = sum(vec)
+    if total != 1:
+        raise ValidationError(f"belief mass must sum to 1, got {total}")
+    support = sum(1 << i for i, value in enumerate(vec) if value)
+    den = math.lcm(*[value.denominator for value in vec])
+    nums = [v.numerator * (den // v.denominator) for v in vec]
+    return object.__new__(Belief)._init(space, den, nums, support)
+
+
+def fraction_lottery(outcomes) -> Lottery:
+    """Oracle for ``Lottery(outcomes)``: Fraction checks and sum, zero entries dropped."""
+    cleaned = []
+    total = ZERO
+    for label in sorted(outcomes):
+        value = as_fraction(outcomes[label])
+        if value < 0:
+            raise ValidationError(f"negative probability {value} on outcome {label!r}")
+        total += value
+        if value:
+            cleaned.append((label, value))
+    if total != 1:
+        raise ValidationError(f"lottery probabilities must sum to 1, got {total}")
+    lottery = object.__new__(Lottery)
+    lottery.entries = tuple(cleaned)
+    lottery._hash = hash(lottery.entries)
+    lottery._expected = None
+    return lottery
+
+
+def fraction_conservative_rule(prior: Belief, delta) -> UpdatingRule:
+    """Oracle for ``conservative_rule``: one Fraction Bayes update per event.
+
+    Every entry is delta * prior + (1 - delta) * rest in Fractions, built
+    through ``fraction_belief``; the rest is ``fraction_bayes_update`` on
+    a feasible event and the uniform belief on a null one.
+    """
+    space = prior.space
+    table = {}
+    for event in space.events():
+        if prior.prob(event):
+            rest = fraction_bayes_update(prior, event)
+            spread = {s: rest.mass_of(s) for s in space.states}
+        else:
+            spread = {s: Fraction(int(s in event), len(event)) for s in space.states}
+        masses = {s: delta * prior.mass_of(s) + (1 - delta) * spread[s] for s in space.states}
+        table[event] = fraction_belief(space, {s: m for s, m in masses.items() if m})
+    return UpdatingRule(space, table)
 
 
 def fraction_bayes_update(mu: Belief, e: Event) -> Belief:
@@ -591,13 +654,12 @@ def oracle_consequentialism(fam, e: Event) -> CheckResult:
 def oracle_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
     """Oracle for ``check_conditional_consistency``, in Fractions, at any |S|.
 
-    The check's errors in its order; a pass where the Fraction vectors of
-    ``weighted_gains`` satisfy v_e = c * v_a with c > 0 or both vanish;
-    else the first witness of ``sampled_consistency`` on the default
-    triples, else the pair built from the vectors: a bet on the first state
-    where their signs differ, or else the gap (v_e(s), -v_e(r)) scaled into
-    [-1, 1], with r the first state where v_a is nonzero and s the first
-    where v_e(r) * v_a(s) != v_e(s) * v_a(r).
+    The check's errors in its order; then ``oracle_column`` on x and y, the
+    first two shared outcomes.  Past it, where u_e is not u_a and
+    ``fraction_affine_break`` finds a pair of lotteries u_e ranks unlike
+    u_a, the sampled check on those lotteries as constant acts, padded by
+    constant x; a pass where u_e(x) != u_e(y); else ``oracle_column`` on x
+    and the first shared outcome o that u_a values apart from x, if any.
     """
     if a.space != e.space:
         raise SpaceMismatch("events built over different state spaces")
@@ -610,15 +672,43 @@ def oracle_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
             "{" + ",".join(a.members) + "} is null given {" + ",".join(e.members) + "}"
         )
     space = fam.space
-    x, y = mixed_outcomes(fam.shared_outcomes())
+    outcomes = fam.shared_outcomes()
+    x, y = mixed_outcomes(outcomes)
+    failed = oracle_column(fam, e, a, x, y)
+    if failed is not None:
+        return failed
+    u_e, u_a = fam.utility_given(e), fam.utility_given(a)
+    padding = Act.constant(space, Lottery({x: 1}))
+    if u_e is not u_a:
+        built = fraction_affine_break([u_a, u_e], outcomes)
+        if built is not None:
+            f, g = (Act.constant(space, lottery) for lottery in built[:2])
+            return sampled_consistency(fam, e, a, [(f, g, padding)])
+    if u_e.value(x) != u_e.value(y):
+        return CheckResult(True)
+    o = next((o for o in outcomes if u_a.value(o) != u_a.value(x)), None)
+    failed = None if o is None else oracle_column(fam, e, a, x, o)
+    return CheckResult(True) if failed is None else failed
+
+
+def oracle_column(fam, e: Event, a: Event, x: str, y: str) -> CheckResult | None:
+    """None where the Fraction vectors of ``weighted_gains`` on x and y
+    satisfy v_e = c * v_a with c > 0 or both vanish; else the first
+    witness of ``sampled_consistency`` on the default triples of x/y
+    mixtures, else the pair built from the vectors: a bet on the first
+    state where their signs differ, or else the gap (v_e(s), -v_e(r))
+    scaled into [-1, 1], with r the first state where v_a is nonzero and s
+    the first where v_e(r) * v_a(s) != v_e(s) * v_a(r).
+    """
+    space = fam.space
     v_e, v_a = weighted_gains(fam, e, x, y, within=a), weighted_gains(fam, a, x, y)
     r = next((s for s, q in enumerate(v_a) if q), None)
     if r is None:
         if not any(v_e):
-            return CheckResult(True)
+            return None
     elif v_e[r] / v_a[r] > 0 and v_e == [v_e[r] / v_a[r] * q for q in v_a]:
-        return CheckResult(True)
-    sampled = sampled_consistency(fam, e, a, default_act_triples(space, fam.shared_outcomes()))
+        return None
+    sampled = sampled_consistency(fam, e, a, default_act_triples(space, (x, y)))
     if not sampled:
         return sampled
     signs = [((p > 0) - (p < 0), (q > 0) - (q < 0)) for p, q in zip(v_e, v_a)]
@@ -682,32 +772,53 @@ def brute_consequentialism(fam, e: Event) -> bool:
     return all(len(seen) == 1 for seen in values.values())
 
 
+def ranked_alike(fam, e: Event, a: Event, acts, h: Act) -> bool:
+    """Whether "f on a, h elsewhere" under ``e`` and f under ``a`` order ``acts`` alike.
+
+    Ranked through ``fraction_seu``: acts of equal value under ``a`` must
+    share one value under ``e``, and the values must rise together.
+    """
+    u_e, b_e = fam.utility_given(e), fam.belief_given(e)
+    u_a, b_a = fam.utility_given(a), fam.belief_given(a)
+    under_e: dict[Fraction, set] = {}
+    for f in acts:
+        under_e.setdefault(fraction_seu(u_a, b_a, f), set()).add(
+            fraction_seu(u_e, b_e, compose_act(f, a, h))
+        )
+    if any(len(seen) > 1 for seen in under_e.values()):
+        return False
+    rising = [next(iter(under_e[key])) for key in sorted(under_e)]
+    return all(lo < hi for lo, hi in zip(rising, rising[1:]))
+
+
 def brute_conditional_consistency(fam, e: Event, a: Event) -> bool:
     """Oracle for ``check_conditional_consistency``, in Fractions, |S| <= 4.
 
-    For h constant at x and at y, ranks every pair (f, g) of x/y-mixture
-    acts on ``mixture_grid``: "f on a, h elsewhere" against the same for g
-    under ``e``, and f against g under ``a``.  All pairs agree exactly when
-    the two value maps order the acts the same way: acts of equal value
-    under ``a`` share one value under ``e``, and the values rise together.
+    Ranks with ``ranked_alike`` every constant act on a mixture of two
+    shared outcomes at 0, 1 or a ratio of two gaps of u_e or of u_a
+    (``mixture_grid``), and, for each pair (o, p) of shared outcomes and h
+    constant at o and at p, every act that maps each state to a mixture of
+    o and p on the ``mixture_grid`` of their weighted gains.  The constant
+    acts see a utility that is no positive affine image of the other, and
+    the o/p acts a belief on ``a`` that is no positive multiple of the
+    other wherever u_a values o and p apart, so all agree exactly when
+    the axiom holds over every act.  Shared outcomes that either utility
+    leaves out are skipped.
     """
-    x, y = fam.shared_outcomes()[:2]
     space = fam.space
-    u_e, b_e = fam.utility_given(e), fam.belief_given(e)
-    u_a, b_a = fam.utility_given(a), fam.belief_given(a)
-    grid = mixture_grid(weighted_gains(fam, e, x, y, within=a), weighted_gains(fam, a, x, y))
-    for outcome in (x, y):
-        h = Act.constant(space, Lottery({outcome: 1}))
-        under_e: dict[Fraction, set] = {}
-        for probabilities in itertools.product(grid, repeat=len(space)):
-            f = _xy_act(space, x, y, probabilities)
-            composed = compose_act(f, a, h)
-            under_e.setdefault(fraction_seu(u_a, b_a, f), set()).add(
-                fraction_seu(u_e, b_e, composed)
-            )
-        if any(len(seen) > 1 for seen in under_e.values()):
-            return False
-        rising = [next(iter(under_e[key])) for key in sorted(under_e)]
-        if any(lo >= hi for lo, hi in zip(rising, rising[1:])):
-            return False
+    utilities = (fam.utility_given(e), fam.utility_given(a))
+    shared = dict.fromkeys(fam.shared_outcomes())
+    outcomes = [o for o in shared if all(o in u.nums for u in utilities)]
+    pairs = list(itertools.combinations(outcomes, 2))
+    gaps = [[u.value(o) - u.value(p) for o in outcomes for p in outcomes] for u in utilities]
+    lotteries = [Lottery({o: 1 - q, p: q}) for o, p in pairs for q in mixture_grid(*gaps)]
+    padding = Act.constant(space, Lottery({outcomes[0]: 1}))
+    if not ranked_alike(fam, e, a, [Act.constant(space, lot) for lot in lotteries], padding):
+        return False
+    for o, p in pairs:
+        grid = mixture_grid(weighted_gains(fam, e, o, p, within=a), weighted_gains(fam, a, o, p))
+        acts = [_xy_act(space, o, p, row) for row in itertools.product(grid, repeat=len(space))]
+        for outcome in (o, p):
+            if not ranked_alike(fam, e, a, acts, Act.constant(space, Lottery({outcome: 1}))):
+                return False
     return True

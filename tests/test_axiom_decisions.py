@@ -46,6 +46,7 @@ from helpers import (
     brute_conditional_consistency,
     brute_consequentialism,
     coin_hierarchy,
+    count_fractions,
     default_act_pairs,
     default_act_triples,
     fraction_constant_act_agreement,
@@ -256,6 +257,52 @@ def test_a_third_outcome_breaks_consequentialism_where_x_and_y_tie():
     assert sampled_consequentialism(fam, lone, default_act_pairs(space, OUTCOMES))
 
 
+def test_a_third_outcome_breaks_consistency_where_x_and_y_tie():
+    """u = {x: 0, y: 0, z: 1}; on {a, b} the belief is (1/4, 3/4) given S, (1/2, 1/2) given it."""
+    space = StateSpace(("a", "b", "c"))
+    e, sub = space.full_event, space.event("a", "b")
+    u = UtilityFunction({"x": 0, "y": 0, "z": 1})
+    b_e = Belief(space, {"a": Fraction(1, 4), "b": Fraction(3, 4)})
+    fam = TableFamily(space, {e: b_e, sub: Belief.uniform_on(sub)}, {e: u, sub: u})
+    check = check_conditional_consistency(fam, e, sub)
+    assert not check
+    assert not brute_conditional_consistency(fam, e, sub)
+    assert check == oracle_conditional_consistency(fam, e, sub)
+    assert_consistency_witness(fam, e, sub, check)
+    f, g, h, _, _ = check.witness
+    assert {o for act in (f, g) for lot in act.assignment for o, _ in lot.entries} == {"x", "z"}
+    # the x/y mixtures cannot see it
+    assert sampled_consistency(fam, e, sub, default_act_triples(space, OUTCOMES))
+
+
+def test_a_utility_off_the_line_breaks_consistency_where_beliefs_agree():
+    """u_a values x, y, z at 0, 1, 3 and u_e at 0, 1, 2; b_a is b_e's update."""
+    space = StateSpace(("a", "b", "c"))
+    e, sub = space.full_event, space.event("a", "b")
+    b_e = Belief.uniform_on(e)
+    u_e, u_a = UtilityFunction({"x": 0, "y": 1, "z": 2}), UtilityFunction({"x": 0, "y": 1, "z": 3})
+    fam = TableFamily(space, {e: b_e, sub: bayes_update(b_e, sub)}, {e: u_e, sub: u_a})
+    check = check_conditional_consistency(fam, e, sub)
+    assert not check
+    assert not brute_conditional_consistency(fam, e, sub)
+    assert check == oracle_conditional_consistency(fam, e, sub)
+    assert_consistency_witness(fam, e, sub, check)
+    # u_a ties 2/3 x + 1/3 z with y, and u_e prefers y
+    mixed = Lottery({"x": Fraction(2, 3), "z": Fraction(1, 3)})
+    assert check.witness == (
+        Act.constant(space, mixed),
+        Act.constant(space, Lottery({"y": 1})),
+        Act.constant(space, Lottery({"x": 1})),
+        Preference.SECOND,
+        Preference.INDIFFERENT,
+    )
+    assert sampled_consistency(fam, e, sub, default_act_triples(space, OUTCOMES))
+    # one utility for both events, or an affine image of it, passes
+    for image in (u_e, u_e.affine(3, -1)):
+        agreeing = TableFamily(space, fam._beliefs, {e: u_e, sub: image})
+        assert check_conditional_consistency(agreeing, e, sub)
+
+
 def test_ratios_off_the_half_grid_are_told_apart():
     """On a, v_e is (1, 11/10) and v_a is (1, 6/5): every {0, 1/2, 1} act agrees."""
     space = StateSpace(("s0", "s1", "s2"))
@@ -451,6 +498,29 @@ def test_mass_leaked_past_the_sampled_bets_gets_a_bet_of_its_own():
     assert f == Act(space, {s: Lottery({"y" if s == "s7" else "x": 1}) for s in space.states})
     assert g == h == Act.constant(space, Lottery({"x": 1}))
     assert (under_e, under_a) == (Preference.INDIFFERENT, Preference.FIRST)
+
+
+@pytest.mark.parametrize("witness", ["grid", "built"])
+def test_a_failing_check_builds_fractions_only_for_its_witness_lotteries(monkeypatch, witness):
+    """The decision and the ranking run on integers; each distinct lottery is built once."""
+    fam, e, a = eight_state_miss()
+    if witness == "grid":  # the belief given {s0, s1} leaks onto s2, where a grid bet sits
+        a = fam.space.event("s0", "s1")
+        fam._beliefs[a] = Belief(fam.space, {"s0": Fraction(1, 2), "s2": Fraction(1, 2)})
+    for event in (e, a):
+        fam.belief_given(event), fam.utility_given(event)
+    made = count_fractions(monkeypatch)
+    check = check_conditional_consistency(fam, e, a)
+    monkeypatch.undo()
+    assert not check
+    triples = default_act_triples(fam.space, fam.shared_outcomes())
+    assert (witness == "grid") == (not sampled_consistency(fam, e, a, triples))
+    lotteries = {id(lot): lot for act in check.witness[:3] for lot in act.assignment}.values()
+    probabilities = {p for lot in lotteries for _, p in lot.entries}
+    assert len(lotteries) <= 3
+    # each lottery's probabilities of x and of y, and nothing else
+    assert len(made) == 2 * len(lotteries)
+    assert {Fraction(*args) for args in made} >= probabilities
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from beliefkit import (
     seu_value,
 )
 from beliefkit.core import _lex_masks, as_fraction, lex_submasks
-from helpers import fraction_bayes_update
+from helpers import fraction_bayes_update, fraction_belief, fraction_lottery
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,95 @@ def test_belief_rejects_negative_mass_and_unknown_labels():
         Belief(space, {"a": Fraction(3, 2), "b": Fraction(-1, 2)})
     with pytest.raises(ValidationError):
         Belief(space, {"a": Fraction(1, 2), "z": Fraction(1, 2)})
+
+
+BROKEN = ("zero", "negative", "sum", "label", "float", "bool", "str")
+
+
+def seeded_masses(rng, labels, kind):
+    """Masses on some of ``labels``, valid or broken one way, in a random key order.
+
+    ``kind`` is "valid" or one of BROKEN: an extra zero mass (still valid),
+    a negated mass, a doubled mass, a mass moved to an unknown label, or
+    one value spelled as a float, a bool or a string.  Values are
+    Fractions or ints.
+    """
+    chosen = rng.sample(labels, rng.randint(1, len(labels)))
+    weights = [rng.randint(1, 6) for _ in chosen]
+    total = sum(weights)
+    items = [[label, Fraction(w, total)] for label, w in zip(chosen, weights)]
+    if len(items) == 1:
+        items[0][1] = rng.choice([1, Fraction(1)])
+    target = rng.choice(items)
+    if kind == "zero":
+        items.append([rng.choice(labels), rng.choice([0, Fraction(0)])])
+    elif kind == "negative":
+        target[1] = -target[1]
+    elif kind == "sum":
+        target[1] = 2 * target[1]
+    elif kind == "label":
+        target[0] = "nowhere"
+    elif kind in ("float", "bool", "str"):
+        target[1] = {"float": float, "bool": bool, "str": str}[kind](target[1])
+    rng.shuffle(items)
+    return dict(items)
+
+
+def built(construct, *args):
+    """("result", the object), or ("error", its error's type, message)."""
+    try:
+        return "result", construct(*args)
+    except Exception as error:
+        return "error", type(error), str(error)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_constructors_match_their_fraction_oracles(seed):
+    """``Belief`` and ``Lottery`` decide in integers what the Fraction bodies decided."""
+    rng = random.Random(2000 + seed)
+    space = StateSpace(tuple(f"s{i}" for i in range(6)))
+    outcomes = ["w", "x", "y", "z"]
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice(("valid",) * 3 + BROKEN)
+        for construct, oracle, args in (
+            (Belief, fraction_belief, (space, seeded_masses(rng, list(space.states), kind))),
+            (Lottery, fraction_lottery, (seeded_masses(rng, outcomes, kind),)),
+        ):
+            got, want = built(construct, *args), built(oracle, *args)
+            seen.add((construct.__name__, kind, got[0]))
+            if want[0] == "error":
+                assert got == want, (kind, args)
+                continue
+            assert got[0] == "result", (kind, args, got)
+            mine, theirs = got[1], want[1]
+            if construct is Belief:
+                assert (mine.nums, mine.den, mine.support_mask) == (
+                    theirs.nums,
+                    theirs.den,
+                    theirs.support_mask,
+                )
+            else:
+                assert mine.entries == theirs.entries
+                assert all(type(p) is Fraction for _, p in mine.entries)
+            assert mine == theirs and hash(mine) == hash(theirs)
+    # each constructor built and refused; an unknown outcome label is no error
+    assert {(name, result) for name, _, result in seen} == {
+        (name, result) for name in ("Belief", "Lottery") for result in ("result", "error")
+    }
+    assert ("Belief", "label", "error") in seen and ("Lottery", "label", "result") in seen
+
+
+def test_uniform_beliefs_match_the_fraction_oracle():
+    space = StateSpace(tuple(f"s{i}" for i in range(5)))
+    for event in space.events():
+        share = Fraction(1, len(event))
+        want = fraction_belief(space, {s: share for s in event.members})
+        got = Belief.uniform_on(event)
+        assert (got.nums, got.den, got.support_mask) == (want.nums, want.den, want.support_mask)
+        assert got == want and hash(got) == hash(want)
+    with pytest.raises(EmptyEvent):
+        Belief.uniform_on(space.empty_event)
 
 
 @given(one_belief_two_spellings())

@@ -26,7 +26,12 @@ from beliefkit import (
 )
 from beliefkit import rules
 from beliefkit.errors import OutsideDomain
-from helpers import coin_hierarchy, fraction_bayes_update, random_belief_on
+from helpers import (
+    coin_hierarchy,
+    fraction_bayes_update,
+    fraction_conservative_rule,
+    random_belief_on,
+)
 
 
 @pytest.fixture
@@ -125,22 +130,8 @@ def test_conservative_delta_rejects_floats(half_half):
         conservative_rule(prior, 0.5)
 
 
-def fraction_conservative_rule(prior, delta):
-    """Oracle for ``conservative_rule``: one Fraction Bayes update per event."""
-    space = prior.space
-    table = {}
-    for event in space.events():
-        if prior.prob(event):
-            rest = fraction_bayes_update(prior, event)
-            spread = {s: rest.mass_of(s) for s in space.states}
-        else:
-            spread = {s: Fraction(int(s in event), len(event)) for s in space.states}
-        masses = {s: delta * prior.mass_of(s) + (1 - delta) * spread[s] for s in space.states}
-        table[event] = Belief(space, {s: m for s, m in masses.items() if m})
-    return UpdatingRule(space, table)
-
-
-def test_conservative_rule_updates_once_per_meet_with_the_support(monkeypatch):
+def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeypatch):
+    """Every entry is mixed on integer numerators; no Bayes update is asked for."""
     calls = []
     real = rules.bayes_update
 
@@ -152,13 +143,15 @@ def test_conservative_rule_updates_once_per_meet_with_the_support(monkeypatch):
     rng = random.Random(7)
     for n in (1, 3, 5, 6):
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        prior = random_belief_on(rng, space.full_event)
-        for delta in (Fraction(1, 3), Fraction(1)):
-            calls.clear()
-            rule = conservative_rule(prior, delta)
-            assert rule == fraction_conservative_rule(prior, delta)
-            assert sorted(calls) == sorted(set(calls))
-            assert len(calls) == 2 ** prior.support_mask.bit_count() - 1
+        for prior in (random_belief_on(rng, space.full_event), Belief.uniform_on(space.full_event)):
+            for delta in (Fraction(1, 3), Fraction(5, 7), Fraction(1), 1):
+                rule = conservative_rule(prior, delta)
+                want = fraction_conservative_rule(prior, Fraction(delta))
+                assert rule == want
+                assert [rule[e].support_mask for e in rule.events()] == [
+                    want[e].support_mask for e in want.events()
+                ]
+    assert calls == []
 
 
 def test_events_outside_the_domain_are_a_typed_key_error(half_half):
