@@ -20,11 +20,11 @@ _EXPORTS = {
         "compose_act", "max_enumerable_states", "seu_value",
     ),
     "errors": (
-        "AllLevelsNull", "AllZeroScores", "AmbiguousArgmax", "BadDelta",
-        "BeliefkitError", "DegenerateBase", "EmptyEvent", "IncompleteCoverage",
+        "AllLevelsNull", "AmbiguousArgmax", "BadDelta", "BeliefkitError",
+        "DegenerateBase", "EmptyEvent", "IncompleteCoverage",
         "InfeasibleSubevent", "MissingUtility", "NoPriorExceedsThreshold",
-        "NotCps", "NullConditioning", "ParseError", "SeparationFailed",
-        "SpaceMismatch", "TooManyStates", "ValidationError",
+        "NotCps", "NullConditioning", "ParseError", "SpaceMismatch",
+        "TooManyStates", "ValidationError",
     ),
     "hypothesis_testing": (
         "EpsOsConstruction", "HTRepresentation", "SelectionBranch",

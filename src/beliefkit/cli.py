@@ -149,8 +149,6 @@ def cmd_decompose(scenario: Scenario, args):
     try:
         os = cps_to_os(rule)
     except NotCps as err:
-        if err.validation is None:
-            raise
         rows, payload = _validation_report(err.validation)
         return 1, rows, payload
     rows = [("priors", str(len(os.priors)))]

@@ -32,7 +32,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 MAX_STATES_ENV = "BELIEFKIT_MAX_STATES"
 DEFAULT_MAX_STATES = 20
@@ -184,10 +183,6 @@ class Event:
         states = self.space.states
         return tuple(states[i] for i in self.indices)
 
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        return self.indices
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.members)
 
@@ -323,13 +318,10 @@ class Belief:
             m ^= low
         return num
 
-    def mass_on_mask(self, mask: int) -> Fraction:
-        return Fraction(self.mask_num(mask), self.den)
-
     def prob(self, event: Event) -> Fraction:
         if self.space != event.space:
             raise SpaceMismatch("belief and event belong to different state spaces")
-        return self.mass_on_mask(event.mask)
+        return Fraction(self.mask_num(event.mask), self.den)
 
     def __eq__(self, other) -> bool:
         return (

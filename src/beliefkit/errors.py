@@ -68,14 +68,6 @@ class AmbiguousArgmax(BeliefkitError):
         self.tied = tuple(tied)
 
 
-class AllZeroScores(BeliefkitError):
-    """Every selection score is zero, so no prior can be chosen."""
-
-
-class SeparationFailed(BeliefkitError):
-    """The thresholded construction's lowest interval does not clear the threshold."""
-
-
 class AllLevelsNull(BeliefkitError):
     """Every lexicographic level assigns zero mass to the conditioning event."""
 

@@ -81,11 +81,9 @@ from .core import (
     posterior_walk,
 )
 from .errors import (
-    AllZeroScores,
     AmbiguousArgmax,
     EmptyEvent,
     IncompleteCoverage,
-    SeparationFailed,
     SpaceMismatch,
     ValidationError,
 )
@@ -210,11 +208,9 @@ def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
 
 def _argmax(ht: HTRepresentation, mask: int, scores: Sequence[int | Fraction]) -> int:
     """Index of the strict maximum of an argmax event's scores."""
+    # best > 0: ``_init`` makes every weight positive and the supports cover
+    # the space, so some prior puts positive mass on the nonempty event
     best = max(scores)
-    if best == 0:
-        raise AllZeroScores(
-            "every prior assigns zero mass to the event"
-        )  # unreachable for validated representations; supports cover the space
     if scores.count(best) > 1:
         tied = [j for j, score in enumerate(scores) if score == best]
         raise AmbiguousArgmax(
@@ -416,7 +412,12 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # so dominated-but-uncertain beliefs can never outscore the class.
     # Values are integers over one denominator holding the threshold's, one
     # factor 4 per class (two halvings) and every gap limit's, so each step
-    # divides exactly.
+    # divides exactly: by induction upper_k and floor are multiples of
+    # 4^(P-k) times every gap_den_j, j >= k.  No bound reaches floor:
+    # floor < common, as eps < 1 (``as_threshold``) and cross_max < 1 (each
+    # q in ``below`` misses states of positive mass in every row holding
+    # it); and gap_num < gap_den gives max(floor, upper * gap) < upper, so
+    # floor < lower_k < upper_k and floor < upper_(k+1).
     common = threshold.denominator * 4 ** len(priors)
     for _, gap_den in gaps:
         common *= gap_den
@@ -427,8 +428,6 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         lower = (max(floor, upper * gap_num // gap_den) + upper) // 2
         chain.append((upper, lower))
         upper = (floor + lower) // 2
-    if chain[-1][1] <= floor:
-        raise SeparationFailed(f"interval chain collapsed onto the threshold {threshold}")
 
     # Weights spaced evenly inside each interval, as integer numerators over
     # one denominator that clears every bound and every (class size + 1).

@@ -60,7 +60,7 @@ class LPSRepresentation:
 
 
 class LexValue:
-    """One expected value per level, ordered lexicographically."""
+    """One expected value per level, ordered lexicographically by ``<`` and ``>``."""
 
     __slots__ = ("components",)
 
@@ -87,17 +87,9 @@ class LexValue:
         self._comparable(other)
         return self.components < other.components
 
-    def __le__(self, other: "LexValue") -> bool:
-        self._comparable(other)
-        return self.components <= other.components
-
     def __gt__(self, other: "LexValue") -> bool:
         self._comparable(other)
         return self.components > other.components
-
-    def __ge__(self, other: "LexValue") -> bool:
-        self._comparable(other)
-        return self.components >= other.components
 
     def __hash__(self) -> int:
         return hash(self.components)

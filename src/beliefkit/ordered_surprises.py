@@ -81,7 +81,7 @@ class OSRepresentation:
         return True
 
 
-def canonicalize_os(priors: Sequence[Belief] | OSRepresentation) -> OSRepresentation:
+def canonicalize_os(os: OSRepresentation) -> OSRepresentation:
     """Zero out mass already explained by earlier priors and renormalize.
 
     Priors left with no mass are dropped.  The induced update rule is
@@ -89,19 +89,10 @@ def canonicalize_os(priors: Sequence[Belief] | OSRepresentation) -> OSRepresenta
     an event that first becomes feasible at the later prior.  Whether the
     result covers the whole space is reported by ``covers_space``.
     """
-    if isinstance(priors, OSRepresentation):
-        space = priors.space
-        sequence = priors.priors
-    else:
-        sequence = tuple(priors)
-        if not sequence:
-            raise ValidationError("a hierarchy needs at least one prior")
-        space = sequence[0].space
+    space = os.space
     seen = 0
     cleaned: list[Belief] = []
-    for prior in sequence:
-        if prior.space != space:
-            raise SpaceMismatch("prior built over a different state space")
+    for prior in os.priors:
         fresh = prior.support_mask & ~seen
         if not fresh:
             continue

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Act,
@@ -63,31 +63,17 @@ from .ordered_surprises import OSRepresentation, surprise_order
 
 
 class PreferenceFamily:
-    """An ordered hierarchy plus one non-constant utility per order."""
+    """An ordered hierarchy plus one non-constant utility per order, in order."""
 
     __slots__ = ("os", "utilities", "_given", "_shared")
 
-    def __init__(
-        self,
-        os: OSRepresentation,
-        utilities: Mapping[int, UtilityFunction] | Sequence[UtilityFunction],
-    ):
-        if isinstance(utilities, Mapping):
-            try:
-                ordered = tuple(utilities[k] for k in range(len(os.priors)))
-            except KeyError as missing:
-                raise ValidationError(
-                    f"no utility for surprise order {missing.args[0]}"
-                ) from None
-            if len(utilities) != len(os.priors):
-                raise ValidationError("utilities keyed outside the hierarchy's orders")
-        else:
-            ordered = tuple(utilities)
-            if len(ordered) != len(os.priors):
-                raise ValidationError(
-                    f"need one utility per order, got {len(ordered)} "
-                    f"for {len(os.priors)} priors"
-                )
+    def __init__(self, os: OSRepresentation, utilities: Sequence[UtilityFunction]):
+        ordered = tuple(utilities)
+        if len(ordered) != len(os.priors):
+            raise ValidationError(
+                f"need one utility per order, got {len(ordered)} "
+                f"for {len(os.priors)} priors"
+            )
         for k, u in enumerate(ordered):
             if len(set(u.nums.values())) < 2:
                 raise ValidationError(f"utility for order {k} is constant")
@@ -478,13 +464,15 @@ def check_constant_act_agreement(fam) -> CheckResult:
     broken = _affine_break(fam.utilities, outcomes, anchor)
     if broken is None:
         return CheckResult(True)
-    built = _flip_pair(base, *(anchor or (outcomes[0], broken[1])), broken[1])
+    p, q = Lottery({x: 1}), Lottery({x: Fraction(3, 4), y: Fraction(1, 4)})
+    bench = compare_values(base.expected(p), base.expected(q))
+    for k, u in enumerate(fam.utilities[1:], start=1):
+        verdict = compare_values(u.expected(p), u.expected(q))
+        if verdict is not bench:
+            return CheckResult(False, (p, q, k, verdict, bench))
     # orders before the break agree with order 0 on every lottery, and the
     # built pair flips at the break, so its first flip is the break's order
-    for p, q in [(Lottery({x: 1}), Lottery({x: Fraction(3, 4), y: Fraction(1, 4)})), built]:
-        bench = compare_values(base.expected(p), base.expected(q))
-        for k, u in enumerate(fam.utilities[1:], start=1):
-            verdict = compare_values(u.expected(p), u.expected(q))
-            if verdict is not bench:
-                return CheckResult(False, (p, q, k, verdict, bench))
-    return CheckResult(True)
+    k, o = broken
+    p, q = _flip_pair(base, *(anchor or (outcomes[0], o)), o)
+    verdicts = [compare_values(u.expected(p), u.expected(q)) for u in (fam.utilities[k], base)]
+    return CheckResult(False, (p, q, k, *verdicts))

@@ -29,7 +29,7 @@ asks for one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Belief,
@@ -330,23 +330,17 @@ def _violation(space: StateSpace, table: dict, e: int, f: int, before: int) -> C
     return CpsValidation.violation(witness, before + position + 1)
 
 
-def rules_equal(a: UpdatingRule, b: UpdatingRule, scope: Iterable[Event] | None = None) -> CheckResult:
-    """Compare two rules event by event; witness the first difference.
+def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
+    """Compare two rules on every nonempty event; witness the first difference.
 
-    ``scope`` defaults to every nonempty event of the shared space.  An
-    event missing from either table counts as a difference.
+    Events are compared in canonical order, and an event missing from
+    either table counts as a difference.
     """
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")
-    if scope is None:
-        table_a, table_b = a._table, b._table
-        if table_a == table_b:  # every key is a nonempty mask of the space
-            return CheckResult(True)
-        for mask in a.space.canonical_masks():
-            if table_a.get(mask) != table_b.get(mask):
-                return CheckResult(False, Event(a.space, mask))
+    table_a, table_b = a._table, b._table
+    if table_a == table_b:
         return CheckResult(True)
-    for event in sorted(scope, key=lambda e: e.sort_key):
-        if a.get(event) != b.get(event):
-            return CheckResult(False, event)
-    return CheckResult(True)
+    # the tables differ, and every key is a nonempty mask of the space
+    first = next(m for m in a.space.canonical_masks() if table_a.get(m) != table_b.get(m))
+    return CheckResult(False, Event(a.space, first))

@@ -23,14 +23,13 @@ from beliefkit import (
     is_complete,
     is_concentrated,
 )
-from beliefkit.core import ONE, ZERO, as_fraction, lex_submasks
+from beliefkit.core import ZERO, as_fraction, lex_submasks
 from beliefkit.errors import (
     BeliefkitError,
     DegenerateBase,
     EmptyEvent,
     InfeasibleSubevent,
     NullConditioning,
-    SeparationFailed,
     SpaceMismatch,
     ValidationError,
 )
@@ -380,6 +379,14 @@ class CycleDetected(BeliefkitError):
     """
 
 
+class SeparationFailed(BeliefkitError):
+    """The oracle's lowest interval does not clear the threshold.
+
+    ``eps_os_construction`` proves its chain never collapses; the oracle
+    below, which keeps its own Fraction chain, still checks.
+    """
+
+
 def fraction_eps_os_construction(
     os: OSRepresentation, eps
 ) -> tuple[EpsOsConstruction, tuple[tuple[int, int], ...]]:
@@ -414,7 +421,7 @@ def fraction_eps_os_construction(
     conditionals: list[list[Belief]] = []
     for k, prior in enumerate(priors):
         row = []
-        for inner in sorted(seen_masks[k], key=lambda m: Event(space, m).sort_key):
+        for inner in sorted(seen_masks[k], key=lambda m: Event(space, m).indices):
             row.append(fraction_bayes_update(prior, Event(space, inner)))
         conditionals.append(row)
 
@@ -431,7 +438,7 @@ def fraction_eps_os_construction(
             for j, other in enumerate(row):
                 if i == j:
                     continue
-                value = other.mass_on_mask(b.support_mask)
+                value = Fraction(other.mask_num(b.support_mask), other.den)
                 if value == 1:
                     edges.append((i, j))
                 elif value > limit:
@@ -446,7 +453,7 @@ def fraction_eps_os_construction(
         for j in range(k):
             for belief in conditionals[j]:
                 for mask in class_events[k]:
-                    value = belief.mass_on_mask(mask)
+                    value = Fraction(belief.mask_num(mask), belief.den)
                     if value > cross_max:
                         cross_max = value
     threshold = max(cross_max, eps)
@@ -461,7 +468,7 @@ def fraction_eps_os_construction(
             outgoing[winner].append(loser)
         ready = sorted(
             (i for i in range(len(row)) if incoming[i] == 0),
-            key=lambda i: Event(space, row[i].support_mask).sort_key,
+            key=lambda i: Event(space, row[i].support_mask).indices,
         )
         order: list[int] = []
         while ready:
@@ -475,7 +482,7 @@ def fraction_eps_os_construction(
             if changed:
                 ready = sorted(
                     (i for i in range(len(row)) if incoming[i] == 0 and i not in order),
-                    key=lambda i: Event(space, row[i].support_mask).sort_key,
+                    key=lambda i: Event(space, row[i].support_mask).indices,
                 )
         if len(order) != len(row):
             raise CycleDetected("dominance relation among conditional beliefs is cyclic")
@@ -485,7 +492,7 @@ def fraction_eps_os_construction(
     # class's lower bound also clears upper * (largest non-certain mass),
     # so dominated-but-uncertain beliefs can never outscore the class.
     bounds: list[tuple[Fraction, Fraction]] = []
-    upper = ONE
+    upper = Fraction(1)
     for k in range(len(priors)):
         floor = max(threshold, upper * gap_limits[k])
         lower = (floor + upper) / 2

@@ -118,7 +118,7 @@ def test_criterion_05_weight_construction(corpus):
     coin = coin_hierarchy()
     ht = os_to_ht(coin)
     assert ht.rho == (Fraction(64, 81), Fraction(16, 81), Fraction(1, 81))
-    check = rules_equal(os_rule(coin), ht_rule(ht), scope=coin.space.events())
+    check = rules_equal(os_rule(coin), ht_rule(ht))
     assert check
     assert len(tuple(coin.space.events())) == 63
 

@@ -60,6 +60,7 @@ def test_lex_value_ordering():
     assert b > a
     assert a != b
     assert a == LexValue((Fraction(1), Fraction(0)))
+    assert hash(a) == hash(LexValue((1, 0)))
     assert not a < a
 
 

@@ -97,10 +97,6 @@ def test_family_validates_utility_count_and_shape(coin_family):
         PreferenceFamily(coin, (XY, XY))
     with pytest.raises(ValidationError):
         PreferenceFamily(coin, (XY, XY, UtilityFunction({"x": 1, "z": 1})))
-    keyed = PreferenceFamily(coin, {0: XY, 1: XY, 2: XY})
-    assert keyed.utilities == (XY, XY, XY)
-    with pytest.raises(ValidationError):
-        PreferenceFamily(coin, {0: XY, 2: XY})
 
 
 def test_utility_given_tracks_surprise_order():

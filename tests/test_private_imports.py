@@ -12,8 +12,9 @@ every invariant of the package off a bare ``assert``, which ``python -O``
 strips: a broken invariant must raise a typed error.  A fifth makes every
 class that defines ``__eq__`` state its ``__hash__``, since Python
 otherwise makes it unhashable without a word.  A sixth keeps every
-module-level private function, class or assignment read somewhere in the
-package outside its own definition, so dead internal code cannot linger.
+module-level private function, class or assignment, and every private
+method and ``__slots__`` entry of a class, read somewhere in the package
+outside its own definition, so dead internal code cannot linger.
 """
 
 import ast
@@ -341,23 +342,47 @@ def test_the_rule_sees_unstated_hashes(tmp_path):
     assert unstated_hashes(bad) == ["bad.py:1: Rule", "bad.py:17: Inner"]
 
 
-def dead_private_definitions(paths: list[Path]) -> list[str]:
-    """Module-level private defs, classes and assigned names nothing reads.
+def class_members(tree: ast.AST) -> list[tuple[ast.stmt, list[str]]]:
+    """Each class's private methods and ``__slots__`` entries, by defining statement."""
+    members = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(stmt.name):
+                members.append((stmt, [stmt.name]))
+            elif isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__" for target in stmt.targets
+            ):
+                entries = [
+                    node.value
+                    for node in ast.walk(stmt.value)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                ]
+                members.append((stmt, entries))
+    return members
 
-    A read is a ``Name`` load or an attribute access of the name in any of
-    ``paths``, outside the definition's own statement, so a function that
-    only calls itself is still dead.
+
+def dead_private_definitions(paths: list[Path]) -> list[str]:
+    """Private definitions nothing reads, module-level and in classes.
+
+    Module level: private defs, classes and assigned names.  In a class:
+    private methods and every ``__slots__`` entry.  A read is an attribute
+    access of the name in any of ``paths`` (or, for a module-level name, a
+    ``Name`` load), outside the definition's own statement, so a function
+    that only calls itself is still dead.
     """
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     reads = [
-        (path, node, node.id if isinstance(node, ast.Name) else node.attr)
-        for path, tree in trees.items()
+        (node, node.id if isinstance(node, ast.Name) else node.attr, isinstance(node, ast.Name))
+        for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     ]
     found = []
     for path, tree in trees.items():
+        defined = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
@@ -371,14 +396,19 @@ def dead_private_definitions(paths: list[Path]) -> list[str]:
                 ]
             else:
                 continue
+            defined.append((stmt, [name for name in names if _is_private(name)], False))
+        defined += [(stmt, names, True) for stmt, names in class_members(tree)]
+        for stmt, names, member in defined:
             inside = {id(node) for node in ast.walk(stmt)}
             found += [
-                f"{path.name}:{stmt.lineno}: {name}"
+                (path.name, stmt.lineno, name)
                 for name in names
-                if _is_private(name)
-                and not any(read == name and id(node) not in inside for _, node, read in reads)
+                if not any(
+                    read == name and id(node) not in inside and not (member and bare)
+                    for node, read, bare in reads
+                )
             ]
-    return found
+    return [f"{file}:{line}: {name}" for file, line, name in sorted(found, key=lambda f: f[:2])]
 
 
 def test_no_dead_private_definitions():
@@ -397,13 +427,26 @@ def test_the_rule_sees_dead_private_definitions(tmp_path):
         "class _Peeled:\n"
         "    pass\n"
         "def public():\n"
-        "    return _SEEN\n",
+        "    den = 3\n"
+        "    return _SEEN + den\n"
+        "class Belief:\n"
+        "    __slots__ = ('den', '_mass', '_hash')\n"
+        "    def __init__(self):\n"
+        "        self.den, self._mass, self._hash = 1, None, 0\n"
+        "    def _init(self):\n"
+        "        return self._init()\n"
+        "    def _read(self):\n"
+        "        return self._mass\n"
+        "    def _unused(self):\n"
+        "        pass\n"
+        "    def __hash__(self):\n"
+        "        return self._hash\n",
         encoding="utf-8",
     )
     (tmp_path / "rules.py").write_text(
         "from . import core\n"
         "def _sampled(rule):\n"
-        "    return core._lex(rule)\n",
+        "    return core._lex(rule), rule._read()\n",
         encoding="utf-8",
     )
     assert dead_private_definitions(sorted(tmp_path.glob("*.py"))) == [
@@ -411,5 +454,8 @@ def test_the_rule_sees_dead_private_definitions(tmp_path):
         "core.py:3: _LOST",
         "core.py:6: _walk",
         "core.py:8: _Peeled",
+        "core.py:14: den",
+        "core.py:17: _init",
+        "core.py:21: _unused",
         "rules.py:2: _sampled",
     ]

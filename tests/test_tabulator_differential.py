@@ -106,7 +106,7 @@ def test_bayesian_rule_is_bayes_update_on_the_feasible_events(rows):
     prior = belief_from(space, rows[0])
     rule = bayesian_rule(prior)
     feasible = [e for e in space.events() if e.mask & prior.support_mask]
-    assert sorted(rule.events(), key=lambda e: e.sort_key) == feasible
+    assert sorted(rule.events(), key=lambda e: e.indices) == feasible
     assert len(rule) == len(feasible)
     for e in feasible:
         assert rule[e] == bayes_update(prior, e)
