@@ -7,7 +7,10 @@ The cases are criterion 10's twelve commands plus small scenarios under
 ``tests/golden/scenarios`` that reach reports the fixtures do not: a
 ``check-axioms`` fail, the one-state ``conservative`` report, an
 ``eps-update`` with no prior above the threshold, an ``ht-select`` tie and
-a ``decompose`` of a rule that is not a CPS.
+a ``decompose`` of a rule that is not a CPS; and the report shapes the
+twelve commands miss: one ``conservative`` conditional, an ``lps-compare``
+without the demo, a ``partition`` at threshold 0 and an ``ht-select`` on
+the Bayesian branch.
 
 ``tests/test_golden_reports.py`` compares the files byte for byte.  After
 a deliberate report change, rewrite them with
@@ -34,6 +37,10 @@ CASES = REPORT_COMMANDS + (
     ("eps-update", "coin", "--eps", "1/2", "--event", "h,el"),
     ("ht-select", "scenarios/ht_tie.json", "--event", "b,c"),
     ("decompose", "ht_counterexample"),
+    ("conservative", "conservative", "--delta", "1/2", "--event", "e"),
+    ("lps-compare", "lps_demo", "--acts", "f_v1,g"),
+    ("partition", "coin"),
+    ("ht-select", "ht_counterexample", "--event", "h,e"),
 )
 
 
