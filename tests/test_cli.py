@@ -206,6 +206,74 @@ def test_check_axioms_with_event_and_subevent(capsys):
     assert ("conditional_consistency", "pass") in rows_of(out)
 
 
+F_V1 = "h=$1:1;t=$1:1;e=$0:1;el=$0:1;l1=$0:1;l2=$0:1"
+G = "h=$1:1;t=$1:1;e=$1/2:1;el=$1/2:1;l1=$0:1;l2=$0:1"
+F_V2 = "h=$2:1;t=$2:1;e=$0:1;el=$0:1;l1=$0:1;l2=$0:1"
+
+
+def test_check_axioms_prints_each_behavioural_fail_with_its_witness(capsys, monkeypatch):
+    # no os block breaks either check at its named pair, so both fail stubbed
+    from beliefkit import preferences
+    from beliefkit.core import CheckResult, Preference
+
+    acts = load_scenario("lps_demo").acts
+    f, g, h = acts["f_v1"], acts["g"], acts["f_v2"]
+    monkeypatch.setattr(
+        preferences,
+        "check_consequentialism",
+        lambda fam, e: CheckResult(False, (f, g, Preference.FIRST)),
+    )
+    monkeypatch.setattr(
+        preferences,
+        "check_conditional_consistency",
+        lambda fam, e, a: CheckResult(
+            False, (f, g, h, Preference.FIRST, Preference.SECOND)
+        ),
+    )
+    code, out, err = run_cli(capsys, "check-axioms", "lps_demo")
+    assert (code, err) == (1, "")
+    assert rows_of(out)[:4] == [
+        ("consequentialism", "fail"),
+        ("consequentialism_witness", "first", F_V1, G),
+        ("conditional_consistency", "fail"),
+        ("conditional_consistency_witness", "first", "second", F_V1, G, F_V2),
+    ]
+
+    code, out, err = run_cli(capsys, "check-axioms", "lps_demo", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["consequentialism"], payload["conditional_consistency"]) == (False, False)
+    assert payload["consequentialism_witness"] == {
+        "verdict": "first",
+        "f": F_V1,
+        "composed": G,
+    }
+    assert payload["conditional_consistency_witness"] == {
+        "under_event": "first",
+        "under_subevent": "second",
+        "f": F_V1,
+        "g": G,
+        "h": F_V2,
+    }
+
+
+def test_validate_cps_names_the_reason_a_rule_is_no_candidate(capsys, monkeypatch):
+    # an os block always tabulates a concentrated rule, so swap in the foil
+    from beliefkit import ordered_surprises
+    from beliefkit.rules import conservative_rule
+
+    monkeypatch.setattr(
+        ordered_surprises, "os_rule", lambda os: conservative_rule(os.priors[0], Fraction(1, 2))
+    )
+    code, out, err = run_cli(capsys, "validate-cps", "coin")
+    assert (code, err) == (1, "")
+    assert rows_of(out) == [("status", "not-candidate"), ("reason", "not concentrated")]
+
+    code, out, err = run_cli(capsys, "validate-cps", "coin", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"status": "not-candidate", "reason": "not concentrated"}
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
