@@ -5,6 +5,11 @@ runs one pipeline, and prints a deterministic report: tab-separated
 key/value rows by default, one JSON document with ``--format json``.
 Rationals always render as integers or "p/q", never as decimals.
 
+Each handler returns ``(code, report)``.  The ``_Report`` holds both
+formats, and each field is put into it once: ``put`` sets the JSON value
+and appends its text row.  Only a few shapes have extra rows, such as a
+count followed by indexed rows; these are built from the same JSON value.
+
 Exit codes: 0 when the computation succeeds and any checked property
 holds, 1 when a check fails and a witness is reported, 2 for unusable
 input (parse, validation, or a typed operation error, echoed to stderr as
@@ -29,18 +34,32 @@ if TYPE_CHECKING:
     from .core import Act, Belief, Event, Lottery, StateSpace
 
 
-def _belief_text(belief: Belief) -> str:
-    return ",".join(
-        f"{label}:{format_rational(mass)}" for label, mass in belief.items() if mass
-    )
+def _text(value) -> str:
+    """The text cell of a JSON value."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(value)
+    if isinstance(value, dict):
+        return ",".join(f"{k}:{v}" for k, v in value.items())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _belief_json(belief: Belief) -> dict[str, str]:
+class _Report:
+    """A report's JSON payload and its text rows."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[str, ...]] = []
+        self.payload: dict = {}
+
+    def put(self, key: str, value, *cells: str) -> None:
+        """Set ``payload[key]`` and append the row ``key, *cells`` (default: its text)."""
+        self.payload[key] = value
+        self.rows.append((key, *(cells or (_text(value),))))
+
+
+def _belief(belief: Belief) -> dict[str, str]:
     return {label: format_rational(mass) for label, mass in belief.items() if mass}
-
-
-def _event_text(event: Event) -> str:
-    return ",".join(event.members)
 
 
 def _lottery_text(lottery: Lottery) -> str:
@@ -99,16 +118,14 @@ def _sole(mapping: dict, kind: str, flag: str) -> str:
     )
 
 
-def _validation_report(validation):
-    rows = [("status", validation.status)]
-    payload: dict = {"status": validation.status}
+def _validation_report(validation) -> _Report:
+    report = _Report()
+    report.put("status", validation.status)
     if validation.reason is not None:
-        rows.append(("reason", validation.reason))
-        payload["reason"] = validation.reason
+        report.put("reason", validation.reason)
     if validation.status == "valid":
-        rows.append(("triples", str(validation.triples)))
-        payload["triples"] = validation.triples
-    return rows, payload
+        report.put("triples", validation.triples)
+    return report
 
 
 def cmd_validate_cps(scenario: Scenario, args):
@@ -116,30 +133,21 @@ def cmd_validate_cps(scenario: Scenario, args):
 
     rule = _pick_rule(scenario, args)
     validation = validate_cps(rule)
-    rows, payload = _validation_report(validation)
+    report = _validation_report(validation)
     if validation.status == "violation":
         w = validation.witness
-        given_f = rule[w.f].prob(w.g)
-        given_e = rule[w.e].prob(w.f)
-        rows += [
-            ("e", _event_text(w.e)),
-            ("f", _event_text(w.f)),
-            ("g", _event_text(w.g)),
-            ("lhs", format_rational(w.lhs)),
-            ("rhs", format_rational(w.rhs)),
-            ("g_given_f", format_rational(given_f)),
-            ("f_given_e", format_rational(given_e)),
-        ]
-        payload["witness"] = {
+        witness = {
             "e": w.e.members,
             "f": w.f.members,
             "g": w.g.members,
             "lhs": format_rational(w.lhs),
             "rhs": format_rational(w.rhs),
-            "g_given_f": format_rational(given_f),
-            "f_given_e": format_rational(given_e),
+            "g_given_f": format_rational(rule[w.f].prob(w.g)),
+            "f_given_e": format_rational(rule[w.e].prob(w.f)),
         }
-    return (0 if validation else 1), rows, payload
+        report.payload["witness"] = witness
+        report.rows += [(key, _text(value)) for key, value in witness.items()]
+    return (0 if validation else 1), report
 
 
 def cmd_decompose(scenario: Scenario, args):
@@ -149,13 +157,12 @@ def cmd_decompose(scenario: Scenario, args):
     try:
         os = cps_to_os(rule)
     except NotCps as err:
-        rows, payload = _validation_report(err.validation)
-        return 1, rows, payload
-    rows = [("priors", str(len(os.priors)))]
-    for k, prior in enumerate(os.priors):
-        rows.append(("prior", str(k), _belief_text(prior)))
-    payload = {"priors": [_belief_json(p) for p in os.priors]}
-    return 0, rows, payload
+        return 1, _validation_report(err.validation)
+    report = _Report()
+    priors = [_belief(prior) for prior in os.priors]
+    report.put("priors", priors, str(len(priors)))
+    report.rows += [("prior", str(k), _text(prior)) for k, prior in enumerate(priors)]
+    return 0, report
 
 
 def cmd_update(scenario: Scenario, args):
@@ -165,9 +172,10 @@ def cmd_update(scenario: Scenario, args):
     os = _require(scenario, "os")
     e = _parse_event(scenario.space, args.event)
     order = surprise_order(os, e)
-    belief = bayes_update(os.priors[order], e)
-    rows = [("order", str(order)), ("belief", _belief_text(belief))]
-    return 0, rows, {"order": order, "belief": _belief_json(belief)}
+    report = _Report()
+    report.put("order", order)
+    report.put("belief", _belief(bayes_update(os.priors[order], e)))
+    return 0, report
 
 
 def cmd_eps_update(scenario: Scenario, args):
@@ -178,30 +186,22 @@ def cmd_eps_update(scenario: Scenario, args):
     eps = parse_rational(args.eps, "--eps")
     e = _parse_event(scenario.space, args.event)
     order = eps_surprise_order(os, eps, e)
-    belief = bayes_update(os.priors[order], e)
-    rows = [
-        ("eps", format_rational(eps)),
-        ("order", str(order)),
-        ("belief", _belief_text(belief)),
-    ]
-    return 0, rows, {
-        "eps": format_rational(eps),
-        "order": order,
-        "belief": _belief_json(belief),
-    }
+    report = _Report()
+    report.put("eps", format_rational(eps))
+    report.put("order", order)
+    report.put("belief", _belief(bayes_update(os.priors[order], e)))
+    return 0, report
 
 
 def cmd_os_to_ht(scenario: Scenario, args):
     from .hypothesis_testing import os_to_ht
 
     ht = os_to_ht(_require(scenario, "os"))
-    rho = [format_rational(r) for r in ht.rho]
-    rows = [
-        ("priors", str(len(ht.priors))),
-        ("eps", format_rational(ht.eps)),
-        ("rho", ",".join(rho)),
-    ]
-    return 0, rows, {"priors": len(ht.priors), "eps": format_rational(ht.eps), "rho": rho}
+    report = _Report()
+    report.put("priors", len(ht.priors))
+    report.put("eps", format_rational(ht.eps))
+    report.put("rho", [format_rational(r) for r in ht.rho])
+    return 0, report
 
 
 def cmd_eps_os_to_ht(scenario: Scenario, args):
@@ -211,35 +211,22 @@ def cmd_eps_os_to_ht(scenario: Scenario, args):
     eps = parse_rational(args.eps, "--eps")
     built = eps_os_construction(os, eps)
     ht = built.ht
-    rows = [
-        ("priors", str(len(ht.priors))),
-        ("threshold", format_rational(ht.eps)),
-        ("cross_max", format_rational(built.cross_max)),
+    priors = [
+        {
+            "class": built.class_of[i],
+            "rho": format_rational(ht.rho[i]),
+            "belief": _belief(prior),
+        }
+        for i, prior in enumerate(ht.priors)
     ]
-    priors_json = []
-    for i, prior in enumerate(ht.priors):
-        rows.append(
-            (
-                "prior",
-                str(i),
-                str(built.class_of[i]),
-                format_rational(ht.rho[i]),
-                _belief_text(prior),
-            )
-        )
-        priors_json.append(
-            {
-                "class": built.class_of[i],
-                "rho": format_rational(ht.rho[i]),
-                "belief": _belief_json(prior),
-            }
-        )
-    payload = {
-        "priors": priors_json,
-        "threshold": format_rational(ht.eps),
-        "cross_max": format_rational(built.cross_max),
-    }
-    return 0, rows, payload
+    report = _Report()
+    report.put("priors", priors, str(len(priors)))
+    report.put("threshold", format_rational(ht.eps))
+    report.put("cross_max", format_rational(built.cross_max))
+    report.rows += [
+        ("prior", str(i), *map(_text, prior.values())) for i, prior in enumerate(priors)
+    ]
+    return 0, report
 
 
 def cmd_ht_select(scenario: Scenario, args):
@@ -248,17 +235,14 @@ def cmd_ht_select(scenario: Scenario, args):
     ht = _require(scenario, "ht")
     e = _parse_event(scenario.space, args.event)
     trace, belief = ht_select(ht, e)
-    rows = [("branch", trace.branch.value), ("chosen", str(trace.chosen))]
-    for j, score in enumerate(trace.scores):
-        rows.append(("score", str(j), format_rational(score)))
-    rows.append(("belief", _belief_text(belief)))
-    payload = {
-        "branch": trace.branch.value,
-        "chosen": trace.chosen,
-        "scores": [format_rational(s) for s in trace.scores],
-        "belief": _belief_json(belief),
-    }
-    return 0, rows, payload
+    report = _Report()
+    report.put("branch", trace.branch.value)
+    report.put("chosen", trace.chosen)
+    scores = [format_rational(s) for s in trace.scores]
+    report.payload["scores"] = scores
+    report.rows += [("score", str(j), score) for j, score in enumerate(scores)]
+    report.put("belief", _belief(belief))
+    return 0, report
 
 
 def cmd_lps_compare(scenario: Scenario, args):
@@ -277,42 +261,31 @@ def cmd_lps_compare(scenario: Scenario, args):
         raise ValidationError(f"unknown utility {utility_name!r}")
     u = scenario.utilities[utility_name]
 
-    value_f = lps_value(lps, u, f)
-    value_g = lps_value(lps, u, g)
-    verdict = lps_compare(lps, u, f, g)
+    values = [[format_rational(c) for c in lps_value(lps, u, act).components] for act in (f, g)]
+    verdict = lps_compare(lps, u, f, g).value
     prefers = {"first": names[0], "second": names[1], "indifferent": "neither"}
-    rows = [
-        ("acts", ",".join(names)),
-        ("value", names[0], ",".join(format_rational(c) for c in value_f.components)),
-        ("value", names[1], ",".join(format_rational(c) for c in value_g.components)),
-        ("verdict", verdict.value),
-        ("prefers", prefers[verdict.value]),
-    ]
-    payload: dict = {
-        "acts": names,
-        "values": {
-            names[0]: [format_rational(c) for c in value_f.components],
-            names[1]: [format_rational(c) for c in value_g.components],
-        },
-        "verdict": verdict.value,
-        "prefers": prefers[verdict.value],
-    }
+    report = _Report()
+    report.put("acts", names)
+    report.payload["values"] = dict(zip(names, values))
+    report.rows += [("value", name, _text(value)) for name, value in zip(names, values)]
+    report.put("verdict", verdict)
+    report.put("prefers", prefers[verdict])
     if args.event is not None:
         os = _require(scenario, "os")
         e = _parse_event(scenario.space, args.event)
-        report = indifference_resolution_demo(os, lps, u, f, g, e)
-        flags = [
-            ("os_ex_ante", report.os_ex_ante.value),
-            ("os_conditional", report.os_conditional.value),
-            ("lps_ex_ante", report.lps_ex_ante.value),
-            ("clps_conditional", report.clps_conditional.value),
-            ("os_resolves", str(report.os_resolves).lower()),
-            ("clps_resolves", str(report.clps_resolves).lower()),
-            ("clps_agrees", str(report.clps_agrees).lower()),
-        ]
-        rows += flags
-        payload["demo"] = dict(flags)
-    return 0, rows, payload
+        demo = indifference_resolution_demo(os, lps, u, f, g, e)
+        flags = {
+            "os_ex_ante": demo.os_ex_ante.value,
+            "os_conditional": demo.os_conditional.value,
+            "lps_ex_ante": demo.lps_ex_ante.value,
+            "clps_conditional": demo.clps_conditional.value,
+            "os_resolves": _text(demo.os_resolves),
+            "clps_resolves": _text(demo.clps_resolves),
+            "clps_agrees": _text(demo.clps_agrees),
+        }
+        report.payload["demo"] = flags
+        report.rows += flags.items()
+    return 0, report
 
 
 def cmd_check_axioms(scenario: Scenario, args):
@@ -348,76 +321,44 @@ def cmd_check_axioms(scenario: Scenario, args):
         e = _parse_event(scenario.space, args.event)
     a = e if args.subevent is None else _parse_event(scenario.space, args.subevent)
 
-    rows: list[tuple[str, ...]] = []
-    payload: dict = {}
-    failed = False
-
+    report = _Report()
     cons = check_consequentialism(fam, e)
-    rows.append(("consequentialism", "pass" if cons else "fail"))
-    payload["consequentialism"] = bool(cons)
+    report.put("consequentialism", bool(cons), "pass" if cons else "fail")
     if not cons:
-        failed = True
         f, forced, verdict = cons.witness
-        rows.append(("consequentialism_witness", verdict.value, _act_text(f), _act_text(forced)))
-        payload["consequentialism_witness"] = {
-            "verdict": verdict.value,
-            "f": _act_text(f),
-            "composed": _act_text(forced),
-        }
+        witness = {"verdict": verdict.value, "f": _act_text(f), "composed": _act_text(forced)}
+        report.put("consequentialism_witness", witness, *witness.values())
 
     cc = check_conditional_consistency(fam, e, a)
-    rows.append(("conditional_consistency", "pass" if cc else "fail"))
-    payload["conditional_consistency"] = bool(cc)
+    report.put("conditional_consistency", bool(cc), "pass" if cc else "fail")
     if not cc:
-        failed = True
         f, g, h, under_e, under_a = cc.witness
-        rows.append(
-            (
-                "conditional_consistency_witness",
-                under_e.value,
-                under_a.value,
-                _act_text(f),
-                _act_text(g),
-                _act_text(h),
-            )
-        )
-        payload["conditional_consistency_witness"] = {
+        witness = {
             "under_event": under_e.value,
             "under_subevent": under_a.value,
             "f": _act_text(f),
             "g": _act_text(g),
             "h": _act_text(h),
         }
+        report.put("conditional_consistency_witness", witness, *witness.values())
 
     ri = check_risk_independence(fam)
-    rows.append(("risk_independence", "pass" if ri.holds else "fail"))
-    payload["risk_independence"] = ri.holds
+    report.put("risk_independence", ri.holds, "pass" if ri.holds else "fail")
     if ri.holds:
-        coefficients = {}
-        for k in sorted(ri.coefficients):
-            alpha, beta = ri.coefficients[k]
-            rows.append(
-                ("coefficient", str(k), format_rational(alpha), format_rational(beta))
-            )
-            coefficients[str(k)] = [format_rational(alpha), format_rational(beta)]
-        payload["coefficients"] = coefficients
-    else:
-        failed = True
-        rows.append(
-            ("risk_independence_witness", str(ri.witness_order), str(ri.witness_outcome))
-        )
-        payload["risk_independence_witness"] = {
-            "order": ri.witness_order,
-            "outcome": ri.witness_outcome,
+        coefficients = {
+            str(k): [format_rational(c) for c in ri.coefficients[k]]
+            for k in sorted(ri.coefficients)
         }
+        report.payload["coefficients"] = coefficients
+        report.rows += [("coefficient", k, *pair) for k, pair in coefficients.items()]
+    else:
+        witness = {"order": ri.witness_order, "outcome": ri.witness_outcome}
+        report.put("risk_independence_witness", witness, *map(_text, witness.values()))
 
     agreement = check_constant_act_agreement(fam)
-    rows.append(("constant_act_agreement", "pass" if agreement else "fail"))
-    payload["constant_act_agreement"] = bool(agreement)
-    if not agreement:
-        failed = True
+    report.put("constant_act_agreement", bool(agreement), "pass" if agreement else "fail")
 
-    return (1 if failed else 0), rows, payload
+    return (0 if cons and cc and ri.holds and agreement else 1), report
 
 
 def cmd_conservative(scenario: Scenario, args):
@@ -428,26 +369,18 @@ def cmd_conservative(scenario: Scenario, args):
         raise ValidationError(f"unknown belief {name!r}")
     delta = parse_rational(args.delta, "--delta")
     rule = conservative_rule(scenario.beliefs[name], delta)
+    report = _Report()
     if args.event is not None:
-        belief = rule[_parse_event(scenario.space, args.event)]
-        rows = [("belief", _belief_text(belief))]
-        return 0, rows, {"belief": _belief_json(belief)}
-    complete = is_complete(rule)
+        report.put("belief", _belief(rule[_parse_event(scenario.space, args.event)]))
+        return 0, report
+    report.put("complete", is_complete(rule))
     concentrated = is_concentrated(rule)
-    rows = [
-        ("complete", str(complete).lower()),
-        ("concentrated", str(bool(concentrated)).lower()),
-    ]
-    payload: dict = {"complete": complete, "concentrated": bool(concentrated)}
+    report.put("concentrated", bool(concentrated))
     if not concentrated:
         witness = concentrated.witness
-        inside = rule[witness].prob(witness)
-        rows.append(("witness", _event_text(witness)))
-        rows.append(("witness_mass", format_rational(inside)))
-        payload["witness"] = _event_text(witness)
-        payload["witness_mass"] = format_rational(inside)
-        return 1, rows, payload
-    return 0, rows, payload
+        report.put("witness", _text(witness.members))
+        report.put("witness_mass", format_rational(rule[witness].prob(witness)))
+    return (0 if concentrated else 1), report
 
 
 def cmd_partition(scenario: Scenario, args):
@@ -456,16 +389,15 @@ def cmd_partition(scenario: Scenario, args):
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
     part = surprise_partition(os, eps)
-    rows = [("eps", format_rational(eps))]
-    payload: dict = {"eps": format_rational(eps), "classes": [], "undefined": []}
-    for k, events in enumerate(part.classes):
-        rows.append(("class", str(k), str(len(events))))
-        payload["classes"].append(len(events))
-    rows.append(("undefined", str(len(part.undefined))))
-    for event in part.undefined:
-        rows.append(("undefined_event", _event_text(event)))
-        payload["undefined"].append(_event_text(event))
-    return 0, rows, payload
+    report = _Report()
+    report.put("eps", format_rational(eps))
+    classes = [len(events) for events in part.classes]
+    report.payload["classes"] = classes
+    report.rows += [("class", str(k), str(n)) for k, n in enumerate(classes)]
+    undefined = [_text(event.members) for event in part.undefined]
+    report.put("undefined", undefined, str(len(undefined)))
+    report.rows += [("undefined_event", event) for event in undefined]
+    return 0, report
 
 
 HANDLERS = {
@@ -551,11 +483,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        code, rows, payload = HANDLERS[args.command](scenario, args)
+        code, report = HANDLERS[args.command](scenario, args)
         if args.format == "json":
-            lines = [json.dumps(payload, indent=2)]
+            lines = [json.dumps(report.payload, indent=2)]
         else:
-            lines = ["\t".join(row) for row in rows]
+            lines = ["\t".join(row) for row in report.rows]
     except BeliefkitError as err:
         print(f"error\t{type(err).__name__}\t{err}", file=sys.stderr)
         return 2

@@ -365,7 +365,12 @@ def raises_a_bug(scenario, args):
 
 
 def returns_a_bad_report(scenario, args):
-    return 0, [("ok", "true"), ("mass", 1)], {"mass": Fraction(1, 2)}
+    from beliefkit import cli
+
+    report = cli._Report()
+    report.rows += [("ok", "true"), ("mass", 1)]
+    report.payload["mass"] = Fraction(1, 2)
+    return 0, report
 
 
 @pytest.mark.parametrize(
