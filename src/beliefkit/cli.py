@@ -118,22 +118,14 @@ def _sole(mapping: dict, kind: str, flag: str) -> str:
     )
 
 
-def _validation_report(validation) -> _Report:
+def _validation_report(rule, validation) -> _Report:
+    """The chain-rule verdict on ``rule``, with its witness on a violation."""
     report = _Report()
     report.put("status", validation.status)
     if validation.reason is not None:
         report.put("reason", validation.reason)
     if validation.status == "valid":
         report.put("triples", validation.triples)
-    return report
-
-
-def cmd_validate_cps(scenario: Scenario, args):
-    from .rules import validate_cps
-
-    rule = _pick_rule(scenario, args)
-    validation = validate_cps(rule)
-    report = _validation_report(validation)
     if validation.status == "violation":
         w = validation.witness
         witness = {
@@ -147,7 +139,15 @@ def cmd_validate_cps(scenario: Scenario, args):
         }
         report.payload["witness"] = witness
         report.rows += [(key, _text(value)) for key, value in witness.items()]
-    return (0 if validation else 1), report
+    return report
+
+
+def cmd_validate_cps(scenario: Scenario, args):
+    from .rules import validate_cps
+
+    rule = _pick_rule(scenario, args)
+    validation = validate_cps(rule)
+    return (0 if validation else 1), _validation_report(rule, validation)
 
 
 def cmd_decompose(scenario: Scenario, args):
@@ -157,7 +157,7 @@ def cmd_decompose(scenario: Scenario, args):
     try:
         os = cps_to_os(rule)
     except NotCps as err:
-        return 1, _validation_report(err.validation)
+        return 1, _validation_report(rule, err.validation)
     report = _Report()
     priors = [_belief(prior) for prior in os.priors]
     report.put("priors", priors, str(len(priors)))

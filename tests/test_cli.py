@@ -89,8 +89,10 @@ def test_decompose_recovers_the_priors(capsys):
 def test_decompose_refuses_non_cps_with_report(capsys):
     code, out, _ = run_cli(capsys, "decompose", "ht_counterexample")
     assert code == 1
-    rows = rows_of(out)
-    assert ("status", "violation") in rows
+    # the same chain-rule witness validate-cps prints
+    _, validated, _ = run_cli(capsys, "validate-cps", "ht_counterexample")
+    assert out == validated
+    assert ("lhs", "1/8") in rows_of(out)
 
 
 def test_decompose_needs_a_rule_block(capsys):
