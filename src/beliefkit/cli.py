@@ -357,6 +357,16 @@ def cmd_check_axioms(scenario: Scenario, args):
 
     agreement = check_constant_act_agreement(fam)
     report.put("constant_act_agreement", bool(agreement), "pass" if agreement else "fail")
+    if not agreement:
+        p, q, k, under_k, under_0 = agreement.witness
+        witness = {
+            "order": k,
+            "p": _lottery_text(p),
+            "q": _lottery_text(q),
+            "under_order": under_k.value,
+            "under_order_0": under_0.value,
+        }
+        report.put("constant_act_agreement_witness", witness, *map(_text, witness.values()))
 
     return (0 if cons and cc and ri.holds and agreement else 1), report
 
