@@ -126,7 +126,7 @@ def _validation_report(rule, validation) -> _Report:
         report.put("reason", validation.reason)
     if validation.status == "valid":
         report.put("triples", validation.triples)
-    if validation.status == "violation":
+    elif validation.status == "violation":
         w = validation.witness
         witness = {
             "e": w.e.members,
