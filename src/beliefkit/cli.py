@@ -118,12 +118,22 @@ def _sole(mapping: dict, kind: str, flag: str) -> str:
     )
 
 
+def _put_leak(report: _Report, rule, event: Event) -> None:
+    """The first event whose belief keeps mass outside it, and the mass it keeps inside."""
+    report.put("witness", _text(event.members))
+    report.put("witness_mass", format_rational(rule[event].prob(event)))
+
+
 def _validation_report(rule, validation) -> _Report:
-    """The chain-rule verdict on ``rule``, with its witness on a violation."""
+    """The chain-rule verdict on ``rule``, with the witness of a violation or a leak."""
     report = _Report()
     report.put("status", validation.status)
     if validation.reason is not None:
         report.put("reason", validation.reason)
+    if validation.reason == "not concentrated":
+        from .rules import is_concentrated
+
+        _put_leak(report, rule, is_concentrated(rule).witness)
     if validation.status == "valid":
         report.put("triples", validation.triples)
     elif validation.status == "violation":
@@ -387,9 +397,7 @@ def cmd_conservative(scenario: Scenario, args):
     concentrated = is_concentrated(rule)
     report.put("concentrated", bool(concentrated))
     if not concentrated:
-        witness = concentrated.witness
-        report.put("witness", _text(witness.members))
-        report.put("witness_mass", format_rational(rule[witness].prob(witness)))
+        _put_leak(report, rule, concentrated.witness)
     return (0 if concentrated else 1), report
 
 

@@ -14,9 +14,11 @@ An update depends only on the event's trace on its prior's support, so
 the certificate walks each peeled support's submasks in prefix-tree
 preorder, one tuple extension and comparison each, sum_k 2^|s_k| in all;
 every other event costs one lookup, its entry against its trace's.
-Where an entry fails, it searches for the lexicographically first violating
+All later work grows with n and the set U of uncertified entries, not
+with 2^n: concentration is checked on the peeled entries and on U alone,
+and where an entry fails, a heap search from U finds the first violating
 triple under the canonical event order, the one an exhaustive scan would
-report, which keeps every report deterministic.
+report, and places it in that scan in closed form.
 
 ``bayesian_rule`` here, ``os_rule`` and ``ht_rule`` share one tabulator,
 ``tabulate_rule``: each rule only picks a prior per event, given the prior
@@ -29,6 +31,7 @@ asks for one.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -235,15 +238,15 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     the trace where that entry fails.  All certified proves the rule is
     the one the peeled hierarchy induces, hence a CPS: valid, with the
     peeled priors, and ``triples`` counts all 4^n - 2^n triples as
-    certified for n states.
+    certified for n states.  Concentration is checked only where it can
+    fail: on each peeled entry, and on the uncertified entries U.
     Otherwise the first violating triple in canonical (E, F, G) order,
     with the number of triples an exhaustive scan enumerates up to and
-    including it.
+    including it: O(|U| n) heap steps, plus the pair tests of each
+    uncertified E met before it, and a closed-form count.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
-    if not is_concentrated(rule):
-        return CpsValidation.not_candidate("not concentrated")
 
     space = rule.space
     n = len(space)
@@ -253,6 +256,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     zeros = (0,) * n
     tails = [zeros] * n  # (its peeled prior's numerator of state i, 0, ..., 0), from i on
     priors: list[Belief] = []
+    peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
     uncertified: list[int] = []
     # Peel, and certify E's entry as the update of the first peeled prior k
     # meeting E on its trace q = E & s_k, s_k k's support.  Each q is tested
@@ -264,9 +268,12 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     while rest:
         prior = table[rest]
         support = prior.support_mask
+        if support & ~rest:
+            return CpsValidation.not_candidate("not concentrated")
         for i in mask_indices(support):
             tails[i] = (prior.nums[i], *zeros[i + 1 :])
         priors.append(prior)
+        peels.append(rest)
         rest &= ~support
         rs = lex_submasks(rest)[1:] if rest else ()
         stack = [(zeros, 0)] * (n + 1)
@@ -287,19 +294,71 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
                 uncertified += [
                     e for e in map(q.__or__, rs) if table[e] is not image and table[e] != image
                 ]
-    uncertified.sort(key=mask_indices)
+    if any(table[f].support_mask & ~f for f in uncertified):
+        return CpsValidation.not_candidate("not concentrated")
+    if not uncertified:
+        return CpsValidation.valid(4**n - 2**n, tuple(priors))
 
-    # Search: a pair of certified beliefs obeys the chain rule, since the
-    # peel's rule does, and a pair breaks it exactly when a singleton does.
+    # Search, in canonical (E, F) order.  Certified entries are updates,
+    # hence concentrated, and a pair of them obeys the chain rule.  A
+    # certified E with first prior k holds mu_k | E, so (E, F) breaks it iff
+    # F is uncertified and meets s_k (else P(F|E) = 0): F breaks its
+    # certified supersets inside A_k, the first at or after A_k & [0, max F].
+    # One heap keyed (E, F): each uncertified E, with F = 0 so that it
+    # comes first at E, tests its pairs (a pair breaks iff a singleton
+    # does); each F's walk stands at its next superset and moves on past
+    # tested uncertified E.  A_k is certified, so every walk ends.
+    from heapq import heapify, heappop, heappush  # loaded only on this path
+
     pending = set(uncertified)
-    before = 0  # triples an exhaustive scan enumerates before E
-    for e in masks if uncertified else ():
-        subs = lex_submasks(e)[1:] if e in pending else [f for f in uncertified if f & e == f]
-        for f in subs:
-            if _first_break(table[e], table[f], f, [1 << i for i in mask_indices(f)]) is not None:
-                return _violation(space, table, e, f, before)
-        before += 3 ** e.bit_count() - 1
-    return CpsValidation.valid(4**n - 2**n, tuple(priors))
+    heap = [(mask_indices(e), [], e, 0, 0) for e in uncertified]
+    for f in uncertified:
+        a = [a for a in peels if f & a == f][-1]  # A_k, k the first prior meeting F
+        e = a & (1 << f.bit_length()) - 1
+        heap.append((mask_indices(e), mask_indices(f), e, f, a))
+    heapify(heap)
+    while True:
+        _, f_key, e, f, a = heappop(heap)
+        if not f:
+            given = table[e]
+            for f in lex_submasks(e)[1:]:
+                if _first_break(given, table[f], f, [1 << i for i in mask_indices(f)]) is not None:
+                    return _violation(space, table, e, f)
+        elif e in pending:
+            e = _next_superset(e, f, a)
+            heappush(heap, (mask_indices(e), f_key, e, f, a))
+        else:
+            return _violation(space, table, e, f)
+
+
+def _next_superset(e: int, f: int, a: int) -> int:
+    """The superset of ``f`` inside ``a`` after ``e``, one too, in canonical order.
+
+    That is e's first child in the prefix tree, or else the next sibling of
+    the first state e drops, climbing, that is not in f, filled to f's top.
+    """
+    past = a >> e.bit_length() << e.bit_length()
+    if past:
+        return e | past & -past
+    while True:
+        top = 1 << e.bit_length() - 1
+        e ^= top
+        later = a & -(top << 1)
+        if later and not top & f:
+            return e | later & -later | later & (1 << f.bit_length()) - 1
+
+
+def _ahead(xs: list[int], c: int, n: int) -> int:
+    """Sum of c^|D| over the nonempty D of n states before X = ``xs`` in canonical order.
+
+    They are X's proper prefixes, and each prefix x_1 .. x_j joined to a y
+    in (x_j, x_{j+1}) and any later states: a geometric series in y.
+    """
+    total, prev = 0, -1
+    for j, x in enumerate(xs):
+        total += c**j * ((1 + c) ** (n - 1 - prev) - (1 + c) ** (n - x))
+        prev = x
+    return total + sum(c**j for j in range(1, len(xs)))
 
 
 def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
@@ -311,14 +370,21 @@ def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
     return None
 
 
-def _violation(space: StateSpace, table: dict, e: int, f: int, before: int) -> CpsValidation:
-    """The first violating triple of the failing pair (E, F), and its position."""
-    subs = lex_submasks(e)
-    before += sum(1 << earlier.bit_count() for earlier in subs[1 : subs.index(f)])
+def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
+    """The first violating triple of the failing pair (E, F), and its position.
+
+    F's prefixes come first among its submasks, and the per-state terms
+    of the test sum to zero over F, so the first G to break is a prefix.
+    """
     given_e, given_f = table[e], table[f]
-    gs = lex_submasks(f)
+    gs = list(accumulate([1 << i for i in mask_indices(f)]))
     position = _first_break(given_e, given_f, f, gs)  # not None: the pair fails
     g = gs[position]
+    states = mask_indices(e)
+    inside = [j for j, i in enumerate(states) if f >> i & 1]
+    n = len(space)
+    # 3^|D| - 1 triples for each D before E, 2^|F'| for each F' before F in E
+    before = _ahead(states, 3, n) - _ahead(states, 1, n) + _ahead(inside, 2, len(states))
     den_e, den_f = given_e.den, given_f.den
     witness = CpsWitness(
         g=Event(space, g),
@@ -327,7 +393,7 @@ def _violation(space: StateSpace, table: dict, e: int, f: int, before: int) -> C
         lhs=Fraction(given_e.mask_num(g), den_e),
         rhs=Fraction(given_f.mask_num(g), den_f) * Fraction(given_e.mask_num(f), den_e),
     )
-    return CpsValidation.violation(witness, before + position + 1)
+    return CpsValidation.violation(witness, before + position + 2)
 
 
 def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:

@@ -267,13 +267,25 @@ def test_validate_cps_names_the_reason_a_rule_is_no_candidate(capsys, monkeypatc
     monkeypatch.setattr(
         ordered_surprises, "os_rule", lambda os: conservative_rule(os.priors[0], Fraction(1, 2))
     )
-    code, out, err = run_cli(capsys, "validate-cps", "coin")
-    assert (code, err) == (1, "")
-    assert rows_of(out) == [("status", "not-candidate"), ("reason", "not concentrated")]
+    # {h} is the first event whose sticky belief keeps mass outside it
+    for command in ("validate-cps", "decompose"):
+        code, out, err = run_cli(capsys, command, "coin")
+        assert (code, err) == (1, "")
+        assert rows_of(out) == [
+            ("status", "not-candidate"),
+            ("reason", "not concentrated"),
+            ("witness", "h"),
+            ("witness_mass", "3/4"),
+        ]
 
-    code, out, err = run_cli(capsys, "validate-cps", "coin", "--format", "json")
-    assert (code, err) == (1, "")
-    assert json.loads(out) == {"status": "not-candidate", "reason": "not concentrated"}
+        code, out, err = run_cli(capsys, command, "coin", "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "status": "not-candidate",
+            "reason": "not concentrated",
+            "witness": "h",
+            "witness_mass": "3/4",
+        }
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,14 @@ many-prior tables of fresh beliefs, where no entry is another's object; a
 wrong trace entry shared by identity with all, or some, of the events
 that trace to it; and a wrong entry on the first, a middle or the last
 event that meets two supports.
+
+The witness search starts from the uncertified entries, so one family
+makes many of them: every event of two or more states inside a later
+support gets a wrong belief, and the first violation comes late in
+canonical order.  Concentration is checked only on the entries the peel
+reads and on the uncertified ones, so three families leak mass outside
+one entry: a peeled event, a submask of a support, or such a submask
+joined to later states.
 """
 
 import random
@@ -112,10 +120,10 @@ def fully_random(rng):
     return UpdatingRule(space, {e: random_belief_on(rng, e) for e in space.events()})
 
 
-def several_priors(rng) -> OSRepresentation:
+def several_priors(rng, max_states: int = 7) -> OSRepresentation:
     """A canonical hierarchy of two to four priors."""
     while True:
-        hier = random_canonical_os(rng, 7)
+        hier = random_canonical_os(rng, max_states)
         if len(hier.priors) > 1:
             return hier
 
@@ -193,6 +201,63 @@ def spanning_last(rng):
     return spanning(rng, lambda events: events[-1])
 
 
+def point_mass_on_second(event: Event) -> Belief:
+    return Belief(event.space, {event.members[1]: 1})
+
+
+def many_wrong_in_a_later_support(rng):
+    """Every event of two or more states inside a later support gets a
+    wrong belief: a point mass on its second state, or a random one."""
+    while True:
+        hier = several_priors(rng, 8)
+        support = rng.choice(hier.priors[1:]).support_mask
+        if support.bit_count() > 1:
+            break
+    rule = os_rule(hier)
+    point = rng.random() < 0.5
+    wrong = {}
+    for mask in core.lex_submasks(support):
+        if mask.bit_count() > 1:
+            event = Event(rule.space, mask)
+            belief = point_mass_on_second(event) if point else random_belief_on(rng, event)
+            # the update on two or more states of a support is never a point mass
+            wrong[event] = point_mass_on_second(event) if belief == rule[event] else belief
+    return replace(rule, wrong)
+
+
+def leaking(rng, pick) -> UpdatingRule:
+    """One entry, on the event ``pick`` takes, keeps mass on a state outside it."""
+    hier = several_priors(rng)
+    rule = os_rule(hier)
+    event = Event(rule.space, pick(rng, hier, rule))
+    outside = rng.choice([s for s in rule.space.states if s not in event.members])
+    inside = random_belief_on(rng, event)
+    masses = {s: m / 2 for s, m in inside.items() if m}
+    leak = Belief(rule.space, {**masses, outside: Fraction(1, 2)})
+    return replace(rule, {event: leak})
+
+
+def leak_on_a_peeled_event(rng):
+    return leaking(rng, lambda rng, hier, rule: rng.choice(peel_masks(rule)[1:]))
+
+
+def leak_on_a_support_submask(rng):
+    def pick(rng, hier, rule):
+        return rng.choice(core.lex_submasks(rng.choice(hier.priors).support_mask)[1:])
+
+    return leaking(rng, pick)
+
+
+def leak_on_a_trace_extension(rng):
+    def pick(rng, hier, rule):
+        k = rng.randrange(len(hier.priors) - 1)
+        q = rng.choice(core.lex_submasks(hier.priors[k].support_mask)[1:])
+        full = (1 << len(rule.space)) - 1
+        return rng.choice([e for e in traces(hier, k, q) if e != full] or [q])
+
+    return leaking(rng, pick)
+
+
 def conservative(rng):
     prior = random_canonical_os(rng, 7).priors[0]
     return conservative_rule(prior, Fraction(rng.randint(1, 4), 4))
@@ -216,6 +281,10 @@ FAMILIES = (
     spanning_first,
     spanning_middle,
     spanning_last,
+    many_wrong_in_a_later_support,
+    leak_on_a_peeled_event,
+    leak_on_a_support_submask,
+    leak_on_a_trace_extension,
 )
 
 
@@ -235,6 +304,9 @@ def test_validate_cps_matches_the_exhaustive_scan(family):
         "overlapping": {"valid"},
         "conservative": {"not-candidate", "valid"},
         "bayesian": {"not-candidate", "valid"},
+        "leak_on_a_peeled_event": {"not-candidate"},
+        "leak_on_a_support_submask": {"not-candidate"},
+        "leak_on_a_trace_extension": {"not-candidate"},
     }.get(family.__name__, {"valid", "violation"})
     assert statuses <= expected
     assert "violation" in statuses or "violation" not in expected
@@ -372,3 +444,69 @@ def test_is_concentrated_witnesses_the_canonically_first_failure():
         check = is_concentrated(rule)
         assert bool(check) == (not failures)
         assert check.witness == (failures[0] if failures else None)
+
+
+def test_the_triples_before_a_pair_have_a_closed_form():
+    """``_ahead`` counts what an exhaustive scan enumerates before (E, F):
+    3^|D| - 1 triples for each event D ahead of E, then 2^|F'| for each
+    nonempty F' ahead of F among E's submasks."""
+    for n in range(1, 7):
+        before = 0
+        for e in StateSpace(tuple(f"s{i}" for i in range(n))).canonical_masks():
+            states = core.mask_indices(e)
+            assert rules._ahead(states, 3, n) - rules._ahead(states, 1, n) == before
+            subs = core.lex_submasks(e)
+            for f in subs[1:]:
+                inside = [j for j, i in enumerate(states) if f >> i & 1]
+                expected = sum(1 << x.bit_count() for x in subs[1 : subs.index(f)])
+                assert rules._ahead(inside, 2, len(states)) == expected
+            before += 3 ** e.bit_count() - 1
+
+
+def test_the_next_superset_follows_canonical_order():
+    for a in range(1, 1 << 6):
+        subs = core.lex_submasks(a)[1:]
+        for f in subs:
+            supersets = [e for e in subs if e & f == f]
+            for e, after in zip(supersets, supersets[1:]):
+                assert rules._next_superset(e, f, a) == after
+
+
+def test_a_late_violation_costs_one_pair_test(monkeypatch):
+    """|S| = 12, the first support three states: every event of two or
+    more states past it holds a point mass on its second state, so the
+    first violation comes after 7/8 of the events.  The search starts
+    from the uncertified entries and tests only the witness's pair; a
+    scan of every event before it made 73936 pair tests."""
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    first = Belief(space, {"s0": Fraction(1, 6), "s1": Fraction(2, 6), "s2": Fraction(3, 6)})
+    second = Belief(space, {f"s{i}": Fraction(i - 2, 45) for i in range(3, 12)})
+    rule = os_rule(OSRepresentation(space, (first, second)))
+    late = {
+        e: point_mass_on_second(e)
+        for e in rule.events()
+        if len(e) > 1 and e.mask & ~second.support_mask == 0
+    }
+    rule = replace(rule, late)
+    search = rules._first_break
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(rules, "_first_break", counted)
+    got = validate_cps(rule)
+    assert outcome(got) == (
+        "violation",
+        rules.CpsWitness(
+            g=space.event("s4"),
+            f=space.event("s4", "s5"),
+            e=space.event("s3", "s4", "s5"),
+            lhs=Fraction(1),
+            rhs=Fraction(0),
+        ),
+        None,
+        16511520,
+    )
+    assert len(calls) == 1
