@@ -85,9 +85,9 @@ def _require(scenario: Scenario, block: str):
 
 def _pick_rule(scenario: Scenario, args):
     """Rule under test: the os block, the ht block, or the explicit flag."""
-    if getattr(args, "os", False):
+    if args.os:
         block = "os"
-    elif getattr(args, "ht", False):
+    elif args.ht:
         block = "ht"
     elif scenario.os is not None and scenario.ht is not None:
         raise ValidationError("scenario defines both os and ht; pass --os or --ht")
@@ -105,6 +105,13 @@ def _pick_rule(scenario: Scenario, args):
     from .hypothesis_testing import ht_rule
 
     return ht_rule(value)
+
+
+def _named(mapping: dict, name: str, kind: str):
+    """The entry ``name`` of ``mapping``, a scenario's acts, utilities or beliefs."""
+    if name not in mapping:
+        raise ValidationError(f"unknown {kind} {name!r}")
+    return mapping[name]
 
 
 def _sole(mapping: dict, kind: str, flag: str) -> str:
@@ -262,14 +269,9 @@ def cmd_lps_compare(scenario: Scenario, args):
     names = [n for n in args.acts.split(",") if n]
     if len(names) != 2:
         raise ValidationError("--acts takes exactly two comma-separated act names")
-    for name in names:
-        if name not in scenario.acts:
-            raise ValidationError(f"unknown act {name!r}")
-    f, g = scenario.acts[names[0]], scenario.acts[names[1]]
+    f, g = [_named(scenario.acts, name, "act") for name in names]
     utility_name = args.utility or _sole(scenario.utilities, "utilities", "--utility")
-    if utility_name not in scenario.utilities:
-        raise ValidationError(f"unknown utility {utility_name!r}")
-    u = scenario.utilities[utility_name]
+    u = _named(scenario.utilities, utility_name, "utility")
 
     values = [[format_rational(c) for c in lps_value(lps, u, act).components] for act in (f, g)]
     verdict = lps_compare(lps, u, f, g).value
@@ -318,12 +320,7 @@ def cmd_check_axioms(scenario: Scenario, args):
         raise ValidationError(
             f"--utilities needs 1 or {len(os.priors)} names, got {len(names)}"
         )
-    tables = []
-    for name in names:
-        if name not in scenario.utilities:
-            raise ValidationError(f"unknown utility {name!r}")
-        tables.append(scenario.utilities[name])
-    fam = PreferenceFamily(os, tables)
+    fam = PreferenceFamily(os, [_named(scenario.utilities, name, "utility") for name in names])
 
     if args.event is None:
         e = scenario.space.full_event
@@ -385,10 +382,8 @@ def cmd_conservative(scenario: Scenario, args):
     from .rules import conservative_rule, is_complete, is_concentrated
 
     name = args.prior or _sole(scenario.beliefs, "beliefs", "--prior")
-    if name not in scenario.beliefs:
-        raise ValidationError(f"unknown belief {name!r}")
-    delta = parse_rational(args.delta, "--delta")
-    rule = conservative_rule(scenario.beliefs[name], delta)
+    prior = _named(scenario.beliefs, name, "belief")
+    rule = conservative_rule(prior, parse_rational(args.delta, "--delta"))
     report = _Report()
     if args.event is not None:
         report.put("belief", _belief(rule[_parse_event(scenario.space, args.event)]))

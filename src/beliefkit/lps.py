@@ -60,7 +60,10 @@ class LPSRepresentation:
 
 
 class LexValue:
-    """One expected value per level, ordered lexicographically by ``<`` and ``>``."""
+    """One expected value per level, ordered lexicographically by ``<`` and ``>``.
+
+    Values of different lengths are unequal, and ordering them is an error.
+    """
 
     __slots__ = ("components",)
 
@@ -80,7 +83,6 @@ class LexValue:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LexValue):
             return NotImplemented
-        self._comparable(other)
         return self.components == other.components
 
     def __lt__(self, other: "LexValue") -> bool:

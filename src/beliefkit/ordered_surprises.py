@@ -191,8 +191,9 @@ class SurprisePartition:
 
     ``classes[k]`` holds the events whose first above-threshold prior is k,
     in canonical order.  ``undefined`` holds the events no prior clears.
-    Stored by mask: one mask list per class with the undefined events' last,
-    and a mask-to-class lookup; the Events are built on first read.
+    Stored by mask: one mask list per class with the undefined events' last.
+    The Events are built on first read, the mask-to-class lookup on the first
+    ``class_of``.
     """
 
     __slots__ = ("space", "eps", "_parts", "_lookup", "_events")
@@ -204,15 +205,14 @@ class SurprisePartition:
         classes: tuple[tuple[Event, ...], ...],
         undefined: tuple[Event, ...],
     ):
-        labels = [*range(len(classes)), None]
         parts = [[event.mask for event in events] for events in (*classes, undefined)]
-        lookup = {mask: label for label, masks in zip(labels, parts) for mask in masks}
-        self._init(space, eps, parts, lookup)._events = (classes, undefined)
+        self._init(space, eps, parts)._events = (classes, undefined)
 
-    def _init(self, space: StateSpace, eps: Fraction, parts: list, lookup: dict):
+    def _init(self, space: StateSpace, eps: Fraction, parts: list):
         # the one initializer: parts[k] lists class k's masks, parts[-1] the undefined ones
-        self.space, self.eps, self._parts, self._lookup = space, eps, parts, lookup
+        self.space, self.eps, self._parts = space, eps, parts
         self._events: tuple | None = None
+        self._lookup: dict[int, int | None] | None = None
         return self
 
     def _read(self) -> tuple:
@@ -229,6 +229,9 @@ class SurprisePartition:
         """Class index for ``event``, or None when it is undefined."""
         if event.space != self.space:
             raise SpaceMismatch("event built over a different state space")
+        if self._lookup is None:
+            labels = [*range(len(self._parts) - 1), None]
+            self._lookup = {m: label for label, part in zip(labels, self._parts) for m in part}
         try:
             return self._lookup[event.mask]
         except KeyError:
@@ -264,8 +267,6 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     sums = [(0,) * count] * (len(space) + 1)  # by depth: the latest event's numerators
     orders = [count] * (len(space) + 1)  # by depth: its order, count when undefined
     parts: list[list[int]] = [[] for _ in range(count + 1)]  # the last: undefined
-    labels = [*range(count), None]
-    lookup: dict[int, int | None] = {}
     for mask in space.canonical_masks():
         depth = mask.bit_count()
         order = orders[depth - 1]
@@ -277,5 +278,4 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
                     break
         orders[depth] = order
         parts[order].append(mask)
-        lookup[mask] = labels[order]
-    return object.__new__(SurprisePartition)._init(space, eps, parts, lookup)
+    return object.__new__(SurprisePartition)._init(space, eps, parts)

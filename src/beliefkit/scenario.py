@@ -1,10 +1,10 @@
 """Scenario files: a strict JSON schema binding names to domain objects.
 
-Every number is a rational written as a string, "7/8" or "3"; raw JSON
-numbers are rejected so nothing ever passes through a float.  Parsing is
-strict about keys (unknown or duplicate keys fail with the offending
-path), and ``render`` writes the canonical form back out, byte-identical
-for files that are already canonical.
+Every number is a rational written as a string of ASCII digits, "7/8"
+or "3"; raw JSON numbers are rejected so nothing ever passes through a
+float.  Parsing is strict about keys (unknown or duplicate keys fail
+with the offending path), and ``render`` writes the canonical form back
+out, byte-identical for files that are already canonical.
 
 Top-level keys, all optional except ``space``:
 
@@ -38,13 +38,13 @@ if TYPE_CHECKING:  # each block's module is imported where the block is parsed
 
 _TOP_KEYS = ("space", "beliefs", "os", "ht", "lps", "utilities", "acts", "events")
 _HT_KEYS = ("priors", "rho", "eps")
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits only, matched whole
 
 
 def parse_rational(value, path: str = "value") -> Fraction:
     if not isinstance(value, str):
         raise ParseError(f'{path}: rationals are strings like "7/8", got {value!r}')
-    if not _RATIONAL.match(value):
+    if not _RATIONAL.fullmatch(value):
         raise ParseError(f"{path}: not an integer or p/q rational: {value!r}")
     if "/" in value and value.split("/")[1].lstrip("0") == "":
         raise ParseError(f"{path}: zero denominator in {value!r}")
@@ -130,13 +130,19 @@ def _expect_strings(value, path: str) -> list[str]:
     return items
 
 
-def _named_beliefs(names, beliefs: dict[str, Belief], path: str) -> list[Belief]:
-    resolved = []
-    for i, name in enumerate(_expect_strings(names, path)):
+def _rationals(table, path: str) -> dict[str, Fraction]:
+    """An object of rationals, each located by ``path.<key>``."""
+    items = _expect_object(table, path).items()
+    return {key: parse_rational(value, f"{path}.{key}") for key, value in items}
+
+
+def _named_beliefs(value, beliefs: dict[str, Belief], path: str):
+    """The validated names and the beliefs they name."""
+    names = tuple(_expect_strings(value, path))
+    for i, name in enumerate(names):
         if name not in beliefs:
             raise ParseError(f"{path}[{i}]: unknown belief name {name!r}")
-        resolved.append(beliefs[name])
-    return resolved
+    return names, [beliefs[name] for name in names]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -159,19 +165,13 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario(space)
 
     for name, table in _expect_object(doc.get("beliefs", {}), "beliefs").items():
-        path = f"beliefs.{name}"
-        masses = {
-            state: parse_rational(mass, f"{path}.{state}")
-            for state, mass in _expect_object(table, path).items()
-        }
-        scenario.beliefs[name] = Belief(space, masses)
+        scenario.beliefs[name] = Belief(space, _rationals(table, f"beliefs.{name}"))
 
     if "os" in doc:
         from .ordered_surprises import OSRepresentation
 
-        names = _named_beliefs(doc["os"], scenario.beliefs, "os")
-        scenario.os = OSRepresentation(space, names)
-        scenario.os_names = tuple(_expect_strings(doc["os"], "os"))
+        scenario.os_names, priors = _named_beliefs(doc["os"], scenario.beliefs, "os")
+        scenario.os = OSRepresentation(space, priors)
 
     if "ht" in doc:
         from .hypothesis_testing import HTRepresentation
@@ -183,40 +183,28 @@ def parse_scenario(text: str) -> Scenario:
         for key in _HT_KEYS:
             if key not in block:
                 raise ParseError(f"ht: missing key {key!r}")
-        priors = _named_beliefs(block["priors"], scenario.beliefs, "ht.priors")
+        scenario.ht_prior_names, priors = _named_beliefs(
+            block["priors"], scenario.beliefs, "ht.priors"
+        )
         rho = [
             parse_rational(r, f"ht.rho[{i}]")
             for i, r in enumerate(_expect_array(block["rho"], "ht.rho"))
         ]
         eps = parse_rational(block["eps"], "ht.eps")
         scenario.ht = HTRepresentation(space, priors, rho, eps)
-        scenario.ht_prior_names = tuple(_expect_strings(block["priors"], "ht.priors"))
 
     if "lps" in doc:
         from .lps import LPSRepresentation
 
-        names = _named_beliefs(doc["lps"], scenario.beliefs, "lps")
-        scenario.lps = LPSRepresentation(space, names)
-        scenario.lps_names = tuple(_expect_strings(doc["lps"], "lps"))
+        scenario.lps_names, levels = _named_beliefs(doc["lps"], scenario.beliefs, "lps")
+        scenario.lps = LPSRepresentation(space, levels)
 
     for name, table in _expect_object(doc.get("utilities", {}), "utilities").items():
-        path = f"utilities.{name}"
-        values = {
-            outcome: parse_rational(v, f"{path}.{outcome}")
-            for outcome, v in _expect_object(table, path).items()
-        }
-        scenario.utilities[name] = UtilityFunction(values)
+        scenario.utilities[name] = UtilityFunction(_rationals(table, f"utilities.{name}"))
 
     for name, table in _expect_object(doc.get("acts", {}), "acts").items():
-        path = f"acts.{name}"
-        assignment = {}
-        for state, lot in _expect_object(table, path).items():
-            assignment[state] = Lottery(
-                {
-                    outcome: parse_rational(p, f"{path}.{state}.{outcome}")
-                    for outcome, p in _expect_object(lot, f"{path}.{state}").items()
-                }
-            )
+        lots = _expect_object(table, f"acts.{name}").items()
+        assignment = {s: Lottery(_rationals(lot, f"acts.{name}.{s}")) for s, lot in lots}
         scenario.acts[name] = Act(space, assignment)
 
     for name, labels in _expect_object(doc.get("events", {}), "events").items():
@@ -233,11 +221,7 @@ def render(scenario: Scenario) -> str:
     doc: dict = {"space": list(space.states)}
     if scenario.beliefs:
         doc["beliefs"] = {
-            name: {
-                state: format_rational(belief.mass_of(state))
-                for state in space.states
-                if belief.mass_of(state)
-            }
+            name: {state: format_rational(mass) for state, mass in belief.items() if mass}
             for name, belief in scenario.beliefs.items()
         }
     if scenario.os_names is not None:

@@ -41,6 +41,16 @@ CASES = REPORT_COMMANDS + (
     ("lps-compare", "lps_demo", "--acts", "f_v1,g"),
     ("partition", "coin"),
     ("ht-select", "ht_counterexample", "--event", "h,e"),
+    ("conservative", "scenarios/bad_belief.json", "--delta", "1/2"),
+    ("check-axioms", "scenarios/bad_utility.json"),
+    ("lps-compare", "scenarios/bad_act.json", "--acts", "f,g"),
+    ("ht-select", "scenarios/bad_ht_rho.json", "--event", "a"),
+    ("ht-select", "scenarios/bad_ht_priors.json", "--event", "a"),
+    ("update", "scenarios/bad_os.json", "--event", "a"),
+    ("lps-compare", "scenarios/bad_lps.json", "--acts", "f,g"),
+    ("lps-compare", "lps_demo", "--acts", "f_v1,zz"),
+    ("check-axioms", "lps_demo", "--utilities", "zz"),
+    ("conservative", "conservative", "--delta", "1/2", "--prior", "zz"),
 )
 
 

@@ -463,6 +463,25 @@ def test_long_threshold_flag_is_a_parse_error(capsys):
     assert err.startswith("error\tParseError\t--eps: ")
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    ["1/\u0660", "\u0661/\u0662", "1/2\n"],
+    ids=["arabic-zero", "arabic-half", "newline"],
+)
+def test_malformed_digits_are_parse_errors(capsys, tmp_path, spelling):
+    """Only ASCII digits, matched whole: as a flag and as a scenario mass."""
+    code, out, err = run_cli(capsys, "partition", "coin", "--eps", spelling)
+    assert (code, out) == (2, "")
+    assert err.startswith("error\tParseError\t--eps: ") and err.count("\n") == 1
+    path = tmp_path / "digits.json"
+    path.write_text(
+        json.dumps({"space": ["a"], "beliefs": {"mu": {"a": spelling}}}), encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "conservative", str(path), "--delta", "1/2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error\tParseError\tbeliefs.mu.a: ") and err.count("\n") == 1
+
+
 def test_rule_flag_required_when_both_blocks_present(capsys, tmp_path):
     scenario = load_scenario("ht_counterexample")
     data = json.loads(scenario.render())

@@ -38,7 +38,8 @@ COMMANDS = (
 )
 
 rational_text = st.one_of(
-    st.sampled_from(["0", "1", "1/2", "1/4", "3/2", "-1", "-1/2", "1/0", "0.5", "abc", "", "2"]),
+    st.sampled_from(["0", "1", "1/2", "1/4", "3/2", "-1", "-1/2", "1/0", "0.5", "abc", "", "2",
+                     "1/\u0660", "\u0661/\u0662", "1/2\n"]),
     st.fractions(min_value=-2, max_value=2, max_denominator=12).map(str),
 )
 # thresholds and deltas: in range half the time, so later stages get reached
@@ -124,7 +125,10 @@ FIXTURE_DOCS = {
     for name in FIXTURES
 }
 RETYPED = (3, 0.5, None, True, [], {}, "x")
-BAD_RATIONALS = ("1/0", "0.5", "-1", "abc", "", "3/2", "1e3", "7/-8", " 1", "9" * 5000)
+BAD_RATIONALS = (
+    "1/0", "0.5", "-1", "abc", "", "3/2", "1e3", "7/-8", " 1", "9" * 5000,
+    "1/\u0660", "\u0661/\u0662", "1/2\n",
+)
 
 
 def nodes(value, path=()):

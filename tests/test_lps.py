@@ -68,7 +68,17 @@ def test_lex_values_of_mismatched_length_do_not_compare():
     with pytest.raises(ValidationError):
         LexValue((Fraction(1),)) < LexValue((Fraction(1), Fraction(0)))
     with pytest.raises(ValidationError):
+        LexValue((Fraction(1),)) > LexValue((Fraction(1), Fraction(0)))
+    with pytest.raises(ValidationError):
         LexValue(())
+
+
+def test_lex_values_of_mismatched_length_are_unequal():
+    short, long = LexValue((Fraction(1),)), LexValue((Fraction(1), Fraction(0)))
+    assert not short == long
+    assert short != long
+    assert short not in [long]
+    assert len({short, long}) == 2
 
 
 def test_level_values_and_verdict_flip_with_stakes(coin_lps, money):

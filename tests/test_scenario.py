@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,9 @@ def test_parse_rational_accepts_integers_and_ratios():
     assert parse_rational("0", "x") == 0
 
 
-@pytest.mark.parametrize("bad", ["0.25", "1/0", "7 / 8", "", "one"])
+@pytest.mark.parametrize(
+    "bad", ["0.25", "1/0", "7 / 8", "", "one", "1/\u0660", "\u0661/\u0662", "1/2\n"]
+)
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ParseError):
         parse_rational(bad, "x")
@@ -48,6 +52,23 @@ def test_fixture_render_round_trip(name):
     scenario = load_scenario(name)
     text = scenario.render()
     assert parse_scenario(text).render() == text
+
+
+SCENARIO_FILES = [
+    *(resources.files("beliefkit") / "fixtures" / f"{name}.json" for name in fixture_names()),
+    *sorted((Path(__file__).resolve().parent / "golden" / "scenarios").glob("*.json")),
+]
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_scenario_file_renders_to_itself_or_is_unusable(path):
+    """Bundled fixtures and golden scenarios are canonical; the ``bad_*`` ones do not parse."""
+    text = path.read_text(encoding="utf-8")
+    if path.name.startswith("bad_"):
+        with pytest.raises(ParseError):
+            parse_scenario(text)
+    else:
+        assert parse_scenario(text).render().encode() == path.read_bytes()
 
 
 def test_coin_fixture_content():
