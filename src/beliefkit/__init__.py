@@ -36,9 +36,8 @@ _EXPORTS = {
         "indifference_resolution_demo", "lps_compare", "lps_value",
     ),
     "ordered_surprises": (
-        "OSRepresentation", "SurprisePartition", "canonicalize_os", "cps_to_os",
-        "eps_os_update", "os_rule", "os_update", "surprise_order",
-        "surprise_partition",
+        "OSRepresentation", "SurprisePartition", "cps_to_os", "eps_os_update",
+        "os_rule", "os_update", "surprise_order", "surprise_partition",
     ),
     "preferences": (
         "PreferenceFamily", "RiskIndependenceReport",

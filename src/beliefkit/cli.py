@@ -31,7 +31,7 @@ from .errors import BeliefkitError, NotCps, ValidationError
 from .scenario import Scenario, format_rational, load_scenario, parse_rational
 
 if TYPE_CHECKING:
-    from .core import Act, Belief, Event, Lottery, StateSpace
+    from .core import Act, Belief, Event, Lottery
 
 
 def _text(value) -> str:
@@ -72,8 +72,11 @@ def _act_text(act: Act) -> str:
     )
 
 
-def _parse_event(space: StateSpace, text: str) -> Event:
-    return space.event_from(label for label in text.split(",") if label)
+def _parse_event(scenario: Scenario, text: str) -> Event:
+    """The scenario's event named ``text``, else the comma-separated state labels."""
+    if text in scenario.events:
+        return scenario.events[text]
+    return scenario.space.event_from(label for label in text.split(",") if label)
 
 
 def _require(scenario: Scenario, block: str):
@@ -187,7 +190,7 @@ def cmd_update(scenario: Scenario, args):
     from .ordered_surprises import surprise_order
 
     os = _require(scenario, "os")
-    e = _parse_event(scenario.space, args.event)
+    e = _parse_event(scenario, args.event)
     order = surprise_order(os, e)
     report = _Report()
     report.put("order", order)
@@ -201,7 +204,7 @@ def cmd_eps_update(scenario: Scenario, args):
 
     os = _require(scenario, "os")
     eps = parse_rational(args.eps, "--eps")
-    e = _parse_event(scenario.space, args.event)
+    e = _parse_event(scenario, args.event)
     order = eps_surprise_order(os, eps, e)
     report = _Report()
     report.put("eps", format_rational(eps))
@@ -250,7 +253,7 @@ def cmd_ht_select(scenario: Scenario, args):
     from .hypothesis_testing import ht_select
 
     ht = _require(scenario, "ht")
-    e = _parse_event(scenario.space, args.event)
+    e = _parse_event(scenario, args.event)
     trace, belief = ht_select(ht, e)
     report = _Report()
     report.put("branch", trace.branch.value)
@@ -284,7 +287,7 @@ def cmd_lps_compare(scenario: Scenario, args):
     report.put("prefers", prefers[verdict])
     if args.event is not None:
         os = _require(scenario, "os")
-        e = _parse_event(scenario.space, args.event)
+        e = _parse_event(scenario, args.event)
         demo = indifference_resolution_demo(os, lps, u, f, g, e)
         flags = {
             "os_ex_ante": demo.os_ex_ante.value,
@@ -325,8 +328,8 @@ def cmd_check_axioms(scenario: Scenario, args):
     if args.event is None:
         e = scenario.space.full_event
     else:
-        e = _parse_event(scenario.space, args.event)
-    a = e if args.subevent is None else _parse_event(scenario.space, args.subevent)
+        e = _parse_event(scenario, args.event)
+    a = e if args.subevent is None else _parse_event(scenario, args.subevent)
 
     report = _Report()
     cons = check_consequentialism(fam, e)
@@ -386,7 +389,7 @@ def cmd_conservative(scenario: Scenario, args):
     rule = conservative_rule(prior, parse_rational(args.delta, "--delta"))
     report = _Report()
     if args.event is not None:
-        report.put("belief", _belief(rule[_parse_event(scenario.space, args.event)]))
+        report.put("belief", _belief(rule[_parse_event(scenario, args.event)]))
         return 0, report
     report.put("complete", is_complete(rule))
     concentrated = is_concentrated(rule)
@@ -455,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("update", parents=[common], help="condition the hierarchy")
     p.add_argument("--os", action="store_true", help="use the os block (default)")
-    p.add_argument("--event", required=True, help="comma-separated state labels")
+    p.add_argument("--event", required=True, help="event name or comma-separated state labels")
 
     p = sub.add_parser("eps-update", parents=[common], help="thresholded conditioning")
     p.add_argument("--event", required=True)

@@ -10,20 +10,23 @@ A representation stores its weights like a belief's masses: reduced integer
 numerators w_j over one total, read as Fractions (``rho``) on first read.
 The threshold test is one integer cross-multiplication on the top prior.
 ``ht_select`` takes the argmax from the Fraction scores its trace reports.
-For ``ht_rule``'s argmax, a representation holds one integer column per
-state, built on the first event that reaches the argmax and then cached:
-column i lists nums_j[i] * w_j * (L // den_j) for every prior j, with L the
-lcm of the priors' denominators, so every score is the true one times
-L * total.  An event's scores are the sum of its states' columns, taken
-for all priors at once, and a tie is a maximum that occurs more than once.
-``ht_rule`` adds one column per event to the scores of the event's prefix,
-carried down its walk of the events.
-A rule that is Bayesian on every event never builds the columns.
+For its argmax, an ``ht_rule`` call builds one integer column per state,
+on the first event that reaches the argmax: column i lists
+nums_j[i] * w_j * (L // den_j) for every prior j, with L the lcm of the
+priors' denominators, so every score is the true one times L * total.  An
+event's scores are the sum of its states' columns, taken for all priors at
+once, and a tie is a maximum that occurs more than once.  ``ht_rule`` adds
+one column per event to the scores of the event's prefix, carried down its
+walk of the events.  A rule that is Bayesian on every event never builds
+the columns.
 
-``os_to_ht`` turns an ordered hierarchy into such a representation whose
-rule is identical: weight k+1 is scaled below weight k by half the smallest
-support mass of prior k, which makes every selection score of the right
-order beat all deeper orders.
+``os_to_ht`` turns any ordered hierarchy that covers the space into such a
+representation whose rule is identical; supports may overlap.  Weight k+1
+is weight k times m_k / 2, m_k being prior k's least positive mass.  An
+event that first becomes feasible at order k misses the supports of priors
+0..k-1, which score 0 on it, and meets prior k's support, so its score
+there is at least rho_k * m_k = 2 * rho_(k+1).  Every deeper prior j
+scores at most rho_j <= rho_(k+1), so order k wins strictly.
 
 ``eps_os_to_ht`` covers the thresholded variant.  Its prior list is the set
 of distinct conditional beliefs the thresholded update can ever produce.
@@ -113,7 +116,7 @@ class HTRepresentation:
     built on first read.
     """
 
-    __slots__ = ("space", "priors", "weights", "total", "eps", "_rho", "_columns")
+    __slots__ = ("space", "priors", "weights", "total", "eps", "_rho")
 
     def __init__(
         self,
@@ -158,7 +161,6 @@ class HTRepresentation:
         self.total = total // g
         self.eps = eps
         self._rho: tuple[Fraction, ...] | None = None
-        self._columns: list[tuple[int, ...]] | None = None
         return self
 
     @property
@@ -195,15 +197,12 @@ def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
     rho_j * mass_j({i}) = nums_j[i] * w_j / (den_j * total).  Over
     L = lcm(den_j) the entry for prior j is nums_j[i] * w_j * (L // den_j),
     every score times the one positive constant L * total, and an event's
-    scores are column sums.  Built on first use and kept on the
-    representation.
+    scores are column sums.
     """
-    if ht._columns is None:
-        common = lcm(*[prior.den for prior in ht.priors])
-        factors = [w * (common // prior.den) for prior, w in zip(ht.priors, ht.weights)]
-        rows = [[num * f for num in prior.nums] for prior, f in zip(ht.priors, factors)]
-        ht._columns = list(zip(*rows))
-    return ht._columns
+    common = lcm(*[prior.den for prior in ht.priors])
+    factors = [w * (common // prior.den) for prior, w in zip(ht.priors, ht.weights)]
+    rows = [[num * f for num in prior.nums] for prior, f in zip(ht.priors, factors)]
+    return list(zip(*rows))
 
 
 def _argmax(ht: HTRepresentation, mask: int, scores: Sequence[int | Fraction]) -> int:
@@ -253,7 +252,7 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     nums, scale, cut = top.nums, eps.denominator, eps.numerator * top.den
     masses = [0] * depths
     scores: list = [(0,) * len(ht.priors)] * depths
-    columns = None  # fetched on the first argmax event
+    columns = None  # built on the first argmax event
 
     def choose(mask: int, _: int) -> int:
         nonlocal columns
@@ -269,22 +268,20 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     return tabulate_rule(ht.space, ht.priors, choose)
 
 
-def _require_canonical_cover(os: OSRepresentation) -> None:
-    if not os.is_canonical:
-        raise ValidationError("hierarchy priors must have pairwise disjoint supports")
-    if not os.covers_space:
-        raise IncompleteCoverage("hierarchy supports must jointly cover the space")
-
-
 def os_to_ht(os: OSRepresentation) -> HTRepresentation:
     """Weight construction matching an ordered hierarchy exactly.
 
-    v(0) = 1 and v(k) = v(k-1) * (least support mass of prior k-1) / 2,
-    normalized.  Threshold 0.  Any event feasible at order k then scores
-    strictly higher there than at any deeper order, so selection and the
-    hierarchy's first-feasible choice coincide on every event.
+    v(0) = 1 and v(k) = v(k-1) * m_(k-1) / 2, normalized, with m_j the least
+    positive mass of prior j.  Threshold 0.  The hierarchy must cover the
+    space; its supports may overlap.  An event first feasible at order k
+    misses the supports of priors 0..k-1, which score 0 on it, and has mass
+    at least m_k under prior k, so it scores at least v(k) * m_k there.
+    Every deeper order j scores at most v(j) <= v(k+1) = v(k) * m_k / 2.
+    So selection and the hierarchy's first-feasible choice coincide on
+    every event.
     """
-    _require_canonical_cover(os)
+    if not os.covers_space:
+        raise IncompleteCoverage("hierarchy supports must jointly cover the space")
     weights = [1]  # v(0), ..., v(k) times 2^k * den_0 * ... * den_(k-1)
     for prior in os.priors[:-1]:
         least = min(n for n in prior.nums if n)
@@ -340,7 +337,10 @@ class EpsOsConstruction(NamedTuple):
 
 def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConstruction:
     eps = as_threshold(eps)
-    _require_canonical_cover(os)
+    if not os.is_canonical:
+        raise ValidationError("hierarchy priors must have pairwise disjoint supports")
+    if not os.covers_space:
+        raise IncompleteCoverage("hierarchy supports must jointly cover the space")
     space = os.space
     priors = os.priors
     space.canonical_masks()  # raises TooManyStates past the power-set cap

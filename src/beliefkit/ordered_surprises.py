@@ -59,16 +59,12 @@ class OSRepresentation:
         return f"OSRepresentation(<{len(self.priors)} priors over {len(self.space)} states>)"
 
     @property
-    def union_support_mask(self) -> int:
+    def covers_space(self) -> bool:
+        """True when every state is in some prior's support."""
         mask = 0
         for prior in self.priors:
             mask |= prior.support_mask
-        return mask
-
-    @property
-    def covers_space(self) -> bool:
-        """True when every state is in some prior's support."""
-        return self.union_support_mask == (1 << len(self.space)) - 1
+        return mask == (1 << len(self.space)) - 1
 
     @property
     def is_canonical(self) -> bool:
@@ -79,30 +75,6 @@ class OSRepresentation:
                 return False
             seen |= prior.support_mask
         return True
-
-
-def canonicalize_os(os: OSRepresentation) -> OSRepresentation:
-    """Zero out mass already explained by earlier priors and renormalize.
-
-    Priors left with no mass are dropped.  The induced update rule is
-    unchanged: a state shared with an earlier support can never belong to
-    an event that first becomes feasible at the later prior.  Whether the
-    result covers the whole space is reported by ``covers_space``.
-    """
-    space = os.space
-    seen = 0
-    cleaned: list[Belief] = []
-    for prior in os.priors:
-        fresh = prior.support_mask & ~seen
-        if not fresh:
-            continue
-        if fresh == prior.support_mask:
-            cleaned.append(prior)
-        else:
-            cleaned.append(bayes_update(prior, Event(space, fresh)))
-        seen |= fresh
-    # the first prior always survives, so the list is never empty
-    return OSRepresentation(space, cleaned)
 
 
 def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:

@@ -208,6 +208,8 @@ def parse_scenario(text: str) -> Scenario:
         scenario.acts[name] = Act(space, assignment)
 
     for name, labels in _expect_object(doc.get("events", {}), "events").items():
+        if name in space.states:
+            raise ParseError(f"events.{name}: an event name must not be a state label")
         scenario.events[name] = space.event_from(
             _expect_strings(labels, f"events.{name}")
         )

@@ -10,7 +10,9 @@ The cases are criterion 10's twelve commands plus small scenarios under
 a ``decompose`` of a rule that is not a CPS; and the report shapes the
 twelve commands miss: one ``conservative`` conditional, an ``lps-compare``
 without the demo, a ``partition`` at threshold 0 and an ``ht-select`` on
-the Bayesian branch.
+the Bayesian branch; an ``--event`` that names a scenario ``events``
+entry; and both weight constructions on a hierarchy whose supports
+overlap, which ``os-to-ht`` accepts and ``eps-os-to-ht`` rejects.
 
 ``tests/test_golden_reports.py`` compares the files byte for byte.  After
 a deliberate report change, rewrite them with
@@ -51,6 +53,12 @@ CASES = REPORT_COMMANDS + (
     ("lps-compare", "lps_demo", "--acts", "f_v1,zz"),
     ("check-axioms", "lps_demo", "--utilities", "zz"),
     ("conservative", "conservative", "--delta", "1/2", "--prior", "zz"),
+    ("update", "coin", "--event", "A"),
+    ("ht-select", "ht_counterexample", "--event", "A"),
+    ("lps-compare", "lps_demo", "--acts", "f_v1,g", "--event", "E"),
+    ("check-axioms", "lps_demo", "--event", "E"),
+    ("os-to-ht", "scenarios/overlap.json"),
+    ("eps-os-to-ht", "scenarios/overlap.json", "--eps", "1/4"),
 )
 
 

@@ -28,16 +28,13 @@ from beliefkit.errors import (
     BeliefkitError,
     DegenerateBase,
     EmptyEvent,
+    IncompleteCoverage,
     InfeasibleSubevent,
     NullConditioning,
     SpaceMismatch,
     ValidationError,
 )
-from beliefkit.hypothesis_testing import (
-    EpsOsConstruction,
-    HTRepresentation,
-    _require_canonical_cover,
-)
+from beliefkit.hypothesis_testing import EpsOsConstruction, HTRepresentation
 from beliefkit.ordered_surprises import min_order
 
 
@@ -70,7 +67,7 @@ def random_overlapping_os(rng: random.Random, max_states: int = 7) -> OSRepresen
 
     Each prior gets a random nonempty support; states no support holds are
     then dealt out at random.  Later priors may be wholly explained by
-    earlier ones, so ``canonicalize_os`` can drop them.
+    earlier ones, so the canonical form (``canonical_form``) can drop them.
     """
     n = rng.randint(1, max_states)
     space = StateSpace(tuple(f"s{i}" for i in range(n)))
@@ -89,6 +86,25 @@ def random_overlapping_os(rng: random.Random, max_states: int = 7) -> OSRepresen
             Belief(space, {s: Fraction(w, total) for s, w in zip(chunk, weights)})
         )
     return OSRepresentation(space, priors)
+
+
+def canonical_form(os: OSRepresentation) -> OSRepresentation:
+    """Oracle for ``cps_to_os(os_rule(os))`` on a hierarchy covering the space.
+
+    Each prior keeps only the states no earlier prior holds, renormalized in
+    Fractions, and a prior left with none is dropped.  The induced rule is
+    unchanged: an event first feasible at a prior misses every earlier
+    support.
+    """
+    seen: set[str] = set()
+    priors = []
+    for prior in os.priors:
+        fresh = {s: m for s, m in prior.items() if m and s not in seen}
+        if fresh:
+            total = sum(fresh.values())
+            priors.append(Belief(os.space, {s: m / total for s, m in fresh.items()}))
+            seen |= set(fresh)
+    return OSRepresentation(os.space, priors)
 
 
 def random_belief_on(rng: random.Random, event: Event) -> Belief:
@@ -401,7 +417,10 @@ def fraction_eps_os_construction(
     eps = as_fraction(eps)
     if not 0 <= eps < 1:
         raise ValidationError(f"threshold must lie in [0, 1), got {eps}")
-    _require_canonical_cover(os)
+    if not os.is_canonical:
+        raise ValidationError("hierarchy priors must have pairwise disjoint supports")
+    if not os.covers_space:
+        raise IncompleteCoverage("hierarchy supports must jointly cover the space")
     space = os.space
     priors = os.priors
 

@@ -208,6 +208,34 @@ def test_check_axioms_with_event_and_subevent(capsys):
     assert ("conditional_consistency", "pass") in rows_of(out)
 
 
+@pytest.mark.parametrize(
+    ("named", "labelled"),
+    [
+        (("update", "coin", "--event", "A"), ("update", "coin", "--event", "el,l1,l2")),
+        (
+            ("eps-update", "coin", "--eps", "1/4", "--event", "E"),
+            ("eps-update", "coin", "--eps", "1/4", "--event", "e,el,l1,l2"),
+        ),
+        (
+            ("ht-select", "ht_counterexample", "--event", "E"),
+            ("ht-select", "ht_counterexample", "--event", "e,el,l1,l2"),
+        ),
+        (
+            ("lps-compare", "lps_demo", "--acts", "f_v1,g", "--event", "E"),
+            ("lps-compare", "lps_demo", "--acts", "f_v1,g", "--event", "e,el"),
+        ),
+        (
+            ("check-axioms", "lps_demo", "--event", "e,el,l1", "--subevent", "E"),
+            ("check-axioms", "lps_demo", "--event", "e,el,l1", "--subevent", "e,el"),
+        ),
+    ],
+    ids=["update", "eps-update", "ht-select", "lps-compare", "check-axioms-subevent"],
+)
+def test_an_events_name_reads_as_its_states(capsys, named, labelled):
+    assert run_cli(capsys, *named) == run_cli(capsys, *labelled)
+    assert run_cli(capsys, *named)[0] == 0
+
+
 F_V1 = "h=$1:1;t=$1:1;e=$0:1;el=$0:1;l1=$0:1;l2=$0:1"
 G = "h=$1:1;t=$1:1;e=$1/2:1;el=$1/2:1;l1=$0:1;l2=$0:1"
 F_V2 = "h=$2:1;t=$2:1;e=$0:1;el=$0:1;l1=$0:1;l2=$0:1"

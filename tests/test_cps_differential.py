@@ -36,7 +36,6 @@ from beliefkit import (
     StateSpace,
     UpdatingRule,
     bayesian_rule,
-    canonicalize_os,
     conservative_rule,
     cps_to_os,
     is_concentrated,
@@ -44,6 +43,7 @@ from beliefkit import (
     validate_cps,
 )
 from helpers import (
+    canonical_form,
     exhaustive_validate_cps,
     random_belief_on,
     random_canonical_os,
@@ -316,7 +316,7 @@ def test_decompose_of_an_overlapping_hierarchy_is_its_canonical_form():
     rng = random.Random(20260816)
     for _ in range(40):
         hier = random_overlapping_os(rng, 7)
-        assert cps_to_os(os_rule(hier)) == canonicalize_os(hier)
+        assert cps_to_os(os_rule(hier)) == canonical_form(hier)
 
 
 def test_induced_rules_are_certified_without_the_witness_search(monkeypatch):

@@ -12,6 +12,7 @@ from beliefkit import (
     Belief,
     EpsOsConstruction,
     HTRepresentation,
+    IncompleteCoverage,
     NoPriorExceedsThreshold,
     OSRepresentation,
     SelectionBranch,
@@ -30,7 +31,12 @@ from beliefkit import (
     surprise_partition,
     validate_cps,
 )
-from helpers import coin_hierarchy, count_fractions, random_canonical_os
+from helpers import (
+    coin_hierarchy,
+    count_fractions,
+    random_canonical_os,
+    random_overlapping_os,
+)
 
 
 @pytest.fixture
@@ -142,10 +148,34 @@ def test_constructed_weights_make_depth_win_strictly(coin):
 
 
 def test_weight_construction_on_a_small_corpus():
+    """Disjoint supports, then 400 covering hierarchies whose supports may
+    overlap: the rules agree, and each order's least score beats the next
+    order's weight."""
     rng = random.Random(4242)
-    for _ in range(20):
-        hier = random_canonical_os(rng, max_states=6)
-        assert rules_equal(os_rule(hier), ht_rule(os_to_ht(hier)))
+    corpus = [random_canonical_os(rng, max_states=6) for _ in range(20)]
+    rng = random.Random("os-to-ht-overlapping")
+    overlapping = [random_overlapping_os(rng, max_states=7) for _ in range(400)]
+    assert sum(not hier.is_canonical for hier in overlapping) >= 200  # most overlap
+    for hier in corpus + overlapping:
+        ht = os_to_ht(hier)
+        assert rules_equal(os_rule(hier), ht_rule(ht))
+        for k, prior in enumerate(hier.priors[:-1]):
+            assert ht.rho[k] * min(m for m in prior.mass if m) > ht.rho[k + 1]
+
+
+def test_only_the_thresholded_construction_needs_disjoint_supports():
+    space = StateSpace(("a", "b", "c"))
+    mu0 = Belief(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    mu1 = Belief(space, {"b": Fraction(1, 2), "c": Fraction(1, 2)})
+    overlap = OSRepresentation(space, (mu0, mu1))
+    assert os_to_ht(overlap).rho == (Fraction(4, 5), Fraction(1, 5))
+    with pytest.raises(ValidationError) as err:
+        eps_os_construction(overlap, 0)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "hierarchy priors must have pairwise disjoint supports"
+    with pytest.raises(IncompleteCoverage) as err:
+        os_to_ht(OSRepresentation(space, (mu0,)))
+    assert str(err.value) == "hierarchy supports must jointly cover the space"
 
 
 def test_thresholded_construction_coin_quarter(coin):

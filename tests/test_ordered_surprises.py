@@ -16,7 +16,6 @@ from beliefkit import (
     StateSpace,
     SurprisePartition,
     ValidationError,
-    canonicalize_os,
     conservative_rule,
     cps_to_os,
     eps_os_update,
@@ -80,7 +79,7 @@ def test_canonicalize_strips_repeated_mass():
     mu1 = Belief(space, {"b": Fraction(1, 2), "c": Fraction(1, 2)})
     raw = OSRepresentation(space, (mu0, mu1))
     assert not raw.is_canonical
-    slim = canonicalize_os(raw)
+    slim = cps_to_os(os_rule(raw))
     assert slim.is_canonical
     assert slim.priors[0] == mu0
     assert slim.priors[1] == Belief(space, {"c": 1})
@@ -90,13 +89,16 @@ def test_canonicalize_drops_fully_shadowed_priors():
     space = StateSpace(("a", "b"))
     mu0 = Belief(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
     mu1 = Belief(space, {"a": 1})
-    slim = canonicalize_os(OSRepresentation(space, (mu0, mu1)))
+    slim = cps_to_os(os_rule(OSRepresentation(space, (mu0, mu1))))
     assert len(slim) == 1
     assert slim.covers_space
 
 
 def test_canonicalization_preserves_the_induced_rule():
-    """Brute force over small hierarchies with overlapping supports."""
+    """Brute force over small covering hierarchies with overlapping supports.
+
+    A hierarchy that leaves states uncovered gets one more prior on them.
+    """
     rng = random.Random(7)
     space = StateSpace(("a", "b", "c", "d"))
     for _ in range(40):
@@ -116,12 +118,14 @@ def test_canonicalization_preserves_the_induced_rule():
                     },
                 )
             )
+        missing = [s for s in space.states if not any(p.mass_of(s) for p in priors)]
+        if missing:
+            priors.append(Belief(space, {s: Fraction(1, len(missing)) for s in missing}))
         raw = OSRepresentation(space, priors)
-        slim = canonicalize_os(raw)
+        slim = cps_to_os(os_rule(raw))
         assert slim.is_canonical
         for e in space.events():
-            if raw.union_support_mask & e.mask:
-                assert os_update(raw, e) == os_update(slim, e)
+            assert os_update(raw, e) == os_update(slim, e)
 
 
 def test_round_trip_coin_recovers_all_three_priors(coin):

@@ -33,9 +33,8 @@ EXPORTS = {
         "indifference_resolution_demo", "lps_compare", "lps_value",
     ),
     "ordered_surprises": (
-        "OSRepresentation", "SurprisePartition", "canonicalize_os", "cps_to_os",
-        "eps_os_update", "os_rule", "os_update", "surprise_order",
-        "surprise_partition",
+        "OSRepresentation", "SurprisePartition", "cps_to_os", "eps_os_update",
+        "os_rule", "os_update", "surprise_order", "surprise_partition",
     ),
     "preferences": (
         "PreferenceFamily", "RiskIndependenceReport",
@@ -64,7 +63,7 @@ def test_every_export_is_its_modules_object(module):
 
 
 def test_all_dir_and_star_import_list_every_export():
-    assert len(NAMES) == 78
+    assert len(NAMES) == 77
     assert sorted(beliefkit.__all__) == NAMES
     assert not [name for name in beliefkit.__all__ if name.startswith("_")]
     assert set(NAMES) <= set(dir(beliefkit))

@@ -81,6 +81,14 @@ def test_coin_fixture_content():
     assert scenario.ht is None
 
 
+def test_an_event_name_that_is_a_state_label_is_rejected():
+    """``--event`` reads a whole text as an event name before it splits
+    labels, so a name equal to a label would shadow that label."""
+    text = '{"space": ["a", "b"], "events": {"E": ["a", "b"], "b": ["a"]}}'
+    with pytest.raises(ParseError, match="^events.b: an event name must not be a state label$"):
+        parse_scenario(text)
+
+
 def test_load_scenario_from_a_path(tmp_path):
     target = tmp_path / "tiny.json"
     target.write_text(load_scenario("coin").render(), encoding="utf-8")
