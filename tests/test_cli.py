@@ -232,8 +232,8 @@ def test_check_axioms_with_event_and_subevent(capsys):
     ids=["update", "eps-update", "ht-select", "lps-compare", "check-axioms-subevent"],
 )
 def test_an_events_name_reads_as_its_states(capsys, named, labelled):
-    assert run_cli(capsys, *named) == run_cli(capsys, *labelled)
-    assert run_cli(capsys, *named)[0] == 0
+    got = run_cli(capsys, *named)
+    assert got[0] == 0 and got == run_cli(capsys, *labelled)
 
 
 F_V1 = "h=$1:1;t=$1:1;e=$0:1;el=$0:1;l1=$0:1;l2=$0:1"
