@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -510,8 +511,15 @@ def main(argv=None) -> int:
     except Exception as err:  # a bug, never a verdict: exit 1 stays "check failed"
         print(f"error\tInternalError\t{type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left, and the exit flush, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

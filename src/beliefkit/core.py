@@ -144,15 +144,19 @@ class StateSpace:
     def empty_event(self) -> "Event":
         return Event(self, 0)
 
+    def check_enumerable(self) -> None:
+        """Raise TooManyStates when |S| exceeds the power-set cap."""
+        cap = max_enumerable_states()
+        if len(self.states) > cap:
+            raise TooManyStates(
+                f"power-set enumeration over {len(self.states)} states exceeds the "
+                f"cap of {cap} (set {MAX_STATES_ENV} to raise it)"
+            )
+
     def canonical_masks(self) -> tuple[int, ...]:
-        """Masks of every nonempty event, canonical order.  Cap-checked."""
+        """Masks of every nonempty event, canonical order, built on first read.  Cap-checked."""
         if self._masks is None:
-            cap = max_enumerable_states()
-            if len(self.states) > cap:
-                raise TooManyStates(
-                    f"power-set enumeration over {len(self.states)} states exceeds the "
-                    f"cap of {cap} (set {MAX_STATES_ENV} to raise it)"
-                )
+            self.check_enumerable()
             self._masks = tuple(_lex_masks(range(len(self.states))))
         return self._masks
 
@@ -343,10 +347,9 @@ class Lottery:
     """A finite-support objective lottery over outcome labels.
 
     Zero-probability entries are dropped, so the stored support is exact.
-    Expected utilities are memoized per lottery, keyed by the utility.
     """
 
-    __slots__ = ("entries", "_hash", "_expected")
+    __slots__ = ("entries",)
 
     def __init__(self, outcomes: Mapping[str, Fraction | int]):
         values = []
@@ -360,8 +363,6 @@ class Lottery:
         if num != den:
             raise ValidationError(f"lottery probabilities must sum to 1, got {Fraction(num, den)}")
         self.entries = tuple([(label, value) for label, value in values if value])
-        self._hash = hash(self.entries)
-        self._expected: dict[UtilityFunction, Fraction] | None = None
 
     def probability(self, label: str) -> Fraction:
         for key, value in self.entries:
@@ -388,7 +389,7 @@ class Lottery:
         return isinstance(other, Lottery) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.entries)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{o}: {p}" for o, p in self.entries)
@@ -398,7 +399,7 @@ class Lottery:
 class Act:
     """A total assignment of one lottery to every state."""
 
-    __slots__ = ("space", "assignment", "_hash")
+    __slots__ = ("space", "assignment")
 
     def __init__(self, space: StateSpace, assignment: Mapping[str, Lottery]):
         lots: list[Lottery | None] = [None] * len(space)
@@ -411,7 +412,6 @@ class Act:
             raise ValidationError(f"act must assign a lottery to every state; missing {missing}")
         self.space = space
         self.assignment = tuple(lots)  # type: ignore[arg-type]
-        self._hash = hash((space._hash, self.assignment))
 
     @classmethod
     def constant(cls, space: StateSpace, lottery: Lottery) -> "Act":
@@ -440,7 +440,7 @@ class Act:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.space._hash, self.assignment))
 
     def __repr__(self) -> str:
         return f"Act({dict(zip(self.space.states, self.assignment))!r})"
@@ -449,7 +449,7 @@ class Act:
 class UtilityFunction:
     """Integer utility numerators, possibly negative: o is worth ``nums[o] / den``, reduced."""
 
-    __slots__ = ("items", "outcomes", "den", "nums", "_hash")
+    __slots__ = ("items", "outcomes", "den", "nums")
 
     def __init__(self, table: Mapping[str, Fraction | int]):
         if not table:
@@ -458,7 +458,6 @@ class UtilityFunction:
         den = self.den = lcm(*[v.denominator for _, v in self.items])
         self.nums = {o: v.numerator * (den // v.denominator) for o, v in self.items}
         self.outcomes = tuple(self.nums)
-        self._hash = hash(self.items)
 
     def value(self, outcome: str) -> Fraction:
         return Fraction(self.num(outcome), self.den)
@@ -470,20 +469,13 @@ class UtilityFunction:
             raise MissingUtility(f"no utility assigned to outcome {outcome!r}") from None
 
     def expected(self, lottery: Lottery) -> Fraction:
-        """Expected utility of ``lottery``, summed on integer numerators and memoized.
+        """Expected utility of ``lottery``, summed on integer numerators.
 
-        The memo sits on the lottery, keyed by this utility, so a family's utilities
-        hit it by identity; a missing outcome raises MissingUtility on every call.
+        A missing outcome raises MissingUtility.
         """
-        memo = lottery._expected
-        if memo is None:
-            memo = lottery._expected = {}
-        value = memo.get(self)
-        if value is None:
-            d = lcm(*[p.denominator for _, p in lottery.entries])
-            n = sum([p.numerator * (d // p.denominator) * self.num(o) for o, p in lottery.entries])
-            value = memo[self] = Fraction(n, d * self.den)
-        return value
+        d = lcm(*[p.denominator for _, p in lottery.entries])
+        n = sum([p.numerator * (d // p.denominator) * self.num(o) for o, p in lottery.entries])
+        return Fraction(n, d * self.den)
 
     def affine(self, alpha: Fraction | int, beta: Fraction | int) -> "UtilityFunction":
         alpha, beta = as_fraction(alpha), as_fraction(beta)
@@ -493,7 +485,7 @@ class UtilityFunction:
         return isinstance(other, UtilityFunction) and self.items == other.items
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.items)
 
     def __repr__(self) -> str:
         return f"UtilityFunction({dict(self.items)!r})"
@@ -628,10 +620,10 @@ def seu_value(u: UtilityFunction, mu: Belief, f: Act) -> Fraction:
 
     The utility table must cover every outcome the act can produce,
     including outcomes on zero-probability states: every state's expected
-    utility is read, from the memo ``UtilityFunction.expected`` keeps on
-    each lottery.  The sum is taken on integer numerators: the belief's
-    over its common denominator, each expected utility's over the lcm of
-    the expected-utility denominators on the support, then one Fraction.
+    utility is computed, by ``UtilityFunction.expected``, on every call.
+    The sum is taken on integer numerators: the belief's over its common
+    denominator, each expected utility's over the lcm of the
+    expected-utility denominators on the support, then one Fraction.
     """
     if mu.space != f.space:
         raise SpaceMismatch("belief and act belong to different state spaces")

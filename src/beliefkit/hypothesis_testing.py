@@ -343,7 +343,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         raise IncompleteCoverage("hierarchy supports must jointly cover the space")
     space = os.space
     priors = os.priors
-    space.canonical_masks()  # raises TooManyStates past the power-set cap
+    space.check_enumerable()
 
     # Supports are disjoint and cover the space, so an event splits into one
     # submask per support, and its class is the first prior whose submask

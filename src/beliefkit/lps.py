@@ -108,13 +108,7 @@ def lps_value(lps: LPSRepresentation, u: UtilityFunction, f: Act) -> LexValue:
 
 def lps_compare(lps: LPSRepresentation, u: UtilityFunction, f: Act, g: Act) -> Preference:
     """Lexicographic ranking; indifference only when every level ties."""
-    a = lps_value(lps, u, f)
-    b = lps_value(lps, u, g)
-    if a.components > b.components:
-        return Preference.FIRST
-    if a.components < b.components:
-        return Preference.SECOND
-    return Preference.INDIFFERENT
+    return compare_values(lps_value(lps, u, f).components, lps_value(lps, u, g).components)
 
 
 def clps_condition(lps: LPSRepresentation, e: Event) -> LPSRepresentation:

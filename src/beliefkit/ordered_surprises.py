@@ -29,7 +29,7 @@ from .rules import UpdatingRule, tabulate_rule, validate_cps
 class OSRepresentation:
     """An ordered, nonempty list of priors over one state space."""
 
-    __slots__ = ("space", "priors", "_hash")
+    __slots__ = ("space", "priors")
 
     def __init__(self, space: StateSpace, priors: Iterable[Belief]):
         priors = tuple(priors)
@@ -40,7 +40,6 @@ class OSRepresentation:
                 raise SpaceMismatch("prior built over a different state space")
         self.space = space
         self.priors = priors
-        self._hash = hash((space, priors))
 
     def __len__(self) -> int:
         return len(self.priors)
@@ -53,7 +52,7 @@ class OSRepresentation:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.space, self.priors))
 
     def __repr__(self) -> str:
         return f"OSRepresentation(<{len(self.priors)} priors over {len(self.space)} states>)"
@@ -112,7 +111,7 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
 def os_rule(os: OSRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event."""
     space = os.space
-    space.canonical_masks()  # TooManyStates past the power-set cap comes first
+    space.check_enumerable()  # before the coverage check
     if not os.covers_space:
         raise IncompleteCoverage(
             "hierarchy does not cover the space; update undefined on some events"

@@ -156,13 +156,10 @@ def check_consequentialism(fam, e: Event) -> CheckResult:
         raise SpaceMismatch("event belongs to a different state space")
     u = fam.utility_given(e)
     u_x = u.num(x)
-    for o in outcomes:
-        if u.num(o) != u_x:
-            break
-    else:
+    anchor = _anchor(u, outcomes)
+    if anchor is None or not fam.belief_given(e).support_mask & ~e.mask:
         return CheckResult(True)
-    if not fam.belief_given(e).support_mask & ~e.mask:
-        return CheckResult(True)
+    o = anchor[1]
     off_e = tuple([0 if e.mask >> i & 1 else 1 for i in range(len(space))])
     verdict = Preference.SECOND if u.num(o) > u_x else Preference.FIRST
     return CheckResult(False, (*_xy_acts(space, x, o, 2, (0,) * len(space), off_e), verdict))
@@ -219,8 +216,8 @@ def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
     failed = _column_break(space, x, y, v_e, _weighted_gains(b_a, u_a, -1, x, y))
     if failed is not None:
         return failed
+    anchor = _anchor(u_a, outcomes)
     if u_e is not u_a:
-        anchor = _anchor(u_a, outcomes)
         broken = _affine_break((u_a, u_e), outcomes, anchor)
         if broken is not None:
             p, q = _flip_pair(u_a, *(anchor or (outcomes[0], broken[1])), broken[1])
@@ -229,9 +226,9 @@ def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
             return CheckResult(False, (*acts, *verdicts))
     if any(v_e):  # v_e = c * v_a with c > 0 ties b_e on a to b_a
         return CheckResult(True)
-    o = next((o for o in outcomes if u_a.num(o) != u_a.num(x)), None)
-    if o is None:  # u_a, so u_e, is constant on the shared outcomes
+    if anchor is None:  # u_a, so u_e, is constant on the shared outcomes
         return CheckResult(True)
+    o = anchor[1]
     v_e = _weighted_gains(belief, u_e, a.mask, x, o)
     failed = _column_break(space, x, o, v_e, _weighted_gains(b_a, u_a, -1, x, o))
     return CheckResult(True) if failed is None else failed

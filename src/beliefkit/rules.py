@@ -54,7 +54,7 @@ class UpdatingRule:
     Anything but an event over an equal state space is outside the domain.
     """
 
-    __slots__ = ("space", "_table", "_events")
+    __slots__ = ("space", "_table")
 
     def __init__(self, space: StateSpace, table: Mapping[Event, Belief]):
         checked: dict[int, Belief] = {}
@@ -72,15 +72,11 @@ class UpdatingRule:
         # the one initializer: keys are nonempty masks over ``space``, values beliefs over it
         self.space = space
         self._table = table
-        self._events: tuple[Event, ...] | None = None
         return self
 
     def events(self) -> tuple[Event, ...]:
         """Domain events in canonical order."""
-        if self._events is None:
-            masks = sorted(self._table, key=mask_indices)
-            self._events = tuple([Event(self.space, mask) for mask in masks])
-        return self._events
+        return tuple([Event(self.space, mask) for mask in sorted(self._table, key=mask_indices)])
 
     def __getitem__(self, event: Event) -> Belief:
         belief = self.get(event)
@@ -167,25 +163,24 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     # delta = keep / (keep + move)
     keep, move = delta.numerator, delta.denominator - delta.numerator
 
-    def sticky(rest: list[int], where: int) -> Belief:
-        # delta * prior + (1 - delta) * rest / sum(rest), rest nonzero on ``where``, in integers
+    def sticky(rest: list[int]) -> Belief:
+        # delta * prior + (1 - delta) * rest / sum(rest), numerators in integers
         w = sum(rest)
+        total = delta.denominator * den * w
         row = [keep * w * x + move * den * r for x, r in zip(nums, rest)]
-        return object.__new__(Belief)._init(
-            space, delta.denominator * den * w, row, support | (where if move else 0)
-        )
+        return Belief(space, {s: Fraction(v, total) for s, v in zip(space.states, row) if v})
 
     table: dict[int, Belief] = {}
     feasible: dict[int, Belief] = {}  # by event & support, all an entry depends on
     for mask in space.canonical_masks():
         inner = mask & support
         if not inner:
-            table[mask] = sticky([mask >> i & 1 for i in range(len(nums))], mask)
+            table[mask] = sticky([mask >> i & 1 for i in range(len(nums))])
         elif inner in feasible:
             table[mask] = feasible[inner]
         else:  # the rest is the Bayes posterior, nums on inner over their sum
             rest = [x if inner >> i & 1 else 0 for i, x in enumerate(nums)]
-            table[mask] = feasible[inner] = sticky(rest, inner)
+            table[mask] = feasible[inner] = sticky(rest)
     return object.__new__(UpdatingRule)._init(space, table)
 
 
@@ -251,7 +246,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     space = rule.space
     n = len(space)
     table = rule._table
-    masks = space.canonical_masks()  # raises TooManyStates past the power-set cap
+    space.check_enumerable()
     full = rest = (1 << n) - 1
     zeros = (0,) * n
     tails = [zeros] * n  # (its peeled prior's numerator of state i, 0, ..., 0), from i on
@@ -277,7 +272,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         rest &= ~support
         rs = lex_submasks(rest)[1:] if rest else ()
         stack = [(zeros, 0)] * (n + 1)
-        for q in masks if support == full else lex_submasks(support)[1:]:
+        for q in space.canonical_masks() if support == full else lex_submasks(support)[1:]:
             top = q.bit_length() - 1
             depth = q.bit_count()
             kept, mass = stack[depth - 1]

@@ -344,8 +344,6 @@ def fraction_lottery(outcomes) -> Lottery:
         raise ValidationError(f"lottery probabilities must sum to 1, got {total}")
     lottery = object.__new__(Lottery)
     lottery.entries = tuple(cleaned)
-    lottery._hash = hash(lottery.entries)
-    lottery._expected = None
     return lottery
 
 

@@ -443,6 +443,46 @@ def test_an_internal_error_exits_3_with_one_line(capsys, monkeypatch, handler, f
     assert "Traceback" not in err
 
 
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_a_closed_stdout_keeps_the_verdict_and_a_silent_stderr(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(target.fileno()))
+        code = main(["validate-cps", "ht_counterexample"])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_child_whose_stdout_reader_left_exits_with_its_verdict():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "beliefkit.cli", "validate-cps", "ht_counterexample"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 HUGE = "1" * 5000
 
 

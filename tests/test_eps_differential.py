@@ -136,6 +136,12 @@ def test_rejections_match_the_fraction_oracle(monkeypatch):
     assert outcome(eps_os_construction, wide, Fraction(1, 4)) == want
 
 
+def test_a_multi_prior_construction_leaves_the_power_set_unbuilt():
+    h = hierarchy(random.Random(SEED + 3), 12, 2, balanced=True)
+    assert eps_os_construction(h, Fraction(1, 4)).class_of[0] == 0
+    assert h.space._masks is None
+
+
 @pytest.mark.parametrize("eps", EPS_LEVELS, ids=str)
 def test_single_prior_at_eight_states(eps):
     h = hierarchy(random.Random(SEED + 2), 8, 1, balanced=True)

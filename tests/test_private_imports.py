@@ -68,19 +68,54 @@ def private_definitions(tree: ast.AST) -> set[str]:
     return {name for name in names if _is_private(name)}
 
 
+def receiver_class(node: ast.expr) -> str | None:
+    """The name a receiver reads as a class: ``C`` itself, or ``C`` in ``object.__new__(C)``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and node.args
+    ):
+        node = node.args[0]
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def private_attribute_uses(paths: list[Path]) -> list[str]:
-    """``obj._name`` uses where ``_name`` is defined only in other modules."""
+    """``obj._name`` uses where ``_name`` is defined only in other modules.
+
+    A receiver that names a class imported from another module, directly
+    or through ``object.__new__``, owns the attribute there, so its
+    private attributes count even where this module defines the same name.
+    """
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     defined = {path: private_definitions(tree) for path, tree in trees.items()}
+    classes = {
+        path: {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        for path, tree in trees.items()
+    }
     found = []
     for path, tree in trees.items():
         elsewhere = set().union(*(names for other, names in defined.items() if other != path))
+        foreign = set().union(*(names for other, names in classes.items() if other != path))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in foreign
+        }
         found += [
             (path.name, node.lineno, node.col_offset, node.attr)
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and node.attr in elsewhere
-            and node.attr not in defined[path]
+            and (
+                node.attr in elsewhere
+                and node.attr not in defined[path]
+                or _is_private(node.attr)
+                and receiver_class(node.value) in imported
+            )
         ]
     return [f"{name}:{line}: .{attr}" for name, line, _, attr in sorted(found)]
 
@@ -98,26 +133,37 @@ def test_the_rule_sees_private_attributes(tmp_path):
         "    def __init__(self):\n"
         "        self._den = 1\n"
         "        self._hash = 0\n"
+        "    def _init(self):\n"
+        "        return self\n"
         "    def _numerators(self):\n"
         "        return self._den\n",
         encoding="utf-8",
     )
     (tmp_path / "rules.py").write_text(
         "from . import core\n"
+        "from .core import Belief as Prior\n"
         "class Rule:\n"
         "    def __init__(self):\n"
         "        self._hash = 1\n"
+        "    def _init(self):\n"
+        "        return self\n"
         "def use(belief, rule):\n"
         "    den = belief._numerators()\n"
         "    belief._den = den\n"
-        "    return core._lex(core._CAP), rule._hash, belief.__class__, belief._unknown\n",
+        "    return core._lex(core._CAP), rule._hash, belief.__class__, belief._unknown\n"
+        "def build():\n"
+        "    fresh = object.__new__(Prior)._init()\n"
+        "    Prior._init(fresh)\n"
+        "    return object.__new__(Rule)._init(), Prior.__name__\n",
         encoding="utf-8",
     )
     assert private_attribute_uses(sorted(tmp_path.glob("*.py"))) == [
-        "rules.py:6: ._numerators",
-        "rules.py:7: ._den",
-        "rules.py:8: ._lex",
-        "rules.py:8: ._CAP",
+        "rules.py:9: ._numerators",
+        "rules.py:10: ._den",
+        "rules.py:11: ._lex",
+        "rules.py:11: ._CAP",
+        "rules.py:13: ._init",
+        "rules.py:14: ._init",
     ]
 
 

@@ -11,6 +11,7 @@ from beliefkit import (
     BeliefkitError,
     CheckResult,
     EmptyEvent,
+    Event,
     OSRepresentation,
     SpaceMismatch,
     StateSpace,
@@ -21,6 +22,7 @@ from beliefkit import (
     is_complete,
     is_concentrated,
     os_rule,
+    os_update,
     rules_equal,
     validate_cps,
 )
@@ -72,6 +74,23 @@ def test_triple_count_formula():
         report = validate_cps(os_rule(OSRepresentation(space, (mu,))))
         assert report.status == "valid"
         assert report.triples == 4**n - 2**n
+
+
+def test_a_multi_prior_check_leaves_the_power_set_unbuilt():
+    """Only a single prior's full support walks every mask; more priors check the cap alone."""
+    space = StateSpace(tuple(f"s{i}" for i in range(6)))
+    hier = OSRepresentation(
+        space,
+        (
+            Belief(space, {"s0": Fraction(1, 3), "s2": Fraction(2, 3)}),
+            Belief(space, {"s1": Fraction(1, 4), "s3": Fraction(1, 4), "s5": Fraction(1, 2)}),
+            Belief(space, {"s4": 1}),
+        ),
+    )
+    events = [Event(space, mask) for mask in range(1, 1 << len(space))]
+    rule = UpdatingRule(space, {e: os_update(hier, e) for e in events})
+    assert validate_cps(rule).priors == hier.priors
+    assert space._masks is None
 
 
 def test_chain_rule_equals_ratio_form():

@@ -1,10 +1,9 @@
 """seu_value, os_prefer and UtilityFunction.expected against the Fraction formula.
 
 The oracle is ``helpers.fraction_seu``: mass times p * u(o), summed in
-Fractions with nothing memoized.  Beliefs carry zero masses, utilities go
-negative, lotteries have one to three outcomes.  Every value is asked for
-twice, so the memoized expected utility is compared as well as the first
-computation.
+Fractions.  Beliefs carry zero masses, utilities go negative, lotteries
+have one to three outcomes.  Every value is asked for twice, so a repeat
+call must agree with the first.
 """
 
 from fractions import Fraction
