@@ -20,7 +20,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyEvent,
@@ -322,6 +322,15 @@ class Belief:
             m ^= low
         return num
 
+    def restricted(self, mask: int) -> "Belief":
+        """Bayes update on ``mask``; NullConditioning when the mask misses the support."""
+        support = mask & self.support_mask
+        if not support:
+            members = ",".join([self.space.states[i] for i in mask_indices(mask)])
+            raise NullConditioning(f"event {{{members}}} has probability zero")
+        kept = [n if support >> i & 1 else 0 for i, n in enumerate(self.nums)]
+        return object.__new__(Belief)._init(self.space, sum(kept), kept, support)
+
     def prob(self, event: Event) -> Fraction:
         if self.space != event.space:
             raise SpaceMismatch("belief and event belong to different state spaces")
@@ -529,74 +538,31 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
         raise SpaceMismatch("belief and event belong to different state spaces")
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
-    support = e.mask & mu.support_mask
-    if not support:
-        raise NullConditioning(f"event {{{','.join(e.members)}}} has probability zero")
-    kept = [n if support >> i & 1 else 0 for i, n in enumerate(mu.nums)]
-    return object.__new__(Belief)._init(mu.space, sum(kept), kept, support)
+    return mu.restricted(e.mask)
 
 
-def posterior_walk(
-    priors: Sequence[Belief], domain: int, choose: Callable[[int, int], int | None]
-) -> Iterator[tuple[int, int, Belief | None]]:
-    """(mask, mass, posterior) for each nonempty submask of ``domain``, canonical order.
+def trace_updates(prior: Belief, own: int) -> Iterator[tuple[int, int, Belief]]:
+    """(q, num(q), update of ``prior`` on q) for each nonempty q inside ``own``, canonical order.
 
-    The posterior is the Bayes update of prior k = choose(mask, j) on the
-    mask and ``mass`` k's numerator there, with j the prior chosen for the
-    prefix, the mask less its top state (len(priors) at the root).  choose
-    must pick a prior meeting the mask, or None to skip it: (mask, 0, None).
-
-    Canonical order is preorder on the prefix tree, so a stack by depth
-    holds the prefix's (prior, kept numerators, their sum, their gcd,
-    posterior).  On the prefix's prior, the top state's numerator extends
-    the prefix's; a zero one gives its posterior back.  A cache by
-    (k, mask & support) is read on another prior, and on extensions when
-    k's support misses a ``domain`` state below its top, the only way they
-    can meet a key twice.  Only a miss on another prior costs a pass over
-    the states.  No ``Event`` is built.
+    ``own`` lies inside the prior's support.  In this preorder on the prefix tree each q
+    extends its prefix's (numerators, sum, gcd), on a stack by depth, by one state's.
     """
-    space = priors[0].space
-    n = len(space)
-    masks = space.canonical_masks() if domain == (1 << n) - 1 else lex_submasks(domain)[1:]
+    if own & ~prior.support_mask:
+        raise ValidationError("a trace must lie inside the prior's support")
+    space, nums = prior.space, prior.nums
+    n = len(nums)
     zeros = (0,) * n
-    root = (len(priors), zeros, 0, 0, None)
-    stack = [root] * (n + 1)
-    plans: list = [None] * len(priors)
-    for mask in masks:
-        top = mask.bit_length() - 1
-        depth = mask.bit_count()
-        prefix = stack[depth - 1]
-        k = choose(mask, prefix[0])
-        if k is None:
-            entry = root
-        else:
-            if plans[k] is None:
-                nums, support = priors[k].nums, priors[k].support_mask
-                below = domain & ~support & ((1 << support.bit_length()) - 1)
-                tails = [(x, *zeros[i + 1 :]) for i, x in enumerate(nums)]
-                plans[k] = nums, support, tails, bool(below), {}
-            nums, support, tails, shared, cache = plans[k]
-            same = k == prefix[0]
-            num = nums[top]
-            if same and not num:
-                entry = prefix
-            else:
-                meet = mask & support
-                cached = shared or not same
-                entry = cache.get(meet) if cached else None
-                if entry is None:
-                    _, kept, mass, g, _ = prefix
-                    if same or depth == 1:  # the empty prefix keeps no numerators
-                        kept, mass, g = kept[:top] + tails[top], mass + num, gcd(g, num)
-                    else:
-                        kept = tuple([x if meet >> i & 1 else 0 for i, x in enumerate(nums)])
-                        mass, g = sum(kept), gcd(*kept)
-                    posterior = object.__new__(Belief)._init(space, mass, kept, meet, g)
-                    entry = (k, kept, mass, g, posterior)
-                    if cached:
-                        cache[meet] = entry
-        stack[depth] = entry
-        yield mask, entry[2], entry[4]
+    states = mask_indices(own)
+    tails = {i: (nums[i], *zeros[i + 1 :]) for i in states}
+    stack = [(zeros, 0, 0)] * (len(states) + 1)
+    masks = space.canonical_masks() if own == (1 << n) - 1 else _lex_masks(states)
+    for q in masks:
+        top = q.bit_length() - 1
+        depth = q.bit_count()
+        kept, mass, g = stack[depth - 1]
+        x = nums[top]
+        kept, mass, g = stack[depth] = kept[:top] + tails[top], mass + x, gcd(g, x)
+        yield q, mass, object.__new__(Belief)._init(space, mass, kept, q, g)
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

@@ -16,9 +16,9 @@ nums_j[i] * w_j * (L // den_j) for every prior j, with L the lcm of the
 priors' denominators, so every score is the true one times L * total.  An
 event's scores are the sum of its states' columns, taken for all priors at
 once, and a tie is a maximum that occurs more than once.  ``ht_rule`` adds
-one column per event to the scores of the event's prefix, carried down its
-walk of the events.  A rule that is Bayesian on every event never builds
-the columns.
+one column per event to the scores of the event's prefix, carried down a
+walk of only the events the top prior rejects.  A rule that is Bayesian
+on every event never builds the columns.
 
 ``os_to_ht`` turns any ordered hierarchy that covers the space into such a
 representation whose rule is identical; supports may overlap.  Weight k+1
@@ -43,7 +43,7 @@ The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
 support's submasks, kept to the rows.  One walk over the submasks of each
-support, ``core.posterior_walk``, gives every submask's numerator, each
+support, ``core.trace_updates``, gives every submask's numerator, each
 its prefix's plus one state's, and the conditional belief on it.  Every
 mass compared is a ratio of two such numerators, and every comparison is
 an integer cross-multiplication.  Two quantities have closed forms.  A
@@ -69,7 +69,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Belief,
@@ -81,7 +81,7 @@ from .core import (
     bayes_update,
     lex_submasks,
     mask_indices,
-    posterior_walk,
+    trace_updates,
 )
 from .errors import (
     AmbiguousArgmax,
@@ -91,7 +91,7 @@ from .errors import (
     ValidationError,
 )
 from .ordered_surprises import OSRepresentation
-from .rules import UpdatingRule, tabulate_rule
+from .rules import UpdatingRule, tabulate_traces
 
 
 class SelectionBranch(Enum):
@@ -243,29 +243,46 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event.
 
     Propagates AmbiguousArgmax (with the offending event) if any event has
-    a tied argmax, since the rule is undefined there.  The top prior's
-    numerator and the scores are kept by event size and extended from the
-    prefix's; an event the top prior rejects has a rejected prefix (mass
-    only grows from a prefix), whose scores are then current.
+    a tied argmax, since the rule is undefined there.  Events the top
+    prior accepts are filled by their trace on its support.
     """
-    eps, top, depths = ht.eps, ht.priors[0], len(ht.space) + 1
-    nums, scale, cut = top.nums, eps.denominator, eps.numerator * top.den
-    masses = [0] * depths
-    scores: list = [(0,) * len(ht.priors)] * depths
-    columns = None  # built on the first argmax event
+    top = ht.priors[0]
+    fill = top, top.support_mask, (1 << len(ht.space)) - 1 & ~top.support_mask
+    return tabulate_traces(ht.space, [fill], ht.eps, _rejected(ht))
 
-    def choose(mask: int, _: int) -> int:
-        nonlocal columns
+
+def _rejected(ht: HTRepresentation) -> Iterator[tuple[int, Belief]]:
+    """(mask, selected update) for each event the top prior rejects, canonical order.
+
+    Mass only grows from a prefix, so a preorder walk of the prefix tree pruned at
+    accepted events meets each after its prefix, whose mass and scores sit on
+    stacks by depth.  Updates are cached by (prior, event & support).
+    """
+    priors, eps, n = ht.priors, ht.eps, len(ht.space)
+    nums, scale, cut = priors[0].nums, eps.denominator, eps.numerator * priors[0].den
+    masses = [0] * (n + 1)
+    scores: list = [(0,) * len(priors)] * (n + 1)
+    bits = [1 << i for i in range(n - 1, -1, -1)]  # pushed descending, so popped ascending
+    columns = None
+    updates: dict[tuple[int, int], Belief] = {}
+    todo = bits[:]
+    while todo:
+        mask = todo.pop()
         state = mask.bit_length() - 1
         depth = mask.bit_count()
-        mass = masses[depth] = masses[depth - 1] + nums[state]
+        mass = masses[depth - 1] + nums[state]
         if mass * scale > cut:
-            return 0
+            continue
+        masses[depth] = mass
+        todo += map(mask.__or__, bits[: n - 1 - state])
         columns = columns or _columns(ht)
         row = scores[depth] = list(map(add, scores[depth - 1], columns[state]))
-        return _argmax(ht, mask, row)
-
-    return tabulate_rule(ht.space, ht.priors, choose)
+        k = _argmax(ht, mask, row)
+        key = k, mask & priors[k].support_mask
+        posterior = updates.get(key)
+        if posterior is None:
+            posterior = updates[key] = priors[k].restricted(mask)
+        yield mask, posterior
 
 
 def os_to_ht(os: OSRepresentation) -> HTRepresentation:
@@ -377,7 +394,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         table = {0: 0}  # numerator of every submask of the support, canonical order
         updates: dict[int, Belief] = {}  # conditional support (row) -> its belief
         below: list[int] = []  # nonempty submasks at or below the threshold
-        for mask, num, posterior in posterior_walk((prior,), support, lambda mask, _: 0):
+        for mask, num, posterior in trace_updates(prior, support):
             table[mask] = num
             if num * ed > cut:
                 updates[mask] = posterior

@@ -23,7 +23,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .rules import UpdatingRule, tabulate_rule, validate_cps
+from .rules import UpdatingRule, tabulate_traces, validate_cps
 
 
 class OSRepresentation:
@@ -116,10 +116,14 @@ def os_rule(os: OSRepresentation) -> UpdatingRule:
         raise IncompleteCoverage(
             "hierarchy does not cover the space; update undefined on some events"
         )
-    priors = os.priors
-    # the first prior meeting an event: its prefix's, or an earlier one holding its top state
-    first = [min_order(priors, 1 << i, ZERO) for i in range(len(space))]
-    return tabulate_rule(space, priors, lambda mask, j: min(j, first[mask.bit_length() - 1]))
+    # prior k fills q | r: q inside own_k, its states no earlier support holds; r in the rest
+    fills, rest = [], (1 << len(space)) - 1
+    for prior in os.priors:
+        own = rest & prior.support_mask
+        if own:
+            rest ^= own
+            fills.append((prior, own, rest))
+    return tabulate_traces(space, fills)
 
 
 def cps_to_os(rule: UpdatingRule) -> OSRepresentation:

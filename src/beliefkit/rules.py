@@ -21,29 +21,29 @@ triple under the canonical event order, the one an exhaustive scan would
 report, and places it in that scan in closed form.
 
 ``bayesian_rule`` here, ``os_rule`` and ``ht_rule`` share one tabulator,
-``tabulate_rule``: each rule only picks a prior per event, given the prior
-its prefix (the event less its top state) picked, and ``core.posterior_walk``
-builds each posterior from its prefix's in the same preorder walk.  A rule
-stores its table by event mask; ``Event``s are built only where a caller
-asks for one.
+``tabulate_traces``, on the same fact: each trace q = E & s_k gets one
+posterior from ``core.trace_updates``, which fills every event q | r of
+its block at once.  A rule stores its table by event mask; ``Event``s
+are built only where a caller asks for one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     Belief,
     CheckResult,
     Event,
     StateSpace,
+    ZERO,
     as_fraction,
     bayes_update,
     lex_submasks,
     mask_indices,
-    posterior_walk,
+    trace_updates,
 )
 from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
@@ -125,27 +125,39 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
     return CheckResult(True)
 
 
-def tabulate_rule(
-    space: StateSpace, priors: Sequence[Belief], choose: Callable[[int, int], int | None]
+def tabulate_traces(
+    space: StateSpace,
+    fills: Iterable[tuple[Belief, int, int]],
+    eps: Fraction = ZERO,
+    rest: Iterable[tuple[int, Belief]] = (),
 ) -> UpdatingRule:
-    """Bayes-update prior ``choose(mask, j)`` on every event; None leaves it out.
+    """The rule setting, for each (prior, own, later) of ``fills``, every q | r to the update on q.
 
-    ``j`` is the prior chosen for the event's prefix, the event less its
-    top state (len(priors) for a single state).  One walk of the prefix
-    tree, ``posterior_walk``: each posterior extends its prefix's
-    numerators, and only a (prior, event & support) seen for the first
-    time under a prior other than the prefix's costs a pass over the
-    states.  The table is keyed by mask; no ``Event`` is built.
+    q: a nonempty submask of ``own`` (in the prior's support) with mass above ``eps``;
+    r: a submask of ``later`` (off that support).  Then ``rest``'s (mask, belief) pairs.
     """
-    walk = posterior_walk(priors, (1 << len(space)) - 1, choose)
-    table = {mask: belief for mask, _, belief in walk if belief is not None}
+    space.check_enumerable()
+    table: dict[int, Belief] = {}
+    for prior, own, later in fills:
+        scale, cut = eps.denominator, eps.numerator * prior.den
+        walk = trace_updates(prior, own)
+        if not later:
+            table.update([(q, posterior) for q, num, posterior in walk if num * scale > cut])
+            continue
+        rs = [0]  # every submask of ``later``; the table's order is free
+        for i in mask_indices(later):
+            rs += list(map((1 << i).__or__, rs))
+        for q, num, posterior in walk:  # one posterior fills its block at C speed
+            if num * scale > cut:
+                table.update(dict.fromkeys(map(q.__or__, rs), posterior))
+    table.update(rest)
     return object.__new__(UpdatingRule)._init(space, table)
 
 
 def bayesian_rule(prior: Belief) -> UpdatingRule:
     """Bayes updating wherever it is defined: domain is the feasible events."""
-    support = prior.support_mask
-    return tabulate_rule(prior.space, (prior,), lambda mask, _: 0 if mask & support else None)
+    support, full = prior.support_mask, (1 << len(prior.space)) - 1
+    return tabulate_traces(prior.space, [(prior, support, full & ~support)])
 
 
 def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:

@@ -1,11 +1,13 @@
-"""The shared select-then-Bayes tabulator against per-event updates.
+"""The shared trace tabulator against per-event updates.
 
 ``bayesian_rule``, ``os_rule`` and ``ht_rule`` all tabulate through
-``rules.tabulate_rule``, which builds each posterior from its prefix's in
-one walk of the prefix tree.  Each rule must equal the per-event update it
-stands for on every event: ``bayes_update``, ``os_update`` and
-``ht_select``, on inputs beyond the canonical disjoint-support corpus,
-and on the many-prior representations ``eps_os_construction`` builds.
+``rules.tabulate_traces``: one posterior per (prior, trace), from
+``core.trace_updates``, fills every event with that trace, and
+``ht_rule`` walks the events its top prior rejects for the argmax.  Each
+rule must equal the per-event update it stands for on every event:
+``bayes_update``, ``os_update`` and ``ht_select``, on inputs beyond the
+canonical disjoint-support corpus, and on the many-prior representations
+``eps_os_construction`` builds.
 ``ht_rule`` and ``ht_select`` share one selection routine, so their
 comparison here checks the tabulation only; ``test_ht_differential.py``
 checks the selection against an independent Fraction oracle.
@@ -29,6 +31,7 @@ from beliefkit import (
     StateSpace,
     TooManyStates,
     UtilityFunction,
+    ValidationError,
     bayes_update,
     bayesian_rule,
     SelectionBranch,
@@ -43,6 +46,7 @@ from beliefkit import (
     preferences,
     rules,
 )
+from helpers import random_overlapping_os
 
 
 def belief_from(space: StateSpace, weights) -> Belief:
@@ -171,12 +175,36 @@ def test_family_computes_one_surprise_order_per_event(monkeypatch):
 
 
 def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
-    """The walk keys the table by mask and extends each posterior from its prefix's."""
+    """Tables are keyed by mask; each posterior comes from a trace or from the prior's numerators.
+
+    The representation reaches the argmax, where it both misses and hits
+    its posterior cache.
+    """
+
+    def repeats_a_key(ht):  # two argmax events share a (prior, event & support)
+        keys = []
+        for e in ht.space.events():
+            trace, _ = ht_select(ht, e)
+            if trace.branch is SelectionBranch.ARGMAX:
+                keys.append((trace.chosen, e.mask & ht.priors[trace.chosen].support_mask))
+        return len(set(keys)) < len(keys)
+
     space = StateSpace(tuple(f"s{i}" for i in range(6)))
     hier = OSRepresentation(space, (belief_from(space, (1, 2, 3, 4, 5, 6)),))
-    expected = [os_update(hier, e) for e in space.events()]
-    events, updates = [], []
+    prior = belief_from(space, (1, 0, 3, 0, 5, 6))
+    ht = next(ht for ht in constructed_representations() if repeats_a_key(ht))
+    cases = [
+        (os_rule, hier, {e.mask: os_update(hier, e) for e in space.events()}),
+        (
+            bayesian_rule,
+            prior,
+            {e.mask: bayes_update(prior, e) for e in space.events() if e.mask & prior.support_mask},
+        ),
+        (ht_rule, ht, {e.mask: ht_select(ht, e)[1] for e in ht.space.events()}),
+    ]
+    events, updates, argmax, misses = [], [], [], []
     real_init, real_update = Event.__init__, core.bayes_update
+    real_argmax, real_restricted = hypothesis_testing._argmax, Belief.restricted
 
     def counting_init(self, space, mask):
         events.append(mask)
@@ -186,13 +214,25 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         updates.append(e.mask)
         return real_update(mu, e)
 
+    def counting_argmax(ht, mask, scores):
+        argmax.append(mask)
+        return real_argmax(ht, mask, scores)
+
+    def counting_restricted(self, mask):
+        misses.append(mask)
+        return real_restricted(self, mask)
+
     monkeypatch.setattr(Event, "__init__", counting_init)
     for module in (core, rules, ordered_surprises, hypothesis_testing):
         monkeypatch.setattr(module, "bayes_update", counting_update)
-    rule = os_rule(hier)
+    monkeypatch.setattr(hypothesis_testing, "_argmax", counting_argmax)
+    monkeypatch.setattr(Belief, "restricted", counting_restricted)
+    rules_built = [tabulate(arg) for tabulate, arg, _ in cases]
     assert events == [] and updates == []
+    assert argmax and misses and len(misses) < len(argmax)
     monkeypatch.undo()
-    assert [rule[e] for e in space.events()] == expected
+    for rule, (_, _, expected) in zip(rules_built, cases):
+        assert rule._table == expected
 
 
 def constructed_representations(seed: int = 20261018):
@@ -245,27 +285,85 @@ def test_ht_rule_names_the_first_tie_reached_through_argmax_prefixes():
         assert tie.value.tied == (1, 2, 3)
 
 
-def test_the_walk_is_bayes_update_for_any_choice_and_any_skip():
-    """Choices that skip a prefix, or leave its prior, still give the plain update."""
+def test_trace_updates_are_bayes_update_on_every_submask_of_every_own():
+    """Every own inside the support, proper ones too: canonical order, numerators, updates."""
     rng = random.Random(7)
     for _ in range(40):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 7)
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(3)]
-        priors = [belief_from(space, row) for row in rows if any(row)]
-        if not priors:
+        prior = belief_from(space, [rng.randint(0, 3) for _ in range(n - 1)] + [1])
+        for own in core.lex_submasks(prior.support_mask):
+            seen = []
+            for q, num, posterior in core.trace_updates(prior, own):
+                seen.append(q)
+                assert num == prior.mask_num(q)
+                assert posterior == bayes_update(prior, Event(space, q))
+                assert posterior.support_mask == q
+            assert seen == list(core.lex_submasks(own)[1:])
+        outside = ~prior.support_mask & (1 << n) - 1
+        if outside:
+            with pytest.raises(ValidationError):
+                next(core.trace_updates(prior, outside))
+
+
+def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
+    """Four priors on three states each at |S| = 12: 4095 events, 4 * 7 traces."""
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    priors = [
+        belief_from(space, [k + i % 3 + 1 if i // 3 == k else 0 for i in range(12)])
+        for k in range(4)
+    ]
+    hier = OSRepresentation(space, priors)
+    assert hier.is_canonical
+    built = []
+    real_init = Belief._init
+
+    def counting_init(self, *args):
+        built.append(args[3])
+        return real_init(self, *args)
+
+    monkeypatch.setattr(Belief, "_init", counting_init)
+    rule = os_rule(hier)
+    monkeypatch.undo()
+    assert len(rule) == 4095
+    assert len({id(belief) for belief in rule._table.values()}) == 28 == len(built)
+    rng = random.Random(12)
+    for mask in rng.sample(range(1, 4096), 200):
+        e = Event(space, mask)
+        assert rule[e] == os_update(hier, e)
+
+
+def test_os_rule_is_os_update_where_later_supports_overlap_earlier_ones():
+    """|S| = 7-10, two or more later priors left with a proper part of their support."""
+    rng = random.Random(28)
+    tested = 0
+    while tested < 12:
+        hier = random_overlapping_os(rng, max_states=10)
+        n = len(hier.space)
+        rest, partial = (1 << n) - 1, 0
+        for prior in hier.priors:
+            own = rest & prior.support_mask
+            partial += 0 < own != prior.support_mask
+            rest &= ~own
+        if n < 7 or partial < 2:
             continue
-        choice = {}
-        for mask in space.canonical_masks():
-            meeting = [k for k, prior in enumerate(priors) if prior.support_mask & mask]
-            choice[mask] = rng.choice(meeting) if meeting and rng.random() < 0.8 else None
-        seen = []
-        for mask, mass, belief in core.posterior_walk(priors, (1 << n) - 1, lambda m, _: choice[m]):
-            seen.append(mask)
-            k = choice[mask]
-            if k is None:
-                assert (mass, belief) == (0, None)
-            else:
-                assert belief == bayes_update(priors[k], Event(space, mask))
-                assert mass == priors[k].mask_num(mask)
-        assert seen == list(space.canonical_masks())
+        tested += 1
+        rule = os_rule(hier)
+        assert len(rule) == (1 << n) - 1
+        for e in hier.space.events():
+            assert rule[e] == os_update(hier, e)
+
+
+def test_bayesian_and_ht_rule_check_the_state_cap_before_any_work(monkeypatch):
+    space = StateSpace(tuple(f"s{i}" for i in range(5)))
+    prior = Belief(space, {"s0": Fraction(1, 3), "s1": Fraction(2, 3)})
+    ht = hypothesis_testing.os_to_ht(
+        OSRepresentation(space, (prior, belief_from(space, (0, 0, 1, 1, 1))))
+    )
+    monkeypatch.setenv("BELIEFKIT_MAX_STATES", "4")
+    with pytest.raises(TooManyStates):
+        bayesian_rule(prior)
+    with pytest.raises(TooManyStates):
+        ht_rule(ht)
+    monkeypatch.setenv("BELIEFKIT_MAX_STATES", "5")
+    assert len(bayesian_rule(prior)) == 24 and len(ht_rule(ht)) == 31
