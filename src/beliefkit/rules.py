@@ -20,11 +20,12 @@ and where an entry fails, a heap search from U finds the first violating
 triple under the canonical event order, the one an exhaustive scan would
 report, and places it in that scan in closed form.
 
-``bayesian_rule`` here, ``os_rule`` and ``ht_rule`` share one tabulator,
-``tabulate_traces``, on the same fact: each trace q = E & s_k gets one
-posterior from ``core.trace_updates``, which fills every event q | r of
-its block at once.  A rule stores its table by event mask; ``Event``s
-are built only where a caller asks for one.
+``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
+``ht_rule`` share one tabulator, ``tabulate_traces``, on the same fact:
+each trace q = E & s_k gets one posterior from ``core.trace_updates``,
+which fills every event q | r of its block at once.  A rule stores its
+table by event mask; ``Event``s are built only where a caller asks for
+one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     StateSpace,
     ZERO,
     as_fraction,
-    bayes_update,
     lex_submasks,
     mask_indices,
     trace_updates,
@@ -163,36 +163,31 @@ def bayesian_rule(prior: Belief) -> UpdatingRule:
 def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     """Sticky updating: keep ``delta`` of the prior, update the rest.
 
-    On a feasible event the rest is the Bayes posterior; on a null event it
-    is spread uniformly over the event.  Complete but not concentrated for
-    delta < 1 on any non-certain event, which is exactly what makes it a
-    useful non-CPS foil.
+    The rest is the OS rule of the hierarchy (prior, uniform on the null
+    states), tabulated by trace: the Bayes posterior on a feasible event,
+    the uniform belief over a null one.  Each distinct rest is mixed once.
+    Complete but not concentrated for delta < 1 on any non-certain event,
+    which is exactly what makes it a useful non-CPS foil.
     """
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
     space, nums, den, support = prior.space, prior.nums, prior.den, prior.support_mask
-    # delta = keep / (keep + move)
+    null = (1 << len(space)) - 1 & ~support
+    fills = [(prior, support, null)]
+    if null:
+        fills.append((Belief.uniform_on(Event(space, null)), null, 0))
+    rest = tabulate_traces(space, fills)._table
+    # delta = keep / (keep + move); mix delta * prior + (1 - delta) * post in integers,
+    # once per posterior object: the tabulator shares one across its trace's block
     keep, move = delta.numerator, delta.denominator - delta.numerator
-
-    def sticky(rest: list[int]) -> Belief:
-        # delta * prior + (1 - delta) * rest / sum(rest), numerators in integers
-        w = sum(rest)
-        total = delta.denominator * den * w
-        row = [keep * w * x + move * den * r for x, r in zip(nums, rest)]
-        return Belief(space, {s: Fraction(v, total) for s, v in zip(space.states, row) if v})
-
-    table: dict[int, Belief] = {}
-    feasible: dict[int, Belief] = {}  # by event & support, all an entry depends on
-    for mask in space.canonical_masks():
-        inner = mask & support
-        if not inner:
-            table[mask] = sticky([mask >> i & 1 for i in range(len(nums))])
-        elif inner in feasible:
-            table[mask] = feasible[inner]
-        else:  # the rest is the Bayes posterior, nums on inner over their sum
-            rest = [x if inner >> i & 1 else 0 for i, x in enumerate(nums)]
-            table[mask] = feasible[inner] = sticky(rest)
+    mixed: dict[int, Belief] = {}
+    for post in dict(zip(map(id, rest.values()), rest.values())).values():
+        w, total = post.den, delta.denominator * den * post.den
+        row = [keep * w * x + move * den * r for x, r in zip(nums, post.nums)]
+        masses = {s: Fraction(v, total) for s, v in zip(space.states, row) if v}
+        mixed[id(post)] = Belief(space, masses)
+    table = dict(zip(rest, map(mixed.__getitem__, map(id, rest.values()))))
     return object.__new__(UpdatingRule)._init(space, table)
 
 
@@ -296,7 +291,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
             c, r = divmod(mass, image.den)
             if r or kept != (image.nums if c == 1 else tuple([c * x for x in image.nums])):
                 uncertified.append(q)
-                image = bayes_update(prior, Event(space, q))
+                image = prior.restricted(q)
             if rs:
                 uncertified += [
                     e for e in map(q.__or__, rs) if table[e] is not image and table[e] != image

@@ -16,6 +16,9 @@ Top-level keys, all optional except ``space``:
     utilities  name -> {outcome: rational}
     acts       name -> {state: {outcome: rational}}
     events     name -> array of state labels
+
+No label or name holds a tab, CR or newline, which would split a report
+row, and no state label, act or utility name a comma, which flags split on.
 """
 
 from __future__ import annotations
@@ -130,10 +133,24 @@ def _expect_strings(value, path: str) -> list[str]:
     return items
 
 
+def _label(label: str, path: str, what: str, listed: bool = False) -> None:
+    """Check that ``label`` fits one report cell, and if ``listed`` one item of a flag's list."""
+    for char in "\t\r\n," if listed else "\t\r\n":
+        if char in label:
+            raise ParseError(f"{path}: {what} {label!r} must not contain {char!r}")
+
+
 def _rationals(table, path: str) -> dict[str, Fraction]:
     """An object of rationals, each located by ``path.<key>``."""
     items = _expect_object(table, path).items()
     return {key: parse_rational(value, f"{path}.{key}") for key, value in items}
+
+
+def _outcomes(table, path: str) -> dict[str, Fraction]:
+    """An object of rationals keyed by outcome labels."""
+    for label in _expect_object(table, path):
+        _label(label, path, "outcome label")
+    return _rationals(table, path)
 
 
 def _named_beliefs(value, beliefs: dict[str, Belief], path: str):
@@ -161,10 +178,14 @@ def parse_scenario(text: str) -> Scenario:
     if "space" not in doc:
         raise ParseError('missing required key "space"')
 
-    space = StateSpace(_expect_strings(doc["space"], "space"))
+    labels = _expect_strings(doc["space"], "space")
+    for i, label in enumerate(labels):
+        _label(label, f"space[{i}]", "state label", listed=True)
+    space = StateSpace(labels)
     scenario = Scenario(space)
 
     for name, table in _expect_object(doc.get("beliefs", {}), "beliefs").items():
+        _label(name, "beliefs", "belief name")
         scenario.beliefs[name] = Belief(space, _rationals(table, f"beliefs.{name}"))
 
     if "os" in doc:
@@ -200,14 +221,17 @@ def parse_scenario(text: str) -> Scenario:
         scenario.lps = LPSRepresentation(space, levels)
 
     for name, table in _expect_object(doc.get("utilities", {}), "utilities").items():
-        scenario.utilities[name] = UtilityFunction(_rationals(table, f"utilities.{name}"))
+        _label(name, "utilities", "utility name", listed=True)
+        scenario.utilities[name] = UtilityFunction(_outcomes(table, f"utilities.{name}"))
 
     for name, table in _expect_object(doc.get("acts", {}), "acts").items():
+        _label(name, "acts", "act name", listed=True)
         lots = _expect_object(table, f"acts.{name}").items()
-        assignment = {s: Lottery(_rationals(lot, f"acts.{name}.{s}")) for s, lot in lots}
+        assignment = {s: Lottery(_outcomes(lot, f"acts.{name}.{s}")) for s, lot in lots}
         scenario.acts[name] = Act(space, assignment)
 
     for name, labels in _expect_object(doc.get("events", {}), "events").items():
+        _label(name, "events", "event name")
         if name in space.states:
             raise ParseError(f"events.{name}: an event name must not be a state label")
         scenario.events[name] = space.event_from(

@@ -11,8 +11,10 @@ a ``decompose`` of a rule that is not a CPS; and the report shapes the
 twelve commands miss: one ``conservative`` conditional, an ``lps-compare``
 without the demo, a ``partition`` at threshold 0 and an ``ht-select`` on
 the Bayesian branch; an ``--event`` that names a scenario ``events``
-entry; and both weight constructions on a hierarchy whose supports
-overlap, which ``os-to-ht`` accepts and ``eps-os-to-ht`` rejects.
+entry; both weight constructions on a hierarchy whose supports
+overlap, which ``os-to-ht`` accepts and ``eps-os-to-ht`` rejects; and
+the parse errors of a state label with a comma, which ``--event`` could
+not read back, and of one with a tab, which would split a report row.
 
 ``tests/test_golden_reports.py`` compares the files byte for byte.  After
 a deliberate report change, rewrite them with
@@ -59,6 +61,8 @@ CASES = REPORT_COMMANDS + (
     ("check-axioms", "lps_demo", "--event", "E"),
     ("os-to-ht", "scenarios/overlap.json"),
     ("eps-os-to-ht", "scenarios/overlap.json", "--eps", "1/4"),
+    ("update", "scenarios/bad_comma_label.json", "--event", "a,b"),
+    ("decompose", "scenarios/bad_tab_label.json"),
 )
 
 

@@ -26,7 +26,7 @@ from beliefkit import (
     rules_equal,
     validate_cps,
 )
-from beliefkit import rules
+from beliefkit import core
 from beliefkit.errors import OutsideDomain
 from helpers import (
     coin_hierarchy,
@@ -150,27 +150,51 @@ def test_conservative_delta_rejects_floats(half_half):
 
 
 def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeypatch):
-    """Every entry is mixed on integer numerators; no Bayes update is asked for."""
-    calls = []
-    real = rules.bayes_update
+    """Every entry is mixed on integer numerators, once per trace; no Bayes update is asked for.
 
-    def counting(mu, e):
-        calls.append(e.mask)
-        return real(mu, e)
+    The rests come from the trace tabulator, so ``Belief.__init__`` runs
+    once per mix: (2^|s| - 1) + (2^|null| - 1) times for a support s, which
+    for a one-state support at |S| = 8 is 1 + 127.
+    """
+    updates, restricted, inits = [], [], []
+    real_update, real_restricted, real_init = core.bayes_update, Belief.restricted, Belief.__init__
 
-    monkeypatch.setattr(rules, "bayes_update", counting)
+    def counting_update(mu, e):
+        updates.append(e.mask)
+        return real_update(mu, e)
+
+    def counting_restricted(self, mask):
+        restricted.append(mask)
+        return real_restricted(self, mask)
+
+    def counting_init(self, space, masses):
+        inits.append(space)
+        real_init(self, space, masses)
+
+    monkeypatch.setattr(core, "bayes_update", counting_update)
+    monkeypatch.setattr(Belief, "restricted", counting_restricted)
+    monkeypatch.setattr(Belief, "__init__", counting_init)
     rng = random.Random(7)
-    for n in (1, 3, 5, 6):
+    mixes = []
+    for n in (1, 3, 5, 6, 8):
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        for prior in (random_belief_on(rng, space.full_event), Belief.uniform_on(space.full_event)):
+        priors = [random_belief_on(rng, space.full_event), Belief.uniform_on(space.full_event)]
+        if n == 8:
+            priors.append(Belief(space, {"s3": 1}))
+        for prior in priors:
+            s = prior.support_mask.bit_count()
             for delta in (Fraction(1, 3), Fraction(5, 7), Fraction(1), 1):
+                before = len(inits)
                 rule = conservative_rule(prior, delta)
+                mixes.append((len(inits) - before, (2**s - 1) + (2 ** (n - s) - 1)))
                 want = fraction_conservative_rule(prior, Fraction(delta))
                 assert rule == want
                 assert [rule[e].support_mask for e in rule.events()] == [
                     want[e].support_mask for e in want.events()
                 ]
-    assert calls == []
+    assert updates == [] and restricted == []
+    assert all(made == expected for made, expected in mixes)
+    assert (128, 128) in mixes
 
 
 def test_events_outside_the_domain_are_a_typed_key_error(half_half):

@@ -89,6 +89,61 @@ def test_an_event_name_that_is_a_state_label_is_rejected():
         parse_scenario(text)
 
 
+def _with(**blocks) -> str:
+    doc = {"space": ["a", "b"], "beliefs": {"p": {"a": "1"}}}
+    return json.dumps({**doc, **blocks})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_with(space=["a,b", "c"]), r"space[0]: state label 'a,b' must not contain ','"),
+        (_with(space=["a", "b\tc"]), r"space[1]: state label 'b\tc' must not contain '\t'"),
+        (_with(space=["a", "b\r"]), r"space[1]: state label 'b\r' must not contain '\r'"),
+        (
+            _with(beliefs={"p\nq": {"a": "1"}}),
+            r"beliefs: belief name 'p\nq' must not contain '\n'",
+        ),
+        (
+            _with(utilities={"u,v": {"x": "1"}}),
+            r"utilities: utility name 'u,v' must not contain ','",
+        ),
+        (
+            _with(utilities={"u": {"x\ty": "1"}}),
+            r"utilities.u: outcome label 'x\ty' must not contain '\t'",
+        ),
+        (
+            _with(acts={"f,g": {"a": {"x": "1"}, "b": {"x": "1"}}}),
+            r"acts: act name 'f,g' must not contain ','",
+        ),
+        (
+            _with(acts={"f": {"a": {"x": "1"}, "b": {"x\ny": "1"}}}),
+            r"acts.f.b: outcome label 'x\ny' must not contain '\n'",
+        ),
+        (_with(events={"E\t": ["a"]}), r"events: event name 'E\t' must not contain '\t'"),
+    ],
+)
+def test_labels_the_cli_cannot_read_back_or_print_in_one_cell_are_rejected(text, message):
+    """``--event``, ``--acts`` and ``--utilities`` split on commas; a report row splits on tabs."""
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+def test_commas_stay_legal_where_a_name_is_read_whole():
+    """Belief, event and outcome names are never split, so they keep their commas."""
+    text = _with(
+        beliefs={"p,q": {"a": "1"}},
+        utilities={"u": {"x,y": "1"}},
+        events={"a or b, both": ["a", "b"]},
+    )
+    scenario = parse_scenario(text)
+    assert list(scenario.beliefs) == ["p,q"]
+    assert scenario.utilities["u"].outcomes == ("x,y",)
+    assert scenario.events["a or b, both"].members == ("a", "b")
+    assert parse_scenario(scenario.render()) == scenario
+
+
 def test_load_scenario_from_a_path(tmp_path):
     target = tmp_path / "tiny.json"
     target.write_text(load_scenario("coin").render(), encoding="utf-8")

@@ -1,11 +1,12 @@
 """The shared trace tabulator against per-event updates.
 
-``bayesian_rule``, ``os_rule`` and ``ht_rule`` all tabulate through
-``rules.tabulate_traces``: one posterior per (prior, trace), from
-``core.trace_updates``, fills every event with that trace, and
-``ht_rule`` walks the events its top prior rejects for the argmax.  Each
-rule must equal the per-event update it stands for on every event:
-``bayes_update``, ``os_update`` and ``ht_select``, on inputs beyond the
+``bayesian_rule``, ``conservative_rule``, ``os_rule`` and ``ht_rule``
+all tabulate through ``rules.tabulate_traces``: one posterior per
+(prior, trace), from ``core.trace_updates``, fills every event with that
+trace, and ``ht_rule`` walks the events its top prior rejects for the
+argmax.  Each rule must equal the per-event update it stands for on
+every event: ``bayes_update``, ``os_update`` and ``ht_select`` (and the
+Fraction oracle of the foil), on inputs beyond the
 canonical disjoint-support corpus, and on the many-prior representations
 ``eps_os_construction`` builds.
 ``ht_rule`` and ``ht_select`` share one selection routine, so their
@@ -34,6 +35,7 @@ from beliefkit import (
     ValidationError,
     bayes_update,
     bayesian_rule,
+    conservative_rule,
     SelectionBranch,
     core,
     eps_os_construction,
@@ -46,7 +48,7 @@ from beliefkit import (
     preferences,
     rules,
 )
-from helpers import random_overlapping_os
+from helpers import fraction_conservative_rule, random_overlapping_os
 
 
 def belief_from(space: StateSpace, weights) -> Belief:
@@ -177,8 +179,10 @@ def test_family_computes_one_surprise_order_per_event(monkeypatch):
 def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     """Tables are keyed by mask; each posterior comes from a trace or from the prior's numerators.
 
-    The representation reaches the argmax, where it both misses and hits
-    its posterior cache.
+    The HT representation reaches the argmax, where it both misses and hits
+    its posterior cache; ``Belief.restricted`` runs only on those misses.
+    The foil builds one ``Event``, its null block, for the uniform belief
+    on it, and mixes each distinct posterior once.
     """
 
     def repeats_a_key(ht):  # two argmax events share a (prior, event & support)
@@ -192,6 +196,7 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     space = StateSpace(tuple(f"s{i}" for i in range(6)))
     hier = OSRepresentation(space, (belief_from(space, (1, 2, 3, 4, 5, 6)),))
     prior = belief_from(space, (1, 0, 3, 0, 5, 6))
+    null = 0b001010
     ht = next(ht for ht in constructed_representations() if repeats_a_key(ht))
     cases = [
         (os_rule, hier, {e.mask: os_update(hier, e) for e in space.events()}),
@@ -201,6 +206,11 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
             {e.mask: bayes_update(prior, e) for e in space.events() if e.mask & prior.support_mask},
         ),
         (ht_rule, ht, {e.mask: ht_select(ht, e)[1] for e in ht.space.events()}),
+        (
+            lambda prior: conservative_rule(prior, Fraction(2, 5)),
+            prior,
+            fraction_conservative_rule(prior, Fraction(2, 5))._table,
+        ),
     ]
     events, updates, argmax, misses = [], [], [], []
     real_init, real_update = Event.__init__, core.bayes_update
@@ -223,14 +233,20 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         return real_restricted(self, mask)
 
     monkeypatch.setattr(Event, "__init__", counting_init)
-    for module in (core, rules, ordered_surprises, hypothesis_testing):
+    for module in (core, ordered_surprises, hypothesis_testing):
         monkeypatch.setattr(module, "bayes_update", counting_update)
     monkeypatch.setattr(hypothesis_testing, "_argmax", counting_argmax)
     monkeypatch.setattr(Belief, "restricted", counting_restricted)
-    rules_built = [tabulate(arg) for tabulate, arg, _ in cases]
-    assert events == [] and updates == []
-    assert argmax and misses and len(misses) < len(argmax)
+    rules_built, counts = [], []
+    for tabulate, arg, _ in cases:
+        del events[:], updates[:], misses[:]
+        rules_built.append(tabulate(arg))
+        counts.append((events[:], updates[:], len(misses)))
+    assert counts[:2] == [([], [], 0)] * 2
+    assert counts[2][:2] == ([], []) and argmax and 0 < counts[2][2] < len(argmax)
+    assert counts[3] == ([null], [], 0)
     monkeypatch.undo()
+    assert null == space.full_event.mask & ~prior.support_mask
     for rule, (_, _, expected) in zip(rules_built, cases):
         assert rule._table == expected
 
