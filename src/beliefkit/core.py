@@ -70,15 +70,21 @@ def as_threshold(value) -> Fraction:
     return eps
 
 
-def _lex_masks(indices: Sequence[int]) -> list[int]:
-    # nonempty subsets of the given sorted indices, in canonical order: with
-    # ``out`` the order over the later indices, the subsets holding ``bit``
-    # come first ({bit}, then bit joined to each of ``out``), then ``out``
+def _lex_sums(values: Sequence[int]) -> list[int]:
+    # the sum of ``values`` over each nonempty set of their positions, in
+    # canonical order: with ``out`` the order over the later positions, the
+    # sets holding position i come first ({i}, then i joined to each of
+    # ``out``), then ``out``
     out: list[int] = []
-    for i in reversed(indices):
-        bit = 1 << i
-        out = [bit, *[bit | m for m in out], *out]
+    for x in reversed(values):
+        out = [x, *map(x.__add__, out), *out]
     return out
+
+
+def _lex_masks(indices: Sequence[int]) -> list[int]:
+    # nonempty subsets of the given sorted indices, in canonical order: a
+    # subset's mask is the sum of its bits
+    return _lex_sums([1 << i for i in indices])
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -245,10 +251,12 @@ class Belief:
     Stored as integers: state i has mass ``nums[i] / den``, reduced so that
     den > 0 and gcd(den, *nums) == 1, hence equal distributions store equal
     integers.  Equality and hashing use those integers and the space;
-    ``mass`` reads them as Fractions, built on first read.
+    ``mass`` reads them as Fractions, built on first read.  A belief keeps
+    the updates ``trace_updates`` walked from it, by trace, so every
+    tabulator reading the same prior shares one posterior per trace.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_mass")
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -284,6 +292,7 @@ class Belief:
         self.nums = tuple(nums)
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
+        self._traces: dict[int, list[Belief | None]] | None = None
         return self
 
     @classmethod
@@ -323,13 +332,32 @@ class Belief:
         return num
 
     def restricted(self, mask: int) -> "Belief":
-        """Bayes update on ``mask``; NullConditioning when the mask misses the support."""
+        """Bayes update on ``mask``, the belief itself when the mask holds its support.
+
+        NullConditioning when the mask misses the support.
+        """
         support = mask & self.support_mask
+        if support == self.support_mask:
+            return self
         if not support:
             members = ",".join([self.space.states[i] for i in mask_indices(mask)])
             raise NullConditioning(f"event {{{members}}} has probability zero")
         kept = [n if support >> i & 1 else 0 for i, n in enumerate(self.nums)]
         return object.__new__(Belief)._init(self.space, sum(kept), kept, support)
+
+    def mix(self, alpha: Fraction | int, other: "Belief") -> "Belief":
+        """alpha * self + (1 - alpha) * other, exact, built on integer numerators."""
+        alpha = as_fraction(alpha)
+        if not 0 <= alpha <= 1:
+            raise ValidationError(f"mixture weight must lie in [0, 1], got {alpha}")
+        if self.space != other.space:
+            raise SpaceMismatch("beliefs belong to different state spaces")
+        # alpha = keep / (keep + move): masses over (keep + move) * den * w
+        keep, move = alpha.numerator, alpha.denominator - alpha.numerator
+        den, w = self.den, other.den
+        row = [keep * w * x + move * den * y for x, y in zip(self.nums, other.nums)]
+        support = (self.support_mask if keep else 0) | (other.support_mask if move else 0)
+        return object.__new__(Belief)._init(self.space, alpha.denominator * den * w, row, support)
 
     def prob(self, event: Event) -> Fraction:
         if self.space != event.space:
@@ -544,25 +572,48 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
 def trace_updates(prior: Belief, own: int) -> Iterator[tuple[int, int, Belief]]:
     """(q, num(q), update of ``prior`` on q) for each nonempty q inside ``own``, canonical order.
 
-    ``own`` lies inside the prior's support.  In this preorder on the prefix tree each q
-    extends its prefix's (numerators, sum, gcd), on a stack by depth, by one state's.
+    ``own`` lies inside the prior's support.  The update on the whole support is
+    the prior itself.  The first walk of an ``own`` builds the updates: in this
+    preorder on the prefix tree each q extends its prefix's (numerators, sum,
+    gcd), on a stack by depth, by one state's.  A walk run to its end leaves its
+    updates on the prior, so a later call builds no belief: it returns them
+    with the masks and numerators of ``_lex_sums``.  They are kept as long as
+    the prior, one list slot per trace, and the prior's own slot holds None,
+    so that no belief refers back to itself.
     """
     if own & ~prior.support_mask:
         raise ValidationError("a trace must lie inside the prior's support")
     space, nums = prior.space, prior.nums
-    n = len(nums)
-    zeros = (0,) * n
     states = mask_indices(own)
+    masks = space.canonical_masks() if own == (1 << len(nums)) - 1 else _lex_masks(states)
+    posteriors = (prior._traces or {}).get(own)
+    if posteriors is None:
+        return _walk(prior, own, states, masks)
+    if own == prior.support_mask:
+        posteriors = posteriors.copy()
+        posteriors[len(states) - 1] = prior  # the whole support comes after its prefixes
+    return zip(masks, _lex_sums([nums[i] for i in states]), posteriors)
+
+
+def _walk(
+    prior: Belief, own: int, states: list[int], masks: Sequence[int]
+) -> Iterator[tuple[int, int, Belief]]:
+    # ``trace_updates`` on its first call for ``own``
+    space, nums, support = prior.space, prior.nums, prior.support_mask
+    zeros = (0,) * len(nums)
     tails = {i: (nums[i], *zeros[i + 1 :]) for i in states}
     stack = [(zeros, 0, 0)] * (len(states) + 1)
-    masks = space.canonical_masks() if own == (1 << n) - 1 else _lex_masks(states)
+    posteriors: list[Belief | None] = []
     for q in masks:
         top = q.bit_length() - 1
         depth = q.bit_count()
         kept, mass, g = stack[depth - 1]
         x = nums[top]
         kept, mass, g = stack[depth] = kept[:top] + tails[top], mass + x, gcd(g, x)
-        yield q, mass, object.__new__(Belief)._init(space, mass, kept, q, g)
+        posterior = None if q == support else object.__new__(Belief)._init(space, mass, kept, q, g)
+        posteriors.append(posterior)
+        yield q, mass, posterior or prior
+    prior._traces = {**(prior._traces or {}), own: posteriors}
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

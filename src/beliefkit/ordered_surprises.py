@@ -111,11 +111,6 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
 def os_rule(os: OSRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event."""
     space = os.space
-    space.check_enumerable()  # before the coverage check
-    if not os.covers_space:
-        raise IncompleteCoverage(
-            "hierarchy does not cover the space; update undefined on some events"
-        )
     # prior k fills q | r: q inside own_k, its states no earlier support holds; r in the rest
     fills, rest = [], (1 << len(space)) - 1
     for prior in os.priors:
@@ -123,6 +118,11 @@ def os_rule(os: OSRepresentation) -> UpdatingRule:
         if own:
             rest ^= own
             fills.append((prior, own, rest))
+    if rest:
+        space.check_enumerable()  # the state cap comes before the coverage check
+        raise IncompleteCoverage(
+            "hierarchy does not cover the space; update undefined on some events"
+        )
     return tabulate_traces(space, fills)
 
 

@@ -23,7 +23,10 @@ report, and places it in that scan in closed form.
 ``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
 ``ht_rule`` share one tabulator, ``tabulate_traces``, on the same fact:
 each trace q = E & s_k gets one posterior from ``core.trace_updates``,
-which fills every event q | r of its block at once.  A rule stores its
+which fills every event q | r of its block at once.  The prior keeps the
+posteriors it walked, so every later tabulation on the same prior object
+(and ``eps_os_construction``'s walk) builds none and shares them, and the
+posterior on the whole support is the prior itself.  A rule stores its
 table by event mask; ``Event``s are built only where a caller asks for
 one.
 """
@@ -172,21 +175,15 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
-    space, nums, den, support = prior.space, prior.nums, prior.den, prior.support_mask
+    space, support = prior.space, prior.support_mask
     null = (1 << len(space)) - 1 & ~support
     fills = [(prior, support, null)]
     if null:
         fills.append((Belief.uniform_on(Event(space, null)), null, 0))
     rest = tabulate_traces(space, fills)._table
-    # delta = keep / (keep + move); mix delta * prior + (1 - delta) * post in integers,
-    # once per posterior object: the tabulator shares one across its trace's block
-    keep, move = delta.numerator, delta.denominator - delta.numerator
-    mixed: dict[int, Belief] = {}
-    for post in dict(zip(map(id, rest.values()), rest.values())).values():
-        w, total = post.den, delta.denominator * den * post.den
-        row = [keep * w * x + move * den * r for x, r in zip(nums, post.nums)]
-        masses = {s: Fraction(v, total) for s, v in zip(space.states, row) if v}
-        mixed[id(post)] = Belief(space, masses)
+    # one mix per posterior object: the tabulator shares one across its trace's block
+    posts = dict(zip(map(id, rest.values()), rest.values()))
+    mixed = {key: prior.mix(delta, post) for key, post in posts.items()}
     table = dict(zip(rest, map(mixed.__getitem__, map(id, rest.values()))))
     return object.__new__(UpdatingRule)._init(space, table)
 

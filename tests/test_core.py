@@ -430,6 +430,36 @@ def test_bayes_tower_property(chain):
 def test_update_on_full_space_is_identity(pair):
     space, mu = pair
     assert bayes_update(mu, space.full_event) == mu
+    # an event holding the whole support returns the belief itself
+    assert bayes_update(mu, space.full_event) is mu
+    assert bayes_update(mu, mu.support) is mu
+
+
+@st.composite
+def two_beliefs_and_a_weight(draw):
+    space = draw(spaces(max_states=6))
+    a, b = draw(weighted_beliefs(space)), draw(weighted_beliefs(space))
+    den = draw(st.integers(1, 9))
+    return a, b, Fraction(draw(st.integers(0, den)), den)
+
+
+@given(two_beliefs_and_a_weight())
+@settings(max_examples=200, deadline=None)
+def test_belief_mix_matches_the_fraction_oracle(case):
+    a, b, alpha = case
+    masses = {s: alpha * x + (1 - alpha) * y for (s, x), (_, y) in zip(a.items(), b.items())}
+    assert_same_posterior(a.mix(alpha, b), Belief(a.space, {s: v for s, v in masses.items() if v}))
+
+
+def test_belief_mix_checks_its_weight_and_space():
+    space = StateSpace(("a", "b"))
+    mu = Belief.uniform_on(space.full_event)
+    assert mu.mix(1, Belief(space, {"a": 1})) == mu
+    for alpha in (Fraction(3, 2), -1, 0.5):
+        with pytest.raises(ValidationError):
+            mu.mix(alpha, mu)
+    with pytest.raises(SpaceMismatch):
+        mu.mix(Fraction(1, 2), Belief.uniform_on(StateSpace(("a", "c")).full_event))
 
 
 # ---------------------------------------------------------------------------

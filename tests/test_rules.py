@@ -152,9 +152,10 @@ def test_conservative_delta_rejects_floats(half_half):
 def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeypatch):
     """Every entry is mixed on integer numerators, once per trace; no Bayes update is asked for.
 
-    The rests come from the trace tabulator, so ``Belief.__init__`` runs
-    once per mix: (2^|s| - 1) + (2^|null| - 1) times for a support s, which
-    for a one-state support at |S| = 8 is 1 + 127.
+    The rests come from the trace tabulator and each mix is built from its
+    integers, so ``Belief.__init__`` never runs, and the rule holds one
+    entry object per mix: (2^|s| - 1) + (2^|null| - 1) for a support s,
+    which for a one-state support at |S| = 8 is 1 + 127.
     """
     updates, restricted, inits = [], [], []
     real_update, real_restricted, real_init = core.bayes_update, Belief.restricted, Belief.__init__
@@ -186,7 +187,9 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
             for delta in (Fraction(1, 3), Fraction(5, 7), Fraction(1), 1):
                 before = len(inits)
                 rule = conservative_rule(prior, delta)
-                mixes.append((len(inits) - before, (2**s - 1) + (2 ** (n - s) - 1)))
+                assert len(inits) == before
+                made = len({id(belief) for belief in rule._table.values()})
+                mixes.append((made, (2**s - 1) + (2 ** (n - s) - 1)))
                 want = fraction_conservative_rule(prior, Fraction(delta))
                 assert rule == want
                 assert [rule[e].support_mask for e in rule.events()] == [

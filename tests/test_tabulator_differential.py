@@ -14,6 +14,7 @@ comparison here checks the tabulation only; ``test_ht_differential.py``
 checks the selection against an independent Fraction oracle.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from beliefkit import (
     conservative_rule,
     SelectionBranch,
     core,
+    cps_to_os,
     eps_os_construction,
     ht_rule,
     ht_select,
@@ -302,20 +304,32 @@ def test_ht_rule_names_the_first_tie_reached_through_argmax_prefixes():
 
 
 def test_trace_updates_are_bayes_update_on_every_submask_of_every_own():
-    """Every own inside the support, proper ones too: canonical order, numerators, updates."""
+    """Every own inside the support, proper ones too: canonical order, numerators, updates.
+
+    Each own is walked twice: the second call reads the updates the first
+    one kept on the prior and must return the same sequence, the same
+    objects, with the prior itself as the update on its whole support.
+    """
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 7)
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
         prior = belief_from(space, [rng.randint(0, 3) for _ in range(n - 1)] + [1])
+        partial = core.trace_updates(prior, prior.support_mask)
+        next(partial)
+        del partial
+        assert prior._traces is None  # only a walk run to its end is kept
         for own in core.lex_submasks(prior.support_mask):
-            seen = []
-            for q, num, posterior in core.trace_updates(prior, own):
-                seen.append(q)
+            first = list(core.trace_updates(prior, own))
+            again = list(core.trace_updates(prior, own))
+            assert [q for q, _, _ in first] == list(core.lex_submasks(own)[1:])
+            assert [(q, num) for q, num, _ in again] == [(q, num) for q, num, _ in first]
+            assert all(a is b for (_, _, a), (_, _, b) in zip(first, again))
+            for q, num, posterior in first:
                 assert num == prior.mask_num(q)
                 assert posterior == bayes_update(prior, Event(space, q))
                 assert posterior.support_mask == q
-            assert seen == list(core.lex_submasks(own)[1:])
+                assert (posterior is prior) == (q == prior.support_mask)
         outside = ~prior.support_mask & (1 << n) - 1
         if outside:
             with pytest.raises(ValidationError):
@@ -323,7 +337,11 @@ def test_trace_updates_are_bayes_update_on_every_submask_of_every_own():
 
 
 def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
-    """Four priors on three states each at |S| = 12: 4095 events, 4 * 7 traces."""
+    """Four priors on three states each at |S| = 12: 4095 events, 4 * 7 traces.
+
+    The trace on a whole support is its prior, so 28 - 4 updates are built,
+    and a second tabulation builds none: it returns the same objects.
+    """
     space = StateSpace(tuple(f"s{i}" for i in range(12)))
     priors = [
         belief_from(space, [k + i % 3 + 1 if i // 3 == k else 0 for i in range(12)])
@@ -340,13 +358,75 @@ def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
 
     monkeypatch.setattr(Belief, "_init", counting_init)
     rule = os_rule(hier)
+    first = built[:]
+    again = os_rule(hier)
     monkeypatch.undo()
     assert len(rule) == 4095
-    assert len({id(belief) for belief in rule._table.values()}) == 28 == len(built)
+    assert len({id(belief) for belief in rule._table.values()}) == 28
+    assert len(first) == 24 == len(built)
+    assert all(rule[prior.support] is prior for prior in priors)
+    assert all(again._table[mask] is belief for mask, belief in rule._table.items())
     rng = random.Random(12)
     for mask in rng.sample(range(1, 4096), 200):
         e = Event(space, mask)
         assert rule[e] == os_update(hier, e)
+
+
+def canonical_hierarchy(n: int = 6) -> OSRepresentation:
+    """Three priors with disjoint supports covering |S| = n."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return OSRepresentation(
+        space,
+        [belief_from(space, [i + 1 if i % 3 == k else 0 for i in range(n)]) for k in range(3)],
+    )
+
+
+def test_tabulators_share_the_hierarchys_own_priors():
+    """The update on a whole support is the prior, so every tabulator reads h's objects."""
+    hier = canonical_hierarchy()
+    rule = os_rule(hier)
+    recovered = cps_to_os(rule)
+    assert all(a is b for a, b in zip(recovered.priors, hier.priors))
+    assert hypothesis_testing.os_to_ht(recovered).priors[0] is hier.priors[0]
+    for eps in (0, Fraction(1, 4), Fraction(1, 2)):
+        assert eps_os_construction(hier, eps).ht.priors[0] is hier.priors[0]
+    top, support = ht_rule(hypothesis_testing.os_to_ht(hier)), hier.priors[0].support_mask
+    accepted = [mask for mask in rule._table if mask & support]  # the top prior's block
+    assert all(top._table[mask] is rule._table[mask] for mask in accepted)
+
+
+def test_trace_updates_leave_no_reference_cycle():
+    """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself."""
+    gc.collect()
+    gc.disable()
+    try:
+        hier = canonical_hierarchy()
+        rule = os_rule(hier)
+        built = eps_os_construction(hier, Fraction(1, 4))
+        tables = [ht_rule(built.ht), ht_rule(hypothesis_testing.os_to_ht(cps_to_os(rule)))]
+        assert tables[1] == rule
+        del hier, rule, built, tables
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_kept_walk_does_not_skip_the_state_cap(monkeypatch):
+    hier = canonical_hierarchy()
+    rule = os_rule(hier)
+    construction = eps_os_construction(hier, Fraction(1, 4))
+    ht = hypothesis_testing.os_to_ht(hier)
+    assert ht_rule(ht) == rule and hier.priors[0]._traces
+    monkeypatch.setenv("BELIEFKIT_MAX_STATES", "5")
+    for tabulate in (
+        lambda: os_rule(hier),
+        lambda: bayesian_rule(hier.priors[0]),
+        lambda: eps_os_construction(hier, Fraction(1, 4)),
+        lambda: ht_rule(ht),
+        lambda: ht_rule(construction.ht),
+    ):
+        with pytest.raises(TooManyStates):
+            tabulate()
 
 
 def test_os_rule_is_os_update_where_later_supports_overlap_earlier_ones():
