@@ -28,11 +28,11 @@ _EXPORTS = {
     ),
     "hypothesis_testing": (
         "EpsOsConstruction", "HTRepresentation", "SelectionBranch",
-        "SelectionTrace", "eps_os_construction", "eps_os_to_ht", "ht_rule",
-        "ht_select", "os_to_ht",
+        "SelectionTrace", "eps_os_construction", "ht_rule", "ht_select",
+        "os_to_ht",
     ),
     "lps": (
-        "LexValue", "LPSRepresentation", "ResolutionReport", "clps_condition",
+        "LPSRepresentation", "ResolutionReport", "clps_condition",
         "indifference_resolution_demo", "lps_compare", "lps_value",
     ),
     "ordered_surprises": (
@@ -52,7 +52,7 @@ _EXPORTS = {
     ),
     "scenario": (
         "Scenario", "fixture_names", "format_rational", "load_scenario",
-        "parse_rational", "parse_scenario", "render",
+        "parse_rational", "parse_scenario",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

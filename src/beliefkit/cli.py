@@ -277,7 +277,7 @@ def cmd_lps_compare(scenario: Scenario, args):
     utility_name = args.utility or _sole(scenario.utilities, "utilities", "--utility")
     u = _named(scenario.utilities, utility_name, "utility")
 
-    values = [[format_rational(c) for c in lps_value(lps, u, act).components] for act in (f, g)]
+    values = [[format_rational(c) for c in lps_value(lps, u, act)] for act in (f, g)]
     verdict = lps_compare(lps, u, f, g).value
     prefers = {"first": names[0], "second": names[1], "indifferent": "neither"}
     report = _Report()

@@ -146,10 +146,6 @@ class StateSpace:
     def full_event(self) -> "Event":
         return Event(self, (1 << len(self.states)) - 1)
 
-    @property
-    def empty_event(self) -> "Event":
-        return Event(self, 0)
-
     def check_enumerable(self) -> None:
         """Raise TooManyStates when |S| exceeds the power-set cap."""
         cap = max_enumerable_states()
@@ -193,9 +189,6 @@ class Event:
         states = self.space.states
         return tuple(states[i] for i in self.indices)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.members)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -209,27 +202,9 @@ class Event:
         if self.space != other.space:
             raise SpaceMismatch("events belong to different state spaces")
 
-    def __and__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.mask & other.mask)
-
-    def __or__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.mask | other.mask)
-
-    def __sub__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.mask & ~other.mask)
-
     def __le__(self, other: "Event") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
-
-    def issubset(self, other: "Event") -> bool:
-        return self <= other
-
-    def complement(self) -> "Event":
-        return Event(self.space, ~self.mask & ((1 << len(self.space)) - 1))
 
     def __eq__(self, other) -> bool:
         return (
@@ -316,10 +291,6 @@ class Belief:
     def items(self) -> Iterator[tuple[str, Fraction]]:
         return zip(self.space.states, self.mass)
 
-    @property
-    def support(self) -> Event:
-        return Event(self.space, self.support_mask)
-
     def mask_num(self, mask: int) -> int:
         """Numerator of the mass on ``mask``, over ``den``."""
         nums = self.nums
@@ -401,26 +372,8 @@ class Lottery:
             raise ValidationError(f"lottery probabilities must sum to 1, got {Fraction(num, den)}")
         self.entries = tuple([(label, value) for label, value in values if value])
 
-    def probability(self, label: str) -> Fraction:
-        for key, value in self.entries:
-            if key == label:
-                return value
-        return ZERO
-
     def items(self) -> tuple[tuple[str, Fraction], ...]:
         return self.entries
-
-    def mix(self, alpha: Fraction | int, other: "Lottery") -> "Lottery":
-        """alpha * self + (1 - alpha) * other, exact."""
-        alpha = as_fraction(alpha)
-        if not 0 <= alpha <= 1:
-            raise ValidationError(f"mixture weight must lie in [0, 1], got {alpha}")
-        merged: dict[str, Fraction] = {}
-        for label, value in self.entries:
-            merged[label] = merged.get(label, ZERO) + alpha * value
-        for label, value in other.entries:
-            merged[label] = merged.get(label, ZERO) + (1 - alpha) * value
-        return Lottery(merged)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lottery) and self.entries == other.entries
@@ -456,18 +409,6 @@ class Act:
 
     def lottery_at(self, label: str) -> Lottery:
         return self.assignment[self.space.index(label)]
-
-    def mix(self, alpha: Fraction | int, other: "Act") -> "Act":
-        """Statewise lottery mixture of two acts."""
-        if self.space != other.space:
-            raise SpaceMismatch("acts belong to different state spaces")
-        return Act(
-            self.space,
-            {
-                label: self.assignment[i].mix(alpha, other.assignment[i])
-                for i, label in enumerate(self.space.states)
-            },
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -28,16 +28,17 @@ event that first becomes feasible at order k misses the supports of priors
 there is at least rho_k * m_k = 2 * rho_(k+1).  Every deeper prior j
 scores at most rho_j <= rho_(k+1), so order k wins strictly.
 
-``eps_os_to_ht`` covers the thresholded variant.  Its prior list is the set
-of distinct conditional beliefs the thresholded update can ever produce.
-Weights are assigned inside a descending chain of disjoint open intervals,
-one interval per surprise class, spaced by midpoint bisection of the gap
-above the returned threshold; within a class, beliefs are spaced evenly in
-prefix-tree postorder of their supports, which puts each belief before
-every belief certain of its representing events (a smaller support).  The
-returned threshold is the largest conditional mass that must fall on the
-reject side (never below the input threshold); for an input threshold of
-zero it is exactly 0.
+``eps_os_construction`` covers the thresholded variant: its ``ht`` is the
+representation.  Its prior list is the set of distinct conditional beliefs
+the thresholded update can ever produce.  Weights are assigned inside a
+descending chain of disjoint open intervals, one interval per surprise
+class, spaced by midpoint bisection of the gap above the returned
+threshold; within a class, beliefs are spaced evenly in prefix-tree
+postorder of their supports, which puts each belief before every belief
+certain of its representing events (a smaller support).  The returned
+threshold is the largest conditional mass that must fall on the reject
+side (never below the input threshold); for an input threshold of zero it
+is exactly 0.
 
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
@@ -468,8 +469,3 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         bounds=scaled_bounds,
         cross_max=cross_max,
     )
-
-
-def eps_os_to_ht(os: OSRepresentation, eps: Fraction | int) -> HTRepresentation:
-    """Representation agreeing with the thresholded update wherever defined."""
-    return eps_os_construction(os, eps).ht

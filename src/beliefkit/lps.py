@@ -1,6 +1,7 @@
 """Lexicographic belief lists and their conditional, partial counterpart.
 
-Levels are compared in order; later levels only break earlier ties.
+An act's value is a tuple of one expected utility per level, and tuples
+compare in order: later levels only break earlier ties.
 Conditioning drops the levels that give the event zero mass and updates
 the survivors, which leaves the conditional undefined when every level is
 null.  That partiality is the point of contrast with hierarchy updating,
@@ -59,56 +60,18 @@ class LPSRepresentation:
         return f"LPSRepresentation(<{len(self.levels)} levels over {len(self.space)} states>)"
 
 
-class LexValue:
-    """One expected value per level, ordered lexicographically by ``<`` and ``>``.
-
-    Values of different lengths are unequal, and ordering them is an error.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[Fraction]):
-        self.components = tuple(components)
-        if not self.components:
-            raise ValidationError("a lexicographic value needs at least one component")
-
-    def _comparable(self, other: "LexValue") -> None:
-        if not isinstance(other, LexValue):
-            raise TypeError(f"cannot compare LexValue with {type(other).__name__}")
-        if len(self.components) != len(other.components):
-            raise ValidationError(
-                "lexicographic values of different lengths are not comparable"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LexValue):
-            return NotImplemented
-        return self.components == other.components
-
-    def __lt__(self, other: "LexValue") -> bool:
-        self._comparable(other)
-        return self.components < other.components
-
-    def __gt__(self, other: "LexValue") -> bool:
-        self._comparable(other)
-        return self.components > other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(c) for c in self.components)
-        return f"LexValue({inner})"
-
-
-def lps_value(lps: LPSRepresentation, u: UtilityFunction, f: Act) -> LexValue:
-    """Level-by-level expected utility of the act."""
-    return LexValue(seu_value(u, level, f) for level in lps.levels)
+def lps_value(lps: LPSRepresentation, u: UtilityFunction, f: Act) -> tuple[Fraction, ...]:
+    """Level-by-level expected utility of the act, one entry per level."""
+    return tuple([seu_value(u, level, f) for level in lps.levels])
 
 
 def lps_compare(lps: LPSRepresentation, u: UtilityFunction, f: Act, g: Act) -> Preference:
-    """Lexicographic ranking; indifference only when every level ties."""
-    return compare_values(lps_value(lps, u, f).components, lps_value(lps, u, g).components)
+    """Lexicographic ranking; indifference only when every level ties.
+
+    Both values have one entry per level, and tuples of equal length
+    compare lexicographically: the first differing level decides.
+    """
+    return compare_values(lps_value(lps, u, f), lps_value(lps, u, g))
 
 
 def clps_condition(lps: LPSRepresentation, e: Event) -> LPSRepresentation:

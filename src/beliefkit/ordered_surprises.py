@@ -166,29 +166,17 @@ class SurprisePartition:
 
     ``classes[k]`` holds the events whose first above-threshold prior is k,
     in canonical order.  ``undefined`` holds the events no prior clears.
-    Stored by mask: one mask list per class with the undefined events' last.
-    The Events are built on first read, the mask-to-class lookup on the first
-    ``class_of``.
+    The one constructor takes masks: ``parts[k]`` lists class k's, and the
+    last list the undefined events'.  The Events are built on first read,
+    the mask-to-class lookup on the first ``class_of``.
     """
 
     __slots__ = ("space", "eps", "_parts", "_lookup", "_events")
 
-    def __init__(
-        self,
-        space: StateSpace,
-        eps: Fraction,
-        classes: tuple[tuple[Event, ...], ...],
-        undefined: tuple[Event, ...],
-    ):
-        parts = [[event.mask for event in events] for events in (*classes, undefined)]
-        self._init(space, eps, parts)._events = (classes, undefined)
-
-    def _init(self, space: StateSpace, eps: Fraction, parts: list):
-        # the one initializer: parts[k] lists class k's masks, parts[-1] the undefined ones
+    def __init__(self, space: StateSpace, eps: Fraction, parts: list[list[int]]):
         self.space, self.eps, self._parts = space, eps, parts
         self._events: tuple | None = None
         self._lookup: dict[int, int | None] | None = None
-        return self
 
     def _read(self) -> tuple:
         if self._events is None:
@@ -253,4 +241,4 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
                     break
         orders[depth] = order
         parts[order].append(mask)
-    return object.__new__(SurprisePartition)._init(space, eps, parts)
+    return SurprisePartition(space, eps, parts)

@@ -201,7 +201,7 @@ def check_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
         raise SpaceMismatch("events built over different state spaces")
     if not a:
         raise EmptyEvent("the subevent is empty")
-    if not a.issubset(e):
+    if not a <= e:
         raise ValidationError("the subevent must be contained in the conditioning event")
     belief = fam.belief_given(e)
     if not belief.mask_num(a.mask):

@@ -3,8 +3,8 @@
 Every number is a rational written as a string of ASCII digits, "7/8"
 or "3"; raw JSON numbers are rejected so nothing ever passes through a
 float.  Parsing is strict about keys (unknown or duplicate keys fail
-with the offending path), and ``render`` writes the canonical form back
-out, byte-identical for files that are already canonical.
+with the offending path), and ``Scenario.render`` writes the canonical
+form back out, byte-identical for files that are already canonical.
 
 Top-level keys, all optional except ``space``:
 
@@ -101,7 +101,49 @@ class Scenario:
     __hash__ = None  # mutable: its fields are plain attributes and dicts
 
     def render(self) -> str:
-        return render(self)
+        """Canonical serialization: space order for states, sorted outcomes."""
+        space = self.space
+        doc: dict = {"space": list(space.states)}
+        if self.beliefs:
+            doc["beliefs"] = {
+                name: {state: format_rational(mass) for state, mass in belief.items() if mass}
+                for name, belief in self.beliefs.items()
+            }
+        if self.os_names is not None:
+            doc["os"] = list(self.os_names)
+        if self.ht is not None:
+            doc["ht"] = {
+                "priors": list(self.ht_prior_names),
+                "rho": [format_rational(r) for r in self.ht.rho],
+                "eps": format_rational(self.ht.eps),
+            }
+        if self.lps_names is not None:
+            doc["lps"] = list(self.lps_names)
+        if self.utilities:
+            doc["utilities"] = {
+                name: {
+                    outcome: format_rational(u.value(outcome))
+                    for outcome in sorted(u.outcomes)
+                }
+                for name, u in self.utilities.items()
+            }
+        if self.acts:
+            doc["acts"] = {
+                name: {
+                    state: {
+                        outcome: format_rational(p)
+                        for outcome, p in sorted(act.lottery_at(state).items())
+                    }
+                    for state in space.states
+                }
+                for name, act in self.acts.items()
+            }
+        if self.events:
+            doc["events"] = {
+                name: [s for s in space.states if s in event]
+                for name, event in self.events.items()
+            }
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def _reject_duplicates(pairs):
@@ -239,52 +281,6 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     return scenario
-
-
-def render(scenario: Scenario) -> str:
-    """Canonical serialization: space order for states, sorted outcomes."""
-    space = scenario.space
-    doc: dict = {"space": list(space.states)}
-    if scenario.beliefs:
-        doc["beliefs"] = {
-            name: {state: format_rational(mass) for state, mass in belief.items() if mass}
-            for name, belief in scenario.beliefs.items()
-        }
-    if scenario.os_names is not None:
-        doc["os"] = list(scenario.os_names)
-    if scenario.ht is not None:
-        doc["ht"] = {
-            "priors": list(scenario.ht_prior_names),
-            "rho": [format_rational(r) for r in scenario.ht.rho],
-            "eps": format_rational(scenario.ht.eps),
-        }
-    if scenario.lps_names is not None:
-        doc["lps"] = list(scenario.lps_names)
-    if scenario.utilities:
-        doc["utilities"] = {
-            name: {
-                outcome: format_rational(u.value(outcome))
-                for outcome in sorted(u.outcomes)
-            }
-            for name, u in scenario.utilities.items()
-        }
-    if scenario.acts:
-        doc["acts"] = {
-            name: {
-                state: {
-                    outcome: format_rational(p)
-                    for outcome, p in sorted(act.lottery_at(state).items())
-                }
-                for state in space.states
-            }
-            for name, act in scenario.acts.items()
-        }
-    if scenario.events:
-        doc["events"] = {
-            name: [s for s in space.states if s in event]
-            for name, event in scenario.events.items()
-        }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def fixture_names() -> tuple[str, ...]:

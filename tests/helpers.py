@@ -307,6 +307,51 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
     return CpsValidation.valid(triples, ())
 
 
+def grid_beliefs(event: Event, den: int) -> list[Belief]:
+    """Every belief with support inside ``event`` and each mass a multiple of 1/den.
+
+    A belief is a composition of ``den`` into |E| parts, read off sorted
+    cut points, so there are C(den + |E| - 1, |E| - 1) of them.
+    """
+    states, beliefs = event.members, []
+    for cuts in itertools.combinations_with_replacement(range(den + 1), len(states) - 1):
+        bounds = (0, *cuts, den)
+        masses = {s: Fraction(hi - lo, den) for s, lo, hi in zip(states, bounds, bounds[1:])}
+        beliefs.append(Belief(event.space, masses))
+    return beliefs
+
+
+def grid_rules(max_states: int = 3, dens: tuple[int, ...] = (2, 3)):
+    """Every complete concentrated rule at |S| <= ``max_states`` on each 1/den grid, then leaks.
+
+    For each |S| and den, first every rule whose entry on each event E is a
+    grid belief with support inside E (a product over the events), then the
+    leaking slice: two CPSs, the uniform rule and the rule of the hierarchy
+    of point masses in state order, each with one entry, on an event E
+    short of the space, replaced by a grid belief on the space that puts
+    mass outside E.  The uniform rule's peel reads only the space, so the
+    leak sits on an uncertified entry; the point masses' peel reads every
+    suffix of the states, so some leaks sit on a peeled entry.
+    """
+    for n in range(1, max_states + 1):
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        events = [Event(space, mask) for mask in space.canonical_masks()]
+        bases = [
+            {e: Belief.uniform_on(e) for e in events},
+            {e: Belief(space, {e.members[0]: 1}) for e in events},
+        ]
+        for den in dens:
+            choices = [grid_beliefs(e, den) for e in events]
+            for entries in itertools.product(*choices):
+                yield UpdatingRule(space, dict(zip(events, entries)))
+            everywhere = grid_beliefs(space.full_event, den)
+            for base in bases:
+                for e in events:
+                    for leak in everywhere:
+                        if leak.support_mask & ~e.mask:
+                            yield UpdatingRule(space, {**base, e: leak})
+
+
 def fraction_belief(space: StateSpace, masses) -> Belief:
     """Oracle for ``Belief(space, masses)``: the check and sum in Fractions.
 
@@ -689,7 +734,7 @@ def oracle_conditional_consistency(fam, e: Event, a: Event) -> CheckResult:
         raise SpaceMismatch("events built over different state spaces")
     if not a:
         raise EmptyEvent("the subevent is empty")
-    if not a.issubset(e):
+    if not a <= e:
         raise ValidationError("the subevent must be contained in the conditioning event")
     if fam.belief_given(e).prob(a) == 0:
         raise InfeasibleSubevent(

@@ -544,7 +544,7 @@ def test_errors_keep_their_precedence():
     space = fam.space
     foreign = StateSpace(("a", "b")).event("a")
     with pytest.raises(EmptyEvent):
-        check_consequentialism(fam, space.empty_event)
+        check_consequentialism(fam, Event(space, 0))
     with pytest.raises(ValidationError, match="two distinct outcomes"):
         check_consequentialism(fam, foreign)
     with pytest.raises(ValidationError, match="two distinct outcomes"):
@@ -552,7 +552,7 @@ def test_errors_keep_their_precedence():
     with pytest.raises(SpaceMismatch):
         check_conditional_consistency(fam, space.full_event, foreign)
     with pytest.raises(EmptyEvent):
-        check_conditional_consistency(fam, space.full_event, space.empty_event)
+        check_conditional_consistency(fam, space.full_event, Event(space, 0))
     with pytest.raises(ValidationError, match="contained"):
         check_conditional_consistency(fam, space.event("h"), space.event("t"))
     with pytest.raises(InfeasibleSubevent):

@@ -19,7 +19,6 @@ from beliefkit import (
     StateSpace,
     ValidationError,
     eps_os_construction,
-    eps_os_to_ht,
     eps_os_update,
     ht_rule,
     ht_select,
@@ -339,7 +338,7 @@ def test_thresholded_bookkeeping_past_the_oracle(sizes, eps):
 
 def test_thresholded_rule_agrees_wherever_defined(coin):
     for eps in (0, Fraction(1, 8), Fraction(1, 4)):
-        ht = eps_os_to_ht(coin, eps)
+        ht = eps_os_construction(coin, eps).ht
         rule = ht_rule(ht)
         part = surprise_partition(coin, eps)
         for events in part.classes:
@@ -351,12 +350,12 @@ def test_thresholded_rule_agrees_wherever_defined(coin):
 
 
 def test_threshold_zero_construction_reports_zero(coin):
-    assert eps_os_to_ht(coin, 0).eps == 0
+    assert eps_os_construction(coin, 0).ht.eps == 0
     assert eps_os_construction(coin, 0).cross_max == 0
 
 
 def test_threshold_zero_construction_matches_plain_rule(coin):
-    assert rules_equal(os_rule(coin), ht_rule(eps_os_to_ht(coin, 0)))
+    assert rules_equal(os_rule(coin), ht_rule(eps_os_construction(coin, 0).ht))
 
 
 def assert_integer_weights(ht: HTRepresentation) -> None:

@@ -12,13 +12,11 @@ from beliefkit import (
     AllLevelsNull,
     Belief,
     LPSRepresentation,
-    LexValue,
     Lottery,
     Preference,
     PreferenceFamily,
     StateSpace,
     UtilityFunction,
-    ValidationError,
     clps_condition,
     indifference_resolution_demo,
     lps_compare,
@@ -53,34 +51,6 @@ def dollars_on(space, event, amount):
     return Act(space, {s: (win if s in event else zero) for s in space.states})
 
 
-def test_lex_value_ordering():
-    a = LexValue((Fraction(1), Fraction(0)))
-    b = LexValue((Fraction(1), Fraction(1, 2)))
-    assert a < b
-    assert b > a
-    assert a != b
-    assert a == LexValue((Fraction(1), Fraction(0)))
-    assert hash(a) == hash(LexValue((1, 0)))
-    assert not a < a
-
-
-def test_lex_values_of_mismatched_length_do_not_compare():
-    with pytest.raises(ValidationError):
-        LexValue((Fraction(1),)) < LexValue((Fraction(1), Fraction(0)))
-    with pytest.raises(ValidationError):
-        LexValue((Fraction(1),)) > LexValue((Fraction(1), Fraction(0)))
-    with pytest.raises(ValidationError):
-        LexValue(())
-
-
-def test_lex_values_of_mismatched_length_are_unequal():
-    short, long = LexValue((Fraction(1),)), LexValue((Fraction(1), Fraction(0)))
-    assert not short == long
-    assert short != long
-    assert short not in [long]
-    assert len({short, long}) == 2
-
-
 def test_level_values_and_verdict_flip_with_stakes(coin_lps, money):
     """The early-end hedge loses to a big enough coin payoff."""
     space = coin_lps.space
@@ -96,10 +66,10 @@ def test_level_values_and_verdict_flip_with_stakes(coin_lps, money):
     f_v1 = dollars_on(space, heads_tails, 1)
     f_v2 = dollars_on(space, heads_tails, 2)
 
-    assert lps_value(coin_lps, money, f_v1) == LexValue((1, 0, 0))
-    assert lps_value(coin_lps, money, g) == LexValue((1, Fraction(1, 2), 0))
+    assert lps_value(coin_lps, money, f_v1) == (1, 0, 0)
+    assert lps_value(coin_lps, money, g) == (1, Fraction(1, 2), 0)
     assert lps_compare(coin_lps, money, f_v1, g) is Preference.SECOND
-    assert lps_value(coin_lps, money, f_v2) == LexValue((2, 0, 0))
+    assert lps_value(coin_lps, money, f_v2) == (2, 0, 0)
     assert lps_compare(coin_lps, money, f_v2, g) is Preference.FIRST
     assert lps_compare(coin_lps, money, g, g) is Preference.INDIFFERENT
 
@@ -136,7 +106,7 @@ def test_single_full_support_level_is_plain_seu():
     u = UtilityFunction({"x": 0, "y": 1})
     f = Act(space, {"a": Lottery({"y": 1}), "b": Lottery({"x": 1})})
     g = Act.constant(space, Lottery({"x": Fraction(1, 2), "y": Fraction(1, 2)}))
-    assert lps_value(lps, u, f).components == (Fraction(1, 3),)
+    assert lps_value(lps, u, f) == (Fraction(1, 3),)
     assert lps_compare(lps, u, f, g) is Preference.SECOND
 
 

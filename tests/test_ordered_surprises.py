@@ -42,7 +42,7 @@ def test_surprise_order_walks_the_hierarchy(coin):
     assert surprise_order(coin, space.event("el", "l1", "l2")) == 1
     assert surprise_order(coin, space.event("l1", "l2")) == 2
     with pytest.raises(EmptyEvent):
-        surprise_order(coin, space.empty_event)
+        surprise_order(coin, Event(space, 0))
 
 
 def test_os_update_conditions_the_selected_prior(coin):
@@ -59,7 +59,7 @@ def test_monotone_surprise_depth(coin):
     for e in space.events():
         order_e = surprise_order(coin, e)
         for f in space.events():
-            if f.issubset(e):
+            if f <= e:
                 assert surprise_order(coin, f) >= order_e
 
 
@@ -191,14 +191,13 @@ def test_partition_at_zero_has_no_undefined_class(coin):
 
 def partition_oracle(h: OSRepresentation, eps: Fraction) -> SurprisePartition:
     """The public constructor over per-event ``eps_surprise_order`` lookups."""
-    classes = [[] for _ in h.priors]
-    undefined = []
+    parts = [[] for _ in range(len(h.priors) + 1)]  # the last: undefined
     for e in h.space.events():
         try:
-            classes[eps_surprise_order(h, eps, e)].append(e)
+            parts[eps_surprise_order(h, eps, e)].append(e.mask)
         except NoPriorExceedsThreshold:
-            undefined.append(e)
-    return SurprisePartition(h.space, eps, tuple(map(tuple, classes)), tuple(undefined))
+            parts[-1].append(e.mask)
+    return SurprisePartition(h.space, eps, parts)
 
 
 def test_partition_matches_the_public_constructor():

@@ -221,7 +221,7 @@ def test_blended_conditionals_fail_conditional_consistency(coin_family):
 
 def test_consequentialism_guards_the_empty_event(coin_family):
     with pytest.raises(EmptyEvent):
-        check_consequentialism(coin_family, coin_family.space.empty_event)
+        check_consequentialism(coin_family, Event(coin_family.space, 0))
 
 
 def test_conditional_consistency_guards_its_events(coin_family):
@@ -231,7 +231,7 @@ def test_conditional_consistency_guards_its_events(coin_family):
     with pytest.raises(ValidationError):
         check_conditional_consistency(coin_family, space.event("h"), space.event("t"))
     with pytest.raises(EmptyEvent):
-        check_conditional_consistency(coin_family, space.full_event, space.empty_event)
+        check_conditional_consistency(coin_family, space.full_event, Event(space, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ class that defines ``__eq__`` state its ``__hash__``, since Python
 otherwise makes it unhashable without a word.  A sixth keeps every
 module-level private function, class or assignment, and every private
 method and ``__slots__`` entry of a class, read somewhere in the package
-outside its own definition, so dead internal code cannot linger.
+outside its own definition, so dead internal code cannot linger.  A
+seventh does the same for every public method and property of a package
+class, with the benchmark's reads counted too, so that no public member
+lives only for its own tests.
 """
 
 import ast
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "beliefkit"
+BENCH = SRC.parents[1] / "bench"
 
 
 def private_imports(path: Path) -> list[str]:
@@ -504,4 +508,106 @@ def test_the_rule_sees_dead_private_definitions(tmp_path):
         "core.py:17: _init",
         "core.py:21: _unused",
         "rules.py:2: _sampled",
+    ]
+
+
+# Public members no package or benchmark code reads, each with why it stays.
+UNREAD_PUBLIC_KEPT = {
+    "UtilityFunction.affine": "builds the affine images the axiom tests use at 14 call sites;"
+    " moving it into tests/ would not shrink the code",
+    "Scenario.render": "the README documents it as the scenario's canonical serialization",
+}
+
+
+def unread_public_members(paths: list[Path], readers: list[Path]) -> list[str]:
+    """Public methods and properties of the classes in ``paths`` that nothing reads.
+
+    A member is a public (not underscored) method of a class, decorated or
+    not, or a name a class body binds to ``property(...)``; dunders are
+    exempt, since Python calls them by protocol.  A read is an attribute
+    load of the member's name anywhere in ``paths`` or ``readers``, outside
+    the member's own definition.  A name read on any object counts, so a
+    member another class's same-named member covers goes unreported: the
+    rule is a floor, not a proof that a member is used.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in {*paths, *readers}}
+    reads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    found = []
+    for path in paths:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                elif (
+                    isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Call)
+                    and isinstance(stmt.value.func, ast.Name)
+                    and stmt.value.func.id == "property"
+                ):
+                    names = [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                inside = {id(node) for node in ast.walk(stmt)}
+                found += [
+                    (path.name, stmt.lineno, f"{cls.name}.{name}")
+                    for name in names
+                    if not name.startswith("_")
+                    and not any(read.attr == name and id(read) not in inside for read in reads)
+                ]
+    return [f"{file}:{line}: {member}" for file, line, member in sorted(found)]
+
+
+def test_every_public_member_has_a_reader():
+    unread = unread_public_members(sorted(SRC.glob("*.py")), sorted(BENCH.glob("*.py")))
+    assert [line for line in unread if line.split(": ")[1] not in UNREAD_PUBLIC_KEPT] == []
+    # a kept member that gains a reader leaves the list
+    assert {line.split(": ")[1] for line in unread} >= UNREAD_PUBLIC_KEPT.keys()
+
+
+def test_the_rule_sees_unread_public_members(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "class Event:\n"
+        "    def __init__(self, mask):\n"
+        "        self.mask = mask\n"
+        "    def __and__(self, other):\n"
+        "        return Event(self.mask & other.mask)\n"
+        "    def complement(self):\n"
+        "        return self.complement()\n"
+        "    @property\n"
+        "    def members(self):\n"
+        "        return self.mask\n"
+        "    @property\n"
+        "    def support(self):\n"
+        "        return self.mask\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n"
+        "        return cls(0)\n"
+        "    def _bits(self):\n"
+        "        return self.mask\n"
+        "    classes = property(lambda self: self.members)\n"
+        "    undefined = property(lambda self: self.mask)\n"
+        "    async def fetch(self):\n"
+        "        return self.mask\n"
+        "class Rule:\n"
+        "    def events(self):\n"
+        "        return []\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "workloads.py").write_text(
+        "def run(rule, event):\n"
+        "    return rule.events(), event.classes, event.fetch\n",
+        encoding="utf-8",
+    )
+    assert unread_public_members([tmp_path / "core.py"], [tmp_path / "workloads.py"]) == [
+        "core.py:6: Event.complement",
+        "core.py:12: Event.support",
+        "core.py:15: Event.empty",
+        "core.py:20: Event.undefined",
     ]

@@ -26,7 +26,6 @@ from beliefkit import (
     load_scenario,
     parse_scenario,
 )
-from beliefkit.scenario import render
 
 SPACE = StateSpace(("a", "b"))
 A, B = SPACE.event_from(["a"]), SPACE.full_event
@@ -117,7 +116,7 @@ def test_truth_follows_the_verdict():
 
 
 def test_scenario_keeps_its_fields_defaults_and_equality():
-    text = render(load_scenario("lps_demo"))
+    text = load_scenario("lps_demo").render()
     assert parse_scenario(text) == parse_scenario(text)
     assert parse_scenario(text) != load_scenario("coin")
     bare = Scenario(SPACE)

@@ -204,7 +204,7 @@ def test_events_outside_the_domain_are_a_typed_key_error(half_half):
     space, prior = half_half
     rule = bayesian_rule(prior)
     null = space.event("e")
-    for missing in (null, space.empty_event):
+    for missing in (null, Event(space, 0)):
         with pytest.raises(OutsideDomain) as raised:
             rule[missing]
         assert isinstance(raised.value, KeyError)
@@ -273,7 +273,7 @@ def test_public_construction_checks_every_entry(half_half):
     other = StateSpace(("x", "y"))
     for table, error in (
         ({other.event("x"): prior}, SpaceMismatch),
-        ({space.empty_event: prior}, EmptyEvent),
+        ({Event(space, 0): prior}, EmptyEvent),
         ({space.event("h"): Belief(other, {"x": 1})}, SpaceMismatch),
     ):
         with pytest.raises(error):

@@ -364,7 +364,7 @@ def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
     assert len(rule) == 4095
     assert len({id(belief) for belief in rule._table.values()}) == 28
     assert len(first) == 24 == len(built)
-    assert all(rule[prior.support] is prior for prior in priors)
+    assert all(rule[Event(space, prior.support_mask)] is prior for prior in priors)
     assert all(again._table[mask] is belief for mask, belief in rule._table.items())
     rng = random.Random(12)
     for mask in rng.sample(range(1, 4096), 200):

@@ -15,7 +15,6 @@ from beliefkit import (
     EmptyEvent,
     Event,
     HTRepresentation,
-    LexValue,
     LPSRepresentation,
     Lottery,
     OSRepresentation,
@@ -72,11 +71,6 @@ CASES = {
         lambda _: MU.prob(XY.full_event),
         SpaceMismatch,
         "belief and event belong to different state spaces",
-    ),
-    "act-mix-across-spaces": (
-        lambda _: F.mix(Fraction(1, 2), G),
-        SpaceMismatch,
-        "acts belong to different state spaces",
     ),
     "compose-acts-across-spaces": (
         lambda _: compose_act(F, AB.full_event, G),
@@ -162,11 +156,6 @@ CASES = {
         lambda _: surprise_partition(HIER).class_of(Event(AB, 0)),
         ValidationError,
         "event not covered by this partition",
-    ),
-    "lex-value-against-a-tuple": (
-        lambda _: LexValue((1,)) < (1,),
-        TypeError,
-        "cannot compare LexValue with tuple",
     ),
     "demo-without-a-hierarchy": (
         lambda _: indifference_resolution_demo(LPS, LPS, U, F, F, AB.full_event),
