@@ -464,6 +464,20 @@ def test_belief_mix_checks_its_weight_and_space():
 # acts, lotteries, utility
 
 
+def test_lottery_mix_is_exact():
+    """A mixture spelled outcome by outcome keeps exact thirds; a weight past 1 is refused."""
+    a, b = dict(Lottery({"x": 1}).items()), dict(Lottery({"y": 1}).items())
+
+    def mix(alpha):
+        return Lottery({o: alpha * a.get(o, 0) + (1 - alpha) * b.get(o, 0) for o in "xy"})
+
+    mixed = mix(Fraction(1, 3))
+    assert mixed.items() == (("x", Fraction(1, 3)), ("y", Fraction(2, 3)))
+    assert mixed == Lottery({"y": Fraction(2, 3), "x": Fraction(1, 3)})
+    with pytest.raises(ValidationError):
+        mix(Fraction(3, 2))
+
+
 def test_utility_expected_value():
     u = UtilityFunction({"x": 0, "y": Fraction(5)})
     lot = Lottery({"x": Fraction(1, 5), "y": Fraction(4, 5)})

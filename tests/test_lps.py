@@ -51,6 +51,51 @@ def dollars_on(space, event, amount):
     return Act(space, {s: (win if s in event else zero) for s in space.states})
 
 
+@pytest.fixture
+def two_level():
+    """A two-level system over {a, b} whose second level is a point mass on b."""
+    space = StateSpace(("a", "b"))
+    top = Belief(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    return LPSRepresentation(space, (top, Belief(space, {"b": 1})))
+
+
+def a_then_b(space):
+    """Pay y on a and x on b, and the mirror act."""
+    f = Act(space, {"a": Lottery({"y": 1}), "b": Lottery({"x": 1})})
+    g = Act(space, {"a": Lottery({"x": 1}), "b": Lottery({"y": 1})})
+    return f, g
+
+
+def test_lex_value_ordering(two_level):
+    """Values tie on the first level, so the second decides, as tuples order."""
+    u = UtilityFunction({"x": 0, "y": 1})
+    f, g = a_then_b(two_level.space)
+    a, b = lps_value(two_level, u, f), lps_value(two_level, u, g)
+    assert (a, b) == ((Fraction(1, 2), 0), (Fraction(1, 2), 1))
+    assert a < b
+    assert b > a
+    assert a != b
+    assert a == lps_value(two_level, u, f)
+    assert hash(a) == hash((Fraction(1, 2), Fraction(0)))
+    assert not a < a
+    assert lps_compare(two_level, u, f, g) is Preference.SECOND
+    assert lps_compare(two_level, u, g, f) is Preference.FIRST
+    assert lps_compare(two_level, u, f, f) is Preference.INDIFFERENT
+
+
+def test_lex_values_of_mismatched_length_are_unequal(two_level):
+    """A one-level system's value differs from a deeper one's that extends it."""
+    u = UtilityFunction({"x": 0, "y": 1})
+    f, _ = a_then_b(two_level.space)
+    shallow = LPSRepresentation(two_level.space, two_level.levels[:1])
+    short, long = lps_value(shallow, u, f), lps_value(two_level, u, f)
+    assert long[: len(short)] == short
+    assert not short == long
+    assert short != long
+    assert short not in [long]
+    assert len({short, long}) == 2
+
+
 def test_level_values_and_verdict_flip_with_stakes(coin_lps, money):
     """The early-end hedge loses to a big enough coin payoff."""
     space = coin_lps.space
