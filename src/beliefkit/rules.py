@@ -11,9 +11,9 @@ hierarchy peeled from it (Myerson 1986).  So ``validate_cps`` peels the rule
 and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
 An update depends only on the event's trace on its prior's support, so
-the certificate walks each peeled support's submasks in prefix-tree
-preorder, one tuple extension and comparison each, sum_k 2^|s_k| in all;
-every other event costs one lookup, its entry against its trace's.
+the certificate tests each entry against the update ``core.trace_updates``
+yields for its trace: by identity where the table holds that posterior, as
+a rule tabulated on the same prior does, and by integer equality elsewhere.
 All later work grows with n and the set U of uncertified entries, not
 with 2^n: concentration is checked on the peeled entries and on U alone,
 and where an entry fails, a heap search from U finds the first violating
@@ -25,10 +25,10 @@ report, and places it in that scan in closed form.
 each trace q = E & s_k gets one posterior from ``core.trace_updates``,
 which fills every event q | r of its block at once.  The prior keeps the
 posteriors it walked, so every later tabulation on the same prior object
-(and ``eps_os_construction``'s walk) builds none and shares them, and the
-posterior on the whole support is the prior itself.  A rule stores its
-table by event mask; ``Event``s are built only where a caller asks for
-one.
+(and ``eps_os_construction``'s walk, and the certificate) builds none and
+shares them, and the posterior on the whole support is the prior itself.
+A rule stores its table by event mask; ``Event``s are built only where a
+caller asks for one.
 """
 
 from __future__ import annotations
@@ -147,9 +147,7 @@ def tabulate_traces(
         if not later:
             table.update([(q, posterior) for q, num, posterior in walk if num * scale > cut])
             continue
-        rs = [0]  # every submask of ``later``; the table's order is free
-        for i in mask_indices(later):
-            rs += list(map((1 << i).__or__, rs))
+        rs = lex_submasks(later)
         for q, num, posterior in walk:  # one posterior fills its block at C speed
             if num * scale > cut:
                 table.update(dict.fromkeys(map(q.__or__, rs), posterior))
@@ -230,19 +228,18 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     complete or not concentrated.  Otherwise peels the rule from the full
     space and certifies each event's belief as the Bayes update of the
     first peeled prior k meeting it, which is k's update on the trace
-    q = E & s_k.  A walk over the submasks of each peeled support s_k
-    builds each q's numerators from its prefix's and tests q's entry,
-    sum_k 2^|s_k| tuple operations (2^n for one prior); each other event
-    then only compares its entry with its trace's, or with the update on
-    the trace where that entry fails.  All certified proves the rule is
-    the one the peeled hierarchy induces, hence a CPS: valid, with the
-    peeled priors, and ``triples`` counts all 4^n - 2^n triples as
-    certified for n states.  Concentration is checked only where it can
-    fail: on each peeled entry, and on the uncertified entries U.
-    Otherwise the first violating triple in canonical (E, F, G) order,
-    with the number of triples an exhaustive scan enumerates up to and
-    including it: O(|U| n) heap steps, plus the pair tests of each
-    uncertified E met before it, and a closed-form count.
+    q = E & s_k: the posterior ``core.trace_updates(prior, s_k)`` yields
+    for q.  A peeled prior that a tabulator walked already keeps those
+    posteriors; any other builds its 2^|s_k| - 2 once and keeps them, so
+    a second call on the same rule builds no belief.  All certified
+    proves the rule is the one the peeled hierarchy induces, hence a CPS:
+    valid, with the peeled priors, and ``triples`` counts all 4^n - 2^n
+    triples as certified for n states.  Concentration is checked only
+    where it can fail: on each peeled entry, and on the uncertified
+    entries U.  Otherwise the first violating triple in canonical
+    (E, F, G) order, with the number of triples an exhaustive scan
+    enumerates up to and including it: O(|U| n) heap steps, plus the pair
+    tests of each uncertified E met before it, and a closed-form count.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
@@ -251,48 +248,28 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     n = len(space)
     table = rule._table
     space.check_enumerable()
-    full = rest = (1 << n) - 1
-    zeros = (0,) * n
-    tails = [zeros] * n  # (its peeled prior's numerator of state i, 0, ..., 0), from i on
+    rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
     uncertified: list[int] = []
     # Peel, and certify E's entry as the update of the first peeled prior k
-    # meeting E on its trace q = E & s_k, s_k k's support.  Each q is tested
-    # once: its entry is kept / mass, kept k's numerators on q and mass
-    # their sum.  Canonical order walks the prefix tree, so q's prefix (q
-    # less its top state) is stack[d - 1], the latest submask of d - 1
-    # states.  Every E = q | r, r a nonempty set of states past k, then
-    # needs only its entry to equal q's, or q's update where q's entry fails.
+    # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
+    # k, must hold, or equal, the posterior ``trace_updates`` yields for q.
     while rest:
         prior = table[rest]
         support = prior.support_mask
         if support & ~rest:
             return CpsValidation.not_candidate("not concentrated")
-        for i in mask_indices(support):
-            tails[i] = (prior.nums[i], *zeros[i + 1 :])
         priors.append(prior)
         peels.append(rest)
         rest &= ~support
-        rs = lex_submasks(rest)[1:] if rest else ()
-        stack = [(zeros, 0)] * (n + 1)
-        for q in space.canonical_masks() if support == full else lex_submasks(support)[1:]:
-            top = q.bit_length() - 1
-            depth = q.bit_count()
-            kept, mass = stack[depth - 1]
-            kept, mass = kept[:top] + tails[top], mass + tails[top][0]
-            stack[depth] = kept, mass
-            image = table[q]
-            # kept / mass reduces to nums / den exactly when mass = c * den
-            # and kept = c * nums
-            c, r = divmod(mass, image.den)
-            if r or kept != (image.nums if c == 1 else tuple([c * x for x in image.nums])):
-                uncertified.append(q)
-                image = prior.restricted(q)
-            if rs:
-                uncertified += [
-                    e for e in map(q.__or__, rs) if table[e] is not image and table[e] != image
-                ]
+        rs = lex_submasks(rest) if rest else (0,)
+        uncertified += [
+            e
+            for q, _, image in trace_updates(prior, support)
+            for e in map(q.__or__, rs)
+            if table[e] is not image and table[e] != image
+        ]
     if any(table[f].support_mask & ~f for f in uncertified):
         return CpsValidation.not_candidate("not concentrated")
     if not uncertified:

@@ -352,6 +352,30 @@ def grid_rules(max_states: int = 3, dens: tuple[int, ...] = (2, 3)):
                             yield UpdatingRule(space, {**base, e: leak})
 
 
+def grid_hierarchies(n: int, den: int):
+    """Every hierarchy over s0 .. s{n-1} of grid beliefs whose supports cover the space.
+
+    The priors are beliefs with each mass a multiple of 1/den (``grid_beliefs``
+    on the space), and each one holds a state that no earlier prior holds,
+    so no prior is wholly explained by those before it.  Supports may
+    overlap; the canonical hierarchies are the ones whose supports are
+    disjoint.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    beliefs = grid_beliefs(space.full_event, den)
+    full = (1 << n) - 1
+
+    def extend(priors, held):
+        if held == full:
+            yield OSRepresentation(space, priors)
+            return
+        for belief in beliefs:
+            if belief.support_mask & ~held:
+                yield from extend([*priors, belief], held | belief.support_mask)
+
+    yield from extend([], 0)
+
+
 def fraction_belief(space: StateSpace, masses) -> Belief:
     """Oracle for ``Belief(space, masses)``: the check and sum in Fractions.
 

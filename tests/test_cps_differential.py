@@ -5,15 +5,19 @@ first witness and triple count on every rule: CPS tables induced by
 canonical and by overlapping hierarchies, tables with entries nudged or
 redrawn (including the entries the peel reads), fully random concentrated
 tables, and the non-candidates ``conservative_rule`` and ``bayesian_rule``;
-and, exhaustively, every complete rule on a small rational grid.
+and, exhaustively, every complete rule on a small rational grid and the
+rule of every small grid hierarchy.
 
-The certificate tests each submask of a peeled support and then compares
-every other event's entry with its trace's, the entry on its meet with the
-support of its first prior.  So some families aim at that comparison:
-many-prior tables of fresh beliefs, where no entry is another's object; a
-wrong trace entry shared by identity with all, or some, of the events
-that trace to it; and a wrong entry on the first, a middle or the last
-event that meets two supports.
+The certificate compares every event's entry with the update of its
+trace, its meet with the support of its first prior, that the peeled
+prior's kept ``trace_updates`` walk holds: by identity where the table
+shares that posterior, by value otherwise.  So some families aim at that
+comparison: many-prior tables of fresh beliefs, where no entry is
+another's object; a wrong trace entry shared by identity with all, or
+some, of the events that trace to it; and a wrong entry on the first, a
+middle or the last event that meets two supports.  Every rule is also
+validated as a fresh copy, whose peeled priors keep no walk, and must
+get the same answer, priors included.
 
 The witness search starts from the uncertified entries, so one family
 makes many of them: every event of two or more states inside a later
@@ -47,6 +51,7 @@ from beliefkit import (
 from helpers import (
     canonical_form,
     exhaustive_validate_cps,
+    grid_hierarchies,
     grid_rules,
     random_belief_on,
     random_canonical_os,
@@ -299,6 +304,7 @@ def test_validate_cps_matches_the_exhaustive_scan(family):
         rule = family(rng)
         got = validate_cps(rule)
         assert outcome(got) == outcome(exhaustive_validate_cps(rule)), rule
+        assert validate_cps(fresh(rule)) == got, rule
         statuses.add(got.status)
         if got:
             assert os_rule(OSRepresentation(rule.space, got.priors)) == rule
@@ -332,6 +338,28 @@ def test_validate_cps_matches_the_exhaustive_scan_on_every_grid_rule():
         }
         statuses[got.status] += 1
     assert statuses == {"valid": 39, "violation": 772, "not-candidate": 158}
+
+
+def test_every_grid_hierarchy_is_certified_and_decomposes_to_its_canonical_form():
+    """Every hierarchy ``grid_hierarchies`` makes: |S| <= 3 on the 1/2- and
+    1/3-grids, and |S| = 4 on the 1/2-grid.
+
+    The domain is 1015 hierarchies: 217 at |S| <= 3 (40 canonical, 177
+    overlapping) and 798 at |S| = 4 (66 canonical, 732 overlapping).  Each
+    one's rule is valid with all 4^n - 2^n triples, ``cps_to_os`` gives its
+    canonical form, and a fresh copy of the rule gets the same validation.
+    A disagreement fails with the hierarchy's priors.
+    """
+    kinds = Counter()
+    for n, den in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        for hier in grid_hierarchies(n, den):
+            rule = os_rule(hier)
+            got = validate_cps(rule)
+            assert (got.status, got.triples) == ("valid", 4**n - 2**n), hier.priors
+            assert cps_to_os(rule) == canonical_form(hier), hier.priors
+            assert validate_cps(fresh(rule)) == got, hier.priors
+            kinds[n == 4, hier.is_canonical] += 1
+    assert kinds == {(False, True): 40, (False, False): 177, (True, True): 66, (True, False): 732}
 
 
 def test_decompose_of_an_overlapping_hierarchy_is_its_canonical_form():
@@ -402,9 +430,10 @@ def test_the_search_reads_only_pairs_holding_a_changed_entry(monkeypatch):
 
 
 def test_the_certificate_reads_numerators_once_per_peeled_prior(monkeypatch):
-    """A single-prior rule at |S| = 12 is certified without a per-event pass
-    over an event's states: ``mask_indices`` and ``Belief.mask_num`` run at
-    most once per peeled prior, not once per each of the 4095 events."""
+    """A single-prior rule at |S| = 12 is certified on the posteriors the
+    prior keeps from ``os_rule``'s walk, without a per-event pass over an
+    event's states: ``mask_indices`` and ``Belief.mask_num`` run at most
+    once per peeled prior, not once per each of the 4095 events."""
     space = StateSpace(tuple(f"s{i}" for i in range(12)))
     prior = Belief(space, {s: Fraction(i + 1, 78) for i, s in enumerate(space.states)})
     rule = os_rule(OSRepresentation(space, (prior,)))
@@ -452,6 +481,36 @@ def test_certifying_a_valid_rule_builds_no_belief_and_no_event(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert got.status == "valid" and got.priors == priors
+
+
+def test_a_fresh_table_builds_each_peeled_walk_once(monkeypatch):
+    """Supports of 4, 3 and 2 states at |S| = 9, every entry a belief of
+    its own, so no peeled prior keeps a walk: the first validation builds
+    each peeled prior's updates on the proper nonempty submasks of its
+    support, 2^|s_k| - 2 of them (14 + 6 + 2), and keeps them on the
+    prior; a second validation of the same rule builds none."""
+    space = StateSpace(tuple(f"s{i}" for i in range(9)))
+    chunks = (("s0", "s4", "s7", "s8"), ("s1", "s2", "s6"), ("s3", "s5"))
+    priors = tuple(
+        Belief(space, {s: Fraction(i + 1, sum(range(len(chunk) + 1))) for i, s in enumerate(chunk)})
+        for chunk in chunks
+    )
+    rule = fresh(os_rule(OSRepresentation(space, priors)))
+    built = []
+    real = Belief._init
+
+    def counted(self, *args):
+        built.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Belief, "_init", counted)
+    first = validate_cps(rule)
+    assert len(built) == sum(2 ** len(chunk) - 2 for chunk in chunks) == 22
+    built.clear()
+    second = validate_cps(rule)
+    monkeypatch.undo()
+    assert built == []
+    assert first == second and first.status == "valid" and first.priors == priors
 
 
 def test_is_concentrated_witnesses_the_canonically_first_failure():

@@ -6,18 +6,18 @@ That covers imports (``from .core import _name``), at module level or
 inside a function body such as a CLI handler, and attribute access
 (``obj._name`` where only another module defines ``_name``).  The tests
 are exempt: their oracles reach into helpers on purpose.  A second lint
-keeps every import in the package read by its module, a third every
-name a package function assigns read in that function, and a fourth
-every invariant of the package off a bare ``assert``, which ``python -O``
-strips: a broken invariant must raise a typed error.  A fifth makes every
-class that defines ``__eq__`` state its ``__hash__``, since Python
-otherwise makes it unhashable without a word.  A sixth keeps every
-module-level private function, class or assignment, and every private
-method and ``__slots__`` entry of a class, read somewhere in the package
-outside its own definition, so dead internal code cannot linger.  A
-seventh does the same for every public method and property of a package
-class, with the benchmark's reads counted too, so that no public member
-lives only for its own tests.
+keeps every import in the package and in its tests read by its module, a
+third every name a package function assigns read in that function, and a
+fourth every invariant of the package off a bare ``assert``, which
+``python -O`` strips: a broken invariant must raise a typed error.  A
+fifth makes every class that defines ``__eq__`` state its ``__hash__``,
+since Python otherwise makes it unhashable without a word.  A sixth
+keeps every module-level private function, class or assignment, and
+every private method and ``__slots__`` entry of a class, read somewhere
+in the package outside its own definition, so dead internal code cannot
+linger.  A seventh does the same for every public method and property of
+a package class, with the benchmark's reads counted too, so that no
+public member lives only for its own tests.
 """
 
 import ast
@@ -27,6 +27,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "beliefkit"
 BENCH = SRC.parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
 
 
 def private_imports(path: Path) -> list[str]:
@@ -217,7 +218,9 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {name}" for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -48,7 +48,6 @@ from beliefkit import (
     os_update,
     ordered_surprises,
     preferences,
-    rules,
 )
 from helpers import fraction_conservative_rule, random_overlapping_os
 
