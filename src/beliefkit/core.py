@@ -227,8 +227,8 @@ class Belief:
     den > 0 and gcd(den, *nums) == 1, hence equal distributions store equal
     integers.  Equality and hashing use those integers and the space;
     ``mass`` reads them as Fractions, built on first read.  A belief keeps
-    the updates ``trace_updates`` walked from it, by trace, so every
-    tabulator reading the same prior shares one posterior per trace.
+    the updates ``trace_updates`` walked from it, one per trace on its
+    support, so every tabulator reading the same prior shares them.
     """
 
     __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
@@ -267,7 +267,7 @@ class Belief:
         self.nums = tuple(nums)
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
-        self._traces: dict[int, list[Belief | None]] | None = None
+        self._traces: list[Belief | None] | None = None
         return self
 
     @classmethod
@@ -510,36 +510,32 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     return mu.restricted(e.mask)
 
 
-def trace_updates(prior: Belief, own: int) -> Iterator[tuple[int, int, Belief]]:
-    """(q, num(q), update of ``prior`` on q) for each nonempty q inside ``own``, canonical order.
+def trace_updates(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
+    """(q, num(q), update of ``prior`` on q) for each nonempty q in its support, canonical order.
 
-    ``own`` lies inside the prior's support.  The update on the whole support is
-    the prior itself.  The first walk of an ``own`` builds the updates: in this
-    preorder on the prefix tree each q extends its prefix's (numerators, sum,
-    gcd), on a stack by depth, by one state's.  A walk run to its end leaves its
-    updates on the prior, so a later call builds no belief: it returns them
-    with the masks and numerators of ``_lex_sums``.  They are kept as long as
-    the prior, one list slot per trace, and the prior's own slot holds None,
-    so that no belief refers back to itself.
+    The update on the whole support is the prior itself.  The first walk
+    builds the updates: in this preorder on the prefix tree each q extends
+    its prefix's (numerators, sum, gcd), on a stack by depth, by one
+    state's.  A walk run to its end leaves its updates on the prior, so a
+    later call builds no belief: it returns them with the masks and
+    numerators of ``_lex_sums``.  They are kept as long as the prior, one
+    list slot per trace, and the prior's own slot holds None, so that no
+    belief refers back to itself.
     """
-    if own & ~prior.support_mask:
-        raise ValidationError("a trace must lie inside the prior's support")
-    space, nums = prior.space, prior.nums
-    states = mask_indices(own)
-    masks = space.canonical_masks() if own == (1 << len(nums)) - 1 else _lex_masks(states)
-    posteriors = (prior._traces or {}).get(own)
-    if posteriors is None:
-        return _walk(prior, own, states, masks)
-    if own == prior.support_mask:
-        posteriors = posteriors.copy()
-        posteriors[len(states) - 1] = prior  # the whole support comes after its prefixes
+    space, nums, support = prior.space, prior.nums, prior.support_mask
+    states = mask_indices(support)
+    masks = space.canonical_masks() if support == (1 << len(nums)) - 1 else _lex_masks(states)
+    if prior._traces is None:
+        return _walk(prior, states, masks)
+    posteriors = prior._traces.copy()
+    posteriors[len(states) - 1] = prior  # the whole support comes after its prefixes
     return zip(masks, _lex_sums([nums[i] for i in states]), posteriors)
 
 
 def _walk(
-    prior: Belief, own: int, states: list[int], masks: Sequence[int]
+    prior: Belief, states: list[int], masks: Sequence[int]
 ) -> Iterator[tuple[int, int, Belief]]:
-    # ``trace_updates`` on its first call for ``own``
+    # ``trace_updates`` on its first call for ``prior``
     space, nums, support = prior.space, prior.nums, prior.support_mask
     zeros = (0,) * len(nums)
     tails = {i: (nums[i], *zeros[i + 1 :]) for i in states}
@@ -554,7 +550,7 @@ def _walk(
         posterior = None if q == support else object.__new__(Belief)._init(space, mass, kept, q, g)
         posteriors.append(posterior)
         yield q, mass, posterior or prior
-    prior._traces = {**(prior._traces or {}), own: posteriors}
+    prior._traces = posteriors
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

@@ -247,9 +247,7 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     a tied argmax, since the rule is undefined there.  Events the top
     prior accepts are filled by their trace on its support.
     """
-    top = ht.priors[0]
-    fill = top, top.support_mask, (1 << len(ht.space)) - 1 & ~top.support_mask
-    return tabulate_traces(ht.space, [fill], ht.eps, _rejected(ht))
+    return tabulate_traces(ht.space, ht.priors[:1], ht.eps, _rejected(ht))
 
 
 def _rejected(ht: HTRepresentation) -> Iterator[tuple[int, Belief]]:
@@ -395,7 +393,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         table = {0: 0}  # numerator of every submask of the support, canonical order
         updates: dict[int, Belief] = {}  # conditional support (row) -> its belief
         below: list[int] = []  # nonempty submasks at or below the threshold
-        for mask, num, posterior in trace_updates(prior, support):
+        for mask, num, posterior in trace_updates(prior):
             table[mask] = num
             if num * ed > cut:
                 updates[mask] = posterior

@@ -110,20 +110,12 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
 
 def os_rule(os: OSRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event."""
-    space = os.space
-    # prior k fills q | r: q inside own_k, its states no earlier support holds; r in the rest
-    fills, rest = [], (1 << len(space)) - 1
-    for prior in os.priors:
-        own = rest & prior.support_mask
-        if own:
-            rest ^= own
-            fills.append((prior, own, rest))
-    if rest:
-        space.check_enumerable()  # the state cap comes before the coverage check
+    if not os.covers_space:
+        os.space.check_enumerable()  # the state cap comes before the coverage check
         raise IncompleteCoverage(
             "hierarchy does not cover the space; update undefined on some events"
         )
-    return tabulate_traces(space, fills)
+    return tabulate_traces(os.space, os.priors)
 
 
 def cps_to_os(rule: UpdatingRule) -> OSRepresentation:

@@ -21,12 +21,15 @@ triple under the canonical event order, the one an exhaustive scan would
 report, and places it in that scan in closed form.
 
 ``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
-``ht_rule`` share one tabulator, ``tabulate_traces``, on the same fact:
-each trace q = E & s_k gets one posterior from ``core.trace_updates``,
-which fills every event q | r of its block at once.  The prior keeps the
-posteriors it walked, so every later tabulation on the same prior object
-(and ``eps_os_construction``'s walk, and the certificate) builds none and
-shares them, and the posterior on the whole support is the prior itself.
+``ht_rule`` share one tabulator, ``tabulate_traces``, the OS rule of an
+ordered prior list: each prior is updated on the states no earlier one
+holds (the prior itself when supports are disjoint), and each trace
+q = E & s_k on that update's support gets one posterior from
+``core.trace_updates``, which fills every event q | r of its block at
+once.  The prior keeps the posteriors it walked, so every later
+tabulation on the same prior object (and ``eps_os_construction``'s walk,
+and the certificate) builds none and shares them, and the posterior on
+the whole support is the prior itself.
 A rule stores its table by event mask; ``Event``s are built only where a
 caller asks for one.
 """
@@ -130,24 +133,32 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
 
 def tabulate_traces(
     space: StateSpace,
-    fills: Iterable[tuple[Belief, int, int]],
+    priors: Iterable[Belief],
     eps: Fraction = ZERO,
     rest: Iterable[tuple[int, Belief]] = (),
 ) -> UpdatingRule:
-    """The rule setting, for each (prior, own, later) of ``fills``, every q | r to the update on q.
+    """The OS rule of the ordered ``priors``: each event's update under the first prior meeting it.
 
-    q: a nonempty submask of ``own`` (in the prior's support) with mass above ``eps``;
-    r: a submask of ``later`` (off that support).  Then ``rest``'s (mask, belief) pairs.
+    A prior holding states no earlier prior holds is updated on the states
+    still unheld, which is the prior itself when supports are disjoint.
+    That update fills every q | r: q a nonempty submask of its support with
+    mass above ``eps``, r a submask of the states it leaves unheld.  Then
+    ``rest``'s (mask, belief) pairs.
     """
     space.check_enumerable()
     table: dict[int, Belief] = {}
-    for prior, own, later in fills:
+    unheld = (1 << len(space)) - 1
+    for prior in priors:
+        if not prior.support_mask & unheld:
+            continue
+        prior = prior.restricted(unheld)
+        unheld ^= prior.support_mask
         scale, cut = eps.denominator, eps.numerator * prior.den
-        walk = trace_updates(prior, own)
-        if not later:
+        walk = trace_updates(prior)
+        if not unheld:
             table.update([(q, posterior) for q, num, posterior in walk if num * scale > cut])
             continue
-        rs = lex_submasks(later)
+        rs = lex_submasks(unheld)
         for q, num, posterior in walk:  # one posterior fills its block at C speed
             if num * scale > cut:
                 table.update(dict.fromkeys(map(q.__or__, rs), posterior))
@@ -157,28 +168,25 @@ def tabulate_traces(
 
 def bayesian_rule(prior: Belief) -> UpdatingRule:
     """Bayes updating wherever it is defined: domain is the feasible events."""
-    support, full = prior.support_mask, (1 << len(prior.space)) - 1
-    return tabulate_traces(prior.space, [(prior, support, full & ~support)])
+    return tabulate_traces(prior.space, [prior])
 
 
 def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     """Sticky updating: keep ``delta`` of the prior, update the rest.
 
     The rest is the OS rule of the hierarchy (prior, uniform on the null
-    states), tabulated by trace: the Bayes posterior on a feasible event,
-    the uniform belief over a null one.  Each distinct rest is mixed once.
+    states): the Bayes posterior on a feasible event, the uniform belief
+    over a null one.  Each distinct rest is mixed once.
     Complete but not concentrated for delta < 1 on any non-certain event,
     which is exactly what makes it a useful non-CPS foil.
     """
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise BadDelta(f"delta must lie in (0, 1], got {delta}")
-    space, support = prior.space, prior.support_mask
-    null = (1 << len(space)) - 1 & ~support
-    fills = [(prior, support, null)]
-    if null:
-        fills.append((Belief.uniform_on(Event(space, null)), null, 0))
-    rest = tabulate_traces(space, fills)._table
+    space = prior.space
+    null = (1 << len(space)) - 1 & ~prior.support_mask
+    priors = [prior, Belief.uniform_on(Event(space, null))] if null else [prior]
+    rest = tabulate_traces(space, priors)._table
     # one mix per posterior object: the tabulator shares one across its trace's block
     posts = dict(zip(map(id, rest.values()), rest.values()))
     mixed = {key: prior.mix(delta, post) for key, post in posts.items()}
@@ -228,7 +236,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     complete or not concentrated.  Otherwise peels the rule from the full
     space and certifies each event's belief as the Bayes update of the
     first peeled prior k meeting it, which is k's update on the trace
-    q = E & s_k: the posterior ``core.trace_updates(prior, s_k)`` yields
+    q = E & s_k: the posterior ``core.trace_updates(prior)`` yields
     for q.  A peeled prior that a tabulator walked already keeps those
     posteriors; any other builds its 2^|s_k| - 2 once and keeps them, so
     a second call on the same rule builds no belief.  All certified
@@ -266,7 +274,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         rs = lex_submasks(rest) if rest else (0,)
         uncertified += [
             e
-            for q, _, image in trace_updates(prior, support)
+            for q, _, image in trace_updates(prior)
             for e in map(q.__or__, rs)
             if table[e] is not image and table[e] != image
         ]

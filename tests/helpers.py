@@ -124,11 +124,6 @@ def coin_hierarchy() -> OSRepresentation:
     return OSRepresentation(space, (mu0, mu1, mu2))
 
 
-def money_utility(*amounts: Fraction | int) -> UtilityFunction:
-    """Linear utility over dollar labels, one entry per amount."""
-    return UtilityFunction({f"${a}": Fraction(a) for a in amounts})
-
-
 def bet(space: StateSpace, win: str, high: Lottery, low: Lottery) -> Act:
     return Act(space, {s: (high if s == win else low) for s in space.states})
 
@@ -374,6 +369,20 @@ def grid_hierarchies(n: int, den: int):
                 yield from extend([*priors, belief], held | belief.support_mask)
 
     yield from extend([], 0)
+
+
+def grid_weights(count: int, top: int = 3) -> list[tuple[Fraction, ...]]:
+    """Every top-heavy weight vector over ``count`` priors from integers 1 .. ``top``.
+
+    Each vector is normalized, and its first weight is strictly the
+    largest; vectors equal after normalizing appear once, in sorted order.
+    """
+    vectors = {
+        tuple(Fraction(w, sum(raw)) for w in raw)
+        for raw in itertools.product(range(1, top + 1), repeat=count)
+        if all(w < raw[0] for w in raw[1:])
+    }
+    return sorted(vectors)
 
 
 def fraction_belief(space: StateSpace, masses) -> Belief:

@@ -5,7 +5,9 @@ mass_j(E) * rho_j as a Fraction, a strict argmax and the tied indices.
 ``ht_select`` and ``ht_rule`` must agree with it on every event: the same
 branch, scores and chosen prior, the same posterior, and on a tie the same
 ``AmbiguousArgmax`` event and ``tied`` tuple (for ``ht_rule``, at the
-canonically first tied event).
+canonically first tied event).  Besides the seeded samples, every small
+grid hierarchy is swept under every small top-heavy weight vector, and
+both weight constructions are checked on the same grid.
 """
 
 import random
@@ -18,16 +20,27 @@ from beliefkit import (
     AmbiguousArgmax,
     Belief,
     HTRepresentation,
+    NoPriorExceedsThreshold,
     SelectionBranch,
     StateSpace,
     eps_os_construction,
+    eps_os_update,
     ht_rule,
     ht_select,
+    os_rule,
+    os_to_ht,
 )
-from helpers import fraction_bayes_update, fraction_ht_select, random_canonical_os
+from helpers import (
+    fraction_bayes_update,
+    fraction_ht_select,
+    grid_hierarchies,
+    grid_weights,
+    random_canonical_os,
+)
 
 SEED = 20261018
 CASES = 200
+GRID_EPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
 def random_representation(rng: random.Random) -> HTRepresentation:
@@ -117,6 +130,65 @@ def test_constructed_representations_match_the_fraction_oracle():
         assert_matches_oracle(eps_os_construction(h, eps).ht, counts)
     assert counts["tie"] == 0
     assert counts["argmax"] > 100
+
+
+def grid_domain():
+    """Every ``grid_hierarchies`` hierarchy at |S| <= 3 on the 1/2- and 1/3-grids: 217, 40 canonical."""
+    for n in (1, 2, 3):
+        for den in (2, 3):
+            yield from grid_hierarchies(n, den)
+
+
+def test_every_grid_hierarchy_under_every_grid_weight_matches_the_fraction_oracle():
+    """Every grid hierarchy, each top-heavy weight vector from integers 1-3, each grid threshold.
+
+    The domain: the 217 hierarchies of ``grid_domain`` (6 with one prior,
+    67 with two, 144 with three), weighted by each of ``grid_weights``' 1,
+    3 or 5 vectors, at each of the 4 thresholds in ``GRID_EPS``:
+    4 * 927 = 3708 representations.  Every entry is the selected prior's update, and a
+    rule with a tie raises ``AmbiguousArgmax`` at its canonically first
+    tied event, with the oracle's ``tied``.
+    """
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    tied_rules = representations = 0
+    for hier in grid_domain():
+        for rho in grid_weights(len(hier.priors)):
+            for eps in GRID_EPS:
+                ties = counts["tie"]
+                assert_matches_oracle(HTRepresentation(hier.space, hier.priors, rho, eps), counts)
+                tied_rules += counts["tie"] > ties
+                representations += 1
+    assert representations == 3708
+    # both branches, and a tie in over a third of the rules
+    assert counts["bayesian"] > 10000 and counts["argmax"] > 5000 and tied_rules > 1000
+
+
+def test_every_grid_hierarchy_is_reproduced_by_both_weight_constructions():
+    """``os_to_ht`` on every grid hierarchy; ``eps_os_construction`` on the canonical ones.
+
+    The domain is ``grid_domain``'s 217 hierarchies at |S| <= 3, and for
+    the thresholded construction its 40 canonical ones at each of the 4
+    thresholds in ``GRID_EPS``.  The rule of the constructed weights is the
+    hierarchy's rule, and on every event the thresholded update defines,
+    the constructed rule holds that update.
+    """
+    canonical = defined = 0
+    for hier in grid_domain():
+        assert ht_rule(os_to_ht(hier)) == os_rule(hier)
+        if not hier.is_canonical:
+            continue
+        canonical += 1
+        for eps in GRID_EPS:
+            rule = ht_rule(eps_os_construction(hier, eps).ht)
+            assert len(rule) == (1 << len(hier.space)) - 1
+            for e in hier.space.events():
+                try:
+                    update = eps_os_update(hier, eps, e)
+                except NoPriorExceedsThreshold:
+                    continue
+                defined += 1
+                assert rule[e] == update
+    assert canonical == 40 and defined
 
 
 def test_weights_are_stored_as_reduced_integers():

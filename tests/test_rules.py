@@ -155,7 +155,11 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
     The rests come from the trace tabulator and each mix is built from its
     integers, so ``Belief.__init__`` never runs, and the rule holds one
     entry object per mix: (2^|s| - 1) + (2^|null| - 1) for a support s,
-    which for a one-state support at |S| = 8 is 1 + 127.
+    which for a one-state support at |S| = 8 is 1 + 127.  The tabulator
+    asks each of its priors, the prior and the uniform belief on the null
+    states when there are any, once for its update on the states no
+    earlier one holds; the supports are disjoint, so each answer is the
+    prior itself.
     """
     updates, restricted, inits = [], [], []
     real_update, real_restricted, real_init = core.bayes_update, Belief.restricted, Belief.__init__
@@ -165,8 +169,9 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
         return real_update(mu, e)
 
     def counting_restricted(self, mask):
-        restricted.append(mask)
-        return real_restricted(self, mask)
+        update = real_restricted(self, mask)
+        restricted.append(update is self)
+        return update
 
     def counting_init(self, space, masses):
         inits.append(space)
@@ -185,9 +190,10 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
         for prior in priors:
             s = prior.support_mask.bit_count()
             for delta in (Fraction(1, 3), Fraction(5, 7), Fraction(1), 1):
-                before = len(inits)
+                before, asked = len(inits), len(restricted)
                 rule = conservative_rule(prior, delta)
                 assert len(inits) == before
+                assert restricted[asked:] == [True] * (1 + (s < n))
                 made = len({id(belief) for belief in rule._table.values()})
                 mixes.append((made, (2**s - 1) + (2 ** (n - s) - 1)))
                 want = fraction_conservative_rule(prior, Fraction(delta))
@@ -195,7 +201,7 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
                 assert [rule[e].support_mask for e in rule.events()] == [
                     want[e].support_mask for e in want.events()
                 ]
-    assert updates == [] and restricted == []
+    assert updates == []
     assert all(made == expected for made, expected in mixes)
     assert (128, 128) in mixes
 

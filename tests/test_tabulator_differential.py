@@ -33,7 +33,6 @@ from beliefkit import (
     StateSpace,
     TooManyStates,
     UtilityFunction,
-    ValidationError,
     bayes_update,
     bayesian_rule,
     conservative_rule,
@@ -49,7 +48,7 @@ from beliefkit import (
     ordered_surprises,
     preferences,
 )
-from helpers import fraction_conservative_rule, random_overlapping_os
+from helpers import canonical_form, fraction_conservative_rule, random_overlapping_os
 
 
 def belief_from(space: StateSpace, weights) -> Belief:
@@ -180,10 +179,13 @@ def test_family_computes_one_surprise_order_per_event(monkeypatch):
 def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     """Tables are keyed by mask; each posterior comes from a trace or from the prior's numerators.
 
-    The HT representation reaches the argmax, where it both misses and hits
-    its posterior cache; ``Belief.restricted`` runs only on those misses.
-    The foil builds one ``Event``, its null block, for the uniform belief
-    on it, and mixes each distinct posterior once.
+    The tabulator asks each prior once for its update on the states no
+    earlier prior holds; here every prior holds only such states, so each
+    answer is the prior itself.  The HT representation reaches the argmax,
+    where it both misses and hits its posterior cache; ``Belief.restricted``
+    runs again only on those misses.  The foil builds one ``Event``, its
+    null block, for the uniform belief on it, and mixes each distinct
+    posterior once.
     """
 
     def repeats_a_key(ht):  # two argmax events share a (prior, event & support)
@@ -213,7 +215,7 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
             fraction_conservative_rule(prior, Fraction(2, 5))._table,
         ),
     ]
-    events, updates, argmax, misses = [], [], [], []
+    events, updates, argmax, asked = [], [], [], []
     real_init, real_update = Event.__init__, core.bayes_update
     real_argmax, real_restricted = hypothesis_testing._argmax, Belief.restricted
 
@@ -230,8 +232,9 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         return real_argmax(ht, mask, scores)
 
     def counting_restricted(self, mask):
-        misses.append(mask)
-        return real_restricted(self, mask)
+        update = real_restricted(self, mask)
+        asked.append(update is self)
+        return update
 
     monkeypatch.setattr(Event, "__init__", counting_init)
     for module in (core, ordered_surprises, hypothesis_testing):
@@ -240,12 +243,14 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     monkeypatch.setattr(Belief, "restricted", counting_restricted)
     rules_built, counts = [], []
     for tabulate, arg, _ in cases:
-        del events[:], updates[:], misses[:]
+        del events[:], updates[:], asked[:]
         rules_built.append(tabulate(arg))
-        counts.append((events[:], updates[:], len(misses)))
-    assert counts[:2] == [([], [], 0)] * 2
-    assert counts[2][:2] == ([], []) and argmax and 0 < counts[2][2] < len(argmax)
-    assert counts[3] == ([null], [], 0)
+        counts.append((events[:], updates[:], asked[:]))
+    assert counts[:2] == [([], [], [True])] * 2
+    ht_events, ht_updates, (top, *misses) = counts[2]
+    assert (ht_events, ht_updates, top) == ([], [], True)
+    assert argmax and 0 < len(misses) < len(argmax)
+    assert counts[3] == ([null], [], [True, True])
     monkeypatch.undo()
     assert null == space.full_event.mask & ~prior.support_mask
     for rule, (_, _, expected) in zip(rules_built, cases):
@@ -303,36 +308,36 @@ def test_ht_rule_names_the_first_tie_reached_through_argmax_prefixes():
 
 
 def test_trace_updates_are_bayes_update_on_every_submask_of_every_own():
-    """Every own inside the support, proper ones too: canonical order, numerators, updates.
+    """A walk covers its prior's whole support; each own inside it is walked on its update.
 
-    Each own is walked twice: the second call reads the updates the first
-    one kept on the prior and must return the same sequence, the same
-    objects, with the prior itself as the update on its whole support.
+    Canonical order, numerators and updates.  Each prior is walked twice:
+    the second call reads the updates the first one kept on the prior and
+    must return the same sequence, the same objects, with the prior itself
+    as the update on its whole support.  The update on an own is
+    ``prior.restricted(own)``, whose walk gives the prior's updates on the
+    submasks of own.
     """
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 7)
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
         prior = belief_from(space, [rng.randint(0, 3) for _ in range(n - 1)] + [1])
-        partial = core.trace_updates(prior, prior.support_mask)
+        partial = core.trace_updates(prior)
         next(partial)
         del partial
         assert prior._traces is None  # only a walk run to its end is kept
-        for own in core.lex_submasks(prior.support_mask):
-            first = list(core.trace_updates(prior, own))
-            again = list(core.trace_updates(prior, own))
+        for own in core.lex_submasks(prior.support_mask)[1:]:
+            update = prior.restricted(own)
+            first = list(core.trace_updates(update))
+            again = list(core.trace_updates(update))
             assert [q for q, _, _ in first] == list(core.lex_submasks(own)[1:])
             assert [(q, num) for q, num, _ in again] == [(q, num) for q, num, _ in first]
             assert all(a is b for (_, _, a), (_, _, b) in zip(first, again))
             for q, num, posterior in first:
-                assert num == prior.mask_num(q)
+                assert num == update.mask_num(q)
                 assert posterior == bayes_update(prior, Event(space, q))
                 assert posterior.support_mask == q
-                assert (posterior is prior) == (q == prior.support_mask)
-        outside = ~prior.support_mask & (1 << n) - 1
-        if outside:
-            with pytest.raises(ValidationError):
-                next(core.trace_updates(prior, outside))
+                assert (posterior is update) == (q == own)
 
 
 def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
@@ -394,6 +399,43 @@ def test_tabulators_share_the_hierarchys_own_priors():
     assert all(top._table[mask] is rule._table[mask] for mask in accepted)
 
 
+def test_an_overlapping_hierarchy_decomposes_on_the_objects_its_rule_holds(monkeypatch):
+    """The peel reads each prior's update on the states no earlier prior holds, already walked.
+
+    First |S| = 12 with prior 1 on every state behind prior 0 on six, whose
+    update on the other six has 62 proper traces; then 30 seeded
+    hierarchies at |S| <= 8 whose supports may overlap, most of which do.
+    The tabulator walked each update it put in the table and kept the
+    walk, so ``cps_to_os`` builds no belief, and each recovered prior is
+    the table's own object at its peel event.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    top = belief_from(space, [i + 1 if i < 6 else 0 for i in range(12)])
+    behind = belief_from(space, [i % 5 + 1 for i in range(12)])
+    rng = random.Random(34)
+    hierarchies = [OSRepresentation(space, (top, behind))]
+    hierarchies += [random_overlapping_os(rng, max_states=8) for _ in range(30)]
+    assert sum(not hier.is_canonical for hier in hierarchies) > 15
+    built = []
+    real_init = Belief._init
+
+    def counting_init(self, *args):
+        built.append(args[3])
+        return real_init(self, *args)
+
+    for hier in hierarchies:
+        rule = os_rule(hier)
+        monkeypatch.setattr(Belief, "_init", counting_init)
+        recovered = cps_to_os(rule)
+        monkeypatch.undo()
+        assert built == []
+        rest = (1 << len(hier.space)) - 1
+        for prior in recovered.priors:
+            assert rule._table[rest] is prior
+            rest &= ~prior.support_mask
+        assert recovered == canonical_form(hier)
+
+
 def test_trace_updates_leave_no_reference_cycle():
     """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself."""
     gc.collect()
@@ -415,7 +457,7 @@ def test_a_kept_walk_does_not_skip_the_state_cap(monkeypatch):
     rule = os_rule(hier)
     construction = eps_os_construction(hier, Fraction(1, 4))
     ht = hypothesis_testing.os_to_ht(hier)
-    assert ht_rule(ht) == rule and hier.priors[0]._traces
+    assert ht_rule(ht) == rule and len(hier.priors[0]._traces) == 3  # two states
     monkeypatch.setenv("BELIEFKIT_MAX_STATES", "5")
     for tabulate in (
         lambda: os_rule(hier),
