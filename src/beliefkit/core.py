@@ -12,6 +12,10 @@ Events are bit subsets keyed to the declaration order of the state space.
 The canonical order over events, used everywhere a "first witness" is
 reported, is lexicographic on the sorted tuple of state indices: for states
 (a, b, c) it runs {a}, {a,b}, {a,b,c}, {a,c}, {b}, {b,c}, {c}.
+
+A prior's updates on the nonempty submasks of its support are walked once
+and kept on it: ``trace_updates`` yields them with their numerators,
+``trace_posteriors`` as two sequences, masks and updates, alone.
 """
 
 from __future__ import annotations
@@ -228,7 +232,8 @@ class Belief:
     integers.  Equality and hashing use those integers and the space;
     ``mass`` reads them as Fractions, built on first read.  A belief keeps
     the updates ``trace_updates`` walked from it, one per trace on its
-    support, so every tabulator reading the same prior shares them.
+    support, so every tabulator reading the same prior, and the
+    certificate through ``trace_posteriors``, shares them.
     """
 
     __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
@@ -517,31 +522,48 @@ def trace_updates(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
     builds the updates: in this preorder on the prefix tree each q extends
     its prefix's (numerators, sum, gcd), on a stack by depth, by one
     state's.  A walk run to its end leaves its updates on the prior, so a
-    later call builds no belief: it returns them with the masks and
+    later call builds no belief: it zips ``trace_posteriors`` with the
     numerators of ``_lex_sums``.  They are kept as long as the prior, one
     list slot per trace, and the prior's own slot holds None, so that no
     belief refers back to itself.
     """
-    space, nums, support = prior.space, prior.nums, prior.support_mask
-    states = mask_indices(support)
-    masks = space.canonical_masks() if support == (1 << len(nums)) - 1 else _lex_masks(states)
     if prior._traces is None:
-        return _walk(prior, states, masks)
+        return _walk(prior)
+    masks, posteriors = trace_posteriors(prior)
+    return zip(masks, _lex_sums([x for x in prior.nums if x]), posteriors)
+
+
+def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
+    """The nonempty q in ``prior``'s support, canonical order, and the update on each.
+
+    ``trace_updates`` without the numerators, as two sequences: it reads
+    the updates the prior keeps, after running the first walk to its end
+    when it keeps none.
+    """
+    if prior._traces is None:
+        for _ in _walk(prior):
+            pass
     posteriors = prior._traces.copy()
-    posteriors[len(states) - 1] = prior  # the whole support comes after its prefixes
-    return zip(masks, _lex_sums([nums[i] for i in states]), posteriors)
+    posteriors[prior.support_mask.bit_count() - 1] = prior  # the support follows its prefixes
+    return _trace_masks(prior), posteriors
 
 
-def _walk(
-    prior: Belief, states: list[int], masks: Sequence[int]
-) -> Iterator[tuple[int, int, Belief]]:
+def _trace_masks(prior: Belief) -> Sequence[int]:
+    # the nonempty submasks of the prior's support, canonical order
+    support = prior.support_mask
+    if support == (1 << len(prior.nums)) - 1:
+        return prior.space.canonical_masks()
+    return _lex_masks(mask_indices(support))
+
+
+def _walk(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
     # ``trace_updates`` on its first call for ``prior``
     space, nums, support = prior.space, prior.nums, prior.support_mask
     zeros = (0,) * len(nums)
-    tails = {i: (nums[i], *zeros[i + 1 :]) for i in states}
-    stack = [(zeros, 0, 0)] * (len(states) + 1)
+    tails = {i: (x, *zeros[i + 1 :]) for i, x in enumerate(nums) if x}
+    stack = [(zeros, 0, 0)] * (support.bit_count() + 1)
     posteriors: list[Belief | None] = []
-    for q in masks:
+    for q in _trace_masks(prior):
         top = q.bit_length() - 1
         depth = q.bit_count()
         kept, mass, g = stack[depth - 1]

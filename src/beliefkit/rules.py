@@ -11,14 +11,18 @@ hierarchy peeled from it (Myerson 1986).  So ``validate_cps`` peels the rule
 and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
 An update depends only on the event's trace on its prior's support, so
-the certificate tests each entry against the update ``core.trace_updates``
-yields for its trace: by identity where the table holds that posterior, as
-a rule tabulated on the same prior does, and by integer equality elsewhere.
-All later work grows with n and the set U of uncertified entries, not
-with 2^n: concentration is checked on the peeled entries and on U alone,
-and where an entry fails, a heap search from U finds the first violating
-triple under the canonical event order, the one an exhaustive scan would
-report, and places it in that scan in closed form.
+the certificate tests each entry against the update
+``core.trace_posteriors`` gives for its trace: by identity where the table
+holds that posterior, as a rule tabulated on the same prior does, and by
+integer equality elsewhere.  Peel k's entries form a grid, its traces Q_k
+by the sets R_k of later states, read along the longer side in one C-level
+list comparison per element of the shorter: sum_k min(|Q_k|, |R_k|)
+Python steps over exactly 2^n - 1 reads.  All later work grows with n and
+the set U of uncertified entries, not with 2^n: concentration is checked on
+the peeled entries and on U alone, and where an entry fails, a heap search
+from U finds the first violating triple under the canonical event order,
+the one an exhaustive scan would report, and places it in that scan in
+closed form.
 
 ``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
 ``ht_rule`` share one tabulator, ``tabulate_traces``, the OS rule of an
@@ -37,7 +41,8 @@ caller asks for one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
@@ -49,6 +54,7 @@ from .core import (
     as_fraction,
     lex_submasks,
     mask_indices,
+    trace_posteriors,
     trace_updates,
 )
 from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
@@ -236,10 +242,15 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     complete or not concentrated.  Otherwise peels the rule from the full
     space and certifies each event's belief as the Bayes update of the
     first peeled prior k meeting it, which is k's update on the trace
-    q = E & s_k: the posterior ``core.trace_updates(prior)`` yields
+    q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives
     for q.  A peeled prior that a tabulator walked already keeps those
     posteriors; any other builds its 2^|s_k| - 2 once and keeps them, so
-    a second call on the same rule builds no belief.  All certified
+    a second call on the same rule builds no belief.  The events q | r of
+    peel k, q in the traces Q_k and r in the sets R_k of later states,
+    are certified in sum_k min(|Q_k|, |R_k|) Python steps, each one list
+    comparison at C speed along the longer side, which reads exactly
+    2^n - 1 entries in all; only a failing step lists, in Python, the
+    events it leaves uncertified.  All certified
     proves the rule is the one the peeled hierarchy induces, hence a CPS:
     valid, with the peeled priors, and ``triples`` counts all 4^n - 2^n
     triples as certified for n states.  Concentration is checked only
@@ -256,13 +267,14 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     n = len(space)
     table = rule._table
     space.check_enumerable()
+    get = table.__getitem__
     rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
     uncertified: list[int] = []
     # Peel, and certify E's entry as the update of the first peeled prior k
     # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
-    # k, must hold, or equal, the posterior ``trace_updates`` yields for q.
+    # k, must hold, or equal, the posterior ``trace_posteriors`` gives for q.
     while rest:
         prior = table[rest]
         support = prior.support_mask
@@ -272,12 +284,19 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         peels.append(rest)
         rest &= ~support
         rs = lex_submasks(rest) if rest else (0,)
-        uncertified += [
-            e
-            for q, _, image in trace_updates(prior)
-            for e in map(q.__or__, rs)
-            if table[e] is not image and table[e] != image
-        ]
+        qs, images = trace_posteriors(prior)
+        if len(rs) <= len(qs):  # one step per r: its events q | r against every update
+            for r in rs:
+                held = list(map(get, map(or_, repeat(r), qs) if r else qs))
+                if held != images:
+                    pairs = zip(qs, held, images)
+                    uncertified += [q | r for q, h, i in pairs if h is not i and h != i]
+        else:  # one step per q: its events q | r against its update
+            for q, image in zip(qs, images):
+                held = list(map(get, map(or_, repeat(q), rs)))
+                if held.count(image) != len(held):
+                    pairs = zip(rs, held)
+                    uncertified += [q | r for r, h in pairs if h is not image and h != image]
     if any(table[f].support_mask & ~f for f in uncertified):
         return CpsValidation.not_candidate("not concentrated")
     if not uncertified:

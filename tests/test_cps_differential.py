@@ -9,15 +9,17 @@ and, exhaustively, every complete rule on a small rational grid and the
 rule of every small grid hierarchy.
 
 The certificate compares every event's entry with the update of its
-trace, its meet with the support of its first prior, that the peeled
-prior's kept ``trace_updates`` walk holds: by identity where the table
-shares that posterior, by value otherwise.  So some families aim at that
-comparison: many-prior tables of fresh beliefs, where no entry is
-another's object; a wrong trace entry shared by identity with all, or
-some, of the events that trace to it; and a wrong entry on the first, a
-middle or the last event that meets two supports.  Every rule is also
-validated as a fresh copy, whose peeled priors keep no walk, and must
-get the same answer, priors included.
+trace, its meet with the support of its first prior, that
+``trace_posteriors`` reads from the peeled prior's kept walk: by identity
+where the table shares that posterior, by value otherwise, one list
+comparison per trace or per set of later states, whichever are fewer.
+So some families aim at that comparison: many-prior tables of fresh
+beliefs, where no entry is another's object; a wrong trace entry shared
+by identity with all, or some, of the events that trace to it; and a
+wrong entry on the first, a middle or the last event that meets two
+supports.  One test also replaces each entry in turn on peels read along
+either side.  Every rule is also validated as a fresh copy, whose peeled
+priors keep no walk, and must get the same answer, priors included.
 
 The witness search starts from the uncertified entries, so one family
 makes many of them: every event of two or more states inside a later
@@ -455,15 +457,20 @@ def test_the_certificate_reads_numerators_once_per_peeled_prior(monkeypatch):
     assert counts["mask_num"] <= len(got.priors)
 
 
-def test_certifying_a_valid_rule_builds_no_belief_and_no_event(monkeypatch):
-    """Three priors at |S| = 9: the certificate compares the entries the
-    table holds, and no Bayes update or ``Event`` is made along the way."""
+def three_priors_at_nine() -> tuple[UpdatingRule, tuple[Belief, ...]]:
+    """The OS rule of three priors on three states each at |S| = 9, and its priors."""
     space = StateSpace(tuple(f"s{i}" for i in range(9)))
     chunks = (("s0", "s4", "s7"), ("s1", "s2", "s8"), ("s3", "s5", "s6"))
     priors = tuple(
         Belief(space, {s: Fraction(i + 1, 6) for i, s in enumerate(chunk)}) for chunk in chunks
     )
-    rule = os_rule(OSRepresentation(space, priors))
+    return os_rule(OSRepresentation(space, priors)), priors
+
+
+def test_certifying_a_valid_rule_builds_no_belief_and_no_event(monkeypatch):
+    """Three priors at |S| = 9: the certificate compares the entries the
+    table holds, and no Bayes update or ``Event`` is made along the way."""
+    rule, priors = three_priors_at_nine()
     built = []
     real = {"event": Event.__init__, "belief": Belief.__init__, "numerators": Belief._init}
 
@@ -481,6 +488,58 @@ def test_certifying_a_valid_rule_builds_no_belief_and_no_event(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert got.status == "valid" and got.priors == priors
+
+
+def test_the_certificate_compares_by_identity_and_reads_every_entry(monkeypatch):
+    """Three priors at |S| = 9, 511 entries.  Where the table holds the
+    kept posteriors, every entry is certified by identity and
+    ``Belief.__eq__`` never runs; on a fresh copy it runs once per entry
+    that is not a peeled prior, 2^9 - 1 - 3 times, so no entry goes unread."""
+    rule, priors = three_priors_at_nine()
+    copy = fresh(rule)
+    calls = []
+    real = Belief.__eq__
+
+    def counted(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Belief, "__eq__", counted)
+    kept = validate_cps(rule)
+    assert calls == []
+    copied = validate_cps(copy)
+    assert len(calls) == 2**9 - 1 - 3
+    monkeypatch.undo()
+    assert kept.status == copied.status == "valid" and kept.priors == priors
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (3, 2, 1)])
+def test_each_entry_is_certified_along_either_side_of_its_block(sizes):
+    """|S| = 6, canonical supports of the given sizes over interleaved
+    states.  Sizes (1, 2, 3) peel blocks of 1 x 32 and 3 x 8 traces by
+    later sets, certified one trace at a time, then 7 x 1, one later set
+    at a time; sizes (3, 2, 1) peel 7 x 8, then 3 x 2 and the tie 1 x 1.
+    Each event of two or more states gets, in turn, the uniform belief in
+    place of its entry wherever that differs, on the table and on a fresh
+    copy: the validator must give the exhaustive scan's answer."""
+    space = StateSpace(tuple(f"s{i}" for i in range(6)))
+    order, priors = ["s2", "s4", "s5", "s1", "s3", "s0"], []
+    for size in sizes:
+        chunk, order = order[:size], order[size:]
+        total = size * (size + 1) // 2
+        priors.append(Belief(space, {s: Fraction(i + 1, total) for i, s in enumerate(chunk)}))
+    rule = os_rule(OSRepresentation(space, tuple(priors)))
+    changed = 0
+    for event in rule.events():
+        uniform = Belief.uniform_on(event)
+        if len(event) < 2 or rule[event] == uniform:
+            continue
+        broken = replace(rule, {event: uniform})
+        expected = outcome(exhaustive_validate_cps(broken))
+        assert outcome(validate_cps(broken)) == expected, event
+        assert outcome(validate_cps(fresh(broken))) == expected, event
+        changed += 1
+    assert changed > 40
 
 
 def test_a_fresh_table_builds_each_peeled_walk_once(monkeypatch):
