@@ -14,8 +14,8 @@ reported, is lexicographic on the sorted tuple of state indices: for states
 (a, b, c) it runs {a}, {a,b}, {a,b,c}, {a,c}, {b}, {b,c}, {c}.
 
 A prior's updates on the nonempty submasks of its support are walked once
-and kept on it: ``trace_updates`` yields them with their numerators,
-``trace_posteriors`` as two sequences, masks and updates, alone.
+and kept on it: ``trace_posteriors`` reads them, with the masks, as two
+sequences; ``lex_sums`` gives the numerators in the same order.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ def as_threshold(value) -> Fraction:
     return eps
 
 
-def _lex_sums(values: Sequence[int]) -> list[int]:
-    # the sum of ``values`` over each nonempty set of their positions, in
-    # canonical order: with ``out`` the order over the later positions, the
-    # sets holding position i come first ({i}, then i joined to each of
-    # ``out``), then ``out``
+def lex_sums(values: Sequence[int]) -> list[int]:
+    """The sum of ``values`` over each nonempty set of their positions, canonical order.
+
+    With ``out`` the order over the later positions, the sets holding
+    position i come first ({i}, then i joined to each of ``out``), then
+    ``out``.
+    """
     out: list[int] = []
     for x in reversed(values):
         out = [x, *map(x.__add__, out), *out]
@@ -88,7 +90,7 @@ def _lex_sums(values: Sequence[int]) -> list[int]:
 def _lex_masks(indices: Sequence[int]) -> list[int]:
     # nonempty subsets of the given sorted indices, in canonical order: a
     # subset's mask is the sum of its bits
-    return _lex_sums([1 << i for i in indices])
+    return lex_sums([1 << i for i in indices])
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -231,9 +233,9 @@ class Belief:
     den > 0 and gcd(den, *nums) == 1, hence equal distributions store equal
     integers.  Equality and hashing use those integers and the space;
     ``mass`` reads them as Fractions, built on first read.  A belief keeps
-    the updates ``trace_updates`` walked from it, one per trace on its
+    the updates ``trace_posteriors`` walked from it, one per trace on its
     support, so every tabulator reading the same prior, and the
-    certificate through ``trace_posteriors``, shares them.
+    certificate, shares them.
     """
 
     __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
@@ -515,55 +517,36 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     return mu.restricted(e.mask)
 
 
-def trace_updates(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
-    """(q, num(q), update of ``prior`` on q) for each nonempty q in its support, canonical order.
-
-    The update on the whole support is the prior itself.  The first walk
-    builds the updates: in this preorder on the prefix tree each q extends
-    its prefix's (numerators, sum, gcd), on a stack by depth, by one
-    state's.  A walk run to its end leaves its updates on the prior, so a
-    later call builds no belief: it zips ``trace_posteriors`` with the
-    numerators of ``_lex_sums``.  They are kept as long as the prior, one
-    list slot per trace, and the prior's own slot holds None, so that no
-    belief refers back to itself.
-    """
-    if prior._traces is None:
-        return _walk(prior)
-    masks, posteriors = trace_posteriors(prior)
-    return zip(masks, _lex_sums([x for x in prior.nums if x]), posteriors)
-
-
 def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
     """The nonempty q in ``prior``'s support, canonical order, and the update on each.
 
-    ``trace_updates`` without the numerators, as two sequences: it reads
-    the updates the prior keeps, after running the first walk to its end
-    when it keeps none.
+    The update on the whole support is the prior itself.  The first call
+    walks the updates and keeps them on the prior, so a later call builds
+    no belief.  They are kept as long as the prior, one list slot per
+    trace, and the prior's own slot holds None, so that no belief refers
+    back to itself.  ``lex_sums`` of the prior's nonzero numerators gives
+    each q's numerator, in the same order.
     """
-    if prior._traces is None:
-        for _ in _walk(prior):
-            pass
-    posteriors = prior._traces.copy()
-    posteriors[prior.support_mask.bit_count() - 1] = prior  # the support follows its prefixes
-    return _trace_masks(prior), posteriors
-
-
-def _trace_masks(prior: Belief) -> Sequence[int]:
-    # the nonempty submasks of the prior's support, canonical order
     support = prior.support_mask
-    if support == (1 << len(prior.nums)) - 1:
-        return prior.space.canonical_masks()
-    return _lex_masks(mask_indices(support))
+    full = support == (1 << len(prior.nums)) - 1
+    masks = prior.space.canonical_masks() if full else _lex_masks(mask_indices(support))
+    if prior._traces is None:
+        _walk(prior, masks)
+    posteriors = prior._traces.copy()
+    posteriors[support.bit_count() - 1] = prior  # the support follows its prefixes
+    return masks, posteriors
 
 
-def _walk(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
-    # ``trace_updates`` on its first call for ``prior``
+def _walk(prior: Belief, masks: Sequence[int]) -> None:
+    # keep on ``prior`` its updates on ``masks``, None on the whole support:
+    # in this preorder on the prefix tree each q extends its prefix's
+    # (numerators, sum, gcd), on a stack by depth, by one state's
     space, nums, support = prior.space, prior.nums, prior.support_mask
     zeros = (0,) * len(nums)
     tails = {i: (x, *zeros[i + 1 :]) for i, x in enumerate(nums) if x}
     stack = [(zeros, 0, 0)] * (support.bit_count() + 1)
     posteriors: list[Belief | None] = []
-    for q in _trace_masks(prior):
+    for q in masks:
         top = q.bit_length() - 1
         depth = q.bit_count()
         kept, mass, g = stack[depth - 1]
@@ -571,7 +554,6 @@ def _walk(prior: Belief) -> Iterator[tuple[int, int, Belief]]:
         kept, mass, g = stack[depth] = kept[:top] + tails[top], mass + x, gcd(g, x)
         posterior = None if q == support else object.__new__(Belief)._init(space, mass, kept, q, g)
         posteriors.append(posterior)
-        yield q, mass, posterior or prior
     prior._traces = posteriors
 
 

@@ -43,14 +43,14 @@ is exactly 0.
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
-support's submasks, kept to the rows.  One walk over the submasks of each
-support, ``core.trace_updates``, gives every submask's numerator, each
-its prefix's plus one state's, and the conditional belief on it.  Every
-mass compared is a ratio of two such numerators, and every comparison is
-an integer cross-multiplication.  Two quantities have closed forms.  A
-class's gap limit is (den - m) / den with m the least numerator of a state
-x whose removal leaves a row (0 when there is none): the full support
-attains it, O(n) per class.  The cross-class maximum is the largest
+support's submasks, kept to the rows.  The prior's kept walk,
+``core.trace_posteriors``, gives the conditional belief on every submask
+of its support, and ``core.lex_sums`` each submask's numerator in the
+same order.  Every mass compared is a ratio of two such numerators, and
+every comparison is an integer cross-multiplication.  Two quantities have
+closed forms.  A class's gap limit is (den - m) / den with m the least
+numerator of a state x whose removal leaves a row (0 when there is none):
+the full support attains it, O(n) per class.  The cross-class maximum is the largest
 num(q) / lightest(q) over the submasks q below the threshold, lightest(q)
 being the least numerator of a row holding q; one pass in descending mask
 order reads it off q's one-state extensions, O(2^|s| * |s|) per class.
@@ -81,8 +81,9 @@ from .core import (
     as_threshold,
     bayes_update,
     lex_submasks,
+    lex_sums,
     mask_indices,
-    trace_updates,
+    trace_posteriors,
 )
 from .errors import (
     AmbiguousArgmax,
@@ -244,10 +245,11 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event.
 
     Propagates AmbiguousArgmax (with the offending event) if any event has
-    a tied argmax, since the rule is undefined there.  Events the top
-    prior accepts are filled by their trace on its support.
+    a tied argmax, since the rule is undefined there.  It is the top
+    prior's table, overwritten on the events that prior rejects; only
+    ``_rejected`` reads the threshold.
     """
-    return tabulate_traces(ht.space, ht.priors[:1], ht.eps, _rejected(ht))
+    return tabulate_traces(ht.space, ht.priors[:1], _rejected(ht))
 
 
 def _rejected(ht: HTRepresentation) -> Iterator[tuple[int, Belief]]:
@@ -393,7 +395,8 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         table = {0: 0}  # numerator of every submask of the support, canonical order
         updates: dict[int, Belief] = {}  # conditional support (row) -> its belief
         below: list[int] = []  # nonempty submasks at or below the threshold
-        for mask, num, posterior in trace_updates(prior):
+        masks, posteriors = trace_posteriors(prior)
+        for mask, num, posterior in zip(masks, lex_sums([x for x in nums if x]), posteriors):
             table[mask] = num
             if num * ed > cut:
                 updates[mask] = posterior

@@ -24,14 +24,26 @@ from U finds the first violating triple under the canonical event order,
 the one an exhaustive scan would report, and places it in that scan in
 closed form.
 
+Two states witness any violation: a complete, concentrated rule is a CPS
+iff the chain rule holds at every E, two-state F = {a, c} inside it and
+G = {a}, O(n^2 2^n) tests.  Let the rule fail at (E, F).  Then
+P(F|E) > 0, else both sides vanish, so p = b_E(.|F) and q = b_F differ.
+Take c with q(c) > 0, and a with p(a) > 0 if p(c) = 0, else with
+p(a) / p(c) != q(a) / q(c), as p != q.  Both give {a, c} positive mass,
+so the chain rule at (E, {a, c}) and at (F, {a, c}) would make b_{a,c}
+both p and q restricted to {a, c}, which differ.  So one pair breaks, and
+at G = {a}: its tests at {a} and {c} sum to the one at {a, c}, which
+concentration passes.
+
 ``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
 ``ht_rule`` share one tabulator, ``tabulate_traces``, the OS rule of an
 ordered prior list: each prior is updated on the states no earlier one
 holds (the prior itself when supports are disjoint), and each trace
 q = E & s_k on that update's support gets one posterior from
-``core.trace_updates``, which fills every event q | r of its block at
-once.  The prior keeps the posteriors it walked, so every later
-tabulation on the same prior object (and ``eps_os_construction``'s walk,
+``core.trace_posteriors``, which fills every event q | r of its block at
+once.  ``ht_rule`` is its top prior's table, overwritten on the events
+that prior rejects.  The prior keeps the posteriors it walked, so every
+later tabulation on the same prior object (and ``eps_os_construction``,
 and the certificate) builds none and shares them, and the posterior on
 the whole support is the prior itself.
 A rule stores its table by event mask; ``Event``s are built only where a
@@ -50,12 +62,10 @@ from .core import (
     CheckResult,
     Event,
     StateSpace,
-    ZERO,
     as_fraction,
     lex_submasks,
     mask_indices,
     trace_posteriors,
-    trace_updates,
 )
 from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
@@ -138,18 +148,15 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
 
 
 def tabulate_traces(
-    space: StateSpace,
-    priors: Iterable[Belief],
-    eps: Fraction = ZERO,
-    rest: Iterable[tuple[int, Belief]] = (),
+    space: StateSpace, priors: Iterable[Belief], rest: Iterable[tuple[int, Belief]] = ()
 ) -> UpdatingRule:
     """The OS rule of the ordered ``priors``: each event's update under the first prior meeting it.
 
     A prior holding states no earlier prior holds is updated on the states
     still unheld, which is the prior itself when supports are disjoint.
-    That update fills every q | r: q a nonempty submask of its support with
-    mass above ``eps``, r a submask of the states it leaves unheld.  Then
-    ``rest``'s (mask, belief) pairs.
+    That update fills every q | r: q a nonempty submask of its support, r a
+    submask of the states it leaves unheld.  Then ``rest``'s (mask, belief)
+    pairs overwrite.
     """
     space.check_enumerable()
     table: dict[int, Belief] = {}
@@ -159,15 +166,13 @@ def tabulate_traces(
             continue
         prior = prior.restricted(unheld)
         unheld ^= prior.support_mask
-        scale, cut = eps.denominator, eps.numerator * prior.den
-        walk = trace_updates(prior)
+        qs, posteriors = trace_posteriors(prior)
         if not unheld:
-            table.update([(q, posterior) for q, num, posterior in walk if num * scale > cut])
+            table.update(zip(qs, posteriors))
             continue
         rs = lex_submasks(unheld)
-        for q, num, posterior in walk:  # one posterior fills its block at C speed
-            if num * scale > cut:
-                table.update(dict.fromkeys(map(q.__or__, rs), posterior))
+        for q, posterior in zip(qs, posteriors):  # one posterior fills its block at C speed
+            table.update(dict.fromkeys(map(q.__or__, rs), posterior))
     table.update(rest)
     return object.__new__(UpdatingRule)._init(space, table)
 

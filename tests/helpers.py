@@ -38,14 +38,16 @@ from beliefkit.hypothesis_testing import EpsOsConstruction, HTRepresentation
 from beliefkit.ordered_surprises import min_order
 
 
-def random_canonical_os(rng: random.Random, max_states: int = 8) -> OSRepresentation:
+def random_canonical_os(
+    rng: random.Random, max_states: int = 8, min_states: int = 1
+) -> OSRepresentation:
     """Hierarchy with disjoint supports that jointly cover the space.
 
     States are shuffled and cut into consecutive chunks, one prior per
     chunk, so every representation is already canonical and every update
     is defined.  Integer weights keep failure output readable.
     """
-    n = rng.randint(1, max_states)
+    n = rng.randint(min_states, max_states)
     space = StateSpace(tuple(f"s{i}" for i in range(n)))
     labels = list(space.states)
     rng.shuffle(labels)
@@ -62,14 +64,16 @@ def random_canonical_os(rng: random.Random, max_states: int = 8) -> OSRepresenta
     return OSRepresentation(space, priors)
 
 
-def random_overlapping_os(rng: random.Random, max_states: int = 7) -> OSRepresentation:
+def random_overlapping_os(
+    rng: random.Random, max_states: int = 7, min_states: int = 1
+) -> OSRepresentation:
     """Hierarchy whose supports may overlap, jointly covering the space.
 
     Each prior gets a random nonempty support; states no support holds are
     then dealt out at random.  Later priors may be wholly explained by
     earlier ones, so the canonical form (``canonical_form``) can drop them.
     """
-    n = rng.randint(1, max_states)
+    n = rng.randint(min_states, max_states)
     space = StateSpace(tuple(f"s{i}" for i in range(n)))
     supports = [
         {s for s in space.states if rng.random() < 0.5} for _ in range(rng.randint(1, 4))
@@ -300,6 +304,35 @@ def exhaustive_validate_cps(rule: UpdatingRule) -> CpsValidation:
                     )
                     return CpsValidation.violation(witness, triples)
     return CpsValidation.valid(triples, ())
+
+
+def pair_validate(rule: UpdatingRule) -> str:
+    """Oracle for ``validate_cps``'s status, by the two-state theorem in ``rules``.
+
+    Not complete, then not concentrated, is "not-candidate", as there.
+    Otherwise the rule is a CPS iff the chain rule holds at every E and
+    every two-state F = {a, c} inside it, a < c, and G = {a} decides each
+    pair: with each belief's numerators over its own ``den``, one integer
+    cross-multiplication e[a] * den_F == f[a] * (e[a] + e[c]), O(n^2 2^n)
+    in all, with no peel.
+    """
+    if not is_complete(rule):
+        return "not-candidate"
+    space = rule.space
+    n = len(space)
+    table = {mask: rule[Event(space, mask)] for mask in range(1, 1 << n)}
+    for e, belief in table.items():
+        if any(num for i, num in enumerate(belief.nums) if not e >> i & 1):
+            return "not-candidate"
+    for e, belief in table.items():
+        nums = belief.nums
+        states = [i for i in range(n) if e >> i & 1]
+        for j, a in enumerate(states):
+            for c in states[j + 1 :]:
+                pair = table[1 << a | 1 << c]
+                if nums[a] * pair.den != pair.nums[a] * (nums[a] + nums[c]):
+                    return "violation"
+    return "valid"
 
 
 def grid_beliefs(event: Event, den: int) -> list[Belief]:

@@ -6,7 +6,9 @@ canonical and by overlapping hierarchies, tables with entries nudged or
 redrawn (including the entries the peel reads), fully random concentrated
 tables, and the non-candidates ``conservative_rule`` and ``bayesian_rule``;
 and, exhaustively, every complete rule on a small rational grid and the
-rule of every small grid hierarchy.
+rule of every small grid hierarchy.  Past the triple scan's reach, at
+|S| = 6 .. 12, the status is checked against ``helpers.pair_validate``,
+the scan of two-state pairs that the theorem in ``rules`` makes exact.
 
 The certificate compares every event's entry with the update of its
 trace, its meet with the support of its first prior, that
@@ -38,16 +40,20 @@ import pytest
 
 from beliefkit import core, rules
 from beliefkit import (
+    AmbiguousArgmax,
     Belief,
     Event,
+    HTRepresentation,
     OSRepresentation,
     StateSpace,
     UpdatingRule,
     bayesian_rule,
     conservative_rule,
     cps_to_os,
+    ht_rule,
     is_concentrated,
     os_rule,
+    os_to_ht,
     validate_cps,
 )
 from helpers import (
@@ -55,6 +61,7 @@ from helpers import (
     exhaustive_validate_cps,
     grid_hierarchies,
     grid_rules,
+    pair_validate,
     random_belief_on,
     random_canonical_os,
     random_overlapping_os,
@@ -338,6 +345,7 @@ def test_validate_cps_matches_the_exhaustive_scan_on_every_grid_rule():
         assert outcome(got) == outcome(exhaustive_validate_cps(rule)), {
             event.members: rule[event] for event in rule.events()
         }
+        assert pair_validate(rule) == got.status
         statuses[got.status] += 1
     assert statuses == {"valid": 39, "violation": 772, "not-candidate": 158}
 
@@ -650,3 +658,63 @@ def test_a_late_violation_costs_one_pair_test(monkeypatch):
         16511520,
     )
     assert len(calls) == 1
+
+
+def breaks_the_chain_rule(rule: UpdatingRule, witness) -> bool:
+    """The witness is a nested triple whose two sides, in Fractions from the table, differ."""
+    g, f, e = witness.g, witness.f, witness.e
+
+    def mass(given: Event, event: Event) -> Fraction:
+        return sum((rule[given].mass[i] for i in event.indices), Fraction(0))
+
+    lhs, rhs = mass(e, g), mass(f, g) * mass(e, f)
+    nested = g.mask & ~f.mask == 0 and f.mask & ~e.mask == 0 and f.mask != 0
+    return nested and (lhs, rhs) == (witness.lhs, witness.rhs) and lhs != rhs
+
+
+def pair_oracle_rules(rng: random.Random, n: int):
+    """One table of each kind at |S| = n, by name."""
+    hier = random_canonical_os(rng, n, n)
+    overlap = random_overlapping_os(rng, n, n)
+    rule = os_rule(overlap)
+    yield "canonical", os_rule(hier)
+    yield "overlapping", rule
+    redrawn = {e: random_belief_on(rng, e) for e in touched_events(rng, rule)}
+    yield "perturbed", replace(rule, redrawn)
+    eps = rng.choice((Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)))
+    for source in (hier, overlap):
+        raw = [rng.randint(1, 4) for _ in source.priors[1:]]
+        raw = [max(raw, default=0) + 1, *raw]
+        for rho in (os_to_ht(source).rho, [Fraction(w, sum(raw)) for w in raw]):
+            try:
+                yield "ht", ht_rule(HTRepresentation(source.space, source.priors, rho, eps))
+            except AmbiguousArgmax:
+                pass
+    yield "conservative", conservative_rule(hier.priors[0], Fraction(rng.randint(1, 4), 4))
+    yield "fresh", fresh(os_rule(hier))
+
+
+def test_validate_cps_gives_the_two_state_scans_status_up_to_twelve_states():
+    """``validate_cps`` against ``helpers.pair_validate`` at |S| = 6 .. 12, beyond the triple scan.
+
+    Twice per |S|, with seeded hierarchies: the rules of a canonical and an
+    overlapping one, the overlapping one's table with one to three entries
+    redrawn, ``ht_rule`` of each hierarchy's priors at a threshold in
+    {1/8, 1/4, 1/3} under ``os_to_ht``'s weights (a CPS) and under random
+    top-heavy ones (skipped on a tie), ``conservative_rule`` of the
+    canonical top prior, and the canonical rule rebuilt entry by entry:
+    122 rules, 52 of them ``ht_rule`` tables.  Every status must match,
+    and every witness must break the chain rule.
+    """
+    rng = random.Random("cps-pair-oracle")
+    statuses = Counter()
+    for n in [*range(6, 13)] * 2:
+        for kind, rule in pair_oracle_rules(rng, n):
+            got = validate_cps(rule)
+            assert got.status == pair_validate(rule), (kind, n)
+            if got.status == "violation":
+                assert breaks_the_chain_rule(rule, got.witness), (kind, n)
+            statuses[kind, got.status] += 1
+    assert statuses["ht", "valid"] and statuses["ht", "violation"]
+    assert statuses["perturbed", "violation"] and statuses["conservative", "not-candidate"]
+    assert statuses["fresh", "valid"] == 14 and sum(statuses.values()) == 122

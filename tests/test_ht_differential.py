@@ -72,8 +72,16 @@ def random_representation(rng: random.Random) -> HTRepresentation:
 
 
 def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
+    """Check ``ht_select`` on every event and ``ht_rule`` as a whole; tally what was reached.
+
+    ``counts["overwrite"]`` gains, for a rule with no tie, its thresholded
+    argmax events on which the top prior has positive mass and a later
+    prior wins: ``ht_rule`` fills those from the top prior's table first,
+    so their entries rest on the rejected walk overwriting that fill.
+    """
     first_tie = None
     expected = {}
+    overwritten = 0
     for e in ht.space.events():
         bayesian, scores, tied = fraction_ht_select(ht, e)
         if len(tied) > 1:
@@ -91,9 +99,11 @@ def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
         assert trace.chosen == tied[0]
         if scores is not None:
             assert trace.scores == scores
+            overwritten += ht.eps > 0 and scores[0] > 0 and tied[0] != 0
         expected[e] = fraction_bayes_update(ht.priors[tied[0]], e)
         assert belief == expected[e]
     if first_tie is None:
+        counts["overwrite"] += overwritten
         rule = ht_rule(ht)
         assert len(rule) == len(expected)
         for e, belief in expected.items():
@@ -106,7 +116,7 @@ def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
 
 def test_selection_matches_the_fraction_oracle():
     rng = random.Random(SEED)
-    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0, "overwrite": 0}
     tied_rules = thresholded_argmax = 0
     for _ in range(CASES):
         ht = random_representation(rng)
@@ -123,7 +133,7 @@ def test_selection_matches_the_fraction_oracle():
 def test_constructed_representations_match_the_fraction_oracle():
     """Thresholded constructions: up to 63 priors, no ties by design."""
     rng = random.Random(SEED + 1)
-    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0, "overwrite": 0}
     for _ in range(30):
         h = random_canonical_os(rng, max_states=6)
         eps = rng.choice((Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)))
@@ -147,9 +157,11 @@ def test_every_grid_hierarchy_under_every_grid_weight_matches_the_fraction_oracl
     3 or 5 vectors, at each of the 4 thresholds in ``GRID_EPS``:
     4 * 927 = 3708 representations.  Every entry is the selected prior's update, and a
     rule with a tie raises ``AmbiguousArgmax`` at its canonically first
-    tied event, with the oracle's ``tied``.
+    tied event, with the oracle's ``tied``.  The tie-free rules hold 156
+    entries where a positive threshold rejects a top prior of positive
+    mass and a later prior wins, each checked against the oracle.
     """
-    counts = {"tie": 0, "bayesian": 0, "argmax": 0}
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0, "overwrite": 0}
     tied_rules = representations = 0
     for hier in grid_domain():
         for rho in grid_weights(len(hier.priors)):
@@ -161,6 +173,8 @@ def test_every_grid_hierarchy_under_every_grid_weight_matches_the_fraction_oracl
     assert representations == 3708
     # both branches, and a tie in over a third of the rules
     assert counts["bayesian"] > 10000 and counts["argmax"] > 5000 and tied_rules > 1000
+    # entries where the rejected walk overwrites the top prior's fill (156 of them)
+    assert counts["overwrite"] > 150
 
 
 def test_every_grid_hierarchy_is_reproduced_by_both_weight_constructions():

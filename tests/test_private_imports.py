@@ -17,7 +17,9 @@ every private method and ``__slots__`` entry of a class, read somewhere
 in the package outside its own definition, so dead internal code cannot
 linger.  A seventh does the same for every public method and property of
 a package class, with the benchmark's reads counted too, so that no
-public member lives only for its own tests.
+public member lives only for its own tests.  An eighth holds every public
+module-level function that the package does not export to a read in the
+package, outside its own definition, or in the benchmark.
 """
 
 import ast
@@ -613,4 +615,96 @@ def test_the_rule_sees_unread_public_members(tmp_path):
         "core.py:12: Event.support",
         "core.py:15: Event.empty",
         "core.py:20: Event.undefined",
+    ]
+
+
+def exported_names(init: Path) -> dict[str, tuple[str, ...]]:
+    """The ``_EXPORTS`` literal of a package ``__init__``: module name -> public names."""
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def unread_public_functions(
+    paths: list[Path], readers: list[Path], exports: dict[str, tuple[str, ...]]
+) -> list[str]:
+    """Public module-level functions, not exported, that nothing reads.
+
+    A read is a ``Name`` or attribute load of the function's name in any
+    of ``paths`` or ``readers`` outside the function's own definition, so
+    a function only its own body calls is dead.  Reads in the function's
+    own module count: the CLI reaches its subcommand handlers through a
+    table in its own module.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in {*paths, *readers}}
+    reads = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    found = []
+    for path in paths:
+        for stmt in trees[path].body:
+            if (
+                not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or stmt.name.startswith("_")
+                or stmt.name in exports.get(path.stem, ())
+            ):
+                continue
+            inside = {id(node) for node in ast.walk(stmt)}
+            if not any(name == stmt.name and id(node) not in inside for node, name in reads):
+                found.append(f"{path.name}:{stmt.lineno}: {stmt.name}")
+    return found
+
+
+def test_every_unexported_public_function_has_a_reader():
+    paths = sorted(SRC.glob("*.py"))
+    exports = exported_names(SRC / "__init__.py")
+    assert unread_public_functions(paths, sorted(BENCH.glob("*.py")), exports) == []
+
+
+def test_the_rule_sees_unread_public_functions(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "def lex_sums(values):\n"
+        "    return list(values)\n"
+        "def trace_updates(prior):\n"
+        "    return trace_updates(lex_sums(prior))\n"
+        "def bayes_update(prior, event):\n"
+        "    return prior\n"
+        "def mask_indices(mask):\n"
+        "    return [mask]\n"
+        "def cmd_check(args):\n"
+        "    return args\n"
+        "HANDLERS = {'check': cmd_check}\n"
+        "async def fetch(mask):\n"
+        "    return mask\n"
+        "def _walk(prior):\n"
+        "    return prior\n"
+        "class Belief:\n"
+        "    def restricted(self, mask):\n"
+        "        return self\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "rules.py").write_text(
+        "from .core import Belief\n"
+        "def tabulate(prior):\n"
+        "    return Belief.restricted(prior, 0)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "workloads.py").write_text(
+        "from beliefkit import core\n"
+        "def run(prior):\n"
+        "    return core.mask_indices(prior)\n",
+        encoding="utf-8",
+    )
+    exports = {"core": ("bayes_update",)}
+    paths = [tmp_path / "core.py", tmp_path / "rules.py"]
+    assert unread_public_functions(paths, [tmp_path / "workloads.py"], exports) == [
+        "core.py:3: trace_updates",
+        "core.py:12: fetch",
+        "rules.py:2: tabulate",
     ]

@@ -32,6 +32,7 @@ from helpers import (
     coin_hierarchy,
     fraction_bayes_update,
     fraction_conservative_rule,
+    grid_beliefs,
     random_belief_on,
 )
 
@@ -204,6 +205,29 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
     assert updates == []
     assert all(made == expected for made, expected in mixes)
     assert (128, 128) in mixes
+
+
+def test_every_grid_prior_gives_the_fraction_oracles_foil():
+    """``conservative_rule`` against ``fraction_conservative_rule`` on the small grid.
+
+    The domain: every ``grid_beliefs(space.full_event, den)`` prior at
+    |S| <= 3 for den in {2, 3} (2, 7 and 16 priors at |S| = 1, 2 and 3:
+    25), each at delta in {1/3, 1/2, 1}: 75 rules.  The 19 priors whose
+    support misses a state run the tabulator's two-prior path, the
+    prior's partial support, then the uniform belief on the null states.
+    """
+    rules = partial = 0
+    for n in (1, 2, 3):
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        for den in (2, 3):
+            for prior in grid_beliefs(space.full_event, den):
+                partial += prior.support_mask != (1 << n) - 1
+                for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                    assert conservative_rule(prior, delta) == fraction_conservative_rule(
+                        prior, delta
+                    )
+                    rules += 1
+    assert (rules, partial) == (75, 19)
 
 
 def test_events_outside_the_domain_are_a_typed_key_error(half_half):

@@ -2,7 +2,7 @@
 
 ``bayesian_rule``, ``conservative_rule``, ``os_rule`` and ``ht_rule``
 all tabulate through ``rules.tabulate_traces``: one posterior per
-(prior, trace), from ``core.trace_updates``, fills every event with that
+(prior, trace), from ``core.trace_posteriors``, fills every event with that
 trace, and ``ht_rule`` walks the events its top prior rejects for the
 argmax.  Each rule must equal the per-event update it stands for on
 every event: ``bayes_update``, ``os_update`` and ``ht_select`` (and the
@@ -307,33 +307,29 @@ def test_ht_rule_names_the_first_tie_reached_through_argmax_prefixes():
         assert tie.value.tied == (1, 2, 3)
 
 
-def test_trace_updates_are_bayes_update_on_every_submask_of_every_own():
+def test_trace_posteriors_are_bayes_update_on_every_submask_of_every_own():
     """A walk covers its prior's whole support; each own inside it is walked on its update.
 
-    Canonical order, numerators and updates.  Each prior is walked twice:
-    the second call reads the updates the first one kept on the prior and
-    must return the same sequence, the same objects, with the prior itself
-    as the update on its whole support.  The update on an own is
-    ``prior.restricted(own)``, whose walk gives the prior's updates on the
-    submasks of own.
+    Canonical order, numerators (``lex_sums`` of the nonzero ones) and
+    updates.  Each prior is read twice: the second call reads the updates
+    the first one kept on the prior and must return the same masks and
+    the same objects, with the prior itself as the update on its whole
+    support.  The update on an own is ``prior.restricted(own)``, whose
+    walk gives the prior's updates on the submasks of own.
     """
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 7)
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
         prior = belief_from(space, [rng.randint(0, 3) for _ in range(n - 1)] + [1])
-        partial = core.trace_updates(prior)
-        next(partial)
-        del partial
-        assert prior._traces is None  # only a walk run to its end is kept
         for own in core.lex_submasks(prior.support_mask)[1:]:
             update = prior.restricted(own)
-            first = list(core.trace_updates(update))
-            again = list(core.trace_updates(update))
-            assert [q for q, _, _ in first] == list(core.lex_submasks(own)[1:])
-            assert [(q, num) for q, num, _ in again] == [(q, num) for q, num, _ in first]
-            assert all(a is b for (_, _, a), (_, _, b) in zip(first, again))
-            for q, num, posterior in first:
+            masks, first = core.trace_posteriors(update)
+            again_masks, again = core.trace_posteriors(update)
+            assert list(masks) == list(again_masks) == list(core.lex_submasks(own)[1:])
+            assert all(a is b for a, b in zip(first, again))
+            nums = core.lex_sums([x for x in update.nums if x])
+            for q, num, posterior in zip(masks, nums, first, strict=True):
                 assert num == update.mask_num(q)
                 assert posterior == bayes_update(prior, Event(space, q))
                 assert posterior.support_mask == q
@@ -436,7 +432,7 @@ def test_an_overlapping_hierarchy_decomposes_on_the_objects_its_rule_holds(monke
         assert recovered == canonical_form(hier)
 
 
-def test_trace_updates_leave_no_reference_cycle():
+def test_kept_trace_walks_leave_no_reference_cycle():
     """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself."""
     gc.collect()
     gc.disable()
