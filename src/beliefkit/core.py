@@ -16,6 +16,8 @@ reported, is lexicographic on the sorted tuple of state indices: for states
 A prior's updates on the nonempty submasks of its support are walked once
 and kept on it: ``trace_posteriors`` reads them, with the masks, as two
 sequences; ``lex_sums`` gives the numerators in the same order.
+``kept_update`` keeps a prior's update on a proper part of its support the
+same way, so a tabulator reading the prior again builds no belief.
 """
 
 from __future__ import annotations
@@ -235,10 +237,11 @@ class Belief:
     ``mass`` reads them as Fractions, built on first read.  A belief keeps
     the updates ``trace_posteriors`` walked from it, one per trace on its
     support, so every tabulator reading the same prior, and the
-    certificate, shares them.
+    certificate, shares them; and the updates ``kept_update`` made, by
+    trace.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces", "_kept")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -275,6 +278,7 @@ class Belief:
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
         self._traces: list[Belief | None] | None = None
+        self._kept: dict[int, Belief] | None = None
         return self
 
     @classmethod
@@ -535,6 +539,24 @@ def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
     posteriors = prior._traces.copy()
     posteriors[support.bit_count() - 1] = prior  # the support follows its prefixes
     return masks, posteriors
+
+
+def kept_update(prior: Belief, mask: int) -> Belief:
+    """``prior.restricted(mask)``, kept on the prior by its trace, so a later call builds none.
+
+    The update on a mask holding the whole support is the prior itself,
+    and is not kept, so that no belief refers to itself.
+    """
+    trace = mask & prior.support_mask
+    kept = prior._kept
+    if kept is not None and trace in kept:
+        return kept[trace]
+    update = prior.restricted(mask)
+    if update is not prior:
+        if kept is None:
+            kept = prior._kept = {}
+        kept[trace] = update
+    return update
 
 
 def _walk(prior: Belief, masks: Sequence[int]) -> None:

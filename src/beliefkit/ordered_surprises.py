@@ -109,7 +109,7 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
 
 
 def os_rule(os: OSRepresentation) -> UpdatingRule:
-    """Tabulate the induced rule on every nonempty event."""
+    """The induced rule on every nonempty event, holding the hierarchy's walked prior list."""
     if not os.covers_space:
         os.space.check_enumerable()  # the state cap comes before the coverage check
         raise IncompleteCoverage(

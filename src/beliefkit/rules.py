@@ -1,4 +1,4 @@
-"""Belief-updating rules as finite tables, and the chain-rule validator.
+"""Belief-updating rules as finite tables or ordered prior lists, and the chain-rule validator.
 
 An updating rule maps conditioning events to posterior beliefs.  A rule is a
 conditional probability system (CPS) when it is complete (defined on every
@@ -38,16 +38,26 @@ concentration passes.
 ``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
 ``ht_rule`` share one tabulator, ``tabulate_traces``, the OS rule of an
 ordered prior list: each prior is updated on the states no earlier one
-holds (the prior itself when supports are disjoint), and each trace
-q = E & s_k on that update's support gets one posterior from
-``core.trace_posteriors``, which fills every event q | r of its block at
-once.  ``ht_rule`` is its top prior's table, overwritten on the events
-that prior rejects.  The prior keeps the posteriors it walked, so every
-later tabulation on the same prior object (and ``eps_os_construction``,
-and the certificate) builds none and shares them, and the posterior on
-the whole support is the prior itself.
-A rule stores its table by event mask; ``Event``s are built only where a
-caller asks for one.
+holds (the prior itself when supports are disjoint, else an update the
+prior keeps), and that update's posterior on a trace q = E & s_k, from
+``core.trace_posteriors``, is the entry on every event q | r of its
+block.  ``os_rule`` and ``bayesian_rule`` return a rule that holds this
+list, one (update, later states) block per prior, and no table.  Its
+``len``, ``events`` and ``==``, and ``is_complete``, ``is_concentrated``,
+``rules_equal``, ``validate_cps`` and ``cps_to_os``, read it a block at
+a time: such a rule peels to its own list, and the certificate and the
+comparisons produce each row or column of a block as a list and compare
+it as they would a table's, so every entry is still compared but no
+2^n dict is built.  A per-entry read (``[]``, ``get``, ``in``) fills
+the table once from the kept walks, and keeps it.  Tables that come
+from data stay tables: ``UpdatingRule(space, mapping)``, ``ht_rule``
+(its top prior's table, overwritten on the events that prior rejects)
+and ``conservative_rule`` (each posterior mixed once).  The prior keeps
+the posteriors it walked, so every later tabulation on the same prior
+object (and ``eps_os_construction``, and the certificate) builds none
+and shares them, and the posterior on the whole support is the prior
+itself.  A table is stored by event mask; ``Event``s are built only
+where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .core import (
     Event,
     StateSpace,
     as_fraction,
+    kept_update,
     lex_submasks,
     mask_indices,
     trace_posteriors,
@@ -71,12 +82,21 @@ from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
 
 class UpdatingRule:
-    """An immutable table from conditioning events to beliefs, stored by mask.
+    """An immutable rule from conditioning events to beliefs: a table, or a prior list.
 
-    Anything but an event over an equal state space is outside the domain.
+    A table is stored by mask.  A rule ``tabulate_traces`` returns without
+    ``rest`` holds the ordered prior list instead, as blocks (update,
+    later, qs, posteriors, rs): each prior's update on the states no
+    earlier one holds, the states it leaves unheld, and its grid, whose
+    posterior on a trace q in qs is the entry on q | r for every r in rs,
+    the submasks of the later states.  A per-entry read of such a rule
+    fills its table once, from the kept walks, and keeps it; ``len``,
+    ``events``, ``==`` and the module's checks read the blocks and fill
+    nothing.  Anything but an event over an equal state space is outside
+    the domain.
     """
 
-    __slots__ = ("space", "_table")
+    __slots__ = ("space", "_entries", "_blocks")
 
     def __init__(self, space: StateSpace, table: Mapping[Event, Belief]):
         checked: dict[int, Belief] = {}
@@ -90,15 +110,33 @@ class UpdatingRule:
             checked[event.mask] = belief
         self._init(space, checked)
 
-    def _init(self, space: StateSpace, table: dict[int, Belief]) -> "UpdatingRule":
-        # the one initializer: keys are nonempty masks over ``space``, values beliefs over it
+    def _init(
+        self, space: StateSpace, table: dict[int, Belief] | None, blocks: tuple | None = None
+    ) -> "UpdatingRule":
+        # the one initializer: keys are nonempty masks over ``space``, values
+        # beliefs over it; a prior list's rule passes its blocks and no table
         self.space = space
-        self._table = table
+        self._entries = table
+        self._blocks = blocks
         return self
+
+    @property
+    def _table(self) -> dict[int, Belief]:
+        """The entries by mask, filled from the blocks on first read."""
+        if self._entries is None:
+            self._entries = _fill(self._blocks)
+        return self._entries
 
     def events(self) -> tuple[Event, ...]:
         """Domain events in canonical order."""
-        return tuple([Event(self.space, mask) for mask in sorted(self._table, key=mask_indices)])
+        if self._blocks is None:
+            masks = sorted(self._entries, key=mask_indices)
+        else:  # the events meeting some support
+            unheld = self._blocks[-1][1]
+            masks = self.space.canonical_masks()
+            if unheld:
+                masks = [mask for mask in masks if mask & ~unheld]
+        return tuple([Event(self.space, mask) for mask in masks])
 
     def __getitem__(self, event: Event) -> Belief:
         belief = self.get(event)
@@ -115,19 +153,39 @@ class UpdatingRule:
         return self.get(event) is not None
 
     def __len__(self) -> int:
-        return len(self._table)
+        if self._blocks is None:
+            return len(self._entries)
+        return (1 << len(self.space)) - (1 << self._blocks[-1][1].bit_count())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UpdatingRule)
-            and self.space == other.space
-            and self._table == other._table
-        )
+        if not isinstance(other, UpdatingRule) or self.space != other.space:
+            return False
+        if self._blocks is None and other._blocks is None:
+            return self._entries == other._entries
+        listed, table = (self, other) if self._blocks is not None else (other, self)
+        return not _differences(listed, table)
 
     __hash__ = None  # left unhashable: a hash would walk the whole table
 
     def __repr__(self) -> str:
-        return f"UpdatingRule(<{len(self._table)} events over {len(self.space)} states>)"
+        return f"UpdatingRule(<{len(self)} events over {len(self.space)} states>)"
+
+
+def _fill(blocks: tuple, mix=None) -> dict[int, Belief]:
+    """The table of a prior list's blocks, each posterior first passed through ``mix`` if given.
+
+    One posterior fills every event q | r of its block at C speed.
+    """
+    table: dict[int, Belief] = {}
+    for _, later, qs, posteriors, rs in blocks:
+        if mix is not None:
+            posteriors = list(map(mix, posteriors))
+        if not later:
+            table.update(zip(qs, posteriors))
+            continue
+        for q, posterior in zip(qs, posteriors):
+            table.update(dict.fromkeys(map(q.__or__, rs), posterior))
+    return table
 
 
 def is_complete(rule: UpdatingRule) -> bool:
@@ -138,41 +196,54 @@ def is_complete(rule: UpdatingRule) -> bool:
 def is_concentrated(rule: UpdatingRule) -> CheckResult:
     """Check P(E|E) = 1 on the whole domain; witness the first failure.
 
-    The table is scanned in any order; only when some event fails is the
-    canonically first failure picked out.
+    A table is scanned in any order.  A prior list's entry on q | r is its
+    posterior on the trace q, so each posterior is tested once, and a
+    failing one names the events of its block that it leaks out of.  Only
+    when some event fails is the canonically first failure picked out.
     """
-    failed = [mask for mask, belief in rule._table.items() if belief.support_mask & ~mask]
+    blocks = rule._blocks
+    if blocks is None:
+        failed = [mask for mask, belief in rule._entries.items() if belief.support_mask & ~mask]
+    else:
+        failed = []
+        for _, _, qs, posteriors, rs in blocks:
+            for q, posterior in zip(qs, posteriors):
+                leak = posterior.support_mask & ~q
+                if leak:
+                    failed += [q | r for r in rs if leak & ~r]
     if failed:
         return CheckResult(False, Event(rule.space, min(failed, key=mask_indices)))
     return CheckResult(True)
 
 
 def tabulate_traces(
-    space: StateSpace, priors: Iterable[Belief], rest: Iterable[tuple[int, Belief]] = ()
+    space: StateSpace,
+    priors: Iterable[Belief],
+    rest: Iterable[tuple[int, Belief]] | None = None,
 ) -> UpdatingRule:
     """The OS rule of the ordered ``priors``: each event's update under the first prior meeting it.
 
     A prior holding states no earlier prior holds is updated on the states
-    still unheld, which is the prior itself when supports are disjoint.
-    That update fills every q | r: q a nonempty submask of its support, r a
-    submask of the states it leaves unheld.  Then ``rest``'s (mask, belief)
-    pairs overwrite.
+    still unheld, which is the prior itself when supports are disjoint,
+    and kept on the prior otherwise (``core.kept_update``).  That update's
+    trace walk is made or read now, so reading the rule builds no belief.
+    Its posterior on q is the entry on every q | r: q a nonempty submask
+    of its support, r a submask of the states it leaves unheld.  Without
+    ``rest`` the rule holds these blocks, each with its grid; with it,
+    their table, then ``rest``'s (mask, belief) pairs overwrite.
     """
     space.check_enumerable()
-    table: dict[int, Belief] = {}
+    blocks = []
     unheld = (1 << len(space)) - 1
     for prior in priors:
         if not prior.support_mask & unheld:
             continue
-        prior = prior.restricted(unheld)
-        unheld ^= prior.support_mask
-        qs, posteriors = trace_posteriors(prior)
-        if not unheld:
-            table.update(zip(qs, posteriors))
-            continue
-        rs = lex_submasks(unheld)
-        for q, posterior in zip(qs, posteriors):  # one posterior fills its block at C speed
-            table.update(dict.fromkeys(map(q.__or__, rs), posterior))
+        update = kept_update(prior, unheld)
+        unheld ^= update.support_mask
+        blocks.append((update, unheld, *trace_posteriors(update), lex_submasks(unheld)))
+    if rest is None:
+        return object.__new__(UpdatingRule)._init(space, None, tuple(blocks))
+    table = _fill(blocks)
     table.update(rest)
     return object.__new__(UpdatingRule)._init(space, table)
 
@@ -187,7 +258,8 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
 
     The rest is the OS rule of the hierarchy (prior, uniform on the null
     states): the Bayes posterior on a feasible event, the uniform belief
-    over a null one.  Each distinct rest is mixed once.
+    over a null one.  Each trace's posterior is mixed once, and the mix
+    fills the trace's block of the table.
     Complete but not concentrated for delta < 1 on any non-certain event,
     which is exactly what makes it a useful non-CPS foil.
     """
@@ -197,11 +269,7 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     space = prior.space
     null = (1 << len(space)) - 1 & ~prior.support_mask
     priors = [prior, Belief.uniform_on(Event(space, null))] if null else [prior]
-    rest = tabulate_traces(space, priors)._table
-    # one mix per posterior object: the tabulator shares one across its trace's block
-    posts = dict(zip(map(id, rest.values()), rest.values()))
-    mixed = {key: prior.mix(delta, post) for key, post in posts.items()}
-    table = dict(zip(rest, map(mixed.__getitem__, map(id, rest.values()))))
+    table = _fill(tabulate_traces(space, priors)._blocks, lambda post: prior.mix(delta, post))
     return object.__new__(UpdatingRule)._init(space, table)
 
 
@@ -250,12 +318,14 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives
     for q.  A peeled prior that a tabulator walked already keeps those
     posteriors; any other builds its 2^|s_k| - 2 once and keeps them, so
-    a second call on the same rule builds no belief.  The events q | r of
-    peel k, q in the traces Q_k and r in the sets R_k of later states,
-    are certified in sum_k min(|Q_k|, |R_k|) Python steps, each one list
-    comparison at C speed along the longer side, which reads exactly
-    2^n - 1 entries in all; only a failing step lists, in Python, the
-    events it leaves uncertified.  All certified
+    a second call on the same rule builds no belief.  A rule holding its
+    prior list peels to that list, and its blocks' entries are produced
+    from the walks and compared the same way, filling no table.  The
+    events q | r of peel k, q in the traces Q_k and r in the sets R_k of
+    later states, are certified in sum_k min(|Q_k|, |R_k|) Python steps,
+    each one list comparison at C speed along the longer side, which
+    reads exactly 2^n - 1 entries in all; only a failing step lists, in
+    Python, the events it leaves uncertified.  All certified
     proves the rule is the one the peeled hierarchy induces, hence a CPS:
     valid, with the peeled priors, and ``triples`` counts all 4^n - 2^n
     triples as certified for n states.  Concentration is checked only
@@ -270,9 +340,9 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
 
     space = rule.space
     n = len(space)
-    table = rule._table
     space.check_enumerable()
-    get = table.__getitem__
+    blocks = rule._blocks
+    get = rule._entries.__getitem__ if blocks is None else None
     rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
@@ -281,31 +351,25 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
     # k, must hold, or equal, the posterior ``trace_posteriors`` gives for q.
     while rest:
-        prior = table[rest]
+        if get:
+            prior = get(rest)
+        else:  # a prior list's entry on A_k is its update k, so its peel is the list
+            prior, _, qs, images, rs = blocks[len(priors)]
         support = prior.support_mask
         if support & ~rest:
             return CpsValidation.not_candidate("not concentrated")
         priors.append(prior)
         peels.append(rest)
         rest &= ~support
-        rs = lex_submasks(rest) if rest else (0,)
-        qs, images = trace_posteriors(prior)
-        if len(rs) <= len(qs):  # one step per r: its events q | r against every update
-            for r in rs:
-                held = list(map(get, map(or_, repeat(r), qs) if r else qs))
-                if held != images:
-                    pairs = zip(qs, held, images)
-                    uncertified += [q | r for q, h, i in pairs if h is not i and h != i]
-        else:  # one step per q: its events q | r against its update
-            for q, image in zip(qs, images):
-                held = list(map(get, map(or_, repeat(q), rs)))
-                if held.count(image) != len(held):
-                    pairs = zip(rs, held)
-                    uncertified += [q | r for r, h in pairs if h is not image and h != image]
-    if any(table[f].support_mask & ~f for f in uncertified):
-        return CpsValidation.not_candidate("not concentrated")
+        if get:
+            rs = lex_submasks(rest) if rest else (0,)
+            qs, images = trace_posteriors(prior)
+        uncertified += _misses(qs, images, rs, get)
     if not uncertified:
         return CpsValidation.valid(4**n - 2**n, tuple(priors))
+    table = rule._table
+    if any(table[f].support_mask & ~f for f in uncertified):
+        return CpsValidation.not_candidate("not concentrated")
 
     # Search, in canonical (E, F) order.  Certified entries are updates,
     # hence concentrated, and a pair of them obeys the chain rule.  A
@@ -404,17 +468,70 @@ def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
     return CpsValidation.violation(witness, before + position + 2)
 
 
+def _misses(qs, expected: list, rs, get) -> list[int]:
+    """The events q | r of a block, q in ``qs`` and r in ``rs``, whose entry is not expected[q].
+
+    A table's entries are read through ``get``; without it the block is a
+    prior list's, whose entry on q | r is expected[q] for every r.  The
+    block is read along its longer side, each row or column produced as
+    a list and compared at C speed, identity first, so every entry is
+    compared in sum min(|Q|, |R|) Python steps; only a failing step lists
+    its misses, in Python.
+    """
+    misses: list[int] = []
+    if len(rs) <= len(qs):  # one step per r: its events q | r against every expected entry
+        for r in rs:
+            held = list(map(get, map(or_, repeat(r), qs) if r else qs)) if get else expected.copy()
+            if held != expected:
+                pairs = zip(qs, held, expected)
+                misses += [q | r for q, h, x in pairs if h is not x and h != x]
+    else:  # one step per q: its events q | r against its expected entry
+        for q, x in zip(qs, expected):
+            held = list(map(get, map(or_, repeat(q), rs))) if get else [x] * len(rs)
+            if held.count(x) != len(held):
+                misses += [q | r for r, h in zip(rs, held) if h is not x and h != x]
+    return misses
+
+
+def _differences(listed: UpdatingRule, other: UpdatingRule) -> list[int]:
+    """Every event on which ``other`` differs from ``listed``, a rule that holds its prior list.
+
+    A prior list is its rule's peel, so two listed rules are equal iff
+    their updates are.  Else ``other``'s table (filled if it holds a list
+    too) is read one block of ``listed`` at a time, along its longer side;
+    where that finds a difference or the domains differ in size, the
+    table's events outside ``listed``'s domain are added.
+    """
+    blocks = listed._blocks
+    if other._blocks is not None and [b[0] for b in other._blocks] == [b[0] for b in blocks]:
+        return []
+    table = other._table
+    differs: list[int] = []
+    for _, _, qs, posteriors, rs in blocks:
+        differs += _misses(qs, posteriors, rs, table.get)
+    if differs or len(table) != len(listed):
+        unheld = blocks[-1][1]
+        differs += [mask for mask in table if not mask & ~unheld]
+    return differs
+
+
 def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
     """Compare two rules on every nonempty event; witness the first difference.
 
-    Events are compared in canonical order, and an event missing from
-    either table counts as a difference.
+    An event missing from either rule counts as a difference.  Two tables
+    are compared as dicts; a rule holding its prior list is compared a
+    block at a time, and the first difference is the canonically least.
     """
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")
-    table_a, table_b = a._table, b._table
-    if table_a == table_b:
+    if a._blocks is None and b._blocks is None:
+        table_a, table_b = a._entries, b._entries
+        if table_a == table_b:
+            return CheckResult(True)
+        # the tables differ, and every key is a nonempty mask of the space
+        first = next(m for m in a.space.canonical_masks() if table_a.get(m) != table_b.get(m))
+        return CheckResult(False, Event(a.space, first))
+    differs = _differences(a, b) if a._blocks is not None else _differences(b, a)
+    if not differs:
         return CheckResult(True)
-    # the tables differ, and every key is a nonempty mask of the space
-    first = next(m for m in a.space.canonical_masks() if table_a.get(m) != table_b.get(m))
-    return CheckResult(False, Event(a.space, first))
+    return CheckResult(False, Event(a.space, min(differs, key=mask_indices)))

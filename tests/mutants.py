@@ -1,0 +1,272 @@
+"""Mutation testing of one package module with the standard library alone.
+
+    python tests/mutants.py [--module rules] [--functions NAME,...]
+        [--tests PATH ...] [--timeout SECONDS] [--scratch DIR] [--list]
+
+The script parses ``src/beliefkit/<module>.py`` and makes one edit per
+site inside the named functions (default: every function and method of
+the module; a function's nested functions count as its own):
+
+- a comparison flipped: ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
+  ``is``/``is not``, ``in``/``not in``;
+- a binary or augmented operator swapped: ``&``/``|``, ``+``/``-``,
+  ``<<``/``>>``, ``*``/``//``;
+- ``and``/``or`` swapped;
+- the test of an ``if``, ``while`` or conditional expression negated;
+- an integer constant plus one, and minus one.
+
+Annotations are skipped.  Each mutant is written into a copy of the
+checkout under ``--scratch`` (never into ``src/``), and the named tests
+run there with ``pytest -x`` under a per-mutant timeout.  A mutant is
+killed when the run fails, and survives when it passes; a kill that
+came only from the timeout is reported as such, since a hang is not a
+failing assertion.  The run prints the score, every survivor and every
+timeout kill.  ``ALLOWED`` lists the survivors read one by one and
+found equivalent to the original: each is reported, with its reason,
+apart from the others, and does not count against the score.  The
+script is not a test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_TESTS = (
+    "tests/test_prior_list_rules.py",
+    "tests/test_rules.py",
+    "tests/test_cps_differential.py",
+    "tests/test_tabulator_differential.py",
+)
+
+LEAK = (
+    "a prior list's posterior on a trace q is its update on q, whose support is q, "
+    "so leak is 0 and the branch that lists a leaking block's events never runs"
+)
+UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
+ORIENTATION = "reads a block along its other side: the same entries, at another cost"
+
+FLIPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+    ast.In: ast.NotIn, ast.NotIn: ast.In,
+}
+SWAPS = {
+    ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.Mult: ast.FloorDiv,
+    ast.FloorDiv: ast.Mult,
+}
+SYMBOLS = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in", ast.BitAnd: "&",
+    ast.BitOr: "|", ast.Add: "+", ast.Sub: "-", ast.LShift: "<<", ast.RShift: ">>",
+    ast.Mult: "*", ast.FloorDiv: "//", ast.And: "and", ast.Or: "or",
+}
+
+# (function, mutated statement) -> why the mutant is equivalent to the original
+ALLOWED = {
+    ("is_concentrated", "if not leak:"): LEAK,
+    ("is_concentrated", "failed -= [q | r for r in rs if leak & ~r]"): LEAK,
+    ("is_concentrated", "failed += [q & r for r in rs if leak & ~r]"): LEAK,
+    ("is_concentrated", "failed += [q | r for r in rs if leak | ~r]"): LEAK,
+    ("validate_cps", "heap = [(mask_indices(e), [], e, 0, 1) for e in uncertified]"): UNREAD,
+    ("validate_cps", "heap = [(mask_indices(e), [], e, 0, -1) for e in uncertified]"): UNREAD,
+    ("validate_cps", "for f in lex_submasks(e)[2:]:"): (
+        "skips the singleton F = {a}, the least state of E, in an uncertified E's pair "
+        "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "
+        "which the search's concentration check has made sure of"
+    ),
+    ("_misses", "if not len(rs) <= len(qs):"): ORIENTATION,
+    ("_misses", "if len(rs) < len(qs):"): ORIENTATION,
+}
+
+
+def annotation_ids(tree: ast.AST) -> set[int]:
+    """Ids of every node inside an annotation, which no mutant edits."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None:
+                    roots.append(arg.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(sub) for root in roots if root is not None for sub in ast.walk(root)}
+
+
+def targets(tree: ast.Module, names: set[str] | None) -> list[ast.FunctionDef]:
+    """Top-level functions and class methods, those in ``names`` when given."""
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if isinstance(member, ast.FunctionDef) and (names is None or member.name in names):
+                found.append(member)
+    return found
+
+
+def sites(function: ast.FunctionDef, skip: set[int]):
+    """(node, edit name, edit) for each mutation site."""
+    for node in ast.walk(function):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                new = FLIPS.get(type(op))
+                if new is not None:
+                    yield node, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}", ("ops", i, new)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            new = SWAPS.get(type(node.op))
+            if new is not None:
+                yield node, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}", ("op", None, new)
+        elif isinstance(node, ast.BoolOp):
+            new = ast.Or if isinstance(node.op, ast.And) else ast.And
+            yield node, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}", ("op", None, new)
+        elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            yield node, "negate test", ("negate", None, None)
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            for step in (1, -1):
+                yield node, f"{node.value} -> {node.value + step}", ("add", step, None)
+
+
+def mutate(node: ast.AST, edit) -> object:
+    """Apply ``edit`` to ``node``; return what ``restore`` needs to undo it."""
+    kind, index, new = edit
+    if kind == "ops":
+        old, node.ops[index] = node.ops[index], new()
+    elif kind == "op":
+        old, node.op = node.op, new()
+    elif kind == "negate":
+        old, node.test = node.test, ast.UnaryOp(op=ast.Not(), operand=node.test)
+    else:
+        old, node.value = node.value, node.value + index
+    return old
+
+
+def restore(node: ast.AST, edit, old) -> None:
+    kind, index, _ = edit
+    if kind == "ops":
+        node.ops[index] = old
+    elif kind == "op":
+        node.op = old
+    elif kind == "negate":
+        node.test = old
+    else:
+        node.value = old
+
+
+def mutants(source: str, names: set[str] | None):
+    """(function, line, edit, mutated statement, mutant source) per site, in source order.
+
+    The mutated statement is the first line of the innermost statement
+    holding the site, as edited: it names the mutant in reports and in
+    ``ALLOWED``.
+    """
+    tree = ast.parse(source)
+    skip = annotation_ids(tree)
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    plan = []
+    for function in targets(tree, names):
+        for node, edit_name, edit in sites(function, skip):
+            statement = node
+            while not isinstance(statement, ast.stmt):
+                statement = parents[id(statement)]
+            plan.append((node.lineno, node.col_offset, function.name, node, statement, edit_name, edit))
+    plan.sort(key=lambda site: site[:2])
+    for line, _, function_name, node, statement, edit_name, edit in plan:
+        old = mutate(node, edit)
+        shown, code = ast.unparse(statement).split("\n")[0], ast.unparse(tree)
+        restore(node, edit, old)
+        yield function_name, line, edit_name, shown, code
+
+
+def run_tests(work: Path, tests: list[str], timeout: float) -> str:
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(
+            command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 5:
+        raise SystemExit("no tests ran: check --tests")
+    return "killed"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--module", default="rules")
+    parser.add_argument("--functions", help="comma-separated; default every function")
+    parser.add_argument("--tests", nargs="+", default=list(DEFAULT_TESTS))
+    parser.add_argument("--timeout", type=float, default=60.0)
+    parser.add_argument("--scratch", type=Path, help="where the copy goes; default a temp dir")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+
+    relative = Path("src") / "beliefkit" / f"{args.module}.py"
+    source = (ROOT / relative).read_text(encoding="utf-8")
+    names = set(args.functions.split(",")) if args.functions else None
+    plan = list(mutants(source, names))
+    if args.list:
+        for function, line, edit, shown, _ in plan:
+            print(f"{function}:{line}\t{edit}\t{shown}")
+        print(f"{len(plan)} mutants")
+        return 0
+
+    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="mutants-"))
+    work = scratch / "checkout"
+    if work.exists():
+        shutil.rmtree(work)
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, work / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+    target = work / relative
+
+    target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
+    if run_tests(work, args.tests, args.timeout) != "survived":
+        raise SystemExit("the tests fail on the unmutated module: fix that first")
+
+    outcomes = []
+    start = time.perf_counter()
+    for count, (function, line, edit, shown, code) in enumerate(plan, 1):
+        target.write_text(code, encoding="utf-8")
+        outcome = run_tests(work, args.tests, args.timeout)
+        outcomes.append((function, line, edit, shown, outcome))
+        print(f"[{count}/{len(plan)}] {outcome:8} {function}:{line} {edit}: {shown}", flush=True)
+    target.write_text(source, encoding="utf-8")
+
+    killed = [o for o in outcomes if o[4] == "killed"]
+    timeouts = [o for o in outcomes if o[4] == "timeout"]
+    survivors = [o for o in outcomes if o[4] == "survived"]
+    allowed = [o for o in survivors if (o[0], o[3]) in ALLOWED]
+    alive = [o for o in survivors if (o[0], o[3]) not in ALLOWED]
+    scored = len(outcomes) - len(allowed)
+    print(f"\nmodule {args.module}: {len(outcomes)} mutants in {time.perf_counter() - start:.0f} s")
+    print(f"score {len(killed) + len(timeouts)}/{scored} killed, {len(timeouts)} of them by timeout")
+    for title, group in (("timeout kills", timeouts), ("survivors", alive)):
+        print(f"{title}: {len(group)}")
+        for function, line, edit, shown, _ in group:
+            print(f"  {function}:{line} {edit}: {shown}")
+    print(f"allowlisted equivalents: {len(allowed)}")
+    for function, line, edit, shown, _ in allowed:
+        print(f"  {function}:{line} {edit}: {shown}\n    {ALLOWED[function, shown]}")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -621,3 +621,53 @@ def test_module_entry_point_matches_main(capsys):
     assert proc.returncode == 0
     assert proc.stdout == out
     assert proc.stderr == err
+
+
+PEAK_RUNNER = """\
+import sys
+from beliefkit.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+with open(sys.argv[1], "w") as out:
+    out.write(peak)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path):
+    """Three priors on 7, 7 and 6 of 20 states: each call runs in a fresh
+    interpreter, prints the full report, and peaks under 64 MiB, since
+    the rule holds its prior list and neither check fills a 2^20 table."""
+    states = [f"s{i}" for i in range(20)]
+    order = states[7:] + states[:7]
+    chunks = (order[:7], order[7:14], order[14:])
+    beliefs = {
+        f"mu{k}": {s: Fraction(i + 1, len(chunk) * (len(chunk) + 1) // 2) for i, s in enumerate(chunk)}
+        for k, chunk in enumerate(chunks)
+    }
+    doc = {
+        "space": states,
+        "beliefs": {name: {s: str(m) for s, m in masses.items()} for name, masses in beliefs.items()},
+        "os": list(beliefs),
+    }
+    path = tmp_path / "twenty.json"
+    path.write_text(json.dumps(doc))
+    peak_file = tmp_path / "peak_kib"
+    priors = [
+        ",".join(f"{s}:{masses[s]}" for s in states if s in masses) for masses in beliefs.values()
+    ]
+    expected = {
+        "validate-cps": [("status", "valid"), ("triples", str(4**20 - 2**20))],
+        "decompose": [("priors", "3")] + [("prior", str(k), row) for k, row in enumerate(priors)],
+    }
+    for command, rows in expected.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), "--os"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert rows_of(proc.stdout) == rows
+        assert int(peak_file.read_text()) < 64 * 1024, command

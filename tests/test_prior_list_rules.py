@@ -1,0 +1,192 @@
+"""Rules that hold their prior list, against their filled tables and ``os_update``.
+
+``os_rule`` and ``bayesian_rule`` return a rule that holds the ordered
+prior list it walked.  A per-entry read (``[]``, ``get``, ``in``) fills
+its table once; the block readers (``len``, ``events``, ``==``,
+``rules_equal``, ``is_complete``, ``is_concentrated``, ``validate_cps``
+and ``cps_to_os``) read the list and fill nothing.  Each must answer as
+it does on a table of the same entries built one event at a time from
+``os_update`` (``bayes_update`` for ``bayesian_rule``), and ``rules_equal``
+must name the first event an event-by-event scan finds, against copies
+with one entry changed, dropped or added.
+
+The inputs are every ``grid_hierarchies`` hierarchy (1015 of them,
+|S| <= 4), then seeded canonical and overlapping hierarchies at
+|S| = 5-10; each is run under ``os_rule``, and each of its priors under
+``bayesian_rule``, whose domain misses the events off its support.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from beliefkit import (
+    Belief,
+    CheckResult,
+    Event,
+    NotCps,
+    UpdatingRule,
+    bayes_update,
+    bayesian_rule,
+    cps_to_os,
+    is_complete,
+    is_concentrated,
+    os_rule,
+    os_update,
+    rules_equal,
+    validate_cps,
+)
+from beliefkit.errors import OutsideDomain
+from helpers import canonical_form, grid_hierarchies, random_canonical_os, random_overlapping_os
+
+
+def scanned_rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
+    """Oracle for ``rules_equal`` on tables: the event-by-event scan."""
+    for event in a.space.events():
+        if a.get(event) != b.get(event):
+            return CheckResult(False, event)
+    return CheckResult(True)
+
+
+def decomposed(rule: UpdatingRule):
+    try:
+        return cps_to_os(rule).priors
+    except NotCps as err:
+        return err.validation
+
+
+def variants(table: UpdatingRule, rng: random.Random) -> list[UpdatingRule]:
+    """Copies of ``table`` with one entry changed, one dropped, and one added off its domain."""
+    space = table.space
+    entries = {event: table[event] for event in table.events()}
+    event = rng.choice(list(entries))
+    copies = [{e: b for e, b in entries.items() if e != event}]
+    for other in (Belief.uniform_on(space.full_event), Belief.uniform_on(event)):
+        if other != entries[event]:  # at |S| = 1 every belief is the one point mass
+            copies.append({**entries, event: other})
+            break
+    outside = [e for e in space.events() if e not in entries]
+    if outside:
+        added = rng.choice(outside)
+        copies.append({**entries, added: Belief.uniform_on(added)})
+    return [UpdatingRule(space, copy) for copy in copies]
+
+
+def check_listed(rule: UpdatingRule, update, rng: random.Random) -> str:
+    """Every reader of the list-backed ``rule`` against a table of ``update`` on its domain."""
+    space = rule.space
+    assert rule._blocks is not None and rule._entries is None
+    domain, outside = [], []
+    for event in space.events():
+        try:
+            domain.append((event, update(event)))
+        except Exception:  # no prior, or a null event: off the domain
+            outside.append(event)
+    table = UpdatingRule(space, dict(domain))
+    got = validate_cps(rule)
+
+    # the block readers
+    assert len(rule) == len(table) == len(domain)
+    assert rule.events() == table.events() == tuple(event for event, _ in domain)
+    assert is_complete(rule) == is_complete(table) == (not outside)
+    assert is_concentrated(rule) == is_concentrated(table) == CheckResult(True)
+    assert rule == table and table == rule
+    assert rules_equal(rule, table) == rules_equal(table, rule) == CheckResult(True)
+    for copy in variants(table, rng):
+        assert rule != copy and copy != rule
+        assert rules_equal(rule, copy) == scanned_rules_equal(table, copy)
+        assert rules_equal(copy, rule) == scanned_rules_equal(copy, table)
+        assert not rules_equal(rule, copy)
+    assert got == validate_cps(table)
+    assert decomposed(rule) == decomposed(table)
+    assert rule._entries is None, "a block reader filled the table"
+
+    # the per-entry readers fill the table once, and agree with it
+    for event, belief in domain:
+        assert rule[event] == belief and rule.get(event) == belief and event in rule
+    for event in outside:
+        assert rule.get(event) is None and event not in rule
+        with pytest.raises(OutsideDomain):
+            rule[event]
+    assert rule._entries == table._table
+    assert validate_cps(rule) == got and len(rule) == len(domain)
+    return got.status
+
+
+def seeded_hierarchies():
+    rng = random.Random(20261019)
+    for make in (random_canonical_os, random_overlapping_os):
+        for _ in range(12):
+            yield make(rng, max_states=10, min_states=5)
+
+
+def test_every_grid_hierarchy_reads_alike_from_its_list_and_its_table():
+    """1015 hierarchies at |S| <= 4, and the Bayesian rule of each distinct prior among them."""
+    rng = random.Random("listed-grid")
+    statuses = Counter()
+    for n, den in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        priors = {}
+        for hier in grid_hierarchies(n, den):
+            status = check_listed(os_rule(hier), lambda e: os_update(hier, e), rng)
+            assert status == "valid"
+            assert cps_to_os(os_rule(hier)) == canonical_form(hier)
+            statuses["os"] += 1
+            priors.update(dict.fromkeys(hier.priors))
+        for prior in priors:
+            status = check_listed(bayesian_rule(prior), lambda e: bayes_update(prior, e), rng)
+            statuses[status] += 1
+    assert statuses["os"] == 1015
+    assert statuses["valid"] and statuses["not-candidate"]
+
+
+@pytest.mark.parametrize("index", range(24))
+def test_seeded_hierarchies_read_alike_from_their_list_and_their_table(index):
+    """12 canonical and 12 overlapping hierarchies at |S| = 5-10."""
+    hier = list(seeded_hierarchies())[index]
+    rng = random.Random(index)
+    assert check_listed(os_rule(hier), lambda e: os_update(hier, e), rng) == "valid"
+    for prior in hier.priors:
+        check_listed(bayesian_rule(prior), lambda e: bayes_update(prior, e), rng)
+
+
+def test_the_seeded_hierarchies_span_the_sizes_and_kinds():
+    hierarchies = list(seeded_hierarchies())
+    assert {len(hier.space) for hier in hierarchies} >= {5, 10}
+    assert sum(hier.is_canonical for hier in hierarchies) >= 12
+    assert sum(not hier.is_canonical for hier in hierarchies) >= 6
+
+
+def test_two_listed_rules_compare_by_their_lists():
+    """Equal lists (a hierarchy and its canonical form) give equal rules;
+    unequal ones name the first event an event-by-event scan finds."""
+    rng = random.Random("listed-pairs")
+    verdicts = Counter()
+    for _ in range(60):
+        a, b = (random_overlapping_os(rng, max_states=5, min_states=3) for _ in range(2))
+        left, right = os_rule(a), os_rule(canonical_form(a))
+        assert left == right and rules_equal(right, left) == CheckResult(True)
+        assert left._entries is None and right._entries is None, "equal lists filled a table"
+        if len(a.space) != len(b.space):
+            continue
+        left, right = os_rule(a), os_rule(b)
+        expected = scanned_rules_equal(
+            *[UpdatingRule(a.space, {e: rule[e] for e in rule.events()}) for rule in (left, right)]
+        )
+        assert rules_equal(os_rule(a), os_rule(b)) == expected
+        assert (os_rule(a) == os_rule(b)) == expected.ok == (os_rule(b) == os_rule(a))
+        verdicts[expected.ok] += 1
+    assert verdicts[False] > 10
+
+
+def test_a_listed_rule_fills_its_table_on_the_first_entry_read():
+    hier = random_canonical_os(random.Random(5), max_states=6, min_states=6)
+    rule = os_rule(hier)
+    event = Event(hier.space, 0b101)
+    assert len(rule) == 63 and rule._entries is None
+    assert rule[event] == os_update(hier, event)
+    filled = rule._entries
+    assert len(filled) == 63 and rule.get(event) is filled[0b101]
+    assert rule._entries is filled
+    assert repr(rule) == "UpdatingRule(<63 events over 6 states>)"
+    assert rule != "a rule" and rule != 3  # anything but a rule is unequal

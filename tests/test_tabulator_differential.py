@@ -432,6 +432,36 @@ def test_an_overlapping_hierarchy_decomposes_on_the_objects_its_rule_holds(monke
         assert recovered == canonical_form(hier)
 
 
+def test_a_second_tabulation_of_an_overlapping_hierarchy_builds_no_belief(monkeypatch):
+    """|S| = 12, prior 1 on every state behind prior 0 on six: the first
+    ``os_rule`` walks prior 0's 62 proper traces, then builds prior 1's
+    update on the other six states and that update's 62, 125 beliefs;
+    the prior keeps the update by its trace, so a second ``os_rule``
+    builds none, where it used to build the update and its walk again
+    (63), and holds the same update object."""
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    top = belief_from(space, [i + 1 if i < 6 else 0 for i in range(12)])
+    behind = belief_from(space, [i % 5 + 1 for i in range(12)])
+    hier = OSRepresentation(space, (top, behind))
+    built = []
+    real_init = Belief._init
+
+    def counting_init(self, *args):
+        built.append(args[3])
+        return real_init(self, *args)
+
+    monkeypatch.setattr(Belief, "_init", counting_init)
+    first = os_rule(hier)
+    counts = [len(built)]
+    again = os_rule(hier)
+    counts.append(len(built) - counts[0])
+    monkeypatch.undo()
+    assert counts == [125, 0]
+    assert [block[0] for block in again._blocks] == [top, first._blocks[1][0]]
+    assert again._blocks[1][0] is first._blocks[1][0]
+    assert again == first and len(again) == 4095
+
+
 def test_kept_trace_walks_leave_no_reference_cycle():
     """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself."""
     gc.collect()
