@@ -17,7 +17,9 @@ holds that posterior, as a rule tabulated on the same prior does, and by
 integer equality elsewhere.  Peel k's entries form a grid, its traces Q_k
 by the sets R_k of later states, read along the longer side in one C-level
 list comparison per element of the shorter: sum_k min(|Q_k|, |R_k|)
-Python steps over exactly 2^n - 1 reads.  All later work grows with n and
+Python steps over exactly 2^n - 1 reads.  A row or column that fails is
+compared again in slices of 16 entries at C speed, and only a slice that
+differs is listed in Python.  All later work grows with n and
 the set U of uncertified entries, not with 2^n: concentration is checked on
 the peeled entries and on U alone, and where an entry fails, a heap search
 from U finds the first violating triple under the canonical event order,
@@ -63,8 +65,8 @@ where a caller asks for one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import or_
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, ne, or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
@@ -324,16 +326,19 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     events q | r of peel k, q in the traces Q_k and r in the sets R_k of
     later states, are certified in sum_k min(|Q_k|, |R_k|) Python steps,
     each one list comparison at C speed along the longer side, which
-    reads exactly 2^n - 1 entries in all; only a failing step lists, in
-    Python, the events it leaves uncertified.  All certified
-    proves the rule is the one the peeled hierarchy induces, hence a CPS:
-    valid, with the peeled priors, and ``triples`` counts all 4^n - 2^n
-    triples as certified for n states.  Concentration is checked only
-    where it can fail: on each peeled entry, and on the uncertified
-    entries U.  Otherwise the first violating triple in canonical
-    (E, F, G) order, with the number of triples an exhaustive scan
-    enumerates up to and including it: O(|U| n) heap steps, plus the pair
-    tests of each uncertified E met before it, and a closed-form count.
+    reads exactly 2^n - 1 entries in all, a table's row or column in one C
+    call.  A failing step compares its row in slices of ``_WIDTH`` entries
+    at C speed and lists only the slices that differ, so the uncertified
+    entries U take O(|U| ``_WIDTH``) more Python steps, and each entry is
+    compared at most twice more.  All certified proves the rule is the one
+    the peeled hierarchy induces, hence a CPS: valid, with the peeled
+    priors, and ``triples`` counts all 4^n - 2^n triples as certified
+    for n states.  Concentration is checked only where it can fail: on
+    each peeled entry, and on the uncertified entries U.  Otherwise the
+    first violating triple in canonical (E, F, G) order, with the number
+    of triples an exhaustive scan enumerates up to and including it:
+    O(|U| n) heap steps, plus the pair tests of each uncertified E met
+    before it, and a closed-form count.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
@@ -342,7 +347,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     n = len(space)
     space.check_enumerable()
     blocks = rule._blocks
-    get = rule._entries.__getitem__ if blocks is None else None
+    entries = rule._entries
     rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
@@ -351,8 +356,8 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
     # k, must hold, or equal, the posterior ``trace_posteriors`` gives for q.
     while rest:
-        if get:
-            prior = get(rest)
+        if blocks is None:
+            prior = entries[rest]
         else:  # a prior list's entry on A_k is its update k, so its peel is the list
             prior, _, qs, images, rs = blocks[len(priors)]
         support = prior.support_mask
@@ -361,10 +366,10 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         priors.append(prior)
         peels.append(rest)
         rest &= ~support
-        if get:
+        if blocks is None:
             rs = lex_submasks(rest) if rest else (0,)
             qs, images = trace_posteriors(prior)
-        uncertified += _misses(qs, images, rs, get)
+        uncertified += _misses(qs, images, rs, entries)
     if not uncertified:
         return CpsValidation.valid(4**n - 2**n, tuple(priors))
     table = rule._table
@@ -423,14 +428,20 @@ def _next_superset(e: int, f: int, a: int) -> int:
 def _ahead(xs: list[int], c: int, n: int) -> int:
     """Sum of c^|D| over the nonempty D of n states before X = ``xs`` in canonical order.
 
-    They are X's proper prefixes, and each prefix x_1 .. x_j joined to a y
-    in (x_j, x_{j+1}) and any later states: a geometric series in y.
+    They are X's proper prefixes, c + ... + c^(|X| - 1), which is
+    (c^|X| - c) / (c - 1) for c > 1, and each prefix x_1 .. x_j joined to
+    a y in (x_j, x_{j+1}) and any later states: a geometric series in y,
+    c^j ((1 + c)^(n - 1 - x_j) - (1 + c)^(n - x_{j+1})) with x_0 = -1.
+    Each power is carried from one term to the next.
     """
-    total, prev = 0, -1
-    for j, x in enumerate(xs):
-        total += c**j * ((1 + c) ** (n - 1 - prev) - (1 + c) ** (n - x))
-        prev = x
-    return total + sum(c**j for j in range(1, len(xs)))
+    base = 1 + c
+    total, power, high = 0, 1, base**n  # c^j and (1 + c)^(n - 1 - x_j), x_0 = -1
+    for x in xs:
+        low = base ** (n - x)
+        total += power * (high - low)
+        power, high = power * c, low // base
+    prefixes = (power - c) // (c - 1) if c != 1 else len(xs) - 1
+    return total + prefixes
 
 
 def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
@@ -463,34 +474,73 @@ def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
         f=Event(space, f),
         e=Event(space, e),
         lhs=Fraction(given_e.mask_num(g), den_e),
-        rhs=Fraction(given_f.mask_num(g), den_f) * Fraction(given_e.mask_num(f), den_e),
+        rhs=Fraction(given_f.mask_num(g) * given_e.mask_num(f), den_f * den_e),
     )
     return CpsValidation.violation(witness, before + position + 2)
 
 
-def _misses(qs, expected: list, rs, get) -> list[int]:
+def _misses(qs, expected: list, rs, table: dict | None) -> list[int]:
     """The events q | r of a block, q in ``qs`` and r in ``rs``, whose entry is not expected[q].
 
-    A table's entries are read through ``get``; without it the block is a
-    prior list's, whose entry on q | r is expected[q] for every r.  The
-    block is read along its longer side, each row or column produced as
-    a list and compared at C speed, identity first, so every entry is
-    compared in sum min(|Q|, |R|) Python steps; only a failing step lists
-    its misses, in Python.
+    A table's entries are read from ``table``, which holds every event, a
+    row or column in one C call; without it the block is a prior list's,
+    whose entry on q | r is expected[q] for every r.  The block is read
+    along its longer side, each row or column compared at C speed,
+    identity first, so every entry is compared in sum min(|Q|, |R|)
+    Python steps.  A failing step lists its misses through
+    ``_differing``: O(``_WIDTH``) Python steps per miss, however long the
+    row, and at most two more comparisons per entry.
     """
     misses: list[int] = []
     if len(rs) <= len(qs):  # one step per r: its events q | r against every expected entry
+        if table is not None:
+            expected = tuple(expected)  # of the type ``itemgetter`` reads
         for r in rs:
-            held = list(map(get, map(or_, repeat(r), qs) if r else qs)) if get else expected.copy()
+            if table is None:
+                held = expected.copy()
+            else:
+                held = itemgetter(*(map(or_, repeat(r), qs) if r else qs))(table)
+                if len(qs) == 1:  # ``itemgetter`` of one key reads a bare entry
+                    held = (held,)
             if held != expected:
-                pairs = zip(qs, held, expected)
-                misses += [q | r for q, h, x in pairs if h is not x and h != x]
+                misses += [qs[i] | r for i in _differing(held, expected)]
     else:  # one step per q: its events q | r against its expected entry
         for q, x in zip(qs, expected):
-            held = list(map(get, map(or_, repeat(q), rs))) if get else [x] * len(rs)
+            if table is None:
+                held = [x] * len(rs)
+            else:  # two keys or more, as len(rs) > len(qs)
+                held = itemgetter(*map(or_, repeat(q), rs))(table)
             if held.count(x) != len(held):
-                misses += [q | r for r, h in zip(rs, held) if h is not x and h != x]
+                misses += [q | rs[i] for i in _differing(held, (x,) * len(held))]
     return misses
+
+
+_WIDTH = 16  # entries per slice in which a failing row is compared at C speed
+
+
+def _differing(held, expected) -> list[int]:
+    """Positions where ``held`` differs from ``expected``, sequences of one length that differ.
+
+    An entry differs unless it is, or equals, its expected one.  Both are
+    cut into slices of ``_WIDTH`` entries, which are compared pairwise in
+    one pass at C speed, and only a slice that differs is listed entry by
+    entry, so m differences take O(m ``_WIDTH``) Python steps however
+    long the row.  A slice comparison stops at its first difference, so
+    each entry is compared at most twice here; with the whole-row
+    comparison that found the row failing, one difference in n entries
+    costs at most 2n + ``_WIDTH`` comparisons.
+    """
+    tail = len(held) - len(held) % _WIDTH  # a last slice short of _WIDTH, compared alone
+    slices = map(ne, zip(*[iter(held)] * _WIDTH), zip(*[iter(expected)] * _WIDTH))
+    starts = compress(count(0, _WIDTH), slices)
+    if held[tail:] != expected[tail:]:
+        starts = chain(starts, [tail])
+    return [
+        i
+        for lo in starts
+        for i, h, x in zip(count(lo), held[lo : lo + _WIDTH], expected[lo : lo + _WIDTH])
+        if h is not x and h != x
+    ]
 
 
 def _differences(listed: UpdatingRule, other: UpdatingRule) -> list[int]:
@@ -498,17 +548,22 @@ def _differences(listed: UpdatingRule, other: UpdatingRule) -> list[int]:
 
     A prior list is its rule's peel, so two listed rules are equal iff
     their updates are.  Else ``other``'s table (filled if it holds a list
-    too) is read one block of ``listed`` at a time, along its longer side;
-    where that finds a difference or the domains differ in size, the
-    table's events outside ``listed``'s domain are added.
+    too) is read one block of ``listed`` at a time, along its longer side,
+    with None on the events it lacks; where that finds a difference or
+    the domains differ in size, the table's events outside ``listed``'s
+    domain are added.
     """
     blocks = listed._blocks
     if other._blocks is not None and [b[0] for b in other._blocks] == [b[0] for b in blocks]:
         return []
-    table = other._table
+    table = entries = other._table
     differs: list[int] = []
     for _, _, qs, posteriors, rs in blocks:
-        differs += _misses(qs, posteriors, rs, table.get)
+        try:
+            differs += _misses(qs, posteriors, rs, entries)
+        except KeyError:  # ``other`` lacks an event: from here on, read None there
+            entries = dict.fromkeys(other.space.canonical_masks()) | table
+            differs += _misses(qs, posteriors, rs, entries)
     if differs or len(table) != len(listed):
         unheld = blocks[-1][1]
         differs += [mask for mask in table if not mask & ~unheld]

@@ -52,7 +52,6 @@ LEAK = (
     "so leak is 0 and the branch that lists a leaking block's events never runs"
 )
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
-ORIENTATION = "reads a block along its other side: the same entries, at another cost"
 
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -84,8 +83,6 @@ ALLOWED = {
         "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "
         "which the search's concentration check has made sure of"
     ),
-    ("_misses", "if not len(rs) <= len(qs):"): ORIENTATION,
-    ("_misses", "if len(rs) < len(qs):"): ORIENTATION,
 }
 
 

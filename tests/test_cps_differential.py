@@ -22,6 +22,10 @@ wrong entry on the first, a middle or the last event that meets two
 supports.  One test also replaces each entry in turn on peels read along
 either side.  Every rule is also validated as a fresh copy, whose peeled
 priors keep no walk, and must get the same answer, priors included.
+A row that fails is compared again in slices, and only the slices that
+differ are listed: one test changes entries at the ends of rows of up to
+1023 entries and on both sides of the slice boundaries, and one counts
+the by-value comparisons a failing row costs.
 
 The witness search starts from the uncertified entries, so one family
 makes many of them: every event of two or more states inside a later
@@ -718,3 +722,132 @@ def test_validate_cps_gives_the_two_state_scans_status_up_to_twelve_states():
     assert statuses["ht", "valid"] and statuses["ht", "violation"]
     assert statuses["perturbed", "violation"] and statuses["conservative", "not-candidate"]
     assert statuses["fresh", "valid"] == 14 and sum(statuses.values()) == 122
+
+
+def weighted_prior(space: StateSpace, states) -> Belief:
+    """Weights 1, 2, ... on ``states``, in order."""
+    total = len(states) * (len(states) + 1) // 2
+    return Belief(space, {s: Fraction(i + 1, total) for i, s in enumerate(states)})
+
+
+def edge_positions(length: int) -> list[set[int]]:
+    """Positions to change in a row of ``length`` entries, one set per case.
+
+    The row's ends; both sides of the slice boundaries of ``rules._WIDTH``
+    near them, in the middle and before the last, partial slice; and
+    several positions at once: both ends, a pair across a boundary, a run
+    over two boundaries, and one position in each slice.
+    """
+    w = rules._WIDTH
+    mid, tail = length // 2, length - length % w
+    ones = {0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, mid - 1, mid, mid + 1}
+    ones |= {tail - 1, tail, length - w - 1, length - w, length - 2, length - 1}
+    several = [{0, length - 1}, {w - 1, w}, {1, mid, length - 2}, set(range(w - 2, 2 * w + 2))]
+    several.append(set(range(0, length, w + 1)))
+    return [{p} for p in sorted(ones) if p < length] + several
+
+
+def wrong(rule: UpdatingRule, event: Event) -> Belief:
+    """A belief other than the rule's on ``event``: uniform on it, or, on a single state,
+    uniform on the whole space, which leaks."""
+    return Belief.uniform_on(event if len(event) > 1 else rule.space.full_event)
+
+
+def scanned(qs, expected, rs, table) -> list[int]:
+    """``_misses`` by a per-entry scan, in its order: along the longer side of the block."""
+    if len(rs) <= len(qs):
+        cells = [(q | r, x) for r in rs for q, x in zip(qs, expected)]
+    else:
+        cells = [(q | r, x) for q, x in zip(qs, expected) for r in rs]
+    return [e for e, x in cells if table[e] is not x and table[e] != x]
+
+
+def single_prior_row(n: int):
+    """The rule of one prior, weights 1 .. n, and its one row: the events in canonical order."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    rule = os_rule(OSRepresentation(space, (weighted_prior(space, space.states),)))
+    return rule, [[event.mask for event in rule.events()]]
+
+
+def three_prior_columns():
+    """Three priors on 2, 3 and 3 of 8 interleaved states, and two columns of the
+    first block: the events q | r of its first and last trace q, read one trace at a
+    time, r over the 64 sets of later states."""
+    space = StateSpace(tuple(f"s{i}" for i in range(8)))
+    chunks = (("s3", "s6"), ("s0", "s4", "s7"), ("s1", "s2", "s5"))
+    rule = os_rule(OSRepresentation(space, tuple(weighted_prior(space, c) for c in chunks)))
+    first = space.event(*chunks[0]).mask
+    rs = core.lex_submasks(space.full_event.mask & ~first)
+    traces = core.lex_submasks(first)[1:]
+    return rule, [[q | r for r in rs] for q in (traces[0], traces[-1])]
+
+
+@pytest.mark.parametrize(
+    "make", [*(lambda n=n: single_prior_row(n) for n in (8, 9, 10)), three_prior_columns],
+    ids=["one-prior-8", "one-prior-9", "one-prior-10", "three-priors-8"],
+)
+def test_misses_are_listed_at_the_edges_of_long_rows(make, monkeypatch):
+    """Rows of 255, 511 and 1023 entries (one prior at |S| = 8, 9, 10) and
+    columns of 64 (three priors at |S| = 8, read one trace at a time), each
+    with entries changed at ``edge_positions``, as a table and as a fresh
+    copy compared by value.  Every ``_misses`` call lists exactly the events
+    a per-entry scan finds, in its order.  At |S| = 8 the validation is the
+    exhaustive scan's; beyond it, its status is ``helpers.pair_validate``'s
+    and its witness breaks the chain rule."""
+    rule, rows = make()
+    listing = rules._misses
+    calls = []
+
+    def recorded(qs, expected, rs, table):
+        misses = listing(qs, expected, rs, table)
+        calls.append((scanned(qs, expected, rs, table), misses))
+        return misses
+
+    monkeypatch.setattr(rules, "_misses", recorded)
+    statuses = Counter()
+    for row in rows:
+        for positions in edge_positions(len(row)):
+            events = [Event(rule.space, row[p]) for p in positions]
+            broken = replace(rule, {event: wrong(rule, event) for event in events})
+            for table in (broken, fresh(broken)):
+                calls.clear()
+                got = validate_cps(table)
+                assert calls and all(misses == expected for expected, misses in calls), positions
+                assert any(misses for _, misses in calls), positions
+                if len(rule.space) == 8:
+                    assert outcome(got) == outcome(exhaustive_validate_cps(table)), positions
+                else:
+                    assert got.status == pair_validate(table), positions
+                    if got.status == "violation":
+                        assert breaks_the_chain_rule(table, got.witness), positions
+                statuses[got.status] += 1
+    assert statuses["violation"] and statuses["not-candidate"]
+
+
+@pytest.mark.parametrize("position", [5, 250, 500])
+def test_a_failing_row_compared_by_value_reads_each_entry_at_most_twice_over(
+    position, monkeypatch
+):
+    """One prior at |S| = 9, weights 1 .. 9, with the entry on the event at
+    ``position`` of 511 in canonical order made uniform, then copied entry
+    by entry, so that no entry is its expected posterior and every
+    comparison runs ``Belief.__eq__``.  The whole-row comparison stops at
+    the changed entry and the listing compares each entry at most twice,
+    so the call makes at most 2 (2^9 - 1) comparisons plus one slice of
+    ``rules._WIDTH`` entries: a listing that compared the row once per
+    level of a halving would make more."""
+    rule, (row,) = single_prior_row(9)
+    event = Event(rule.space, row[position])
+    copy = fresh(replace(rule, {event: Belief.uniform_on(event)}))
+    calls = []
+    real = Belief.__eq__
+
+    def counted(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Belief, "__eq__", counted)
+    got = validate_cps(copy)
+    monkeypatch.undo()
+    assert got.status == "violation" and breaks_the_chain_rule(copy, got.witness)
+    assert len(calls) <= 2 * (2**9 - 1) + rules._WIDTH
