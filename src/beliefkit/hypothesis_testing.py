@@ -10,15 +10,18 @@ A representation stores its weights like a belief's masses: reduced integer
 numerators w_j over one total, read as Fractions (``rho``) on first read.
 The threshold test is one integer cross-multiplication on the top prior.
 ``ht_select`` takes the argmax from the Fraction scores its trace reports.
-For its argmax, an ``ht_rule`` call builds one integer column per state,
-on the first event that reaches the argmax: column i lists
-nums_j[i] * w_j * (L // den_j) for every prior j, with L the lcm of the
-priors' denominators, so every score is the true one times L * total.  An
-event's scores are the sum of its states' columns, taken for all priors at
-once, and a tie is a maximum that occurs more than once.  ``ht_rule`` adds
-one column per event to the scores of the event's prefix, carried down a
-walk of only the events the top prior rejects.  A rule that is Bayesian
-on every event never builds the columns.
+``ht_rule`` scores in integers: prior j's score on a mask is its numerator
+there times w_j * (L // den_j), L the lcm of the priors' denominators, so
+every score is the true one times L * total.  An event the top prior
+rejects is q | r: q a light trace (a submask of the top support s of top
+mass at most the threshold, only the empty one at 0), r a submask of the
+rest t.  A prior inside s scores by q alone and one inside t by r alone,
+so each side keeps its best score, tie flag and winner's update once per
+q or per r, and the event takes the larger side's (a prior meeting both,
+none when supports are disjoint, is scored per event).  Rows of the table
+are filled from the two sides at C speed, so the work over all priors
+falls from one column per rejected event to one per q and per r.  A rule
+that is Bayesian on every event builds none of this.
 
 ``os_to_ht`` turns any ordered hierarchy that covers the space into such a
 representation whose rule is identical; supports may overlap.  Weight k+1
@@ -68,8 +71,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -136,19 +140,19 @@ class HTRepresentation:
     def _init(
         self, space: StateSpace, priors: tuple, weights: Sequence[int], total: int, eps: Fraction
     ) -> "HTRepresentation":
-        # the one initializer: weights[j] / total with total > 0, eps a Fraction
+        # the one initializer: weights[j] / total with total > 0, eps a Fraction;
+        # the weight checks are C-level passes, and a loop reads the priors' slots fastest
         if not priors:
             raise ValidationError("a representation needs at least one prior")
-        for prior in priors:
-            if prior.space is not space and prior.space != space:
-                raise SpaceMismatch("prior built over a different state space")
+        if [prior.space for prior in priors].count(space) != len(priors):
+            raise SpaceMismatch("prior built over a different state space")
         if len(weights) != len(priors):
             raise ValidationError("need exactly one weight per prior")
-        if any(w <= 0 for w in weights):
+        if min(weights) <= 0:
             raise ValidationError("weights must be strictly positive")
         if sum(weights) != total:
             raise ValidationError(f"weights must sum to 1, got {Fraction(sum(weights), total)}")
-        if any(w >= weights[0] for w in weights[1:]):
+        if max(weights[1:], default=0) >= weights[0]:
             raise ValidationError("the first prior's weight must be strictly maximal")
         as_threshold(eps)  # the range after the weight checks; the type came first
         union = 0
@@ -159,7 +163,7 @@ class HTRepresentation:
         g = gcd(total, *weights)
         self.space = space
         self.priors = priors
-        self.weights = tuple([w // g for w in weights])
+        self.weights = tuple(weights) if g == 1 else tuple([w // g for w in weights])
         self.total = total // g
         self.eps = eps
         self._rho: tuple[Fraction, ...] | None = None
@@ -191,20 +195,6 @@ class HTRepresentation:
             f"HTRepresentation(<{len(self.priors)} priors over "
             f"{len(self.space)} states, eps={self.eps}>)"
         )
-
-
-def _columns(ht: HTRepresentation) -> list[tuple[int, ...]]:
-    """Column i: every prior's score on {i}, over one common denominator.
-
-    rho_j * mass_j({i}) = nums_j[i] * w_j / (den_j * total).  Over
-    L = lcm(den_j) the entry for prior j is nums_j[i] * w_j * (L // den_j),
-    every score times the one positive constant L * total, and an event's
-    scores are column sums.
-    """
-    common = lcm(*[prior.den for prior in ht.priors])
-    factors = [w * (common // prior.den) for prior, w in zip(ht.priors, ht.weights)]
-    rows = [[num * f for num in prior.nums] for prior, f in zip(ht.priors, factors)]
-    return list(zip(*rows))
 
 
 def _argmax(ht: HTRepresentation, mask: int, scores: Sequence[int | Fraction]) -> int:
@@ -244,46 +234,107 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
 def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     """Tabulate the induced rule on every nonempty event.
 
-    Propagates AmbiguousArgmax (with the offending event) if any event has
-    a tied argmax, since the rule is undefined there.  It is the top
-    prior's table, overwritten on the events that prior rejects; only
-    ``_rejected`` reads the threshold.
+    Propagates AmbiguousArgmax (with the canonically first tied event and
+    every tied prior) if any event has a tied argmax, since the rule is
+    undefined there.  It is the top prior's table, overwritten on the
+    events that prior rejects, a row at a time; only ``_rejected`` reads
+    the threshold, and it scores each side of the top support once.
     """
-    return tabulate_traces(ht.space, ht.priors[:1], _rejected(ht))
+    return tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht)))
 
 
-def _rejected(ht: HTRepresentation) -> Iterator[tuple[int, Belief]]:
-    """(mask, selected update) for each event the top prior rejects, canonical order.
+def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
+    """(mask, selected update) for each event q | r the top prior rejects, a row at a time.
 
-    Mass only grows from a prefix, so a preorder walk of the prefix tree pruned at
-    accepted events meets each after its prefix, whose mass and scores sit on
-    stacks by depth.  Updates are cached by (prior, event & support).
+    Each mask of the shorter side (``_side``) yields a row over the longer
+    one.  A tie is an equal pair of side maxima or a tie inside the larger
+    side.  Rows come lazily, after the top prior's fill, and the
+    canonically first tied event raises after the last.
     """
-    priors, eps, n = ht.priors, ht.eps, len(ht.space)
-    nums, scale, cut = priors[0].nums, eps.denominator, eps.numerator * priors[0].den
-    masses = [0] * (n + 1)
-    scores: list = [(0,) * len(priors)] * (n + 1)
-    bits = [1 << i for i in range(n - 1, -1, -1)]  # pushed descending, so popped ascending
-    columns = None
-    updates: dict[tuple[int, int], Belief] = {}
-    todo = bits[:]
-    while todo:
-        mask = todo.pop()
-        state = mask.bit_length() - 1
-        depth = mask.bit_count()
-        mass = masses[depth - 1] + nums[state]
-        if mass * scale > cut:
+    priors, eps = ht.priors, ht.eps
+    top = priors[0]
+    s = top.support_mask
+    t = (1 << len(ht.space)) - 1 ^ s
+    light = [0]
+    floor = eps.numerator * top.den // eps.denominator  # the largest numerator of a light trace
+    if floor >= min(filter(None, top.nums)):  # some state is light
+        # each numerator sits above the n state bits, so every sum carries its mask below
+        n = len(ht.space)
+        sums = lex_sums([x << n | 1 << i for i, x in enumerate(top.nums) if x])
+        light += map(((1 << n) - 1).__and__, filter(((floor + 1) << n).__gt__, sums))
+    if not t and len(light) == 1:
+        return
+    common = lcm(*[prior.den for prior in priors])
+    factors = [w * (common // prior.den) for prior, w in zip(priors, ht.weights)]
+    rs = lex_submasks(t)
+    short, long = _side(ht, light, factors, t), _side(ht, rs, factors, s)
+    if len(light) > len(rs):
+        short, long = long, short
+    both = [] if not t else [
+        j for j, prior in enumerate(priors) if prior.support_mask & s and prior.support_mask & t
+    ]
+    ties: list[int] = []
+    for x, a, ta, pa in zip(*short):
+        ys, bs, tbs, pbs = long if x else (long[0][1:], long[1][1:], long[2][1:], long[3][1:])
+        if both:  # bs, tbs, pbs: the best of the long side's priors and those meeting both
+            bs, tbs, pbs = list(bs), list(tbs), list(pbs)
+            for i, e in enumerate(map(x.__or__, ys)):
+                scores = [priors[j].mask_num(e) * factors[j] for j in both]
+                high = max(scores)
+                if high > bs[i]:
+                    bs[i], tbs[i] = high, scores.count(high) > 1
+                    pbs[i] = priors[both[scores.index(high)]].restricted(e)
+                elif high == bs[i]:
+                    tbs[i] = True
+        if not x:  # y alone: as the supports cover, a long-side prior or one meeting both wins
+            ties += compress(ys, tbs)
+            yield zip(ys, pbs)
             continue
-        masses[depth] = mass
-        todo += map(mask.__or__, bits[: n - 1 - state])
-        columns = columns or _columns(ht)
-        row = scores[depth] = list(map(add, scores[depth - 1], columns[state]))
-        k = _argmax(ht, mask, row)
-        key = k, mask & priors[k].support_mask
-        posterior = updates.get(key)
-        if posterior is None:
-            posterior = updates[key] = priors[k].restricted(mask)
-        yield mask, posterior
+        if ta or a in bs or max(compress(bs, tbs), default=0) > a:
+            ties += [x | y for y, b, tb in zip(ys, bs, tbs) if a == b or (tb if b > a else ta)]
+        yield zip(map(x.__or__, ys), map(getitem, zip(repeat(pa), pbs), map(a.__lt__, bs)))
+    if ties:
+        first = min(ties, key=mask_indices)
+        _argmax(ht, first, [prior.mask_num(first) * f for prior, f in zip(priors, factors)])
+
+
+def _side(
+    ht: HTRepresentation, masks: Sequence[int], factors: list[int], away: int
+) -> tuple[Sequence[int], list[int], list[bool], list[Belief | None]]:
+    """``masks`` and, on each, the best score of the priors missing ``away``, a tie, the update.
+
+    Each mask follows its prefix (less its last state) in canonical order
+    from 0, so its scores are the prefix's plus that state's column.
+    Updates are built once per (prior, trace); a mask no prior meets gets
+    score 0 and none.
+    """
+    size, priors = len(masks), ht.priors
+    chosen = [] if size == 1 else [
+        (prior.nums, f, prior) for prior, f in zip(priors, factors) if not prior.support_mask & away
+    ]
+    if not chosen:
+        return masks, [0] * size, [False] * size, [None] * size
+    states = mask_indices((1 << len(ht.space)) - 1 ^ away)
+    columns = {i: [nums[i] * f for nums, f, _ in chosen] for i in states}
+    rows = {0: [0] * len(chosen)}
+    maxima, tied, posteriors = [0], [False], [None]
+    updates: dict[tuple[int, int], Belief] = {}
+    for mask in masks[1:]:
+        state = mask.bit_length() - 1
+        row = rows[mask] = list(map(add, rows[mask ^ 1 << state], columns[state]))
+        best = max(row)
+        maxima.append(best)
+        tied.append(row.count(best) > 1)
+        posterior = None
+        if best:
+            k = row.index(best)
+            prior = chosen[k][2]
+            key = k, mask & prior.support_mask
+            posterior = updates.get(key)
+            if posterior is None:
+                posterior = updates[key] = prior.restricted(mask)
+        posteriors.append(posterior)
+    return masks, maxima, tied, posteriors
 
 
 def os_to_ht(os: OSRepresentation) -> HTRepresentation:

@@ -52,6 +52,15 @@ LEAK = (
     "so leak is 0 and the branch that lists a leaking block's events never runs"
 )
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
+ORIENT = (
+    "which side of the top support is the shorter sets only the orientation of the rows: "
+    "either way every entry and every tie is found, and the events with q = 0 enter in "
+    "canonical order"
+)
+ROW_TEST = (
+    "the test only decides whether the exact tie list of a row runs; a tied b equal to a "
+    "is already caught by `a in bs`, so the mutant at most runs it on a row with no tie"
+)
 
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -78,6 +87,24 @@ ALLOWED = {
     ("is_concentrated", "failed += [q | r for r in rs if leak | ~r]"): LEAK,
     ("validate_cps", "heap = [(mask_indices(e), [], e, 0, 1) for e in uncertified]"): UNREAD,
     ("validate_cps", "heap = [(mask_indices(e), [], e, 0, -1) for e in uncertified]"): UNREAD,
+    ("_rejected", "if not t and len(light) == 0:"): (
+        "skips a shortcut: with no light trace and no state outside the top support, the "
+        "rows below are one empty row"
+    ),
+    ("_rejected", "if not len(light) > len(rs):"): ORIENT,
+    ("_rejected", "if len(light) >= len(rs):"): ORIENT,
+    ("_rejected", "if ta or a in bs or max(compress(bs, tbs), default=0) >= a:"): ROW_TEST,
+    ("_rejected", "if ta or a in bs or max(compress(bs, tbs), default=1) > a:"): ROW_TEST,
+    ("_rejected", "if ta or a in bs or max(compress(bs, tbs), default=-1) > a:"): ROW_TEST,
+    (
+        "_rejected",
+        "ties += [x | y for y, b, tb in zip(ys, bs, tbs) if a == b or (tb if b >= a else ta)]",
+    ): "b == a is already a tie by the first test",
+    (
+        "_side",
+        "chosen = [] if size == 0 else [(prior.nums, f, prior) for prior, f in zip(priors, factors) "
+        "if not prior.support_mask & away]",
+    ): "a side of one mask, the empty one, scores 0 with or without its priors",
     ("validate_cps", "for f in lex_submasks(e)[2:]:"): (
         "skips the singleton F = {a}, the least state of E, in an uncertified E's pair "
         "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "

@@ -71,8 +71,10 @@ def random_representation(rng: random.Random) -> HTRepresentation:
     return HTRepresentation(space, priors, rho, eps)
 
 
-def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
+def assert_matches_oracle(ht: HTRepresentation, counts: dict):
     """Check ``ht_select`` on every event and ``ht_rule`` as a whole; tally what was reached.
+
+    Returns the canonically first tied event with its tied priors, or None.
 
     ``counts["overwrite"]`` gains, for a rule with no tie, its thresholded
     argmax events on which the top prior has positive mass and a later
@@ -112,6 +114,7 @@ def assert_matches_oracle(ht: HTRepresentation, counts: dict) -> None:
         with pytest.raises(AmbiguousArgmax) as tie:
             ht_rule(ht)
         assert (tie.value.event, tie.value.tied) == first_tie
+    return first_tie
 
 
 def test_selection_matches_the_fraction_oracle():
@@ -140,6 +143,76 @@ def test_constructed_representations_match_the_fraction_oracle():
         assert_matches_oracle(eps_os_construction(h, eps).ht, counts)
     assert counts["tie"] == 0
     assert counts["argmax"] > 100
+
+
+def split_representation(rng: random.Random, straddler: bool) -> HTRepresentation:
+    """A top prior on s, priors inside s and priors inside the rest t, and maybe one meeting both.
+
+    Masses and weights are integers 1-3, so scores tie often; the priors
+    inside t cover it, and the threshold is one of ``GRID_EPS``.
+    """
+    n = rng.randint(2, 6)
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    order = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    inside, rest = order[:cut], order[cut:]
+
+    def prior(states) -> Belief:
+        row = {space.states[i]: rng.randint(1, 3) for i in states}
+        return Belief(space, {label: Fraction(w, sum(row.values())) for label, w in row.items()})
+
+    supports = [rng.sample(inside, rng.randint(1, cut)) for _ in range(rng.randint(0, 2))]
+    outer = [rng.sample(rest, rng.randint(1, n - cut)) for _ in range(rng.randint(1, 3))]
+    for i in rest:
+        if not any(i in support for support in outer):
+            rng.choice(outer).append(i)
+    supports += outer
+    if straddler:
+        supports.append([rng.choice(inside), rng.choice(rest)])
+    rng.shuffle(supports)
+    raw = [rng.randint(1, 3) for _ in supports]
+    raw = [max(raw) + rng.randint(1, 2), *raw]
+    rho = [Fraction(r, sum(raw)) for r in raw]
+    priors = [prior(inside), *map(prior, supports)]
+    return HTRepresentation(space, priors, rho, rng.choice(GRID_EPS))
+
+
+def test_split_representations_match_the_fraction_oracle():
+    """Priors on either side of the top support, and some meeting both, against the oracle.
+
+    ``ht_rule`` scores a rejected event q | r (q inside the top support s,
+    r outside it) by the best prior inside s on q, the best inside the
+    rest on r, and per event any prior meeting both.  Every entry is
+    checked, and the sample must reach: a rule whose first tie is at a
+    q | r with both parts nonempty, between a prior inside s and one
+    outside it; an event q | r before a rule's first tie (so it must not
+    raise) where the losing side ties within itself below the winner; and
+    an entry of a tie-free rule won by the prior meeting both sides.
+    """
+    rng = random.Random(SEED + 3)
+    counts = {"tie": 0, "bayesian": 0, "argmax": 0, "overwrite": 0}
+    across = side_ties = straddler_wins = 0
+    for case in range(3 * CASES):
+        ht = split_representation(rng, straddler=case % 3 == 0)
+        s = ht.priors[0].support_mask
+        sides = [(0 if not p.support_mask & ~s else 1 if not p.support_mask & s else 2) for p in ht.priors]
+        first_tie = assert_matches_oracle(ht, counts)
+        if first_tie is not None:
+            e, tied = first_tie
+            across += bool(e.mask & s and e.mask & ~s) and {sides[j] for j in tied} == {0, 1}
+        for e in ht.space.events():  # up to the first tie, which every entry before must pass
+            if first_tie is not None and e == first_tie[0]:
+                break
+            bayesian, scores, (winner,) = fraction_ht_select(ht, e)
+            if bayesian:
+                continue
+            straddler_wins += first_tie is None and sides[winner] == 2
+            if sides[winner] < 2 and e.mask & s and e.mask & ~s:
+                losing = [score for score, side in zip(scores, sides) if side == 1 - sides[winner]]
+                side_ties += losing.count(max(losing)) > 1 and max(losing) > 0
+    # 734 ties and 5644 argmax entries; 32 first ties across, 20 side ties, 70 straddler wins
+    assert counts["tie"] > 500 and counts["argmax"] > 5000
+    assert across > 25 and side_ties > 15 and straddler_wins > 50
 
 
 def grid_domain():

@@ -188,19 +188,20 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     posterior once.
     """
 
-    def repeats_a_key(ht):  # two argmax events share a (prior, event & support)
+    def argmax_keys(ht):  # (prior, event & support) of each event ht_select takes to the argmax
         keys = []
         for e in ht.space.events():
             trace, _ = ht_select(ht, e)
             if trace.branch is SelectionBranch.ARGMAX:
                 keys.append((trace.chosen, e.mask & ht.priors[trace.chosen].support_mask))
-        return len(set(keys)) < len(keys)
+        return keys
 
     space = StateSpace(tuple(f"s{i}" for i in range(6)))
     hier = OSRepresentation(space, (belief_from(space, (1, 2, 3, 4, 5, 6)),))
     prior = belief_from(space, (1, 0, 3, 0, 5, 6))
     null = 0b001010
-    ht = next(ht for ht in constructed_representations() if repeats_a_key(ht))
+    keyed = ((ht, argmax_keys(ht)) for ht in constructed_representations())
+    ht, argmax = next((ht, keys) for ht, keys in keyed if len(set(keys)) < len(keys))  # a repeat
     cases = [
         (os_rule, hier, {e.mask: os_update(hier, e) for e in space.events()}),
         (
@@ -215,9 +216,9 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
             fraction_conservative_rule(prior, Fraction(2, 5))._table,
         ),
     ]
-    events, updates, argmax, asked = [], [], [], []
+    events, updates, asked = [], [], []
     real_init, real_update = Event.__init__, core.bayes_update
-    real_argmax, real_restricted = hypothesis_testing._argmax, Belief.restricted
+    real_restricted = Belief.restricted
 
     def counting_init(self, space, mask):
         events.append(mask)
@@ -227,10 +228,6 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         updates.append(e.mask)
         return real_update(mu, e)
 
-    def counting_argmax(ht, mask, scores):
-        argmax.append(mask)
-        return real_argmax(ht, mask, scores)
-
     def counting_restricted(self, mask):
         update = real_restricted(self, mask)
         asked.append(update is self)
@@ -239,7 +236,6 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     monkeypatch.setattr(Event, "__init__", counting_init)
     for module in (core, ordered_surprises, hypothesis_testing):
         monkeypatch.setattr(module, "bayes_update", counting_update)
-    monkeypatch.setattr(hypothesis_testing, "_argmax", counting_argmax)
     monkeypatch.setattr(Belief, "restricted", counting_restricted)
     rules_built, counts = [], []
     for tabulate, arg, _ in cases:
