@@ -236,12 +236,15 @@ class Belief:
     integers.  Equality and hashing use those integers and the space;
     ``mass`` reads them as Fractions, built on first read.  A belief keeps
     the updates ``trace_posteriors`` walked from it, one per trace on its
-    support, so every tabulator reading the same prior, and the
+    support, and those traces' masks (``_trace_masks``, set with the
+    walk), so every tabulator reading the same prior, and the
     certificate, shares them; and the updates ``kept_update`` made, by
     trace.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces", "_kept")
+    __slots__ = (
+        "space", "den", "nums", "support_mask", "_mass", "_traces", "_trace_masks", "_kept"
+    )
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -528,17 +531,16 @@ def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
     walks the updates and keeps them on the prior, so a later call builds
     no belief.  They are kept as long as the prior, one list slot per
     trace, and the prior's own slot holds None, so that no belief refers
-    back to itself.  ``lex_sums`` of the prior's nonzero numerators gives
-    each q's numerator, in the same order.
+    back to itself; the masks are kept with them.  ``lex_sums`` of the
+    prior's nonzero numerators gives each q's numerator, in the same order.
     """
     support = prior.support_mask
-    full = support == (1 << len(prior.nums)) - 1
-    masks = prior.space.canonical_masks() if full else _lex_masks(mask_indices(support))
     if prior._traces is None:
-        _walk(prior, masks)
+        full = support == (1 << len(prior.nums)) - 1
+        _walk(prior, prior.space.canonical_masks() if full else _lex_masks(mask_indices(support)))
     posteriors = prior._traces.copy()
     posteriors[support.bit_count() - 1] = prior  # the support follows its prefixes
-    return masks, posteriors
+    return prior._trace_masks, posteriors
 
 
 def kept_update(prior: Belief, mask: int) -> Belief:
@@ -560,7 +562,7 @@ def kept_update(prior: Belief, mask: int) -> Belief:
 
 
 def _walk(prior: Belief, masks: Sequence[int]) -> None:
-    # keep on ``prior`` its updates on ``masks``, None on the whole support:
+    # keep on ``prior`` ``masks`` and its updates on them, None on the whole support:
     # in this preorder on the prefix tree each q extends its prefix's
     # (numerators, sum, gcd), on a stack by depth, by one state's
     space, nums, support = prior.space, prior.nums, prior.support_mask
@@ -577,6 +579,7 @@ def _walk(prior: Belief, masks: Sequence[int]) -> None:
         posterior = None if q == support else object.__new__(Belief)._init(space, mass, kept, q, g)
         posteriors.append(posterior)
     prior._traces = posteriors
+    prior._trace_masks = masks
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

@@ -44,15 +44,16 @@ holds (the prior itself when supports are disjoint, else an update the
 prior keeps), and that update's posterior on a trace q = E & s_k, from
 ``core.trace_posteriors``, is the entry on every event q | r of its
 block.  ``os_rule`` and ``bayesian_rule`` return a rule that holds this
-list, one (update, later states) block per prior, and no table.  Its
-``len``, ``events`` and ``==``, and ``is_complete``, ``is_concentrated``,
-``rules_equal``, ``validate_cps`` and ``cps_to_os``, read it a block at
-a time: such a rule peels to its own list, and the certificate and the
-comparisons produce each row or column of a block as a list and compare
-it as they would a table's, so every entry is still compared but no
-2^n dict is built.  A per-entry read (``[]``, ``get``, ``in``) fills
-the table once from the kept walks, and keeps it.  Tables that come
-from data stay tables: ``UpdatingRule(space, mapping)``, ``ht_rule``
+list, one (update, later states) block per prior, and no table.  Such a
+rule is the CPS its list induces: each entry is an update on a trace
+inside its event, so concentrated, and the entry on the states before
+update k is update k, so the rule peels to its own list.  Hence
+``is_concentrated``, ``validate_cps``, ``cps_to_os`` and ``==`` between
+two such rules answer from the lists, ``len``, ``events`` and
+``is_complete`` from the blocks, and no 2^n dict is built.  A per-entry
+read (``[]``, ``get``, ``in``) fills the table once from the kept
+walks, and keeps it.  Tables that come from data stay tables, and only
+they get the certificate: ``UpdatingRule(space, mapping)``, ``ht_rule``
 (its top prior's table, overwritten on the events that prior rejects)
 and ``conservative_rule`` (each posterior mixed once).  The prior keeps
 the posteriors it walked, so every later tabulation on the same prior
@@ -91,11 +92,13 @@ class UpdatingRule:
     later, qs, posteriors, rs): each prior's update on the states no
     earlier one holds, the states it leaves unheld, and its grid, whose
     posterior on a trace q in qs is the entry on q | r for every r in rs,
-    the submasks of the later states.  A per-entry read of such a rule
-    fills its table once, from the kept walks, and keeps it; ``len``,
-    ``events``, ``==`` and the module's checks read the blocks and fill
-    nothing.  Anything but an event over an equal state space is outside
-    the domain.
+    the submasks of the later states.  Such a rule is the concentrated
+    CPS its list induces, and peels to that list, so the module's checks
+    and ``==`` between two of them answer from the lists.  A per-entry
+    read of such a rule fills its table once, from the kept walks, and
+    keeps it; ``len``, ``events`` and ``==`` against a table read the
+    blocks and fill nothing.  Anything but an event over an equal state
+    space is outside the domain.
     """
 
     __slots__ = ("space", "_entries", "_blocks")
@@ -164,6 +167,8 @@ class UpdatingRule:
             return False
         if self._blocks is None and other._blocks is None:
             return self._entries == other._entries
+        if self._blocks is not None and other._blocks is not None:  # a list is its rule's peel
+            return _updates(self) == _updates(other)
         listed, table = (self, other) if self._blocks is not None else (other, self)
         return not _differences(listed, table)
 
@@ -190,6 +195,11 @@ def _fill(blocks: tuple, mix=None) -> dict[int, Belief]:
     return table
 
 
+def _updates(listed: UpdatingRule) -> list[Belief]:
+    """The updates of a rule that holds its prior list, in order: its peel."""
+    return [block[0] for block in listed._blocks]
+
+
 def is_complete(rule: UpdatingRule) -> bool:
     """True when the domain is every nonempty event of the space."""
     return len(rule) == (1 << len(rule.space)) - 1
@@ -198,21 +208,14 @@ def is_complete(rule: UpdatingRule) -> bool:
 def is_concentrated(rule: UpdatingRule) -> CheckResult:
     """Check P(E|E) = 1 on the whole domain; witness the first failure.
 
-    A table is scanned in any order.  A prior list's entry on q | r is its
-    posterior on the trace q, so each posterior is tested once, and a
-    failing one names the events of its block that it leaks out of.  Only
-    when some event fails is the canonically first failure picked out.
+    A prior list's entry on q | r is its update on the trace q, whose
+    support is q, so a rule that holds its list is concentrated.  A table
+    is scanned in any order, and only when some event fails is the
+    canonically first failure picked out.
     """
-    blocks = rule._blocks
-    if blocks is None:
-        failed = [mask for mask, belief in rule._entries.items() if belief.support_mask & ~mask]
-    else:
-        failed = []
-        for _, _, qs, posteriors, rs in blocks:
-            for q, posterior in zip(qs, posteriors):
-                leak = posterior.support_mask & ~q
-                if leak:
-                    failed += [q | r for r in rs if leak & ~r]
+    if rule._blocks is not None:
+        return CheckResult(True)
+    failed = [mask for mask, belief in rule._entries.items() if belief.support_mask & ~mask]
     if failed:
         return CheckResult(False, Event(rule.space, min(failed, key=mask_indices)))
     return CheckResult(True)
@@ -314,23 +317,23 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     """CPS check over all nested triples G <= F <= E, F nonempty.
 
     Returns not-candidate (naming the failed property) if the rule is not
-    complete or not concentrated.  Otherwise peels the rule from the full
-    space and certifies each event's belief as the Bayes update of the
-    first peeled prior k meeting it, which is k's update on the trace
-    q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives
-    for q.  A peeled prior that a tabulator walked already keeps those
-    posteriors; any other builds its 2^|s_k| - 2 once and keeps them, so
-    a second call on the same rule builds no belief.  A rule holding its
-    prior list peels to that list, and its blocks' entries are produced
-    from the walks and compared the same way, filling no table.  The
-    events q | r of peel k, q in the traces Q_k and r in the sets R_k of
-    later states, are certified in sum_k min(|Q_k|, |R_k|) Python steps,
-    each one list comparison at C speed along the longer side, which
-    reads exactly 2^n - 1 entries in all, a table's row or column in one C
-    call.  A failing step compares its row in slices of ``_WIDTH`` entries
-    at C speed and lists only the slices that differ, so the uncertified
-    entries U take O(|U| ``_WIDTH``) more Python steps, and each entry is
-    compared at most twice more.  All certified proves the rule is the one
+    complete or not concentrated.  A complete rule that holds its prior
+    list is the CPS that list induces, and peels to it: valid, with its
+    blocks' updates as the priors, and no entry is read.  A table is
+    peeled from the full space, and each event's belief is certified as
+    the Bayes update of the first peeled prior k meeting it, which is k's
+    update on the trace q = E & s_k: the posterior
+    ``core.trace_posteriors(prior)`` gives for q.  A peeled prior that a
+    tabulator walked already keeps those posteriors; any other builds its
+    2^|s_k| - 2 once and keeps them, so a second call on the same rule
+    builds no belief.  The events q | r of peel k, q in the traces Q_k
+    and r in the sets R_k of later states, are certified in
+    sum_k min(|Q_k|, |R_k|) Python steps, each one list comparison at C
+    speed along the longer side, which reads exactly 2^n - 1 entries in
+    all, a row or column in one C call.  A failing step compares its row
+    in slices of ``_WIDTH`` entries at C speed and lists only the slices
+    that differ, so the uncertified entries U take O(|U| ``_WIDTH``) more
+    Python steps, and each entry is compared at most twice more.  All certified proves the rule is the one
     the peeled hierarchy induces, hence a CPS: valid, with the peeled
     priors, and ``triples`` counts all 4^n - 2^n triples as certified
     for n states.  Concentration is checked only where it can fail: on
@@ -346,8 +349,9 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     space = rule.space
     n = len(space)
     space.check_enumerable()
-    blocks = rule._blocks
-    entries = rule._entries
+    if rule._blocks is not None:
+        return CpsValidation.valid(4**n - 2**n, tuple(_updates(rule)))
+    table = rule._entries
     rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
@@ -356,23 +360,16 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
     # k, must hold, or equal, the posterior ``trace_posteriors`` gives for q.
     while rest:
-        if blocks is None:
-            prior = entries[rest]
-        else:  # a prior list's entry on A_k is its update k, so its peel is the list
-            prior, _, qs, images, rs = blocks[len(priors)]
+        prior = table[rest]
         support = prior.support_mask
         if support & ~rest:
             return CpsValidation.not_candidate("not concentrated")
         priors.append(prior)
         peels.append(rest)
         rest &= ~support
-        if blocks is None:
-            rs = lex_submasks(rest) if rest else (0,)
-            qs, images = trace_posteriors(prior)
-        uncertified += _misses(qs, images, rs, entries)
+        uncertified += _misses(*trace_posteriors(prior), lex_submasks(rest), table)
     if not uncertified:
         return CpsValidation.valid(4**n - 2**n, tuple(priors))
-    table = rule._table
     if any(table[f].support_mask & ~f for f in uncertified):
         return CpsValidation.not_candidate("not concentrated")
 
@@ -479,37 +476,29 @@ def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
     return CpsValidation.violation(witness, before + position + 2)
 
 
-def _misses(qs, expected: list, rs, table: dict | None) -> list[int]:
+def _misses(qs, expected: list, rs, table: dict) -> list[int]:
     """The events q | r of a block, q in ``qs`` and r in ``rs``, whose entry is not expected[q].
 
-    A table's entries are read from ``table``, which holds every event, a
-    row or column in one C call; without it the block is a prior list's,
-    whose entry on q | r is expected[q] for every r.  The block is read
-    along its longer side, each row or column compared at C speed,
-    identity first, so every entry is compared in sum min(|Q|, |R|)
-    Python steps.  A failing step lists its misses through
-    ``_differing``: O(``_WIDTH``) Python steps per miss, however long the
-    row, and at most two more comparisons per entry.
+    The entries are read from ``table``, which holds every event, a row or
+    column in one C call; a rule that holds its prior list is the CPS the
+    list induces and is never certified here.  The block is read along its longer side, each
+    row or column compared at C speed, identity first, so every entry is
+    compared in sum min(|Q|, |R|) Python steps.  A failing step lists its
+    misses through ``_differing``: O(``_WIDTH``) Python steps per miss,
+    however long the row, and at most two more comparisons per entry.
     """
     misses: list[int] = []
     if len(rs) <= len(qs):  # one step per r: its events q | r against every expected entry
-        if table is not None:
-            expected = tuple(expected)  # of the type ``itemgetter`` reads
+        expected = tuple(expected)  # of the type ``itemgetter`` reads
         for r in rs:
-            if table is None:
-                held = expected.copy()
-            else:
-                held = itemgetter(*(map(or_, repeat(r), qs) if r else qs))(table)
-                if len(qs) == 1:  # ``itemgetter`` of one key reads a bare entry
-                    held = (held,)
+            held = itemgetter(*(map(or_, repeat(r), qs) if r else qs))(table)
+            if len(qs) == 1:  # ``itemgetter`` of one key reads a bare entry
+                held = (held,)
             if held != expected:
                 misses += [qs[i] | r for i in _differing(held, expected)]
     else:  # one step per q: its events q | r against its expected entry
         for q, x in zip(qs, expected):
-            if table is None:
-                held = [x] * len(rs)
-            else:  # two keys or more, as len(rs) > len(qs)
-                held = itemgetter(*map(or_, repeat(q), rs))(table)
+            held = itemgetter(*map(or_, repeat(q), rs))(table)  # two keys or more
             if held.count(x) != len(held):
                 misses += [q | rs[i] for i in _differing(held, (x,) * len(held))]
     return misses
@@ -554,7 +543,7 @@ def _differences(listed: UpdatingRule, other: UpdatingRule) -> list[int]:
     domain are added.
     """
     blocks = listed._blocks
-    if other._blocks is not None and [b[0] for b in other._blocks] == [b[0] for b in blocks]:
+    if other._blocks is not None and _updates(other) == _updates(listed):
         return []
     table = entries = other._table
     differs: list[int] = []
@@ -576,6 +565,9 @@ def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
     An event missing from either rule counts as a difference.  Two tables
     are compared as dicts; a rule holding its prior list is compared a
     block at a time, and the first difference is the canonically least.
+    Two rules holding equal lists are equal with no entry read, but two
+    holding different lists fill the second one's table to find that
+    first difference (``==`` needs only the lists).
     """
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")

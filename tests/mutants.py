@@ -47,10 +47,6 @@ DEFAULT_TESTS = (
     "tests/test_tabulator_differential.py",
 )
 
-LEAK = (
-    "a prior list's posterior on a trace q is its update on q, whose support is q, "
-    "so leak is 0 and the branch that lists a leaking block's events never runs"
-)
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
 ORIENT = (
     "which side of the top support is the shorter sets only the orientation of the rows: "
@@ -81,10 +77,6 @@ SYMBOLS = {
 
 # (function, mutated statement) -> why the mutant is equivalent to the original
 ALLOWED = {
-    ("is_concentrated", "if not leak:"): LEAK,
-    ("is_concentrated", "failed -= [q | r for r in rs if leak & ~r]"): LEAK,
-    ("is_concentrated", "failed += [q & r for r in rs if leak & ~r]"): LEAK,
-    ("is_concentrated", "failed += [q | r for r in rs if leak | ~r]"): LEAK,
     ("validate_cps", "heap = [(mask_indices(e), [], e, 0, 1) for e in uncertified]"): UNREAD,
     ("validate_cps", "heap = [(mask_indices(e), [], e, 0, -1) for e in uncertified]"): UNREAD,
     ("_rejected", "if not t and len(light) == 0:"): (

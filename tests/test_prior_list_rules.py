@@ -8,7 +8,10 @@ and ``cps_to_os``) read the list and fill nothing.  Each must answer as
 it does on a table of the same entries built one event at a time from
 ``os_update`` (``bayes_update`` for ``bayesian_rule``), and ``rules_equal``
 must name the first event an event-by-event scan finds, against copies
-with one entry changed, dropped or added.
+with one entry changed, dropped or added.  Such a rule is the CPS its
+list induces, so ``validate_cps``, ``cps_to_os``, ``is_concentrated``
+and ``==`` between two of them answer from the lists alone: no
+``Belief.__eq__`` call, no ``Belief`` or ``Event`` built.
 
 The inputs are every ``grid_hierarchies`` hierarchy (1015 of them,
 |S| <= 4), then seeded canonical and overlapping hierarchies at
@@ -18,6 +21,7 @@ The inputs are every ``grid_hierarchies`` hierarchy (1015 of them,
 
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -174,9 +178,71 @@ def test_two_listed_rules_compare_by_their_lists():
             *[UpdatingRule(a.space, {e: rule[e] for e in rule.events()}) for rule in (left, right)]
         )
         assert rules_equal(os_rule(a), os_rule(b)) == expected
-        assert (os_rule(a) == os_rule(b)) == expected.ok == (os_rule(b) == os_rule(a))
+        left, right = os_rule(a), os_rule(b)
+        assert (left == right) == expected.ok == (right == left)
+        assert left._entries is None and right._entries is None, "== filled a table"
         verdicts[expected.ok] += 1
     assert verdicts[False] > 10
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of ``Belief.__eq__`` calls and of the ``Belief``s and ``Event``s built."""
+    counts = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Belief, "__eq__", counted("Belief.__eq__", Belief.__eq__))
+    monkeypatch.setattr(Belief, "_init", counted("Belief", Belief._init))
+    monkeypatch.setattr(Event, "__init__", counted("Event", Event.__init__))
+    return counts
+
+
+def check_answered_from_the_list(rule: UpdatingRule, twin: UpdatingRule, reads: Counter) -> None:
+    """``validate_cps``, ``cps_to_os``, ``is_concentrated`` and ``rule == twin`` read no entry.
+
+    ``twin`` is a second rule of the same list, so the lists hold the same
+    updates and compare by identity.
+    """
+    n = len(rule.space)
+    answers = {}
+    for name, read in (
+        ("validate_cps", lambda: validate_cps(rule)),
+        ("cps_to_os", lambda: decomposed(rule)),
+        ("is_concentrated", lambda: is_concentrated(rule)),
+        ("==", lambda: rule == twin),
+    ):
+        reads.clear()
+        answers[name] = read()
+        assert not reads, f"{name} read entries: {dict(reads)}"
+    assert rule._entries is None and twin._entries is None, "a reader filled a table"
+    got = answers["validate_cps"]
+    if got:
+        assert got.triples == 4**n - 2**n
+        assert all(a is b[0] for a, b in zip(got.priors, rule._blocks, strict=True))
+        assert answers["cps_to_os"] == got.priors
+    else:
+        assert got.reason == "not complete" and answers["cps_to_os"] == got
+    assert answers["is_concentrated"] == CheckResult(True) and answers["=="] is True
+
+
+def test_listed_rules_are_answered_from_their_lists(reads):
+    """The grid hierarchies at |S| <= 4 and the 24 seeded ones at |S| = 5-10."""
+    statuses = Counter()
+    sizes = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+    grids = chain.from_iterable(grid_hierarchies(n, den) for n, den in sizes)
+    for hier in chain(grids, seeded_hierarchies()):
+        check_answered_from_the_list(os_rule(hier), os_rule(hier), reads)
+        for prior in hier.priors:
+            rule = bayesian_rule(prior)
+            check_answered_from_the_list(rule, bayesian_rule(prior), reads)
+            statuses[validate_cps(rule).status] += 1
+    assert statuses["valid"] and statuses["not-candidate"]
 
 
 def test_a_listed_rule_fills_its_table_on_the_first_entry_read():
