@@ -408,7 +408,7 @@ def cmd_partition(scenario: Scenario, args):
     part = surprise_partition(os, eps)
     report = _Report()
     report.put("eps", format_rational(eps))
-    classes = [len(events) for events in part.classes]
+    classes = list(part.sizes)
     report.payload["classes"] = classes
     report.rows += [("class", str(k), str(n)) for k, n in enumerate(classes)]
     undefined = [_text(event.members) for event in part.undefined]

@@ -18,10 +18,10 @@ mass at most the threshold, only the empty one at 0), r a submask of the
 rest t.  A prior inside s scores by q alone and one inside t by r alone,
 so each side keeps its best score, tie flag and winner's update once per
 q or per r, and the event takes the larger side's (a prior meeting both,
-none when supports are disjoint, is scored per event).  Rows of the table
-are filled from the two sides at C speed, so the work over all priors
-falls from one column per rejected event to one per q and per r.  A rule
-that is Bayesian on every event builds none of this.
+none when supports are disjoint, is scored per event).  These events are
+the exceptions to the top prior's block, listed a row at a time from the
+two sides at C speed: one column per q and per r, not per event.  A rule
+that is Bayesian on every event is the block alone.
 
 ``os_to_ht`` turns any ordered hierarchy that covers the space into such a
 representation whose rule is identical; supports may overlap.  Weight k+1
@@ -236,9 +236,9 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
 
     Propagates AmbiguousArgmax (with the canonically first tied event and
     every tied prior) if any event has a tied argmax, since the rule is
-    undefined there.  It is the top prior's table, overwritten on the
-    events that prior rejects, a row at a time; only ``_rejected`` reads
-    the threshold, and it scores each side of the top support once.
+    undefined there.  It is the top prior's block, with the events that
+    prior rejects as exceptions, and no 2^n table; only ``_rejected``
+    reads the threshold, and it scores each side of the top support once.
     """
     return tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht)))
 
@@ -248,7 +248,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
 
     Each mask of the shorter side (``_side``) yields a row over the longer
     one.  A tie is an equal pair of side maxima or a tie inside the larger
-    side.  Rows come lazily, after the top prior's fill, and the
+    side.  Rows come lazily, after the top prior's block, and the
     canonically first tied event raises after the last.
     """
     priors, eps = ht.priors, ht.eps

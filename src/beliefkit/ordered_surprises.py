@@ -159,26 +159,26 @@ class SurprisePartition:
     ``classes[k]`` holds the events whose first above-threshold prior is k,
     in canonical order.  ``undefined`` holds the events no prior clears.
     The one constructor takes masks: ``parts[k]`` lists class k's, and the
-    last list the undefined events'.  The Events are built on first read,
-    the mask-to-class lookup on the first ``class_of``.
+    last list the undefined events'.  Each list's Events are built on its
+    first read, the mask-to-class lookup on the first ``class_of``.
+    ``sizes[k]`` is ``len(classes[k])``, counted from the masks.
     """
 
     __slots__ = ("space", "eps", "_parts", "_lookup", "_events")
 
     def __init__(self, space: StateSpace, eps: Fraction, parts: list[list[int]]):
         self.space, self.eps, self._parts = space, eps, parts
-        self._events: tuple | None = None
+        self._events: list[tuple[Event, ...] | None] = [None] * len(parts)
         self._lookup: dict[int, int | None] | None = None
 
-    def _read(self) -> tuple:
-        if self._events is None:
-            space = self.space
-            *classes, undefined = [tuple([Event(space, m) for m in part]) for part in self._parts]
-            self._events = (tuple(classes), undefined)
-        return self._events
+    def _read(self, k: int) -> tuple[Event, ...]:
+        if self._events[k] is None:
+            self._events[k] = tuple([Event(self.space, m) for m in self._parts[k]])
+        return self._events[k]
 
-    classes = property(lambda self: self._read()[0])
-    undefined = property(lambda self: self._read()[1])
+    classes = property(lambda self: tuple(map(self._read, range(len(self._parts) - 1))))
+    undefined = property(lambda self: self._read(-1))
+    sizes = property(lambda self: tuple(map(len, self._parts[:-1])))
 
     def class_of(self, event: Event) -> int | None:
         """Class index for ``event``, or None when it is undefined."""

@@ -1,4 +1,4 @@
-"""Belief-updating rules as finite tables or ordered prior lists, and the chain-rule validator.
+"""Updating rules as a prior list plus the entries that depart from it, and the CPS validator.
 
 An updating rule maps conditioning events to posterior beliefs.  A rule is a
 conditional probability system (CPS) when it is complete (defined on every
@@ -12,19 +12,18 @@ and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
 An update depends only on the event's trace on its prior's support, so
 the certificate tests each entry against the update
-``core.trace_posteriors`` gives for its trace: by identity where the table
+``core.trace_posteriors`` gives for its trace: by identity where the rule
 holds that posterior, as a rule tabulated on the same prior does, and by
 integer equality elsewhere.  Peel k's entries form a grid, its traces Q_k
 by the sets R_k of later states, read along the longer side in one C-level
 list comparison per element of the shorter: sum_k min(|Q_k|, |R_k|)
-Python steps over exactly 2^n - 1 reads.  A row or column that fails is
-compared again in slices of 16 entries at C speed, and only a slice that
-differs is listed in Python.  All later work grows with n and
-the set U of uncertified entries, not with 2^n: concentration is checked on
-the peeled entries and on U alone, and where an entry fails, a heap search
-from U finds the first violating triple under the canonical event order,
-the one an exhaustive scan would report, and places it in that scan in
-closed form.
+Python steps.  A row or column that fails is compared again in slices of
+16 entries at C speed, and only a slice that differs is listed in Python.
+All later work grows with n and the set U of uncertified entries, not
+with 2^n: concentration is checked on the peeled entries and on U alone,
+and where an entry fails, a heap search from U finds the first violating
+triple under the canonical event order, the one an exhaustive scan would
+report, and places it in that scan in closed form.
 
 Two states witness any violation: a complete, concentrated rule is a CPS
 iff the chain rule holds at every E, two-state F = {a, c} inside it and
@@ -37,36 +36,28 @@ both p and q restricted to {a, c}, which differ.  So one pair breaks, and
 at G = {a}: its tests at {a} and {c} sum to the one at {a, c}, which
 concentration passes.
 
-``bayesian_rule`` and ``conservative_rule`` here, ``os_rule`` and
-``ht_rule`` share one tabulator, ``tabulate_traces``, the OS rule of an
-ordered prior list: each prior is updated on the states no earlier one
-holds (the prior itself when supports are disjoint, else an update the
-prior keeps), and that update's posterior on a trace q = E & s_k, from
-``core.trace_posteriors``, is the entry on every event q | r of its
-block.  ``os_rule`` and ``bayesian_rule`` return a rule that holds this
-list, one (update, later states) block per prior, and no table.  Such a
-rule is the CPS its list induces: each entry is an update on a trace
-inside its event, so concentrated, and the entry on the states before
-update k is update k, so the rule peels to its own list.  Hence
-``is_concentrated``, ``validate_cps``, ``cps_to_os`` and ``==`` between
-two such rules answer from the lists, ``len``, ``events`` and
-``is_complete`` from the blocks, and no 2^n dict is built.  A per-entry
-read (``[]``, ``get``, ``in``) fills the table once from the kept
-walks, and keeps it.  Tables that come from data stay tables, and only
-they get the certificate: ``UpdatingRule(space, mapping)``, ``ht_rule``
-(its top prior's table, overwritten on the events that prior rejects)
-and ``conservative_rule`` (each posterior mixed once).  The prior keeps
-the posteriors it walked, so every later tabulation on the same prior
-object (and ``eps_os_construction``, and the certificate) builds none
-and shares them, and the posterior on the whole support is the prior
-itself.  A table is stored by event mask; ``Event``s are built only
-where a caller asks for one.
+Every rule has one shape: the blocks of an ordered prior list, built by
+``tabulate_traces`` as the OS rule of the list (see ``UpdatingRule``), and
+exceptions, entries by mask that are read first.  ``os_rule`` and
+``bayesian_rule`` are blocks alone, ``UpdatingRule(space, mapping)`` and
+``conservative_rule`` exceptions alone, and ``ht_rule`` its top prior's
+block plus the events that prior rejects.  A block's entries are the CPS
+its list induces: each is an update on a trace inside its event, so
+concentrated, and the entry on the states before update k is update k.
+So ``is_concentrated`` reads only the exceptions, and ``validate_cps``
+only those on the blocks its peel follows; the regions past them (all of
+a table, an ``ht`` rule's events outside the top support) get the full
+certificate, so U and every witness are those of the table of the same
+entries.  A prior keeps the posteriors it walked, so a later tabulation
+on it builds none, and the posterior on the whole support is the prior
+itself.  Entries are stored by mask; ``Event``s are built only where a
+caller asks for one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import itemgetter, ne, or_
 from typing import Iterable, Mapping, NamedTuple
 
@@ -85,23 +76,19 @@ from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
 
 class UpdatingRule:
-    """An immutable rule from conditioning events to beliefs: a table, or a prior list.
+    """An immutable rule from conditioning events to beliefs: a prior list's blocks, and exceptions.
 
-    A table is stored by mask.  A rule ``tabulate_traces`` returns without
-    ``rest`` holds the ordered prior list instead, as blocks (update,
-    later, qs, posteriors, rs): each prior's update on the states no
-    earlier one holds, the states it leaves unheld, and its grid, whose
-    posterior on a trace q in qs is the entry on q | r for every r in rs,
-    the submasks of the later states.  Such a rule is the concentrated
-    CPS its list induces, and peels to that list, so the module's checks
-    and ``==`` between two of them answer from the lists.  A per-entry
-    read of such a rule fills its table once, from the kept walks, and
-    keeps it; ``len``, ``events`` and ``==`` against a table read the
-    blocks and fill nothing.  Anything but an event over an equal state
-    space is outside the domain.
+    ``_blocks`` holds (support, traces) per update of the list, in order,
+    ``traces`` mapping each nonempty submask q of the support to the
+    update's posterior on q: the entry on every q | r, r among the states
+    the update leaves unheld.  ``_exceptions`` holds entries by mask.  A
+    read (``[]``, ``get``, ``in``) takes the exception on the event, else
+    its trace's posterior on the first support it meets.  The domain is
+    counted once, when the rule is built.  Anything but an event over an
+    equal state space is outside the domain.
     """
 
-    __slots__ = ("space", "_entries", "_blocks")
+    __slots__ = ("space", "_blocks", "_exceptions", "_size")
 
     def __init__(self, space: StateSpace, table: Mapping[Event, Belief]):
         checked: dict[int, Belief] = {}
@@ -113,34 +100,35 @@ class UpdatingRule:
             if belief.space != space:
                 raise SpaceMismatch("table value built over a different state space")
             checked[event.mask] = belief
-        self._init(space, checked)
+        self._init(space, (), checked)
 
-    def _init(
-        self, space: StateSpace, table: dict[int, Belief] | None, blocks: tuple | None = None
-    ) -> "UpdatingRule":
-        # the one initializer: keys are nonempty masks over ``space``, values
-        # beliefs over it; a prior list's rule passes its blocks and no table
+    def _init(self, space: StateSpace, blocks: tuple, exceptions: dict) -> "UpdatingRule":
+        # the one initializer: blocks on disjoint supports, and exceptions keyed by
+        # nonempty masks over ``space`` with beliefs over it; the domain is every
+        # event meeting a block, and each exception past them
+        held = sum([support for support, _ in blocks])
+        n = len(space)
         self.space = space
-        self._entries = table
         self._blocks = blocks
+        self._exceptions = exceptions
+        past = len(list(filterfalse(held.__and__, exceptions)))
+        self._size = (1 << n) - (1 << n - held.bit_count()) + past
         return self
 
-    @property
-    def _table(self) -> dict[int, Belief]:
-        """The entries by mask, filled from the blocks on first read."""
-        if self._entries is None:
-            self._entries = _fill(self._blocks)
-        return self._entries
+    def _entry(self, mask: int) -> Belief | None:
+        """The belief on ``mask``: its exception, else from the first block meeting it, else None."""
+        belief = self._exceptions.get(mask)
+        if belief is None:
+            for support, traces in self._blocks:
+                if mask & support:
+                    return traces[mask & support]
+        return belief
 
     def events(self) -> tuple[Event, ...]:
         """Domain events in canonical order."""
-        if self._blocks is None:
-            masks = sorted(self._entries, key=mask_indices)
-        else:  # the events meeting some support
-            unheld = self._blocks[-1][1]
-            masks = self.space.canonical_masks()
-            if unheld:
-                masks = [mask for mask in masks if mask & ~unheld]
+        masks = self.space.canonical_masks()
+        if len(self) < len(masks):  # some event is outside the domain
+            masks = compress(masks, map(self._entry, masks))
         return tuple([Event(self.space, mask) for mask in masks])
 
     def __getitem__(self, event: Event) -> Belief:
@@ -150,54 +138,35 @@ class UpdatingRule:
         return belief
 
     def get(self, event: Event, default=None):
-        if isinstance(event, Event) and event.space == self.space:
-            return self._table.get(event.mask, default)
+        if isinstance(event, Event) and (event.space is self.space or event.space == self.space):
+            belief = self._entry(event.mask)
+            if belief is not None:
+                return belief
         return default
 
     def __contains__(self, event: Event) -> bool:
         return self.get(event) is not None
 
     def __len__(self) -> int:
-        if self._blocks is None:
-            return len(self._entries)
-        return (1 << len(self.space)) - (1 << self._blocks[-1][1].bit_count())
+        return self._size
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, UpdatingRule) or self.space != other.space:
-            return False
-        if self._blocks is None and other._blocks is None:
-            return self._entries == other._entries
-        if self._blocks is not None and other._blocks is not None:  # a list is its rule's peel
-            return _updates(self) == _updates(other)
-        listed, table = (self, other) if self._blocks is not None else (other, self)
-        return not _differences(listed, table)
+        return (
+            isinstance(other, UpdatingRule)
+            and self.space == other.space
+            and not _differences(self, other)
+        )
 
-    __hash__ = None  # left unhashable: a hash would walk the whole table
+    __hash__ = None  # left unhashable: a hash would walk the whole domain
 
     def __repr__(self) -> str:
         return f"UpdatingRule(<{len(self)} events over {len(self.space)} states>)"
 
 
-def _fill(blocks: tuple, mix=None) -> dict[int, Belief]:
-    """The table of a prior list's blocks, each posterior first passed through ``mix`` if given.
-
-    One posterior fills every event q | r of its block at C speed.
-    """
-    table: dict[int, Belief] = {}
-    for _, later, qs, posteriors, rs in blocks:
-        if mix is not None:
-            posteriors = list(map(mix, posteriors))
-        if not later:
-            table.update(zip(qs, posteriors))
-            continue
-        for q, posterior in zip(qs, posteriors):
-            table.update(dict.fromkeys(map(q.__or__, rs), posterior))
-    return table
-
-
-def _updates(listed: UpdatingRule) -> list[Belief]:
-    """The updates of a rule that holds its prior list, in order: its peel."""
-    return [block[0] for block in listed._blocks]
+def _region(rule: UpdatingRule, mask: int) -> dict[int, Belief | None]:
+    """The rule's entry on every submask of ``mask``, None off its domain, by mask."""
+    masks = lex_submasks(mask)
+    return dict(zip(masks, map(rule._entry, masks)))
 
 
 def is_complete(rule: UpdatingRule) -> bool:
@@ -208,14 +177,11 @@ def is_complete(rule: UpdatingRule) -> bool:
 def is_concentrated(rule: UpdatingRule) -> CheckResult:
     """Check P(E|E) = 1 on the whole domain; witness the first failure.
 
-    A prior list's entry on q | r is its update on the trace q, whose
-    support is q, so a rule that holds its list is concentrated.  A table
-    is scanned in any order, and only when some event fails is the
-    canonically first failure picked out.
+    A block's entry on q | r is its update on the trace q, whose support
+    is q, so only the exceptions are read, in any order, and only when
+    some event fails is the canonically first failure picked out.
     """
-    if rule._blocks is not None:
-        return CheckResult(True)
-    failed = [mask for mask, belief in rule._entries.items() if belief.support_mask & ~mask]
+    failed = [mask for mask, belief in rule._exceptions.items() if belief.support_mask & ~mask]
     if failed:
         return CheckResult(False, Event(rule.space, min(failed, key=mask_indices)))
     return CheckResult(True)
@@ -224,18 +190,17 @@ def is_concentrated(rule: UpdatingRule) -> CheckResult:
 def tabulate_traces(
     space: StateSpace,
     priors: Iterable[Belief],
-    rest: Iterable[tuple[int, Belief]] | None = None,
+    rest: Iterable[tuple[int, Belief]] = (),
 ) -> UpdatingRule:
-    """The OS rule of the ordered ``priors``: each event's update under the first prior meeting it.
+    """The OS rule of the ordered ``priors``, with ``rest``'s (mask, belief) pairs as exceptions.
 
     A prior holding states no earlier prior holds is updated on the states
     still unheld, which is the prior itself when supports are disjoint,
     and kept on the prior otherwise (``core.kept_update``).  That update's
     trace walk is made or read now, so reading the rule builds no belief.
     Its posterior on q is the entry on every q | r: q a nonempty submask
-    of its support, r a submask of the states it leaves unheld.  Without
-    ``rest`` the rule holds these blocks, each with its grid; with it,
-    their table, then ``rest``'s (mask, belief) pairs overwrite.
+    of its support, r a submask of the states it leaves unheld.  ``rest``
+    is read after the blocks are built, and overrides them.
     """
     space.check_enumerable()
     blocks = []
@@ -245,12 +210,8 @@ def tabulate_traces(
             continue
         update = kept_update(prior, unheld)
         unheld ^= update.support_mask
-        blocks.append((update, unheld, *trace_posteriors(update), lex_submasks(unheld)))
-    if rest is None:
-        return object.__new__(UpdatingRule)._init(space, None, tuple(blocks))
-    table = _fill(blocks)
-    table.update(rest)
-    return object.__new__(UpdatingRule)._init(space, table)
+        blocks.append((update.support_mask, dict(zip(*trace_posteriors(update)))))
+    return object.__new__(UpdatingRule)._init(space, tuple(blocks), dict(rest))
 
 
 def bayesian_rule(prior: Belief) -> UpdatingRule:
@@ -263,8 +224,8 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
 
     The rest is the OS rule of the hierarchy (prior, uniform on the null
     states): the Bayes posterior on a feasible event, the uniform belief
-    over a null one.  Each trace's posterior is mixed once, and the mix
-    fills the trace's block of the table.
+    over a null one.  Each trace's posterior is mixed once, and the mix is
+    the entry on every event of the trace's block, all held as exceptions.
     Complete but not concentrated for delta < 1 on any non-certain event,
     which is exactly what makes it a useful non-CPS foil.
     """
@@ -274,8 +235,14 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     space = prior.space
     null = (1 << len(space)) - 1 & ~prior.support_mask
     priors = [prior, Belief.uniform_on(Event(space, null))] if null else [prior]
-    table = _fill(tabulate_traces(space, priors)._blocks, lambda post: prior.mix(delta, post))
-    return object.__new__(UpdatingRule)._init(space, table)
+    mixed: dict[int, Belief] = {}
+    unheld = (1 << len(space)) - 1
+    for support, traces in tabulate_traces(space, priors)._blocks:
+        unheld ^= support
+        rs = lex_submasks(unheld)
+        for q, posterior in traces.items():
+            mixed.update(dict.fromkeys(map(q.__or__, rs), prior.mix(delta, posterior)))
+    return object.__new__(UpdatingRule)._init(space, (), mixed)
 
 
 class CpsWitness(NamedTuple):
@@ -317,31 +284,35 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     """CPS check over all nested triples G <= F <= E, F nonempty.
 
     Returns not-candidate (naming the failed property) if the rule is not
-    complete or not concentrated.  A complete rule that holds its prior
-    list is the CPS that list induces, and peels to it: valid, with its
-    blocks' updates as the priors, and no entry is read.  A table is
-    peeled from the full space, and each event's belief is certified as
-    the Bayes update of the first peeled prior k meeting it, which is k's
-    update on the trace q = E & s_k: the posterior
-    ``core.trace_posteriors(prior)`` gives for q.  A peeled prior that a
-    tabulator walked already keeps those posteriors; any other builds its
+    complete or not concentrated.  The rule is peeled from the full space,
+    and each event's belief is certified as the Bayes update of the first
+    peeled prior k meeting it, which is k's update on the trace
+    q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives for
+    q.  While each peeled prior is the update of the rule's next block,
+    that block holds exactly those posteriors, so only the exceptions on
+    it are read: one pass per such block over the exceptions no earlier
+    one holds, and one list comparison.  A rule of blocks alone thus
+    makes one lookup per block.  Past the blocks (from the full space when the rule has
+    none) the peel reads every entry, through the blocks still ahead if
+    an exception turned it off them.  A peeled prior that a tabulator
+    walked already keeps its posteriors, and any other builds its
     2^|s_k| - 2 once and keeps them, so a second call on the same rule
     builds no belief.  The events q | r of peel k, q in the traces Q_k
     and r in the sets R_k of later states, are certified in
     sum_k min(|Q_k|, |R_k|) Python steps, each one list comparison at C
-    speed along the longer side, which reads exactly 2^n - 1 entries in
-    all, a row or column in one C call.  A failing step compares its row
-    in slices of ``_WIDTH`` entries at C speed and lists only the slices
-    that differ, so the uncertified entries U take O(|U| ``_WIDTH``) more
-    Python steps, and each entry is compared at most twice more.  All certified proves the rule is the one
-    the peeled hierarchy induces, hence a CPS: valid, with the peeled
-    priors, and ``triples`` counts all 4^n - 2^n triples as certified
-    for n states.  Concentration is checked only where it can fail: on
-    each peeled entry, and on the uncertified entries U.  Otherwise the
-    first violating triple in canonical (E, F, G) order, with the number
-    of triples an exhaustive scan enumerates up to and including it:
-    O(|U| n) heap steps, plus the pair tests of each uncertified E met
-    before it, and a closed-form count.
+    speed along the longer side, a row or column read in one C call.  A
+    failing step compares its row in slices of ``_WIDTH`` entries at C
+    speed and lists only the slices that differ, so the uncertified
+    entries U take O(|U| ``_WIDTH``) more Python steps, and each entry is
+    compared at most twice more.  All certified proves the rule is the
+    one the peeled hierarchy induces, hence a CPS: valid, with the peeled
+    priors, and ``triples`` counts all 4^n - 2^n triples as certified for
+    n states.  Concentration is checked only where it can fail: on each
+    peeled entry, and on U.  Otherwise the first violating triple in
+    canonical (E, F, G) order, with the number of triples an exhaustive
+    scan enumerates up to and including it: O(|U| n) heap steps, plus the
+    pair tests of each uncertified E met before it, and a closed-form
+    count.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
@@ -349,16 +320,32 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     space = rule.space
     n = len(space)
     space.check_enumerable()
-    if rule._blocks is not None:
-        return CpsValidation.valid(4**n - 2**n, tuple(_updates(rule)))
-    table = rule._entries
+    blocks, exceptions = rule._blocks, rule._exceptions
     rest = (1 << n) - 1
     priors: list[Belief] = []
     peels: list[int] = []  # A_k, the states s_0 ... s_{k-1} leave
     uncertified: list[int] = []
-    # Peel, and certify E's entry as the update of the first peeled prior k
-    # meeting E on its trace q = E & s_k, s_k k's support: E = q | r, r past
-    # k, must hold, or equal, the posterior ``trace_posteriors`` gives for q.
+    # The peel follows the blocks while each peeled prior is the next
+    # block's update: that block then holds the very posteriors the
+    # certificate expects, so only the exceptions on it are read.
+    pending = exceptions  # those on no block followed so far
+    for support, traces in blocks:
+        update = traces[support]
+        if exceptions.get(rest, update) is not update:
+            break
+        if pending:
+            here = [mask for mask in pending if mask & support]
+            pending = [mask for mask in pending if not mask & support]
+            expected = [traces[mask & support] for mask in here]
+            uncertified += _unequal(here, map(exceptions.__getitem__, here), expected)
+        priors.append(update)
+        peels.append(rest)
+        rest ^= support
+    # Past them, peel, and certify E's entry as the update of the first
+    # peeled prior k meeting E on its trace q = E & s_k: E = q | r, r past
+    # k, must hold, or equal, the posterior ``trace_posteriors`` gives for
+    # q.  Where blocks lie ahead, their entries are read through them.
+    table = exceptions if len(priors) == len(blocks) else _region(rule, rest)
     while rest:
         prior = table[rest]
         support = prior.support_mask
@@ -370,7 +357,8 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         uncertified += _misses(*trace_posteriors(prior), lex_submasks(rest), table)
     if not uncertified:
         return CpsValidation.valid(4**n - 2**n, tuple(priors))
-    if any(table[f].support_mask & ~f for f in uncertified):
+    read = rule._entry
+    if any(read(f).support_mask & ~f for f in uncertified):
         return CpsValidation.not_candidate("not concentrated")
 
     # Search, in canonical (E, F) order.  Certified entries are updates,
@@ -394,15 +382,15 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     while True:
         _, f_key, e, f, a = heappop(heap)
         if not f:
-            given = table[e]
+            given = read(e)
             for f in lex_submasks(e)[1:]:
-                if _first_break(given, table[f], f, [1 << i for i in mask_indices(f)]) is not None:
-                    return _violation(space, table, e, f)
+                if _first_break(given, read(f), f, [1 << i for i in mask_indices(f)]) is not None:
+                    return _violation(space, read, e, f)
         elif e in pending:
             e = _next_superset(e, f, a)
             heappush(heap, (mask_indices(e), f_key, e, f, a))
         else:
-            return _violation(space, table, e, f)
+            return _violation(space, read, e, f)
 
 
 def _next_superset(e: int, f: int, a: int) -> int:
@@ -450,13 +438,13 @@ def _first_break(given_e: Belief, given_f: Belief, f: int, gs) -> int | None:
     return None
 
 
-def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
-    """The first violating triple of the failing pair (E, F), and its position.
+def _violation(space: StateSpace, read, e: int, f: int) -> CpsValidation:
+    """The first violating triple of the failing pair (E, F), ``read`` giving entries by mask.
 
     F's prefixes come first among its submasks, and the per-state terms
     of the test sum to zero over F, so the first G to break is a prefix.
     """
-    given_e, given_f = table[e], table[f]
+    given_e, given_f = read(e), read(f)
     gs = list(accumulate([1 << i for i in mask_indices(f)]))
     position = _first_break(given_e, given_f, f, gs)  # not None: the pair fails
     g = gs[position]
@@ -479,9 +467,9 @@ def _violation(space: StateSpace, table: dict, e: int, f: int) -> CpsValidation:
 def _misses(qs, expected: list, rs, table: dict) -> list[int]:
     """The events q | r of a block, q in ``qs`` and r in ``rs``, whose entry is not expected[q].
 
-    The entries are read from ``table``, which holds every event, a row or
-    column in one C call; a rule that holds its prior list is the CPS the
-    list induces and is never certified here.  The block is read along its longer side, each
+    The entries are read from ``table``, which holds every event of the
+    block, a row or column in one C call.  The block is read along its
+    longer side, each
     row or column compared at C speed, identity first, so every entry is
     compared in sum min(|Q|, |R|) Python steps.  A failing step lists its
     misses through ``_differing``: O(``_WIDTH``) Python steps per miss,
@@ -502,6 +490,12 @@ def _misses(qs, expected: list, rs, table: dict) -> list[int]:
             if held.count(x) != len(held):
                 misses += [q | rs[i] for i in _differing(held, (x,) * len(held))]
     return misses
+
+
+def _unequal(masks: list[int], held: Iterable, expected: Iterable) -> list[int]:
+    """The masks whose entry in ``held`` neither is nor equals the one in ``expected``, in order."""
+    held, expected = list(held), list(expected)
+    return [] if held == expected else [masks[i] for i in _differing(held, expected)]
 
 
 _WIDTH = 16  # entries per slice in which a failing row is compared at C speed
@@ -532,53 +526,54 @@ def _differing(held, expected) -> list[int]:
     ]
 
 
-def _differences(listed: UpdatingRule, other: UpdatingRule) -> list[int]:
-    """Every event on which ``other`` differs from ``listed``, a rule that holds its prior list.
+def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
+    """Every event on which ``a`` and ``b`` differ, an event outside a domain read as None.
 
-    A prior list is its rule's peel, so two listed rules are equal iff
-    their updates are.  Else ``other``'s table (filled if it holds a list
-    too) is read one block of ``listed`` at a time, along its longer side,
-    with None on the events it lacks; where that finds a difference or
-    the domains differ in size, the table's events outside ``listed``'s
-    domain are added.
+    Let ``a`` be the rule holding more blocks.  On the blocks both rules
+    open with (equal updates) their entries agree but for the exceptions.
+    Past those, b's entries are its exceptions when b is complete and has
+    no more blocks, and else each is read once through b's blocks; a's
+    blocks are read against them row by row at C speed, a's own
+    exceptions aside, and the events past a's blocks on both sides.  The
+    exceptions on the blocks read so far, a's and those b holds on the
+    shared blocks, are compared one by one.  An event may be listed twice.
     """
-    blocks = listed._blocks
-    if other._blocks is not None and _updates(other) == _updates(listed):
-        return []
-    table = entries = other._table
+    if len(b._blocks) > len(a._blocks):
+        a, b = b, a
+    full = rest = (1 << len(a.space)) - 1
+    shared = 0
+    for (s, ours), (t, theirs) in zip(a._blocks, b._blocks):
+        if ours[s] is not theirs[t] and ours[s] != theirs[t]:
+            break
+        rest ^= s
+        shared += 1
+    common = full ^ rest
+    # b's entries past the shared blocks: its exceptions, when they hold them all
+    table = b._exceptions if len(b._blocks) == shared and is_complete(b) else _region(b, rest)
+    mine = a._exceptions
     differs: list[int] = []
-    for _, _, qs, posteriors, rs in blocks:
-        try:
-            differs += _misses(qs, posteriors, rs, entries)
-        except KeyError:  # ``other`` lacks an event: from here on, read None there
-            entries = dict.fromkeys(other.space.canonical_masks()) | table
-            differs += _misses(qs, posteriors, rs, entries)
-    if differs or len(table) != len(listed):
-        unheld = blocks[-1][1]
-        differs += [mask for mask in table if not mask & ~unheld]
-    return differs
+    for support, traces in a._blocks[shared:]:
+        rest ^= support
+        misses = _misses(*trace_posteriors(traces[support]), lex_submasks(rest), table)
+        differs += filterfalse(mine.__contains__, misses)
+    masks = lex_submasks(rest)[1:]
+    differs += _unequal(masks, map(mine.get, masks), map(table.__getitem__, masks))
+    held = full ^ rest
+    excepted = [*filter(held.__and__, mine), *filter(common.__and__, b._exceptions)]
+    return differs + _unequal(excepted, map(a._entry, excepted), map(b._entry, excepted))
 
 
 def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
     """Compare two rules on every nonempty event; witness the first difference.
 
-    An event missing from either rule counts as a difference.  Two tables
-    are compared as dicts; a rule holding its prior list is compared a
-    block at a time, and the first difference is the canonically least.
-    Two rules holding equal lists are equal with no entry read, but two
-    holding different lists fill the second one's table to find that
-    first difference (``==`` needs only the lists).
+    An event missing from either rule counts as a difference, and the
+    first difference is the canonically least.  Two rules of equal blocks
+    compare their exceptions alone; past the blocks they share, the rule
+    holding more is read row by row against the other (``_differences``).
     """
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")
-    if a._blocks is None and b._blocks is None:
-        table_a, table_b = a._entries, b._entries
-        if table_a == table_b:
-            return CheckResult(True)
-        # the tables differ, and every key is a nonempty mask of the space
-        first = next(m for m in a.space.canonical_masks() if table_a.get(m) != table_b.get(m))
-        return CheckResult(False, Event(a.space, first))
-    differs = _differences(a, b) if a._blocks is not None else _differences(b, a)
+    differs = _differences(a, b)
     if not differs:
         return CheckResult(True)
     return CheckResult(False, Event(a.space, min(differs, key=mask_indices)))

@@ -458,6 +458,11 @@ def fraction_lottery(outcomes) -> Lottery:
     return lottery
 
 
+def rule_entries(rule: UpdatingRule) -> dict[int, Belief]:
+    """A rule's entries by mask, each read through ``rule[event]`` in canonical order."""
+    return {event.mask: rule[event] for event in rule.events()}
+
+
 def fraction_conservative_rule(prior: Belief, delta) -> UpdatingRule:
     """Oracle for ``conservative_rule``: one Fraction Bayes update per event.
 

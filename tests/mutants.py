@@ -53,6 +53,10 @@ ORIENT = (
     "either way every entry and every tie is found, and the events with q = 0 enter in "
     "canonical order"
 )
+DIFF_ORIENT = (
+    "which rule's blocks are read row by row against the other sets only the orientation: "
+    "differences are symmetric, and the events past those blocks are read on both sides"
+)
 ROW_TEST = (
     "the test only decides whether the exact tie list of a row runs; a tied b equal to a "
     "is already caught by `a in bs`, so the mutant at most runs it on a row with no tie"
@@ -97,6 +101,11 @@ ALLOWED = {
         "chosen = [] if size == 0 else [(prior.nums, f, prior) for prior, f in zip(priors, factors) "
         "if not prior.support_mask & away]",
     ): "a side of one mask, the empty one, scores 0 with or without its priors",
+    ("events", "if len(self) <= len(masks):"): (
+        "filters a complete domain by its own reads, which keeps every mask"
+    ),
+    ("_differences", "if not len(b._blocks) > len(a._blocks):"): DIFF_ORIENT,
+    ("_differences", "if len(b._blocks) >= len(a._blocks):"): DIFF_ORIENT,
     ("validate_cps", "for f in lex_submasks(e)[2:]:"): (
         "skips the singleton F = {a}, the least state of E, in an uncertified E's pair "
         "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "

@@ -635,11 +635,12 @@ sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path):
-    """Three priors on 7, 7 and 6 of 20 states: each call runs in a fresh
-    interpreter, prints the full report, and peaks under 64 MiB, since
-    the rule holds its prior list and neither check fills a 2^20 table."""
+def twenty_state_scenario(eps: str | None = None):
+    """Three priors on 7, 7 and 6 of 20 states, as a scenario document, and
+    the report rows of ``validate-cps`` and ``decompose`` on its hierarchy.
+    With ``eps``, an ``ht`` block on the same priors with ``os_to_ht``
+    weights (each the last times half its prior's least mass) and that
+    threshold."""
     states = [f"s{i}" for i in range(20)]
     order = states[7:] + states[:7]
     chunks = (order[:7], order[7:14], order[14:])
@@ -652,9 +653,12 @@ def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path)
         "beliefs": {name: {s: str(m) for s, m in masses.items()} for name, masses in beliefs.items()},
         "os": list(beliefs),
     }
-    path = tmp_path / "twenty.json"
-    path.write_text(json.dumps(doc))
-    peak_file = tmp_path / "peak_kib"
+    if eps is not None:
+        weights = [Fraction(1)]
+        for masses in list(beliefs.values())[:-1]:
+            weights.append(weights[-1] * min(masses.values()) / 2)
+        rho = [str(w / sum(weights)) for w in weights]
+        doc["ht"] = {"priors": list(beliefs), "rho": rho, "eps": eps}
     priors = [
         ",".join(f"{s}:{masses[s]}" for s in states if s in masses) for masses in beliefs.values()
     ]
@@ -662,12 +666,42 @@ def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path)
         "validate-cps": [("status", "valid"), ("triples", str(4**20 - 2**20))],
         "decompose": [("priors", "3")] + [("prior", str(k), row) for k, row in enumerate(priors)],
     }
+    return doc, expected
+
+
+def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str) -> None:
+    """Each call in a fresh interpreter: exit 0, no stderr, exactly the expected
+    rows, and a peak (VmHWM) under 64 MiB."""
+    path = tmp_path / "twenty.json"
+    path.write_text(json.dumps(doc))
+    peak_file = tmp_path / "peak_kib"
     for command, rows in expected.items():
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), "--os"],
+            [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), flag],
             capture_output=True,
             text=True,
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert rows_of(proc.stdout) == rows
-        assert int(peak_file.read_text()) < 64 * 1024, command
+        assert (proc.returncode, proc.stderr) == (0, ""), (command, flag)
+        assert rows_of(proc.stdout) == rows, (command, flag)
+        assert int(peak_file.read_text()) < 64 * 1024, (command, flag)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path):
+    """Three priors on 7, 7 and 6 of 20 states: each call runs in a fresh
+    interpreter, prints the full report, and peaks under 64 MiB, since
+    the rule holds its prior list and neither check fills a 2^20 table."""
+    run_under_64_mib(tmp_path, *twenty_state_scenario(), "--os")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("eps", ["0", "1/8"])
+def test_a_twenty_state_ht_block_validates_and_decomposes_under_64_mib(tmp_path, eps):
+    """The same priors as an ``ht`` block with ``os_to_ht`` weights.  At
+    eps = 0 the top prior rejects the 8191 events inside the other 13
+    states; at eps = 1/8 it rejects 40959, the top still winning those
+    that meet its support, so the rule is the hierarchy's OS rule either
+    way: valid, and decomposed into its three priors.  The rule is the
+    top prior's block plus the rejected events, with no 2^20 table, so
+    each call peaks under 64 MiB."""
+    run_under_64_mib(tmp_path, *twenty_state_scenario(eps), "--ht")

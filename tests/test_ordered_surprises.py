@@ -26,7 +26,7 @@ from beliefkit import (
     validate_cps,
 )
 from beliefkit.ordered_surprises import eps_surprise_order
-from helpers import coin_hierarchy, random_canonical_os, random_overlapping_os
+from helpers import coin_hierarchy, grid_hierarchies, random_canonical_os, random_overlapping_os
 
 
 @pytest.fixture
@@ -235,3 +235,31 @@ def test_partition_builds_no_event(monkeypatch):
     assert built == []
     assert sum(map(len, part.classes)) + len(part.undefined) == 255
     assert part == partition_oracle(h, eps)
+
+
+def test_partition_sizes_count_each_class_without_an_event(monkeypatch):
+    """The 1015 ``grid_hierarchies`` hierarchies at |S| <= 4 (grids 1/2 and 1/3
+    up to |S| = 3, 1/2 at |S| = 4), each at eps 0, 1/4, 1/3 and 1/2:
+    ``sizes`` is the length of each class, and reading it builds no Event,
+    nor does reading ``undefined`` build a class's."""
+    built = []
+    real = Event.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        return real(self, *args)
+
+    cases = 0
+    for n, den in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        for h in grid_hierarchies(n, den):
+            for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                part = surprise_partition(h, eps)
+                monkeypatch.setattr(Event, "__init__", counted)
+                sizes, undefined = part.sizes, part.undefined
+                monkeypatch.undo()
+                assert len(built) == len(undefined)  # the undefined events' alone
+                built.clear()
+                assert sizes == tuple(len(events) for events in part.classes)
+                assert sum(sizes) + len(part.undefined) == 2**n - 1
+                cases += 1
+    assert cases == 4 * 1015

@@ -1,12 +1,14 @@
-"""Rules that hold their prior list, against their filled tables and ``os_update``.
+"""Rules that hold their prior list, against tables of the same entries and ``os_update``.
 
-``os_rule`` and ``bayesian_rule`` return a rule that holds the ordered
-prior list it walked.  A per-entry read (``[]``, ``get``, ``in``) fills
-its table once; the block readers (``len``, ``events``, ``==``,
-``rules_equal``, ``is_complete``, ``is_concentrated``, ``validate_cps``
-and ``cps_to_os``) read the list and fill nothing.  Each must answer as
-it does on a table of the same entries built one event at a time from
-``os_update`` (``bayes_update`` for ``bayesian_rule``), and ``rules_equal``
+``os_rule`` and ``bayesian_rule`` return a rule of blocks alone, one per
+update of the ordered prior list it walked, and no exception.  A
+per-entry read (``[]``, ``get``, ``in``) answers from the first block
+whose support meets the event, and no reader adds an exception.  Every
+reader (``len``, ``events``, ``==``, ``rules_equal``, ``is_complete``,
+``is_concentrated``, ``validate_cps``, ``cps_to_os`` and the per-entry
+read) must answer as it does on a table of the same entries built one
+event at a time from ``os_update`` (``bayes_update`` for
+``bayesian_rule``), and ``rules_equal``
 must name the first event an event-by-event scan finds, against copies
 with one entry changed, dropped or added.  Such a rule is the CPS its
 list induces, so ``validate_cps``, ``cps_to_os``, ``is_concentrated``
@@ -41,7 +43,9 @@ from beliefkit import (
     rules_equal,
     validate_cps,
 )
+from beliefkit.core import ZERO, trace_posteriors
 from beliefkit.errors import OutsideDomain
+from beliefkit.ordered_surprises import min_order
 from helpers import canonical_form, grid_hierarchies, random_canonical_os, random_overlapping_os
 
 
@@ -80,7 +84,7 @@ def variants(table: UpdatingRule, rng: random.Random) -> list[UpdatingRule]:
 def check_listed(rule: UpdatingRule, update, rng: random.Random) -> str:
     """Every reader of the list-backed ``rule`` against a table of ``update`` on its domain."""
     space = rule.space
-    assert rule._blocks is not None and rule._entries is None
+    assert rule._blocks and not rule._exceptions, "a listed rule holds an exception"
     domain, outside = [], []
     for event in space.events():
         try:
@@ -104,16 +108,15 @@ def check_listed(rule: UpdatingRule, update, rng: random.Random) -> str:
         assert not rules_equal(rule, copy)
     assert got == validate_cps(table)
     assert decomposed(rule) == decomposed(table)
-    assert rule._entries is None, "a block reader filled the table"
 
-    # the per-entry readers fill the table once, and agree with it
+    # the per-entry readers agree with the table
     for event, belief in domain:
         assert rule[event] == belief and rule.get(event) == belief and event in rule
     for event in outside:
         assert rule.get(event) is None and event not in rule
         with pytest.raises(OutsideDomain):
             rule[event]
-    assert rule._entries == table._table
+    assert not rule._exceptions, "a reader added an exception"
     assert validate_cps(rule) == got and len(rule) == len(domain)
     return got.status
 
@@ -170,7 +173,7 @@ def test_two_listed_rules_compare_by_their_lists():
         a, b = (random_overlapping_os(rng, max_states=5, min_states=3) for _ in range(2))
         left, right = os_rule(a), os_rule(canonical_form(a))
         assert left == right and rules_equal(right, left) == CheckResult(True)
-        assert left._entries is None and right._entries is None, "equal lists filled a table"
+        assert not left._exceptions and not right._exceptions, "a compare added an exception"
         if len(a.space) != len(b.space):
             continue
         left, right = os_rule(a), os_rule(b)
@@ -180,7 +183,7 @@ def test_two_listed_rules_compare_by_their_lists():
         assert rules_equal(os_rule(a), os_rule(b)) == expected
         left, right = os_rule(a), os_rule(b)
         assert (left == right) == expected.ok == (right == left)
-        assert left._entries is None and right._entries is None, "== filled a table"
+        assert not left._exceptions and not right._exceptions, "== added an exception"
         verdicts[expected.ok] += 1
     assert verdicts[False] > 10
 
@@ -220,11 +223,12 @@ def check_answered_from_the_list(rule: UpdatingRule, twin: UpdatingRule, reads: 
         reads.clear()
         answers[name] = read()
         assert not reads, f"{name} read entries: {dict(reads)}"
-    assert rule._entries is None and twin._entries is None, "a reader filled a table"
+    assert not rule._exceptions and not twin._exceptions, "a reader added an exception"
     got = answers["validate_cps"]
     if got:
         assert got.triples == 4**n - 2**n
-        assert all(a is b[0] for a, b in zip(got.priors, rule._blocks, strict=True))
+        updates = [traces[support] for support, traces in rule._blocks]
+        assert all(a is b for a, b in zip(got.priors, updates, strict=True))
         assert answers["cps_to_os"] == got.priors
     else:
         assert got.reason == "not complete" and answers["cps_to_os"] == got
@@ -245,14 +249,20 @@ def test_listed_rules_are_answered_from_their_lists(reads):
     assert statuses["valid"] and statuses["not-candidate"]
 
 
-def test_a_listed_rule_fills_its_table_on_the_first_entry_read():
+def test_a_listed_rule_reads_an_entry_from_its_first_block_meeting_it():
+    """Each read is the posterior of the event's trace on the first support
+    it meets, the very object that prior's kept walk holds, and adds no
+    exception."""
     hier = random_canonical_os(random.Random(5), max_states=6, min_states=6)
     rule = os_rule(hier)
-    event = Event(hier.space, 0b101)
-    assert len(rule) == 63 and rule._entries is None
-    assert rule[event] == os_update(hier, event)
-    filled = rule._entries
-    assert len(filled) == 63 and rule.get(event) is filled[0b101]
-    assert rule._entries is filled
+    assert len(rule) == 63 and not rule._exceptions
+    for event in hier.space.events():
+        order = min_order(hier.priors, event.mask, ZERO)
+        prior = hier.priors[order]
+        qs, posteriors = trace_posteriors(prior)
+        kept = posteriors[qs.index(event.mask & prior.support_mask)]
+        assert rule[event] is kept and rule.get(event) is kept and event in rule
+        assert kept == os_update(hier, event)
+    assert not rule._exceptions
     assert repr(rule) == "UpdatingRule(<63 events over 6 states>)"
     assert rule != "a rule" and rule != 3  # anything but a rule is unequal

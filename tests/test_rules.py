@@ -34,6 +34,7 @@ from helpers import (
     fraction_conservative_rule,
     grid_beliefs,
     random_belief_on,
+    rule_entries,
 )
 
 
@@ -195,7 +196,7 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
                 rule = conservative_rule(prior, delta)
                 assert len(inits) == before
                 assert restricted[asked:] == [True] * (1 + (s < n))
-                made = len({id(belief) for belief in rule._table.values()})
+                made = len({id(belief) for belief in rule_entries(rule).values()})
                 mixes.append((made, (2**s - 1) + (2 ** (n - s) - 1)))
                 want = fraction_conservative_rule(prior, Fraction(delta))
                 assert rule == want

@@ -48,7 +48,12 @@ from beliefkit import (
     ordered_surprises,
     preferences,
 )
-from helpers import canonical_form, fraction_conservative_rule, random_overlapping_os
+from helpers import (
+    canonical_form,
+    fraction_conservative_rule,
+    random_overlapping_os,
+    rule_entries,
+)
 
 
 def belief_from(space: StateSpace, weights) -> Belief:
@@ -213,7 +218,7 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         (
             lambda prior: conservative_rule(prior, Fraction(2, 5)),
             prior,
-            fraction_conservative_rule(prior, Fraction(2, 5))._table,
+            rule_entries(fraction_conservative_rule(prior, Fraction(2, 5))),
         ),
     ]
     events, updates, asked = [], [], []
@@ -250,7 +255,7 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
     monkeypatch.undo()
     assert null == space.full_event.mask & ~prior.support_mask
     for rule, (_, _, expected) in zip(rules_built, cases):
-        assert rule._table == expected
+        assert rule_entries(rule) == expected
 
 
 def constructed_representations(seed: int = 20261018):
@@ -358,10 +363,11 @@ def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
     again = os_rule(hier)
     monkeypatch.undo()
     assert len(rule) == 4095
-    assert len({id(belief) for belief in rule._table.values()}) == 28
+    entries = rule_entries(rule)
+    assert len({id(belief) for belief in entries.values()}) == 28
     assert len(first) == 24 == len(built)
     assert all(rule[Event(space, prior.support_mask)] is prior for prior in priors)
-    assert all(again._table[mask] is belief for mask, belief in rule._table.items())
+    assert all(again[Event(space, mask)] is belief for mask, belief in entries.items())
     rng = random.Random(12)
     for mask in rng.sample(range(1, 4096), 200):
         e = Event(space, mask)
@@ -387,8 +393,9 @@ def test_tabulators_share_the_hierarchys_own_priors():
     for eps in (0, Fraction(1, 4), Fraction(1, 2)):
         assert eps_os_construction(hier, eps).ht.priors[0] is hier.priors[0]
     top, support = ht_rule(hypothesis_testing.os_to_ht(hier)), hier.priors[0].support_mask
-    accepted = [mask for mask in rule._table if mask & support]  # the top prior's block
-    assert all(top._table[mask] is rule._table[mask] for mask in accepted)
+    entries, top_entries = rule_entries(rule), rule_entries(top)
+    accepted = [mask for mask in entries if mask & support]  # the top prior's block
+    assert all(top_entries[mask] is entries[mask] for mask in accepted)
 
 
 def test_an_overlapping_hierarchy_decomposes_on_the_objects_its_rule_holds(monkeypatch):
@@ -423,7 +430,7 @@ def test_an_overlapping_hierarchy_decomposes_on_the_objects_its_rule_holds(monke
         assert built == []
         rest = (1 << len(hier.space)) - 1
         for prior in recovered.priors:
-            assert rule._table[rest] is prior
+            assert rule[Event(hier.space, rest)] is prior
             rest &= ~prior.support_mask
         assert recovered == canonical_form(hier)
 
@@ -453,8 +460,8 @@ def test_a_second_tabulation_of_an_overlapping_hierarchy_builds_no_belief(monkey
     counts.append(len(built) - counts[0])
     monkeypatch.undo()
     assert counts == [125, 0]
-    assert [block[0] for block in again._blocks] == [top, first._blocks[1][0]]
-    assert again._blocks[1][0] is first._blocks[1][0]
+    updates = [rule[Event(space, rest)] for rule in (first, again) for rest in (4095, 4032)]
+    assert updates[2:] == [top, updates[1]] and updates[3] is updates[1]
     assert again == first and len(again) == 4095
 
 
