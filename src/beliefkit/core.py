@@ -13,11 +13,13 @@ The canonical order over events, used everywhere a "first witness" is
 reported, is lexicographic on the sorted tuple of state indices: for states
 (a, b, c) it runs {a}, {a,b}, {a,b,c}, {a,c}, {b}, {b,c}, {c}.
 
-A prior's updates on the nonempty submasks of its support are walked once
-and kept on it: ``trace_posteriors`` reads them, with the masks, as two
-sequences; ``lex_sums`` gives the numerators in the same order.
-``kept_update`` keeps a prior's update on a proper part of its support the
-same way, so a tabulator reading the prior again builds no belief.
+A prior keeps one map, by mask, from each nonempty proper submask q of its
+support (a trace) to its Bayes update on q.  ``kept_update`` fills it one
+entry at a time, and ``kept_traces`` walks the rest of it once, reusing
+the entries already kept, so a tabulator, the certificate or a selection
+reading the prior again builds no belief.  ``trace_posteriors`` reads the
+map, with the prior itself on its support, as two canonical sequences;
+``lex_sums`` gives the numerators in the same order.
 """
 
 from __future__ import annotations
@@ -234,17 +236,15 @@ class Belief:
     Stored as integers: state i has mass ``nums[i] / den``, reduced so that
     den > 0 and gcd(den, *nums) == 1, hence equal distributions store equal
     integers.  Equality and hashing use those integers and the space;
-    ``mass`` reads them as Fractions, built on first read.  A belief keeps
-    the updates ``trace_posteriors`` walked from it, one per trace on its
-    support, and those traces' masks (``_trace_masks``, set with the
-    walk), so every tabulator reading the same prior, and the
-    certificate, shares them; and the updates ``kept_update`` made, by
-    trace.
+    ``mass`` reads them as Fractions, built on first read.  ``_traces``
+    maps each nonempty proper submask of the support to the update on it,
+    as far as ``kept_update`` and ``kept_traces`` have filled it, so every
+    reader of the same prior shares those updates.  The update on the
+    whole support is the belief itself and is not held there, so no
+    belief refers back to itself.
     """
 
-    __slots__ = (
-        "space", "den", "nums", "support_mask", "_mass", "_traces", "_trace_masks", "_kept"
-    )
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -280,8 +280,7 @@ class Belief:
         self.nums = tuple(nums)
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
-        self._traces: list[Belief | None] | None = None
-        self._kept: dict[int, Belief] | None = None
+        self._traces: dict[int, Belief] | None = None
         return self
 
     @classmethod
@@ -527,59 +526,81 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
 def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
     """The nonempty q in ``prior``'s support, canonical order, and the update on each.
 
-    The update on the whole support is the prior itself.  The first call
-    walks the updates and keeps them on the prior, so a later call builds
-    no belief.  They are kept as long as the prior, one list slot per
-    trace, and the prior's own slot holds None, so that no belief refers
-    back to itself; the masks are kept with them.  ``lex_sums`` of the
-    prior's nonzero numerators gives each q's numerator, in the same order.
+    The updates are those of the prior's kept map (``kept_traces``), read
+    in one pass, and the prior itself on its whole support, which follows
+    its proper prefixes; a whole-space support reads its masks from the
+    space.  ``lex_sums`` of the prior's nonzero numerators gives each q's
+    numerator, in the same order.
     """
-    support = prior.support_mask
-    if prior._traces is None:
-        full = support == (1 << len(prior.nums)) - 1
-        _walk(prior, prior.space.canonical_masks() if full else _lex_masks(mask_indices(support)))
-    posteriors = prior._traces.copy()
-    posteriors[support.bit_count() - 1] = prior  # the support follows its prefixes
-    return prior._trace_masks, posteriors
+    traces, space, support = kept_traces(prior), prior.space, prior.support_mask
+    k = support.bit_count() - 1  # the support follows its k proper prefixes
+    posteriors = list(traces.values())
+    posteriors.insert(k, prior)
+    if support == (1 << len(space)) - 1:
+        return space.canonical_masks(), posteriors
+    masks = list(traces)
+    masks.insert(k, support)
+    return masks, posteriors
+
+
+def kept_traces(prior: Belief) -> dict[int, Belief]:
+    """``prior``'s update on each nonempty proper submask q of its support, by q, canonical order.
+
+    The update on the whole support is the prior itself, and is not held,
+    so that no belief refers back to itself.  The first read walks every
+    trace the map lacks, reusing the updates already kept there, and
+    keeps the whole map on the prior, 2^|s| - 2 entries, so a later read
+    builds no belief.
+    """
+    traces = prior._traces
+    if traces is None or len(traces) != (1 << prior.support_mask.bit_count()) - 2:
+        _walk(prior)
+    return prior._traces
 
 
 def kept_update(prior: Belief, mask: int) -> Belief:
     """``prior.restricted(mask)``, kept on the prior by its trace, so a later call builds none.
 
     The update on a mask holding the whole support is the prior itself,
-    and is not kept, so that no belief refers to itself.
+    and is not kept, so that no belief refers to itself.  The update that
+    completes the map has the map walked, which builds nothing and puts
+    it in canonical order.
     """
     trace = mask & prior.support_mask
-    kept = prior._kept
-    if kept is not None and trace in kept:
-        return kept[trace]
+    traces = prior._traces
+    if traces is not None and trace in traces:
+        return traces[trace]
     update = prior.restricted(mask)
     if update is not prior:
-        if kept is None:
-            kept = prior._kept = {}
-        kept[trace] = update
+        if traces is None:
+            traces = prior._traces = {}
+        traces[trace] = update
+        if len(traces) == (1 << prior.support_mask.bit_count()) - 2:
+            _walk(prior)
     return update
 
 
-def _walk(prior: Belief, masks: Sequence[int]) -> None:
-    # keep on ``prior`` ``masks`` and its updates on them, None on the whole support:
-    # in this preorder on the prefix tree each q extends its prefix's
-    # (numerators, sum, gcd), on a stack by depth, by one state's
+def _walk(prior: Belief) -> None:
+    # keep on ``prior`` its update on every nonempty proper submask of its
+    # support, in canonical order, reusing those it keeps: in this preorder
+    # on the prefix tree each q extends its prefix's (numerators, sum,
+    # gcd), on a stack by depth, by one state's
     space, nums, support = prior.space, prior.nums, prior.support_mask
+    kept = prior._traces or {}
+    full = support == (1 << len(nums)) - 1
     zeros = (0,) * len(nums)
     tails = {i: (x, *zeros[i + 1 :]) for i, x in enumerate(nums) if x}
     stack = [(zeros, 0, 0)] * (support.bit_count() + 1)
-    posteriors: list[Belief | None] = []
-    for q in masks:
+    traces: dict[int, Belief] = {}
+    for q in space.canonical_masks() if full else _lex_masks(mask_indices(support)):
         top = q.bit_length() - 1
         depth = q.bit_count()
-        kept, mass, g = stack[depth - 1]
+        row, mass, g = stack[depth - 1]
         x = nums[top]
-        kept, mass, g = stack[depth] = kept[:top] + tails[top], mass + x, gcd(g, x)
-        posterior = None if q == support else object.__new__(Belief)._init(space, mass, kept, q, g)
-        posteriors.append(posterior)
-    prior._traces = posteriors
-    prior._trace_masks = masks
+        row, mass, g = stack[depth] = row[:top] + tails[top], mass + x, gcd(g, x)
+        if q != support:
+            traces[q] = kept.get(q) or object.__new__(Belief)._init(space, mass, row, q, g)
+    prior._traces = traces
 
 
 def compose_act(f: Act, e: Event, g: Act) -> Act:

@@ -18,7 +18,10 @@ mass at most the threshold, only the empty one at 0), r a submask of the
 rest t.  A prior inside s scores by q alone and one inside t by r alone,
 so each side keeps its best score, tie flag and winner's update once per
 q or per r, and the event takes the larger side's (a prior meeting both,
-none when supports are disjoint, is scored per event).  These events are
+none when supports are disjoint, is scored per event).  A winner's update
+is read from, or kept on, its prior's map by trace (``core.kept_update``),
+so it is built at most once per (prior, trace), and not at all on a
+prior a tabulator already walked.  These events are
 the exceptions to the top prior's block, listed a row at a time from the
 two sides at C speed: one column per q and per r, not per event.  A rule
 that is Bayesian on every event is the block alone.
@@ -46,7 +49,7 @@ is exactly 0.
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
-support's submasks, kept to the rows.  The prior's kept walk,
+support's submasks, kept to the rows.  The prior's kept map, read by
 ``core.trace_posteriors``, gives the conditional belief on every submask
 of its support, and ``core.lex_sums`` each submask's numerator in the
 same order.  Every mass compared is a ratio of two such numerators, and
@@ -84,6 +87,7 @@ from .core import (
     as_fraction,
     as_threshold,
     bayes_update,
+    kept_update,
     lex_submasks,
     lex_sums,
     mask_indices,
@@ -283,7 +287,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
                 high = max(scores)
                 if high > bs[i]:
                     bs[i], tbs[i] = high, scores.count(high) > 1
-                    pbs[i] = priors[both[scores.index(high)]].restricted(e)
+                    pbs[i] = kept_update(priors[both[scores.index(high)]], e)
                 elif high == bs[i]:
                     tbs[i] = True
         if not x:  # y alone: as the supports cover, a long-side prior or one meeting both wins
@@ -304,9 +308,10 @@ def _side(
     """``masks`` and, on each, the best score of the priors missing ``away``, a tie, the update.
 
     Each mask follows its prefix (less its last state) in canonical order
-    from 0, so its scores are the prefix's plus that state's column.
-    Updates are built once per (prior, trace); a mask no prior meets gets
-    score 0 and none.
+    from 0, so its scores are the prefix's plus that state's column.  The
+    winner's update is kept on it by trace (``core.kept_update``), so it is
+    built at most once per (prior, trace) and none is built where the
+    prior holds it already; a mask no prior meets gets score 0 and none.
     """
     size, priors = len(masks), ht.priors
     chosen = [] if size == 1 else [
@@ -318,22 +323,13 @@ def _side(
     columns = {i: [nums[i] * f for nums, f, _ in chosen] for i in states}
     rows = {0: [0] * len(chosen)}
     maxima, tied, posteriors = [0], [False], [None]
-    updates: dict[tuple[int, int], Belief] = {}
     for mask in masks[1:]:
         state = mask.bit_length() - 1
         row = rows[mask] = list(map(add, rows[mask ^ 1 << state], columns[state]))
         best = max(row)
         maxima.append(best)
         tied.append(row.count(best) > 1)
-        posterior = None
-        if best:
-            k = row.index(best)
-            prior = chosen[k][2]
-            key = k, mask & prior.support_mask
-            posterior = updates.get(key)
-            if posterior is None:
-                posterior = updates[key] = prior.restricted(mask)
-        posteriors.append(posterior)
+        posteriors.append(kept_update(chosen[row.index(best)][2], mask) if best else None)
     return masks, maxima, tied, posteriors
 
 

@@ -11,14 +11,15 @@ hierarchy peeled from it (Myerson 1986).  So ``validate_cps`` peels the rule
 and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
 An update depends only on the event's trace on its prior's support, so
-the certificate tests each entry against the update
-``core.trace_posteriors`` gives for its trace: by identity where the rule
-holds that posterior, as a rule tabulated on the same prior does, and by
-integer equality elsewhere.  Peel k's entries form a grid, its traces Q_k
-by the sets R_k of later states, read along the longer side in one C-level
-list comparison per element of the shorter: sum_k min(|Q_k|, |R_k|)
-Python steps.  A row or column that fails is compared again in slices of
-16 entries at C speed, and only a slice that differs is listed in Python.
+the certificate tests each entry against the update the prior keeps for
+its trace (``core.trace_posteriors``), or the prior itself on its whole
+support: by identity where the rule holds that posterior, as a rule
+tabulated on the same prior does, and by integer equality elsewhere.
+Peel k's entries form a grid, its traces Q_k by the sets R_k of later
+states, read along the longer side in one C-level list comparison per
+element of the shorter: sum_k min(|Q_k|, |R_k|) Python steps.  A row or
+column that fails is compared again in slices of 16 entries at C speed,
+and only a slice that differs is listed in Python.
 All later work grows with n and the set U of uncertified entries, not
 with 2^n: concentration is checked on the peeled entries and on U alone,
 and where an entry fails, a heap search from U finds the first violating
@@ -48,10 +49,11 @@ So ``is_concentrated`` reads only the exceptions, and ``validate_cps``
 only those on the blocks its peel follows; the regions past them (all of
 a table, an ``ht`` rule's events outside the top support) get the full
 certificate, so U and every witness are those of the table of the same
-entries.  A prior keeps the posteriors it walked, so a later tabulation
-on it builds none, and the posterior on the whole support is the prior
-itself.  Entries are stored by mask; ``Event``s are built only where a
-caller asks for one.
+entries.  A block reads its entries in place from its update's kept map
+(``core.kept_traces``), so a later tabulation on the same prior builds
+no belief, and the entry on the whole support is the update itself.
+Entries are stored by mask; ``Event``s are built only where a caller
+asks for one.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .core import (
     Event,
     StateSpace,
     as_fraction,
+    kept_traces,
     kept_update,
     lex_submasks,
     mask_indices,
@@ -78,14 +81,16 @@ from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 class UpdatingRule:
     """An immutable rule from conditioning events to beliefs: a prior list's blocks, and exceptions.
 
-    ``_blocks`` holds (support, traces) per update of the list, in order,
-    ``traces`` mapping each nonempty submask q of the support to the
-    update's posterior on q: the entry on every q | r, r among the states
-    the update leaves unheld.  ``_exceptions`` holds entries by mask.  A
-    read (``[]``, ``get``, ``in``) takes the exception on the event, else
-    its trace's posterior on the first support it meets.  The domain is
-    counted once, when the rule is built.  Anything but an event over an
-    equal state space is outside the domain.
+    ``_blocks`` holds (support, update, traces) per update of the list, in
+    order, ``traces`` being the update's own kept map (``core.kept_traces``)
+    from each nonempty proper submask q of the support to the update's
+    posterior on q, read in place; the update itself is the posterior on
+    the whole support.  That posterior is the entry on every q | r, r among
+    the states the update leaves unheld.  ``_exceptions`` holds entries by
+    mask.  A read (``[]``, ``get``, ``in``) takes the exception on the
+    event, else its trace's posterior on the first support it meets.  The
+    domain is counted once, when the rule is built.  Anything but an event
+    over an equal state space is outside the domain.
     """
 
     __slots__ = ("space", "_blocks", "_exceptions", "_size")
@@ -106,7 +111,7 @@ class UpdatingRule:
         # the one initializer: blocks on disjoint supports, and exceptions keyed by
         # nonempty masks over ``space`` with beliefs over it; the domain is every
         # event meeting a block, and each exception past them
-        held = sum([support for support, _ in blocks])
+        held = sum([support for support, _, _ in blocks])
         n = len(space)
         self.space = space
         self._blocks = blocks
@@ -119,9 +124,9 @@ class UpdatingRule:
         """The belief on ``mask``: its exception, else from the first block meeting it, else None."""
         belief = self._exceptions.get(mask)
         if belief is None:
-            for support, traces in self._blocks:
+            for support, update, traces in self._blocks:
                 if mask & support:
-                    return traces[mask & support]
+                    return traces.get(mask & support, update)
         return belief
 
     def events(self) -> tuple[Event, ...]:
@@ -164,8 +169,8 @@ class UpdatingRule:
 
 
 def _region(rule: UpdatingRule, mask: int) -> dict[int, Belief | None]:
-    """The rule's entry on every submask of ``mask``, None off its domain, by mask."""
-    masks = lex_submasks(mask)
+    """The rule's entry on every nonempty submask of ``mask``, None off its domain, by mask."""
+    masks = lex_submasks(mask)[1:]
     return dict(zip(masks, map(rule._entry, masks)))
 
 
@@ -197,7 +202,8 @@ def tabulate_traces(
     A prior holding states no earlier prior holds is updated on the states
     still unheld, which is the prior itself when supports are disjoint,
     and kept on the prior otherwise (``core.kept_update``).  That update's
-    trace walk is made or read now, so reading the rule builds no belief.
+    kept map is filled or read now (``core.kept_traces``), and the block
+    reads it in place, so reading the rule builds no belief.
     Its posterior on q is the entry on every q | r: q a nonempty submask
     of its support, r a submask of the states it leaves unheld.  ``rest``
     is read after the blocks are built, and overrides them.
@@ -210,7 +216,7 @@ def tabulate_traces(
             continue
         update = kept_update(prior, unheld)
         unheld ^= update.support_mask
-        blocks.append((update.support_mask, dict(zip(*trace_posteriors(update)))))
+        blocks.append((update.support_mask, update, kept_traces(update)))
     return object.__new__(UpdatingRule)._init(space, tuple(blocks), dict(rest))
 
 
@@ -237,10 +243,10 @@ def conservative_rule(prior: Belief, delta: Fraction | int) -> UpdatingRule:
     priors = [prior, Belief.uniform_on(Event(space, null))] if null else [prior]
     mixed: dict[int, Belief] = {}
     unheld = (1 << len(space)) - 1
-    for support, traces in tabulate_traces(space, priors)._blocks:
+    for support, update, traces in tabulate_traces(space, priors)._blocks:
         unheld ^= support
         rs = lex_submasks(unheld)
-        for q, posterior in traces.items():
+        for q, posterior in [*traces.items(), (support, update)]:
             mixed.update(dict.fromkeys(map(q.__or__, rs), prior.mix(delta, posterior)))
     return object.__new__(UpdatingRule)._init(space, (), mixed)
 
@@ -288,15 +294,16 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     and each event's belief is certified as the Bayes update of the first
     peeled prior k meeting it, which is k's update on the trace
     q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives for
-    q.  While each peeled prior is the update of the rule's next block,
-    that block holds exactly those posteriors, so only the exceptions on
-    it are read: one pass per such block over the exceptions no earlier
-    one holds, and one list comparison.  A rule of blocks alone thus
-    makes one lookup per block.  Past the blocks (from the full space when the rule has
-    none) the peel reads every entry, through the blocks still ahead if
-    an exception turned it off them.  A peeled prior that a tabulator
-    walked already keeps its posteriors, and any other builds its
-    2^|s_k| - 2 once and keeps them, so a second call on the same rule
+    q, from the prior's kept map, or the prior itself when q = s_k.  While
+    each peeled prior is the update of the rule's next block, that block
+    holds exactly those posteriors, so only the exceptions on it are read:
+    one pass per such block over the exceptions no earlier one holds, and
+    one list comparison.  A rule of blocks alone thus makes one lookup per
+    block.  Past the blocks (from the full space when the rule has none)
+    the peel reads every entry, through the blocks still ahead if an
+    exception turned it off them.  A peeled prior that a tabulator walked
+    already keeps its posteriors, and any other builds the 2^|s_k| - 2 its
+    map lacks once and keeps them, so a second call on the same rule
     builds no belief.  The events q | r of peel k, q in the traces Q_k
     and r in the sets R_k of later states, are certified in
     sum_k min(|Q_k|, |R_k|) Python steps, each one list comparison at C
@@ -329,14 +336,13 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     # block's update: that block then holds the very posteriors the
     # certificate expects, so only the exceptions on it are read.
     pending = exceptions  # those on no block followed so far
-    for support, traces in blocks:
-        update = traces[support]
+    for support, update, traces in blocks:
         if exceptions.get(rest, update) is not update:
             break
         if pending:
             here = [mask for mask in pending if mask & support]
             pending = [mask for mask in pending if not mask & support]
-            expected = [traces[mask & support] for mask in here]
+            expected = [traces.get(mask & support, update) for mask in here]
             uncertified += _unequal(here, map(exceptions.__getitem__, here), expected)
         priors.append(update)
         peels.append(rest)
@@ -534,7 +540,10 @@ def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
     Past those, b's entries are its exceptions when b is complete and has
     no more blocks, and else each is read once through b's blocks; a's
     blocks are read against them row by row at C speed, a's own
-    exceptions aside, and the events past a's blocks on both sides.  The
+    exceptions aside, and the events past a's blocks on both sides.  When
+    neither rule holds a block, those events are every event, so both
+    rules are their exceptions: the two dicts are compared at C speed, and
+    only when they differ are the table's own keys listed.  The
     exceptions on the blocks read so far, a's and those b holds on the
     shared blocks, are compared one by one.  An event may be listed twice.
     """
@@ -542,8 +551,8 @@ def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
         a, b = b, a
     full = rest = (1 << len(a.space)) - 1
     shared = 0
-    for (s, ours), (t, theirs) in zip(a._blocks, b._blocks):
-        if ours[s] is not theirs[t] and ours[s] != theirs[t]:
+    for (s, ours, _), (_, theirs, _) in zip(a._blocks, b._blocks):
+        if ours is not theirs and ours != theirs:
             break
         rest ^= s
         shared += 1
@@ -552,14 +561,15 @@ def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
     table = b._exceptions if len(b._blocks) == shared and is_complete(b) else _region(b, rest)
     mine = a._exceptions
     differs: list[int] = []
-    for support, traces in a._blocks[shared:]:
+    for support, update, _ in a._blocks[shared:]:
         rest ^= support
-        misses = _misses(*trace_posteriors(traces[support]), lex_submasks(rest), table)
+        misses = _misses(*trace_posteriors(update), lex_submasks(rest), table)
         differs += filterfalse(mine.__contains__, misses)
-    masks = lex_submasks(rest)[1:]
-    differs += _unequal(masks, map(mine.get, masks), map(table.__getitem__, masks))
     held = full ^ rest
-    excepted = [*filter(held.__and__, mine), *filter(common.__and__, b._exceptions)]
+    # with no block held both rules are their exceptions, and the table's keys every event
+    masks = lex_submasks(rest)[1:] if held else [*table] if mine != table else []
+    differs += _unequal(masks, map(mine.get, masks), map(table.__getitem__, masks))
+    excepted = [*filter(held.__and__, mine), *filter(common.__and__, b._exceptions)] if held else []
     return differs + _unequal(excepted, map(a._entry, excepted), map(b._entry, excepted))
 
 

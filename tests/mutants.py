@@ -62,6 +62,20 @@ ROW_TEST = (
     "is already caught by `a in bs`, so the mutant at most runs it on a row with no tie"
 )
 
+REWALK = (
+    "reads a complete kept map as incomplete, so every read walks it again: the walk reuses "
+    "every entry, so it builds no belief and returns the same updates in the same order, "
+    "only at the cost of the walk"
+)
+NOT_FULL = (
+    "never takes the space's cached canonical masks for a whole-space support: `_lex_masks` "
+    "lists the same masks in the same order, at the cost of a `lex_sums` pass"
+)
+POSTERIORS_NOT_FULL = (
+    "never takes the space's cached canonical masks for a whole-space support: the kept "
+    "map's keys, the support put after its proper prefixes, are the same masks in the same order"
+)
+
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -106,6 +120,43 @@ ALLOWED = {
     ),
     ("_differences", "if not len(b._blocks) > len(a._blocks):"): DIFF_ORIENT,
     ("_differences", "if len(b._blocks) >= len(a._blocks):"): DIFF_ORIENT,
+    (
+        "kept_traces",
+        "if traces is None or len(traces) != (1 << prior.support_mask.bit_count()) + 2:",
+    ): REWALK,
+    (
+        "kept_traces",
+        "if traces is None or len(traces) != (1 >> prior.support_mask.bit_count()) - 2:",
+    ): REWALK,
+    (
+        "kept_traces",
+        "if traces is None or len(traces) != (2 << prior.support_mask.bit_count()) - 2:",
+    ): REWALK,
+    (
+        "kept_traces",
+        "if traces is None or len(traces) != (0 << prior.support_mask.bit_count()) - 2:",
+    ): REWALK,
+    (
+        "kept_traces",
+        "if traces is None or len(traces) != (1 << prior.support_mask.bit_count()) - 1:",
+    ): REWALK,
+    ("_walk", "full = support == (1 << len(nums)) + 1"): NOT_FULL,
+    ("_walk", "full = support == (1 >> len(nums)) - 1"): NOT_FULL,
+    ("_walk", "full = support == (2 << len(nums)) - 1"): NOT_FULL,
+    ("_walk", "full = support == (0 << len(nums)) - 1"): NOT_FULL,
+    ("_walk", "full = support == (1 << len(nums)) - 0"): NOT_FULL,
+    ("_walk", "stack = [(zeros, 0, 0)] * (support.bit_count() + 2)"): (
+        "one more stack slot, which no prefix reads: a trace of depth d reads slot d - 1 < |s|"
+    ),
+    ("trace_posteriors", "if support == (1 << len(space)) + 1:"): POSTERIORS_NOT_FULL,
+    ("trace_posteriors", "if support == (1 >> len(space)) - 1:"): POSTERIORS_NOT_FULL,
+    ("trace_posteriors", "if support == (2 << len(space)) - 1:"): POSTERIORS_NOT_FULL,
+    ("trace_posteriors", "if support == (0 << len(space)) - 1:"): POSTERIORS_NOT_FULL,
+    ("trace_posteriors", "if support == (1 << len(space)) - 0:"): POSTERIORS_NOT_FULL,
+    ("_region", "masks = lex_submasks(mask)[0:]"): (
+        "keeps the empty mask's None entry, which no reader asks for: the certificate reads "
+        "nonempty events only, and a compare of two rules without blocks finds None on both sides"
+    ),
     ("validate_cps", "for f in lex_submasks(e)[2:]:"): (
         "skips the singleton F = {a}, the least state of E, in an uncertified E's pair "
         "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "

@@ -12,7 +12,7 @@ the scan of two-state pairs that the theorem in ``rules`` makes exact.
 
 The certificate compares every event's entry with the update of its
 trace, its meet with the support of its first prior, that
-``trace_posteriors`` reads from the peeled prior's kept walk: by identity
+``trace_posteriors`` reads from the peeled prior's kept map: by identity
 where the table shares that posterior, by value otherwise, one list
 comparison per trace or per set of later states, whichever are fewer.
 So some families aim at that comparison: many-prior tables of fresh

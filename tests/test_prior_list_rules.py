@@ -23,6 +23,7 @@ The inputs are every ``grid_hierarchies`` hierarchy (1015 of them,
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -32,14 +33,21 @@ from beliefkit import (
     CheckResult,
     Event,
     NotCps,
+    OSRepresentation,
+    StateSpace,
     UpdatingRule,
     bayes_update,
     bayesian_rule,
     cps_to_os,
+    eps_os_construction,
+    ht_rule,
+    ht_select,
     is_complete,
     is_concentrated,
     os_rule,
+    os_to_ht,
     os_update,
+    rules,
     rules_equal,
     validate_cps,
 )
@@ -188,6 +196,42 @@ def test_two_listed_rules_compare_by_their_lists():
     assert verdicts[False] > 10
 
 
+def test_two_complete_tables_compare_by_their_dicts(monkeypatch):
+    """A 1023-entry table of three priors at |S| = 10 against an equal copy and
+    against copies with one entry changed (the first, a middle and the last
+    event in canonical order): ``==`` and ``rules_equal`` list no submask,
+    since two complete tables are compared as dicts and only a difference
+    lists the table's own keys.  Each verdict is the event-by-event scan's."""
+    space = StateSpace(tuple(f"s{i}" for i in range(10)))
+    chunks = (("s0", "s4", "s7"), ("s1", "s2", "s5", "s8"), ("s3", "s6", "s9"))
+    priors = [
+        Belief(space, {s: Fraction(i + 1, len(c) * (len(c) + 1) // 2) for i, s in enumerate(c)})
+        for c in chunks
+    ]
+    rule = os_rule(OSRepresentation(space, priors))
+    entries = {event: rule[event] for event in rule.events()}
+    table = UpdatingRule(space, entries)
+    events = list(entries)
+    copies = [UpdatingRule(space, dict(entries))]
+    for event in (events[0], events[len(events) // 2], events[-1]):
+        copies.append(UpdatingRule(space, {**entries, event: Belief.uniform_on(space.full_event)}))
+    listed = []
+    real = rules.lex_submasks
+
+    def counted(mask):
+        listed.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(rules, "lex_submasks", counted)
+    verdicts = [(table == copy, copy == table, rules_equal(table, copy)) for copy in copies]
+    monkeypatch.undo()
+    assert listed == []
+    for copy, (left, right, found) in zip(copies, verdicts):
+        expected = scanned_rules_equal(table, copy)
+        assert found == expected and left == right == expected.ok
+    assert [found.witness for _, _, found in verdicts] == [None, events[0], events[511], events[-1]]
+
+
 @pytest.fixture
 def reads(monkeypatch):
     """Counts of ``Belief.__eq__`` calls and of the ``Belief``s and ``Event``s built."""
@@ -227,7 +271,7 @@ def check_answered_from_the_list(rule: UpdatingRule, twin: UpdatingRule, reads: 
     got = answers["validate_cps"]
     if got:
         assert got.triples == 4**n - 2**n
-        updates = [traces[support] for support, traces in rule._blocks]
+        updates = [update for _, update, _ in rule._blocks]
         assert all(a is b for a, b in zip(got.priors, updates, strict=True))
         assert answers["cps_to_os"] == got.priors
     else:
@@ -247,6 +291,43 @@ def test_listed_rules_are_answered_from_their_lists(reads):
             check_answered_from_the_list(rule, bayesian_rule(prior), reads)
             statuses[validate_cps(rule).status] += 1
     assert statuses["valid"] and statuses["not-candidate"]
+
+
+def test_ht_rule_builds_no_belief_on_walked_priors_nor_when_called_again(reads):
+    """``ht_rule`` takes each winner's update from its prior's kept map.
+
+    At threshold 0, ``os_to_ht`` of a canonical hierarchy whose priors
+    ``os_rule`` walked; at 1/8 and 1/4, ``eps_os_construction``'s
+    representation after ``bayesian_rule`` walked each of its priors.  Neither
+    ``ht_rule`` builds a ``Belief``, and neither does a second ``ht_rule`` of
+    a representation no tabulator walked, at either threshold.  Every entry
+    is ``ht_select``'s.  The canonical grid hierarchies at |S| <= 3 and the
+    seeded canonical ones at |S| = 5-10.
+    """
+    grids = chain.from_iterable(grid_hierarchies(n, 2) for n in (1, 2, 3))
+    built = Counter()
+    for hier in (h for h in chain(grids, seeded_hierarchies()) if h.is_canonical):
+        os_rule(hier)
+        walked = [os_to_ht(hier)]
+        copies = [Belief(hier.space, dict(prior.items())) for prior in hier.priors]
+        fresh = [os_to_ht(OSRepresentation(hier.space, copies))]
+        for eps in (Fraction(1, 8), Fraction(1, 4)):
+            walked.append(eps_os_construction(hier, eps).ht)
+            for prior in walked[-1].priors:
+                bayesian_rule(prior)
+            fresh.append(eps_os_construction(hier, eps).ht)
+        for ht in walked:
+            reads.clear()
+            rule = ht_rule(ht)
+            built["walked"] += reads["Belief"]
+            assert all(rule[e] == ht_select(ht, e)[1] for e in ht.space.events())
+        for ht in fresh:
+            first = ht_rule(ht)
+            reads.clear()
+            again = ht_rule(ht)
+            built["again"] += reads["Belief"]
+            assert all(again[e] is first[e] for e in ht.space.events())
+    assert built["walked"] == built["again"] == 0
 
 
 def test_a_listed_rule_reads_an_entry_from_its_first_block_meeting_it():

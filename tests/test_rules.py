@@ -158,29 +158,29 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
     integers, so ``Belief.__init__`` never runs, and the rule holds one
     entry object per mix: (2^|s| - 1) + (2^|null| - 1) for a support s,
     which for a one-state support at |S| = 8 is 1 + 127.  The tabulator
-    asks each of its priors, the prior and the uniform belief on the null
-    states when there are any, once for its update on the states no
-    earlier one holds; the supports are disjoint, so each answer is the
-    prior itself.
+    reads its priors, the prior and the uniform belief on the null states
+    when there are any, on the states no earlier one holds; the supports
+    are disjoint, so each is its own update there and none is built.  With
+    the prior walked beforehand, the beliefs built are the mixes, and the
+    uniform belief with its walk, 2^|null| - 2 proper traces.
     """
-    updates, restricted, inits = [], [], []
-    real_update, real_restricted, real_init = core.bayes_update, Belief.restricted, Belief.__init__
+    updates, built, inits = [], [], []
+    real_update, real_belief, real_init = core.bayes_update, Belief._init, Belief.__init__
 
     def counting_update(mu, e):
         updates.append(e.mask)
         return real_update(mu, e)
 
-    def counting_restricted(self, mask):
-        update = real_restricted(self, mask)
-        restricted.append(update is self)
-        return update
+    def counting_belief(self, *args):
+        built.append(args[3])  # the support
+        return real_belief(self, *args)
 
     def counting_init(self, space, masses):
         inits.append(space)
         real_init(self, space, masses)
 
     monkeypatch.setattr(core, "bayes_update", counting_update)
-    monkeypatch.setattr(Belief, "restricted", counting_restricted)
+    monkeypatch.setattr(Belief, "_init", counting_belief)
     monkeypatch.setattr(Belief, "__init__", counting_init)
     rng = random.Random(7)
     mixes = []
@@ -191,12 +191,16 @@ def test_conservative_rule_matches_the_fraction_oracle_without_an_update(monkeyp
             priors.append(Belief(space, {"s3": 1}))
         for prior in priors:
             s = prior.support_mask.bit_count()
+            core.kept_traces(prior)
             for delta in (Fraction(1, 3), Fraction(5, 7), Fraction(1), 1):
-                before, asked = len(inits), len(restricted)
+                before = len(inits)
+                del built[:]
                 rule = conservative_rule(prior, delta)
                 assert len(inits) == before
-                assert restricted[asked:] == [True] * (1 + (s < n))
                 made = len({id(belief) for belief in rule_entries(rule).values()})
+                uniform = [] if s == n else [space.full_event.mask ^ prior.support_mask]
+                assert built[: len(uniform)] == uniform
+                assert len(built) == made + (2 ** (n - s) - 1 if uniform else 0)
                 mixes.append((made, (2**s - 1) + (2 ** (n - s) - 1)))
                 want = fraction_conservative_rule(prior, Fraction(delta))
                 assert rule == want

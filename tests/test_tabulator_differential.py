@@ -2,9 +2,9 @@
 
 ``bayesian_rule``, ``conservative_rule``, ``os_rule`` and ``ht_rule``
 all tabulate through ``rules.tabulate_traces``: one posterior per
-(prior, trace), from ``core.trace_posteriors``, fills every event with that
-trace, and ``ht_rule`` walks the events its top prior rejects for the
-argmax.  Each rule must equal the per-event update it stands for on
+(prior, trace), from the prior's kept map (``core.kept_traces``), fills
+every event with that trace, and ``ht_rule`` walks the events its top
+prior rejects for the argmax.  Each rule must equal the per-event update it stands for on
 every event: ``bayes_update``, ``os_update`` and ``ht_select`` (and the
 Fraction oracle of the foil), on inputs beyond the
 canonical disjoint-support corpus, and on the many-prior representations
@@ -32,6 +32,7 @@ from beliefkit import (
     PreferenceFamily,
     StateSpace,
     TooManyStates,
+    UpdatingRule,
     UtilityFunction,
     bayes_update,
     bayesian_rule,
@@ -47,6 +48,7 @@ from beliefkit import (
     os_update,
     ordered_surprises,
     preferences,
+    validate_cps,
 )
 from helpers import (
     canonical_form,
@@ -182,15 +184,19 @@ def test_family_computes_one_surprise_order_per_event(monkeypatch):
 
 
 def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
-    """Tables are keyed by mask; each posterior comes from a trace or from the prior's numerators.
+    """Tables are keyed by mask; each entry is a prior, or its kept update on a trace.
 
-    The tabulator asks each prior once for its update on the states no
-    earlier prior holds; here every prior holds only such states, so each
-    answer is the prior itself.  The HT representation reaches the argmax,
-    where it both misses and hits its posterior cache; ``Belief.restricted``
-    runs again only on those misses.  The foil builds one ``Event``, its
-    null block, for the uniform belief on it, and mixes each distinct
-    posterior once.
+    Every prior a tabulator walks is walked first (``core.kept_traces``),
+    and each holds only states no earlier prior holds, so ``os_rule`` and
+    ``bayesian_rule`` build no belief: the entry on a support is the
+    prior itself, and on any other trace the update the prior keeps.
+    The HT representation reaches the argmax, where some (prior, trace)
+    repeats: a winner's update is the prior itself on its whole support,
+    and else is built once per trace and kept on it, so fewer beliefs are
+    built than argmax events, and a second ``ht_rule`` builds none and
+    holds the same objects.  The foil builds one ``Event``, its
+    null block, and, as beliefs, the uniform belief on it, that belief's
+    walk and one mix per distinct posterior.
     """
 
     def argmax_keys(ht):  # (prior, event & support) of each event ht_select takes to the argmax
@@ -201,12 +207,18 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
                 keys.append((trace.chosen, e.mask & ht.priors[trace.chosen].support_mask))
         return keys
 
+    def proper(ht, keys):  # the distinct keys whose trace is not the prior's whole support
+        return {(j, q) for j, q in keys if q != ht.priors[j].support_mask}
+
     space = StateSpace(tuple(f"s{i}" for i in range(6)))
     hier = OSRepresentation(space, (belief_from(space, (1, 2, 3, 4, 5, 6)),))
     prior = belief_from(space, (1, 0, 3, 0, 5, 6))
     null = 0b001010
-    keyed = ((ht, argmax_keys(ht)) for ht in constructed_representations())
-    ht, argmax = next((ht, keys) for ht, keys in keyed if len(set(keys)) < len(keys))  # a repeat
+    ht = hypothesis_testing.os_to_ht(canonical_hierarchy())  # priors no tabulator walked
+    argmax = argmax_keys(ht)
+    assert len(set(argmax)) < len(argmax) and proper(ht, argmax)  # a repeat, and a proper trace
+    for belief in (*hier.priors, prior, ht.priors[0]):
+        core.kept_traces(belief)
     cases = [
         (os_rule, hier, {e.mask: os_update(hier, e) for e in space.events()}),
         (
@@ -221,9 +233,8 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
             rule_entries(fraction_conservative_rule(prior, Fraction(2, 5))),
         ),
     ]
-    events, updates, asked = [], [], []
-    real_init, real_update = Event.__init__, core.bayes_update
-    real_restricted = Belief.restricted
+    events, updates, built = [], [], []
+    real_init, real_update, real_belief = Event.__init__, core.bayes_update, Belief._init
 
     def counting_init(self, space, mask):
         events.append(mask)
@@ -233,27 +244,36 @@ def test_tabulating_builds_no_event_and_no_bayes_update(monkeypatch):
         updates.append(e.mask)
         return real_update(mu, e)
 
-    def counting_restricted(self, mask):
-        update = real_restricted(self, mask)
-        asked.append(update is self)
-        return update
+    def counting_belief(self, *args):
+        built.append(args[3])  # the support
+        return real_belief(self, *args)
 
     monkeypatch.setattr(Event, "__init__", counting_init)
     for module in (core, ordered_surprises, hypothesis_testing):
         monkeypatch.setattr(module, "bayes_update", counting_update)
-    monkeypatch.setattr(Belief, "restricted", counting_restricted)
+    monkeypatch.setattr(Belief, "_init", counting_belief)
     rules_built, counts = [], []
     for tabulate, arg, _ in cases:
-        del events[:], updates[:], asked[:]
+        del events[:], updates[:], built[:]
         rules_built.append(tabulate(arg))
-        counts.append((events[:], updates[:], asked[:]))
-    assert counts[:2] == [([], [], [True])] * 2
-    ht_events, ht_updates, (top, *misses) = counts[2]
-    assert (ht_events, ht_updates, top) == ([], [], True)
-    assert argmax and 0 < len(misses) < len(argmax)
-    assert counts[3] == ([null], [], [True, True])
+        counts.append((events[:], updates[:], built[:]))
+    del built[:]
+    again = ht_rule(ht)
+    assert built == [] and all(again[e] is rules_built[2][e] for e in ht.space.events())
+    assert counts[:2] == [([], [], [])] * 2
+    ht_events, ht_updates, ht_built = counts[2]
+    assert (ht_events, ht_updates) == ([], [])
+    assert argmax and 0 < len(ht_built) == len(proper(ht, argmax)) < len(argmax)
+    foil_events, foil_updates, foil_built = counts[3]
+    mixes = len({id(belief) for belief in rule_entries(rules_built[3]).values()})
+    assert (foil_events, foil_updates, foil_built[0]) == ([null], [], null)
+    assert len(foil_built) == 1 + (2 ** null.bit_count() - 2) + mixes
     monkeypatch.undo()
     assert null == space.full_event.mask & ~prior.support_mask
+    for rule, belief in zip(rules_built, (hier.priors[0], prior)):
+        kept = core.kept_traces(belief)
+        for e in rule.events():
+            assert rule[e] is kept.get(e.mask & belief.support_mask, belief)
     for rule, (_, _, expected) in zip(rules_built, cases):
         assert rule_entries(rule) == expected
 
@@ -315,8 +335,10 @@ def test_trace_posteriors_are_bayes_update_on_every_submask_of_every_own():
     updates.  Each prior is read twice: the second call reads the updates
     the first one kept on the prior and must return the same masks and
     the same objects, with the prior itself as the update on its whole
-    support.  The update on an own is ``prior.restricted(own)``, whose
-    walk gives the prior's updates on the submasks of own.
+    support.  The kept map holds every other trace's update, and nothing
+    on the support itself.  The update on an own is
+    ``prior.restricted(own)``, whose walk gives the prior's updates on the
+    submasks of own.
     """
     rng = random.Random(7)
     for _ in range(40):
@@ -329,12 +351,44 @@ def test_trace_posteriors_are_bayes_update_on_every_submask_of_every_own():
             again_masks, again = core.trace_posteriors(update)
             assert list(masks) == list(again_masks) == list(core.lex_submasks(own)[1:])
             assert all(a is b for a, b in zip(first, again))
+            kept = core.kept_traces(update)
+            assert list(kept) == [q for q in masks if q != own]
+            assert all(kept.get(q, update) is posterior for q, posterior in zip(masks, first))
             nums = core.lex_sums([x for x in update.nums if x])
             for q, num, posterior in zip(masks, nums, first, strict=True):
                 assert num == update.mask_num(q)
                 assert posterior == bayes_update(prior, Event(space, q))
                 assert posterior.support_mask == q
                 assert (posterior is update) == (q == own)
+
+
+def test_a_map_that_kept_updates_complete_is_in_canonical_order(monkeypatch):
+    """``kept_update`` on every proper trace of a three-state support, in
+    reverse canonical order, builds one belief per trace and nothing more:
+    the map it completes reads in canonical order and holds the very
+    updates kept, and ``validate_cps`` of the prior's table, certified
+    against that map, is valid."""
+    space = StateSpace(("a", "b", "c"))
+    prior = belief_from(space, (1, 2, 4))
+    traces = [q for q in core.lex_submasks(7)[1:] if q != 7]
+    built = []
+    real_init = Belief._init
+
+    def counting_init(self, *args):
+        built.append(args[3])
+        return real_init(self, *args)
+
+    monkeypatch.setattr(Belief, "_init", counting_init)
+    kept = {}
+    for q in reversed(traces):
+        kept[q] = core.kept_update(prior, q)
+        assert built == [*kept]
+    walked = core.kept_traces(prior)
+    monkeypatch.undo()
+    assert built == traces[::-1]
+    assert list(walked) == traces and all(walked[q] is kept[q] for q in traces)
+    table = UpdatingRule(space, {e: bayes_update(prior, e) for e in space.events()})
+    assert validate_cps(table).priors == (prior,)
 
 
 def test_os_rule_fills_one_posterior_per_trace(monkeypatch):
@@ -466,7 +520,15 @@ def test_a_second_tabulation_of_an_overlapping_hierarchy_builds_no_belief(monkey
 
 
 def test_kept_trace_walks_leave_no_reference_cycle():
-    """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself."""
+    """A tabulated hierarchy is freed by reference counts alone: no belief reaches itself.
+
+    Three cases: a disjoint hierarchy through every tabulator; an
+    overlapping one, where ``os_rule`` keeps a later prior's update on a
+    proper part of its support and ``bayesian_rule`` then walks that prior,
+    reusing the kept update; and an HT representation whose second prior
+    straddles the top support, so ``ht_rule`` keeps that prior's updates
+    on the rejected events it wins.
+    """
     gc.collect()
     gc.disable()
     try:
@@ -477,6 +539,24 @@ def test_kept_trace_walks_leave_no_reference_cycle():
         assert tables[1] == rule
         del hier, rule, built, tables
         assert gc.collect() == 0
+
+        space = StateSpace(("a", "b", "c", "d"))
+        first, second = belief_from(space, (1, 2, 0, 0)), belief_from(space, (0, 3, 1, 2))
+        rule = os_rule(OSRepresentation(space, (first, second)))
+        own = space.event("c", "d")
+        assert rule[own] is not second and rule[own] is bayesian_rule(second)[own]
+        del first, second, rule, own
+        assert gc.collect() == 0
+
+        space = StateSpace(("a", "b", "c"))
+        priors = [belief_from(space, w) for w in ((1, 0, 0), (1, 3, 0), (0, 0, 1))]
+        ht = HTRepresentation(space, priors, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        rule = ht_rule(ht)
+        b = space.event("b")
+        assert rule[b] is priors[1]._traces[b.mask] and rule[b] is ht_rule(ht)[b]
+        assert all(rule[e] == ht_select(ht, e)[1] for e in space.events())
+        del space, priors, ht, rule, b
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -486,7 +566,19 @@ def test_a_kept_walk_does_not_skip_the_state_cap(monkeypatch):
     rule = os_rule(hier)
     construction = eps_os_construction(hier, Fraction(1, 4))
     ht = hypothesis_testing.os_to_ht(hier)
-    assert ht_rule(ht) == rule and len(hier.priors[0]._traces) == 3  # two states
+    assert ht_rule(ht) == rule and hier.priors[0].support_mask.bit_count() == 2
+    built = []
+    real_init = Belief._init
+
+    def counting_init(self, *args):
+        built.append(args[3])
+        return real_init(self, *args)
+
+    monkeypatch.setattr(Belief, "_init", counting_init)
+    again = [os_rule(hier), bayesian_rule(hier.priors[0]), ht_rule(ht), ht_rule(construction.ht)]
+    assert built == []  # every walk is kept
+    assert again[0][Event(hier.space, 1)] is rule[Event(hier.space, 1)]
+    monkeypatch.undo()
     monkeypatch.setenv("BELIEFKIT_MAX_STATES", "5")
     for tabulate in (
         lambda: os_rule(hier),
