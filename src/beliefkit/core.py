@@ -17,9 +17,11 @@ A prior keeps one map, by mask, from each nonempty proper submask q of its
 support (a trace) to its Bayes update on q.  ``kept_update`` fills it one
 entry at a time, and ``kept_traces`` walks the rest of it once, reusing
 the entries already kept, so a tabulator, the certificate or a selection
-reading the prior again builds no belief.  ``trace_posteriors`` reads the
-map, with the prior itself on its support, as two canonical sequences;
-``lex_sums`` gives the numerators in the same order.
+reading the prior again builds no belief.  Every reader reads the map in
+place, in canonical order, and takes the prior itself as the update on
+the whole support, which the map does not hold.  ``lex_sums`` gives the
+numerators of all the support's submasks in canonical order, the
+support's own, den, after its |s| - 1 proper prefixes.
 """
 
 from __future__ import annotations
@@ -521,26 +523,6 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
     return mu.restricted(e.mask)
-
-
-def trace_posteriors(prior: Belief) -> tuple[Sequence[int], list[Belief]]:
-    """The nonempty q in ``prior``'s support, canonical order, and the update on each.
-
-    The updates are those of the prior's kept map (``kept_traces``), read
-    in one pass, and the prior itself on its whole support, which follows
-    its proper prefixes; a whole-space support reads its masks from the
-    space.  ``lex_sums`` of the prior's nonzero numerators gives each q's
-    numerator, in the same order.
-    """
-    traces, space, support = kept_traces(prior), prior.space, prior.support_mask
-    k = support.bit_count() - 1  # the support follows its k proper prefixes
-    posteriors = list(traces.values())
-    posteriors.insert(k, prior)
-    if support == (1 << len(space)) - 1:
-        return space.canonical_masks(), posteriors
-    masks = list(traces)
-    masks.insert(k, support)
-    return masks, posteriors
 
 
 def kept_traces(prior: Belief) -> dict[int, Belief]:

@@ -49,11 +49,13 @@ is exactly 0.
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
-support's submasks, kept to the rows.  The prior's kept map, read by
-``core.trace_posteriors``, gives the conditional belief on every submask
-of its support, and ``core.lex_sums`` each submask's numerator in the
-same order.  Every mass compared is a ratio of two such numerators, and
-every comparison is an integer cross-multiplication.  Two quantities have
+support's submasks, kept to the rows.  The prior's kept map
+(``core.kept_traces``), read in place, gives the conditional belief on
+every proper submask of its support in canonical order, and
+``core.lex_sums`` each submask's numerator in the same order once the
+support's own sum is dropped; the support is a row, the prior itself.
+Every mass compared is a ratio of two such numerators, and every
+comparison is an integer cross-multiplication.  Two quantities have
 closed forms.  A class's gap limit is (den - m) / den with m the least
 numerator of a state x whose removal leaves a row (0 when there is none):
 the full support attains it, O(n) per class.  The cross-class maximum is the largest
@@ -87,11 +89,11 @@ from .core import (
     as_fraction,
     as_threshold,
     bayes_update,
+    kept_traces,
     kept_update,
     lex_submasks,
     lex_sums,
     mask_indices,
-    trace_posteriors,
 )
 from .errors import (
     AmbiguousArgmax,
@@ -439,11 +441,12 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         den, nums = prior.den, prior.nums
         support = prior.support_mask
         cut = eps.numerator * den
-        table = {0: 0}  # numerator of every submask of the support, canonical order
-        updates: dict[int, Belief] = {}  # conditional support (row) -> its belief
+        table = {0: 0, support: den}  # numerator of every submask of the support
+        updates = {support: prior}  # conditional support (row) -> its belief
         below: list[int] = []  # nonempty submasks at or below the threshold
-        masks, posteriors = trace_posteriors(prior)
-        for mask, num, posterior in zip(masks, lex_sums([x for x in nums if x]), posteriors):
+        sums = lex_sums([x for x in nums if x])
+        del sums[support.bit_count() - 1]  # the support's own, after its proper prefixes
+        for (mask, posterior), num in zip(kept_traces(prior).items(), sums):
             table[mask] = num
             if num * ed > cut:
                 updates[mask] = posterior

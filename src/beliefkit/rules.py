@@ -12,14 +12,15 @@ and certifies, in integers, that each entry is the peel's update: that
 proves the chain rule on all 4^n - 2^n triples without enumerating them.
 An update depends only on the event's trace on its prior's support, so
 the certificate tests each entry against the update the prior keeps for
-its trace (``core.trace_posteriors``), or the prior itself on its whole
+its trace (``core.kept_traces``), or the prior itself on its whole
 support: by identity where the rule holds that posterior, as a rule
 tabulated on the same prior does, and by integer equality elsewhere.
-Peel k's entries form a grid, its traces Q_k by the sets R_k of later
-states, read along the longer side in one C-level list comparison per
-element of the shorter: sum_k min(|Q_k|, |R_k|) Python steps.  A row or
-column that fails is compared again in slices of 16 entries at C speed,
-and only a slice that differs is listed in Python.
+Peel k's entries are the events q | r, q in its traces Q_k and r in the
+sets R_k of later states, all |Q_k| |R_k| of them listed, read and
+compared in one C-level table read and one tuple comparison, so the
+Python steps grow with the number of peels alone.  A block that fails
+is compared again in slices of 16 entries at C speed, and only a slice
+that differs is listed in Python.
 All later work grows with n and the set U of uncertified entries, not
 with 2^n: concentration is checked on the peeled entries and on U alone,
 and where an entry fails, a heap search from U finds the first violating
@@ -59,7 +60,7 @@ asks for one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, filterfalse, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, product, starmap
 from operator import itemgetter, ne, or_
 from typing import Iterable, Mapping, NamedTuple
 
@@ -73,7 +74,6 @@ from .core import (
     kept_update,
     lex_submasks,
     mask_indices,
-    trace_posteriors,
 )
 from .errors import BadDelta, EmptyEvent, OutsideDomain, SpaceMismatch
 
@@ -293,8 +293,8 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     complete or not concentrated.  The rule is peeled from the full space,
     and each event's belief is certified as the Bayes update of the first
     peeled prior k meeting it, which is k's update on the trace
-    q = E & s_k: the posterior ``core.trace_posteriors(prior)`` gives for
-    q, from the prior's kept map, or the prior itself when q = s_k.  While
+    q = E & s_k: the posterior the prior's kept map holds for q
+    (``core.kept_traces``), or the prior itself when q = s_k.  While
     each peeled prior is the update of the rule's next block, that block
     holds exactly those posteriors, so only the exceptions on it are read:
     one pass per such block over the exceptions no earlier one holds, and
@@ -305,21 +305,20 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
     already keeps its posteriors, and any other builds the 2^|s_k| - 2 its
     map lacks once and keeps them, so a second call on the same rule
     builds no belief.  The events q | r of peel k, q in the traces Q_k
-    and r in the sets R_k of later states, are certified in
-    sum_k min(|Q_k|, |R_k|) Python steps, each one list comparison at C
-    speed along the longer side, a row or column read in one C call.  A
-    failing step compares its row in slices of ``_WIDTH`` entries at C
-    speed and lists only the slices that differ, so the uncertified
-    entries U take O(|U| ``_WIDTH``) more Python steps, and each entry is
-    compared at most twice more.  All certified proves the rule is the
-    one the peeled hierarchy induces, hence a CPS: valid, with the peeled
-    priors, and ``triples`` counts all 4^n - 2^n triples as certified for
-    n states.  Concentration is checked only where it can fail: on each
-    peeled entry, and on U.  Otherwise the first violating triple in
-    canonical (E, F, G) order, with the number of triples an exhaustive
-    scan enumerates up to and including it: O(|U| n) heap steps, plus the
-    pair tests of each uncertified E met before it, and a closed-form
-    count.
+    and r in the sets R_k of later states, are certified by ``_misses``
+    in one table read and one tuple comparison at C speed, a constant
+    number of Python steps per peel.  A failing peel compares its
+    entries in slices of ``_WIDTH`` at C speed and lists only the slices
+    that differ, so the uncertified entries U take O(|U| ``_WIDTH``) more
+    Python steps, and each entry is compared at most twice more.  All
+    certified proves the rule is the one the peeled hierarchy induces,
+    hence a CPS: valid, with the peeled priors, and ``triples`` counts
+    all 4^n - 2^n triples as certified for n states.  Concentration is
+    checked only where it can fail: on each peeled entry, and on U.
+    Otherwise the first violating triple in canonical (E, F, G) order,
+    with the number of triples an exhaustive scan enumerates up to and
+    including it: O(|U| n) heap steps, plus the pair tests of each
+    uncertified E met before it, and a closed-form count.
     """
     if not is_complete(rule):
         return CpsValidation.not_candidate("not complete")
@@ -349,8 +348,8 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         rest ^= support
     # Past them, peel, and certify E's entry as the update of the first
     # peeled prior k meeting E on its trace q = E & s_k: E = q | r, r past
-    # k, must hold, or equal, the posterior ``trace_posteriors`` gives for
-    # q.  Where blocks lie ahead, their entries are read through them.
+    # k, must hold, or equal, k's kept posterior on q (k itself on s_k).
+    # Where blocks lie ahead, their entries are read through them.
     table = exceptions if len(priors) == len(blocks) else _region(rule, rest)
     while rest:
         prior = table[rest]
@@ -360,7 +359,7 @@ def validate_cps(rule: UpdatingRule) -> CpsValidation:
         priors.append(prior)
         peels.append(rest)
         rest &= ~support
-        uncertified += _misses(*trace_posteriors(prior), lex_submasks(rest), table)
+        uncertified += _misses(prior, lex_submasks(rest), table)
     if not uncertified:
         return CpsValidation.valid(4**n - 2**n, tuple(priors))
     read = rule._entry
@@ -470,32 +469,26 @@ def _violation(space: StateSpace, read, e: int, f: int) -> CpsValidation:
     return CpsValidation.violation(witness, before + position + 2)
 
 
-def _misses(qs, expected: list, rs, table: dict) -> list[int]:
-    """The events q | r of a block, q in ``qs`` and r in ``rs``, whose entry is not expected[q].
+def _misses(prior: Belief, rs, table: dict) -> list[int]:
+    """The events q | r of ``prior``'s block, r in ``rs``, whose entry is not q's update.
 
-    The entries are read from ``table``, which holds every event of the
-    block, a row or column in one C call.  The block is read along its
-    longer side, each
-    row or column compared at C speed, identity first, so every entry is
-    compared in sum min(|Q|, |R|) Python steps.  A failing step lists its
-    misses through ``_differing``: O(``_WIDTH``) Python steps per miss,
-    however long the row, and at most two more comparisons per entry.
+    q runs over the nonempty submasks of the support: its kept traces
+    (``core.kept_traces``), whose updates the prior's map holds, and then
+    the support, whose update is the prior.  The block's keys are listed,
+    r by r, at C speed (its traces' own keys when ``rs`` is (0,)), read
+    from ``table``, which holds every event of the block, in one C call,
+    and compared with the expected updates in one tuple comparison,
+    identity first.  Only a block that fails lists its misses, through
+    ``_differing``: O(``_WIDTH``) Python steps per miss, and at most two
+    more comparisons per entry.
     """
-    misses: list[int] = []
-    if len(rs) <= len(qs):  # one step per r: its events q | r against every expected entry
-        expected = tuple(expected)  # of the type ``itemgetter`` reads
-        for r in rs:
-            held = itemgetter(*(map(or_, repeat(r), qs) if r else qs))(table)
-            if len(qs) == 1:  # ``itemgetter`` of one key reads a bare entry
-                held = (held,)
-            if held != expected:
-                misses += [qs[i] | r for i in _differing(held, expected)]
-    else:  # one step per q: its events q | r against its expected entry
-        for q, x in zip(qs, expected):
-            held = itemgetter(*map(or_, repeat(q), rs))(table)  # two keys or more
-            if held.count(x) != len(held):
-                misses += [q | rs[i] for i in _differing(held, (x,) * len(held))]
-    return misses
+    traces = kept_traces(prior)
+    qs = (*traces, prior.support_mask)
+    keys = qs if rs == (0,) else tuple(starmap(or_, product(rs, qs)))
+    # ``itemgetter`` of one key would read a bare entry
+    held = itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[0]],)
+    expected = (*traces.values(), prior) * len(rs)
+    return [] if held == expected else [keys[i] for i in _differing(held, expected)]
 
 
 def _unequal(masks: list[int], held: Iterable, expected: Iterable) -> list[int]:
@@ -504,7 +497,7 @@ def _unequal(masks: list[int], held: Iterable, expected: Iterable) -> list[int]:
     return [] if held == expected else [masks[i] for i in _differing(held, expected)]
 
 
-_WIDTH = 16  # entries per slice in which a failing row is compared at C speed
+_WIDTH = 16  # entries per slice in which a failing block is compared at C speed
 
 
 def _differing(held, expected) -> list[int]:
@@ -514,9 +507,9 @@ def _differing(held, expected) -> list[int]:
     cut into slices of ``_WIDTH`` entries, which are compared pairwise in
     one pass at C speed, and only a slice that differs is listed entry by
     entry, so m differences take O(m ``_WIDTH``) Python steps however
-    long the row.  A slice comparison stops at its first difference, so
-    each entry is compared at most twice here; with the whole-row
-    comparison that found the row failing, one difference in n entries
+    long the sequences.  A slice comparison stops at its first difference,
+    so each entry is compared at most twice here; with the whole
+    comparison that found them differing, one difference in n entries
     costs at most 2n + ``_WIDTH`` comparisons.
     """
     tail = len(held) - len(held) % _WIDTH  # a last slice short of _WIDTH, compared alone
@@ -539,7 +532,7 @@ def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
     open with (equal updates) their entries agree but for the exceptions.
     Past those, b's entries are its exceptions when b is complete and has
     no more blocks, and else each is read once through b's blocks; a's
-    blocks are read against them row by row at C speed, a's own
+    blocks are read against them a block at a time at C speed, a's own
     exceptions aside, and the events past a's blocks on both sides.  When
     neither rule holds a block, those events are every event, so both
     rules are their exceptions: the two dicts are compared at C speed, and
@@ -563,7 +556,7 @@ def _differences(a: UpdatingRule, b: UpdatingRule) -> list[int]:
     differs: list[int] = []
     for support, update, _ in a._blocks[shared:]:
         rest ^= support
-        misses = _misses(*trace_posteriors(update), lex_submasks(rest), table)
+        misses = _misses(update, lex_submasks(rest), table)
         differs += filterfalse(mine.__contains__, misses)
     held = full ^ rest
     # with no block held both rules are their exceptions, and the table's keys every event
@@ -579,7 +572,8 @@ def rules_equal(a: UpdatingRule, b: UpdatingRule) -> CheckResult:
     An event missing from either rule counts as a difference, and the
     first difference is the canonically least.  Two rules of equal blocks
     compare their exceptions alone; past the blocks they share, the rule
-    holding more is read row by row against the other (``_differences``).
+    holding more is read a block at a time against the other
+    (``_differences``).
     """
     if a.space != b.space:
         raise SpaceMismatch("rules built over different state spaces")

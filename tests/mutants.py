@@ -23,8 +23,9 @@ came only from the timeout is reported as such, since a hang is not a
 failing assertion.  The run prints the score, every survivor and every
 timeout kill.  ``ALLOWED`` lists the survivors read one by one and
 found equivalent to the original: each is reported, with its reason,
-apart from the others, and does not count against the score.  The
-script is not a test module, so pytest does not collect it.
+apart from the others, and does not count against the score.  A
+``--functions`` name that the module does not define exits 2, naming
+it.  The script is not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ ORIENT = (
     "canonical order"
 )
 DIFF_ORIENT = (
-    "which rule's blocks are read row by row against the other sets only the orientation: "
-    "differences are symmetric, and the events past those blocks are read on both sides"
+    "which of the two rules has its blocks read against the other's entries is a choice of "
+    "sides only: differences are symmetric, and the events past those blocks are read on both sides"
 )
 ROW_TEST = (
     "the test only decides whether the exact tie list of a row runs; a tied b equal to a "
@@ -71,9 +72,20 @@ NOT_FULL = (
     "never takes the space's cached canonical masks for a whole-space support: `_lex_masks` "
     "lists the same masks in the same order, at the cost of a `lex_sums` pass"
 )
-POSTERIORS_NOT_FULL = (
-    "never takes the space's cached canonical masks for a whole-space support: the kept "
-    "map's keys, the support put after its proper prefixes, are the same masks in the same order"
+
+KEYS_BY_OR = (
+    "lists a last peel's keys with `or_` too, r being 0 alone: q | 0 is q, so the keys are the "
+    "map's own and the support, in the same order, at the cost of the `product` pass"
+)
+NEVER_BINDS = (
+    "changes only a gap limit that never binds: a state whose removal leaves at most eps is "
+    "heavier than every droppable state, so the least numerator stays whenever one exists, "
+    "and else the limit, 0, -1 or at most eps, never beats the floor, which is eps or more; a "
+    "larger limit denominator only scales every bound alike, which the normalization removes"
+)
+SCALED = (
+    "scales every interval end by one factor, a multiple of the needed one, so every weight and "
+    "the total grow alike and the reduced weights and the bounds' Fractions are the same"
 )
 
 FLIPS = {
@@ -148,15 +160,58 @@ ALLOWED = {
     ("_walk", "stack = [(zeros, 0, 0)] * (support.bit_count() + 2)"): (
         "one more stack slot, which no prefix reads: a trace of depth d reads slot d - 1 < |s|"
     ),
-    ("trace_posteriors", "if support == (1 << len(space)) + 1:"): POSTERIORS_NOT_FULL,
-    ("trace_posteriors", "if support == (1 >> len(space)) - 1:"): POSTERIORS_NOT_FULL,
-    ("trace_posteriors", "if support == (2 << len(space)) - 1:"): POSTERIORS_NOT_FULL,
-    ("trace_posteriors", "if support == (0 << len(space)) - 1:"): POSTERIORS_NOT_FULL,
-    ("trace_posteriors", "if support == (1 << len(space)) - 0:"): POSTERIORS_NOT_FULL,
     ("_region", "masks = lex_submasks(mask)[0:]"): (
         "keeps the empty mask's None entry, which no reader asks for: the certificate reads "
         "nonempty events only, and a compare of two rules without blocks finds None on both sides"
     ),
+    ("_misses", "keys = qs if rs == (1,) else tuple(starmap(or_, product(rs, qs)))"): KEYS_BY_OR,
+    ("_misses", "keys = qs if rs == (-1,) else tuple(starmap(or_, product(rs, qs)))"): KEYS_BY_OR,
+    ("_misses", "held = itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[-1]],)"): (
+        "a block of one key: its last key is its first"
+    ),
+    ("eps_os_construction", "top = (0, 2)"): (
+        "0/2 is 0: the first test, num(q) * 2 > 0, holds exactly where num(q) * 1 > 0 does, "
+        "and Fraction(0, 2) is 0"
+    ),
+    ("eps_os_construction", "table = {0: 1, support: den}"): (
+        "the empty mask's numerator is read only for a one-state support, less its state; that "
+        "prior's den and numerator are 1, so its gap limit is (1 - 1) / 1 or 0 / 1 either way"
+    ),
+    ("eps_os_construction", "table = {0: -1, support: den}"): (
+        "the empty mask's numerator is read only for a one-state support, less its state, which "
+        "is no row at -1 as at 0"
+    ),
+    (
+        "eps_os_construction",
+        "droppable = [nums[x] for x in states if table[support ^ 1 << x] * ed >= cut]",
+    ): NEVER_BINDS,
+    (
+        "eps_os_construction",
+        "droppable = [nums[x] for x in states if table[support ^ 1 >> x] * ed > cut]",
+    ): NEVER_BINDS,
+    (
+        "eps_os_construction",
+        "droppable = [nums[x] for x in states if table[support ^ 0 << x] * ed > cut]",
+    ): NEVER_BINDS,
+    (
+        "eps_os_construction",
+        "gaps.append((den - min(droppable), den) if droppable else (-1, 1))",
+    ): NEVER_BINDS,
+    (
+        "eps_os_construction",
+        "gaps.append((den - min(droppable), den) if droppable else (0, 2))",
+    ): NEVER_BINDS,
+    ("eps_os_construction", "if table[q] * top[1] >= top[0] * light:"): (
+        "an equal ratio replaces the maximum, so Fraction(*top) is the same value"
+    ),
+    (
+        "eps_os_construction",
+        "scale = lcm(*[common * gcd(v, common) for pair in chain for v in pair])",
+    ): SCALED,
+    (
+        "eps_os_construction",
+        "ends = [tuple([v * scale * common for v in pair]) for pair in chain]",
+    ): SCALED,
     ("validate_cps", "for f in lex_submasks(e)[2:]:"): (
         "skips the singleton F = {a}, the least state of E, in an uncertified E's pair "
         "tests: P({a}|E) = P({a}|{a}) P({a}|E) once the entry on {a} is concentrated, "
@@ -241,12 +296,13 @@ def restore(node: ast.AST, edit, old) -> None:
         node.value = old
 
 
-def mutants(source: str, names: set[str] | None):
+def mutants(source: str, names: set[str] | None, build: bool = True):
     """(function, line, edit, mutated statement, mutant source) per site, in source order.
 
     The mutated statement is the first line of the innermost statement
     holding the site, as edited: it names the mutant in reports and in
-    ``ALLOWED``.
+    ``ALLOWED``.  With ``build`` false the mutant source is None, which is
+    all that listing the mutants needs.
     """
     tree = ast.parse(source)
     skip = annotation_ids(tree)
@@ -261,7 +317,8 @@ def mutants(source: str, names: set[str] | None):
     plan.sort(key=lambda site: site[:2])
     for line, _, function_name, node, statement, edit_name, edit in plan:
         old = mutate(node, edit)
-        shown, code = ast.unparse(statement).split("\n")[0], ast.unparse(tree)
+        shown = ast.unparse(statement).split("\n")[0]
+        code = ast.unparse(tree) if build else None
         restore(node, edit, old)
         yield function_name, line, edit_name, shown, code
 
@@ -296,7 +353,11 @@ def main(argv: list[str] | None = None) -> int:
     relative = Path("src") / "beliefkit" / f"{args.module}.py"
     source = (ROOT / relative).read_text(encoding="utf-8")
     names = set(args.functions.split(",")) if args.functions else None
-    plan = list(mutants(source, names))
+    missing = sorted(names - {f.name for f in targets(ast.parse(source), names)}) if names else []
+    if missing:
+        print(f"{relative} defines no function {', '.join(missing)}", file=sys.stderr)
+        return 2
+    plan = list(mutants(source, names, build=not args.list))
     if args.list:
         for function, line, edit, shown, _ in plan:
             print(f"{function}:{line}\t{edit}\t{shown}")

@@ -11,21 +11,22 @@ rule of every small grid hierarchy.  Past the triple scan's reach, at
 the scan of two-state pairs that the theorem in ``rules`` makes exact.
 
 The certificate compares every event's entry with the update of its
-trace, its meet with the support of its first prior, that
-``trace_posteriors`` reads from the peeled prior's kept map: by identity
-where the table shares that posterior, by value otherwise, one list
-comparison per trace or per set of later states, whichever are fewer.
-So some families aim at that comparison: many-prior tables of fresh
-beliefs, where no entry is another's object; a wrong trace entry shared
-by identity with all, or some, of the events that trace to it; and a
-wrong entry on the first, a middle or the last event that meets two
-supports.  One test also replaces each entry in turn on peels read along
-either side.  Every rule is also validated as a fresh copy, whose peeled
+trace, its meet with the support of its first prior, that the peeled
+prior's kept map holds (``core.kept_traces``), or the prior itself on
+its whole support: by identity where the table shares that posterior,
+by value otherwise, one tuple comparison per peeled block.  So some
+families aim at that comparison: many-prior tables of fresh beliefs,
+where no entry is another's object; a wrong trace entry shared by
+identity with all, or some, of the events that trace to it; and a wrong
+entry on the first, a middle or the last event that meets two supports.
+One test also replaces each entry in turn on blocks of more traces than
+later sets and of fewer.  Every rule is also validated as a fresh copy, whose peeled
 priors keep no walk, and must get the same answer, priors included.
-A row that fails is compared again in slices, and only the slices that
-differ are listed: one test changes entries at the ends of rows of up to
-1023 entries and on both sides of the slice boundaries, and one counts
-the by-value comparisons a failing row costs.
+A block that fails is compared again in slices, and only the slices
+that differ are listed: one test changes entries at the ends of blocks
+of up to 1023 entries and on both sides of the slice boundaries, one
+counts the by-value comparisons a failing block costs, and one counts
+the table reads, one per peeled block.
 
 The witness search starts from the uncertified entries, so one family
 makes many of them: every event of two or more states inside a later
@@ -58,6 +59,7 @@ from beliefkit import (
     is_concentrated,
     os_rule,
     os_to_ht,
+    rules_equal,
     validate_cps,
 )
 from helpers import (
@@ -529,8 +531,8 @@ def test_the_certificate_compares_by_identity_and_reads_every_entry(monkeypatch)
 def test_each_entry_is_certified_along_either_side_of_its_block(sizes):
     """|S| = 6, canonical supports of the given sizes over interleaved
     states.  Sizes (1, 2, 3) peel blocks of 1 x 32 and 3 x 8 traces by
-    later sets, certified one trace at a time, then 7 x 1, one later set
-    at a time; sizes (3, 2, 1) peel 7 x 8, then 3 x 2 and the tie 1 x 1.
+    later sets, fewer traces than later sets, then 7 x 1; sizes (3, 2, 1)
+    peel 7 x 8, then 3 x 2 and the tie 1 x 1.  Each block is read whole.
     Each event of two or more states gets, in turn, the uniform belief in
     place of its entry wherever that differs, on the table and on a fresh
     copy: the validator must give the exhaustive scan's answer."""
@@ -753,43 +755,43 @@ def wrong(rule: UpdatingRule, event: Event) -> Belief:
     return Belief.uniform_on(event if len(event) > 1 else rule.space.full_event)
 
 
-def scanned(qs, expected, rs, table) -> list[int]:
-    """``_misses`` by a per-entry scan, in its order: along the longer side of the block."""
-    if len(rs) <= len(qs):
-        cells = [(q | r, x) for r in rs for q, x in zip(qs, expected)]
-    else:
-        cells = [(q | r, x) for q, x in zip(qs, expected) for r in rs]
+def scanned(prior, rs, table) -> list[int]:
+    """``_misses`` by a per-entry scan, in its order: r by r, the kept traces, then the support."""
+    qs = [*core.kept_traces(prior).items(), (prior.support_mask, prior)]
+    cells = [(q | r, x) for r in rs for q, x in qs]
     return [e for e, x in cells if table[e] is not x and table[e] != x]
 
 
 def single_prior_row(n: int):
-    """The rule of one prior, weights 1 .. n, and its one row: the events in canonical order."""
+    """The rule of one prior, weights 1 .. n, and its one block in the order ``_misses``
+    reads it: the events in canonical order, the whole space moved last."""
     space = StateSpace(tuple(f"s{i}" for i in range(n)))
     rule = os_rule(OSRepresentation(space, (weighted_prior(space, space.states),)))
-    return rule, [[event.mask for event in rule.events()]]
+    full = space.full_event.mask
+    return rule, [[mask for mask in space.canonical_masks() if mask != full] + [full]]
 
 
-def three_prior_columns():
-    """Three priors on 2, 3 and 3 of 8 interleaved states, and two columns of the
-    first block: the events q | r of its first and last trace q, read one trace at a
-    time, r over the 64 sets of later states."""
+def three_prior_block():
+    """Three priors on 2, 3 and 3 of 8 interleaved states, and the first block in
+    the order ``_misses`` reads it: r over the 64 sets of later states, and for each
+    the events q | r of the kept traces {s3} and {s6}, then of the support."""
     space = StateSpace(tuple(f"s{i}" for i in range(8)))
     chunks = (("s3", "s6"), ("s0", "s4", "s7"), ("s1", "s2", "s5"))
     rule = os_rule(OSRepresentation(space, tuple(weighted_prior(space, c) for c in chunks)))
     first = space.event(*chunks[0]).mask
     rs = core.lex_submasks(space.full_event.mask & ~first)
-    traces = core.lex_submasks(first)[1:]
-    return rule, [[q | r for r in rs] for q in (traces[0], traces[-1])]
+    qs = [q for q in core.lex_submasks(first)[1:] if q != first] + [first]
+    return rule, [[q | r for r in rs for q in qs]]
 
 
 @pytest.mark.parametrize(
-    "make", [*(lambda n=n: single_prior_row(n) for n in (8, 9, 10)), three_prior_columns],
+    "make", [*(lambda n=n: single_prior_row(n) for n in (8, 9, 10)), three_prior_block],
     ids=["one-prior-8", "one-prior-9", "one-prior-10", "three-priors-8"],
 )
 def test_misses_are_listed_at_the_edges_of_long_rows(make, monkeypatch):
-    """Rows of 255, 511 and 1023 entries (one prior at |S| = 8, 9, 10) and
-    columns of 64 (three priors at |S| = 8, read one trace at a time), each
-    with entries changed at ``edge_positions``, as a table and as a fresh
+    """Blocks of 255, 511 and 1023 entries (one prior at |S| = 8, 9, 10) and
+    a first block of 192 (three priors at |S| = 8, 3 traces by 64 later
+    sets, read r by r), each with entries changed at ``edge_positions``, as a table and as a fresh
     copy compared by value.  Every ``_misses`` call lists exactly the events
     a per-entry scan finds, in its order.  At |S| = 8 the validation is the
     exhaustive scan's; beyond it, its status is ``helpers.pair_validate``'s
@@ -798,9 +800,9 @@ def test_misses_are_listed_at_the_edges_of_long_rows(make, monkeypatch):
     listing = rules._misses
     calls = []
 
-    def recorded(qs, expected, rs, table):
-        misses = listing(qs, expected, rs, table)
-        calls.append((scanned(qs, expected, rs, table), misses))
+    def recorded(prior, rs, table):
+        misses = listing(prior, rs, table)
+        calls.append((scanned(prior, rs, table), misses))
         return misses
 
     monkeypatch.setattr(rules, "_misses", recorded)
@@ -851,3 +853,29 @@ def test_a_failing_row_compared_by_value_reads_each_entry_at_most_twice_over(
     monkeypatch.undo()
     assert got.status == "violation" and breaks_the_chain_rule(copy, got.witness)
     assert len(calls) <= 2 * (2**9 - 1) + rules._WIDTH
+
+
+def test_each_peeled_block_is_read_from_the_table_in_one_call(monkeypatch):
+    """Three priors on 3, 3 and 4 of 10 interleaved states, as a fresh table
+    of 1023 entries.  ``validate_cps`` of it, and ``rules_equal`` of the
+    hierarchy's listed rule and it, each read the table in 3 ``itemgetter``
+    calls, one per peeled block of 7 x 128, 7 x 16 and 15 x 1 events, which
+    together read every entry once; reading a block one trace or one set of
+    later states at a time would make 15."""
+    space = StateSpace(tuple(f"s{i}" for i in range(10)))
+    chunks = (("s2", "s5", "s9"), ("s0", "s3", "s7"), ("s1", "s4", "s6", "s8"))
+    hier = OSRepresentation(space, tuple(weighted_prior(space, c) for c in chunks))
+    table = fresh(os_rule(hier))
+    getter, reads = rules.itemgetter, []
+
+    def counted(*keys):
+        reads.append(len(keys))
+        return getter(*keys)
+
+    monkeypatch.setattr(rules, "itemgetter", counted)
+    got = validate_cps(table)
+    assert got.status == "valid" and got.priors == hier.priors
+    assert reads == [7 * 128, 7 * 16, 15]
+    reads.clear()
+    assert rules_equal(os_rule(hier), table)
+    assert reads == [7 * 128, 7 * 16, 15]

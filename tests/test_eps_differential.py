@@ -7,11 +7,13 @@ seeded canonical hierarchies (|S| = 1-8, 1-4 priors, balanced and random
 cuts) at fixed and random thresholds, both must return the same
 construction field by field, with the record's ``edges`` (listed on read)
 equal to the oracle's dominance pairs in order, or raise the same error
-with the same message.
+with the same message.  The construction reads each prior's kept map in
+place, so it must not depend on the order in which that map was filled.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -24,7 +26,8 @@ from beliefkit import (
     TooManyStates,
     eps_os_construction,
 )
-from helpers import fraction_eps_os_construction
+from beliefkit.core import kept_update, lex_submasks, mask_indices
+from helpers import fraction_eps_os_construction, grid_hierarchies
 
 SEED = 20261018
 CASES = 160
@@ -175,3 +178,36 @@ def test_states_too_heavy_to_drop(h, eps):
     """Dropping such a state leaves the support below the threshold, so
     no row mask misses it and it never sets the gap limit."""
     assert_same(eps_os_construction(h, eps), fraction_eps_os_construction(h, eps))
+
+
+def prefilled(prior: Belief, share: int) -> Belief:
+    """An equal prior whose map ``kept_update`` filled with ``share`` of its
+    traces in reverse canonical order: 0 none, 1 half of them, 2 all."""
+    copy = Belief(prior.space, dict(prior.items()))
+    support = copy.support_mask
+    traces = [q for q in lex_submasks(support)[:0:-1] if q != support]
+    for q in traces[: len(traces) * share // 2]:
+        kept_update(copy, q)
+    return copy
+
+
+def test_a_map_filled_out_of_order_gives_the_fresh_construction():
+    """Every ``grid_hierarchies`` hierarchy at |S| <= 3 on the 1/2- and
+    1/3-grids (217, 40 canonical), at thresholds 0, 1/8, 1/4 and 1/2: the
+    construction on priors whose kept maps were filled in reverse canonical
+    order, partly and to completion, equals the one on fresh equal priors,
+    or raises the same error.  Some partly filled maps are out of canonical
+    order when the construction starts."""
+    unordered = hierarchies = 0
+    for h in chain.from_iterable(grid_hierarchies(n, den) for n in (1, 2, 3) for den in (2, 3)):
+        hierarchies += 1
+        for eps in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            fresh = [prefilled(prior, 0) for prior in h.priors]
+            want = outcome(eps_os_construction, OSRepresentation(h.space, fresh), eps)
+            for share in (1, 2):
+                priors = [prefilled(prior, share) for prior in h.priors]
+                maps = [list(prior._traces or ()) for prior in priors]
+                unordered += sum(masks != sorted(masks, key=mask_indices) for masks in maps)
+                got = outcome(eps_os_construction, OSRepresentation(h.space, priors), eps)
+                assert got == want, (h.priors, eps, share)
+    assert hierarchies == 217 and unordered > 0

@@ -51,7 +51,7 @@ from beliefkit import (
     rules_equal,
     validate_cps,
 )
-from beliefkit.core import ZERO, trace_posteriors
+from beliefkit.core import ZERO, kept_traces
 from beliefkit.errors import OutsideDomain
 from beliefkit.ordered_surprises import min_order
 from helpers import canonical_form, grid_hierarchies, random_canonical_os, random_overlapping_os
@@ -340,8 +340,7 @@ def test_a_listed_rule_reads_an_entry_from_its_first_block_meeting_it():
     for event in hier.space.events():
         order = min_order(hier.priors, event.mask, ZERO)
         prior = hier.priors[order]
-        qs, posteriors = trace_posteriors(prior)
-        kept = posteriors[qs.index(event.mask & prior.support_mask)]
+        kept = kept_traces(prior).get(event.mask & prior.support_mask, prior)
         assert rule[event] is kept and rule.get(event) is kept and event in rule
         assert kept == os_update(hier, event)
     assert not rule._exceptions

@@ -328,15 +328,15 @@ def test_ht_rule_names_the_first_tie_reached_through_argmax_prefixes():
         assert tie.value.tied == (1, 2, 3)
 
 
-def test_trace_posteriors_are_bayes_update_on_every_submask_of_every_own():
+def test_kept_traces_are_bayes_update_on_every_submask_of_every_own():
     """A walk covers its prior's whole support; each own inside it is walked on its update.
 
-    Canonical order, numerators (``lex_sums`` of the nonzero ones) and
-    updates.  Each prior is read twice: the second call reads the updates
-    the first one kept on the prior and must return the same masks and
-    the same objects, with the prior itself as the update on its whole
-    support.  The kept map holds every other trace's update, and nothing
-    on the support itself.  The update on an own is
+    The kept map of the update on own holds every nonempty proper submask
+    of own, in canonical order, and nothing on own itself, whose update is
+    the update itself.  Numerators are ``lex_sums`` of the nonzero ones,
+    own's own sum (the denominator) at index |own| - 1, after its proper
+    prefixes.  Each map is read twice: the second read must return the
+    same masks and the same objects.  The update on own is
     ``prior.restricted(own)``, whose walk gives the prior's updates on the
     submasks of own.
     """
@@ -347,19 +347,20 @@ def test_trace_posteriors_are_bayes_update_on_every_submask_of_every_own():
         prior = belief_from(space, [rng.randint(0, 3) for _ in range(n - 1)] + [1])
         for own in core.lex_submasks(prior.support_mask)[1:]:
             update = prior.restricted(own)
-            masks, first = core.trace_posteriors(update)
-            again_masks, again = core.trace_posteriors(update)
-            assert list(masks) == list(again_masks) == list(core.lex_submasks(own)[1:])
-            assert all(a is b for a, b in zip(first, again))
+            first = list(core.kept_traces(update).items())
             kept = core.kept_traces(update)
-            assert list(kept) == [q for q in masks if q != own]
-            assert all(kept.get(q, update) is posterior for q, posterior in zip(masks, first))
+            masks = list(core.lex_submasks(own)[1:])
+            assert list(kept) == [q for q in masks if q != own] == [q for q, _ in first]
+            assert all(a is b for (_, a), b in zip(first, kept.values(), strict=True))
+            assert update == bayes_update(prior, Event(space, own))
+            assert update.restricted(own) is update
             nums = core.lex_sums([x for x in update.nums if x])
-            for q, num, posterior in zip(masks, nums, first, strict=True):
+            k = own.bit_count() - 1
+            assert masks[k] == own and nums.pop(k) == update.den
+            for (q, posterior), num in zip(kept.items(), nums, strict=True):
                 assert num == update.mask_num(q)
                 assert posterior == bayes_update(prior, Event(space, q))
-                assert posterior.support_mask == q
-                assert (posterior is update) == (q == own)
+                assert posterior.support_mask == q and posterior is not update
 
 
 def test_a_map_that_kept_updates_complete_is_in_canonical_order(monkeypatch):
