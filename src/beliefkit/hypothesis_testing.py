@@ -8,17 +8,22 @@ strict.
 
 A representation stores its weights like a belief's masses: reduced integer
 numerators w_j over one total, read as Fractions (``rho``) on first read.
-The threshold test is one integer cross-multiplication on the top prior.
+The threshold test is ``ordered_surprises.min_order`` on the top prior: its
+numerator on the event against its floor, the largest numerator at or
+below the threshold.
 ``ht_select`` takes the argmax from the Fraction scores its trace reports.
 ``ht_rule`` scores in integers: prior j's score on a mask is its numerator
 there times w_j * (L // den_j), L the lcm of the priors' denominators, so
 every score is the true one times L * total.  An event the top prior
 rejects is q | r: q a light trace (a submask of the top support s of top
 mass at most the threshold, only the empty one at 0), r a submask of the
-rest t.  A prior inside s scores by q alone and one inside t by r alone,
-so each side keeps its best score, tie flag and winner's update once per
-q or per r, and the event takes the larger side's (a prior meeting both,
-none when supports are disjoint, is scored per event).  A winner's update
+rest t.  The light traces are the submasks of s that ``compress`` keeps
+where ``core.lex_sums`` of the top's positive numerators, in the same
+canonical order, is at most the floor.  A prior inside s scores by q
+alone and one inside t by r alone, so each side keeps its best score, tie
+flag and winner's update once per q or per r, and the event takes the
+larger side's (a prior meeting both, none when supports are disjoint, is
+scored per event).  A winner's update
 is read from, or kept on, its prior's map by trace (``core.kept_update``),
 so it is built at most once per (prior, trace), and not at all on a
 prior a tabulator already walked.  These events are
@@ -54,14 +59,19 @@ support's submasks, kept to the rows.  The prior's kept map
 every proper submask of its support in canonical order, and
 ``core.lex_sums`` each submask's numerator in the same order once the
 support's own sum is dropped; the support is a row, the prior itself.
-Every mass compared is a ratio of two such numerators, and every
-comparison is an integer cross-multiplication.  Two quantities have
+Every mass compared is a ratio of two such numerators: a row is a
+submask whose numerator is above the prior's floor, and the other
+comparisons are integer cross-multiplications.  Two quantities have
 closed forms.  A class's gap limit is (den - m) / den with m the least
-numerator of a state x whose removal leaves a row (0 when there is none):
-the full support attains it, O(n) per class.  The cross-class maximum is the largest
-num(q) / lightest(q) over the submasks q below the threshold, lightest(q)
-being the least numerator of a row holding q; one pass in descending mask
-order reads it off q's one-state extensions, O(2^|s| * |s|) per class.
+positive numerator, O(n) per class.  The full support attains it when the
+lightest state is droppable (its removal leaves a row).  A state whose
+removal leaves at most the threshold is heavier than every droppable
+state, so when the lightest is not droppable none is; then the limit is
+at most the threshold and never beats the interval chain's bottom.  The
+cross-class maximum is the largest num(q) / lightest(q) over the submasks
+q below the threshold, lightest(q) being the least numerator of a row
+holding q; one pass in descending mask order reads it off q's one-state
+extensions, O(2^|s| * |s|) per class.
 The interval chain is integers over one denominator (the threshold's, 4
 per class and each gap limit's), so every halving divides exactly, and the
 weights are integer numerators over the lcm of the reduced bounds'
@@ -102,7 +112,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation
+from .ordered_surprises import OSRepresentation, min_order
 from .rules import UpdatingRule, tabulate_traces
 
 
@@ -228,8 +238,7 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
         Fraction(prior.mask_num(e.mask) * w, prior.den * ht.total)
         for prior, w in zip(ht.priors, ht.weights)
     )
-    eps, top = ht.eps, ht.priors[0]
-    if top.mask_num(e.mask) * eps.denominator > eps.numerator * top.den:
+    if min_order(ht.priors[:1], e.mask, ht.eps) == 0:
         branch, chosen = SelectionBranch.BAYESIAN, 0
     else:
         branch, chosen = SelectionBranch.ARGMAX, _argmax(ht, e.mask, scores)
@@ -261,13 +270,10 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
     top = priors[0]
     s = top.support_mask
     t = (1 << len(ht.space)) - 1 ^ s
-    light = [0]
     floor = eps.numerator * top.den // eps.denominator  # the largest numerator of a light trace
-    if floor >= min(filter(None, top.nums)):  # some state is light
-        # each numerator sits above the n state bits, so every sum carries its mask below
-        n = len(ht.space)
-        sums = lex_sums([x << n | 1 << i for i, x in enumerate(top.nums) if x])
-        light += map(((1 << n) - 1).__and__, filter(((floor + 1) << n).__gt__, sums))
+    nums, light = [*filter(None, top.nums)], [0]  # the top's numerators on s
+    if floor >= min(nums):  # some state is light: keep each submask of s whose sum is at most floor
+        light += compress(lex_submasks(s)[1:], map(floor.__ge__, lex_sums(nums)))
     if not t and len(light) == 1:
         return
     common = lcm(*[prior.den for prior in priors])
@@ -276,9 +282,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
     short, long = _side(ht, light, factors, t), _side(ht, rs, factors, s)
     if len(light) > len(rs):
         short, long = long, short
-    both = [] if not t else [
-        j for j, prior in enumerate(priors) if prior.support_mask & s and prior.support_mask & t
-    ]
+    both = [j for j, p in enumerate(priors) if p.support_mask & s and p.support_mask & t]
     ties: list[int] = []
     for x, a, ta, pa in zip(*short):
         ys, bs, tbs, pbs = long if x else (long[0][1:], long[1][1:], long[2][1:], long[3][1:])
@@ -426,11 +430,15 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # Rows are up-closed, so row s_j's largest such mass drops its lightest
     # droppable state x (support - {x} is a row); the support holds every
     # droppable state and has the most mass, so it attains the maximum.
+    # The limit takes the least positive numerator m, droppable or not: a
+    # state whose removal leaves at most eps is heavier than every droppable
+    # state, so m is droppable whenever some state is.  When none is, the
+    # limit (den - m) / den is at most eps, and it loses to the interval
+    # chain's bottom, which is at least eps.
     #
     # Within a class a dominating belief comes first: s_j a proper subset of
     # s_i puts row i before row j.  Prefix-tree postorder does that, and a
     # topological sort taking the canonically first ready row also gives it.
-    ed = eps.denominator
     last = len(priors) - 1
     sizes: list[int] = []  # class k: number of conditional beliefs
     gaps: list[tuple[int, int]] = []  # class k: gap limit as (numerator, denominator)
@@ -440,22 +448,20 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     for k, prior in enumerate(priors):
         den, nums = prior.den, prior.nums
         support = prior.support_mask
-        cut = eps.numerator * den
-        table = {0: 0, support: den}  # numerator of every submask of the support
+        floor = eps.numerator * den // eps.denominator  # the largest numerator at or below eps
         updates = {support: prior}  # conditional support (row) -> its belief
-        below: list[int] = []  # nonempty submasks at or below the threshold
+        lightest = {support: den}  # mask -> least numerator of a row holding it (a row's own)
+        below: list[tuple[int, int]] = []  # (mask, numerator), nonempty submasks at or below eps
         sums = lex_sums([x for x in nums if x])
         del sums[support.bit_count() - 1]  # the support's own, after its proper prefixes
         for (mask, posterior), num in zip(kept_traces(prior).items(), sums):
-            table[mask] = num
-            if num * ed > cut:
+            if num > floor:
                 updates[mask] = posterior
+                lightest[mask] = num
             else:
-                below.append(mask)
-        states = mask_indices(support)
-        bits = [1 << x for x in states]
-        droppable = [nums[x] for x in states if table[support ^ 1 << x] * ed > cut]
-        gaps.append((den - min(droppable), den) if droppable else (0, 1))
+                below.append((mask, num))
+        bits = [1 << x for x in mask_indices(support)]
+        gaps.append((den - min(filter(None, nums)), den))
         sizes.append(len(updates))
         post: list[int] = []  # submasks of the support, prefix-tree postorder
         for bit in reversed(bits):
@@ -468,35 +474,35 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
             # lies in s_b, so the maximum takes each q over its lightest row.
             # ``below`` is down-closed: descending masks meet each q's
             # one-state extensions first.
-            lightest = {mask: table[mask] for mask in updates}
-            for q in sorted(below, reverse=True):
+            for q, num in sorted(below, reverse=True):
                 light = lightest[q] = min([lightest[q | bit] for bit in bits if not q & bit])
-                if table[q] * top[1] > top[0] * light:
-                    top = (table[q], light)
+                if num * top[1] > top[0] * light:
+                    top = (num, light)
     cross_max = Fraction(*top)
     threshold = max(cross_max, eps)
 
-    # Interval chain: all values live strictly above the threshold; each
-    # class's lower bound also clears upper * (largest non-certain mass),
-    # so dominated-but-uncertain beliefs can never outscore the class.
-    # Values are integers over one denominator holding the threshold's, one
-    # factor 4 per class (two halvings) and every gap limit's, so each step
-    # divides exactly: by induction upper_k and floor are multiples of
-    # 4^(P-k) times every gap_den_j, j >= k.  No bound reaches floor:
-    # floor < common, as eps < 1 (``as_threshold``) and cross_max < 1 (each
-    # q in ``below`` misses states of positive mass in every row holding
-    # it); and gap_num < gap_den gives max(floor, upper * gap) < upper, so
-    # floor < lower_k < upper_k and floor < upper_(k+1).
+    # Interval chain: all values live strictly above the threshold (the
+    # chain's bottom); each class's lower bound also clears upper * (largest
+    # non-certain mass), so dominated-but-uncertain beliefs can never
+    # outscore the class.  Values are integers over one denominator holding
+    # the threshold's, one factor 4 per class (two halvings) and every gap
+    # limit's, so each step divides exactly: by induction upper_k and bottom
+    # are multiples of 4^(P-k) times every gap_den_j, j >= k.  No bound
+    # reaches bottom: bottom < common, as eps < 1 (``as_threshold``) and
+    # cross_max < 1 (each q in ``below`` misses states of positive mass in
+    # every row holding it); and gap_num < gap_den gives
+    # max(bottom, upper * gap) < upper, so bottom < lower_k < upper_k and
+    # bottom < upper_(k+1).
     common = threshold.denominator * 4 ** len(priors)
     for _, gap_den in gaps:
         common *= gap_den
-    floor = threshold.numerator * (common // threshold.denominator)
+    bottom = threshold.numerator * (common // threshold.denominator)
     chain: list[tuple[int, int]] = []
     upper = common
     for gap_num, gap_den in gaps:
-        lower = (max(floor, upper * gap_num // gap_den) + upper) // 2
+        lower = (max(bottom, upper * gap_num // gap_den) + upper) // 2
         chain.append((upper, lower))
-        upper = (floor + lower) // 2
+        upper = (bottom + lower) // 2
 
     # Weights spaced evenly inside each interval, as integer numerators over
     # one denominator that clears every bound and every (class size + 1).

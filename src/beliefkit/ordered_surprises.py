@@ -79,12 +79,15 @@ class OSRepresentation:
 def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
     """Index of the first prior whose mass on ``mask`` exceeds ``eps``, or None.
 
-    A prior's numerators are positive exactly on its support, so with eps = 0
-    that is the first prior whose support meets ``mask``.  The threshold is
-    not range-checked here; callers taking it from outside do.
+    Prior j's mass exceeds eps exactly when its numerator on ``mask`` is
+    above its floor ``eps.numerator * den_j // eps.denominator``, the
+    largest numerator at or below eps.  A prior's numerators are positive
+    exactly on its support, so with eps = 0 (floor 0) that is the first
+    prior whose support meets ``mask``.  The threshold is not range-checked
+    here; callers taking it from outside do.
     """
     for k, prior in enumerate(priors):
-        if prior.mask_num(mask) * eps.denominator > eps.numerator * prior.den:
+        if prior.mask_num(mask) > eps.numerator * prior.den // eps.denominator:
             return k
     return None
 
@@ -213,11 +216,13 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
 
     In canonical order, a preorder of the prefix tree, an event's per-prior
     numerators are its prefix's plus its top state's, and its order is at
-    most its prefix's, since mass only grows from a prefix.
+    most its prefix's, since mass only grows from a prefix.  Prior k clears
+    the threshold where its numerator is above its floor
+    ``eps.numerator * den_k // eps.denominator``, as in ``min_order``.
     """
     eps = as_threshold(eps)
     space, priors, count = os.space, os.priors, len(os.priors)
-    scale, cuts = eps.denominator, [eps.numerator * prior.den for prior in priors]
+    floors = [eps.numerator * prior.den // eps.denominator for prior in priors]
     columns = list(zip(*[prior.nums for prior in priors]))  # state i: each prior's numerator
     sums = [(0,) * count] * (len(space) + 1)  # by depth: the latest event's numerators
     orders = [count] * (len(space) + 1)  # by depth: its order, count when undefined
@@ -228,7 +233,7 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
         if order:  # else prior 0 clears the prefix, hence this event and all below it
             row = sums[depth] = tuple(map(add, sums[depth - 1], columns[mask.bit_length() - 1]))
             for k in range(order):
-                if row[k] * scale > cuts[k]:
+                if row[k] > floors[k]:
                     order = k
                     break
         orders[depth] = order

@@ -46,6 +46,7 @@ DEFAULT_TESTS = (
     "tests/test_rules.py",
     "tests/test_cps_differential.py",
     "tests/test_tabulator_differential.py",
+    "tests/test_mixed_rules.py",
 )
 
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
@@ -77,15 +78,13 @@ KEYS_BY_OR = (
     "lists a last peel's keys with `or_` too, r being 0 alone: q | 0 is q, so the keys are the "
     "map's own and the support, in the same order, at the cost of the `product` pass"
 )
-NEVER_BINDS = (
-    "changes only a gap limit that never binds: a state whose removal leaves at most eps is "
-    "heavier than every droppable state, so the least numerator stays whenever one exists, "
-    "and else the limit, 0, -1 or at most eps, never beats the floor, which is eps or more; a "
-    "larger limit denominator only scales every bound alike, which the normalization removes"
-)
 SCALED = (
     "scales every interval end by one factor, a multiple of the needed one, so every weight and "
     "the total grow alike and the reduced weights and the bounds' Fractions are the same"
+)
+DEPTH_SLOT = (
+    "one more slot by depth, which no event reads: an event of depth d writes slot d and "
+    "reads slot d - 1, and d is at most |S|"
 )
 
 FLIPS = {
@@ -169,39 +168,16 @@ ALLOWED = {
     ("_misses", "held = itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[-1]],)"): (
         "a block of one key: its last key is its first"
     ),
+    ("surprise_partition", "sums = [(0,) * count] * (len(space) + 2)"): DEPTH_SLOT,
+    ("surprise_partition", "orders = [count] * (len(space) + 2)"): DEPTH_SLOT,
+    ("ht_select", "if min_order(ht.priors[:2], e.mask, ht.eps) == 0:"): (
+        "min_order returns 0 exactly when the first prior clears eps, whatever priors follow it"
+    ),
     ("eps_os_construction", "top = (0, 2)"): (
         "0/2 is 0: the first test, num(q) * 2 > 0, holds exactly where num(q) * 1 > 0 does, "
         "and Fraction(0, 2) is 0"
     ),
-    ("eps_os_construction", "table = {0: 1, support: den}"): (
-        "the empty mask's numerator is read only for a one-state support, less its state; that "
-        "prior's den and numerator are 1, so its gap limit is (1 - 1) / 1 or 0 / 1 either way"
-    ),
-    ("eps_os_construction", "table = {0: -1, support: den}"): (
-        "the empty mask's numerator is read only for a one-state support, less its state, which "
-        "is no row at -1 as at 0"
-    ),
-    (
-        "eps_os_construction",
-        "droppable = [nums[x] for x in states if table[support ^ 1 << x] * ed >= cut]",
-    ): NEVER_BINDS,
-    (
-        "eps_os_construction",
-        "droppable = [nums[x] for x in states if table[support ^ 1 >> x] * ed > cut]",
-    ): NEVER_BINDS,
-    (
-        "eps_os_construction",
-        "droppable = [nums[x] for x in states if table[support ^ 0 << x] * ed > cut]",
-    ): NEVER_BINDS,
-    (
-        "eps_os_construction",
-        "gaps.append((den - min(droppable), den) if droppable else (-1, 1))",
-    ): NEVER_BINDS,
-    (
-        "eps_os_construction",
-        "gaps.append((den - min(droppable), den) if droppable else (0, 2))",
-    ): NEVER_BINDS,
-    ("eps_os_construction", "if table[q] * top[1] >= top[0] * light:"): (
+    ("eps_os_construction", "if num * top[1] >= top[0] * light:"): (
         "an equal ratio replaces the maximum, so Fraction(*top) is the same value"
     ),
     (

@@ -182,6 +182,7 @@ def test_partition_sizes_and_undefined_class(coin):
 
 def test_partition_at_zero_has_no_undefined_class(coin):
     part = surprise_partition(coin, 0)
+    assert surprise_partition(coin) == part  # the default threshold is 0
     assert sum(len(c) for c in part.classes) == 63
     assert part.undefined == ()
     for k, events in enumerate(part.classes):
