@@ -31,6 +31,25 @@ the exceptions to the top prior's block, listed a row at a time from the
 two sides at C speed: one column per q and per r, not per event.  A rule
 that is Bayesian on every event is the block alone.
 
+On pairwise-disjoint supports ``ht_rule`` first asks whether the rule is
+an OS rule, in O(P log P + P * n) integer steps (Ortoleva 2012: OS is a
+special case of hypothesis testing).  Put the top prior first and the
+others by decreasing weight, and let m_k be prior k's least positive
+mass.  If rho_k * m_k > rho_j for every k before j in that order (for the
+top only when m_0 is at or below the threshold), the rule is the OS rule
+of that order.  Proof: an event E meets the supports disjointly, and a
+prior scores 0 on an event it misses.  If E meets the top support with
+top mass above the threshold, the top is Bayes-updated, as in the OS
+rule.  Otherwise let k be the first prior of the order that meets E.  It
+scores at least rho_k * m_k, and every later prior j scores at most
+rho_j < rho_k * m_k, so k wins strictly and E's entry is k's update, the
+OS entry.  The top's own bound is needed only for events of top mass in
+(0, threshold], which exist iff m_0 is at or below the threshold.
+Weights fall along the order, so the consecutive pairs imply the rest;
+two equal non-top weights fail, as that would need m_k > 1, so a tie
+always takes the table path.  The rule is then the order's blocks, with
+no exception and no walk over the submasks of the rest.
+
 ``os_to_ht`` turns any ordered hierarchy that covers the space into such a
 representation whose rule is identical; supports may overlap.  Weight k+1
 is weight k times m_k / 2, m_k being prior k's least positive mass.  An
@@ -251,11 +270,44 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
 
     Propagates AmbiguousArgmax (with the canonically first tied event and
     every tied prior) if any event has a tied argmax, since the rule is
-    undefined there.  It is the top prior's block, with the events that
-    prior rejects as exceptions, and no 2^n table; only ``_rejected``
-    reads the threshold, and it scores each side of the top support once.
+    undefined there.  When ``_weight_order`` finds the order whose OS rule
+    this is (disjoint supports, each weight below the one before it times
+    that prior's least mass), the rule is that order's blocks alone, and
+    no event is scored.  Otherwise it is the top prior's block, with the
+    events that prior rejects as exceptions, and no 2^n table;
+    ``_rejected`` scores each side of the top support once.
     """
+    order = _weight_order(ht)
+    if order is not None:
+        return tabulate_traces(ht.space, [ht.priors[j] for j in order])
     return tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht)))
+
+
+def _weight_order(ht: HTRepresentation) -> list[int] | None:
+    """The top prior's index, then the others' by decreasing weight, if the rule is their OS rule.
+
+    None unless the supports are pairwise disjoint and w_k * m_k > w_j * den_k
+    for each prior k and the next one j in the order, m_k / den_k being
+    k's least positive mass; the top's pair counts only when m_0 is at or
+    below the threshold.  Weights decrease along the order, so the
+    consecutive pairs bound every later prior.
+    """
+    priors, weights, eps = ht.priors, ht.weights, ht.eps
+    union = 0
+    for prior in priors:
+        if union & prior.support_mask:
+            return None
+        union |= prior.support_mask
+    order = [0, *sorted(range(1, len(priors)), key=weights.__getitem__, reverse=True)]
+    pairs = zip(order, order[1:])
+    top = priors[0]
+    if min(filter(None, top.nums)) > eps.numerator * top.den // eps.denominator:
+        next(pairs, None)  # every event meeting the top support clears the threshold
+    for k, j in pairs:
+        prior = priors[k]
+        if weights[k] * min(filter(None, prior.nums)) <= weights[j] * prior.den:
+            return None
+    return order
 
 
 def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:

@@ -25,7 +25,9 @@ timeout kill.  ``ALLOWED`` lists the survivors read one by one and
 found equivalent to the original: each is reported, with its reason,
 apart from the others, and does not count against the score.  A
 ``--functions`` name that the module does not define exits 2, naming
-it.  The script is not a test module, so pytest does not collect it.
+it.  Without ``--tests`` a run takes the module's own list in
+``DEFAULT_TESTS``, and a module that has none exits 2.  The script is
+not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,21 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_TESTS = (
-    "tests/test_prior_list_rules.py",
-    "tests/test_rules.py",
-    "tests/test_cps_differential.py",
-    "tests/test_tabulator_differential.py",
-    "tests/test_mixed_rules.py",
-)
+# module -> the tests a run over it takes when ``--tests`` is not given
+DEFAULT_TESTS = {
+    "rules": (
+        "tests/test_prior_list_rules.py",
+        "tests/test_rules.py",
+        "tests/test_cps_differential.py",
+        "tests/test_tabulator_differential.py",
+        "tests/test_mixed_rules.py",
+    ),
+    "hypothesis_testing": (
+        "tests/test_hypothesis_testing.py",
+        "tests/test_ht_differential.py",
+        "tests/test_eps_differential.py",
+    ),
+}
 
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
 ORIENT = (
@@ -320,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", default="rules")
     parser.add_argument("--functions", help="comma-separated; default every function")
-    parser.add_argument("--tests", nargs="+", default=list(DEFAULT_TESTS))
+    parser.add_argument("--tests", nargs="+", help="default the module's list in DEFAULT_TESTS")
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--scratch", type=Path, help="where the copy goes; default a temp dir")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
@@ -332,6 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     missing = sorted(names - {f.name for f in targets(ast.parse(source), names)}) if names else []
     if missing:
         print(f"{relative} defines no function {', '.join(missing)}", file=sys.stderr)
+        return 2
+    tests = args.tests or DEFAULT_TESTS.get(args.module, ())
+    if not (tests or args.list):
+        print(f"no default tests for module {args.module}: name them with --tests", file=sys.stderr)
         return 2
     plan = list(mutants(source, names, build=not args.list))
     if args.list:
@@ -351,14 +365,14 @@ def main(argv: list[str] | None = None) -> int:
     target = work / relative
 
     target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-    if run_tests(work, args.tests, args.timeout) != "survived":
+    if run_tests(work, tests, args.timeout) != "survived":
         raise SystemExit("the tests fail on the unmutated module: fix that first")
 
     outcomes = []
     start = time.perf_counter()
     for count, (function, line, edit, shown, code) in enumerate(plan, 1):
         target.write_text(code, encoding="utf-8")
-        outcome = run_tests(work, args.tests, args.timeout)
+        outcome = run_tests(work, tests, args.timeout)
         outcomes.append((function, line, edit, shown, outcome))
         print(f"[{count}/{len(plan)}] {outcome:8} {function}:{line} {edit}: {shown}", flush=True)
     target.write_text(source, encoding="utf-8")

@@ -635,23 +635,30 @@ sys.exit(code)
 """
 
 
-def twenty_state_scenario(eps: str | None = None):
-    """Three priors on 7, 7 and 6 of 20 states, as a scenario document, and
-    the report rows of ``validate-cps`` and ``decompose`` on its hierarchy.
-    With ``eps``, an ``ht`` block on the same priors with ``os_to_ht``
-    weights (each the last times half its prior's least mass) and that
-    threshold."""
-    states = [f"s{i}" for i in range(20)]
-    order = states[7:] + states[:7]
-    chunks = (order[:7], order[7:14], order[14:])
+def chunked_scenario(sizes=(7, 7, 6), eps: str | None = None, spread: bool = False):
+    """Priors on consecutive chunks of ``sum(sizes)`` states (rotated by the
+    first size), as a scenario document, and the report rows of
+    ``validate-cps`` and ``decompose`` on its hierarchy.  With ``eps``, an
+    ``ht`` block on the same priors with ``os_to_ht`` weights (each the last
+    times half its prior's least mass) and that threshold; with ``spread``,
+    the block also holds a uniform prior over every state, weighted the
+    same way after the last, which overlaps every support and wins no
+    event."""
+    n = sum(sizes)
+    states = [f"s{i}" for i in range(n)]
+    order = states[sizes[0]:] + states[: sizes[0]]
+    chunks = [order[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(len(sizes))]
     beliefs = {
         f"mu{k}": {s: Fraction(i + 1, len(chunk) * (len(chunk) + 1) // 2) for i, s in enumerate(chunk)}
         for k, chunk in enumerate(chunks)
     }
+    hierarchy = list(beliefs)
+    if spread:
+        beliefs["spread"] = dict.fromkeys(states, Fraction(1, n))
     doc = {
         "space": states,
         "beliefs": {name: {s: str(m) for s, m in masses.items()} for name, masses in beliefs.items()},
-        "os": list(beliefs),
+        "os": hierarchy,
     }
     if eps is not None:
         weights = [Fraction(1)]
@@ -660,19 +667,20 @@ def twenty_state_scenario(eps: str | None = None):
         rho = [str(w / sum(weights)) for w in weights]
         doc["ht"] = {"priors": list(beliefs), "rho": rho, "eps": eps}
     priors = [
-        ",".join(f"{s}:{masses[s]}" for s in states if s in masses) for masses in beliefs.values()
+        ",".join(f"{s}:{beliefs[name][s]}" for s in states if s in beliefs[name]) for name in hierarchy
     ]
     expected = {
-        "validate-cps": [("status", "valid"), ("triples", str(4**20 - 2**20))],
-        "decompose": [("priors", "3")] + [("prior", str(k), row) for k, row in enumerate(priors)],
+        "validate-cps": [("status", "valid"), ("triples", str(4**n - 2**n))],
+        "decompose": [("priors", str(len(sizes)))] + [("prior", str(k), row) for k, row in enumerate(priors)],
     }
     return doc, expected
 
 
-def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str) -> None:
-    """Each call in a fresh interpreter: exit 0, no stderr, exactly the expected
-    rows, and a peak (VmHWM) under 64 MiB."""
-    path = tmp_path / "twenty.json"
+def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str, env: dict | None = None) -> None:
+    """Each call in a fresh interpreter, with ``env`` added to its environment:
+    exit 0, no stderr, exactly the expected rows, and a peak (VmHWM) under
+    64 MiB."""
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     peak_file = tmp_path / "peak_kib"
     for command, rows in expected.items():
@@ -680,6 +688,7 @@ def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str) -> None:
             [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), flag],
             capture_output=True,
             text=True,
+            env={**os.environ, **(env or {})},
         )
         assert (proc.returncode, proc.stderr) == (0, ""), (command, flag)
         assert rows_of(proc.stdout) == rows, (command, flag)
@@ -691,17 +700,43 @@ def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path)
     """Three priors on 7, 7 and 6 of 20 states: each call runs in a fresh
     interpreter, prints the full report, and peaks under 64 MiB, since
     the rule holds its prior list and neither check fills a 2^20 table."""
-    run_under_64_mib(tmp_path, *twenty_state_scenario(), "--os")
+    run_under_64_mib(tmp_path, *chunked_scenario(), "--os")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("eps", ["0", "1/8"])
 def test_a_twenty_state_ht_block_validates_and_decomposes_under_64_mib(tmp_path, eps):
-    """The same priors as an ``ht`` block with ``os_to_ht`` weights.  At
-    eps = 0 the top prior rejects the 8191 events inside the other 13
-    states; at eps = 1/8 it rejects 40959, the top still winning those
-    that meet its support, so the rule is the hierarchy's OS rule either
-    way: valid, and decomposed into its three priors.  The rule is the
-    top prior's block plus the rejected events, with no 2^20 table, so
-    each call peaks under 64 MiB."""
-    run_under_64_mib(tmp_path, *twenty_state_scenario(eps), "--ht")
+    """The same priors as an ``ht`` block with ``os_to_ht`` weights.  Their
+    supports are disjoint and each weight is below the one before times
+    that prior's least mass (at eps = 1/8 the top's least mass, 1/28, is
+    below the threshold, and its bound holds too), so the rule is the OS
+    rule of the weight order: the three priors' blocks, with no rejected
+    event listed and no 2^20 table.  It is valid, decomposes into its
+    three priors, and each call peaks under 64 MiB."""
+    run_under_64_mib(tmp_path, *chunked_scenario(eps=eps), "--ht")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("eps", ["0", "1/8"])
+def test_a_twenty_state_ht_block_with_an_overlapping_prior_takes_the_table_path_under_64_mib(
+    tmp_path, eps
+):
+    """The same block plus a uniform prior over all 20 states, weighted
+    below the rest, so no weight order applies: the rule is the top
+    prior's block plus the events it rejects, 8191 at eps = 0 and 40959 at
+    eps = 1/8, the uniform prior scored on each since it meets both sides
+    of the top support.  It wins none of them, so the report is the
+    hierarchy's: valid, and decomposed into its three priors, each call
+    under 64 MiB."""
+    run_under_64_mib(tmp_path, *chunked_scenario(eps=eps, spread=True), "--ht")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_twenty_four_state_ht_block_is_answered_from_its_weight_order_under_64_mib(tmp_path):
+    """Four priors on 6 states each of 24, ``os_to_ht`` weights, with the
+    state cap raised to 64 in the child's environment only.  The table
+    path would list the 2^18 events inside the other 18 states; the weight
+    order answers from the four blocks, so ``validate-cps --ht`` and
+    ``decompose --ht`` print their full reports under 64 MiB."""
+    doc, expected = chunked_scenario((6, 6, 6, 6), eps="0")
+    run_under_64_mib(tmp_path, doc, expected, "--ht", {"BELIEFKIT_MAX_STATES": "64"})

@@ -8,10 +8,17 @@ branch, scores and chosen prior, the same posterior, and on a tie the same
 canonically first tied event).  Besides the seeded samples, every small
 grid hierarchy is swept under every small top-heavy weight vector, and
 both weight constructions are checked on the same grid.
+
+``ht_rule``'s fast path, the OS rule of the weight order on disjoint
+supports, keeps its table path as the oracle: the top prior's block and
+``_rejected``'s events, built directly.  It must fire exactly where a
+Fraction restatement of the weight-order test holds, and give the table
+path's entries or tie on the grid and beside every bound.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 from math import gcd
 
 import pytest
@@ -29,18 +36,23 @@ from beliefkit import (
     ht_select,
     os_rule,
     os_to_ht,
+    validate_cps,
 )
+from beliefkit.hypothesis_testing import _rejected, _weight_order
+from beliefkit.rules import tabulate_traces
 from helpers import (
     fraction_bayes_update,
     fraction_ht_select,
     grid_hierarchies,
     grid_weights,
     random_canonical_os,
+    rule_entries,
 )
 
 SEED = 20261018
 CASES = 200
 GRID_EPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+SEEDED_EPS = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def random_representation(rng: random.Random) -> HTRepresentation:
@@ -290,3 +302,175 @@ def test_weights_are_stored_as_reduced_integers():
         rebuilt = HTRepresentation(ht.space, ht.priors, ht.rho, ht.eps)
         assert rebuilt == ht and hash(rebuilt) == hash(ht)
     assert len(set(hts)) == len({(ht.space, ht.priors, ht.rho, ht.eps) for ht in hts})
+
+
+def fraction_weight_order(ht: HTRepresentation) -> list[int] | None:
+    """Oracle for ``_weight_order``: the weight-order test, in Fractions and over every pair.
+
+    The top prior first and the others by decreasing weight, when the
+    supports are pairwise disjoint and rho_k * m_k > rho_j for every k
+    before j in that order (m_k the least positive mass of prior k; the
+    top counts only when m_0 is at or below the threshold); else None.
+    """
+    supports = [prior.support_mask for prior in ht.priors]
+    if any(a & b for a, b in combinations(supports, 2)):
+        return None
+    rho = ht.rho
+    order = [0, *sorted(range(1, len(rho)), key=lambda j: -rho[j])]
+    least = [min(m for m in prior.mass if m) for prior in ht.priors]
+    for at, k in enumerate(order):
+        if k == 0 and least[0] > ht.eps:
+            continue
+        if any(rho[k] * least[k] <= rho[j] for j in order[at + 1:]):
+            return None
+    return order
+
+
+def ruled(build) -> tuple:
+    """(entries by mask, None), or (None, (event, tied)) of the AmbiguousArgmax it raises."""
+    try:
+        rule = build()
+    except AmbiguousArgmax as tie:
+        return None, (tie.event, tie.tied)
+    return rule_entries(rule), None
+
+
+def assert_fast_path_matches_the_table(ht: HTRepresentation, counts: dict) -> None:
+    """``ht_rule`` against its table path built directly, on every event; tally the path taken.
+
+    The fast path fires exactly where ``fraction_weight_order`` holds, and
+    then the rule is that order's blocks with no exception, no event ties,
+    and ``validate_cps`` finds it valid with that order's priors.
+    Otherwise a tie-free rule is the top prior's block and the rejected
+    events.
+    """
+    order = _weight_order(ht)
+    assert order == fraction_weight_order(ht)
+    table = ruled(lambda: tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht))))
+    assert ruled(lambda: ht_rule(ht)) == table
+    if order is None:
+        counts["table"] += 1
+        counts["tie"] += table[1] is not None
+        if table[1] is None:
+            rule = ht_rule(ht)
+            assert [update for _, update, _ in rule._blocks] == [ht.priors[0]]
+            assert rule._exceptions == dict(chain.from_iterable(_rejected(ht)))
+        return
+    counts["fast"] += 1
+    rule = ht_rule(ht)
+    assert rule._exceptions == {}
+    assert [update for _, update, _ in rule._blocks] == [ht.priors[j] for j in order]
+    validation = validate_cps(rule)
+    n = len(ht.space)
+    assert validation.status == "valid" and validation.triples == 4**n - 2**n
+    assert validation.priors == tuple(ht.priors[j] for j in order)
+
+
+def test_the_weight_order_fast_path_matches_the_table_path_on_the_grid():
+    """Every disjoint grid hierarchy under every grid weight and threshold, both ``ht_rule`` paths.
+
+    The domain: the 40 canonical hierarchies of ``grid_domain`` (|S| <= 3),
+    each weighted by every one of ``grid_weights``' 1, 3 or 5 vectors, at
+    each of the 4 thresholds in ``GRID_EPS``: 4 * 132 = 528 representations.
+    On each, ``_weight_order`` agrees with its Fraction restatement, and
+    ``ht_rule`` with the table path, entry for entry or tie for tie: 318
+    take the fast path, and 174 of the other 210 tie.  The other 177 grid
+    hierarchies overlap, and the order is None on all 4 * 795 of theirs.
+    """
+    counts = {"fast": 0, "table": 0, "tie": 0}
+    overlapping = 0
+    for hier in grid_domain():
+        for rho in grid_weights(len(hier.priors)):
+            for eps in GRID_EPS:
+                ht = HTRepresentation(hier.space, hier.priors, rho, eps)
+                if hier.is_canonical:
+                    assert_fast_path_matches_the_table(ht, counts)
+                else:
+                    assert _weight_order(ht) is None and fraction_weight_order(ht) is None
+                    overlapping += 1
+    assert counts["fast"] + counts["table"] == 4 * 132 and overlapping == 4 * 795
+    assert counts["fast"] > 300 and counts["table"] > 200 and counts["tie"] > 150
+
+
+def on_the_bound(rng: random.Random, eps: Fraction) -> tuple[HTRepresentation, str]:
+    """Disjoint shuffled priors at |S| <= 8, with weights built down the weight-order bounds.
+
+    Each weight after the top is the one before times that prior's least
+    mass times a factor in (0, 1), so every bound holds, but in two cases
+    of three one binding pair is picked: its weight goes exactly on the
+    bound, a thousandth of it above or below, or (past the top) equal to
+    the weight before.  The top's pair binds when its least mass is at or
+    below ``eps``.  Returns the representation and the case, "free" when
+    no pair was picked.
+    """
+    h = random_canonical_os(rng, max_states=8)
+    priors = list(h.priors)
+    rng.shuffle(priors)
+    least = [min(m for m in prior.mass if m) for prior in priors]
+    case = rng.choice(("on", "above", "below", "equal", "free", "free"))
+    binding = [at for at in range(len(priors) - 1) if at or least[0] <= eps and case != "equal"]
+    pick = rng.choice(binding) if binding else None
+    case = case if binding else "free"
+    order = [0, *rng.sample(range(1, len(priors)), len(priors) - 1)]
+    rho = [Fraction(0)] * len(priors)
+    rho[0] = Fraction(1)
+    for at, (k, j) in enumerate(zip(order, order[1:])):
+        bound = rho[k] * least[k]
+        rho[j] = bound * Fraction(rng.randint(1, 7), 8)
+        if at == pick and case != "free":
+            rho[j] = {
+                "on": bound,
+                "above": bound * Fraction(1001, 1000),
+                "below": bound * Fraction(999, 1000),
+                "equal": rho[k],
+            }[case]
+    if max(rho[1:], default=0) >= rho[0]:  # keep the top strictly heaviest
+        rho[0] = 2 * max(rho[1:])
+    total = sum(rho)
+    return HTRepresentation(h.space, priors, [r / total for r in rho], eps), case
+
+
+def test_the_weight_order_fast_path_matches_the_table_path_on_and_beside_each_bound():
+    """1500 seeded disjoint representations at |S| <= 8, weights on, above and below the weight-order bounds.
+
+    The thresholds are 0, 1/8, 1/4, 1/2 and 3/4, so the top's least mass
+    is at or below the threshold in many of them and its bound then binds.
+    Each case goes through ``assert_fast_path_matches_the_table``; the
+    sample must take both paths (1195 fast, 305 table, 204 of those tied),
+    take the table path on a weight exactly on a binding bound (the bound
+    is strict), a thousandth above it or equal to the weight before, the
+    fast path a thousandth below it, and the fast path 135 times where the
+    top's bound binds.
+    """
+    rng = random.Random(SEED + 4)
+    counts = {"fast": 0, "table": 0, "tie": 0}
+    cases: dict[tuple[str, bool], int] = {}
+    top_binds = 0
+    for _ in range(1500):
+        ht, case = on_the_bound(rng, rng.choice(SEEDED_EPS))
+        fast = counts["fast"]
+        assert_fast_path_matches_the_table(ht, counts)
+        fired = counts["fast"] > fast
+        cases[case, fired] = cases.get((case, fired), 0) + 1
+        top = ht.priors[0]
+        top_binds += fired and len(ht.priors) > 1 and min(m for m in top.mass if m) <= ht.eps
+    assert counts["fast"] > 1000 and counts["table"] > 250 and counts["tie"] > 150
+    assert cases.get(("on", False), 0) > 80 and cases.get(("equal", False), 0) > 60
+    assert cases.get(("below", True), 0) > 80 and cases.get(("above", False), 0) > 80
+    assert top_binds > 100
+
+
+def test_every_grid_hierarchy_weighted_by_os_to_ht_is_its_blocks_alone():
+    """``os_to_ht``'s weights pass the weight-order test on every canonical grid hierarchy.
+
+    The 40 canonical hierarchies of ``grid_domain``: ``ht_rule`` holds no
+    exception, and its blocks are the hierarchy's priors in order.
+    """
+    canonical = 0
+    for hier in grid_domain():
+        if hier.is_canonical:
+            canonical += 1
+            rule = ht_rule(os_to_ht(hier))
+            assert rule._exceptions == {}
+            assert [update for _, update, _ in rule._blocks] == list(hier.priors)
+    assert canonical == 40
