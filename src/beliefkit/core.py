@@ -21,7 +21,9 @@ reading the prior again builds no belief.  Every reader reads the map in
 place, in canonical order, and takes the prior itself as the update on
 the whole support, which the map does not hold.  ``lex_sums`` gives the
 numerators of all the support's submasks in canonical order, the
-support's own, den, after its |s| - 1 proper prefixes.
+support's own, den, after its |s| - 1 proper prefixes; ``trace_sums``
+keeps that list on the prior, and ``least_num`` its least positive
+numerator, so every threshold test on the same prior reads them once.
 """
 
 from __future__ import annotations
@@ -243,10 +245,11 @@ class Belief:
     as far as ``kept_update`` and ``kept_traces`` have filled it, so every
     reader of the same prior shares those updates.  The update on the
     whole support is the belief itself and is not held there, so no
-    belief refers back to itself.
+    belief refers back to itself.  ``_sums`` and ``_least`` keep the
+    integers of ``trace_sums`` and ``least_num`` once read.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces", "_sums", "_least")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -283,6 +286,8 @@ class Belief:
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
         self._traces: dict[int, Belief] | None = None
+        self._sums: tuple[int, ...] | None = None
+        self._least = 0
         return self
 
     @classmethod
@@ -523,6 +528,26 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     if not e:
         raise EmptyEvent("cannot condition on the empty event")
     return mu.restricted(e.mask)
+
+
+def trace_sums(prior: Belief) -> tuple[int, ...]:
+    """``prior``'s numerator on each nonempty submask of its support, canonical order, kept on it.
+
+    ``lex_sums`` of its positive numerators, built on the first read: the
+    support's own, den, comes at index |s| - 1, after its proper prefixes.
+    """
+    sums = prior._sums
+    if sums is None:
+        sums = prior._sums = tuple(lex_sums([x for x in prior.nums if x]))
+    return sums
+
+
+def least_num(prior: Belief) -> int:
+    """``prior``'s least positive numerator, kept on it."""
+    least = prior._least
+    if not least:
+        least = prior._least = min(filter(None, prior.nums))
+    return least
 
 
 def kept_traces(prior: Belief) -> dict[int, Belief]:

@@ -17,13 +17,12 @@ there times w_j * (L // den_j), L the lcm of the priors' denominators, so
 every score is the true one times L * total.  An event the top prior
 rejects is q | r: q a light trace (a submask of the top support s of top
 mass at most the threshold, only the empty one at 0), r a submask of the
-rest t.  The light traces are the submasks of s that ``compress`` keeps
-where ``core.lex_sums`` of the top's positive numerators, in the same
-canonical order, is at most the floor.  A prior inside s scores by q
-alone and one inside t by r alone, so each side keeps its best score, tie
-flag and winner's update once per q or per r, and the event takes the
-larger side's (a prior meeting both, none when supports are disjoint, is
-scored per event).  A winner's update
+rest t.  The light traces are ``ordered_surprises.light_traces`` of the
+top, listed in canonical order by a walk that meets no more heavy
+traces than |s| per light one.  A prior inside s scores by q alone and one inside t by r alone,
+so each side keeps its best score, tie flag and winner's update once per
+q or per r, and the event takes the larger side's (a prior meeting both,
+none when supports are disjoint, is scored per event).  A winner's update
 is read from, or kept on, its prior's map by trace (``core.kept_update``),
 so it is built at most once per (prior, trace), and not at all on a
 prior a tabulator already walked.  These events are
@@ -75,15 +74,17 @@ the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
 support's submasks, kept to the rows.  The prior's kept map
 (``core.kept_traces``), read in place, gives the conditional belief on
-every proper submask of its support in canonical order, and
-``core.lex_sums`` each submask's numerator in the same order once the
-support's own sum is dropped; the support is a row, the prior itself.
+every proper submask of its support in canonical order, and its kept
+trace sums (``core.trace_sums``) each submask's numerator in the same
+order once the support's own sum is dropped; the support is a row, the
+prior itself, and the sums are built once per prior for every threshold.
 Every mass compared is a ratio of two such numerators: a row is a
 submask whose numerator is above the prior's floor, and the other
 comparisons are integer cross-multiplications.  Two quantities have
 closed forms.  A class's gap limit is (den - m) / den with m the least
-positive numerator, O(n) per class.  The full support attains it when the
-lightest state is droppable (its removal leaves a row).  A state whose
+positive numerator (``core.least_num``, kept on the prior).  The full
+support attains it when the lightest state is droppable (its removal
+leaves a row).  A state whose
 removal leaves at most the threshold is heavier than every droppable
 state, so when the lightest is not droppable none is; then the limit is
 at most the threshold and never beats the interval chain's bottom.  The
@@ -120,9 +121,10 @@ from .core import (
     bayes_update,
     kept_traces,
     kept_update,
+    least_num,
     lex_submasks,
-    lex_sums,
     mask_indices,
+    trace_sums,
 )
 from .errors import (
     AmbiguousArgmax,
@@ -131,7 +133,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, min_order
+from .ordered_surprises import OSRepresentation, light_traces, min_order
 from .rules import UpdatingRule, tabulate_traces
 
 
@@ -301,11 +303,11 @@ def _weight_order(ht: HTRepresentation) -> list[int] | None:
     order = [0, *sorted(range(1, len(priors)), key=weights.__getitem__, reverse=True)]
     pairs = zip(order, order[1:])
     top = priors[0]
-    if min(filter(None, top.nums)) > eps.numerator * top.den // eps.denominator:
+    if least_num(top) > eps.numerator * top.den // eps.denominator:
         next(pairs, None)  # every event meeting the top support clears the threshold
     for k, j in pairs:
         prior = priors[k]
-        if weights[k] * min(filter(None, prior.nums)) <= weights[j] * prior.den:
+        if weights[k] * least_num(prior) <= weights[j] * prior.den:
             return None
     return order
 
@@ -322,10 +324,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
     top = priors[0]
     s = top.support_mask
     t = (1 << len(ht.space)) - 1 ^ s
-    floor = eps.numerator * top.den // eps.denominator  # the largest numerator of a light trace
-    nums, light = [*filter(None, top.nums)], [0]  # the top's numerators on s
-    if floor >= min(nums):  # some state is light: keep each submask of s whose sum is at most floor
-        light += compress(lex_submasks(s)[1:], map(floor.__ge__, lex_sums(nums)))
+    light = light_traces(top, eps.numerator * top.den // eps.denominator)
     if not t and len(light) == 1:
         return
     common = lcm(*[prior.den for prior in priors])
@@ -407,8 +406,7 @@ def os_to_ht(os: OSRepresentation) -> HTRepresentation:
         raise IncompleteCoverage("hierarchy supports must jointly cover the space")
     weights = [1]  # v(0), ..., v(k) times 2^k * den_0 * ... * den_(k-1)
     for prior in os.priors[:-1]:
-        least = min(n for n in prior.nums if n)
-        weights = [w * 2 * prior.den for w in weights] + [weights[-1] * least]
+        weights = [w * 2 * prior.den for w in weights] + [weights[-1] * least_num(prior)]
     return object.__new__(HTRepresentation)._init(
         os.space, os.priors, weights, sum(weights), ZERO
     )
@@ -498,22 +496,22 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     class_of: list[int] = []
     top = (0, 1)  # cross-class maximum as (numerator, denominator)
     for k, prior in enumerate(priors):
-        den, nums = prior.den, prior.nums
+        den = prior.den
         support = prior.support_mask
         floor = eps.numerator * den // eps.denominator  # the largest numerator at or below eps
         updates = {support: prior}  # conditional support (row) -> its belief
         lightest = {support: den}  # mask -> least numerator of a row holding it (a row's own)
         below: list[tuple[int, int]] = []  # (mask, numerator), nonempty submasks at or below eps
-        sums = lex_sums([x for x in nums if x])
-        del sums[support.bit_count() - 1]  # the support's own, after its proper prefixes
-        for (mask, posterior), num in zip(kept_traces(prior).items(), sums):
+        sums = trace_sums(prior)
+        own = support.bit_count() - 1  # the support's own sum, after its proper prefixes
+        for (mask, posterior), num in zip(kept_traces(prior).items(), sums[:own] + sums[own + 1 :]):
             if num > floor:
                 updates[mask] = posterior
                 lightest[mask] = num
             else:
                 below.append((mask, num))
         bits = [1 << x for x in mask_indices(support)]
-        gaps.append((den - min(filter(None, nums)), den))
+        gaps.append((den - least_num(prior), den))
         sizes.append(len(updates))
         post: list[int] = []  # submasks of the support, prefix-tree postorder
         for bit in reversed(bits):

@@ -6,15 +6,48 @@ above a threshold, for the thresholded variant) and Bayes-updates it.  The
 induced rule is always a conditional probability system, and every CPS
 arises this way; ``cps_to_os`` recovers a hierarchy from a valid rule by
 peeling supports off the remaining states.
+
+On pairwise-disjoint supports, the form ``cps_to_os`` returns (Myerson
+1986), the surprise partition has a closed form.  Call a trace q of
+prior j (a submask of its support s_j) light when its numerator is at
+most the prior's floor for the threshold, and heavy otherwise; the empty
+trace is light, and the whole support is heavy, as eps < 1.  Let L_j and
+H_j count prior j's light and heavy traces, and U be the states outside
+every support.  Then class k has
+
+    prod_(j<k) L_j * H_k * 2^(n - sum_(j<=k) |s_j|)
+
+events, and prod_j L_j * 2^|U| - 1 events are undefined.  Proof: E maps
+one to one onto its traces (E & s_0, ..., E & s_(P-1), E & U), since the
+supports are disjoint, and every tuple of such parts is an event.  Prior
+j is zero off s_j, so its mass on E is its mass on E & s_j, and it
+clears the threshold on E exactly when E & s_j is heavy.  So E is in
+class k exactly when its traces on s_0 .. s_(k-1) are light and its
+trace on s_k is heavy, the other parts being free, and undefined when
+every trace is light; the empty event is the one undefined tuple that is
+no event.  Each count is one pass over a prior's kept trace sums
+(``core.trace_sums``), so the sizes cost O(sum_k 2^|s_k|).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import Belief, Event, StateSpace, ZERO, as_threshold, bayes_update
+from .core import (
+    Belief,
+    Event,
+    StateSpace,
+    ZERO,
+    as_threshold,
+    bayes_update,
+    least_num,
+    lex_submasks,
+    mask_indices,
+    trace_sums,
+)
 from .errors import (
     EmptyEvent,
     IncompleteCoverage,
@@ -161,35 +194,60 @@ class SurprisePartition:
 
     ``classes[k]`` holds the events whose first above-threshold prior is k,
     in canonical order.  ``undefined`` holds the events no prior clears.
-    The one constructor takes masks: ``parts[k]`` lists class k's, and the
-    last list the undefined events'.  Each list's Events are built on its
+    The public constructor takes masks: ``parts[k]`` lists class k's, and
+    the last list the undefined events'.  ``surprise_partition`` on
+    disjoint supports gives the counts alone and a lister that builds each
+    mask list on its first read.  Each list's Events are built on its
     first read, the mask-to-class lookup on the first ``class_of``.
-    ``sizes[k]`` is ``len(classes[k])``, counted from the masks.
+    ``sizes[k]`` is ``len(classes[k])``, counted from the masks or given
+    by the closed form.
     """
 
-    __slots__ = ("space", "eps", "_parts", "_lookup", "_events")
+    __slots__ = ("space", "eps", "_counts", "_parts", "_lister", "_lookup", "_events")
 
     def __init__(self, space: StateSpace, eps: Fraction, parts: list[list[int]]):
-        self.space, self.eps, self._parts = space, eps, parts
-        self._events: list[tuple[Event, ...] | None] = [None] * len(parts)
+        self._init(space, eps, [len(part) for part in parts], parts, None)
+
+    def _init(
+        self,
+        space: StateSpace,
+        eps: Fraction,
+        counts: list[int],
+        parts: list[list[int] | None],
+        lister: Callable[[int], list[int]] | None,
+    ) -> "SurprisePartition":
+        # the one initializer: ``parts[k]`` is None until ``lister(k)`` fills it
+        self.space, self.eps, self._counts, self._parts, self._lister = (
+            space, eps, counts, parts, lister
+        )
+        self._events: list[tuple[Event, ...] | None] = [None] * len(counts)
         self._lookup: dict[int, int | None] | None = None
+        return self
+
+    def _masks(self, k: int) -> list[int]:
+        if self._parts[k] is None:
+            self._parts[k] = self._lister(k)
+        return self._parts[k]
 
     def _read(self, k: int) -> tuple[Event, ...]:
         if self._events[k] is None:
-            self._events[k] = tuple([Event(self.space, m) for m in self._parts[k]])
+            self._events[k] = tuple([Event(self.space, m) for m in self._masks(k)])
         return self._events[k]
 
-    classes = property(lambda self: tuple(map(self._read, range(len(self._parts) - 1))))
-    undefined = property(lambda self: self._read(-1))
-    sizes = property(lambda self: tuple(map(len, self._parts[:-1])))
+    def _all(self) -> list[list[int]]:
+        return [*map(self._masks, range(len(self._counts)))]
+
+    classes = property(lambda self: tuple(map(self._read, range(len(self._counts) - 1))))
+    undefined = property(lambda self: self._read(len(self._counts) - 1))
+    sizes = property(lambda self: tuple(self._counts[:-1]))
 
     def class_of(self, event: Event) -> int | None:
         """Class index for ``event``, or None when it is undefined."""
         if event.space != self.space:
             raise SpaceMismatch("event built over a different state space")
         if self._lookup is None:
-            labels = [*range(len(self._parts) - 1), None]
-            self._lookup = {m: label for label, part in zip(labels, self._parts) for m in part}
+            labels = [*range(len(self._counts) - 1), None]
+            self._lookup = {m: label for label, part in zip(labels, self._all()) for m in part}
         try:
             return self._lookup[event.mask]
         except KeyError:
@@ -200,29 +258,120 @@ class SurprisePartition:
             isinstance(other, SurprisePartition)
             and self.space == other.space
             and self.eps == other.eps
-            and self._parts == other._parts
+            and self._counts == other._counts
+            and self._all() == other._all()
         )
 
     def __hash__(self) -> int:
-        return hash((self.space, self.eps, tuple(map(tuple, self._parts))))
+        return hash((self.space, self.eps, tuple(map(tuple, self._all()))))
 
     def __repr__(self) -> str:
-        *sizes, undefined = [str(len(part)) for part in self._parts]
+        *sizes, undefined = map(str, self._counts)
         return f"SurprisePartition(eps={self.eps}, sizes=[{','.join(sizes)}], undefined={undefined})"
+
+
+def light_traces(prior: Belief, floor: int) -> list[int]:
+    """The submasks of ``prior``'s support whose numerator is at most ``floor``, canonical order.
+
+    The empty one first.  Light traces are down-closed, so a preorder walk
+    of the prefix tree that extends each light one by each later state of
+    the support meets every one, and no more heavy ones than |s| per
+    light one: no list of all 2^|s| traces is built.
+    """
+    nums, states = prior.nums, mask_indices(prior.support_mask)[::-1]
+    out, stack = [], [(0, 0)]
+    while stack:
+        q, num = stack.pop()
+        out.append(q)
+        top = q.bit_length()
+        stack += [(q | 1 << i, y) for i in states if i >= top and (y := num + nums[i]) <= floor]
+    return out
 
 
 def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> SurprisePartition:
     """Partition all nonempty events by their first above-threshold prior.
 
-    In canonical order, a preorder of the prefix tree, an event's per-prior
-    numerators are its prefix's plus its top state's, and its order is at
-    most its prefix's, since mass only grows from a prefix.  Prior k clears
-    the threshold where its numerator is above its floor
+    Prior k clears the threshold where its numerator is above its floor
     ``eps.numerator * den_k // eps.denominator``, as in ``min_order``.
+    On pairwise-disjoint supports the sizes are the closed form of the
+    module docstring, counted from each prior's kept trace sums with no
+    pass over the events, and each mask list is built on its first read
+    (``_listed``).  Otherwise ``_walked`` walks every event.
     """
     eps = as_threshold(eps)
-    space, priors, count = os.space, os.priors, len(os.priors)
+    space, priors = os.space, os.priors
+    space.check_enumerable()  # a partition lists every event
     floors = [eps.numerator * prior.den // eps.denominator for prior in priors]
+    if not os.is_canonical:
+        return SurprisePartition(space, eps, _walked(space, priors, floors))
+    counts = []
+    ways, free = 1, len(space)  # events light on the supports so far; states outside them
+    for prior, floor in zip(priors, floors):
+        light = 1 if floor < least_num(prior) else 1 + sum(map(floor.__ge__, trace_sums(prior)))
+        size = prior.support_mask.bit_count()
+        free -= size
+        counts.append(ways * ((1 << size) - light) << free)
+        ways *= light
+    counts.append((ways << free) - 1)
+    lister = partial(_listed, len(space), priors, floors)
+    return object.__new__(SurprisePartition)._init(space, eps, counts, [None] * len(counts), lister)
+
+
+def _listed(n: int, priors: Sequence[Belief], floors: Sequence[int], k: int) -> list[int]:
+    """Class k's masks in canonical order, the undefined events' when k is the prior count.
+
+    Supports are pairwise disjoint, so (module docstring) E is in class
+    k exactly when its traces on s_0 .. s_(k-1) are light and its trace on
+    s_k is heavy, and undefined when every trace is light: the products
+    of the priors' light and heavy traces.  The class is listed by a
+    preorder walk of the prefix tree, which enters a node only when some
+    event at or below it is in the class: light traces are down-closed,
+    so each trace before k must be light at the node already, and heavy
+    ones are up-closed, so its trace on s_k with every state of s_k after
+    its last must be heavy.  A node is listed when its own trace on s_k
+    is heavy, and then, when no prior before k holds a state after its
+    last, so is every event below it, in the canonical order of what they
+    add (``lex_submasks``).  The undefined events take the same walk with
+    no heavy trace asked for.
+    """
+    held: list[tuple[int, set[int]] | None] = [None] * n  # state: a prior before k holding it
+    for prior, floor in zip(priors[:k], floors):
+        entry = prior.support_mask, set(light_traces(prior, floor))
+        for i in mask_indices(prior.support_mask):
+            held[i] = entry
+    s, light = 0, set()  # the undefined events: no trace must be heavy
+    if k < len(priors):
+        s, light = priors[k].support_mask, set(light_traces(priors[k], floors[k]))
+    after = [s >> t + 1 << t + 1 for t in range(n)]  # the states of s after t
+    last = max([t for t in range(n) if held[t]], default=-1)  # the last state held before k
+    tails: dict[int, tuple[int, ...]] = {}  # by t: the nonempty sets of states from t on
+    out, stack = [], [0]
+    while stack:
+        x = stack.pop()
+        if x and x & s not in light:
+            out.append(x)
+            start = x.bit_length()
+            if start > last:  # no prior before k holds a state from start on
+                if start not in tails:
+                    tails[start] = lex_submasks((1 << n) - (1 << start))[1:]
+                out += map(x.__or__, tails[start])
+                continue
+        for t in range(n - 1, x.bit_length() - 1, -1):  # children, the first on top
+            y = x | 1 << t
+            entry = held[t]
+            if not (entry and y & entry[0] not in entry[1] or y & s | after[t] in light):
+                stack.append(y)
+    return out
+
+
+def _walked(space: StateSpace, priors: Sequence[Belief], floors: Sequence[int]) -> list[list[int]]:
+    """Each class's masks and then the undefined events', by one walk over every event.
+
+    In canonical order, a preorder of the prefix tree, an event's per-prior
+    numerators are its prefix's plus its top state's, and its order is at
+    most its prefix's, since mass only grows from a prefix.
+    """
+    count = len(priors)
     columns = list(zip(*[prior.nums for prior in priors]))  # state i: each prior's numerator
     sums = [(0,) * count] * (len(space) + 1)  # by depth: the latest event's numerators
     orders = [count] * (len(space) + 1)  # by depth: its order, count when undefined
@@ -238,4 +387,4 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
                     break
         orders[depth] = order
         parts[order].append(mask)
-    return SurprisePartition(space, eps, parts)
+    return parts

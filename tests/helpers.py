@@ -17,6 +17,7 @@ from beliefkit import (
     Preference,
     RiskIndependenceReport,
     StateSpace,
+    SurprisePartition,
     UpdatingRule,
     UtilityFunction,
     compose_act,
@@ -30,12 +31,13 @@ from beliefkit.errors import (
     EmptyEvent,
     IncompleteCoverage,
     InfeasibleSubevent,
+    NoPriorExceedsThreshold,
     NullConditioning,
     SpaceMismatch,
     ValidationError,
 )
 from beliefkit.hypothesis_testing import EpsOsConstruction, HTRepresentation
-from beliefkit.ordered_surprises import min_order
+from beliefkit.ordered_surprises import eps_surprise_order, min_order
 
 
 def random_canonical_os(
@@ -402,6 +404,17 @@ def grid_hierarchies(n: int, den: int):
                 yield from extend([*priors, belief], held | belief.support_mask)
 
     yield from extend([], 0)
+
+
+def partition_oracle(h: OSRepresentation, eps: Fraction) -> SurprisePartition:
+    """The public constructor over per-event ``eps_surprise_order`` lookups."""
+    parts = [[] for _ in range(len(h.priors) + 1)]  # the last: undefined
+    for e in h.space.events():
+        try:
+            parts[eps_surprise_order(h, eps, e)].append(e.mask)
+        except NoPriorExceedsThreshold:
+            parts[-1].append(e.mask)
+    return SurprisePartition(h.space, eps, parts)
 
 
 def grid_weights(count: int, top: int = 3) -> list[tuple[Fraction, ...]]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -676,7 +677,9 @@ def chunked_scenario(sizes=(7, 7, 6), eps: str | None = None, spread: bool = Fal
     return doc, expected
 
 
-def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str, env: dict | None = None) -> None:
+def run_under_64_mib(
+    tmp_path, doc: dict, expected: dict, *flags: str, env: dict | None = None
+) -> None:
     """Each call in a fresh interpreter, with ``env`` added to its environment:
     exit 0, no stderr, exactly the expected rows, and a peak (VmHWM) under
     64 MiB."""
@@ -685,14 +688,46 @@ def run_under_64_mib(tmp_path, doc: dict, expected: dict, flag: str, env: dict |
     peak_file = tmp_path / "peak_kib"
     for command, rows in expected.items():
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), flag],
+            [sys.executable, "-c", PEAK_RUNNER, str(peak_file), command, str(path), *flags],
             capture_output=True,
             text=True,
             env={**os.environ, **(env or {})},
         )
-        assert (proc.returncode, proc.stderr) == (0, ""), (command, flag)
-        assert rows_of(proc.stdout) == rows, (command, flag)
-        assert int(peak_file.read_text()) < 64 * 1024, (command, flag)
+        assert (proc.returncode, proc.stderr) == (0, ""), (command, flags)
+        assert rows_of(proc.stdout) == rows, (command, flags)
+        assert int(peak_file.read_text()) < 64 * 1024, (command, flags)
+
+
+def partition_rows(doc: dict, eps: Fraction) -> list[tuple[str, ...]]:
+    """The ``partition`` report of a hierarchy on disjoint supports that
+    cover the space, in Fractions: a prior's light traces are the subsets of
+    its support of mass at most eps, class k counts the events light on
+    the supports before k and not on k's, and the undefined events are the
+    products of every prior's light traces, but the empty one, sorted by
+    their state indices."""
+    states = doc["space"]
+    index = {s: i for i, s in enumerate(states)}
+    rows, lights = [("eps", str(eps))], []
+    ways, free = 1, len(states)
+    for name in doc["os"]:
+        masses = {s: Fraction(m) for s, m in doc["beliefs"][name].items()}
+        support = sorted(masses, key=index.__getitem__)
+        light = [
+            q
+            for size in range(len(support) + 1)
+            for q in combinations(support, size)
+            if sum(masses[s] for s in q) <= eps
+        ]
+        free -= len(support)
+        size = ways * (2 ** len(support) - len(light)) * 2**free
+        rows.append(("class", str(len(lights)), str(size)))
+        ways *= len(light)
+        lights.append(light)
+    events = sorted(
+        (sorted(chain(*parts), key=index.__getitem__) for parts in product(*lights)),
+        key=lambda event: [index[s] for s in event],
+    )[1:]
+    return rows + [("undefined", str(len(events)))] + [("undefined_event", ",".join(e)) for e in events]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -701,6 +736,23 @@ def test_a_twenty_state_os_block_validates_and_decomposes_under_64_mib(tmp_path)
     interpreter, prints the full report, and peaks under 64 MiB, since
     the rule holds its prior list and neither check fills a 2^20 table."""
     run_under_64_mib(tmp_path, *chunked_scenario(), "--os")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("eps", ["0", "1/8"])
+def test_a_twenty_state_partition_prints_its_full_report_under_64_mib(tmp_path, eps):
+    """``partition`` on the same three priors on 7, 7 and 6 of 20 states:
+    the supports are disjoint, so the class sizes come from each prior's
+    light and heavy traces and only the undefined events are listed (none
+    at eps = 0, 74 at eps = 1/8), with no pass over the 2^20 events.  The
+    call runs in a fresh interpreter, prints the full report, and peaks
+    under 64 MiB."""
+    doc, _ = chunked_scenario()
+    expected = {"partition": partition_rows(doc, Fraction(eps))}
+    assert [row[2] for row in expected["partition"][1:4]] == (
+        ["1040384", "8128", "63"] if eps == "0" else ["1007616", "39360", "1525"]
+    )
+    run_under_64_mib(tmp_path, doc, expected, "--eps", eps)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -739,4 +791,4 @@ def test_a_twenty_four_state_ht_block_is_answered_from_its_weight_order_under_64
     order answers from the four blocks, so ``validate-cps --ht`` and
     ``decompose --ht`` print their full reports under 64 MiB."""
     doc, expected = chunked_scenario((6, 6, 6, 6), eps="0")
-    run_under_64_mib(tmp_path, doc, expected, "--ht", {"BELIEFKIT_MAX_STATES": "64"})
+    run_under_64_mib(tmp_path, doc, expected, "--ht", env={"BELIEFKIT_MAX_STATES": "64"})

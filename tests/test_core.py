@@ -28,7 +28,14 @@ from beliefkit import (
     compose_act,
     seu_value,
 )
-from beliefkit.core import _lex_masks, as_fraction, lex_submasks, mask_indices
+from beliefkit.core import (
+    _lex_masks,
+    as_fraction,
+    least_num,
+    lex_submasks,
+    mask_indices,
+    trace_sums,
+)
 from helpers import fraction_bayes_update, fraction_belief, fraction_lottery
 
 
@@ -296,6 +303,28 @@ def test_lex_submasks_of_scattered_masks_match_the_sorted_subsets():
         mask = sum(1 << i for i in indices)
         assert lex_submasks(mask) == (0, *sorted_subsets(indices))
         assert _lex_masks(sorted(indices)) == sorted_subsets(indices)
+
+
+def test_trace_sums_and_the_least_numerator_are_kept_on_the_prior():
+    """``trace_sums`` is each nonempty submask's numerator in canonical order,
+    the support's own (den) at index |s| - 1, and ``least_num`` the least
+    positive numerator; both are kept, so a second read of the sums returns
+    the same tuple, and neither enters equality."""
+    rng = random.Random("trace-sums")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        weights = [rng.choice((0, 0, *range(1, 9))) for _ in range(n)]
+        weights[rng.randrange(n)] = rng.randint(1, 9)
+        prior = Belief(space, {s: Fraction(w, sum(weights)) for s, w in zip(space.states, weights)})
+        twin = Belief(space, dict(prior.items()))
+        support = prior.support_mask
+        sums = trace_sums(prior)
+        assert sums == tuple(prior.mask_num(q) for q in lex_submasks(support)[1:])
+        assert sums[support.bit_count() - 1] == prior.den
+        assert trace_sums(prior) is sums
+        assert least_num(prior) == min(n for n in prior.nums if n) == least_num(prior)
+        assert prior == twin and hash(prior) == hash(twin)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -14,7 +14,6 @@ from beliefkit import (
     NotCps,
     OSRepresentation,
     StateSpace,
-    SurprisePartition,
     ValidationError,
     conservative_rule,
     cps_to_os,
@@ -25,8 +24,13 @@ from beliefkit import (
     surprise_partition,
     validate_cps,
 )
-from beliefkit.ordered_surprises import eps_surprise_order
-from helpers import coin_hierarchy, grid_hierarchies, random_canonical_os, random_overlapping_os
+from helpers import (
+    coin_hierarchy,
+    grid_hierarchies,
+    partition_oracle,
+    random_canonical_os,
+    random_overlapping_os,
+)
 
 
 @pytest.fixture
@@ -188,17 +192,6 @@ def test_partition_at_zero_has_no_undefined_class(coin):
     for k, events in enumerate(part.classes):
         for e in events:
             assert surprise_order(coin, e) == k
-
-
-def partition_oracle(h: OSRepresentation, eps: Fraction) -> SurprisePartition:
-    """The public constructor over per-event ``eps_surprise_order`` lookups."""
-    parts = [[] for _ in range(len(h.priors) + 1)]  # the last: undefined
-    for e in h.space.events():
-        try:
-            parts[eps_surprise_order(h, eps, e)].append(e.mask)
-        except NoPriorExceedsThreshold:
-            parts[-1].append(e.mask)
-    return SurprisePartition(h.space, eps, parts)
 
 
 def test_partition_matches_the_public_constructor():
