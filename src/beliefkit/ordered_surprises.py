@@ -25,8 +25,9 @@ clears the threshold on E exactly when E & s_j is heavy.  So E is in
 class k exactly when its traces on s_0 .. s_(k-1) are light and its
 trace on s_k is heavy, the other parts being free, and undefined when
 every trace is light; the empty event is the one undefined tuple that is
-no event.  Each count is one pass over a prior's kept trace sums
-(``core.trace_sums``), so the sizes cost O(sum_k 2^|s_k|).
+no event.  Each count is the length of a prior's light trace list, whose
+walk meets at most |s_j| heavy traces per light one, so the sizes cost
+O(sum_k |s_k| * 2^|s_k|) at worst and no pass over the 2^n events.
 """
 
 from __future__ import annotations
@@ -43,10 +44,7 @@ from .core import (
     ZERO,
     as_threshold,
     bayes_update,
-    least_num,
-    lex_submasks,
     mask_indices,
-    trace_sums,
 )
 from .errors import (
     EmptyEvent,
@@ -196,8 +194,9 @@ class SurprisePartition:
     in canonical order.  ``undefined`` holds the events no prior clears.
     The public constructor takes masks: ``parts[k]`` lists class k's, and
     the last list the undefined events'.  ``surprise_partition`` on
-    disjoint supports gives the counts alone and a lister that builds each
-    mask list on its first read.  Each list's Events are built on its
+    disjoint supports gives the counts alone and a lister: the first class
+    read lists every class from one walk, and the first ``undefined`` read
+    that list alone.  Each list's Events are built on its
     first read, the mask-to-class lookup on the first ``class_of``.
     ``sizes[k]`` is ``len(classes[k])``, counted from the masks or given
     by the closed form.
@@ -214,9 +213,9 @@ class SurprisePartition:
         eps: Fraction,
         counts: list[int],
         parts: list[list[int] | None],
-        lister: Callable[[int], list[int]] | None,
+        lister: Callable[[int], list[list[int] | None]] | None,
     ) -> "SurprisePartition":
-        # the one initializer: ``parts[k]`` is None until ``lister(k)`` fills it
+        # the one initializer: ``parts[k]`` is None until ``lister(k)`` builds it
         self.space, self.eps, self._counts, self._parts, self._lister = (
             space, eps, counts, parts, lister
         )
@@ -226,7 +225,8 @@ class SurprisePartition:
 
     def _masks(self, k: int) -> list[int]:
         if self._parts[k] is None:
-            self._parts[k] = self._lister(k)
+            built = self._lister(k)
+            self._parts = [new if old is None else old for old, new in zip(self._parts, built)]
         return self._parts[k]
 
     def _read(self, k: int) -> tuple[Event, ...]:
@@ -294,9 +294,10 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     Prior k clears the threshold where its numerator is above its floor
     ``eps.numerator * den_k // eps.denominator``, as in ``min_order``.
     On pairwise-disjoint supports the sizes are the closed form of the
-    module docstring, counted from each prior's kept trace sums with no
-    pass over the events, and each mask list is built on its first read
-    (``_listed``).  Otherwise ``_walked`` walks every event.
+    module docstring, counted from each prior's light traces, listed once
+    and kept on the partition, with no pass over the events; each mask
+    list is built on its first read (``_listed``).  Otherwise ``_walked``
+    walks every event.
     """
     eps = as_threshold(eps)
     space, priors = os.space, os.priors
@@ -304,64 +305,53 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     floors = [eps.numerator * prior.den // eps.denominator for prior in priors]
     if not os.is_canonical:
         return SurprisePartition(space, eps, _walked(space, priors, floors))
+    lights = [light_traces(prior, floor) for prior, floor in zip(priors, floors)]
     counts = []
     ways, free = 1, len(space)  # events light on the supports so far; states outside them
-    for prior, floor in zip(priors, floors):
-        light = 1 if floor < least_num(prior) else 1 + sum(map(floor.__ge__, trace_sums(prior)))
+    for prior, light in zip(priors, lights):
         size = prior.support_mask.bit_count()
         free -= size
-        counts.append(ways * ((1 << size) - light) << free)
-        ways *= light
+        counts.append(ways * ((1 << size) - len(light)) << free)
+        ways *= len(light)
     counts.append((ways << free) - 1)
-    lister = partial(_listed, len(space), priors, floors)
+    lister = partial(_listed, space, priors, floors, lights)
     return object.__new__(SurprisePartition)._init(space, eps, counts, [None] * len(counts), lister)
 
 
-def _listed(n: int, priors: Sequence[Belief], floors: Sequence[int], k: int) -> list[int]:
-    """Class k's masks in canonical order, the undefined events' when k is the prior count.
+def _listed(
+    space: StateSpace,
+    priors: Sequence[Belief],
+    floors: Sequence[int],
+    lights: Sequence[list[int]],
+    k: int,
+) -> list[list[int] | None]:
+    """The mask lists that a read of part k builds, None where it builds none.
 
-    Supports are pairwise disjoint, so (module docstring) E is in class
-    k exactly when its traces on s_0 .. s_(k-1) are light and its trace on
-    s_k is heavy, and undefined when every trace is light: the products
-    of the priors' light and heavy traces.  The class is listed by a
-    preorder walk of the prefix tree, which enters a node only when some
-    event at or below it is in the class: light traces are down-closed,
-    so each trace before k must be light at the node already, and heavy
-    ones are up-closed, so its trace on s_k with every state of s_k after
-    its last must be heavy.  A node is listed when its own trace on s_k
-    is heavy, and then, when no prior before k holds a state after its
-    last, so is every event below it, in the canonical order of what they
-    add (``lex_submasks``).  The undefined events take the same walk with
-    no heavy trace asked for.
+    A class read takes every class from one ``_walked`` walk.  The
+    undefined events (k the prior count) are those whose trace on each
+    support is light (module docstring).  Light traces are down-closed,
+    so the undefined events are too, and a preorder walk of the prefix
+    tree that enters a child only when its trace on the support holding
+    the added state is light lists them in canonical order; a state
+    outside every support is always entered.
     """
-    held: list[tuple[int, set[int]] | None] = [None] * n  # state: a prior before k holding it
-    for prior, floor in zip(priors[:k], floors):
-        entry = prior.support_mask, set(light_traces(prior, floor))
+    if k < len(priors):
+        return _walked(space, priors, floors)
+    n = len(space)
+    held: list[tuple[int, set[int]] | None] = [None] * n  # state: its support, that one's light traces
+    for prior, light in zip(priors, lights):
+        entry = prior.support_mask, set(light)
         for i in mask_indices(prior.support_mask):
             held[i] = entry
-    s, light = 0, set()  # the undefined events: no trace must be heavy
-    if k < len(priors):
-        s, light = priors[k].support_mask, set(light_traces(priors[k], floors[k]))
-    after = [s >> t + 1 << t + 1 for t in range(n)]  # the states of s after t
-    last = max([t for t in range(n) if held[t]], default=-1)  # the last state held before k
-    tails: dict[int, tuple[int, ...]] = {}  # by t: the nonempty sets of states from t on
     out, stack = [], [0]
     while stack:
         x = stack.pop()
-        if x and x & s not in light:
-            out.append(x)
-            start = x.bit_length()
-            if start > last:  # no prior before k holds a state from start on
-                if start not in tails:
-                    tails[start] = lex_submasks((1 << n) - (1 << start))[1:]
-                out += map(x.__or__, tails[start])
-                continue
+        out.append(x)
         for t in range(n - 1, x.bit_length() - 1, -1):  # children, the first on top
-            y = x | 1 << t
             entry = held[t]
-            if not (entry and y & entry[0] not in entry[1] or y & s | after[t] in light):
-                stack.append(y)
-    return out
+            if not entry or (x | 1 << t) & entry[0] in entry[1]:
+                stack.append(x | 1 << t)
+    return [None] * k + [out[1:]]
 
 
 def _walked(space: StateSpace, priors: Sequence[Belief], floors: Sequence[int]) -> list[list[int]]:

@@ -97,19 +97,6 @@ SCALED = (
     "scales every interval end by one factor, a multiple of the needed one, so every weight and "
     "the total grow alike and the reduced weights and the bounds' Fractions are the same"
 )
-NO_HEAVY = (
-    "the undefined events ask for no heavy trace: with no light trace given, s is read only "
-    "through lookups in the empty set, which fail whatever its value"
-)
-FIRST_START = (
-    "a start is the bit length of a nonempty mask, at least 1, so every default below 1 "
-    "decides `start > last` the same"
-)
-PRUNE = (
-    "only keeps the walk out of subtrees with no member: the mask tested now holds a state "
-    "outside s whenever the true one is nonempty, so it is never a light trace and nothing is "
-    "pruned; the walk enters more nodes and lists the same ones, at the cost of those nodes"
-)
 DEPTH_SLOT = (
     "one more slot by depth, which no event reads: an event of depth d writes slot d and "
     "reads slot d - 1, and d is at most |S|"
@@ -196,17 +183,6 @@ ALLOWED = {
     ("_misses", "held = itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[-1]],)"): (
         "a block of one key: its last key is its first"
     ),
-    ("_listed", "s, light = (1, set())"): NO_HEAVY,
-    ("_listed", "s, light = (-1, set())"): NO_HEAVY,
-    ("_listed", "last = max([t for t in range(n) if held[t]], default=-2)"): FIRST_START,
-    ("_listed", "last = max([t for t in range(n) if held[t]], default=-0)"): FIRST_START,
-    ("_listed", "after = [s << t + 1 << t + 1 for t in range(n)]"): PRUNE,
-    ("_listed", "after = [s >> t + 0 << t + 1 for t in range(n)]"): PRUNE,
-    ("_listed", "after = [s >> t + 1 << t + 2 for t in range(n)]"): PRUNE,
-    (
-        "_listed",
-        "if not (entry and y & entry[0] not in entry[1] or y | s | after[t] in light):",
-    ): PRUNE,
     ("os_to_ht", "weights = [2]"): (
         "every weight is v(0) times a product, so v(0) = 2 doubles all of them and their total, "
         "and the reduced weights are the same"

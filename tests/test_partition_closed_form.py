@@ -1,15 +1,17 @@
 """The surprise partition's closed form on disjoint supports, against the walk and an oracle.
 
 On pairwise-disjoint supports ``surprise_partition`` counts each class
-from the priors' light and heavy traces and lists each class's masks
-only when read (``ordered_surprises._listed``).  Two oracles check it:
+from the priors' light trace lists and builds each mask list only when
+read (``ordered_surprises._listed``): every class from one walk, or the
+undefined events alone by a pruned walk.  Two oracles check it:
 ``_walked``, the walk over every event that overlapping supports still
 take, through the public constructor, and ``helpers.partition_oracle``,
 per-event ``eps_surprise_order`` lookups.  Each prior's ``light_traces``
 are checked against its submasks filtered by their Fraction mass.  Every compared reading
 (``sizes``, ``classes``, ``undefined``, ``class_of``, ``==``, ``hash``
 and ``repr``) is taken first on a partition of its own, so each one
-builds its own lists.  The inputs: every canonical ``grid_hierarchies``
+builds its own lists, and one partition reads ``undefined`` before the
+classes.  The inputs: every canonical ``grid_hierarchies``
 case at |S| <= 4 on the 1/2 and 1/3 grids (234 hierarchies), with eps on
 every mass of every prior's proper traces (the empty one's 0 included)
 and that mass plus and minus 1/1009, inside [0, 1), as in
@@ -77,6 +79,9 @@ def assert_closed_form_matches(h: OSRepresentation, eps: Fraction) -> None:
         part.class_of(Event(h.space, 0))
     part = surprise_partition(h, eps)
     assert part == walk and walk == part and part == oracle
+    part = surprise_partition(h, eps)
+    assert part.undefined == oracle.undefined and part.classes == oracle.classes
+    assert part == oracle
     assert hash(surprise_partition(h, eps)) == hash(walk) == hash(oracle)
 
 
@@ -112,18 +117,17 @@ def test_the_closed_form_matches_the_walk_on_seeded_disjoint_hierarchies():
     assert uncovered > 50
 
 
-def test_the_cap_is_checked_before_any_trace_is_summed(monkeypatch):
+def test_the_cap_is_checked_before_any_trace_is_listed(monkeypatch):
     """A canonical hierarchy one state over the cap raises TooManyStates
-    before a trace sum or a least numerator is read; at the cap it runs."""
+    before any prior's light traces are listed; at the cap it runs."""
     rng = random.Random("partition-cap")
     h = random_canonical_os(rng, max_states=5, min_states=5)
     monkeypatch.setenv(MAX_STATES_ENV, "4")
 
-    def unread(prior):
+    def unread(prior, floor):
         raise AssertionError("a trace was read before the cap")
 
-    monkeypatch.setattr(ordered_surprises, "trace_sums", unread)
-    monkeypatch.setattr(ordered_surprises, "least_num", unread)
+    monkeypatch.setattr(ordered_surprises, "light_traces", unread)
     with pytest.raises(TooManyStates, match="over 5 states exceeds the cap of 4"):
         surprise_partition(h, Fraction(1, 4))
     monkeypatch.undo()
@@ -134,14 +138,15 @@ def test_the_cap_is_checked_before_any_trace_is_summed(monkeypatch):
 
 def test_sizes_and_repr_list_no_mask(monkeypatch):
     """The counts come from the traces alone: on a disjoint hierarchy,
-    ``sizes`` and ``repr`` list no class, and ``undefined`` lists only its own."""
+    ``sizes`` and ``repr`` list no class, and ``undefined`` lists only its
+    own.  No reading keeps trace sums on a prior."""
     rng = random.Random("partition-no-list")
     listed = []
     real = ordered_surprises._listed
 
-    def counted(n, priors, floors, k):
-        listed.append(k)
-        return real(n, priors, floors, k)
+    def counted(*args):
+        listed.append(args[-1])
+        return real(*args)
 
     monkeypatch.setattr(ordered_surprises, "_listed", counted)
     for _ in range(40):
@@ -152,4 +157,6 @@ def test_sizes_and_repr_list_no_mask(monkeypatch):
         assert sum(sizes) + len(part.undefined) == 2 ** len(h.space) - 1
         assert text.endswith(f"undefined={len(part.undefined)})")
         assert listed == [len(h.priors)]
+        assert len(part.classes) == len(h.priors) and listed == [len(h.priors), 0]
+        assert all(prior._sums is None for prior in h.priors)
         listed.clear()
