@@ -19,11 +19,11 @@ entry at a time, and ``kept_traces`` walks the rest of it once, reusing
 the entries already kept, so a tabulator, the certificate or a selection
 reading the prior again builds no belief.  Every reader reads the map in
 place, in canonical order, and takes the prior itself as the update on
-the whole support, which the map does not hold.  ``lex_sums`` gives the
-numerators of all the support's submasks in canonical order, the
-support's own, den, after its |s| - 1 proper prefixes; ``trace_sums``
-keeps that list on the prior, and ``least_num`` its least positive
-numerator, so every threshold test on the same prior reads them once.
+the whole support, which the map does not hold.  A prior keeps no
+numerator sums: ``least_num`` reads its least positive numerator off
+``nums``, and which traces of a prior lie at or below a threshold is
+decided in one place, ``ordered_surprises.light_traces``, which walks
+the light ones and returns their numerators beside them.
 """
 
 from __future__ import annotations
@@ -82,23 +82,16 @@ def as_threshold(value) -> Fraction:
     return eps
 
 
-def lex_sums(values: Sequence[int]) -> list[int]:
-    """The sum of ``values`` over each nonempty set of their positions, canonical order.
-
-    With ``out`` the order over the later positions, the sets holding
-    position i come first ({i}, then i joined to each of ``out``), then
-    ``out``.
-    """
-    out: list[int] = []
-    for x in reversed(values):
-        out = [x, *map(x.__add__, out), *out]
-    return out
-
-
 def _lex_masks(indices: Sequence[int]) -> list[int]:
-    # nonempty subsets of the given sorted indices, in canonical order: a
-    # subset's mask is the sum of its bits
-    return lex_sums([1 << i for i in indices])
+    # masks of the nonempty subsets of the given sorted indices, in
+    # canonical order: with ``out`` the order over the later indices, the
+    # subsets holding index i come first ({i}, then i joined to each of
+    # ``out``), then ``out``
+    out: list[int] = []
+    for i in reversed(indices):
+        bit = 1 << i
+        out = [bit, *map(bit.__or__, out), *out]
+    return out
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -245,11 +238,11 @@ class Belief:
     as far as ``kept_update`` and ``kept_traces`` have filled it, so every
     reader of the same prior shares those updates.  The update on the
     whole support is the belief itself and is not held there, so no
-    belief refers back to itself.  ``_sums`` and ``_least`` keep the
-    integers of ``trace_sums`` and ``least_num`` once read.
+    belief refers back to itself.  Nothing else is kept: a numerator sum
+    over a mask is computed where it is read.
     """
 
-    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces", "_sums", "_least")
+    __slots__ = ("space", "den", "nums", "support_mask", "_mass", "_traces")
 
     def __init__(self, space: StateSpace, masses: Mapping[str, Fraction | int]):
         values = []
@@ -286,8 +279,6 @@ class Belief:
         self.support_mask = support
         self._mass: tuple[Fraction, ...] | None = None
         self._traces: dict[int, Belief] | None = None
-        self._sums: tuple[int, ...] | None = None
-        self._least = 0
         return self
 
     @classmethod
@@ -530,24 +521,9 @@ def bayes_update(mu: Belief, e: Event) -> Belief:
     return mu.restricted(e.mask)
 
 
-def trace_sums(prior: Belief) -> tuple[int, ...]:
-    """``prior``'s numerator on each nonempty submask of its support, canonical order, kept on it.
-
-    ``lex_sums`` of its positive numerators, built on the first read: the
-    support's own, den, comes at index |s| - 1, after its proper prefixes.
-    """
-    sums = prior._sums
-    if sums is None:
-        sums = prior._sums = tuple(lex_sums([x for x in prior.nums if x]))
-    return sums
-
-
 def least_num(prior: Belief) -> int:
-    """``prior``'s least positive numerator, kept on it."""
-    least = prior._least
-    if not least:
-        least = prior._least = min(filter(None, prior.nums))
-    return least
+    """``prior``'s least positive numerator."""
+    return min(filter(None, prior.nums))
 
 
 def kept_traces(prior: Belief) -> dict[int, Belief]:

@@ -72,26 +72,27 @@ is exactly 0.
 The construction runs on integers too.  A class-k conditional's support is
 the submask of support k it was conditioned on (a row), so dominance is the
 support-subset test, and the order is prefix-tree postorder of the
-support's submasks, kept to the rows.  The prior's kept map
+support's submasks, kept to the rows.  The other submasks are the light
+traces, at or below the prior's floor, which
+``ordered_surprises.light_traces`` lists with their numerators, as it
+does for ``surprise_partition`` and ``ht_rule``.  The prior's kept map
 (``core.kept_traces``), read in place, gives the conditional belief on
-every proper submask of its support in canonical order, and its kept
-trace sums (``core.trace_sums``) each submask's numerator in the same
-order once the support's own sum is dropped; the support is a row, the
-prior itself, and the sums are built once per prior for every threshold.
-Every mass compared is a ratio of two such numerators: a row is a
-submask whose numerator is above the prior's floor, and the other
-comparisons are integer cross-multiplications.  Two quantities have
-closed forms.  A class's gap limit is (den - m) / den with m the least
-positive numerator (``core.least_num``, kept on the prior).  The full
+every proper submask of its support, and an entry is a row exactly when
+it is not light; the support is a row, the prior itself.  Every mass
+compared is a ratio of two numerators, by integer cross-multiplication.
+Two quantities have closed forms.  A class's gap limit is (den - m) / den
+with m the least positive numerator (``core.least_num``).  The full
 support attains it when the lightest state is droppable (its removal
 leaves a row).  A state whose
 removal leaves at most the threshold is heavier than every droppable
 state, so when the lightest is not droppable none is; then the limit is
 at most the threshold and never beats the interval chain's bottom.  The
-cross-class maximum is the largest num(q) / lightest(q) over the submasks
-q below the threshold, lightest(q) being the least numerator of a row
-holding q; one pass in descending mask order reads it off q's one-state
-extensions, O(2^|s| * |s|) per class.
+cross-class maximum is the largest num(q) / lightest(q) over the light
+traces q, lightest(q) being the least numerator of a row holding q.  One
+pass over the light traces in descending mask order reads it off q's
+one-state extensions: a light one's lightest, already read, or a row's
+own numerator, since rows are up-closed.  That is O(|s|) per light
+trace, at most O(2^|s| * |s|) per class.
 The interval chain is integers over one denominator (the threshold's, 4
 per class and each gap limit's), so every halving divides exactly, and the
 weights are integer numerators over the lcm of the reduced bounds'
@@ -124,7 +125,6 @@ from .core import (
     least_num,
     lex_submasks,
     mask_indices,
-    trace_sums,
 )
 from .errors import (
     AmbiguousArgmax,
@@ -324,7 +324,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
     top = priors[0]
     s = top.support_mask
     t = (1 << len(ht.space)) - 1 ^ s
-    light = light_traces(top, eps.numerator * top.den // eps.denominator)
+    light, _ = light_traces(top, eps.numerator * top.den // eps.denominator)
     if not t and len(light) == 1:
         return
     common = lcm(*[prior.den for prior in priors])
@@ -499,35 +499,37 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         den = prior.den
         support = prior.support_mask
         floor = eps.numerator * den // eps.denominator  # the largest numerator at or below eps
-        updates = {support: prior}  # conditional support (row) -> its belief
-        lightest = {support: den}  # mask -> least numerator of a row holding it (a row's own)
-        below: list[tuple[int, int]] = []  # (mask, numerator), nonempty submasks at or below eps
-        sums = trace_sums(prior)
-        own = support.bit_count() - 1  # the support's own sum, after its proper prefixes
-        for (mask, posterior), num in zip(kept_traces(prior).items(), sums[:own] + sums[own + 1 :]):
-            if num > floor:
-                updates[mask] = posterior
-                lightest[mask] = num
-            else:
-                below.append((mask, num))
-        bits = [1 << x for x in mask_indices(support)]
+        masks, nums = light_traces(prior, floor)  # submasks at or below eps, the empty one first
+        updates = dict(kept_traces(prior))  # conditional support (row) -> its belief
+        for q in masks[1:]:  # a light trace is not a row
+            del updates[q]
+        updates[support] = prior
+        states = [(1 << i, x) for i, x in enumerate(prior.nums) if x]  # (bit, numerator)
         gaps.append((den - least_num(prior), den))
         sizes.append(len(updates))
         post: list[int] = []  # submasks of the support, prefix-tree postorder
-        for bit in reversed(bits):
+        for bit, _ in reversed(states):
             post = [*[bit | m for m in post], bit, *post]
         flat_priors += [updates[mask] for mask in post if mask in updates]
         class_of += [k] * len(updates)
         if k < last:
             # Cross-class pressure: a class-k belief on row s_b puts
             # num(q) / num(s_b) on a deeper event whose part q in support k
-            # lies in s_b, so the maximum takes each q over its lightest row.
-            # ``below`` is down-closed: descending masks meet each q's
-            # one-state extensions first.
-            for q, num in sorted(below, reverse=True):
-                light = lightest[q] = min([lightest[q | bit] for bit in bits if not q & bit])
-                if num * top[1] > top[0] * light:
-                    top = (num, light)
+            # lies in s_b, so the maximum takes each light q over the
+            # least numerator of a row holding it.  That row holds a
+            # one-state extension q | {i} of q, and the least for q | {i}
+            # is its own numerator when that is above the floor (a row;
+            # rows are up-closed), else the least kept for it: light
+            # traces are down-closed, and descending masks meet q | {i}
+            # before q.
+            least: dict[int, int] = {}  # light trace -> least numerator of a row holding it
+            for q, num in sorted(zip(masks, nums), reverse=True):
+                lightest = least[q] = min([
+                    y if (y := num + x) > floor else least[q | bit]
+                    for bit, x in states if not q & bit
+                ])
+                if num * top[1] > top[0] * lightest:
+                    top = (num, lightest)
     cross_max = Fraction(*top)
     threshold = max(cross_max, eps)
 
@@ -539,8 +541,8 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
     # limit's, so each step divides exactly: by induction upper_k and bottom
     # are multiples of 4^(P-k) times every gap_den_j, j >= k.  No bound
     # reaches bottom: bottom < common, as eps < 1 (``as_threshold``) and
-    # cross_max < 1 (each q in ``below`` misses states of positive mass in
-    # every row holding it); and gap_num < gap_den gives
+    # cross_max < 1 (each light q misses states of positive mass in every
+    # row holding it); and gap_num < gap_den gives
     # max(bottom, upper * gap) < upper, so bottom < lower_k < upper_k and
     # bottom < upper_(k+1).
     common = threshold.denominator * 4 ** len(priors)

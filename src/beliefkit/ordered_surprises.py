@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -231,7 +232,8 @@ class SurprisePartition:
 
     def _read(self, k: int) -> tuple[Event, ...]:
         if self._events[k] is None:
-            self._events[k] = tuple([Event(self.space, m) for m in self._masks(k)])
+            # from ``map``, so no list of the Events is held beside the tuple
+            self._events[k] = tuple(map(Event, repeat(self.space), self._masks(k)))
         return self._events[k]
 
     def _all(self) -> list[list[int]]:
@@ -270,22 +272,29 @@ class SurprisePartition:
         return f"SurprisePartition(eps={self.eps}, sizes=[{','.join(sizes)}], undefined={undefined})"
 
 
-def light_traces(prior: Belief, floor: int) -> list[int]:
-    """The submasks of ``prior``'s support whose numerator is at most ``floor``, canonical order.
+def light_traces(prior: Belief, floor: int) -> tuple[list[int], list[int]]:
+    """The submasks of ``prior``'s support of numerator at most ``floor``, and their numerators.
 
-    The empty one first.  Light traces are down-closed, so a preorder walk
-    of the prefix tree that extends each light one by each later state of
+    Masks in canonical order, the empty one first, and beside them each
+    one's numerator over ``den``.  This is the one place a prior's light
+    set is decided.  Light traces are down-closed, so a preorder walk of
+    the prefix tree that extends each light one by each later state of
     the support meets every one, and no more heavy ones than |s| per
     light one: no list of all 2^|s| traces is built.
     """
     nums, states = prior.nums, mask_indices(prior.support_mask)[::-1]
-    out, stack = [], [(0, 0)]
+    masks, sums, stack = [], [], [(0, 0)]
     while stack:
         q, num = stack.pop()
-        out.append(q)
+        masks.append(q)
+        sums.append(num)
         top = q.bit_length()
-        stack += [(q | 1 << i, y) for i in states if i >= top and (y := num + nums[i]) <= floor]
-    return out
+        for i in states:  # the later states, descending
+            if i < top:
+                break
+            if (y := num + nums[i]) <= floor:
+                stack.append((q | 1 << i, y))
+    return masks, sums
 
 
 def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> SurprisePartition:
@@ -305,7 +314,7 @@ def surprise_partition(os: OSRepresentation, eps: Fraction | int = 0) -> Surpris
     floors = [eps.numerator * prior.den // eps.denominator for prior in priors]
     if not os.is_canonical:
         return SurprisePartition(space, eps, _walked(space, priors, floors))
-    lights = [light_traces(prior, floor) for prior, floor in zip(priors, floors)]
+    lights = [light_traces(prior, floor)[0] for prior, floor in zip(priors, floors)]
     counts = []
     ways, free = 1, len(space)  # events light on the supports so far; states outside them
     for prior, light in zip(priors, lights):

@@ -37,7 +37,7 @@ from beliefkit.errors import (
     ValidationError,
 )
 from beliefkit.hypothesis_testing import EpsOsConstruction, HTRepresentation
-from beliefkit.ordered_surprises import eps_surprise_order, min_order
+from beliefkit.ordered_surprises import eps_surprise_order
 
 
 def random_canonical_os(
@@ -535,7 +535,8 @@ def fraction_eps_os_construction(
 ) -> tuple[EpsOsConstruction, tuple[tuple[int, int], ...]]:
     """Oracle for ``eps_os_construction``: the construction in Fractions.
 
-    Scans every event for its class, builds each class's distinct
+    Scans every event for its class, by Fraction masses rather than the
+    package's integer floors, builds each class's distinct
     conditional beliefs, runs the dominance and cross-class loops on
     Fraction masses, and orders each class by re-sorting its ready list
     after every topological step.  Returns the record and, apart from it,
@@ -553,11 +554,15 @@ def fraction_eps_os_construction(
 
     # Distinct conditional beliefs per class.  A class-k event E yields
     # BU(prior_k, E), which depends only on E intersected with the support,
-    # so the intersection mask identifies the belief.
+    # so the intersection mask identifies the belief.  E's class is the
+    # first prior whose Fraction mass on E, summed state by state, exceeds
+    # eps, with no integer floor.
     seen_masks: list[dict[int, None]] = [dict() for _ in priors]
     class_events: list[list[int]] = [[] for _ in priors]
     for mask in space.canonical_masks():
-        order = min_order(priors, mask, eps)
+        held = [i for i in range(len(space)) if mask >> i & 1]
+        masses = [sum([prior.mass[i] for i in held]) for prior in priors]
+        order = next((j for j, m in enumerate(masses) if m > eps), None)
         if order is None:
             continue
         inner = mask & priors[order].support_mask

@@ -56,6 +56,7 @@ DEFAULT_TESTS = {
         "tests/test_hypothesis_testing.py",
         "tests/test_ht_differential.py",
         "tests/test_eps_differential.py",
+        "tests/test_threshold_boundary.py",
     ),
     "ordered_surprises": (
         "tests/test_ordered_surprises.py",
@@ -86,7 +87,7 @@ REWALK = (
 )
 NOT_FULL = (
     "never takes the space's cached canonical masks for a whole-space support: `_lex_masks` "
-    "lists the same masks in the same order, at the cost of a `lex_sums` pass"
+    "lists the same masks in the same order, at the cost of its pass"
 )
 
 KEYS_BY_OR = (
@@ -196,7 +197,7 @@ ALLOWED = {
         "0/2 is 0: the first test, num(q) * 2 > 0, holds exactly where num(q) * 1 > 0 does, "
         "and Fraction(0, 2) is 0"
     ),
-    ("eps_os_construction", "if num * top[1] >= top[0] * light:"): (
+    ("eps_os_construction", "if num * top[1] >= top[0] * lightest:"): (
         "an equal ratio replaces the maximum, so Fraction(*top) is the same value"
     ),
     (

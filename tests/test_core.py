@@ -34,7 +34,6 @@ from beliefkit.core import (
     least_num,
     lex_submasks,
     mask_indices,
-    trace_sums,
 )
 from helpers import fraction_bayes_update, fraction_belief, fraction_lottery
 
@@ -305,11 +304,11 @@ def test_lex_submasks_of_scattered_masks_match_the_sorted_subsets():
         assert _lex_masks(sorted(indices)) == sorted_subsets(indices)
 
 
-def test_trace_sums_and_the_least_numerator_are_kept_on_the_prior():
-    """``trace_sums`` is each nonempty submask's numerator in canonical order,
-    the support's own (den) at index |s| - 1, and ``least_num`` the least
-    positive numerator; both are kept, so a second read of the sums returns
-    the same tuple, and neither enters equality."""
+def test_the_least_numerator_is_read_off_the_prior_and_nothing_is_kept():
+    """``least_num`` is the least positive numerator, computed on each read;
+    a prior keeps only its masses and its kept map beside its integers, and
+    neither enters equality."""
+    assert Belief.__slots__ == ("space", "den", "nums", "support_mask", "_mass", "_traces")
     rng = random.Random("trace-sums")
     for _ in range(200):
         n = rng.randint(1, 8)
@@ -318,11 +317,6 @@ def test_trace_sums_and_the_least_numerator_are_kept_on_the_prior():
         weights[rng.randrange(n)] = rng.randint(1, 9)
         prior = Belief(space, {s: Fraction(w, sum(weights)) for s, w in zip(space.states, weights)})
         twin = Belief(space, dict(prior.items()))
-        support = prior.support_mask
-        sums = trace_sums(prior)
-        assert sums == tuple(prior.mask_num(q) for q in lex_submasks(support)[1:])
-        assert sums[support.bit_count() - 1] == prior.den
-        assert trace_sums(prior) is sums
         assert least_num(prior) == min(n for n in prior.nums if n) == least_num(prior)
         assert prior == twin and hash(prior) == hash(twin)
 

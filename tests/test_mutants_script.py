@@ -43,6 +43,6 @@ def test_every_default_test_list_names_a_module_and_files_that_exist():
 
 
 def test_a_module_without_default_tests_exits_2(capsys):
-    assert mutants.main(["--module", "core", "--functions", "lex_sums"]) == 2
+    assert mutants.main(["--module", "core", "--functions", "_lex_masks"]) == 2
     assert "no default tests for module core" in capsys.readouterr().err
-    assert mutants.main(["--module", "core", "--functions", "lex_sums", "--list"]) == 0
+    assert mutants.main(["--module", "core", "--functions", "_lex_masks", "--list"]) == 0

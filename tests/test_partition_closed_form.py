@@ -6,8 +6,9 @@ read (``ordered_surprises._listed``): every class from one walk, or the
 undefined events alone by a pruned walk.  Two oracles check it:
 ``_walked``, the walk over every event that overlapping supports still
 take, through the public constructor, and ``helpers.partition_oracle``,
-per-event ``eps_surprise_order`` lookups.  Each prior's ``light_traces``
-are checked against its submasks filtered by their Fraction mass.  Every compared reading
+per-event ``eps_surprise_order`` lookups.  Each prior's ``light_traces``,
+masks and numerators, are checked against its submasks filtered by their
+Fraction mass.  Every compared reading
 (``sizes``, ``classes``, ``undefined``, ``class_of``, ``==``, ``hash``
 and ``repr``) is taken first on a partition of its own, so each one
 builds its own lists, and one partition reads ``undefined`` before the
@@ -65,7 +66,9 @@ def assert_closed_form_matches(h: OSRepresentation, eps: Fraction) -> None:
         traces = lex_submasks(prior.support_mask)
         masses = [(q, Fraction(prior.mask_num(q), prior.den)) for q in traces]
         floor = eps.numerator * prior.den // eps.denominator
-        assert light_traces(prior, floor) == [q for q, m in masses if m <= eps]
+        light = [(q, m) for q, m in masses if m <= eps]
+        masks, nums = light_traces(prior, floor)
+        assert (masks, nums) == ([q for q, _ in light], [m * prior.den for _, m in light])
     walk, oracle = walked(h, eps), partition_oracle(h, eps)
     assert walk == oracle
     events = [Event(h.space, mask) for mask in h.space.canonical_masks()]
@@ -139,7 +142,8 @@ def test_the_cap_is_checked_before_any_trace_is_listed(monkeypatch):
 def test_sizes_and_repr_list_no_mask(monkeypatch):
     """The counts come from the traces alone: on a disjoint hierarchy,
     ``sizes`` and ``repr`` list no class, and ``undefined`` lists only its
-    own.  No reading keeps trace sums on a prior."""
+    own.  No reading leaves anything on a prior: no masses and no kept
+    updates."""
     rng = random.Random("partition-no-list")
     listed = []
     real = ordered_surprises._listed
@@ -158,5 +162,5 @@ def test_sizes_and_repr_list_no_mask(monkeypatch):
         assert text.endswith(f"undefined={len(part.undefined)})")
         assert listed == [len(h.priors)]
         assert len(part.classes) == len(h.priors) and listed == [len(h.priors), 0]
-        assert all(prior._sums is None for prior in h.priors)
+        assert all(prior._mass is None and prior._traces is None for prior in h.priors)
         listed.clear()

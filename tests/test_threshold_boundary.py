@@ -9,7 +9,9 @@ side, and a rational just above and just below it: every grid prior at
 one of its proper traces (the empty one's 0 included), and that mass
 plus and minus 1/1009, inside [0, 1).  Each prior comes second to and
 first before the uniform prior, so a hierarchy and a two-prior
-representation read two floors of two denominators.
+representation read two floors of two denominators.  The thresholded
+construction runs at the same thresholds on each prior followed by the
+uniform prior on the states it leaves, against a Fraction construction.
 """
 
 from fractions import Fraction
@@ -22,13 +24,14 @@ from beliefkit import (
     OSRepresentation,
     SelectionBranch,
     StateSpace,
+    eps_os_construction,
     ht_rule,
     ht_select,
     surprise_partition,
 )
 from beliefkit.core import lex_submasks
 from beliefkit.ordered_surprises import min_order
-from helpers import fraction_ht_select, grid_beliefs
+from helpers import fraction_eps_os_construction, fraction_ht_select, grid_beliefs
 
 NUDGE = Fraction(1, 1009)
 
@@ -41,11 +44,10 @@ def oracle_order(priors, e: Event, eps: Fraction):
     return next((j for j, prior in enumerate(priors) if mass(prior, e) > eps), None)
 
 
-def boundary_cases():
-    """(priors, eps) pairs: a grid prior and the uniform prior, eps on a trace mass or beside it."""
+def boundary_thresholds():
+    """(prior, eps) pairs: a grid prior, eps on one of its trace masses or beside it."""
     for n in range(1, 5):
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        uniform = Belief.uniform_on(space.full_event)
         for den in (2, 3):
             for prior in grid_beliefs(space.full_event, den):
                 support = prior.support_mask
@@ -55,7 +57,13 @@ def boundary_cases():
                 for m in sorted(masses):
                     for eps in (m - NUDGE, m, m + NUDGE):
                         if 0 <= eps < 1:
-                            yield (prior, uniform), eps
+                            yield prior, eps
+
+
+def boundary_cases():
+    """(priors, eps) pairs: a grid prior and the uniform prior, eps on a trace mass or beside it."""
+    for prior, eps in boundary_thresholds():
+        yield (prior, Belief.uniform_on(prior.space.full_event)), eps
 
 
 def test_every_threshold_on_a_trace_mass_decides_as_the_fraction_oracle():
@@ -98,3 +106,30 @@ def test_every_threshold_on_a_trace_mass_decides_as_the_fraction_oracle():
     # 290 (prior, eps) pairs; 385 events sit exactly on the threshold, 30 representations tie
     assert cases == 290 and exact == 385 and ties == 30
     assert bayesian > 1500 and rejected > 1000
+
+
+def test_the_thresholded_construction_on_a_trace_mass_matches_the_fraction_oracle():
+    """``eps_os_construction`` on the hierarchy of a grid prior and the
+    uniform prior on the states it leaves (the prior alone when it leaves
+    none), at each threshold above, field by field against
+    ``helpers.fraction_eps_os_construction``, which classes every event by
+    its Fraction masses."""
+    cases = two_classes = raised = 0
+    for prior, eps in boundary_thresholds():
+        space = prior.space
+        rest = Event(space, space.full_event.mask ^ prior.support_mask)
+        h = OSRepresentation(space, (prior, Belief.uniform_on(rest)) if rest else (prior,))
+        got = eps_os_construction(h, eps)
+        want, pairs = fraction_eps_os_construction(h, eps)
+        assert got.ht.priors == want.ht.priors, (prior, eps)
+        assert got.ht.rho == want.ht.rho, (prior, eps)
+        assert got.ht.eps == want.ht.eps, (prior, eps)
+        assert (got.eps, got.class_of, got.bounds) == (want.eps, want.class_of, want.bounds)
+        assert got.cross_max == want.cross_max, (prior, eps)
+        assert got.edges == pairs, (prior, eps)
+        assert got == want
+        cases += 1
+        two_classes += len(h.priors) == 2
+        raised += got.cross_max > eps
+    # 290 (prior, eps) pairs, 257 of them two classes; 8 raise the threshold above eps
+    assert (cases, two_classes, raised) == (290, 257, 8)
