@@ -27,17 +27,16 @@ _EXPORTS = {
         "TooManyStates", "ValidationError",
     ),
     "hypothesis_testing": (
-        "EpsOsConstruction", "HTRepresentation", "SelectionBranch",
-        "SelectionTrace", "eps_os_construction", "ht_rule", "ht_select",
-        "os_to_ht",
+        "EpsOsConstruction", "SelectionBranch", "SelectionTrace",
+        "eps_os_construction", "ht_rule", "ht_select", "os_to_ht",
     ),
     "lps": (
-        "LPSRepresentation", "ResolutionReport", "clps_condition",
-        "indifference_resolution_demo", "lps_compare", "lps_value",
+        "ResolutionReport", "clps_condition", "indifference_resolution_demo",
+        "lps_compare", "lps_value",
     ),
     "ordered_surprises": (
-        "OSRepresentation", "SurprisePartition", "cps_to_os", "eps_os_update",
-        "os_rule", "os_update", "surprise_order", "surprise_partition",
+        "SurprisePartition", "cps_to_os", "eps_os_update", "os_rule",
+        "os_update", "surprise_order", "surprise_partition",
     ),
     "preferences": (
         "PreferenceFamily", "RiskIndependenceReport",
@@ -45,6 +44,7 @@ _EXPORTS = {
         "check_constant_act_agreement", "check_risk_independence",
         "default_event_pairs", "os_prefer",
     ),
+    "representations": ("HTRepresentation", "LPSRepresentation", "OSRepresentation"),
     "rules": (
         "CpsValidation", "CpsWitness", "UpdatingRule", "bayesian_rule",
         "conservative_rule", "is_complete", "is_concentrated", "rules_equal",

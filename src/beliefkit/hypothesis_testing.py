@@ -6,8 +6,9 @@ top prior when its mass on the event clears the threshold; otherwise the
 prior maximizing mass-times-weight is selected, and the argmax must be
 strict.
 
-A representation stores its weights like a belief's masses: reduced integer
-numerators w_j over one total, read as Fractions (``rho``) on first read.
+A representation (``representations.HTRepresentation``) stores its weights
+like a belief's masses: reduced integer numerators w_j over one total,
+read as Fractions (``rho``) on first read.
 The threshold test is ``ordered_surprises.min_order`` on the top prior: its
 numerator on the event against its floor, the largest numerator at or
 below the threshold.
@@ -97,8 +98,9 @@ The interval chain is integers over one denominator (the threshold's, 4
 per class and each gap limit's), so every halving divides exactly, and the
 weights are integer numerators over the lcm of the reduced bounds'
 denominators times the lcm of (class size + 1), so the even spacing
-divides exactly.  They go to the representation as integers; Fractions
-are built only for ``cross_max`` and ``bounds``.  So the construction is
+divides exactly.  They go to the representation as integers
+(``HTRepresentation.from_weights``, as in ``os_to_ht``); Fractions are
+built only for ``cross_max`` and ``bounds``.  So the construction is
 the per-support walk plus closed forms.  The dominance pairs, ``edges``,
 are O(3^n) and listed only when read, by walking the submasks of each row.
 """
@@ -110,14 +112,13 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, getitem
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
+from . import ordered_surprises, rules
 from .core import (
     Belief,
     Event,
-    StateSpace,
     ZERO,
-    as_fraction,
     as_threshold,
     bayes_update,
     kept_traces,
@@ -133,8 +134,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, light_traces, min_order
-from .rules import UpdatingRule, tabulate_traces
+from .representations import HTRepresentation, OSRepresentation
 
 
 class SelectionBranch(Enum):
@@ -151,93 +151,10 @@ class SelectionTrace(NamedTuple):
     chosen: int
 
 
-class HTRepresentation:
-    """Priors with positive weights (top one strictly maximal) and a threshold.
-
-    Weight j is ``weights[j] / total``, reduced so that total > 0 and
-    gcd(total, *weights) == 1; ``rho`` reads the weights as Fractions,
-    built on first read.
-    """
-
-    __slots__ = ("space", "priors", "weights", "total", "eps", "_rho")
-
-    def __init__(
-        self,
-        space: StateSpace,
-        priors: Iterable[Belief],
-        rho: Iterable[Fraction | int],
-        eps: Fraction | int = 0,
-    ):
-        priors = tuple(priors)
-        rho = tuple(as_fraction(r) for r in rho)
-        common = lcm(*[r.denominator for r in rho])  # weights as integers over it
-        scaled = [r.numerator * (common // r.denominator) for r in rho]
-        self._init(space, priors, scaled, common, as_fraction(eps))
-
-    def _init(
-        self, space: StateSpace, priors: tuple, weights: Sequence[int], total: int, eps: Fraction
-    ) -> "HTRepresentation":
-        # the one initializer: weights[j] / total with total > 0, eps a Fraction;
-        # the weight checks are C-level passes, and a loop reads the priors' slots fastest
-        if not priors:
-            raise ValidationError("a representation needs at least one prior")
-        if [prior.space for prior in priors].count(space) != len(priors):
-            raise SpaceMismatch("prior built over a different state space")
-        if len(weights) != len(priors):
-            raise ValidationError("need exactly one weight per prior")
-        if min(weights) <= 0:
-            raise ValidationError("weights must be strictly positive")
-        if sum(weights) != total:
-            raise ValidationError(f"weights must sum to 1, got {Fraction(sum(weights), total)}")
-        if max(weights[1:], default=0) >= weights[0]:
-            raise ValidationError("the first prior's weight must be strictly maximal")
-        as_threshold(eps)  # the range after the weight checks; the type came first
-        union = 0
-        for prior in priors:
-            union |= prior.support_mask
-        if union != (1 << len(space)) - 1:
-            raise ValidationError("prior supports must jointly cover the space")
-        g = gcd(total, *weights)
-        self.space = space
-        self.priors = priors
-        self.weights = tuple(weights) if g == 1 else tuple([w // g for w in weights])
-        self.total = total // g
-        self.eps = eps
-        self._rho: tuple[Fraction, ...] | None = None
-        return self
-
-    @property
-    def rho(self) -> tuple[Fraction, ...]:
-        """Each prior's weight as a Fraction, built on first read."""
-        if self._rho is None:
-            total = self.total
-            self._rho = tuple([Fraction(w, total) for w in self.weights])
-        return self._rho
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HTRepresentation)
-            and self.space == other.space
-            and self.priors == other.priors
-            and self.weights == other.weights
-            and self.total == other.total
-            and self.eps == other.eps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.priors, self.weights, self.total, self.eps))
-
-    def __repr__(self) -> str:
-        return (
-            f"HTRepresentation(<{len(self.priors)} priors over "
-            f"{len(self.space)} states, eps={self.eps}>)"
-        )
-
-
 def _argmax(ht: HTRepresentation, mask: int, scores: Sequence[int | Fraction]) -> int:
     """Index of the strict maximum of an argmax event's scores."""
-    # best > 0: ``_init`` makes every weight positive and the supports cover
-    # the space, so some prior puts positive mass on the nonempty event
+    # best > 0: a representation's weights are positive and its supports
+    # cover the space, so some prior puts positive mass on the nonempty event
     best = max(scores)
     if scores.count(best) > 1:
         tied = [j for j, score in enumerate(scores) if score == best]
@@ -259,7 +176,7 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
         Fraction(prior.mask_num(e.mask) * w, prior.den * ht.total)
         for prior, w in zip(ht.priors, ht.weights)
     )
-    if min_order(ht.priors[:1], e.mask, ht.eps) == 0:
+    if ordered_surprises.min_order(ht.priors[:1], e.mask, ht.eps) == 0:
         branch, chosen = SelectionBranch.BAYESIAN, 0
     else:
         branch, chosen = SelectionBranch.ARGMAX, _argmax(ht, e.mask, scores)
@@ -267,7 +184,7 @@ def ht_select(ht: HTRepresentation, e: Event) -> tuple[SelectionTrace, Belief]:
     return trace, bayes_update(ht.priors[chosen], e)
 
 
-def ht_rule(ht: HTRepresentation) -> UpdatingRule:
+def ht_rule(ht: HTRepresentation) -> rules.UpdatingRule:
     """Tabulate the induced rule on every nonempty event.
 
     Propagates AmbiguousArgmax (with the canonically first tied event and
@@ -281,8 +198,8 @@ def ht_rule(ht: HTRepresentation) -> UpdatingRule:
     """
     order = _weight_order(ht)
     if order is not None:
-        return tabulate_traces(ht.space, [ht.priors[j] for j in order])
-    return tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht)))
+        return rules.tabulate_traces(ht.space, [ht.priors[j] for j in order])
+    return rules.tabulate_traces(ht.space, ht.priors[:1], chain.from_iterable(_rejected(ht)))
 
 
 def _weight_order(ht: HTRepresentation) -> list[int] | None:
@@ -324,7 +241,7 @@ def _rejected(ht: HTRepresentation) -> Iterator[Iterator[tuple[int, Belief]]]:
     top = priors[0]
     s = top.support_mask
     t = (1 << len(ht.space)) - 1 ^ s
-    light, _ = light_traces(top, eps.numerator * top.den // eps.denominator)
+    light, _ = ordered_surprises.light_traces(top, eps.numerator * top.den // eps.denominator)
     if not t and len(light) == 1:
         return
     common = lcm(*[prior.den for prior in priors])
@@ -407,9 +324,7 @@ def os_to_ht(os: OSRepresentation) -> HTRepresentation:
     weights = [1]  # v(0), ..., v(k) times 2^k * den_0 * ... * den_(k-1)
     for prior in os.priors[:-1]:
         weights = [w * 2 * prior.den for w in weights] + [weights[-1] * least_num(prior)]
-    return object.__new__(HTRepresentation)._init(
-        os.space, os.priors, weights, sum(weights), ZERO
-    )
+    return HTRepresentation.from_weights(os.space, os.priors, weights, sum(weights), ZERO)
 
 
 class EpsOsConstruction(NamedTuple):
@@ -499,7 +414,8 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
         den = prior.den
         support = prior.support_mask
         floor = eps.numerator * den // eps.denominator  # the largest numerator at or below eps
-        masks, nums = light_traces(prior, floor)  # submasks at or below eps, the empty one first
+        # the submasks at or below eps, the empty one first
+        masks, nums = ordered_surprises.light_traces(prior, floor)
         updates = dict(kept_traces(prior))  # conditional support (row) -> its belief
         for q in masks[1:]:  # a light trace is not a row
             del updates[q]
@@ -568,9 +484,7 @@ def eps_os_construction(os: OSRepresentation, eps: Fraction | int) -> EpsOsConst
 
     total = sum(raw)
     scaled_bounds = tuple((Fraction(hi, total), Fraction(lo, total)) for hi, lo in ends)
-    ht = object.__new__(HTRepresentation)._init(
-        space, tuple(flat_priors), raw, total, threshold
-    )
+    ht = HTRepresentation.from_weights(space, tuple(flat_priors), raw, total, threshold)
     return EpsOsConstruction(
         ht=ht,
         eps=eps,

@@ -11,53 +11,21 @@ which this module demonstrates side by side.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
+from . import ordered_surprises
 from .core import (
     Act,
     Belief,
     Event,
     Preference,
-    StateSpace,
     UtilityFunction,
     bayes_update,
     compare_values,
     seu_value,
 )
 from .errors import AllLevelsNull, EmptyEvent, SpaceMismatch, ValidationError
-from .ordered_surprises import OSRepresentation, os_update
-
-
-class LPSRepresentation:
-    """Ordered belief levels; overlap and partial coverage are both allowed."""
-
-    __slots__ = ("space", "levels")
-
-    def __init__(self, space: StateSpace, levels: Iterable[Belief]):
-        levels = tuple(levels)
-        if not levels:
-            raise ValidationError("need at least one level")
-        for level in levels:
-            if level.space != space:
-                raise SpaceMismatch("level built over a different state space")
-        self.space = space
-        self.levels = levels
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LPSRepresentation)
-            and self.space == other.space
-            and self.levels == other.levels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.levels))
-
-    def __repr__(self) -> str:
-        return f"LPSRepresentation(<{len(self.levels)} levels over {len(self.space)} states>)"
+from .representations import LPSRepresentation, OSRepresentation
 
 
 def lps_value(lps: LPSRepresentation, u: UtilityFunction, f: Act) -> tuple[Fraction, ...]:
@@ -135,8 +103,8 @@ def indifference_resolution_demo(
     def verdict(belief: Belief) -> Preference:
         return compare_values(seu_value(u, belief, f), seu_value(u, belief, g))
 
-    os_ex_ante = verdict(os_update(os, full))
-    os_conditional = verdict(os_update(os, e))
+    os_ex_ante = verdict(ordered_surprises.os_update(os, full))
+    os_conditional = verdict(ordered_surprises.os_update(os, e))
     lps_ex_ante = lps_compare(lps, u, f, g)
     clps_conditional = lps_compare(clps_condition(lps, e), u, f, g)
     return ResolutionReport(

@@ -36,8 +36,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
+from . import rules
 from .core import (
     Belief,
     Event,
@@ -55,57 +56,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .rules import UpdatingRule, tabulate_traces, validate_cps
-
-
-class OSRepresentation:
-    """An ordered, nonempty list of priors over one state space."""
-
-    __slots__ = ("space", "priors")
-
-    def __init__(self, space: StateSpace, priors: Iterable[Belief]):
-        priors = tuple(priors)
-        if not priors:
-            raise ValidationError("a hierarchy needs at least one prior")
-        for prior in priors:
-            if prior.space != space:
-                raise SpaceMismatch("prior built over a different state space")
-        self.space = space
-        self.priors = priors
-
-    def __len__(self) -> int:
-        return len(self.priors)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OSRepresentation)
-            and self.space == other.space
-            and self.priors == other.priors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.priors))
-
-    def __repr__(self) -> str:
-        return f"OSRepresentation(<{len(self.priors)} priors over {len(self.space)} states>)"
-
-    @property
-    def covers_space(self) -> bool:
-        """True when every state is in some prior's support."""
-        mask = 0
-        for prior in self.priors:
-            mask |= prior.support_mask
-        return mask == (1 << len(self.space)) - 1
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when supports are pairwise disjoint."""
-        seen = 0
-        for prior in self.priors:
-            if prior.support_mask & seen:
-                return False
-            seen |= prior.support_mask
-        return True
+from .representations import OSRepresentation
 
 
 def min_order(priors: Sequence[Belief], mask: int, eps: Fraction) -> int | None:
@@ -143,17 +94,17 @@ def os_update(os: OSRepresentation, e: Event) -> Belief:
     return bayes_update(os.priors[surprise_order(os, e)], e)
 
 
-def os_rule(os: OSRepresentation) -> UpdatingRule:
+def os_rule(os: OSRepresentation) -> rules.UpdatingRule:
     """The induced rule on every nonempty event, holding the hierarchy's walked prior list."""
     if not os.covers_space:
         os.space.check_enumerable()  # the state cap comes before the coverage check
         raise IncompleteCoverage(
             "hierarchy does not cover the space; update undefined on some events"
         )
-    return tabulate_traces(os.space, os.priors)
+    return rules.tabulate_traces(os.space, os.priors)
 
 
-def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
+def cps_to_os(rule: rules.UpdatingRule) -> OSRepresentation:
     """Recover the canonical hierarchy from a valid CPS rule.
 
     The priors are the ones ``validate_cps`` peels from the rule: starting
@@ -161,7 +112,7 @@ def cps_to_os(rule: UpdatingRule) -> OSRepresentation:
     states and removes its support.  Raises NotCps (carrying the validation
     outcome) when the rule fails ``validate_cps``.
     """
-    validation = validate_cps(rule)
+    validation = rules.validate_cps(rule)
     if not validation:
         detail = validation.reason or "chain rule violated"
         raise NotCps(f"rule is not a conditional probability system: {detail}", validation)

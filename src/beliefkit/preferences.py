@@ -59,7 +59,8 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .ordered_surprises import OSRepresentation, surprise_order
+from .ordered_surprises import surprise_order
+from .representations import OSRepresentation
 
 
 class PreferenceFamily:

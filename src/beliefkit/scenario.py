@@ -34,10 +34,8 @@ from typing import TYPE_CHECKING
 from .core import Act, Belief, Event, Lottery, StateSpace, UtilityFunction
 from .errors import ParseError
 
-if TYPE_CHECKING:  # each block's module is imported where the block is parsed
-    from .hypothesis_testing import HTRepresentation
-    from .lps import LPSRepresentation
-    from .ordered_surprises import OSRepresentation
+if TYPE_CHECKING:  # imported where a block is parsed
+    from .representations import HTRepresentation, LPSRepresentation, OSRepresentation
 
 _TOP_KEYS = ("space", "beliefs", "os", "ht", "lps", "utilities", "acts", "events")
 _HT_KEYS = ("priors", "rho", "eps")
@@ -231,13 +229,13 @@ def parse_scenario(text: str) -> Scenario:
         scenario.beliefs[name] = Belief(space, _rationals(table, f"beliefs.{name}"))
 
     if "os" in doc:
-        from .ordered_surprises import OSRepresentation
+        from .representations import OSRepresentation
 
         scenario.os_names, priors = _named_beliefs(doc["os"], scenario.beliefs, "os")
         scenario.os = OSRepresentation(space, priors)
 
     if "ht" in doc:
-        from .hypothesis_testing import HTRepresentation
+        from .representations import HTRepresentation
 
         block = _expect_object(doc["ht"], "ht")
         for key in block:
@@ -257,7 +255,7 @@ def parse_scenario(text: str) -> Scenario:
         scenario.ht = HTRepresentation(space, priors, rho, eps)
 
     if "lps" in doc:
-        from .lps import LPSRepresentation
+        from .representations import LPSRepresentation
 
         scenario.lps_names, levels = _named_beliefs(doc["lps"], scenario.beliefs, "lps")
         scenario.lps = LPSRepresentation(space, levels)

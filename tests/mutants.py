@@ -63,6 +63,13 @@ DEFAULT_TESTS = {
         "tests/test_partition_closed_form.py",
         "tests/test_threshold_boundary.py",
     ),
+    "representations": (
+        "tests/test_representations.py",
+        "tests/test_hypothesis_testing.py",
+        "tests/test_ordered_surprises.py",
+        "tests/test_lps.py",
+        "tests/test_scenario.py",
+    ),
 }
 
 UNREAD = "sets the A_k slot of an F = 0 heap entry, which the search never reads"
@@ -184,13 +191,21 @@ ALLOWED = {
     ("_misses", "held = itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[-1]],)"): (
         "a block of one key: its last key is its first"
     ),
+    ("_init", "if max(weights[1:], default=-1) >= weights[0]:"): (
+        "the weights are checked positive just before, so an empty max's default, 0 or -1, "
+        "is below weights[0] either way"
+    ),
+    ("_init", "self.weights = tuple(weights) if g == 0 else tuple([w // g for w in weights])"): (
+        "g is a gcd with total > 0, never 0, so the mutant always divides, and dividing by "
+        "g = 1 gives the same weights, at the cost of a list"
+    ),
     ("os_to_ht", "weights = [2]"): (
         "every weight is v(0) times a product, so v(0) = 2 doubles all of them and their total, "
         "and the reduced weights are the same"
     ),
     ("_walked", "sums = [(0,) * count] * (len(space) + 2)"): DEPTH_SLOT,
     ("_walked", "orders = [count] * (len(space) + 2)"): DEPTH_SLOT,
-    ("ht_select", "if min_order(ht.priors[:2], e.mask, ht.eps) == 0:"): (
+    ("ht_select", "if ordered_surprises.min_order(ht.priors[:2], e.mask, ht.eps) == 0:"): (
         "min_order returns 0 exactly when the first prior clears eps, whatever priors follow it"
     ),
     ("eps_os_construction", "top = (0, 2)"): (

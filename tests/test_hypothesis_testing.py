@@ -393,6 +393,10 @@ def test_public_constructor_errors_keep_their_types_and_messages(coin):
             "the first prior's weight must be strictly maximal",
         ),
         (
+            (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
+            "the first prior's weight must be strictly maximal",
+        ),
+        (
             (0.5, Fraction(1, 4), Fraction(1, 4)),
             "expected an exact rational (int or Fraction), got float",
         ),
@@ -402,6 +406,10 @@ def test_public_constructor_errors_keep_their_types_and_messages(coin):
         with pytest.raises(ValidationError) as err:
             HTRepresentation(space, priors, rho)
         assert type(err.value) is ValidationError and str(err.value) == message
+    tails = (Belief(space, {"t": 1}), *priors[1:])  # every state but the first, h
+    with pytest.raises(ValidationError) as err:
+        HTRepresentation(space, tails, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    assert str(err.value) == "prior supports must jointly cover the space"
 
 
 @pytest.mark.parametrize("sizes", ((8,), (4, 4), (3, 3, 2)), ids=str)

@@ -7,7 +7,10 @@ registers every submodule in ``sys.modules`` up front, each with
 so a module counts as executed once its type is the plain module type.  A
 module-level import added to ``cli``, ``scenario`` or the package
 ``__init__`` shows up here as a failure, not as a slower start for every
-call.
+call, and so does a library module that imports a sibling's names where
+binding the sibling lazily (``from . import rules``) would do.  A
+scenario's blocks are built from ``representations`` alone, so a scenario
+with every block runs no module for a block the subcommand does not read.
 """
 
 import json
@@ -32,19 +35,36 @@ print(json.dumps({"registered": registered, "imported": imported, "called": exec
 
 MODULES = (
     "cli", "core", "errors", "hypothesis_testing", "lps", "ordered_surprises",
-    "preferences", "rules", "scenario",
+    "preferences", "representations", "rules", "scenario",
 )
 AT_IMPORT = {"beliefkit", "beliefkit.cli", "beliefkit.core", "beliefkit.errors", "beliefkit.scenario"}
 
+WRITTEN = "written"  # stands for the file ``footprints`` writes from EVERY_BLOCK
+EVERY_BLOCK = {
+    "space": ["a", "b", "c"],
+    "beliefs": {"mu0": {"a": "1/2", "b": "1/2"}, "mu1": {"c": "1"}},
+    "os": ["mu0", "mu1"],
+    "ht": {"priors": ["mu0", "mu1"], "rho": ["2/3", "1/3"], "eps": "0"},
+    "lps": ["mu0", "mu1"],
+    "utilities": {"base": {"$0": "0", "$1": "1"}},
+    "acts": {"f": {s: {"$1": "1"} for s in "abc"}, "g": {s: {"$0": "1"} for s in "abc"}},
+}
+
 CALLS = {  # argv -> the beliefkit modules the call adds to those loaded at import
-    ("validate-cps", "coin"): {"ordered_surprises", "rules"},
+    ("validate-cps", "coin"): {"representations", "ordered_surprises", "rules"},
+    ("update", "coin", "--event", "el,l1,l2"): {"representations", "ordered_surprises"},
+    ("partition", "coin"): {"representations", "ordered_surprises"},
+    ("os-to-ht", "coin"): {"representations", "hypothesis_testing"},
     ("conservative", "conservative", "--delta", "1/2"): {"rules"},
-    ("check-axioms", "lps_demo"): {"ordered_surprises", "rules", "preferences", "lps"},
+    ("check-axioms", "lps_demo"): {"representations", "ordered_surprises", "preferences"},
     ("ht-select", "ht_counterexample", "--event", "e,el,l1,l2"): {
+        "representations",
         "ordered_surprises",
-        "rules",
         "hypothesis_testing",
     },
+    # neither runs hypothesis_testing or lps for the blocks it does not read
+    ("update", WRITTEN, "--event", "a"): {"representations", "ordered_surprises"},
+    ("conservative", WRITTEN, "--delta", "1/2", "--prior", "mu0"): {"representations", "rules"},
 }
 
 
@@ -56,15 +76,20 @@ def footprint(argv) -> dict:
 
 
 @pytest.fixture(scope="module")
-def footprints():
-    return {argv: footprint(argv) for argv in CALLS}
+def footprints(tmp_path_factory):
+    written = tmp_path_factory.mktemp("footprint") / "every_block.json"
+    written.write_text(json.dumps(EVERY_BLOCK), encoding="utf-8")
+    return {
+        argv: footprint([str(written) if arg == WRITTEN else arg for arg in argv])
+        for argv in CALLS
+    }
 
 
 def ours(modules) -> set[str]:
     return {m for m in modules if m == "beliefkit" or m.startswith("beliefkit.")}
 
 
-@pytest.mark.parametrize("argv", list(CALLS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(CALLS), ids=lambda argv: "-".join(argv[:2]))
 def test_a_call_loads_only_what_its_subcommand_reaches(footprints, argv):
     seen = footprints[argv]
     assert seen["code"] in (0, 1)

@@ -34,7 +34,9 @@ def test_functions_the_module_lacks_exit_2(capsys):
 
 
 def test_every_default_test_list_names_a_module_and_files_that_exist():
-    assert sorted(mutants.DEFAULT_TESTS) == ["hypothesis_testing", "ordered_surprises", "rules"]
+    assert sorted(mutants.DEFAULT_TESTS) == [
+        "hypothesis_testing", "ordered_surprises", "representations", "rules",
+    ]
     for module, tests in mutants.DEFAULT_TESTS.items():
         assert (PACKAGE / f"{module}.py").is_file()
         assert tests and len(set(tests)) == len(tests)

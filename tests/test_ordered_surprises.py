@@ -71,6 +71,7 @@ def test_incomplete_hierarchy_raises_on_uncovered_event():
     space = StateSpace(("a", "b"))
     hier = OSRepresentation(space, (Belief(space, {"a": 1}),))
     assert not hier.covers_space
+    assert not OSRepresentation(space, (Belief(space, {"b": 1}),)).covers_space
     with pytest.raises(IncompleteCoverage):
         surprise_order(hier, space.event("b"))
     with pytest.raises(IncompleteCoverage):

@@ -62,6 +62,15 @@ def test_every_export_is_its_modules_object(module):
         assert getattr(beliefkit, name) is getattr(origin, name), name
 
 
+def test_every_export_is_defined_by_the_module_listing_it():
+    """Each public name's object is defined in the module ``_EXPORTS`` lists it
+    under, so ``beliefkit.HTRepresentation`` runs ``representations`` alone and
+    no module that merely imports the name."""
+    for module, names in beliefkit._EXPORTS.items():
+        for name in names:
+            assert getattr(beliefkit, name).__module__ == f"beliefkit.{module}", name
+
+
 def test_all_dir_and_star_import_list_every_export():
     assert len(NAMES) == 74
     assert sorted(beliefkit.__all__) == NAMES

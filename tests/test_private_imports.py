@@ -19,7 +19,12 @@ linger.  A seventh does the same for every public method and property of
 a package class, with the benchmark's reads counted too, so that no
 public member lives only for its own tests.  An eighth holds every public
 module-level function that the package does not export to a read in the
-package, outside its own definition, or in the benchmark.
+package, outside its own definition, or in the benchmark.  A ninth allows
+an import of a package module inside a function body only in ``cli`` and
+``scenario``, whose functions run once per process: anywhere else the
+import statement runs on every call (a few microseconds each), where a
+module-level ``from . import rules`` costs nothing until the module is
+first read, as the package registers every submodule lazily.
 """
 
 import ast
@@ -191,6 +196,66 @@ def test_the_rule_sees_private_imports(tmp_path):
         "bad.py:3: from beliefkit.rules import _first_break",
         "bad.py:4: from . import _private",
         "bad.py:6: from .rules import _peel",
+    ]
+
+
+ONCE_PER_PROCESS = ("cli.py", "scenario.py")
+
+
+def function_level_imports(path: Path) -> list[str]:
+    """Imports of a package module inside a function body: relative, or of ``beliefkit``."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "beliefkit"
+            ):
+                names = ", ".join(alias.name for alias in node.names)
+                found.add((node.lineno, f"from {'.' * node.level}{node.module or ''} import {names}"))
+            elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "beliefkit" for alias in node.names
+            ):
+                found.add((node.lineno, f"import {', '.join(alias.name for alias in node.names)}"))
+    return [f"{path.name}:{line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SRC.glob("*.py")) if path.name not in ONCE_PER_PROCESS],
+    ids=lambda p: p.name,
+)
+def test_no_function_level_package_imports(path):
+    assert function_level_imports(path) == []
+
+
+def test_the_rule_sees_function_level_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from . import rules\n"
+        "if TYPE_CHECKING:\n"
+        "    from .core import Belief\n"
+        "def order(prior: Belief):\n"
+        "    from heapq import heapify\n"
+        "    from .ordered_surprises import min_order\n"
+        "    def inner():\n"
+        "        from . import lps\n"
+        "        return lps\n"
+        "    return heapify, min_order, inner, rules\n"
+        "class Table:\n"
+        "    def read(self):\n"
+        "        import beliefkit.core\n"
+        "        from beliefkit.rules import validate_cps\n"
+        "        return beliefkit.core, validate_cps\n",
+        encoding="utf-8",
+    )
+    assert function_level_imports(bad) == [
+        "bad.py:7: from .ordered_surprises import min_order",
+        "bad.py:9: from . import lps",
+        "bad.py:14: import beliefkit.core",
+        "bad.py:15: from beliefkit.rules import validate_cps",
     ]
 
 
